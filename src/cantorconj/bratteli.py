@@ -398,7 +398,9 @@ def path_rank(d: OrderedBratteliDiagram, path: Path) -> int:
 def path_for_floor(d: OrderedBratteliDiagram, v: int, m: int, floor: int) -> Path:
     """The path of tower v at level m whose 1-indexed floor is given."""
     d.check_level(m)
-    hs = [heights(d, n) for n in range(m)]
+    hs = [(1,)]
+    for n in range(m - 1):
+        hs.append(tuple(sum(hs[-1][s] for s in row) for row in d.table(n)))
     h_v = sum(hs[m - 1][s] for s in d.table(m - 1)[v]) if m >= 1 else 1
     if not (1 <= floor <= h_v):
         raise ValueError("floor %d out of range 1..%d" % (floor, h_v))
@@ -458,20 +460,21 @@ class TowerMap:
 
 
 def tower_map(d: OrderedBratteliDiagram, m: int, m_fine: int) -> TowerMap:
+    """Successor and projection between levels m and m_fine, in one pass.
+
+    Tower w at level n+1 stacks the floors of its sources in the order of
+    its edge list, so the coarse cells under its floors are the
+    concatenation of its sources' sequences; starting from the level-m cells
+    themselves, m_fine - m such steps give every fine cell its coarse cell.
+    """
     if m_fine < m:
         raise ValueError("fine level must be >= coarse level")
-    h_fine = heights(d, m_fine)
     fine_cells = cells(d, m_fine)
-    succ = {}
-    proj = {}
-    for (w, j) in fine_cells:
-        succ[(w, j)] = (w, j + 1) if j < h_fine[w] else None
-        path = path_for_floor(d, w, m_fine, j)
-        prefix = path[:m]
-        if m == 0:
-            proj[(w, j)] = (0, 1)
-        else:
-            proj[(w, j)] = cell_for_path(d, prefix)
+    seqs = [[(v, j) for j in range(1, h + 1)] for v, h in enumerate(heights(d, m))]
+    for n in range(m, m_fine):
+        seqs = [[c for s in row for c in seqs[s]] for row in d.table(n)]
+    succ = {(w, j): (w, j + 1) if j < len(seqs[w]) else None for (w, j) in fine_cells}
+    proj = dict(zip(fine_cells, (c for seq in seqs for c in seq)))
     return TowerMap(m, m_fine, succ, proj)
 
 

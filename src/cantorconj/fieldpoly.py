@@ -97,26 +97,6 @@ def poly_derivative(p):
     return poly_trim(tuple(i * p[i] for i in range(1, len(p))))
 
 
-def poly_monic(p):
-    p = poly_trim(p)
-    if not p:
-        return p
-    lead = Fraction(p[-1])
-    return tuple(Fraction(c) / lead for c in p)
-
-
-def poly_content_primitive(p):
-    """Integer content and primitive part of an integer polynomial."""
-    from math import gcd
-
-    g = 0
-    for c in p:
-        g = gcd(g, abs(int(c)))
-    if g == 0:
-        return 0, ()
-    return g, tuple(int(c) // g for c in p)
-
-
 # ---------------------------------------------------------------------------
 # Sturm chains: exact real root counting for integer/rational polynomials.
 
@@ -244,16 +224,6 @@ class NumberField:
                 self._hi = mid
             else:
                 self._lo = mid
-
-    def refine_to_width(self, eps: Fraction):
-        eps = Fraction(eps)
-        steps = 0
-        while self._hi - self._lo > eps:
-            self.refine()
-            steps += 1
-            if steps > _REFINE_CAP:
-                raise RuntimeError("bisection failed to reach requested width")
-        return (self._lo, self._hi)
 
     # elements -------------------------------------------------------------
 

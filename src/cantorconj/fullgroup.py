@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bratteli import (
-    CapabilityError,
     OrderedBratteliDiagram,
     cells,
     class_of_clopen,
@@ -37,9 +36,6 @@ from .bratteli import (
     tower_map,
 )
 from .dimgroup import DimGroup
-
-# Subset enumeration over the blocks is 2^|P|; twenty keeps it instant.
-MAX_BLOCKS = 20
 
 # Default synthesis searches this many levels past the partition level.
 DEFAULT_LOOKAHEAD_LEVELS = 6
@@ -96,42 +92,86 @@ class BlockConditionResult:
 def check_block_condition(b: BlockBijection) -> BlockConditionResult:
     """Does some block-respecting permutation act as a single cycle?
 
-    Equivalent criterion, checked directly: no nonempty proper subfamily F
-    of the blocks satisfies union(F) = union(images of F).  Sufficiency is
-    witnessed constructively by cyclic_from_blocks; necessity is immediate,
-    since a preserved union confines every respecting permutation.
+    Equivalent criterion: no nonempty proper subfamily F of the blocks
+    satisfies union(F) = union(images of F).  Sufficiency is witnessed
+    constructively by cyclic_from_blocks; necessity is immediate, since a
+    preserved union confines every respecting permutation.
+
+    Since each block and its image have the same size, union(F) equals
+    union(images of F) exactly when F is closed under the relation
+    i -> j, "images[i] meets blocks[j]": closure puts the images of F inside
+    union(F), and equal sizes make the inclusion an equality.  So the
+    condition holds iff this block graph is strongly connected, which one
+    forward and one reverse search from block 0 decide.
+
+    On failure the witness is the closed proper family whose sorted index
+    tuple is lexicographically least, listed as blocks.  It is found
+    greedily: its first index a is the least one whose reach is proper and
+    has no member below a; each further index y is the least one, up to the
+    least member of the closure not yet chosen, whose closure joined with
+    the current one adds no unchosen index below y and stays proper; the
+    family is complete once the closure adds nothing to the chosen indices.
     """
     k = len(b.blocks)
-    if k > MAX_BLOCKS:
-        raise CapabilityError(
-            "block condition supports at most %d blocks, got %d" % (MAX_BLOCKS, k)
-        )
-    bmask = [0] * k
-    imask = [0] * k
-    for i, (u, v) in enumerate(zip(b.blocks, b.images)):
-        for x in u:
-            bmask[i] |= 1 << x
-        for x in v:
-            imask[i] |= 1 << x
-    unions = [0] * (1 << k)
-    iunions = [0] * (1 << k)
-    best = None
-    for m in range(1, (1 << k) - 1):
-        low = m & -m
-        rest = m ^ low
-        unions[m] = unions[rest] | bmask[low.bit_length() - 1]
-        iunions[m] = iunions[rest] | imask[low.bit_length() - 1]
-        if unions[m] == iunions[m]:
-            if best is None or _mask_indices(m) < _mask_indices(best):
-                best = m
-    if best is None:
+    if k <= 1:
         return BlockConditionResult(True)
-    offending = tuple(b.blocks[i] for i in _mask_indices(best))
+    block_of = [0] * (b.size + 1)
+    for i, u in enumerate(b.blocks):
+        for x in u:
+            block_of[x] = i
+    adj = [0] * k
+    radj = [0] * k
+    for i, v in enumerate(b.images):
+        for x in v:
+            j = block_of[x]
+            adj[i] |= 1 << j
+            radj[j] |= 1 << i
+    full = (1 << k) - 1
+    forward = _reach(adj, 1)
+    if forward == full and _reach(radj, 1) == full:
+        return BlockConditionResult(True)
+
+    reach = {0: forward}
+
+    def closure_of(y):
+        if y not in reach:
+            reach[y] = _reach(adj, 1 << y)
+        return reach[y]
+
+    a = next(
+        a for a in range(k)
+        if closure_of(a) != full and not closure_of(a) & ((1 << a) - 1)
+    )
+    chosen = 1 << a
+    closure = closure_of(a)
+    last = a
+    while closure != chosen:
+        rest = closure & ~chosen
+        z = (rest & -rest).bit_length() - 1
+        # y = z always qualifies: z's reach lies inside the closed closure
+        for y in range(last + 1, z + 1):
+            grown = closure | closure_of(y)
+            if grown != full and not grown & ~chosen & ((1 << y) - 1):
+                break
+        chosen |= 1 << y
+        closure = grown
+        last = y
+    offending = tuple(b.blocks[i] for i in range(k) if chosen >> i & 1)
     return BlockConditionResult(False, offending)
 
 
-def _mask_indices(m: int) -> tuple:
-    return tuple(i for i in range(m.bit_length()) if m >> i & 1)
+def _reach(adj, start: int) -> int:
+    """Bitmask of the vertices reachable from the bitmask start along adj."""
+    seen = frontier = start
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
 
 
 def cyclic_from_blocks(b: BlockBijection) -> tuple:

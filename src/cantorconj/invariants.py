@@ -646,7 +646,10 @@ def trace_image_group(dg: OrderedBratteliDiagram) -> TraceImageGroup:
         assert out.contains(Fraction(1))  # the unit always maps to 1
         return out
     one = (Fraction(1),) + (Fraction(0),) * (deg - 1)
-    gens = (one,) + tuple(tuple(t.coeffs) for t in taus)
+    # coeffs drop trailing zeros; generators are full power-basis coordinates
+    gens = (one,) + tuple(
+        tuple(t.coeffs) + (Fraction(0),) * (deg - len(t.coeffs)) for t in taus
+    )
     probe = TraceImageGroup("field", minpoly=data.minpoly, generators=gens)
     basis, _, tmat = _field_lattice(probe)
     stab = abs(_int_det(tmat)) == 1

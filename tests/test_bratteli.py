@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorconj.bratteli import (
+    CELL_CAP,
     MAX_PATH,
+    CapabilityError,
     DiagramStructureError,
     DiagramSyntaxError,
     LevelRangeError,
     OrderedBratteliDiagram,
+    cell_for_path,
     cells,
     class_of_clopen,
     composed_incidence,
@@ -28,7 +31,7 @@ from cantorconj.bratteli import (
     vershik_predecessor,
     vershik_successor,
 )
-from cantorconj.systems import dyadic, fibonacci, quaternary, triadic
+from cantorconj.systems import dyadic, fibonacci, odometer, quaternary, triadic
 
 from conftest import (
     oracle_all_paths,
@@ -263,6 +266,37 @@ def test_tower_map_fibers_have_path_count_sizes():
     for (v, k), size in fiber.items():
         # every floor of tower v appears once per path from v to some level-3 tower
         assert size == sum(m[w][v] for w in range(len(m)))
+
+
+def test_tower_map_matches_path_unranking():
+    # reference: unrank every fine floor to its path and rank the prefix
+    rng = random.Random(41)
+    diagrams = dict.fromkeys(
+        list(EXAMPLES.values())
+        + [odometer(q) for q in range(2, 7)]
+        + [random_stationary(rng, primitive=True) for _ in range(4)]
+    )
+    for d in diagrams:
+        ranked = {}  # prefix path -> its cell, shared by every fine level
+        m_fine = 0
+        while m_fine <= 12 and sum(heights(d, m_fine)) <= CELL_CAP:
+            h_fine = heights(d, m_fine)
+            paths = {c: path_for_floor(d, c[0], m_fine, c[1]) for c in cells(d, m_fine)}
+            successor = {(w, j): (w, j + 1) if j < h_fine[w] else None for (w, j) in paths}
+            for m in range(m_fine + 1):
+                tm = tower_map(d, m, m_fine)
+                assert tm.successor == successor
+                for p in paths.values():
+                    if p[:m] not in ranked:
+                        ranked[p[:m]] = cell_for_path(d, p[:m]) if m else (0, 1)
+                assert tm.project == {c: ranked[p[:m]] for c, p in paths.items()}
+            m_fine += 1
+        if m_fine <= 12:
+            # the first level past the cell cap still refuses to enumerate
+            with pytest.raises(CapabilityError):
+                tower_map(d, 0, m_fine)
+            with pytest.raises(CapabilityError):
+                tower_map(d, m_fine, m_fine)
 
 
 # -- validation -----------------------------------------------------------------

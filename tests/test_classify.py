@@ -36,12 +36,14 @@ from cantorconj.classify import (
     weak_certificate,
 )
 from cantorconj.dimgroup import DimGroup
-from cantorconj.systems import dyadic, fibonacci, quaternary, triadic
+from cantorconj.systems import dyadic, fibonacci, quaternary, stationary_from_rows, triadic
 
 DYADIC = dyadic()
 TRIADIC = triadic()
 QUATERNARY = quaternary()
 FIB = fibonacci()
+# incidence ((1,1,0),(0,1,1),(2,2,2)): a cubic trace field
+TRI3 = stationary_from_rows(((0, 1), (1, 2), (0, 0, 1, 1, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +287,20 @@ def test_hierarchy_consistency():
                 assert w.verdict == "weak"
 
 
+def test_three_vertex_trace_field_verdicts():
+    assert decide_tau(TRI3, TRI3).verdict == "tau"
+    assert decide_k_conjugacy(TRI3, TRI3).verdict == "k-conjugate"
+    for other in (DYADIC, TRIADIC, QUATERNARY, FIB):
+        for a, b in ((TRI3, other), (other, TRI3)):
+            k = decide_k_conjugacy(a, b)
+            t = decide_tau(a, b)
+            w = decide_weak(a, b)
+            if k.verdict == "k-conjugate":
+                assert t.verdict == "tau"
+            if t.verdict == "tau":
+                assert w.verdict == "weak"
+
+
 # ---------------------------------------------------------------------------
 # lifting lemmas
 
@@ -474,6 +490,13 @@ def test_conjugate_dyadic_quaternary():
     bundle = conjugate_at_resolution(DYADIC, QUATERNARY, 2)
     assert bundle.report.verdict == "ok"
     assert bundle.corrector.diagram == QUATERNARY
+
+
+def test_conjugate_quaternary_dyadic_past_twenty_blocks():
+    # 64 level-3 cells of the quaternary odometer, one block each
+    bundle = conjugate_at_resolution(QUATERNARY, DYADIC, 3)
+    assert len(bundle.blocks) == 64
+    assert bundle.report.verdict == "ok"
 
 
 def test_conjugate_obstructed():

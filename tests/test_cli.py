@@ -145,6 +145,15 @@ def test_tau_verdicts(corpus, capsys):
     assert rep["verdict"] == "not"
 
 
+def test_tau_three_vertex_trace_field(tmp_path, capsys):
+    p = tmp_path / "tri3.obd"
+    dump_diagram(systems.stationary_from_rows(((0, 1), (1, 2), (0, 0, 1, 1, 2, 2))), str(p))
+    rc = run(["tau", str(p), str(p), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert json.loads(out)["verdict"] == "tau"
+
+
 def test_tau_certificate_roundtrip(corpus, tmp_path, capsys):
     rc, rep = run_json(capsys, ["tau", corpus["dyadic"], corpus["quaternary"]])
     cp = tmp_path / "tau.cert.json"

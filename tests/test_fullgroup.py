@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cantorconj.bratteli import CapabilityError, cells, heights, tower_map
+from cantorconj.bratteli import cells, heights, tower_map
 from cantorconj.fullgroup import (
     BlockBijection,
     BlockConditionViolation,
@@ -61,6 +61,39 @@ def brute_force_has_cycle(b):
         if is_single_cycle(tuple(sigma)):
             return True
     return False
+
+
+def subset_enumeration_reference(b):
+    # every nonempty proper subfamily whose union the bijection preserves;
+    # the witness is the one with the lexicographically least index tuple
+    k = len(b.blocks)
+    preserved = [
+        fam
+        for r in range(1, k)
+        for fam in itertools.combinations(range(k), r)
+        if {x for i in fam for x in b.blocks[i]} == {x for i in fam for x in b.images[i]}
+    ]
+    if not preserved:
+        return True, None
+    return False, tuple(b.blocks[i] for i in min(preserved))
+
+
+def grouped_block_bijection(rng, n, k):
+    # blocks of random sizes; images reshuffle the elements of random groups
+    # of blocks among themselves, so each group's union is preserved
+    elems = list(range(1, n + 1))
+    rng.shuffle(elems)
+    cuts = sorted(rng.sample(range(1, n), k - 1))
+    blocks = [tuple(elems[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+    group = [rng.randrange(rng.randint(1, 3)) for _ in range(k)]
+    images = [None] * k
+    for g in set(group):
+        members = [i for i in range(k) if group[i] == g]
+        pool = [x for i in members for x in blocks[i]]
+        rng.shuffle(pool)
+        for i in members:
+            images[i], pool = tuple(pool[: len(blocks[i])]), pool[len(blocks[i]):]
+    return BlockBijection(n, tuple(blocks), tuple(images))
 
 
 def random_block_bijection(rng, n):
@@ -147,12 +180,64 @@ def test_block_condition_single_block_vacuous():
     assert check_block_condition(b).ok
 
 
-def test_block_condition_rejects_wide_partitions():
+def test_block_condition_accepts_wide_partitions():
+    # the 21-cycle on singletons: one block graph cycle through every block
     n = 21
     blocks = tuple((i,) for i in range(1, n + 1))
     images = tuple((i % n + 1,) for i in range(1, n + 1))
-    with pytest.raises(CapabilityError):
-        check_block_condition(BlockBijection(n, blocks, images))
+    assert check_block_condition(BlockBijection(n, blocks, images)).ok
+
+
+def wide_planted_bijection(components):
+    # block i holds two consecutive elements; inside each component the
+    # images shift the concatenated elements by one, which links every block
+    # of the component to the next one and the last back to the first
+    k = sum(len(c) for c in components)
+    blocks = [(2 * i + 1, 2 * i + 2) for i in range(k)]
+    images = [None] * k
+    for comp in components:
+        flat = [x for i in comp for x in blocks[i]]
+        flat = flat[1:] + flat[:1]
+        for t, i in enumerate(comp):
+            images[i] = tuple(flat[2 * t: 2 * t + 2])
+    return BlockBijection(2 * k, tuple(blocks), tuple(images))
+
+
+def test_block_condition_wide_planted_family():
+    k = 200
+    c0 = [0, 150]
+    c1 = [1, 2, 3]
+    c2 = [i for i in range(k) if i not in c0 + c1]
+    b = wide_planted_bijection([c0, c1, c2])
+    res = check_block_condition(b)
+    assert not res.ok
+    # proper unions of components holding block 0: c0 = (0, 150),
+    # c0 + c1 = (0, 1, 2, 3, 150) and c0 + c2 = (0, 4, 5, ...); the middle
+    # one is lexicographically least
+    assert res.violation == tuple(b.blocks[i] for i in (0, 1, 2, 3, 150))
+    with pytest.raises(BlockConditionViolation) as e:
+        cyclic_from_blocks(b)
+    assert e.value.violation == res.violation
+    joined = wide_planted_bijection([list(range(k))])
+    assert check_block_condition(joined).ok
+    sigma = cyclic_from_blocks(joined)
+    assert is_single_cycle(sigma) and respects(sigma, joined)
+
+
+def test_block_condition_matches_subset_enumeration():
+    rng = random.Random(2024)
+    violated = 0
+    for t in range(400):
+        k = rng.randint(1, 10)
+        n = rng.randint(k, 14)
+        if t % 2:
+            b = random_block_bijection(rng, n)
+        else:
+            b = grouped_block_bijection(rng, n, k)
+        res = check_block_condition(b)
+        assert (res.ok, res.violation) == subset_enumeration_reference(b)
+        violated += not res.ok
+    assert violated > 100
 
 
 def test_block_condition_least_violation():

@@ -327,6 +327,18 @@ def test_trace_image_fibonacci():
     assert not g.contains((Fraction(1, 2), Fraction(0)))
 
 
+def test_trace_image_pads_trimmed_generators():
+    # incidence ((1,1,0),(0,1,1),(2,2,2)): the third tower's trace has a zero
+    # top coordinate, which the field element trims away
+    d = stationary_from_rows(((0, 1), (1, 2), (0, 0, 1, 1, 2, 2)))
+    g = trace_image_group(d)
+    assert g.kind == "field" and g.minpoly == (-2, 3, -4, 1)
+    assert (Fraction(-1, 2), Fraction(1, 4), Fraction(0)) in g.generators
+    assert all(len(vec) == 3 for vec in g.generators)
+    assert g.contains(Fraction(1))
+    assert trace_images_isomorphic(g, g).value is True
+
+
 def test_trace_image_requires_primitive_stationary():
     trunc = explicit_truncation([2, 2])
     with pytest.raises(ValueError):
