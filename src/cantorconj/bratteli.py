@@ -295,11 +295,7 @@ def composed_incidence(d: OrderedBratteliDiagram, m: int, m2: int) -> tuple[tupl
     size = d.num_vertices(m)
     acc = tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
     for n in range(m, m2):
-        step = incidence(d, n)
-        acc = tuple(
-            tuple(sum(step[i][k] * acc[k][j] for k in range(len(acc))) for j in range(size))
-            for i in range(len(step))
-        )
+        acc = _mat_mul(incidence(d, n), acc)
     return acc
 
 
@@ -606,6 +602,10 @@ def validate(d: OrderedBratteliDiagram, depth: int = 40) -> ValidationReport:
         primitive, prim_level, properly,
         min_chain or (), max_chain or (), tuple(issues),
     )
+
+
+def _mat_apply(mat, vec):
+    return tuple(sum(r * x for r, x in zip(row, vec)) for row in mat)
 
 
 def _mat_mul(a, b):

@@ -12,6 +12,14 @@ reach:
   certified here by an explicit intertwining ladder of nonnegative integer
   matrices.
 
+A ladder rung pair (h, H) with H.h = A^ga and h.H = B^gb makes h a
+solution of the intertwining equation h.A^ga = B^gb.h with h.u_A = u_B
+(shift equivalence over Z+).  The search therefore enumerates h as the
+nonnegative integer points of that linear system, and H as those of
+H.h = A^ga, h.H = B^gb and H.u_B = u_A' (the unit ga levels up), each in
+lexicographic order by a depth-first walk over a row echelon form; one
+budget of walk nodes bounds the whole search.
+
 No-verdicts are only ever derived from sound obstructions: a prime power
 present in one divisor set and absent from the other, a rational-rank
 mismatch of the trace images, or certified non-isomorphy of the trace
@@ -33,15 +41,17 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import itertools
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .bratteli import (
     DgElement,
     OrderedBratteliDiagram,
+    _mat_apply,
+    _mat_mul,
     cells,
     class_of_clopen,
     composed_incidence,
@@ -62,14 +72,16 @@ from .invariants import (
     DEFAULT_PRIME_CUTOFF,
     SpectraComparison,
     TraceIsoResult,
+    _row_reduce,
     divides_unit,
     spectra_equal,
     trace_image_group,
     trace_images_isomorphic,
 )
 
-# Candidate matrices per ladder row; beyond this the search reports Unknown.
-ROW_ENUMERATION_CAP = 20000
+# Depth-first nodes one ladder search may visit over all its cells; beyond
+# this the search reports Unknown.
+LADDER_NODE_BUDGET = 20_000
 
 # Conjugator certificates always audit at this lookahead; the verifier
 # rejects any other value, so the witness bytes stay fully pinned.
@@ -166,17 +178,6 @@ def represent(d: int, k) -> Optional[tuple]:
 
 # ---------------------------------------------------------------------------
 # unit-preserving morphisms
-
-
-def _mat_apply(mat, vec):
-    return tuple(sum(r * x for r, x in zip(row, vec)) for row in mat)
-
-
-def _mat_mul(a, b):
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
 
 
 def _least_failing_factor(dg, p, depth):
@@ -395,23 +396,6 @@ class KConjResult:
     note: Optional[str] = None
 
 
-def _row_solutions(weights, total, cap):
-    sols = []
-
-    def rec(i, rem, acc):
-        if len(sols) > cap:
-            raise SearchExhausted(cap, "ladder entry enumeration")
-        if i == len(weights):
-            if rem == 0:
-                sols.append(tuple(acc))
-            return
-        for v in range(rem // weights[i] + 1):
-            rec(i + 1, rem - v * weights[i], acc + [v])
-
-    rec(0, total, [])
-    return sols
-
-
 def _trace_group_or_none(dg):
     try:
         g = trace_image_group(dg)
@@ -424,12 +408,150 @@ def _rational_rank(g):
     return 1 if g.kind == "cyclic" else len(g.minpoly) - 1
 
 
-def _ladder_search(dgA, dgB, max_span, max_base, cap):
+class _NodeBudget:
+    """Depth-first nodes left to the ladder search, shared by all its cells."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.spent = 0
+
+    def charge(self):
+        if self.spent >= self.limit:
+            raise SearchExhausted(self.limit, "ladder node budget")
+        self.spent += 1
+
+
+def _lex_solutions(rows, rhs, bounds, budget):
+    """Integer x with rows . x = rhs and 0 <= x[k] <= bounds[k], in lex order.
+
+    The system is reduced with pivots sought from the highest-index variable
+    down, so each pivot variable is an affine function of the free variables
+    before it.  A depth-first walk sets the free variables in index order;
+    each pivot row whose last free variable is the one being set narrows
+    that variable to the values that put the pivot inside its bounds, and
+    the pivot must also come out integral.  Two solutions first differ at a
+    free variable, so they appear in lexicographic order.  The root and
+    every value tried cost one node of the budget.
+    """
+    n = len(bounds)
+    budget.charge()
+    aug = [[Fraction(c) for c in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = _row_reduce(aug, range(n - 1, -1, -1))
+    if any(aug[r][n] != 0 for r in range(len(pivots), len(aug))):
+        return
+    free = [k for k in range(n) if k not in pivots]
+    slot = {k: t for t, k in enumerate(free)}
+    # checks[t]: (pivot, constant, denominator, coefficient of free[t], other
+    # terms) for each pivot row fixed once free[t] is set
+    checks = [[] for _ in free]
+    x = [0] * n
+    for r, p in enumerate(pivots):
+        row = aug[r]
+        terms = [k for k in free if row[k] != 0]
+        den = math.lcm(*(row[k].denominator for k in terms), row[n].denominator)
+        const = int(row[n] * den)
+        if not terms:
+            if const % den or not 0 <= const // den <= bounds[p]:
+                return
+            x[p] = const // den
+            continue
+        last = max(terms)
+        others = tuple((k, int(row[k] * den)) for k in terms if k != last)
+        checks[slot[last]].append((p, const, den, int(row[last] * den), others))
+
+    def walk(t):
+        if t == len(free):
+            yield tuple(x)
+            return
+        k = free[t]
+        lo, hi = 0, bounds[k]
+        pending = []
+        for p, const, den, coef, others in checks[t]:
+            # x[p] = (base - coef * x[k]) / den must lie in 0..bounds[p]
+            base = const - sum(c * x[j] for j, c in others)
+            top = den * bounds[p]
+            if coef > 0:
+                lo, hi = max(lo, -((top - base) // coef)), min(hi, base // coef)
+            else:
+                lo, hi = max(lo, -(base // -coef)), min(hi, (top - base) // -coef)
+            pending.append((p, base, den, coef))
+        for v in range(lo, hi + 1):
+            budget.charge()
+            x[k] = v
+            for p, base, den, coef in pending:
+                num = base - coef * v
+                if num % den:
+                    break
+                x[p] = num // den
+            else:
+                yield from walk(t + 1)
+
+    yield from walk(0)
+
+
+def _forward_system(ua0, ub0, conn_a, conn_b):
+    """h . u_A = u_B and h . C_A = C_B . h for h (|u_B| x |u_A|), row-major."""
+    na, nb = len(ua0), len(ub0)
+    rows, rhs = [], []
+    for i in range(nb):
+        row = [0] * (nb * na)
+        row[i * na : (i + 1) * na] = ua0
+        rows.append(row)
+        rhs.append(ub0[i])
+    for i in range(nb):
+        for k in range(na):
+            row = [0] * (nb * na)
+            for j in range(na):
+                row[i * na + j] += conn_a[j][k]
+            for l in range(nb):
+                row[l * na + k] -= conn_b[i][l]
+            rows.append(row)
+            rhs.append(0)
+    bounds = [ub0[i] // ua0[j] for i in range(nb) for j in range(na)]
+    return rows, rhs, bounds
+
+
+def _backward_system(h, ub0, ua1, conn_a, conn_b):
+    """H . h = C_A, h . H = C_B and H . u_B = u_A' for H (|u_A'| x |u_B|), row-major."""
+    na, nb = len(ua1), len(ub0)
+    rows, rhs = [], []
+    for w in range(na):
+        for k in range(len(h[0])):
+            row = [0] * (na * nb)
+            for i in range(nb):
+                row[w * nb + i] = h[i][k]
+            rows.append(row)
+            rhs.append(conn_a[w][k])
+    for i in range(nb):
+        for l in range(nb):
+            row = [0] * (na * nb)
+            for w in range(na):
+                row[w * nb + l] = h[i][w]
+            rows.append(row)
+            rhs.append(conn_b[i][l])
+    for w in range(na):
+        row = [0] * (na * nb)
+        row[w * nb : (w + 1) * nb] = ub0
+        rows.append(row)
+        rhs.append(ua1[w])
+    bounds = [ua1[w] // ub0[i] for w in range(na) for i in range(nb)]
+    return rows, rhs, bounds
+
+
+def _unflatten(flat, width):
+    return tuple(flat[i : i + width] for i in range(0, len(flat), width))
+
+
+def _ladder_search(dgA, dgB, max_span, max_base, budget):
     """Breadth-first over the total level span, then lexicographic.
 
-    A periodic pair (h, H) with H.h and h.H equal to powers of the two
-    incidence matrices extends to an infinite intertwining by stationarity,
-    so two periods are materialized and the rest is implied.
+    A periodic pair (h, H) with H.h and h.H equal to powers C_A and C_B of
+    the two incidence matrices extends to an infinite intertwining by
+    stationarity, so two periods are materialized and the rest is implied.
+    Any such h solves h.C_A = C_B.h (shift equivalence over Z+), so h ranges
+    over the solutions of that equation with h.u_A = u_B, and H over those
+    of H.h = C_A, h.H = C_B and H.u_B = u_A'; the first pair in
+    lexicographic order of h, then of H, is returned.
     """
     for span in range(2, max_span + 1):
         for ga in range(1, span):
@@ -440,35 +562,19 @@ def _ladder_search(dgA, dgB, max_span, max_base, cap):
                     ua1 = heights(dgA, a0 + ga)
                     conn_a = composed_incidence(dgA, a0, a0 + ga)
                     conn_b = composed_incidence(dgB, b0, b0 + gb)
-                    hrows = [_row_solutions(ua0, ub0[i], cap) for i in range(len(ub0))]
-                    brow_pool = {w: _row_solutions(ub0, ua1[w], cap) for w in range(len(ua1))}
-                    for h in itertools.product(*hrows):
-                        brows = []
-                        feasible = True
-                        for w in range(len(ua1)):
-                            good = [
-                                row
-                                for row in brow_pool[w]
-                                if all(
-                                    sum(row[i] * h[i][j] for i in range(len(row)))
-                                    == conn_a[w][j]
-                                    for j in range(len(ua0))
-                                )
-                            ]
-                            if not good:
-                                feasible = False
-                                break
-                            brows.append(good)
-                        if not feasible:
-                            continue
-                        for bm in itertools.product(*brows):
-                            if _mat_mul(h, bm) == conn_b:
-                                return IntertwiningLadder(
-                                    (a0, a0 + ga, a0 + 2 * ga),
-                                    (b0, b0 + gb),
-                                    (h, h),
-                                    (bm, bm),
-                                )
+                    forward = _forward_system(ua0, ub0, conn_a, conn_b)
+                    for flat in _lex_solutions(*forward, budget):
+                        h = _unflatten(flat, len(ua0))
+                        backward = _backward_system(h, ub0, ua1, conn_a, conn_b)
+                        flat_b = next(_lex_solutions(*backward, budget), None)
+                        if flat_b is not None:
+                            bm = _unflatten(flat_b, len(ub0))
+                            return IntertwiningLadder(
+                                (a0, a0 + ga, a0 + 2 * ga),
+                                (b0, b0 + gb),
+                                (h, h),
+                                (bm, bm),
+                            )
     return None
 
 
@@ -484,8 +590,15 @@ def decide_k_conjugacy(
 
     All sound obstructions are collected and reported together: a spectra
     witness, a rational-rank mismatch of the trace images, and certified
-    non-isomorphy of the trace images.  With none present, a bounded search
-    looks for a periodic intertwining ladder; exhaustion yields Unknown.
+    non-isomorphy of the trace images.  With none present, stationary inputs
+    go to a bounded search for a periodic intertwining ladder, by total
+    level span up to max_span and base levels up to max_base.  In each cell
+    the forward rung h runs over the nonnegative integer solutions of
+    h.A^ga = B^gb.h with h.u_A = u_B, and the backward rung over those of
+    H.h = A^ga, h.H = B^gb and H.u_B = u_A' (the unit ga levels up), both
+    in lexicographic order.  The whole search may visit LADDER_NODE_BUDGET
+    nodes.  Unknown comes with a note that names what ran out, the window
+    or the node budget, and the nodes spent.
     """
     obstructions = []
     comp = spectra_equal(dgA, dgB, prime_cutoff, depth)
@@ -508,14 +621,20 @@ def decide_k_conjugacy(
         return KConjResult("k-conjugate", ladder)
     if dgA.kind != "stationary" or dgB.kind != "stationary":
         return KConjResult("unknown", note="ladder search needs stationary input")
+    budget = _NodeBudget(LADDER_NODE_BUDGET)
     try:
-        ladder = _ladder_search(dgA, dgB, max_span, max_base, ROW_ENUMERATION_CAP)
-    except SearchExhausted as e:
-        return KConjResult("unknown", note=str(e))
+        ladder = _ladder_search(dgA, dgB, max_span, max_base, budget)
+    except SearchExhausted:
+        return KConjResult(
+            "unknown",
+            note="ladder search ran out of LADDER_NODE_BUDGET = %d nodes "
+            "after %d nodes" % (budget.limit, budget.spent),
+        )
     if ladder is None:
         return KConjResult(
             "unknown",
-            note="no ladder with span <= %d from base levels <= %d" % (max_span, max_base),
+            note="no ladder with span <= %d from base levels <= %d (%d nodes)"
+            % (max_span, max_base, budget.spent),
         )
     rep = verify_ladder(ladder, dgA, dgB)
     assert rep.ok, rep.reason

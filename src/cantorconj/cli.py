@@ -7,6 +7,9 @@ conjugator), numerical semigroup arithmetic (frobenius), and certificate
 re-checking (verify).  Every report embeds the bounds it ran with, so an
 Unknown verdict names the exact search that was exhausted; --format picks
 json or a flat key:value table and --out redirects the report to a file.
+For kconj the ladder search solves the intertwining equation within the
+--span and --base window under a fixed budget of search nodes, and the
+note of an Unknown verdict says which ran out and how many nodes were spent.
 
 Exit codes: 0 the command completed and the verdict (including No, Failed
 or Unknown) is in the report; 1 input or usage error; 2 capability error,

@@ -22,6 +22,7 @@ from math import gcd
 from .bratteli import (
     DgElement,
     OrderedBratteliDiagram,
+    _mat_apply,
     composed_incidence,
     heights,
     incidence,
@@ -113,10 +114,6 @@ class CertifiedReal:
         return self.element.approx()
 
 
-def _apply(matrix, vec):
-    return tuple(sum(row[j] * vec[j] for j in range(len(vec))) for row in matrix)
-
-
 class DimGroup:
     def __init__(self, diagram: OrderedBratteliDiagram):
         self.diagram = diagram
@@ -141,7 +138,7 @@ class DimGroup:
         if to_level < g.level:
             raise ValueError("cannot push backwards (from %d to %d)" % (g.level, to_level))
         m = composed_incidence(self.diagram, g.level, to_level)
-        return DgElement(to_level, _apply(m, g.vector))
+        return DgElement(to_level, _mat_apply(m, g.vector))
 
     def common_level(self, a: DgElement, b: DgElement) -> tuple:
         lvl = max(a.level, b.level)
@@ -174,7 +171,7 @@ class DimGroup:
             vec = self.push(g, max(1, g.level)).vector
             a = incidence(d, 1)
             for _ in range(k):
-                vec = _apply(a, vec)
+                vec = _mat_apply(a, vec)
             return Decision(all(x == 0 for x in vec))
         vec = g.vector
         level = g.level
@@ -189,7 +186,7 @@ class DimGroup:
             if level >= limit:
                 return Decision(None, depth=limit)
             level += 1
-            vec = _apply(incidence(d, level - 1), vec)
+            vec = _mat_apply(incidence(d, level - 1), vec)
 
     def equal(self, a: DgElement, b: DgElement, depth: int = 40) -> Decision:
         return self.is_zero(self.sub(a, b), depth)
@@ -222,7 +219,7 @@ class DimGroup:
                     witness = level
                     break
                 level += 1
-                vec = DgElement(level, _apply(incidence(d, level - 1), vec.vector))
+                vec = DgElement(level, _mat_apply(incidence(d, level - 1), vec.vector))
             return PositivityResult(POSITIVE if s > 0 else NEGATIVE, witness)
         # bounded scan for explicit (or non-primitive stationary) diagrams
         vec = g.vector
@@ -239,7 +236,7 @@ class DimGroup:
             if level >= limit:
                 return PositivityResult(UNKNOWN, depth=limit)
             level += 1
-            vec = _apply(incidence(d, level - 1), vec)
+            vec = _mat_apply(incidence(d, level - 1), vec)
 
     # -- spectral data -------------------------------------------------------
 

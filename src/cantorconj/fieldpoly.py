@@ -102,6 +102,13 @@ def poly_derivative(p):
 
 
 def sturm_chain(p):
+    """Sturm sequence of p, reduced to count distinct roots.
+
+    The last member is gcd(p, p') up to a scalar.  When it is not constant p
+    has repeated roots, every member vanishes there, and the sign changes
+    no longer count roots; dividing every member by it restores the count
+    for the distinct roots of p.
+    """
     p = poly_trim(tuple(Fraction(c) for c in p))
     chain = [p, poly_derivative(p)]
     while chain[-1]:
@@ -109,7 +116,11 @@ def sturm_chain(p):
         if not rem:
             break
         chain.append(poly_scale(rem, -1))
-    return [c for c in chain if c]
+    chain = [c for c in chain if c]
+    g = chain[-1]
+    if poly_deg(g) > 0:
+        chain = [poly_divmod(c, g)[0] for c in chain]
+    return chain
 
 
 def _sign_changes(chain, x):

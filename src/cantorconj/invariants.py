@@ -152,29 +152,46 @@ def check_divides_certificate(dg: OrderedBratteliDiagram, n: int, result: Divide
 # exact linear algebra helpers (small dense rational systems)
 
 
-def _solve_lin(vectors, target):
-    """Rational x with sum x_i vectors[i] = target, or None."""
-    m = len(target)
-    ncols = len(vectors)
-    aug = [[Fraction(vectors[j][i]) for j in range(ncols)] + [Fraction(target[i])] for i in range(m)]
+def _row_reduce(aug, columns):
+    """Gauss-Jordan elimination of the rational rows `aug`, in place.
+
+    Pivots are sought in the order of `columns`; the pivot columns are
+    returned, row r of aug being the reduced pivot row of pivots[r] (pivot
+    entry 1, zero in every other pivot column).  Rows past the pivots are
+    zero in every column of `columns`.
+    """
+    m = len(aug)
     pivots = []
     row = 0
-    for col in range(ncols):
+    for col in columns:
+        if row == m:
+            break
         sel = next((r for r in range(row, m) if aug[r][col] != 0), None)
         if sel is None:
             continue
         aug[row], aug[sel] = aug[sel], aug[row]
         pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
+        # the rows are sparse: only the pivot row's nonzero entries move
+        support = [j for j, x in enumerate(aug[row]) if x != 0]
+        prow = aug[row] = [x / pv for x in aug[row]]
         for r in range(m):
             if r != row and aug[r][col] != 0:
                 f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
+                target = aug[r]
+                for j in support:
+                    target[j] -= f * prow[j]
         pivots.append(col)
         row += 1
-        if row == m:
-            break
-    for r in range(row, m):
+    return pivots
+
+
+def _solve_lin(vectors, target):
+    """Rational x with sum x_i vectors[i] = target, or None."""
+    m = len(target)
+    ncols = len(vectors)
+    aug = [[Fraction(vectors[j][i]) for j in range(ncols)] + [Fraction(target[i])] for i in range(m)]
+    pivots = _row_reduce(aug, range(ncols))
+    for r in range(len(pivots), m):
         if aug[r][ncols] != 0:
             return None
     x = [Fraction(0)] * ncols

@@ -8,7 +8,9 @@ the test modules are frozen against these, not against the implementation.
 
 from __future__ import annotations
 
+import contextlib
 import random
+import signal
 
 import pytest
 
@@ -82,6 +84,29 @@ def oracle_positivity(diagram, level, vector, depth=20):
         mat = oracle_incidence(diagram, lvl)
         vec = [sum(mat[v][u] * vec[u] for u in range(len(vec))) for v in range(len(mat))]
         lvl += 1
+
+
+# -- time ceilings -------------------------------------------------------------
+
+
+class CeilingExceeded(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def time_ceiling(seconds):
+    """Fail instead of hanging: raise CeilingExceeded after `seconds` of wall time."""
+
+    def expire(signum, frame):
+        raise CeilingExceeded("still running after %s s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- generators ---------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantorconj.bratteli import OrderedBratteliDiagram
 from cantorconj.dimgroup import DimGroup
+from cantorconj.fieldpoly import count_real_roots, isolate_largest_real_root
 from cantorconj.invariants import (
     AtLeast,
     InfiniteValuation,
@@ -24,7 +25,7 @@ from cantorconj.invariants import (
 )
 from cantorconj.systems import dyadic, fibonacci, quaternary, stationary_from_rows, triadic
 
-from conftest import oracle_heights, random_stationary
+from conftest import oracle_heights, random_stationary, time_ceiling
 
 DYADIC = dyadic()
 TRIADIC = triadic()
@@ -337,6 +338,30 @@ def test_trace_image_pads_trimmed_generators():
     assert all(len(vec) == 3 for vec in g.generators)
     assert g.contains(Fraction(1))
     assert trace_images_isomorphic(g, g).value is True
+
+
+def test_largest_root_isolated_past_a_repeated_root():
+    # t^2 (t - 3): every member of the plain Sturm chain vanishes at the
+    # double root 0, so the count on (0, 4] read 0 and the bisection never
+    # ended; the Cauchy bound is 4 and one halving isolates the root 3
+    p = (0, 0, -3, 1)
+    with time_ceiling(5):
+        lo, hi = isolate_largest_real_root(p)
+    assert (lo, hi) == (0, 4)
+    assert count_real_roots(p, lo, hi) == 1
+    assert count_real_roots(p, Fraction(-4), Fraction(4)) == 2
+    assert count_real_roots((1, -2, 1), Fraction(0), Fraction(2)) == 1  # (t - 1)^2
+
+
+def test_trace_image_with_a_repeated_eigenvalue():
+    # incidence ((1,2,0),(1,0,1),(2,0,2)), characteristic polynomial
+    # t^2 (t - 3); the left Perron vector (3, 2, 2) over the level-1 heights
+    # (1, 1, 1) gives the tower traces 3/7, 2/7, 2/7: the image is (1/7) Z[1/3]
+    d = stationary_from_rows(((0, 1, 1), (0, 2), (0, 0, 2, 2)))
+    with time_ceiling(10):
+        g = trace_image_group(d)
+    assert (g.kind, g.ratio, g.denominator) == ("cyclic", 3, 7)
+    assert g.contains(Fraction(2, 63)) and not g.contains(Fraction(1, 2))
 
 
 def test_trace_image_requires_primitive_stationary():
