@@ -115,6 +115,9 @@ class OrderedBratteliDiagram:
     kind: str
     vertex_counts: tuple[int, ...]
     tables: tuple[EdgeTable, ...]
+    # data derived from the fields above, filled by derived(); it lives as
+    # long as the diagram and takes no part in equality, hashing or repr
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def num_vertices(self, level: int) -> int:
         if level < 0:
@@ -265,13 +268,27 @@ def dump_diagram(d: OrderedBratteliDiagram, path: str) -> None:
 # Heights and incidence
 
 
+def derived(d: OrderedBratteliDiagram, key: str, compute):
+    """The value compute() for diagram d, computed once per diagram object.
+
+    Diagrams are immutable, so anything computed from one alone holds for
+    its whole life; the value is kept on the diagram under key.  An
+    exception from compute() is not kept: the next call computes again.
+    """
+    memo = d._memo
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
 def heights(d: OrderedBratteliDiagram, m: int) -> tuple[int, ...]:
     """Tower heights at level m; h_0 = (1,), h_{n+1}(v) = sum over v's sources."""
     d.check_level(m)
-    h = (1,)
-    for n in range(m):
-        h = tuple(sum(h[s] for s in row) for row in d.table(n))
-    return h
+    hs = derived(d, "heights", lambda: [(1,)])
+    while len(hs) <= m:
+        h = hs[-1]
+        hs.append(tuple(sum(h[s] for s in row) for row in d.table(len(hs) - 1)))
+    return hs[m]
 
 
 def incidence(d: OrderedBratteliDiagram, n: int) -> tuple[tuple[int, ...], ...]:
@@ -382,22 +399,15 @@ def path_rank(d: OrderedBratteliDiagram, path: Path) -> int:
     """Number of paths to the same end vertex strictly below, in path order."""
     validate_path(d, path)
     rank = 0
-    h = (1,)
     for n, (v, t) in enumerate(path):
-        tab = d.table(n)
-        row = tab[v]
-        rank += sum(h[row[i]] for i in range(t))
-        h = tuple(sum(h[s] for s in r) for r in tab)
+        h = heights(d, n)
+        rank += sum(h[s] for s in d.table(n)[v][:t])
     return rank
 
 
 def path_for_floor(d: OrderedBratteliDiagram, v: int, m: int, floor: int) -> Path:
     """The path of tower v at level m whose 1-indexed floor is given."""
-    d.check_level(m)
-    hs = [(1,)]
-    for n in range(m - 1):
-        hs.append(tuple(sum(hs[-1][s] for s in row) for row in d.table(n)))
-    h_v = sum(hs[m - 1][s] for s in d.table(m - 1)[v]) if m >= 1 else 1
+    h_v = heights(d, m)[v]
     if not (1 <= floor <= h_v):
         raise ValueError("floor %d out of range 1..%d" % (floor, h_v))
     rank = floor - 1
@@ -405,7 +415,7 @@ def path_for_floor(d: OrderedBratteliDiagram, v: int, m: int, floor: int) -> Pat
     cur = v
     for n in range(m, 0, -1):
         row = d.table(n - 1)[cur]
-        h = hs[n - 1]
+        h = heights(d, n - 1)
         for t, src in enumerate(row):
             if rank < h[src]:
                 rev.append((cur, t))

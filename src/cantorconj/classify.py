@@ -398,10 +398,9 @@ class KConjResult:
 
 def _trace_group_or_none(dg):
     try:
-        g = trace_image_group(dg)
+        return trace_image_group(dg)
     except ValueError:
         return None
-    return None if g.kind == "undetermined" else g
 
 
 def _rational_rank(g):

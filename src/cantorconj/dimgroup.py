@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 
 from .bratteli import (
@@ -24,6 +23,7 @@ from .bratteli import (
     OrderedBratteliDiagram,
     _mat_apply,
     composed_incidence,
+    derived,
     heights,
     incidence,
     validate,
@@ -115,6 +115,12 @@ class CertifiedReal:
 
 
 class DimGroup:
+    """Operations on the dimension group of one diagram.
+
+    The spectral data (primitive, perron) are kept on the diagram, so every
+    DimGroup of one diagram object shares a single computation of them.
+    """
+
     def __init__(self, diagram: OrderedBratteliDiagram):
         self.diagram = diagram
 
@@ -240,12 +246,16 @@ class DimGroup:
 
     # -- spectral data -------------------------------------------------------
 
-    @cached_property
+    @property
     def primitive(self) -> bool:
-        return validate(self.diagram).primitive is True
+        d = self.diagram
+        return derived(d, "primitive", lambda: validate(d).primitive is True)
 
-    @cached_property
+    @property
     def perron(self) -> PerronData:
+        return derived(self.diagram, "perron", self._perron)
+
+    def _perron(self) -> PerronData:
         d = self.diagram
         if d.kind != "stationary":
             raise ValueError("Perron data requires a stationary diagram")
@@ -345,12 +355,4 @@ class DimGroup:
 
     def gcd_chain(self, up_to: int) -> list[int]:
         """gcd of the height entries at levels 1..up_to (a divisibility chain)."""
-        out = []
-        h = (1,)
-        for n in range(up_to):
-            h = tuple(sum(h[s] for s in row) for row in self.diagram.table(n))
-            g = 0
-            for x in h:
-                g = gcd(g, x)
-            out.append(g)
-        return out
+        return [gcd(*heights(self.diagram, m)) for m in range(1, up_to + 1)]

@@ -375,16 +375,15 @@ def conjugator_from_partition(
             tuple(j for j in range(1, h[w] + 1) if qlabel[j - 1] == t)
             for t in range(len(blocks))
         )
-        bb = BlockBijection(h[w], tower_blocks, tower_images)
-        cond = check_block_condition(bb)
-        if not cond.ok:
+        try:
+            sigma = cyclic_from_blocks(BlockBijection(h[w], tower_blocks, tower_images))
+        except BlockConditionViolation as e:
             raise ConjugatorError(
                 "blocks",
                 "tower %d at level %d fails the block condition" % (w, mstar),
                 tower=w,
-                violation=cond.violation,
-            )
-        sigma = cyclic_from_blocks(bb)
+                violation=e.violation,
+            ) from e
         # anchor the cycle at the least floor of the first block; the walk
         # sigma^j then pairs floor j with its conjugated position
         jw = plabel.index(0) + 1

@@ -35,8 +35,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
-from .bratteli import CapabilityError, OrderedBratteliDiagram, heights, incidence
+from .bratteli import CapabilityError, OrderedBratteliDiagram, derived, heights, incidence
 from .dimgroup import DimGroup
+from .fieldpoly import charpoly
 
 __all__ = [
     "AtLeast",
@@ -62,7 +63,6 @@ DEFAULT_DEPTH = 40
 
 _STEP_CAP = 1_000_000  # residue-trajectory guard; larger moduli are not desk scale
 _VALUATION_CAP = 4096  # defense in depth: certified-finite loops must stop long before
-_FIELD_DEGREE_CAP = 8
 
 
 # ---------------------------------------------------------------------------
@@ -200,27 +200,6 @@ def _solve_lin(vectors, target):
     return x
 
 
-def _int_det(mat):
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        sel = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if sel is None:
-            return 0
-        if sel != col:
-            a[col], a[sel] = a[sel], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    assert det.denominator == 1
-    return int(det)
-
-
 def _minimal_annihilator(mat, vec):
     """Least-degree monic integer polynomial g with g(mat) vec = 0, constant first."""
     iterates = [tuple(vec)]
@@ -328,13 +307,36 @@ def check_infinity_certificate(dg: OrderedBratteliDiagram, p: int, cert: dict) -
     return all(a == 0 for a in acc)
 
 
-def _stationary_valuation(dg, p, mu, det, g1, valuation_cutoff):
-    if all(c % p == 0 for c in mu[:-1]):
-        return InfiniteValuation(_infinity_certificate(p, mu))
-    if det % p != 0:
+@dataclass(frozen=True)
+class _StationaryData:
+    """Level-1 data behind the valuations of a stationary diagram."""
+
+    mu: tuple  # minimal monic annihilator of heights(1), constant first
+    det: int  # det of the level-1 incidence matrix
+    g1: int  # gcd of heights(1)
+    candidates: frozenset  # every prime with a positive valuation
+
+
+def _stationary_data(dg: OrderedBratteliDiagram) -> _StationaryData:
+    def compute():
+        mat = incidence(dg, 1)
+        h1 = heights(dg, 1)
+        mu = _minimal_annihilator(mat, h1)
+        # det A = (-1)^n charpoly(A)(0)
+        det = (-1) ** len(mat) * charpoly(mat)[0]
+        return _StationaryData(mu, det, gcd(*h1), _candidate_primes(mat, h1, mu))
+
+    return derived(dg, "stationary_data", compute)
+
+
+def _stationary_valuation(dg, p, valuation_cutoff):
+    sd = _stationary_data(dg)
+    if all(c % p == 0 for c in sd.mu[:-1]):
+        return InfiniteValuation(_infinity_certificate(p, sd.mu))
+    if sd.det % p != 0:
         # invertible mod every power of p: divisibility at any level pulls
         # back to level 1, so the valuation is frozen at v_p(gcd heights(1))
-        return _valuation(g1, p)
+        return _valuation(sd.g1, p)
     v = 0
     while True:
         if valuation_cutoff is not None and v >= valuation_cutoff:
@@ -364,16 +366,9 @@ def periodic_spectrum(
     from sympy import primerange
 
     if dg.kind == "stationary":
-        mat = incidence(dg, 1)
-        h1 = heights(dg, 1)
-        mu = _minimal_annihilator(mat, h1)
-        det = _int_det(mat)
-        g1 = 0
-        for x in h1:
-            g1 = gcd(g1, x)
         entries = []
         for p in primerange(2, prime_cutoff + 1):
-            v = _stationary_valuation(dg, p, mu, det, g1, valuation_cutoff)
+            v = _stationary_valuation(dg, p, valuation_cutoff)
             if v != 0:
                 entries.append((p, v))
         return SupernaturalTruncation(tuple(entries), prime_cutoff, depth)
@@ -403,28 +398,23 @@ class SpectraComparison:
     certificate: Optional[dict]
 
 
-def _candidate_primes(dg):
+def _candidate_primes(mat, vec, mu):
     """Every prime with positive valuation divides one of these numbers.
 
-    Writing mu = t^s q(t) for the minimal annihilator of heights(1) with
-    q(0) != 0: a prime entering the divisor set either divides the gcd of
-    one of the first s+1 height iterates, or kills q(0) mod p (the residue
-    trajectory can only reach zero when t divides the annihilator mod p).
+    Writing mu = t^s q(t) for the minimal annihilator of vec = heights(1)
+    under mat with q(0) != 0: a prime entering the divisor set either
+    divides the gcd of one of the first s+1 height iterates, or kills q(0)
+    mod p (the residue trajectory can only reach zero when t divides the
+    annihilator mod p).
     """
-    mat = incidence(dg, 1)
-    vec = heights(dg, 1)
-    mu = _minimal_annihilator(mat, vec)
     s = 0
     while mu[s] == 0:
         s += 1
     cands = _prime_factors(mu[s])
     for _ in range(s + 1):
-        g = 0
-        for x in vec:
-            g = gcd(g, x)
-        cands |= _prime_factors(g)
+        cands |= _prime_factors(gcd(*vec))
         vec = tuple(sum(mat[i][j] * vec[j] for j in range(len(vec))) for i in range(len(vec)))
-    return cands
+    return frozenset(cands)
 
 
 _INF = float("inf")
@@ -453,26 +443,13 @@ def spectra_equal(
     number lying in exactly one divisor set.  When an explicit diagram is
     involved only certified differences are reported; otherwise Unknown.
     """
-    both_stationary = dgA.kind == "stationary" and dgB.kind == "stationary"
-    if both_stationary:
-        matA, matB = incidence(dgA, 1), incidence(dgB, 1)
-        h1A, h1B = heights(dgA, 1), heights(dgB, 1)
-        muA, muB = _minimal_annihilator(matA, h1A), _minimal_annihilator(matB, h1B)
-        detA, detB = _int_det(matA), _int_det(matB)
-        g1A = 0
-        for x in h1A:
-            g1A = gcd(g1A, x)
-        g1B = 0
-        for x in h1B:
-            g1B = gcd(g1B, x)
-        primes = sorted(_candidate_primes(dgA) | _candidate_primes(dgB))
+    if dgA.kind == "stationary" and dgB.kind == "stationary":
+        primes = sorted(_stationary_data(dgA).candidates | _stationary_data(dgB).candidates)
         rows = []
         witnesses = []
         for p in primes:
-            vA = _stationary_valuation(dgA, p, muA, detA, g1A, None)
-            vB = _stationary_valuation(dgB, p, muB, detB, g1B, None)
-            a = _INF if isinstance(vA, InfiniteValuation) else vA
-            b = _INF if isinstance(vB, InfiniteValuation) else vB
+            vals = [_stationary_valuation(dg, p, None) for dg in (dgA, dgB)]
+            a, b = (_INF if isinstance(v, InfiniteValuation) else v for v in vals)
             rows.append([p, "inf" if a == _INF else a, "inf" if b == _INF else b])
             if a != b:
                 witnesses.append(p ** (int(min(a, b)) + 1))
@@ -516,8 +493,7 @@ class TraceImageGroup:
     union collapsing to the lattice itself, which happens exactly when the
     ratio acts with unit determinant.  Membership tests are exact in both
     kinds; `depth` records how far sample unrollings go in reports, not any
-    bound on the arithmetic.  kind "undetermined" carries only float
-    approximations of the generators.
+    bound on the arithmetic.
     """
 
     kind: str
@@ -527,7 +503,6 @@ class TraceImageGroup:
     generators: Optional[tuple] = None
     stabilized: Optional[bool] = None
     depth: int = 0
-    approximations: Optional[tuple] = None
 
     def contains(self, x) -> bool:
         """Exact membership; x is a Fraction (cyclic) or coordinate tuple (field)."""
@@ -540,16 +515,14 @@ class TraceImageGroup:
                     d //= g
                 g = gcd(d, self.ratio)
             return d == 1
-        if self.kind == "field":
-            deg = len(self.minpoly) - 1
-            if isinstance(x, Fraction) or isinstance(x, int):
-                x = (Fraction(x),) + (Fraction(0),) * (deg - 1)
-            basis, scale, tmat = _field_lattice(self)
-            coeffs = _solve_lin(basis, [Fraction(c) * scale for c in x])
-            if coeffs is None:
-                return False
-            return _eventually_integral(coeffs, tmat) is not None
-        raise ValueError("membership is undefined for an undetermined image")
+        deg = len(self.minpoly) - 1
+        if isinstance(x, Fraction) or isinstance(x, int):
+            x = (Fraction(x),) + (Fraction(0),) * (deg - 1)
+        basis, scale, tmat = _field_lattice(self)
+        coeffs = _solve_lin(basis, [Fraction(c) * scale for c in x])
+        if coeffs is None:
+            return False
+        return _eventually_integral(coeffs, tmat) is not None
 
 
 def _mul_by_t(vec, minpoly):
@@ -632,7 +605,12 @@ def _eventually_integral(coeffs, tmat):
 
 
 def trace_image_group(dg: OrderedBratteliDiagram) -> TraceImageGroup:
-    """Image of the dimension group under the normalized trace (exact form)."""
+    """Image of the dimension group under the normalized trace (exact form),
+    computed once per diagram object."""
+    return derived(dg, "trace_image", lambda: _trace_image_group(dg))
+
+
+def _trace_image_group(dg):
     grp = DimGroup(dg)
     data = grp.perron  # raises ValueError unless primitive stationary
     deg = len(data.minpoly) - 1
@@ -641,8 +619,6 @@ def trace_image_group(dg: OrderedBratteliDiagram) -> TraceImageGroup:
     for i in range(k):
         vec = tuple(1 if j == i else 0 for j in range(k))
         taus.append(grp.trace_value(grp.element(1, vec)).element)
-    if deg > _FIELD_DEGREE_CAP:
-        return TraceImageGroup("undetermined", approximations=tuple(t.approx() for t in taus))
     if deg == 1:
         lam = -data.minpoly[0]
         fracs = [t.as_rational() for t in taus]
@@ -669,7 +645,8 @@ def trace_image_group(dg: OrderedBratteliDiagram) -> TraceImageGroup:
     )
     probe = TraceImageGroup("field", minpoly=data.minpoly, generators=gens)
     basis, _, tmat = _field_lattice(probe)
-    stab = abs(_int_det(tmat)) == 1
+    # |det| of the action of t is the constant term of its characteristic polynomial
+    stab = abs(charpoly(tmat)[0]) == 1
     return TraceImageGroup("field", minpoly=data.minpoly, generators=gens, stabilized=stab)
 
 
@@ -712,8 +689,6 @@ def _field_included(a: TraceImageGroup, b: TraceImageGroup):
 
 def trace_images_isomorphic(a: TraceImageGroup, b: TraceImageGroup) -> TraceIsoResult:
     """Decide unital order isomorphism (equivalently set equality) of images."""
-    if a.kind == "undetermined" or b.kind == "undetermined":
-        return TraceIsoResult(None, "an image was only determined numerically")
     if a.kind == "cyclic" and b.kind == "cyclic":
         ra, rb = _cyclic_radical(a), _cyclic_radical(b)
         if ra != rb:

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from cantorconj.bratteli import cells, class_of_clopen, heights
+from cantorconj.bratteli import cells, class_of_clopen, heights, serialize_diagram
 from cantorconj.classify import (
     ClopenSet,
     IntertwiningLadder,
@@ -575,3 +575,39 @@ def test_conjugator_certificate_roundtrip():
 def test_digest_is_canonical_and_distinct():
     assert diagram_digest(DYADIC) == diagram_digest(dyadic())
     assert diagram_digest(DYADIC) != diagram_digest(QUATERNARY)
+
+
+# ---------------------------------------------------------------------------
+# invariants kept on the diagram
+
+
+def test_memo_leaves_identity_alone():
+    a, b = fibonacci(), fibonacci()
+    before = (repr(a), serialize_diagram(a), diagram_digest(a), hash(a))
+    decide_k_conjugacy(a, QUATERNARY)
+    assert a._memo and not b._memo
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert (repr(a), serialize_diagram(a), diagram_digest(a), hash(a)) == before
+
+
+def test_invariants_computed_once_per_diagram(monkeypatch):
+    from cantorconj import dimgroup
+
+    calls = []
+    real = dimgroup.irreducible_factor_of_largest_root
+
+    def counted(p):
+        calls.append(tuple(p))
+        return real(p)
+
+    monkeypatch.setattr(dimgroup, "irreducible_factor_of_largest_root", counted)
+    fib, sq = fibonacci(), stationary_from_rows(((0, 0, 1), (0, 1)))  # [[2,1],[1,1]]
+    assert decide_weak(fib, sq).verdict == "weak"
+    decide_tau(fib, sq)
+    res = decide_k_conjugacy(fib, sq)
+    assert res.verdict == "k-conjugate"
+    assert verify_certificate(ladder_certificate(res.ladder, fib, sq), (fib, sq)).ok
+    for d in (fib, sq):
+        cert = tau_certificate(decide_tau(d, d), d, d)
+        assert verify_certificate(cert, (d, d)).ok
+    assert sorted(calls) == [(-1, -1, 1), (1, -3, 1)]

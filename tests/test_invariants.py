@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantorconj.bratteli import OrderedBratteliDiagram
 from cantorconj.dimgroup import DimGroup
-from cantorconj.fieldpoly import count_real_roots, isolate_largest_real_root
+from cantorconj.fieldpoly import charpoly, count_real_roots, isolate_largest_real_root
 from cantorconj.invariants import (
     AtLeast,
     InfiniteValuation,
@@ -222,6 +222,33 @@ def test_infinity_certificate_detects_tampering():
     cert = dict(ent[2].certificate)
     cert["annihilator"] = [c + 1 for c in cert["annihilator"]]
     assert not check_infinity_certificate(DYADIC, 2, cert)
+
+
+def cofactor_det(m):
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def test_det_is_signed_constant_term_of_charpoly():
+    # the valuations and the trace lattice read det A as (-1)^n charpoly(A)(0)
+    rng = random.Random(17)
+    singular = 0
+    for n in range(1, 6):
+        for trial in range(30):
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if n > 1 and trial % 3 == 0:
+                # one row a multiple of another (zero when c = 0): singular
+                i, j = rng.sample(range(n), 2)
+                c = rng.randint(-2, 2)
+                m[i] = [c * x for x in m[j]]
+            det = cofactor_det(m)
+            singular += det == 0
+            assert (-1) ** n * charpoly(m)[0] == det, m
+    assert singular >= 20
 
 
 # ---------------------------------------------------------------------------
