@@ -45,6 +45,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .fieldpoly import _mat_mul
+
 FORMAT_NAME = "obd-v1"
 
 # Enumeration guard: operations that materialize every cell of a level stay
@@ -121,7 +123,7 @@ class OrderedBratteliDiagram:
 
     def num_vertices(self, level: int) -> int:
         if level < 0:
-            raise LevelRangeError("negative level")
+            raise ValueError("negative level")
         if self.kind == "stationary":
             return 1 if level == 0 else self.vertex_counts[1]
         if level >= len(self.vertex_counts):
@@ -134,7 +136,7 @@ class OrderedBratteliDiagram:
     def table(self, n: int) -> EdgeTable:
         """Edge table of the transition n -> n+1."""
         if n < 0:
-            raise LevelRangeError("negative transition index")
+            raise ValueError("negative transition index")
         if self.kind == "stationary":
             return self.tables[0] if n == 0 else self.tables[1]
         if n >= len(self.tables):
@@ -149,7 +151,7 @@ class OrderedBratteliDiagram:
 
     def check_level(self, m: int) -> int:
         if m < 0:
-            raise LevelRangeError("negative level")
+            raise ValueError("negative level")
         top = self.max_level()
         if top is not None and m > top:
             raise LevelRangeError(
@@ -611,18 +613,4 @@ def validate(d: OrderedBratteliDiagram, depth: int = 40) -> ValidationReport:
     return ValidationReport(
         primitive, prim_level, properly,
         min_chain or (), max_chain or (), tuple(issues),
-    )
-
-
-def _mat_apply(mat, vec):
-    return tuple(sum(r * x for r, x in zip(row, vec)) for row in mat)
-
-
-def _mat_mul(a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols))
-        for i in range(rows)
     )

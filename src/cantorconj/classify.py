@@ -50,8 +50,6 @@ from typing import Optional
 from .bratteli import (
     DgElement,
     OrderedBratteliDiagram,
-    _mat_apply,
-    _mat_mul,
     cells,
     class_of_clopen,
     composed_incidence,
@@ -60,6 +58,7 @@ from .bratteli import (
     tower_map,
 )
 from .dimgroup import DimGroup, NEGATIVE, NOT_COMPARABLE, POSITIVE, UNKNOWN, ZERO
+from .fieldpoly import _mat_apply, _mat_mul, _row_reduce
 from .fullgroup import (
     ConjugacyReport,
     ConjugatorError,
@@ -72,7 +71,6 @@ from .invariants import (
     DEFAULT_PRIME_CUTOFF,
     SpectraComparison,
     TraceIsoResult,
-    _row_reduce,
     divides_unit,
     spectra_equal,
     trace_image_group,
@@ -114,12 +112,36 @@ class Obstruction:
 # numerical semigroups
 
 
+def _least_by_residue(ks):
+    """Least nonnegative combination of ks in each residue class mod min(ks).
+
+    Dijkstra over the residues (Nijenhuis 1979): entry r is the least
+    representable number congruent to r, or None when none is.  A number
+    t is representable exactly when t >= entry t % min(ks), since adding
+    min(ks) to a representation stays in the class.
+    """
+    g = min(ks)
+    least = [None] * g
+    least[0] = 0
+    heap = [(0, 0)]
+    while heap:
+        val, r = heapq.heappop(heap)
+        if val > least[r]:
+            continue
+        for x in ks:
+            nv, nr = val + x, (val + x) % g
+            if least[nr] is None or nv < least[nr]:
+                least[nr] = nv
+                heapq.heappush(heap, (nv, nr))
+    return least
+
+
 def frobenius(k) -> int:
     """Least N with every integer >= N a nonnegative combination of k.
 
-    Dijkstra over residues modulo min(k) finds the least representable
-    number in each class; the threshold sits one past the largest gap.
-    Returns at least 1 even when k contains 1 (so callers can rely on the
+    The largest gap is the largest least representable number of a residue
+    class modulo min(k) (see _least_by_residue), less min(k); the
+    threshold sits one past it.  Returns at least 1 even when k contains 1 (so callers can rely on the
     reduced heights being strictly positive).
     """
     ks = tuple(int(x) for x in k)
@@ -127,53 +149,43 @@ def frobenius(k) -> int:
         raise ValueError("generators must be positive integers")
     if math.gcd(*ks) != 1:
         raise ValueError("generators must be coprime, gcd is %d" % math.gcd(*ks))
-    g = min(ks)
-    if g == 1:
-        return 1
-    least = [None] * g
-    least[0] = 0
-    heap = [(0, 0)]
-    while heap:
-        val, r = heapq.heappop(heap)
-        if least[r] is not None and val > least[r]:
-            continue
-        for x in ks:
-            nv, nr = val + x, (val + x) % g
-            if least[nr] is None or nv < least[nr]:
-                least[nr] = nv
-                heapq.heappush(heap, (nv, nr))
-    return max(max(least) - g + 1, 1)
+    return max(max(_least_by_residue(ks)) - min(ks) + 1, 1)
 
 
 def represent(d: int, k) -> Optional[tuple]:
     """Lexicographically least nonnegative coefficients with sum c_i k_i = d.
 
-    None when d is not representable.  Greedy over a suffix-reachability
-    table: the first coordinate takes the least value that leaves the tail
-    solvable, and so on.
+    None when d is not representable.  Greedy: each coordinate takes the
+    least value that leaves the rest representable by the later entries,
+    read off their residue table (see _least_by_residue).  Values of a
+    coordinate that differ by the tail's least entry g leave remainders in
+    one residue class, and the smaller value leaves the larger remainder,
+    so at most g values are tried; the last coordinate is one division.
+    The work does not grow with d.
     """
     ks = tuple(int(x) for x in k)
     d = int(d)
     if d < 0 or any(x < 1 for x in ks):
         return None
-    r = len(ks)
-    reach = [[False] * (d + 1) for _ in range(r + 1)]
-    reach[r][0] = True
-    for i in range(r - 1, -1, -1):
-        row, below = reach[i], reach[i + 1]
-        for t in range(d + 1):
-            row[t] = below[t] or (t >= ks[i] and row[t - ks[i]])
-    if not reach[0][d]:
-        return None
+    if not ks:
+        return () if d == 0 else None
     out = []
     rem = d
-    for i in range(r):
-        c = 0
-        while not reach[i + 1][rem - c * ks[i]]:
-            c += 1
+    for i, x in enumerate(ks[:-1]):
+        least = _least_by_residue(ks[i + 1 :])
+        g = len(least)
+        for c in range(min(g, rem // x + 1)):
+            t = rem - c * x
+            if least[t % g] is not None and least[t % g] <= t:
+                break
+        else:
+            return None
         out.append(c)
-        rem -= c * ks[i]
-    return tuple(out)
+        rem -= c * x
+    c, left = divmod(rem, ks[-1])
+    if left:
+        return None
+    return tuple(out) + (c,)
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +626,7 @@ def decide_k_conjugacy(
     if obstructions:
         return KConjResult("not", obstructions=tuple(obstructions))
     if dgA == dgB:
-        n = dgA.num_vertices(1)
-        eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        eye = composed_incidence(dgA, 1, 1)
         ladder = IntertwiningLadder((1, 1), (1,), (eye,), (eye,))
         return KConjResult("k-conjugate", ladder)
     if dgA.kind != "stationary" or dgB.kind != "stationary":
@@ -1047,14 +1058,17 @@ def ladder_certificate(ladder: IntertwiningLadder, dgA, dgB) -> dict:
     return _certificate("k-conjugate", (dgA, dgB), ladder.to_json(), "verify_ladder")
 
 
-def weak_certificate(res: WeakResult, dgA, dgB) -> dict:
-    if res.verdict != "weak":
-        raise ValueError("only positive weak verdicts have certificates")
-    witness = {
+def _weak_witness(res: WeakResult) -> dict:
+    return {
         "forward": [t.to_json() for t in res.forward],
         "backward": [t.to_json() for t in res.backward],
     }
-    return _certificate("weak", (dgA, dgB), witness, "unit_preservation")
+
+
+def weak_certificate(res: WeakResult, dgA, dgB) -> dict:
+    if res.verdict != "weak":
+        raise ValueError("only positive weak verdicts have certificates")
+    return _certificate("weak", (dgA, dgB), _weak_witness(res), "unit_preservation")
 
 
 def _trace_group_json(g) -> dict:
@@ -1070,16 +1084,20 @@ def _trace_group_json(g) -> dict:
     }
 
 
-def tau_certificate(res: TauResult, dgA, dgB) -> dict:
-    if res.verdict != "tau":
-        raise ValueError("only positive tau verdicts have certificates")
-    witness = {
+def _tau_witness(res: TauResult, dgA, dgB) -> dict:
+    return {
         "spectra": res.spectra.certificate,
         "trace": {
             "a": _trace_group_json(trace_image_group(dgA)),
             "b": _trace_group_json(trace_image_group(dgB)),
         },
     }
+
+
+def tau_certificate(res: TauResult, dgA, dgB) -> dict:
+    if res.verdict != "tau":
+        raise ValueError("only positive tau verdicts have certificates")
+    witness = _tau_witness(res, dgA, dgB)
     return _certificate("tau", (dgA, dgB), witness, "invariant_recomputation")
 
 
@@ -1164,11 +1182,7 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
             res = decide_weak(systems[0], systems[1], rounds=rounds)
             if res.verdict != "weak":
                 return CertificateCheck(False, "spectra no longer verify as equal")
-            fresh = {
-                "forward": [t.to_json() for t in res.forward],
-                "backward": [t.to_json() for t in res.backward],
-            }
-            if _normalized(fresh) != _normalized(witness):
+            if _normalized(_weak_witness(res)) != _normalized(witness):
                 return CertificateCheck(False, "witness differs from recomputation")
             return CertificateCheck(True)
         if claim == "tau":
@@ -1177,14 +1191,7 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
             res = decide_tau(systems[0], systems[1])
             if res.verdict != "tau":
                 return CertificateCheck(False, "invariants no longer verify")
-            fresh = {
-                "spectra": res.spectra.certificate,
-                "trace": {
-                    "a": _trace_group_json(trace_image_group(systems[0])),
-                    "b": _trace_group_json(trace_image_group(systems[1])),
-                },
-            }
-            if _normalized(fresh) != _normalized(witness):
+            if _normalized(_tau_witness(res, *systems)) != _normalized(witness):
                 return CertificateCheck(False, "witness differs from recomputation")
             return CertificateCheck(True)
         if claim == "conjugator":

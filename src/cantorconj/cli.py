@@ -37,6 +37,7 @@ from .bratteli import (
 )
 from .classify import (
     StageError,
+    _weak_witness,
     conjugate_at_resolution,
     conjugator_certificate,
     decide_k_conjugacy,
@@ -212,8 +213,7 @@ def _cmd_weak(args):
     res = decide_weak(a, b, prime_cutoff=args.primes, depth=args.depth)
     out = {"verdict": res.verdict, "witness": res.witness}
     if res.verdict == "weak":
-        out["forward"] = [t.to_json() for t in res.forward]
-        out["backward"] = [t.to_json() for t in res.backward]
+        out.update(_weak_witness(res))
         out["certificate"] = weak_certificate(res, a, b)
     return out
 

@@ -21,7 +21,6 @@ from math import gcd
 from .bratteli import (
     DgElement,
     OrderedBratteliDiagram,
-    _mat_apply,
     composed_incidence,
     derived,
     heights,
@@ -31,6 +30,8 @@ from .bratteli import (
 from .fieldpoly import (
     FieldElement,
     NumberField,
+    _mat_apply,
+    _row_reduce,
     charpoly,
     irreducible_factor_of_largest_root,
 )
@@ -179,20 +180,11 @@ class DimGroup:
             for _ in range(k):
                 vec = _mat_apply(a, vec)
             return Decision(all(x == 0 for x in vec))
-        vec = g.vector
-        level = g.level
-        top = d.max_level()
-        limit = min(depth + g.level, top)
-        while True:
-            if all(x == 0 for x in vec):
-                return Decision(True, witness_level=level)
-            if all(x > 0 for x in vec) or all(x < 0 for x in vec):
-                # strictly one-signed vectors stay strictly one-signed
-                return Decision(False, witness_level=level)
-            if level >= limit:
-                return Decision(None, depth=limit)
-            level += 1
-            vec = _mat_apply(incidence(d, level - 1), vec)
+        # the bounded scan: strictly one-signed vectors stay strictly one-signed
+        pos = self.is_positive(g, depth)
+        if pos.verdict == UNKNOWN:
+            return Decision(None, depth=pos.depth)
+        return Decision(pos.verdict == ZERO, witness_level=pos.witness_level)
 
     def equal(self, a: DgElement, b: DgElement, depth: int = 40) -> Decision:
         return self.is_zero(self.sub(a, b), depth)
@@ -282,60 +274,21 @@ class DimGroup:
     def _left_eigenvector(a, field, root):
         """Solve v A = root v with v[last] = 1, certified strictly positive."""
         k = len(a)
-        one = field.rational(1)
-        zero = field.rational(0)
-        # unknowns x_0..x_{k-2}; equation j: sum_i x_i (A[i][j] - root delta_ij) = 0
-        # with x_{k-1} = 1 moved to the right-hand side.
-        rows = []
-        rhs = []
-        for j in range(k):
-            row = []
-            for i in range(k - 1):
-                coef = field.rational(a[i][j])
-                if i == j:
-                    coef = coef - root
-                row.append(coef)
-            last = field.rational(a[k - 1][j])
-            if j == k - 1:
-                last = last - root
-            rows.append(row)
-            rhs.append(zero - last)
-        # Gaussian elimination on the k x (k-1) system (rank k-1).
-        pivots = []
-        r = 0
-        for col in range(k - 1):
-            piv = None
-            for i in range(r, k):
-                if not rows[i][col].is_zero():
-                    piv = i
-                    break
-            if piv is None:
-                raise AssertionError("Perron eigenvector system lost rank")
-            rows[r], rows[piv] = rows[piv], rows[r]
-            rhs[r], rhs[piv] = rhs[piv], rhs[r]
-            inv = rows[r][col].inverse()
-            rows[r] = [c * inv for c in rows[r]]
-            rhs[r] = rhs[r] * inv
-            for i in range(k):
-                if i != r and not rows[i][col].is_zero():
-                    f = rows[i][col]
-                    rows[i] = [ci - f * cr for ci, cr in zip(rows[i], rows[r])]
-                    rhs[i] = rhs[i] - f * rhs[r]
-            pivots.append(col)
-            r += 1
-            if r == k - 1:
-                break
-        x = [zero] * (k - 1)
-        for idx, col in enumerate(pivots):
-            x[col] = rhs[idx]
-        v = x + [one]
+        # equation j: sum_i v_i (A[i][j] - root delta_ij) = 0, with the known
+        # v_{k-1} = 1 moved to the right-hand side; the k x (k-1) system has
+        # rank k-1
+        rows = [
+            [field.rational(a[i][j]) - (root if i == j else 0) for i in range(k)]
+            for j in range(k)
+        ]
+        aug = [row[:-1] + [-row[-1]] for row in rows]
+        if _row_reduce(aug, range(k - 1)) != list(range(k - 1)):
+            raise AssertionError("Perron eigenvector system lost rank")
+        v = [aug[r][k - 1] for r in range(k - 1)] + [field.rational(1)]
         # verify v A = root v exactly, and certify strict positivity
-        for j in range(k):
-            acc = zero
-            for i in range(k):
-                acc = acc + v[i] * a[i][j]
-            if not (acc - root * v[j]).is_zero():
-                raise AssertionError("left eigenvector verification failed")
+        va = _mat_apply(tuple(zip(*a)), v)
+        if not all((x - root * vj).is_zero() for x, vj in zip(va, v)):
+            raise AssertionError("left eigenvector verification failed")
         for entry in v:
             if entry.sign() <= 0:
                 raise AssertionError("Perron left eigenvector must be positive")

@@ -1,11 +1,14 @@
-"""Exact real algebraic arithmetic for spectral data.
+"""Exact arithmetic: small dense matrices, and real algebraic numbers.
 
-Everything is decided over Q: elements of the number field Q[t]/(minpoly)
-are dense rational-coefficient polynomials, the distinguished real root
-lives in an isolating interval with rational endpoints (endpoint signs of
-the minimal polynomial differ), and sign questions are settled by interval
-evaluation plus bisection refinement.  No floating point participates in
-any decision; floats appear only in display helpers.
+Matrices are sequences of rows over any exact ring (int, Fraction or
+FieldElement); one product, one matrix-vector product and one Gauss-Jordan
+elimination serve every layer above.  Everything spectral is decided over
+Q: elements of the number field Q[t]/(minpoly) are dense
+rational-coefficient polynomials, the distinguished real root lives in an
+isolating interval with rational endpoints (endpoint signs of the minimal
+polynomial differ), and sign questions are settled by interval evaluation
+plus bisection refinement.  No floating point participates in any
+decision; floats appear only in display helpers.
 """
 
 from __future__ import annotations
@@ -14,6 +17,74 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+# ---------------------------------------------------------------------------
+# Small dense matrices over an exact ring, as sequences of rows.
+
+
+def _mat_apply(mat, vec):
+    return tuple(sum(r * x for r, x in zip(row, vec)) for row in mat)
+
+
+def _mat_mul(a, b):
+    rows = len(a)
+    inner = len(b)
+    cols = len(b[0]) if inner else 0
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols))
+        for i in range(rows)
+    )
+
+
+def _row_reduce(aug, columns):
+    """Gauss-Jordan elimination of the rows `aug`, in place.
+
+    Entries are exact (Fraction or FieldElement).  Pivots are sought in the
+    order of `columns`; the pivot columns are returned, row r of aug being
+    the reduced pivot row of pivots[r] (pivot entry 1, zero in every other
+    pivot column).  Rows past the pivots are zero in every column of
+    `columns`.
+    """
+    m = len(aug)
+    pivots = []
+    row = 0
+    for col in columns:
+        if row == m:
+            break
+        sel = next((r for r in range(row, m) if aug[r][col] != 0), None)
+        if sel is None:
+            continue
+        aug[row], aug[sel] = aug[sel], aug[row]
+        pv = aug[row][col]
+        # the rows are sparse: only the pivot row's nonzero entries move
+        support = [j for j, x in enumerate(aug[row]) if x != 0]
+        prow = aug[row] = [x / pv for x in aug[row]]
+        for r in range(m):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col]
+                target = aug[r]
+                for j in support:
+                    target[j] -= f * prow[j]
+        pivots.append(col)
+        row += 1
+    return pivots
+
+
+def _solve_lin(vectors, target):
+    """Rational x with sum x_i vectors[i] = target, or None."""
+    m = len(target)
+    ncols = len(vectors)
+    aug = [[Fraction(vectors[j][i]) for j in range(ncols)] + [Fraction(target[i])] for i in range(m)]
+    pivots = _row_reduce(aug, range(ncols))
+    for r in range(len(pivots), m):
+        if aug[r][ncols] != 0:
+            return None
+    x = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        x[col] = aug[r][ncols]
+    return x
+
+
+# ---------------------------------------------------------------------------
 # Polynomials are tuples of coefficients, constant term first.
 
 
@@ -393,11 +464,10 @@ def charpoly(matrix) -> tuple:
     Returned constant-first as a tuple of ints, monic.
     """
     n = len(matrix)
-    a = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
     cs = [Fraction(1)]  # highest-degree coefficient first
     mk = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        amk = _fmatmul(a, mk)
+        amk = _mat_mul(matrix, mk)
         trace = sum(amk[i][i] for i in range(n))
         c = -trace / k
         cs.append(c)
@@ -409,14 +479,6 @@ def charpoly(matrix) -> tuple:
             raise AssertionError("characteristic polynomial must be integral")
         ints.append(int(c))
     return poly_trim(tuple(ints))
-
-
-def _fmatmul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(len(b[0]))]
-        for i in range(n)
-    ]
 
 
 def irreducible_factor_of_largest_root(p):

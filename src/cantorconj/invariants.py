@@ -32,12 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Union
 
 from .bratteli import CapabilityError, OrderedBratteliDiagram, derived, heights, incidence
 from .dimgroup import DimGroup
-from .fieldpoly import charpoly
+from .fieldpoly import _mat_apply, _solve_lin, charpoly
 
 __all__ = [
     "AtLeast",
@@ -148,58 +148,6 @@ def check_divides_certificate(dg: OrderedBratteliDiagram, n: int, result: Divide
     return isinstance(k, int) and 0 <= k < len(states) and state == states[k]
 
 
-# ---------------------------------------------------------------------------
-# exact linear algebra helpers (small dense rational systems)
-
-
-def _row_reduce(aug, columns):
-    """Gauss-Jordan elimination of the rational rows `aug`, in place.
-
-    Pivots are sought in the order of `columns`; the pivot columns are
-    returned, row r of aug being the reduced pivot row of pivots[r] (pivot
-    entry 1, zero in every other pivot column).  Rows past the pivots are
-    zero in every column of `columns`.
-    """
-    m = len(aug)
-    pivots = []
-    row = 0
-    for col in columns:
-        if row == m:
-            break
-        sel = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        # the rows are sparse: only the pivot row's nonzero entries move
-        support = [j for j, x in enumerate(aug[row]) if x != 0]
-        prow = aug[row] = [x / pv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                target = aug[r]
-                for j in support:
-                    target[j] -= f * prow[j]
-        pivots.append(col)
-        row += 1
-    return pivots
-
-
-def _solve_lin(vectors, target):
-    """Rational x with sum x_i vectors[i] = target, or None."""
-    m = len(target)
-    ncols = len(vectors)
-    aug = [[Fraction(vectors[j][i]) for j in range(ncols)] + [Fraction(target[i])] for i in range(m)]
-    pivots = _row_reduce(aug, range(ncols))
-    for r in range(len(pivots), m):
-        if aug[r][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][ncols]
-    return x
-
-
 def _minimal_annihilator(mat, vec):
     """Least-degree monic integer polynomial g with g(mat) vec = 0, constant first."""
     iterates = [tuple(vec)]
@@ -211,8 +159,7 @@ def _minimal_annihilator(mat, vec):
                 assert x.denominator == 1  # monic divisor of an integer polynomial
                 coeffs.append(-int(x))
             return tuple(coeffs) + (1,)
-        nxt = tuple(sum(mat[i][j] * iterates[-1][j] for j in range(len(vec))) for i in range(len(vec)))
-        iterates.append(nxt)
+        iterates.append(_mat_apply(mat, iterates[-1]))
 
 
 def _valuation(n, p):
@@ -302,8 +249,7 @@ def check_infinity_certificate(dg: OrderedBratteliDiagram, p: int, cert: dict) -
     vec = [Fraction(x) for x in heights(dg, 1)]
     acc = [Fraction(0)] * len(vec)
     for c in reversed(mu):
-        acc = [sum(mat[i][j] * acc[j] for j in range(len(vec))) for i in range(len(vec))]
-        acc = [a + c * x for a, x in zip(acc, vec)]
+        acc = [a + c * x for a, x in zip(_mat_apply(mat, acc), vec)]
     return all(a == 0 for a in acc)
 
 
@@ -413,7 +359,7 @@ def _candidate_primes(mat, vec, mu):
     cands = _prime_factors(mu[s])
     for _ in range(s + 1):
         cands |= _prime_factors(gcd(*vec))
-        vec = tuple(sum(mat[i][j] * vec[j] for j in range(len(vec))) for i in range(len(vec)))
+        vec = _mat_apply(mat, vec)
     return frozenset(cands)
 
 
@@ -492,8 +438,7 @@ class TraceImageGroup:
     tuples over the power basis of Q[t]/(minpoly)); `stabilized` marks the
     union collapsing to the lattice itself, which happens exactly when the
     ratio acts with unit determinant.  Membership tests are exact in both
-    kinds; `depth` records how far sample unrollings go in reports, not any
-    bound on the arithmetic.
+    kinds.
     """
 
     kind: str
@@ -502,19 +447,12 @@ class TraceImageGroup:
     minpoly: Optional[tuple] = None
     generators: Optional[tuple] = None
     stabilized: Optional[bool] = None
-    depth: int = 0
 
     def contains(self, x) -> bool:
         """Exact membership; x is a Fraction (cyclic) or coordinate tuple (field)."""
         if self.kind == "cyclic":
             q = Fraction(x) * self.denominator
-            d = q.denominator
-            g = gcd(d, self.ratio)
-            while g > 1:
-                while d % g == 0:
-                    d //= g
-                g = gcd(d, self.ratio)
-            return d == 1
+            return _coprime_part(q.denominator, self.ratio) == 1
         deg = len(self.minpoly) - 1
         if isinstance(x, Fraction) or isinstance(x, int):
             x = (Fraction(x),) + (Fraction(0),) * (deg - 1)
@@ -523,6 +461,16 @@ class TraceImageGroup:
         if coeffs is None:
             return False
         return _eventually_integral(coeffs, tmat) is not None
+
+
+def _coprime_part(n, ratio):
+    """n stripped of every prime factor it shares with ratio."""
+    g = gcd(n, ratio)
+    while g > 1:
+        while n % g == 0:
+            n //= g
+        g = gcd(n, ratio)
+    return n
 
 
 def _mul_by_t(vec, minpoly):
@@ -565,10 +513,7 @@ def _hnf_rows(rows):
 
 def _field_lattice(g: TraceImageGroup):
     """(integer HNF basis, scale, action of t): lattice = basis / scale."""
-    scale = 1
-    for vec in g.generators:
-        for c in vec:
-            scale = scale * c.denominator // gcd(scale, c.denominator)
+    scale = lcm(*(c.denominator for vec in g.generators for c in vec))
     rows = [[int(c * scale) for c in vec] for vec in g.generators]
     basis = _hnf_rows(rows)
     deg = len(g.minpoly) - 1
@@ -584,9 +529,7 @@ def _field_lattice(g: TraceImageGroup):
 
 def _eventually_integral(coeffs, tmat):
     """Least j with coeffs * tmat^j integral, or None if the cycle avoids 0."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in coeffs))
     if den == 1:
         return 0
     state = tuple(int(c * den) % den for c in coeffs)
@@ -622,19 +565,9 @@ def _trace_image_group(dg):
     if deg == 1:
         lam = -data.minpoly[0]
         fracs = [t.as_rational() for t in taus]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        num = 0
-        for f in fracs:
-            num = gcd(num, int(f * den))
-        span = Fraction(num, den)
-        q = span.denominator
-        g = gcd(q, lam)
-        while g > 1:
-            while q % g == 0:
-                q //= g
-            g = gcd(q, lam)
+        den = lcm(*(f.denominator for f in fracs))
+        span = Fraction(gcd(*(int(f * den) for f in fracs)), den)
+        q = _coprime_part(span.denominator, lam)
         out = TraceImageGroup("cyclic", ratio=lam, denominator=q)
         assert out.contains(Fraction(1))  # the unit always maps to 1
         return out

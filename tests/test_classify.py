@@ -78,6 +78,32 @@ def oracle_lex_least(d, k):
     return best
 
 
+def reach_table(k, top):
+    """reach[i][t]: t is a nonnegative combination of k[i:], for t <= top."""
+    r = len(k)
+    reach = [[False] * (top + 1) for _ in range(r + 1)]
+    reach[r][0] = True
+    for i in range(r - 1, -1, -1):
+        row, below = reach[i], reach[i + 1]
+        for t in range(top + 1):
+            row[t] = below[t] or (t >= k[i] and row[t - k[i]])
+    return reach
+
+
+def reach_lex_least(reach, k, d):
+    """Lex-least representation of d read greedily off a reach table."""
+    if not reach[0][d]:
+        return None
+    out = []
+    for i, ki in enumerate(k):
+        c = 0
+        while not reach[i + 1][d - c * ki]:
+            c += 1
+        out.append(c)
+        d -= c * ki
+    return tuple(out)
+
+
 def mat_apply(mat, vec):
     return tuple(sum(r * x for r, x in zip(row, vec)) for row in mat)
 
@@ -128,6 +154,28 @@ def test_represent_examples():
     assert represent(8, (3, 5)) == (1, 1)
     assert represent(7, (3, 5)) is None
     assert represent(0, (3, 5)) == (0, 0)
+    assert represent(0, ()) == ()
+    assert represent(3, ()) is None
+    assert represent(5, (0, 5)) is None
+    # by hand: 4 is not needed, d = 5 + 6 c with c = (10**30 + 2) / 6
+    assert represent(10**30 + 7, (4, 1, 6)) == (0, 5, (10**30 + 2) // 6)
+
+
+def test_represent_matches_reach_table():
+    rng = random.Random(17)
+    done = with_one = not_coprime = 0
+    while done < 2000:
+        k = tuple(rng.randint(1, 30) for _ in range(rng.randint(1, 4)))
+        if rng.random() < 0.15:
+            k = k[:3] + (1,)
+        with_one += 1 in k
+        not_coprime += math.gcd(*k) > 1
+        ds = [rng.randint(0, 3000) for _ in range(10)]
+        reach = reach_table(k, max(ds))
+        for d in ds:
+            assert represent(d, k) == reach_lex_least(reach, k, d), (d, k)
+        done += len(ds)
+    assert with_one and not_coprime
 
 
 def test_represent_is_lex_least():

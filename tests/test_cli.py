@@ -80,6 +80,21 @@ def test_heights_past_last_level_is_capability_error(corpus):
     assert run(["heights", corpus["finite"], "7", "--format", "json"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["heights", "dyadic", "-1"],
+        ["conjugator", "dyadic", "quaternary", "-1"],
+        ["positivity", "dyadic", "-1", "1"],
+        ["vershik", "dyadic", "--level", "-2"],
+    ],
+)
+def test_negative_level_is_input_error(corpus, capsys, argv):
+    argv = [corpus.get(a, a) for a in argv]
+    assert run(argv + ["--format", "json"]) == 1
+    assert "input error" in capsys.readouterr().err
+
+
 def test_k0_class(corpus, capsys):
     rc, rep = run_json(capsys, ["k0-class", corpus["dyadic"], "2", "0:1", "0:2"])
     assert rc == 0
