@@ -10,6 +10,10 @@ Decision style mandated throughout: for stationary diagrams answers are
 exact (the kernel chain of incidence powers stabilizes within |V| steps, and
 positivity is settled by the certified sign of the unique normalized trace);
 for explicit diagrams answers are depth-bounded three-valued, never guessed.
+The trace of g is <v, rep> / (root^(m-1) * normalizer), with rep a level-m
+presentation of g and v the Perron left eigenvector; the denominator is
+certified positive, so the sign is read from the numerator <v, rep> alone,
+an integer combination of v's coefficients, and nothing is divided.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from math import gcd
 from .bratteli import (
     DgElement,
     OrderedBratteliDiagram,
-    composed_incidence,
     derived,
     heights,
     incidence,
@@ -141,11 +144,14 @@ class DimGroup:
         return DgElement(level, heights(self.diagram, level))
 
     def push(self, g: DgElement, to_level: int) -> DgElement:
-        """Push a presentation forward along the composed incidence matrices."""
+        """Push a presentation forward, one incidence matrix per level."""
         if to_level < g.level:
             raise ValueError("cannot push backwards (from %d to %d)" % (g.level, to_level))
-        m = composed_incidence(self.diagram, g.level, to_level)
-        return DgElement(to_level, _mat_apply(m, g.vector))
+        self.diagram.check_level(to_level)
+        vec = g.vector
+        for n in range(g.level, to_level):
+            vec = _mat_apply(incidence(self.diagram, n), vec)
+        return DgElement(to_level, vec)
 
     def common_level(self, a: DgElement, b: DgElement) -> tuple:
         lvl = max(a.level, b.level)
@@ -196,19 +202,20 @@ class DimGroup:
         decides (strictly positive trace forces an eventually strictly
         positive representative by Perron-Frobenius; zero trace with nonzero
         class is an infinitesimal-free contradiction, reported as
-        NotComparable).  A witness level with an all-nonnegative
-        representative is located by pushing.
+        NotComparable).  The trace's denominator root^(m-1) * normalizer is
+        certified positive, so the sign is that of the numerator <v, rep>.
+        A witness level with an all-nonnegative representative is located
+        by pushing.
         """
         d = self.diagram
         if d.kind == "stationary" and self.primitive:
-            tau = self.trace_value(g)
-            s = tau.sign()
+            rep = self.push(g, max(1, g.level))
+            s = self.perron.field.sign(self._trace_numerator(rep))
             if s == 0:
                 if self.is_zero(g).value:
                     return PositivityResult(ZERO)
                 return PositivityResult(NOT_COMPARABLE)
-            target = g if s > 0 else self.scale(-1, g)
-            vec = self.push(target, max(1, g.level))
+            vec = rep if s > 0 else self.scale(-1, rep)
             level = vec.level
             cap = max(64, 8 * depth)
             witness = None
@@ -294,17 +301,30 @@ class DimGroup:
                 raise AssertionError("Perron left eigenvector must be positive")
         return v
 
+    def _trace_numerator(self, rep: DgElement) -> tuple:
+        """Power-basis coefficients of <v, rep> for a presentation at level >= 1.
+
+        The entries of v are reduced modulo the minimal polynomial, so their
+        integer combination is too: no reduction, no division.
+        """
+        data = self.perron
+        out = [0] * data.field.degree
+        for vi, gi in zip(data.left_eigenvector, rep.vector):
+            if gi:
+                for j, c in enumerate(vi.coeffs):
+                    out[j] += gi * c
+        return tuple(out)
+
     def trace_value(self, g: DgElement) -> CertifiedReal:
-        """The unique normalized trace of g, as a certified algebraic real."""
+        """The unique normalized trace of g, as a certified algebraic real:
+        the numerator <v, rep> over the certified-positive denominator
+        root^(m-1) * normalizer, with rep the presentation of g at level
+        m = max(1, g.level)."""
         data = self.perron
         rep = self.push(g, max(1, g.level))
         field = data.field
-        root = field.generator()
-        num = field.rational(0)
-        for vi, gi in zip(data.left_eigenvector, rep.vector):
-            num = num + vi * gi
-        denom = (root ** (rep.level - 1)) * data.normalizer
-        return CertifiedReal(num / denom)
+        denom = (field.generator() ** (rep.level - 1)) * data.normalizer
+        return CertifiedReal(FieldElement(field, self._trace_numerator(rep)) / denom)
 
     def gcd_chain(self, up_to: int) -> list[int]:
         """gcd of the height entries at levels 1..up_to (a divisibility chain)."""

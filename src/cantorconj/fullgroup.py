@@ -70,9 +70,10 @@ class BlockBijection:
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(tuple(sorted(u)) for u in self.blocks))
         object.__setattr__(self, "images", tuple(tuple(sorted(v)) for v in self.images))
+        elements = set(range(1, self.size + 1))
         for name, part in (("blocks", self.blocks), ("images", self.images)):
-            flat = [x for u in part for x in u]
-            if sorted(flat) != list(range(1, self.size + 1)):
+            # the entries seen are exactly 1..size, and there are size of them
+            if set().union(*part) != elements or sum(map(len, part)) != self.size:
                 raise ValueError("%s do not partition 1..%d" % (name, self.size))
         if len(self.blocks) != len(self.images):
             raise ValueError("partitions have different block counts")
@@ -193,31 +194,27 @@ def cyclic_from_blocks(b: BlockBijection) -> tuple:
     for u, v in zip(b.blocks, b.images):
         for i, j in zip(u, v):
             sigma[i] = j
-    while True:
-        cyc = {1}
-        x = sigma[1]
-        while x != 1:
-            cyc.add(x)
-            x = sigma[x]
-        if len(cyc) == n:
-            break
+    cyc, x = set(), 1
+    while x not in cyc:
+        cyc.add(x)
+        x = sigma[x]
+    while len(cyc) < n:
         for u in b.blocks:
+            # blocks are sorted, so these are the least straddling elements
             inner = [x for x in u if x in cyc]
-            outer = [x for x in u if x not in cyc]
-            if inner and outer:
-                i, j = min(inner), min(outer)
+            if 0 < len(inner) < len(u):
+                i = inner[0]
+                j = next(x for x in u if x not in cyc)
                 break
         else:
             raise AssertionError("no straddling block despite the condition holding")
-        sigma[i], sigma[j] = sigma[j], sigma[i]
-        # splice merges the cycle through j into C, so the loop variant
-        # (size of the cycle containing 1) strictly increases
-        merged = {1}
-        x = sigma[1]
-        while x != 1:
-            merged.add(x)
+        # the splice merges the cycle D through j into C, so the cycle of 1
+        # becomes C | D and strictly grows
+        x = j
+        while x not in cyc:
+            cyc.add(x)
             x = sigma[x]
-        assert len(merged) > len(cyc)
+        sigma[i], sigma[j] = sigma[j], sigma[i]
     return tuple(sigma[1:])
 
 
