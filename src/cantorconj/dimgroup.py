@@ -37,6 +37,8 @@ from .fieldpoly import (
     _row_reduce,
     charpoly,
     irreducible_factor_of_largest_root,
+    poly_add,
+    poly_scale,
 )
 
 __all__ = [
@@ -307,13 +309,10 @@ class DimGroup:
         The entries of v are reduced modulo the minimal polynomial, so their
         integer combination is too: no reduction, no division.
         """
-        data = self.perron
-        out = [0] * data.field.degree
-        for vi, gi in zip(data.left_eigenvector, rep.vector):
-            if gi:
-                for j, c in enumerate(vi.coeffs):
-                    out[j] += gi * c
-        return tuple(out)
+        out = ()
+        for vi, gi in zip(self.perron.left_eigenvector, rep.vector):
+            out = poly_add(out, poly_scale(vi.coeffs, gi))
+        return out
 
     def trace_value(self, g: DgElement) -> CertifiedReal:
         """The unique normalized trace of g, as a certified algebraic real:

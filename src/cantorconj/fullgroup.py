@@ -70,10 +70,9 @@ class BlockBijection:
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(tuple(sorted(u)) for u in self.blocks))
         object.__setattr__(self, "images", tuple(tuple(sorted(v)) for v in self.images))
-        elements = set(range(1, self.size + 1))
         for name, part in (("blocks", self.blocks), ("images", self.images)):
-            # the entries seen are exactly 1..size, and there are size of them
-            if set().union(*part) != elements or sum(map(len, part)) != self.size:
+            flat = [x for u in part for x in u]
+            if sorted(flat) != list(range(1, self.size + 1)):
                 raise ValueError("%s do not partition 1..%d" % (name, self.size))
         if len(self.blocks) != len(self.images):
             raise ValueError("partitions have different block counts")
