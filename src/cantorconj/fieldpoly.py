@@ -323,10 +323,15 @@ class NumberField:
         return self.element((0, 1))
 
     def sign(self, coeffs) -> int:
-        """Certified sign of the element with the given residue coefficients."""
+        """Certified sign of the element with the given residue coefficients.
+
+        A constant (every element of a degree-1 field) is its own sign; the
+        rest is decided by interval evaluation at the root, refined until
+        the enclosure excludes 0.
+        """
         p = poly_trim(coeffs)
-        if not p:
-            return 0
+        if len(p) <= 1:
+            return (p[0] > 0) - (p[0] < 0) if p else 0
         steps = 0
         while True:
             lo, hi = poly_eval_interval(p, (self._lo, self._hi))

@@ -18,7 +18,7 @@ from cantorconj.dimgroup import (
     ZERO,
     DimGroup,
 )
-from cantorconj.fieldpoly import NumberField, _mat_apply
+from cantorconj.fieldpoly import NumberField, _mat_apply, poly_eval_interval
 from cantorconj.systems import fibonacci, odometer, stationary_from_rows
 
 from conftest import _is_primitive, oracle_incidence, random_explicit, time_ceiling
@@ -126,14 +126,29 @@ def test_push_range_errors():
         grp.push(g, 5)
 
 
+def _interval_sign(field, coeffs):
+    """Sign by interval evaluation at the root, refining until it excludes 0."""
+    while True:
+        lo, hi = poly_eval_interval(coeffs, field.interval())
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        if lo == hi == 0:
+            return 0
+        field.refine()
+
+
 @pytest.mark.parametrize("minpoly,lo,hi", [((-6, 1), 5, 7), ((-1, -1, 1), 1, 2)])
-def test_sign_of_constants_is_the_rational_sign(minpoly, lo, hi):
+def test_sign_of_constants_matches_interval_path(minpoly, lo, hi):
     field = NumberField(minpoly, lo, hi)
     for c in (Fraction(3, 7), Fraction(-5, 2), 1, -1, 10 ** 20, Fraction(-1, 10 ** 20)):
-        assert field.sign((Fraction(c),)) == field.rational(c).sign() == (1 if c > 0 else -1)
+        exact = 1 if c > 0 else -1
+        assert field.sign((Fraction(c),)) == _interval_sign(field, (Fraction(c),)) == exact
+        assert field.rational(c).sign() == exact
     assert field.sign((Fraction(0),)) == field.sign(()) == field.rational(0).sign() == 0
     if field.degree == 2:
         # the golden ratio: t - 1 > 0 > 1 - t and t^2 - t - 1 reduces to 0
-        assert field.sign((-1, 1)) == 1
-        assert field.sign((1, -1)) == -1
+        assert field.sign((-1, 1)) == _interval_sign(field, (-1, 1)) == 1
+        assert field.sign((1, -1)) == _interval_sign(field, (1, -1)) == -1
         assert (field.generator() ** 2 - field.generator() - 1).sign() == 0
