@@ -453,22 +453,27 @@ def cell_for_path(d: OrderedBratteliDiagram, path: Path) -> Cell:
 class TowerMap:
     """Successor and projection data between a fine and a coarse level.
 
-    successor maps each fine cell to the next cell of its tower, or None on
-    the tower's roof (the roof-to-base transition is not a single cell at
-    this level).  project sends each fine cell to the coarse cell its paths
-    refine.  Floor increment at the fine level projects to floor increment
-    at the coarse level away from coarse roofs, and resolves the coarse
-    roof-to-base transition everywhere except on fine roofs.
+    successor, built from project's keys when read, maps each fine cell to
+    the next cell of its tower, or None on the tower's roof (the
+    roof-to-base transition is not a single cell at this level).  project
+    sends each fine cell to the coarse cell its paths refine.  Floor
+    increment at the fine level projects to floor increment at the coarse
+    level away from coarse roofs, and resolves the coarse roof-to-base
+    transition everywhere except on fine roofs.
     """
 
     coarse_level: int
     fine_level: int
-    successor: dict
     project: dict
+
+    @property
+    def successor(self) -> dict:
+        proj = self.project
+        return {(w, j): (w, j + 1) if (w, j + 1) in proj else None for (w, j) in proj}
 
 
 def tower_map(d: OrderedBratteliDiagram, m: int, m_fine: int) -> TowerMap:
-    """Successor and projection between levels m and m_fine, in one pass.
+    """Projection between levels m and m_fine, in one pass.
 
     Tower w at level n+1 stacks the floors of its sources in the order of
     its edge list, so the coarse cells under its floors are the
@@ -481,9 +486,8 @@ def tower_map(d: OrderedBratteliDiagram, m: int, m_fine: int) -> TowerMap:
     seqs = [[(v, j) for j in range(1, h + 1)] for v, h in enumerate(heights(d, m))]
     for n in range(m, m_fine):
         seqs = [[c for s in row for c in seqs[s]] for row in d.table(n)]
-    succ = {(w, j): (w, j + 1) if j < len(seqs[w]) else None for (w, j) in fine_cells}
     proj = dict(zip(fine_cells, (c for seq in seqs for c in seq)))
-    return TowerMap(m, m_fine, succ, proj)
+    return TowerMap(m, m_fine, proj)
 
 
 def class_of_clopen(d: OrderedBratteliDiagram, level: int, cell_set: Iterable[Cell]) -> DgElement:

@@ -44,7 +44,6 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .bratteli import (
@@ -58,7 +57,7 @@ from .bratteli import (
     tower_map,
 )
 from .dimgroup import DimGroup, NEGATIVE, NOT_COMPARABLE, POSITIVE, UNKNOWN, ZERO
-from .fieldpoly import _mat_apply, _mat_mul, _row_reduce
+from .fieldpoly import _mat_apply, _mat_mul, _row_reduce_int
 from .fullgroup import (
     ConjugacyReport,
     ConjugatorError,
@@ -435,19 +434,21 @@ class _NodeBudget:
 def _lex_solutions(rows, rhs, bounds, budget):
     """Integer x with rows . x = rhs and 0 <= x[k] <= bounds[k], in lex order.
 
-    The system is reduced with pivots sought from the highest-index variable
-    down, so each pivot variable is an affine function of the free variables
-    before it.  A depth-first walk sets the free variables in index order;
-    each pivot row whose last free variable is the one being set narrows
-    that variable to the values that put the pivot inside its bounds, and
-    the pivot must also come out integral.  Two solutions first differ at a
-    free variable, so they appear in lexicographic order.  The root and
-    every value tried cost one node of the budget.
+    The system is reduced over Z, fraction-free, with pivots sought from the
+    highest-index variable down, so each pivot row is primitive with a
+    positive pivot, and each pivot variable is an affine function of the free
+    variables before it, with that pivot as its denominator.  A depth-first
+    walk sets the free variables in index order; each pivot row whose last
+    free variable is the one being set narrows that variable to the values
+    that put the pivot inside its bounds, and the pivot must also come out
+    integral.  Two solutions first differ at a free variable, so they appear
+    in lexicographic order.  The root and every value tried cost one node of
+    the budget.
     """
     n = len(bounds)
     budget.charge()
-    aug = [[Fraction(c) for c in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = _row_reduce(aug, range(n - 1, -1, -1))
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    pivots = _row_reduce_int(aug, range(n - 1, -1, -1))
     if any(aug[r][n] != 0 for r in range(len(pivots), len(aug))):
         return
     free = [k for k in range(n) if k not in pivots]
@@ -459,16 +460,15 @@ def _lex_solutions(rows, rhs, bounds, budget):
     for r, p in enumerate(pivots):
         row = aug[r]
         terms = [k for k in free if row[k] != 0]
-        den = math.lcm(*(row[k].denominator for k in terms), row[n].denominator)
-        const = int(row[n] * den)
+        den, const = row[p], row[n]
         if not terms:
             if const % den or not 0 <= const // den <= bounds[p]:
                 return
             x[p] = const // den
             continue
         last = max(terms)
-        others = tuple((k, int(row[k] * den)) for k in terms if k != last)
-        checks[slot[last]].append((p, const, den, int(row[last] * den), others))
+        others = tuple((k, row[k]) for k in terms if k != last)
+        checks[slot[last]].append((p, const, den, row[last], others))
 
     def walk(t):
         if t == len(free):
@@ -564,15 +564,23 @@ def _ladder_search(dgA, dgB, max_span, max_base, budget):
     of H.h = C_A, h.H = C_B and H.u_B = u_A'; the first pair in
     lexicographic order of h, then of H, is returned.
     """
+    conns = {}
+
+    def connecting(dg, lo, hi):
+        key = (id(dg), lo, hi)
+        if key not in conns:
+            conns[key] = composed_incidence(dg, lo, hi)
+        return conns[key]
+
     for span in range(2, max_span + 1):
         for ga in range(1, span):
             gb = span - ga
             for a0 in range(1, max_base + 1):
+                ua0, ua1 = heights(dgA, a0), heights(dgA, a0 + ga)
+                conn_a = connecting(dgA, a0, a0 + ga)
                 for b0 in range(1, max_base + 1):
-                    ua0, ub0 = heights(dgA, a0), heights(dgB, b0)
-                    ua1 = heights(dgA, a0 + ga)
-                    conn_a = composed_incidence(dgA, a0, a0 + ga)
-                    conn_b = composed_incidence(dgB, b0, b0 + gb)
+                    ub0 = heights(dgB, b0)
+                    conn_b = connecting(dgB, b0, b0 + gb)
                     forward = _forward_system(ua0, ub0, conn_a, conn_b)
                     for flat in _lex_solutions(*forward, budget):
                         h = _unflatten(flat, len(ua0))

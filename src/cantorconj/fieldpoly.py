@@ -1,8 +1,9 @@
 """Exact arithmetic: small dense matrices, and real algebraic numbers.
 
 Matrices are sequences of rows over any exact ring (int, Fraction or
-FieldElement); one product, one matrix-vector product and one Gauss-Jordan
-elimination serve every layer above.  Everything spectral is decided over
+FieldElement); one product and one matrix-vector product serve every layer
+above, and so does Gauss-Jordan elimination, over a field and, fraction-free,
+over the integers.  Everything spectral is decided over
 Q: elements of the number field Q[t]/(minpoly) are dense
 rational-coefficient polynomials, the distinguished real root lives in an
 isolating interval with rational endpoints (endpoint signs of the minimal
@@ -13,6 +14,7 @@ decision; floats appear only in display helpers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -64,6 +66,42 @@ def _row_reduce(aug, columns):
                 target = aug[r]
                 for j in support:
                     target[j] -= f * prow[j]
+        pivots.append(col)
+        row += 1
+    return pivots
+
+
+def _row_reduce_int(aug, columns):
+    """Fraction-free Gauss-Jordan elimination of the integer rows `aug`, in place.
+
+    Pivots are sought as in `_row_reduce`, which returns the same pivot
+    columns; here each row is a positive multiple of its row there.  A pivot
+    row is divided by the gcd of its entries and negated when its pivot is
+    negative; every other row with an entry in the pivot column becomes
+    pv*row - f*prow divided by the gcd of its entries.  So the pivot rows end
+    primitive, with a positive pivot and zero in every other pivot column.
+    """
+    m = len(aug)
+    pivots = []
+    row = 0
+    for col in columns:
+        if row == m:
+            break
+        sel = next((r for r in range(row, m) if aug[r][col] != 0), None)
+        if sel is None:
+            continue
+        aug[row], aug[sel] = aug[sel], aug[row]
+        g = math.gcd(*aug[row])
+        if aug[row][col] < 0:
+            g = -g
+        prow = aug[row] = [x // g for x in aug[row]]
+        pv = prow[col]
+        for r in range(m):
+            f = aug[r][col]
+            if r != row and f != 0:
+                new = [pv * x - f * y for x, y in zip(aug[r], prow)]
+                g = math.gcd(*new)
+                aug[r] = [x // g for x in new] if g > 1 else new
         pivots.append(col)
         row += 1
     return pivots

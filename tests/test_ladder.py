@@ -6,21 +6,30 @@ rows of H filtered by H . h = C_A, and the product of the survivors checked
 against h . H = C_B.  Its row lists solve the last coordinate instead of
 trying every value (the same rows in the same order); nothing else bounds
 its work, so it only runs on pairs that have a ladder, under a time ceiling.
+
+The enumerator reduces its system over Z; `fraction_lex_solutions` keeps
+the same walk over a reduction in Fraction as the reference for it.
 """
 
 import itertools
+import math
 import random
 import time
+from fractions import Fraction
 
 from cantorconj import classify
 from cantorconj.bratteli import composed_incidence, heights
 from cantorconj.classify import (
     IntertwiningLadder,
+    _backward_system,
+    _forward_system,
     _lex_solutions,
     _NodeBudget,
+    _unflatten,
     decide_k_conjugacy,
     verify_ladder,
 )
+from cantorconj.fieldpoly import _row_reduce, _row_reduce_int
 from cantorconj.systems import dyadic, fibonacci, odometer, quaternary, stationary_from_rows, triadic
 
 from conftest import time_ceiling
@@ -160,9 +169,65 @@ def brute_solutions(rows, rhs, bounds):
     ]
 
 
-def test_lex_solutions_match_brute_force():
+def fraction_lex_solutions(rows, rhs, bounds, budget):
+    """`_lex_solutions` with its system reduced over Fraction, each pivot
+    row brought back to integers by the lcm of its denominators."""
+    n = len(bounds)
+    budget.charge()
+    aug = [[Fraction(c) for c in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = _row_reduce(aug, range(n - 1, -1, -1))
+    if any(aug[r][n] != 0 for r in range(len(pivots), len(aug))):
+        return
+    free = [k for k in range(n) if k not in pivots]
+    slot = {k: t for t, k in enumerate(free)}
+    checks = [[] for _ in free]
+    x = [0] * n
+    for r, p in enumerate(pivots):
+        row = aug[r]
+        terms = [k for k in free if row[k] != 0]
+        den = math.lcm(*(row[k].denominator for k in terms), row[n].denominator)
+        const = int(row[n] * den)
+        if not terms:
+            if const % den or not 0 <= const // den <= bounds[p]:
+                return
+            x[p] = const // den
+            continue
+        last = max(terms)
+        others = tuple((k, int(row[k] * den)) for k in terms if k != last)
+        checks[slot[last]].append((p, const, den, int(row[last] * den), others))
+
+    def walk(t):
+        if t == len(free):
+            yield tuple(x)
+            return
+        k = free[t]
+        lo, hi = 0, bounds[k]
+        pending = []
+        for p, const, den, coef, others in checks[t]:
+            base = const - sum(c * x[j] for j, c in others)
+            top = den * bounds[p]
+            if coef > 0:
+                lo, hi = max(lo, -((top - base) // coef)), min(hi, base // coef)
+            else:
+                lo, hi = max(lo, -(base // -coef)), min(hi, (top - base) // -coef)
+            pending.append((p, base, den, coef))
+        for v in range(lo, hi + 1):
+            budget.charge()
+            x[k] = v
+            for p, base, den, coef in pending:
+                num = base - coef * v
+                if num % den:
+                    break
+                x[p] = num // den
+            else:
+                yield from walk(t + 1)
+
+    yield from walk(0)
+
+
+def seeded_systems():
+    """300 small systems, most of them solvable, with bounds up to 4."""
     rng = random.Random(20)
-    nonempty = 0
     for _ in range(300):
         n = rng.randint(1, 5)
         bounds = [rng.randint(0, 4) for _ in range(n)]
@@ -172,6 +237,75 @@ def test_lex_solutions_match_brute_force():
         rhs = [sum(c * v for c, v in zip(row, point)) for row in rows]
         if rows and rng.random() < 0.2:
             rhs[0] += 1
+        yield rows, rhs, bounds
+
+
+def rung_systems(count, seed):
+    """Forward systems of seeded primitive 2x2 and 3x3 incidences (entries
+    <= 2) against themselves, their squares or another draw, at base levels
+    1..3 and gaps 1..3, and the backward systems of the first four
+    solutions h of each; the lists of forward and of backward systems."""
+    rng = random.Random(seed)
+    pool = primitive_2x2(2) + [
+        m
+        for m in (
+            tuple(tuple(rng.randint(0, 2) for _ in range(3)) for _ in range(3))
+            for _ in range(60)
+        )
+        if is_primitive(m)
+    ]
+    forwards, backwards = [], []
+    while len(forwards) < count:
+        mat = rng.choice(pool)
+        rows = rows_of(mat)
+        a = stationary_from_rows(rows)
+        b = rng.choice(
+            [a, stationary_from_rows(power_rows(rows, 2)), stationary_from_rows(rows_of(rng.choice(pool)))]
+        )
+        if rng.random() < 0.5:
+            a, b = b, a
+        a0, b0, ga, gb = (rng.randint(1, 3) for _ in range(4))
+        ua0, ub0, ua1 = heights(a, a0), heights(b, b0), heights(a, a0 + ga)
+        conn_a, conn_b = composed_incidence(a, a0, a0 + ga), composed_incidence(b, b0, b0 + gb)
+        forward = _forward_system(ua0, ub0, conn_a, conn_b)
+        forwards.append(forward)
+        for flat in itertools.islice(fraction_lex_solutions(*forward, _NodeBudget(10 ** 6)), 4):
+            backwards.append(_backward_system(_unflatten(flat, len(ua0)), ub0, ua1, conn_a, conn_b))
+    return forwards, backwards
+
+
+def assert_same_reduction(rows, rhs, columns):
+    """Same pivots as the Fraction reduction, each pivot row primitive with a
+    positive pivot and equal to the Fraction row once divided by it, and the
+    rows past the pivots zero in `columns`, with the same constants zero."""
+    exact = [[Fraction(c) for c in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    integral = [list(row) + [b] for row, b in zip(rows, rhs)]
+    pivots = _row_reduce(exact, columns)
+    assert _row_reduce_int(integral, columns) == pivots
+    for r, p in enumerate(pivots):
+        row = integral[r]
+        assert row[p] > 0 and math.gcd(*row) == 1
+        assert [Fraction(x, row[p]) for x in row] == exact[r]
+    for r in range(len(pivots), len(rows)):
+        assert all(integral[r][k] == 0 for k in columns)
+        assert (integral[r][-1] == 0) == (exact[r][-1] == 0)
+
+
+def assert_same_search(rows, rhs, bounds, most=None):
+    """The integer enumerator yields the Fraction one's first `most`
+    solutions, in the same order, for the same nodes of budget."""
+    got_budget, want_budget = _NodeBudget(10 ** 6), _NodeBudget(10 ** 6)
+    got = list(itertools.islice(_lex_solutions(rows, rhs, bounds, got_budget), most))
+    want = list(itertools.islice(fraction_lex_solutions(rows, rhs, bounds, want_budget), most))
+    assert got == want, (rows, rhs, bounds)
+    assert got_budget.spent == want_budget.spent, (rows, rhs, bounds)
+    assert_same_reduction(rows, rhs, range(len(bounds) - 1, -1, -1))
+    return got
+
+
+def test_lex_solutions_match_brute_force():
+    nonempty = 0
+    for rows, rhs, bounds in seeded_systems():
         got = list(_lex_solutions(rows, rhs, bounds, _NodeBudget(10 ** 6)))
         want = brute_solutions(rows, rhs, bounds)
         assert got == want, (rows, rhs, bounds)
@@ -187,6 +321,21 @@ def test_lex_solutions_solve_pivots_instead_of_trying_them():
     assert len(sols) == 257 * 258 // 2
     assert sols[0] == (0, 0, 256) and sols[-1] == (256, 0, 0)
     assert budget.spent == 1 + 257 + len(sols)
+
+
+def test_integer_reduction_matches_fraction_reduction():
+    for rows, rhs, bounds in seeded_systems():
+        assert_same_search(rows, rhs, bounds)
+
+
+def test_integer_reduction_matches_fraction_reduction_on_rungs():
+    forwards, backwards = rung_systems(200, 8)
+    solvable = [
+        sum(bool(assert_same_search(*system, most=40)) for system in systems)
+        for systems in (forwards, backwards)
+    ]
+    assert len(forwards) == 200 and len(backwards) >= 25
+    assert min(solvable) >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +386,7 @@ def test_distinct_quadratic_fields_end_unknown():
             res = decide_k_conjugacy(x, y)
         assert time.perf_counter() - start < 5
         assert res.verdict == "unknown" and res.ladder is None
+        assert res.note == "no ladder with span <= 12 from base levels <= 3 (594 nodes)"
 
 
 def test_exhausted_budget_is_named_in_the_note(monkeypatch):
@@ -253,5 +403,4 @@ def test_exhausted_budget_is_named_in_the_note(monkeypatch):
 def test_window_without_ladder_names_the_nodes_spent():
     res = decide_k_conjugacy(dyadic(), quaternary(), max_span=2, max_base=1)
     assert res.verdict == "unknown"
-    assert res.note.startswith("no ladder with span <= 2 from base levels <= 1 (")
-    assert res.note.endswith(" nodes)")
+    assert res.note == "no ladder with span <= 2 from base levels <= 1 (1 nodes)"
