@@ -270,12 +270,15 @@ def dump_diagram(d: OrderedBratteliDiagram, path: str) -> None:
 # Heights and incidence
 
 
-def derived(d: OrderedBratteliDiagram, key: str, compute):
+def derived(d: OrderedBratteliDiagram, key, compute):
     """The value compute() for diagram d, computed once per diagram object.
 
     Diagrams are immutable, so anything computed from one alone holds for
-    its whole life; the value is kept on the diagram under key.  An
-    exception from compute() is not kept: the next call computes again.
+    its whole life; the value is kept on the diagram under key, any
+    hashable: heights, composed incidences and tower projections (keyed
+    with their levels) and the invariants built on them.  Values are
+    shared, so callers must not mutate them.  An exception from compute()
+    is not kept: the next call computes again.
     """
     memo = d._memo
     if key not in memo:
@@ -311,11 +314,15 @@ def composed_incidence(d: OrderedBratteliDiagram, m: int, m2: int) -> tuple[tupl
     if m2 < m:
         raise ValueError("m2 must be >= m")
     d.check_level(m2)
-    size = d.num_vertices(m)
-    acc = tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
-    for n in range(m, m2):
-        acc = _mat_mul(incidence(d, n), acc)
-    return acc
+
+    def compute():
+        size = d.num_vertices(m)
+        acc = tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
+        for n in range(m, m2):
+            acc = _mat_mul(incidence(d, n), acc)
+        return acc
+
+    return derived(d, ("composed_incidence", m, m2), compute)
 
 
 # ---------------------------------------------------------------------------
@@ -449,31 +456,9 @@ def cell_for_path(d: OrderedBratteliDiagram, path: Path) -> Cell:
     return (path_end(path), path_rank(d, path) + 1)
 
 
-@dataclass(frozen=True)
-class TowerMap:
-    """Successor and projection data between a fine and a coarse level.
-
-    successor, built from project's keys when read, maps each fine cell to
-    the next cell of its tower, or None on the tower's roof (the
-    roof-to-base transition is not a single cell at this level).  project
-    sends each fine cell to the coarse cell its paths refine.  Floor
-    increment at the fine level projects to floor increment at the coarse
-    level away from coarse roofs, and resolves the coarse roof-to-base
-    transition everywhere except on fine roofs.
-    """
-
-    coarse_level: int
-    fine_level: int
-    project: dict
-
-    @property
-    def successor(self) -> dict:
-        proj = self.project
-        return {(w, j): (w, j + 1) if (w, j + 1) in proj else None for (w, j) in proj}
-
-
-def tower_map(d: OrderedBratteliDiagram, m: int, m_fine: int) -> TowerMap:
-    """Projection between levels m and m_fine, in one pass.
+def tower_map(d: OrderedBratteliDiagram, m: int, m_fine: int) -> dict:
+    """Dict sending each level-m_fine cell to the level-m cell its paths
+    refine, built once per level pair and shared: callers must not mutate it.
 
     Tower w at level n+1 stacks the floors of its sources in the order of
     its edge list, so the coarse cells under its floors are the
@@ -482,12 +467,15 @@ def tower_map(d: OrderedBratteliDiagram, m: int, m_fine: int) -> TowerMap:
     """
     if m_fine < m:
         raise ValueError("fine level must be >= coarse level")
-    fine_cells = cells(d, m_fine)
-    seqs = [[(v, j) for j in range(1, h + 1)] for v, h in enumerate(heights(d, m))]
-    for n in range(m, m_fine):
-        seqs = [[c for s in row for c in seqs[s]] for row in d.table(n)]
-    proj = dict(zip(fine_cells, (c for seq in seqs for c in seq)))
-    return TowerMap(m, m_fine, proj)
+
+    def compute():
+        fine_cells = cells(d, m_fine)
+        seqs = [[(v, j) for j in range(1, h + 1)] for v, h in enumerate(heights(d, m))]
+        for n in range(m, m_fine):
+            seqs = [[c for s in row for c in seqs[s]] for row in d.table(n)]
+        return dict(zip(fine_cells, (c for seq in seqs for c in seq)))
+
+    return derived(d, ("tower_map", m, m_fine), compute)
 
 
 def class_of_clopen(d: OrderedBratteliDiagram, level: int, cell_set: Iterable[Cell]) -> DgElement:

@@ -418,6 +418,25 @@ def _rational_rank(g):
     return 1 if g.kind == "cyclic" else len(g.minpoly) - 1
 
 
+def _obstructions(dgA, dgB, prime_cutoff, depth):
+    """(sound obstructions: spectra, rank, trace; spectra comparison; trace
+    verdict, None unless both trace images exist)."""
+    obstructions = []
+    comp = spectra_equal(dgA, dgB, prime_cutoff, depth)
+    if comp.verdict == "distinct":
+        obstructions.append(Obstruction("spectra", comp.witness))
+    ga, gb = _trace_group_or_none(dgA), _trace_group_or_none(dgB)
+    iso = None
+    if ga is not None and gb is not None:
+        ra, rb = _rational_rank(ga), _rational_rank(gb)
+        if ra != rb:
+            obstructions.append(Obstruction("rank", (ra, rb)))
+        iso = trace_images_isomorphic(ga, gb)
+        if iso.value is False:
+            obstructions.append(Obstruction("trace", iso.reason))
+    return tuple(obstructions), comp, iso
+
+
 class _NodeBudget:
     """Depth-first nodes left to the ladder search, shared by all its cells."""
 
@@ -564,23 +583,15 @@ def _ladder_search(dgA, dgB, max_span, max_base, budget):
     of H.h = C_A, h.H = C_B and H.u_B = u_A'; the first pair in
     lexicographic order of h, then of H, is returned.
     """
-    conns = {}
-
-    def connecting(dg, lo, hi):
-        key = (id(dg), lo, hi)
-        if key not in conns:
-            conns[key] = composed_incidence(dg, lo, hi)
-        return conns[key]
-
     for span in range(2, max_span + 1):
         for ga in range(1, span):
             gb = span - ga
             for a0 in range(1, max_base + 1):
                 ua0, ua1 = heights(dgA, a0), heights(dgA, a0 + ga)
-                conn_a = connecting(dgA, a0, a0 + ga)
+                conn_a = composed_incidence(dgA, a0, a0 + ga)
                 for b0 in range(1, max_base + 1):
                     ub0 = heights(dgB, b0)
-                    conn_b = connecting(dgB, b0, b0 + gb)
+                    conn_b = composed_incidence(dgB, b0, b0 + gb)
                     forward = _forward_system(ua0, ub0, conn_a, conn_b)
                     for flat in _lex_solutions(*forward, budget):
                         h = _unflatten(flat, len(ua0))
@@ -619,20 +630,9 @@ def decide_k_conjugacy(
     nodes.  Unknown comes with a note that names what ran out, the window
     or the node budget, and the nodes spent.
     """
-    obstructions = []
-    comp = spectra_equal(dgA, dgB, prime_cutoff, depth)
-    if comp.verdict == "distinct":
-        obstructions.append(Obstruction("spectra", comp.witness))
-    ga, gb = _trace_group_or_none(dgA), _trace_group_or_none(dgB)
-    if ga is not None and gb is not None:
-        ra, rb = _rational_rank(ga), _rational_rank(gb)
-        if ra != rb:
-            obstructions.append(Obstruction("rank", (ra, rb)))
-        iso = trace_images_isomorphic(ga, gb)
-        if iso.value is False:
-            obstructions.append(Obstruction("trace", iso.reason))
+    obstructions = _obstructions(dgA, dgB, prime_cutoff, depth)[0]
     if obstructions:
-        return KConjResult("not", obstructions=tuple(obstructions))
+        return KConjResult("not", obstructions=obstructions)
     if dgA == dgB:
         eye = composed_incidence(dgA, 1, 1)
         ladder = IntertwiningLadder((1, 1), (1,), (eye,), (eye,))
@@ -677,19 +677,11 @@ def decide_tau(
     prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
     depth: int = DEFAULT_DEPTH,
 ) -> TauResult:
-    """Conjunction of equal spectra and isomorphic trace images."""
-    obstructions = []
-    comp = spectra_equal(dgA, dgB, prime_cutoff, depth)
-    if comp.verdict == "distinct":
-        obstructions.append(Obstruction("spectra", comp.witness))
-    ga, gb = _trace_group_or_none(dgA), _trace_group_or_none(dgB)
-    iso = None
-    if ga is not None and gb is not None:
-        iso = trace_images_isomorphic(ga, gb)
-        if iso.value is False:
-            obstructions.append(Obstruction("trace", iso.reason))
+    """Conjunction of equal spectra and isomorphic trace images; a rank
+    mismatch (fields of different degree) already rules the second out."""
+    obstructions, comp, iso = _obstructions(dgA, dgB, prime_cutoff, depth)
     if obstructions:
-        return TauResult("not", tuple(obstructions), comp, iso)
+        return TauResult("not", obstructions, comp, iso)
     if comp.verdict == "equal" and iso is not None and iso.value is True:
         return TauResult("tau", (), comp, iso)
     return TauResult("unknown", (), comp, iso)
@@ -713,7 +705,7 @@ class ClopenSet:
 def _refine_clopen(d, cs: ClopenSet, level: int) -> ClopenSet:
     if level == cs.level:
         return cs
-    proj = tower_map(d, cs.level, level).project
+    proj = tower_map(d, cs.level, level)
     members = set(cs.cells)
     return ClopenSet(
         level, tuple(c for c in cells(d, level) if proj[c] in members)
@@ -754,7 +746,7 @@ def lift_class_under(
         rep = grp.push(x, lvl).vector
         cap = grp.push(cls_u, lvl).vector
         if all(0 <= r <= c for r, c in zip(rep, cap)):
-            proj = tower_map(d, u.level, lvl).project
+            proj = tower_map(d, u.level, lvl)
             members = set(u.cells)
             chosen = []
             need = list(rep)

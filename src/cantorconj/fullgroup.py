@@ -355,7 +355,7 @@ def conjugator_from_partition(
             "matching counting vectors" % (m, lookahead_bound),
             bound=lookahead_bound,
         )
-    proj = tower_map(d, m, mstar).project
+    proj = tower_map(d, m, mstar)
     h = heights(d, mstar)
     where = {c: bi for bi, u in enumerate(blocks) for c in u}
     img_where = {c: bi for bi, v in enumerate(images) for c in v}
@@ -415,8 +415,8 @@ def verify_conjugator(
         block_level = _infer_block_level(d, blocks, s.level)
     fine = cells(d, mf)
     hf = heights(d, mf)
-    proj_s = tower_map(d, s.level, mf).project
-    proj_b = tower_map(d, block_level, mf).project
+    proj_s = tower_map(d, s.level, mf)
+    proj_b = tower_map(d, block_level, mf)
     where = {c: bi for bi, u in enumerate(blocks) for c in u}
     img_where = {c: bi for bi, v in enumerate(images) for c in v}
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Union
 
@@ -275,7 +276,7 @@ def _stationary_data(dg: OrderedBratteliDiagram) -> _StationaryData:
     return derived(dg, "stationary_data", compute)
 
 
-def _stationary_valuation(dg, p, valuation_cutoff):
+def _stationary_valuation(dg, p):
     sd = _stationary_data(dg)
     if all(c % p == 0 for c in sd.mu[:-1]):
         return InfiniteValuation(_infinity_certificate(p, sd.mu))
@@ -285,8 +286,6 @@ def _stationary_valuation(dg, p, valuation_cutoff):
         return _valuation(sd.g1, p)
     v = 0
     while True:
-        if valuation_cutoff is not None and v >= valuation_cutoff:
-            return AtLeast(valuation_cutoff)
         if v >= _VALUATION_CAP:
             raise CapabilityError("finite valuation exceeded the supported bound")
         if divides_unit(dg, p ** (v + 1)).verdict != "yes":
@@ -297,27 +296,27 @@ def _stationary_valuation(dg, p, valuation_cutoff):
 def periodic_spectrum(
     dg: OrderedBratteliDiagram,
     prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-    valuation_cutoff: Optional[int] = None,
     depth: int = DEFAULT_DEPTH,
 ) -> SupernaturalTruncation:
     """Valuation of the divisor set at every prime up to prime_cutoff.
 
-    Stationary diagrams get certified answers at every listed prime: an
-    exact natural number or Infinity with a replayable certificate (see the
-    module docstring for the criterion).  Explicit diagrams report AtLeast
-    lower bounds from the levels available within depth.  Primes without an
-    entry have valuation 0 for stationary input and are simply unobserved
-    for explicit input.
+    Stationary diagrams list the candidate primes (the finite set that can
+    carry a positive valuation, see _candidate_primes) up to prime_cutoff,
+    each with a certified answer: an exact natural number or Infinity with
+    a replayable certificate (see the module docstring for the criterion).
+    Explicit diagrams report AtLeast lower bounds from the levels available
+    within depth.  Primes without an entry have valuation 0 for stationary
+    input and are simply unobserved for explicit input.
     """
-    from sympy import primerange
-
     if dg.kind == "stationary":
         entries = []
-        for p in primerange(2, prime_cutoff + 1):
-            v = _stationary_valuation(dg, p, valuation_cutoff)
+        for p in sorted(q for q in _stationary_data(dg).candidates if q <= prime_cutoff):
+            v = _stationary_valuation(dg, p)
             if v != 0:
                 entries.append((p, v))
         return SupernaturalTruncation(tuple(entries), prime_cutoff, depth)
+    from sympy import primerange
+
     cap = min(depth, dg.max_level())
     primes = list(primerange(2, prime_cutoff + 1))
     best = {p: 0 for p in primes}
@@ -394,7 +393,7 @@ def spectra_equal(
         rows = []
         witnesses = []
         for p in primes:
-            vals = [_stationary_valuation(dg, p, None) for dg in (dgA, dgB)]
+            vals = [_stationary_valuation(dg, p) for dg in (dgA, dgB)]
             a, b = (_INF if isinstance(v, InfiniteValuation) else v for v in vals)
             rows.append([p, "inf" if a == _INF else a, "inf" if b == _INF else b])
             if a != b:
@@ -435,7 +434,8 @@ class TraceImageGroup:
     kind "cyclic": the subgroup (1/denominator) Z[1/ratio] of the rationals
     (denominator coprime to ratio).  kind "field": the increasing union of
     lambda^-m copies of the lattice spanned by `generators` (coordinate
-    tuples over the power basis of Q[t]/(minpoly)); `stabilized` marks the
+    tuples over the power basis of Q[t]/(minpoly)); `lattice` is that
+    lattice in integer form, and `stabilized`, derived from it, marks the
     union collapsing to the lattice itself, which happens exactly when the
     ratio acts with unit determinant.  Membership tests are exact in both
     kinds.
@@ -446,7 +446,26 @@ class TraceImageGroup:
     denominator: Optional[int] = None
     minpoly: Optional[tuple] = None
     generators: Optional[tuple] = None
-    stabilized: Optional[bool] = None
+
+    @cached_property
+    def lattice(self):
+        """(integer HNF basis, scale, action of t): lattice = basis / scale."""
+        scale = lcm(*(c.denominator for vec in self.generators for c in vec))
+        basis = _hnf_rows([[int(c * scale) for c in vec] for vec in self.generators])
+        assert len(basis) == len(self.minpoly) - 1  # generators span the field over Q
+        tmat = []
+        for row in basis:
+            shifted = _mul_by_t([Fraction(c) for c in row], self.minpoly)
+            coeffs = _solve_lin(basis, shifted)
+            assert coeffs is not None and all(c.denominator == 1 for c in coeffs)
+            tmat.append([int(c) for c in coeffs])
+        return basis, scale, tmat
+
+    @property
+    def stabilized(self) -> Optional[bool]:
+        """Field kind: does t act on the lattice with determinant +-1?"""
+        # |det| of the action of t is the constant term of its characteristic polynomial
+        return abs(charpoly(self.lattice[2])[0]) == 1 if self.kind == "field" else None
 
     def contains(self, x) -> bool:
         """Exact membership; x is a Fraction (cyclic) or coordinate tuple (field)."""
@@ -456,7 +475,7 @@ class TraceImageGroup:
         deg = len(self.minpoly) - 1
         if isinstance(x, Fraction) or isinstance(x, int):
             x = (Fraction(x),) + (Fraction(0),) * (deg - 1)
-        basis, scale, tmat = _field_lattice(self)
+        basis, scale, tmat = self.lattice
         coeffs = _solve_lin(basis, [Fraction(c) * scale for c in x])
         if coeffs is None:
             return False
@@ -511,22 +530,6 @@ def _hnf_rows(rows):
     return [tuple(r) for r in mat[:top]]
 
 
-def _field_lattice(g: TraceImageGroup):
-    """(integer HNF basis, scale, action of t): lattice = basis / scale."""
-    scale = lcm(*(c.denominator for vec in g.generators for c in vec))
-    rows = [[int(c * scale) for c in vec] for vec in g.generators]
-    basis = _hnf_rows(rows)
-    deg = len(g.minpoly) - 1
-    assert len(basis) == deg  # generators span the field over Q
-    tmat = []
-    for row in basis:
-        shifted = _mul_by_t([Fraction(c) for c in row], g.minpoly)
-        coeffs = _solve_lin(basis, shifted)
-        assert coeffs is not None and all(c.denominator == 1 for c in coeffs)
-        tmat.append([int(c) for c in coeffs])
-    return basis, scale, tmat
-
-
 def _eventually_integral(coeffs, tmat):
     """Least j with coeffs * tmat^j integral, or None if the cycle avoids 0."""
     den = lcm(*(c.denominator for c in coeffs))
@@ -576,11 +579,7 @@ def _trace_image_group(dg):
     gens = (one,) + tuple(
         tuple(t.coeffs) + (Fraction(0),) * (deg - len(t.coeffs)) for t in taus
     )
-    probe = TraceImageGroup("field", minpoly=data.minpoly, generators=gens)
-    basis, _, tmat = _field_lattice(probe)
-    # |det| of the action of t is the constant term of its characteristic polynomial
-    stab = abs(charpoly(tmat)[0]) == 1
-    return TraceImageGroup("field", minpoly=data.minpoly, generators=gens, stabilized=stab)
+    return TraceImageGroup("field", minpoly=data.minpoly, generators=gens)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +605,7 @@ def _field_included(a: TraceImageGroup, b: TraceImageGroup):
     (or refuted) by the denominator trajectory under the integer action of
     lambda on b's basis.
     """
-    basis, scale, tmat = _field_lattice(b)
+    basis, scale, tmat = b.lattice
     shifts = []
     for vec in a.generators:
         target = [Fraction(c) * scale for c in vec]

@@ -36,6 +36,7 @@ from cantorconj.systems import dyadic, fibonacci, odometer, quaternary, triadic
 from conftest import (
     oracle_all_paths,
     oracle_heights,
+    oracle_incidence,
     oracle_sorted_tower,
     random_explicit,
     random_stationary,
@@ -144,6 +145,45 @@ def test_composed_incidence_counts_paths(rng):
         assert m[v][0] == sum(1 for p in paths if p[-1][0] == v)
 
 
+def test_level_pair_data_kept_per_diagram_object(rng):
+    # a fresh, equal diagram recomputes; the warm one answers from its memo
+    for _ in range(6):
+        d = random_stationary(rng, primitive=True)
+        fresh = OrderedBratteliDiagram(d.kind, d.vertex_counts, d.tables)
+        for m, m2 in ((0, 3), (1, 4), (2, 2)):
+            warm = composed_incidence(d, m, m2)
+            assert composed_incidence(d, m, m2) is warm
+            assert composed_incidence(fresh, m, m2) == warm
+            k = d.num_vertices(m)
+            ref = [[int(i == j) for j in range(k)] for i in range(k)]
+            for n in range(m, m2):
+                ref = [[sum(row[t] * ref[t][j] for t in range(len(ref))) for j in range(k)]
+                       for row in oracle_incidence(d, n)]
+            assert warm == tuple(map(tuple, ref))
+        for m, m_fine in ((0, 2), (1, 3), (2, 2)):
+            warm = tower_map(d, m, m_fine)
+            assert tower_map(d, m, m_fine) is warm
+            assert tower_map(fresh, m, m_fine) == warm
+            assert tower_map(fresh, m, m_fine) is not warm
+
+
+def test_equal_diagrams_do_not_share_a_memo():
+    a, b = fibonacci(), fibonacci()
+    assert a == b and a is not b
+    tower_map(a, 1, 3)
+    composed_incidence(a, 1, 3)
+    assert a._memo and not b._memo
+    assert tower_map(b, 1, 3) is not tower_map(a, 1, 3)
+
+
+def test_tower_map_past_the_cell_cap_raises_every_time():
+    d = dyadic()
+    top = CELL_CAP.bit_length()  # 2**top > CELL_CAP cells
+    for _ in range(2):
+        with pytest.raises(CapabilityError):
+            tower_map(d, 1, top)
+
+
 # -- paths and the successor ---------------------------------------------------
 
 
@@ -237,16 +277,15 @@ def test_tower_map_projection_tracks_floor_increment(rng):
     diagrams = list(EXAMPLES.values()) + [random_stationary(rng) for _ in range(6)]
     for d in diagrams:
         m, m_fine = 2, 4
-        tm = tower_map(d, m, m_fine)
+        proj = tower_map(d, m, m_fine)
         h_coarse = heights(d, m)
         h_fine = heights(d, m_fine)
         bases = {(v, 1) for v in range(len(h_coarse))}
-        for (w, j), nxt in tm.successor.items():
-            if nxt is None:
-                assert j == h_fine[w]
+        for (w, j) in proj:
+            if j == h_fine[w]:
                 continue
-            v, k = tm.project[(w, j)]
-            v2, k2 = tm.project[nxt]
+            v, k = proj[(w, j)]
+            v2, k2 = proj[(w, j + 1)]
             if k < h_coarse[v]:
                 # inside the coarse tower: plain floor increment
                 assert (v2, k2) == (v, k + 1)
@@ -257,9 +296,8 @@ def test_tower_map_projection_tracks_floor_increment(rng):
 
 def test_tower_map_fibers_have_path_count_sizes():
     d = fibonacci()
-    tm = tower_map(d, 1, 3)
     fiber = {}
-    for fine, coarse in tm.project.items():
+    for fine, coarse in tower_map(d, 1, 3).items():
         fiber.setdefault(coarse, 0)
         fiber[coarse] += 1
     m = composed_incidence(d, 1, 3)
@@ -282,14 +320,13 @@ def test_tower_map_matches_path_unranking():
         while m_fine <= 12 and sum(heights(d, m_fine)) <= CELL_CAP:
             h_fine = heights(d, m_fine)
             paths = {c: path_for_floor(d, c[0], m_fine, c[1]) for c in cells(d, m_fine)}
-            successor = {(w, j): (w, j + 1) if j < h_fine[w] else None for (w, j) in paths}
             for m in range(m_fine + 1):
-                tm = tower_map(d, m, m_fine)
-                assert tm.successor == successor
+                proj = tower_map(d, m, m_fine)
+                assert list(proj) == cells(d, m_fine)
                 for p in paths.values():
                     if p[:m] not in ranked:
                         ranked[p[:m]] = cell_for_path(d, p[:m]) if m else (0, 1)
-                assert tm.project == {c: ranked[p[:m]] for c, p in paths.items()}
+                assert proj == {c: ranked[p[:m]] for c, p in paths.items()}
             m_fine += 1
         if m_fine <= 12:
             # the first level past the cell cap still refuses to enumerate

@@ -317,6 +317,24 @@ def test_tau_verdicts():
     assert res.verdict == "not"
 
 
+def test_tau_reports_the_rank_obstruction():
+    # a cubic against a quadratic trace field: equal spectra, so the pair is
+    # weak, but images spanning real fields of different degree differ
+    def rows_of(mat):
+        return tuple(tuple(s for s in range(len(r)) for _ in range(r[s])) for r in mat)
+
+    a = stationary_from_rows(rows_of(((1, 1, 1), (2, 1, 0), (1, 1, 0))))
+    b = stationary_from_rows(rows_of(((0, 1, 0), (1, 1, 1), (0, 1, 2))))
+    assert decide_weak(a, b).verdict == "weak"
+    for x, y, ranks in ((a, b, (3, 2)), (b, a, (2, 3))):
+        res = decide_tau(x, y)
+        assert res.verdict == "not"
+        assert Obstruction("rank", ranks) in res.obstructions
+        kres = decide_k_conjugacy(x, y)
+        assert kres.verdict == "not"
+        assert kres.obstructions == res.obstructions
+
+
 def test_tau_symmetric():
     for a, b in [(DYADIC, QUATERNARY), (DYADIC, TRIADIC), (FIB, DYADIC)]:
         assert decide_tau(a, b).verdict == decide_tau(b, a).verdict
@@ -395,7 +413,7 @@ def test_lift_random_subsets():
         q = lift_class_under(DYADIC, u, x)
         from cantorconj.bratteli import tower_map
 
-        proj = tower_map(DYADIC, 2, q.level).project
+        proj = tower_map(DYADIC, 2, q.level)
         assert all(proj[c] in u.cells for c in q.cells)
         got = class_of_clopen(DYADIC, q.level, q.cells)
         assert grp.equal(got, x).value is True

@@ -122,8 +122,8 @@ def simulate_conjugation(elem, block_level, blocks, images, lookahead):
     mf = elem.level + lookahead
     hf = heights(d, mf)
     fine = cells(d, mf)
-    proj_s = tower_map(d, elem.level, mf).project
-    proj_p = tower_map(d, block_level, mf).project
+    proj_s = tower_map(d, elem.level, mf)
+    proj_p = tower_map(d, block_level, mf)
     where = {}
     for bi, U in enumerate(blocks):
         for c in U:

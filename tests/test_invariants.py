@@ -3,14 +3,14 @@
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorconj.bratteli import OrderedBratteliDiagram
 from cantorconj.dimgroup import DimGroup
-from cantorconj.fieldpoly import charpoly, count_real_roots, isolate_largest_real_root
+from cantorconj.fieldpoly import _solve_lin, charpoly, count_real_roots, isolate_largest_real_root
 from cantorconj.invariants import (
     AtLeast,
     InfiniteValuation,
@@ -23,6 +23,7 @@ from cantorconj.invariants import (
     trace_image_group,
     trace_images_isomorphic,
 )
+from cantorconj.invariants import _hnf_rows, _mul_by_t, _stationary_data, _stationary_valuation
 from cantorconj.systems import dyadic, fibonacci, quaternary, stationary_from_rows, triadic
 
 from conftest import oracle_heights, random_stationary, time_ceiling
@@ -189,13 +190,6 @@ def test_spectrum_finite_valuation_on_bad_prime():
     assert divides_unit(d, 16).verdict == "no"
 
 
-def test_spectrum_valuation_cutoff_reports_at_least():
-    d = stationary_from_rows(((0, 0, 1, 1, 1, 1, 1, 1, 1, 1), (1,)),
-                             root=((0,), (0,) * 8))
-    ent = entry_map(periodic_spectrum(d, valuation_cutoff=2))
-    assert ent[2] == AtLeast(2)
-
-
 def test_spectrum_explicit_reports_lower_bounds():
     trunc = explicit_truncation([2, 2, 2])
     tr = periodic_spectrum(trunc)
@@ -215,6 +209,55 @@ def test_spectrum_entries_sorted_and_serializable():
     two = next(e for e in blob["entries"] if e["p"] == 2)
     assert two["v"] == "inf" and "cert" in two
     json.dumps(blob)  # must be plain data
+
+
+def _primitive_pool():
+    # seeded primitive 2x2 and 3x3 systems, plus the twelve-root-edge doubling
+    rng = random.Random(20)
+    pool = []
+    while len(pool) < 32:
+        d = random_stationary(rng, primitive=True)
+        if d.num_vertices(1) >= 2:
+            pool.append(d)
+    return pool + [stationary_from_rows(((0, 0),), root=((0,) * 12,))]
+
+
+def test_spectrum_lists_candidate_primes_only():
+    # reference: every prime up to the cutoff, keeping the nonzero valuations
+    from sympy import primerange
+
+    for d in _primitive_pool():
+        cands = _stationary_data(d).candidates
+        cutoffs = [2, 3, 13, 97] + ([max(cands) - 1] if cands else [])
+        for cutoff in cutoffs:
+            ref = []
+            for p in primerange(2, cutoff + 1):
+                v = _stationary_valuation(d, p)
+                if v != 0:
+                    ref.append((p, v))
+            tr = periodic_spectrum(d, prime_cutoff=cutoff)
+            assert tr.entries == tuple(ref)
+            assert tr.prime_cutoff == cutoff
+
+
+def test_trace_lattice_and_stabilized_match_their_formulas():
+    # reference: the integer lattice and the determinant test written out
+    fields = 0
+    for d in _primitive_pool():
+        g = trace_image_group(d)
+        if g.kind != "field":
+            assert g.stabilized is None
+            continue
+        fields += 1
+        scale = lcm(*(c.denominator for vec in g.generators for c in vec))
+        basis = _hnf_rows([[int(c * scale) for c in vec] for vec in g.generators])
+        tmat = []
+        for row in basis:
+            coeffs = _solve_lin(basis, _mul_by_t([Fraction(c) for c in row], g.minpoly))
+            tmat.append([int(c) for c in coeffs])
+        assert g.lattice == (basis, scale, tmat)
+        assert g.stabilized is (abs(charpoly(tmat)[0]) == 1)
+    assert fields >= 10
 
 
 def test_infinity_certificate_detects_tampering():
