@@ -287,12 +287,19 @@ def derived(d: OrderedBratteliDiagram, key, compute):
 
 
 def heights(d: OrderedBratteliDiagram, m: int) -> tuple[int, ...]:
-    """Tower heights at level m; h_0 = (1,), h_{n+1}(v) = sum over v's sources."""
+    """Tower heights at level m; h_0 = (1,), h_{n+1}(v) = sum over v's sources.
+
+    Only the levels asked for are kept: a missing level is computed from the
+    deepest kept level below it, and the levels in between are not stored.
+    """
     d.check_level(m)
-    hs = derived(d, "heights", lambda: [(1,)])
-    while len(hs) <= m:
-        h = hs[-1]
-        hs.append(tuple(sum(h[s] for s in row) for row in d.table(len(hs) - 1)))
+    hs = derived(d, "heights", lambda: {0: (1,)})
+    if m not in hs:
+        start = max(n for n in hs if n < m)
+        h = hs[start]
+        for n in range(start, m):
+            h = tuple(sum(h[s] for s in row) for row in d.table(n))
+        hs[m] = h
     return hs[m]
 
 

@@ -977,7 +977,10 @@ def conjugate_at_resolution(
     of equal class; and a full-group corrector synthesized and verified on
     the transported data.
     """
-    t = build_k0_morphism(dA, m, dB, 1, depth)
+    try:
+        t = build_k0_morphism(dA, m, dB, 1, depth)
+    except SearchExhausted as e:
+        raise StageError("morphism", message=str(e))
     if isinstance(t, Obstruction):
         raise StageError("morphism", t)
     acells = cells(dA, m)

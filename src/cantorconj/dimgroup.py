@@ -34,7 +34,6 @@ from .fieldpoly import (
     FieldElement,
     NumberField,
     _mat_apply,
-    _row_reduce,
     charpoly,
     irreducible_factor_of_largest_root,
     poly_add,
@@ -270,7 +269,7 @@ class DimGroup:
         field = NumberField(minpoly, lo, hi)
         root = field.generator()
         k = len(a)
-        v = self._left_eigenvector(a, field, root)
+        v = self._left_eigenvector(a, cp, field, root)
         h1 = heights(d, 1)
         normalizer = field.rational(0)
         for i in range(k):
@@ -280,22 +279,29 @@ class DimGroup:
         return PerronData(cp, minpoly, field, tuple(v), normalizer)
 
     @staticmethod
-    def _left_eigenvector(a, field, root):
-        """Solve v A = root v with v[last] = 1, certified strictly positive."""
+    def _left_eigenvector(a, cp, field, root):
+        """v A = root v with v[last] = 1, certified strictly positive.
+
+        Synthetic division gives cp(t) = (t - root) q(t); as q(A)(A - root)
+        = cp(A) = 0, every row of q(A) is a left eigenvector.  The root is
+        simple and the right Perron vector w is positive, so q(A) is
+        cp'(root) w v^T / <v, w> and its last row, sum_j q_j e_last A^j, is a
+        nonzero multiple of v: dividing it by its last entry gives v.
+        """
         k = len(a)
-        # equation j: sum_i v_i (A[i][j] - root delta_ij) = 0, with the known
-        # v_{k-1} = 1 moved to the right-hand side; the k x (k-1) system has
-        # rank k-1
-        rows = [
-            [field.rational(a[i][j]) - (root if i == j else 0) for i in range(k)]
-            for j in range(k)
-        ]
-        aug = [row[:-1] + [-row[-1]] for row in rows]
-        if _row_reduce(aug, range(k - 1)) != list(range(k - 1)):
-            raise AssertionError("Perron eigenvector system lost rank")
-        v = [aug[r][k - 1] for r in range(k - 1)] + [field.rational(1)]
+        q = [field.rational(1)]  # q_{k-1}, ..., q_0
+        for c in reversed(cp[1:k]):
+            q.append(root * q[-1] + c)
+        at = tuple(zip(*a))
+        row = (0,) * (k - 1) + (1,)  # e_last A^j, integral
+        acc = [()] * k
+        for qj in reversed(q):
+            acc = [poly_add(x, poly_scale(qj.coeffs, r)) for x, r in zip(acc, row)]
+            row = _mat_apply(at, row)
+        last = FieldElement(field, acc[-1]).inverse()
+        v = [FieldElement(field, x) * last for x in acc]
         # verify v A = root v exactly, and certify strict positivity
-        va = _mat_apply(tuple(zip(*a)), v)
+        va = _mat_apply(at, v)
         if not all((x - root * vj).is_zero() for x, vj in zip(va, v)):
             raise AssertionError("left eigenvector verification failed")
         for entry in v:

@@ -2,10 +2,10 @@
 
 Matrices are sequences of rows over any exact ring (int, Fraction or
 FieldElement); one product and one matrix-vector product serve every layer
-above, and so does Gauss-Jordan elimination, over a field and, fraction-free,
-over the integers.  Everything spectral is decided over
-Q: elements of the number field Q[t]/(minpoly) are dense
-rational-coefficient polynomials, the distinguished real root lives in an
+above, and so does one Gauss-Jordan elimination, fraction-free over the
+integers; rational systems are scaled to integers first.  Everything
+spectral is decided over Q: elements of the number field Q[t]/(minpoly) are
+dense rational-coefficient polynomials, the distinguished real root lives in an
 isolating interval with rational endpoints (endpoint signs of the minimal
 polynomial differ), and sign questions are settled by interval evaluation
 plus bisection refinement.  No floating point participates in any
@@ -37,49 +37,17 @@ def _mat_mul(a, b):
     )
 
 
-def _row_reduce(aug, columns):
-    """Gauss-Jordan elimination of the rows `aug`, in place.
-
-    Entries are exact (Fraction or FieldElement).  Pivots are sought in the
-    order of `columns`; the pivot columns are returned, row r of aug being
-    the reduced pivot row of pivots[r] (pivot entry 1, zero in every other
-    pivot column).  Rows past the pivots are zero in every column of
-    `columns`.
-    """
-    m = len(aug)
-    pivots = []
-    row = 0
-    for col in columns:
-        if row == m:
-            break
-        sel = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        # the rows are sparse: only the pivot row's nonzero entries move
-        support = [j for j, x in enumerate(aug[row]) if x != 0]
-        prow = aug[row] = [x / pv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                target = aug[r]
-                for j in support:
-                    target[j] -= f * prow[j]
-        pivots.append(col)
-        row += 1
-    return pivots
-
-
 def _row_reduce_int(aug, columns):
     """Fraction-free Gauss-Jordan elimination of the integer rows `aug`, in place.
 
-    Pivots are sought as in `_row_reduce`, which returns the same pivot
-    columns; here each row is a positive multiple of its row there.  A pivot
-    row is divided by the gcd of its entries and negated when its pivot is
-    negative; every other row with an entry in the pivot column becomes
-    pv*row - f*prow divided by the gcd of its entries.  So the pivot rows end
-    primitive, with a positive pivot and zero in every other pivot column.
+    Pivots are sought in the order of `columns`, and the pivot columns are
+    returned, row r of aug belonging to pivots[r].  A pivot row is divided by
+    the gcd of its entries and negated when its pivot is negative; every
+    other row with an entry in the pivot column becomes pv*row - f*prow
+    divided by the gcd of its entries.  So the pivot rows end primitive, with
+    a positive pivot and zero in every other pivot column, each a positive
+    multiple of the row Gauss-Jordan elimination over Q would leave there,
+    and the rows past the pivots are zero in every column of `columns`.
     """
     m = len(aug)
     pivots = []
@@ -108,17 +76,27 @@ def _row_reduce_int(aug, columns):
 
 
 def _solve_lin(vectors, target):
-    """Rational x with sum x_i vectors[i] = target, or None."""
+    """Rational x with sum x_i vectors[i] = target, or None.
+
+    Each equation is scaled by the lcm of its denominators and the integer
+    system reduced by `_row_reduce_int`; a pivot row is a positive multiple
+    of the fully reduced one, so x[col] is its constant over its pivot, and
+    free variables stay 0.
+    """
     m = len(target)
     ncols = len(vectors)
-    aug = [[Fraction(vectors[j][i]) for j in range(ncols)] + [Fraction(target[i])] for i in range(m)]
-    pivots = _row_reduce(aug, range(ncols))
+    aug = []
+    for i in range(m):
+        row = [Fraction(vectors[j][i]) for j in range(ncols)] + [Fraction(target[i])]
+        den = math.lcm(*(x.denominator for x in row))
+        aug.append([int(x * den) for x in row])
+    pivots = _row_reduce_int(aug, range(ncols))
     for r in range(len(pivots), m):
         if aug[r][ncols] != 0:
             return None
     x = [Fraction(0)] * ncols
     for r, col in enumerate(pivots):
-        x[col] = aug[r][ncols]
+        x[col] = Fraction(aug[r][ncols], aug[r][col])
     return x
 
 
@@ -504,32 +482,29 @@ class FieldElement:
 def charpoly(matrix) -> tuple:
     """Characteristic polynomial det(tI - A) of an integer matrix.
 
-    Returned constant-first as a tuple of ints, monic.
+    Returned constant-first as a tuple of ints, monic.  Every step stays in
+    the integers: the k-th coefficient is -trace(A M_k) / k, and Newton's
+    identities make that division exact for an integer matrix.
     """
     n = len(matrix)
-    cs = [Fraction(1)]  # highest-degree coefficient first
-    mk = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    cs = [1]  # highest-degree coefficient first
+    mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         amk = _mat_mul(matrix, mk)
-        trace = sum(amk[i][i] for i in range(n))
-        c = -trace / k
+        c, rem = divmod(-sum(amk[i][i] for i in range(n)), k)
+        if rem:
+            raise AssertionError("characteristic polynomial must be integral")
         cs.append(c)
         mk = [[amk[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-    out = list(reversed(cs))
-    ints = []
-    for c in out:
-        if c.denominator != 1:
-            raise AssertionError("characteristic polynomial must be integral")
-        ints.append(int(c))
-    return poly_trim(tuple(ints))
+    return poly_trim(tuple(reversed(cs)))
 
 
 def irreducible_factor_of_largest_root(p):
     """Monic irreducible integer factor of p whose root is p's largest real root.
 
     Factorization itself is delegated to sympy (standard method, degree kept
-    small); the selection is certified here with Sturm counts and interval
-    refinement, so no inexact data flows onward.
+    small); the selection is certified here with Sturm counts on the
+    isolating interval of p's largest root, so no inexact data flows onward.
     """
     import sympy
 
@@ -541,25 +516,12 @@ def irreducible_factor_of_largest_root(p):
         if coeffs[-1] < 0:
             coeffs = [-c for c in coeffs]
         factors.append(poly_trim(tuple(coeffs)))
+    # (lo, hi] holds one distinct root of p, the largest; distinct
+    # irreducible factors are coprime, so exactly one vanishes there, and it
+    # changes sign across: its roots are simple, hi is above all of them, and
+    # lo is none of them (a rational root would be the largest one, above lo)
     lo, hi = isolate_largest_real_root(p)
-    chain_p = sturm_chain(p)
-    candidates = factors
-    while True:
-        live = [f for f in candidates if count_real_roots(f, lo, hi) >= 1]
-        if len(live) == 1:
-            f = live[0]
-            if f[-1] != 1:
-                raise AssertionError("factor of a monic integer polynomial must be monic")
-            # tighten until the factor itself certifies a sign change
-            while (poly_eval(f, lo) > 0) == (poly_eval(f, hi) > 0) or poly_eval(f, lo) == 0:
-                mid = (lo + hi) / 2
-                if count_real_roots(p, mid, hi, chain_p) >= 1:
-                    lo = mid
-                else:
-                    hi = mid
-            return f, (lo, hi)
-        mid = (lo + hi) / 2
-        if count_real_roots(p, mid, hi, chain_p) >= 1:
-            lo = mid
-        else:
-            hi = mid
+    (f,) = [f for f in factors if count_real_roots(f, lo, hi) >= 1]
+    if f[-1] != 1:
+        raise AssertionError("factor of a monic integer polynomial must be monic")
+    return f, (lo, hi)

@@ -132,6 +132,17 @@ def test_heights_match_oracle(rng):
             assert heights(d, m) == oracle_heights(d, m)
 
 
+def test_heights_keep_only_the_levels_asked_for(rng):
+    d = dyadic()
+    assert heights(d, 20000) == (2 ** 20000,)
+    assert set(d._memo["heights"]) <= {0, 20000}
+    for _ in range(10):
+        d = random_stationary(rng)
+        got = {m: heights(d, m) for m in (12, 3, 7)}
+        assert got == {m: oracle_heights(d, m) for m in (12, 3, 7)}
+        assert set(d._memo["heights"]) <= {0, 3, 7, 12}
+
+
 def test_incidence_fibonacci():
     assert incidence(fibonacci(), 1) == ((1, 1), (1, 0))
     assert incidence(fibonacci(), 0) == ((1,), (1,))

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from cantorconj.bratteli import cells, class_of_clopen, heights, serialize_diagram
+from cantorconj.bratteli import OrderedBratteliDiagram, cells, class_of_clopen, heights, serialize_diagram
 from cantorconj.classify import (
     ClopenSet,
     IntertwiningLadder,
@@ -570,6 +570,18 @@ def test_conjugate_obstructed():
         conjugate_at_resolution(DYADIC, TRIADIC, 2)
     assert e.value.stage == "morphism"
     assert e.value.obstruction.witness == 2
+
+
+def test_conjugate_unresolved_divisibility_is_a_morphism_stage_error():
+    # no scanned level of the target shows its unit divisible by 2
+    target = OrderedBratteliDiagram(
+        "explicit", (1, 2, 2, 1), (((0,), (0,)), ((0, 1), (1,)), ((0, 1),))
+    )
+    with pytest.raises(StageError) as e:
+        conjugate_at_resolution(DYADIC, target, 1)
+    assert e.value.stage == "morphism"
+    assert e.value.obstruction is None
+    assert "divisibility of the target unit by 2" in str(e.value)
 
 
 # ---------------------------------------------------------------------------

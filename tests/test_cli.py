@@ -235,6 +235,26 @@ def test_conjugator_obstructed(corpus, capsys):
     assert rep["obstruction"]["witness"] == 2
 
 
+def test_conjugator_unresolved_morphism_fails_cleanly(corpus, tmp_path, capsys):
+    target = tmp_path / "t.obd"
+    target.write_text(
+        json.dumps(
+            {
+                "format": "obd-v1",
+                "kind": "explicit",
+                "vertices": [1, 2, 2, 1],
+                "edges": [[[0], [0]], [[0, 1], [1]], [[0, 1]]],
+            }
+        )
+    )
+    rc = run(["conjugator", corpus["dyadic"], str(target), "1", "--format", "json"])
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert rc == 0 and captured.err == ""
+    assert rep["verdict"] == "failed"
+    assert rep["stage"] == "morphism"
+
+
 def test_vershik_orbit(corpus, capsys):
     rc, rep = run_json(capsys, ["vershik", corpus["dyadic"], "--level", "2"])
     assert rc == 0

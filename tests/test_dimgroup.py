@@ -1,8 +1,15 @@
-"""Positivity and pushing in the dimension group, against division references.
+"""Positivity, pushing and Perron data in the dimension group, against references.
 
 is_positive reads the sign of the trace from its numerator <v, rep> alone.
 The reference here is the trace built by division, sign included, and the
 witness level is found by pushing through the raw edge tables.
+
+The Perron data is computed in integers where it can be: the characteristic
+polynomial without fractions, the largest root's factor without refining,
+and the left eigenvector without elimination.  The references below are the
+Fraction characteristic polynomial, the factor selection that bisects until
+one factor is left and tightens until it changes sign, and the eigenvector
+solved by Gauss-Jordan elimination over the field.
 """
 
 import random
@@ -10,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from cantorconj.bratteli import LevelRangeError, composed_incidence
+from cantorconj.bratteli import LevelRangeError, composed_incidence, heights, incidence
 from cantorconj.dimgroup import (
     NEGATIVE,
     NOT_COMPARABLE,
@@ -18,10 +25,22 @@ from cantorconj.dimgroup import (
     ZERO,
     DimGroup,
 )
-from cantorconj.fieldpoly import NumberField, _mat_apply, poly_eval_interval
+from cantorconj.fieldpoly import (
+    NumberField,
+    _mat_apply,
+    _mat_mul,
+    charpoly,
+    count_real_roots,
+    irreducible_factor_of_largest_root,
+    isolate_largest_real_root,
+    poly_eval,
+    poly_eval_interval,
+    sturm_chain,
+)
 from cantorconj.systems import fibonacci, odometer, stationary_from_rows
 
 from conftest import _is_primitive, oracle_incidence, random_explicit, time_ceiling
+from test_ladder import row_reduce
 
 TRI3 = stationary_from_rows(((0, 1), (1, 2), (0, 0, 1, 1, 2, 2)))
 
@@ -152,3 +171,110 @@ def test_sign_of_constants_matches_interval_path(minpoly, lo, hi):
         assert field.sign((-1, 1)) == _interval_sign(field, (-1, 1)) == 1
         assert field.sign((1, -1)) == _interval_sign(field, (1, -1)) == -1
         assert (field.generator() ** 2 - field.generator() - 1).sign() == 0
+
+
+# -- Perron data against the elimination references ---------------------------
+
+
+def fraction_charpoly(matrix):
+    """Faddeev-LeVerrier over Fraction."""
+    n = len(matrix)
+    cs = [Fraction(1)]
+    mk = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        amk = _mat_mul(matrix, mk)
+        c = -sum(amk[i][i] for i in range(n)) / k
+        cs.append(c)
+        mk = [[amk[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+    assert all(c.denominator == 1 for c in cs)
+    out = [int(c) for c in reversed(cs)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def looped_largest_root_factor(p):
+    """The factor selection that bisects the isolating interval until one
+    factor is left and then tightens it until that factor changes sign."""
+    import sympy
+
+    x = sympy.symbols("x")
+    expr = sum(int(c) * x ** i for i, c in enumerate(p))
+    factors = []
+    for fac, _ in sympy.factor_list(sympy.Poly(expr, x))[1]:
+        coeffs = [int(c) for c in reversed(sympy.Poly(fac, x).all_coeffs())]
+        factors.append(tuple(-c for c in coeffs) if coeffs[-1] < 0 else tuple(coeffs))
+    lo, hi = isolate_largest_real_root(p)
+    chain_p = sturm_chain(p)
+
+    def halve(lo, hi):
+        mid = (lo + hi) / 2
+        return (mid, hi) if count_real_roots(p, mid, hi, chain_p) >= 1 else (lo, mid)
+
+    while True:
+        live = [f for f in factors if count_real_roots(f, lo, hi) >= 1]
+        if len(live) == 1:
+            f = live[0]
+            while (poly_eval(f, lo) > 0) == (poly_eval(f, hi) > 0) or poly_eval(f, lo) == 0:
+                lo, hi = halve(lo, hi)
+            return f, (lo, hi)
+        lo, hi = halve(lo, hi)
+
+
+def eliminated_left_eigenvector(a, field):
+    """v A = root v with v[last] = 1, by Gauss-Jordan elimination over the field."""
+    k = len(a)
+    root = field.generator()
+    # equation j: sum_i v_i (A[i][j] - root delta_ij) = 0, v_{k-1} = 1 moved right
+    rows = [[field.rational(a[i][j]) - (root if i == j else 0) for i in range(k)] for j in range(k)]
+    aug = [row[:-1] + [-row[-1]] for row in rows]
+    assert row_reduce(aug, range(k - 1)) == list(range(k - 1))
+    return [aug[r][k - 1] for r in range(k - 1)] + [field.rational(1)]
+
+
+def _perron_pool(rng, sizes, count):
+    """Seeded primitive systems; some repeat a row, so that 0 is a root and
+    the characteristic polynomial is reducible."""
+    out = []
+    while len(out) < count:
+        k = rng.choice(sizes)
+        mat = [[rng.randint(0, 2 if k <= 4 else 1) for _ in range(k)] for _ in range(k)]
+        if rng.random() < 0.3:
+            mat[-1] = list(mat[rng.randrange(k - 1)])
+        rows = tuple(tuple(s for s in range(k) for _ in range(r[s])) for r in mat)
+        if all(rows) and _is_primitive(rows, k):
+            out.append(stationary_from_rows(rows))
+    return out
+
+
+def test_charpoly_matches_fraction_version():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        mat = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n))
+        assert charpoly(mat) == fraction_charpoly(mat), mat
+
+
+def test_perron_data_matches_elimination_references():
+    rng = random.Random(12)
+    pool = [odometer(2), odometer(3), odometer(6), fibonacci(), TRI3]
+    pool += _perron_pool(rng, (2, 3, 4), 30) + _perron_pool(rng, (5, 6, 7, 8), 12)
+    # t^2 (t - 3): the largest root is a rational root of a reducible polynomial
+    pool.append(stationary_from_rows(((0, 1, 1), (0, 2), (0, 0, 2, 2))))
+    reducible = 0
+    with time_ceiling(120):
+        for d in pool:
+            a = incidence(d, 1)
+            cp = fraction_charpoly(a)
+            minpoly, (lo, hi) = looped_largest_root_factor(cp)
+            assert irreducible_factor_of_largest_root(cp) == (minpoly, (lo, hi)), cp
+            data = DimGroup(d).perron
+            assert (data.char_poly, data.minpoly) == (cp, minpoly)
+            field = NumberField(minpoly, lo, hi)
+            v = eliminated_left_eigenvector(a, field)
+            assert [x.coeffs for x in data.left_eigenvector] == [x.coeffs for x in v], a
+            norm = sum((vi * h for vi, h in zip(v, heights(d, 1))), field.rational(0))
+            assert data.normalizer.coeffs == norm.coeffs
+            reducible += cp != minpoly
+    assert DimGroup(pool[-1]).perron.char_poly == (0, 0, -3, 1)
+    assert reducible >= 10

@@ -8,7 +8,10 @@ trying every value (the same rows in the same order); nothing else bounds
 its work, so it only runs on pairs that have a ladder, under a time ceiling.
 
 The enumerator reduces its system over Z; `fraction_lex_solutions` keeps
-the same walk over a reduction in Fraction as the reference for it.
+the same walk over a reduction in Fraction as the reference for it.  That
+reduction, `row_reduce` (Gauss-Jordan over a field), is also the reference
+for `_solve_lin`, which scales rational systems to integers and reduces
+them fraction-free.
 """
 
 import itertools
@@ -29,7 +32,7 @@ from cantorconj.classify import (
     decide_k_conjugacy,
     verify_ladder,
 )
-from cantorconj.fieldpoly import _row_reduce, _row_reduce_int
+from cantorconj.fieldpoly import _row_reduce_int, _solve_lin
 from cantorconj.systems import dyadic, fibonacci, odometer, quaternary, stationary_from_rows, triadic
 
 from conftest import time_ceiling
@@ -161,6 +164,40 @@ def relabeled_pairs(count, seed):
 # the enumerator
 
 
+def row_reduce(aug, columns):
+    """Gauss-Jordan elimination of the rows `aug` over a field, in place.
+
+    Entries are exact (Fraction or FieldElement).  Pivots are sought in the
+    order of `columns`; the pivot columns are returned, row r of aug being
+    the reduced pivot row of pivots[r] (pivot entry 1, zero in every other
+    pivot column).  Rows past the pivots are zero in every column of
+    `columns`.
+    """
+    m = len(aug)
+    pivots = []
+    row = 0
+    for col in columns:
+        if row == m:
+            break
+        sel = next((r for r in range(row, m) if aug[r][col] != 0), None)
+        if sel is None:
+            continue
+        aug[row], aug[sel] = aug[sel], aug[row]
+        pv = aug[row][col]
+        # the rows are sparse: only the pivot row's nonzero entries move
+        support = [j for j, x in enumerate(aug[row]) if x != 0]
+        prow = aug[row] = [x / pv for x in aug[row]]
+        for r in range(m):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col]
+                target = aug[r]
+                for j in support:
+                    target[j] -= f * prow[j]
+        pivots.append(col)
+        row += 1
+    return pivots
+
+
 def brute_solutions(rows, rhs, bounds):
     return [
         x
@@ -175,7 +212,7 @@ def fraction_lex_solutions(rows, rhs, bounds, budget):
     n = len(bounds)
     budget.charge()
     aug = [[Fraction(c) for c in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = _row_reduce(aug, range(n - 1, -1, -1))
+    pivots = row_reduce(aug, range(n - 1, -1, -1))
     if any(aug[r][n] != 0 for r in range(len(pivots), len(aug))):
         return
     free = [k for k in range(n) if k not in pivots]
@@ -280,7 +317,7 @@ def assert_same_reduction(rows, rhs, columns):
     rows past the pivots zero in `columns`, with the same constants zero."""
     exact = [[Fraction(c) for c in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
     integral = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivots = _row_reduce(exact, columns)
+    pivots = row_reduce(exact, columns)
     assert _row_reduce_int(integral, columns) == pivots
     for r, p in enumerate(pivots):
         row = integral[r]
@@ -336,6 +373,46 @@ def test_integer_reduction_matches_fraction_reduction_on_rungs():
     ]
     assert len(forwards) == 200 and len(backwards) >= 25
     assert min(solvable) >= 20
+
+
+def fraction_solve_lin(vectors, target):
+    """`_solve_lin` over Fraction: x[pivot] is the reduced row's constant."""
+    ncols = len(vectors)
+    aug = [[Fraction(v[i]) for v in vectors] + [Fraction(t)] for i, t in enumerate(target)]
+    pivots = row_reduce(aug, range(ncols))
+    if any(aug[r][ncols] != 0 for r in range(len(pivots), len(aug))):
+        return None
+    x = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        x[col] = aug[r][ncols]
+    return x
+
+
+def test_solve_lin_matches_fraction_reduction():
+    rng = random.Random(10)
+    entry = lambda: Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6)))
+    kinds = {"solved": 0, "deficient": 0, "inconsistent": 0}
+    for _ in range(600):
+        unknowns, equations = rng.randint(1, 4), rng.randint(1, 4)
+        vectors = [[entry() for _ in range(equations)] for _ in range(unknowns)]
+        if unknowns > 1 and rng.random() < 0.3:
+            # a rank-deficient system: one vector a combination of the others
+            c = entry()
+            vectors[-1] = [c * x + y for x, y in zip(vectors[0], vectors[-2])]
+        if rng.random() < 0.5:
+            weights = [entry() for _ in range(unknowns)]
+            target = [sum(w * v[i] for w, v in zip(weights, vectors)) for i in range(equations)]
+        else:
+            target = [entry() for _ in range(equations)]
+        want = fraction_solve_lin(vectors, target)
+        assert _solve_lin(vectors, target) == want, (vectors, target)
+        if want is None:
+            kinds["inconsistent"] += 1
+        else:
+            matrix = [[Fraction(v[i]) for v in vectors] for i in range(equations)]
+            rank = len(row_reduce(matrix, range(unknowns)))
+            kinds["solved" if rank == unknowns else "deficient"] += 1
+    assert min(kinds.values()) >= 50, kinds
 
 
 # ---------------------------------------------------------------------------
