@@ -4,9 +4,10 @@ The divisor set of a unital ordered group G with unit u collects every n
 such that u splits into n copies of a single positive element.  In a
 Bratteli-Vershik presentation this happens exactly when some level has all
 tower heights divisible by n, so membership reduces to the height vector
-trajectory mod n.  Stationary diagrams make that trajectory eventually
-periodic and every verdict here is exact; explicit finite diagrams only
-support bounded scans and degrade to Unknown / AtLeast answers.
+trajectory mod n.  On a stationary diagram that trajectory reaches zero
+within k*floor(log2 n) levels past level 1 or never (k vertices), so every
+verdict here is exact; explicit finite diagrams only support bounded scans
+and degrade to Unknown / AtLeast answers.
 
 Valuations are certified, not sampled:
   * infinite p-valuation holds iff the minimal monic integer annihilator of
@@ -14,9 +15,9 @@ Valuations are certified, not sampled:
     power of t mod p (then each annihilator degree worth of levels gains a
     factor p; conversely a unit factor mod p pins the valuation),
   * for p coprime to det(A) the valuation equals v_p of gcd(heights(1)),
-  * remaining finite valuations come from exhausting divides_unit on
-    successive powers of p, which the annihilator test has certified to
-    terminate.
+  * remaining finite valuations come from divides_unit on successive
+    powers of p, each decided by a walk of at most k*floor(log2 p^(v+1))
+    steps; the annihilator test has certified that the powers run out.
 
 Trace images.  A primitive stationary diagram has a unique normalized
 trace; the image of the dimension group is either (1/q)Z[1/lambda] for an
@@ -62,7 +63,6 @@ __all__ = [
 DEFAULT_PRIME_CUTOFF = 97
 DEFAULT_DEPTH = 40
 
-_STEP_CAP = 1_000_000  # residue-trajectory guard; larger moduli are not desk scale
 _VALUATION_CAP = 4096  # defense in depth: certified-finite loops must stop long before
 
 
@@ -83,38 +83,22 @@ class DividesUnitResult:
 def divides_unit(dg: OrderedBratteliDiagram, n: int, depth: int = DEFAULT_DEPTH) -> DividesUnitResult:
     """Decide whether n*e = u for some positive e, i.e. n | heights(m) for some m.
 
-    Stationary diagrams are decided exactly: the height residues mod n live
-    in a finite state space, so the walk either hits the zero vector (Yes,
-    witness level) or closes a cycle that a verifier can replay (No).
-    Explicit diagrams scan at most min(depth, last level) levels.
+    Stationary diagrams are decided exactly by walking the height residues
+    mod n from level 1 for at most J = k*floor(log2 n) levels (k vertices,
+    see _first_zero): Yes names the least level with zero residues, No
+    carries {"modulus": n, "level": 1 + J}.  Explicit diagrams scan at most
+    min(depth, last level) levels.
     """
     if n < 1:
         raise ValueError("modulus must be a positive integer")
     if n == 1:
         return DividesUnitResult("yes", 0, None, depth)
     if dg.kind == "stationary":
-        table = dg.table(1)
-        state = tuple(x % n for x in heights(dg, 1))
-        seen: dict = {}
-        states = []
-        level = 1
-        while True:
-            if all(x == 0 for x in state):
-                return DividesUnitResult("yes", level, None, depth)
-            if state in seen:
-                cert = {
-                    "modulus": n,
-                    "start_level": 1,
-                    "states": [list(s) for s in states],
-                    "cycle_start": seen[state],
-                }
-                return DividesUnitResult("no", None, cert, depth)
-            seen[state] = len(states)
-            states.append(state)
-            state = tuple(sum(state[s] for s in row) % n for row in table)
-            level += 1
-            if level > _STEP_CAP:
-                raise CapabilityError("residue trajectory exceeded the supported step budget")
+        j = _first_zero(_edge_step(dg), heights(dg, 1), n)
+        if j is not None:
+            return DividesUnitResult("yes", 1 + j, None, depth)
+        cert = {"modulus": n, "level": 1 + _walk_bound(dg.num_vertices(1), n)}
+        return DividesUnitResult("no", None, cert, depth)
     cap = min(depth, dg.max_level())
     for m in range(1, cap + 1):
         if all(x % n == 0 for x in heights(dg, m)):
@@ -123,30 +107,60 @@ def divides_unit(dg: OrderedBratteliDiagram, n: int, depth: int = DEFAULT_DEPTH)
 
 
 def check_divides_certificate(dg: OrderedBratteliDiagram, n: int, result: DividesUnitResult) -> bool:
-    """Replay a divides_unit answer against the diagram it talks about."""
+    """Replay a divides_unit answer against the diagram it talks about.
+
+    On a stationary diagram a Yes past level 1 + J is checked at 1 + J,
+    where divisibility is the same (see _first_zero); a No must name level
+    1 + J and have nonzero height residues on every level up to it.
+    """
     if result.verdict == "yes":
         if result.level == 0:
             return n == 1
         try:
-            return all(x % n == 0 for x in heights(dg, result.level))
+            level = result.level
+            if dg.kind == "stationary":
+                level = min(level, 1 + _walk_bound(dg.num_vertices(1), n))
+            return all(x % n == 0 for x in heights(dg, level))
         except Exception:
             return False
     if result.verdict != "no" or dg.kind != "stationary" or result.certificate is None:
         return False
     cert = result.certificate
-    if cert.get("modulus") != n:
+    level = cert.get("level")
+    if cert.get("modulus") != n or not isinstance(level, int):
         return False
-    states = [tuple(s) for s in cert.get("states", ())]
-    if not states:
+    if level != 1 + _walk_bound(dg.num_vertices(1), n):
         return False
+    return _first_zero(_edge_step(dg), heights(dg, 1), n) is None
+
+
+def _walk_bound(k, n):
+    """J = k*floor(log2 n): the longest walk _first_zero needs on (Z/n)^k."""
+    return k * (n.bit_length() - 1)
+
+
+def _first_zero(step, vec, n):
+    """Least j <= J = k*floor(log2 n) with step^j(vec) = 0 mod n, or None.
+
+    step is an integer linear map on Z^k, k = len(vec).  The kernels K_j of
+    step^j on (Z/n)^k increase with j, and once K_j = K_(j+1) they stay
+    equal (step maps K_(j+2) into K_(j+1) = K_j).  A strict chain of
+    submodules of (Z/n)^k has at most k*Omega(n) <= J steps (Omega counts
+    prime factors with multiplicity), so K_J holds every K_j; zero stays
+    zero, so the first zero of this walk is the least j there is.
+    """
+    state = [x % n for x in vec]
+    j, bound = 0, _walk_bound(len(vec), n)
+    while any(state) and j < bound:
+        state = [x % n for x in step(state)]
+        j += 1
+    return None if any(state) else j
+
+
+def _edge_step(dg):
+    """One level of a stationary diagram: each vertex sums its sources."""
     table = dg.table(1)
-    state = tuple(x % n for x in heights(dg, 1))
-    for expected in states:
-        if state != expected or all(x == 0 for x in state):
-            return False
-        state = tuple(sum(state[s] for s in row) % n for row in table)
-    k = cert.get("cycle_start")
-    return isinstance(k, int) and 0 <= k < len(states) and state == states[k]
+    return lambda state: [sum(state[s] for s in row) for row in table]
 
 
 def _minimal_annihilator(mat, vec):
@@ -531,23 +545,15 @@ def _hnf_rows(rows):
 
 
 def _eventually_integral(coeffs, tmat):
-    """Least j with coeffs * tmat^j integral, or None if the cycle avoids 0."""
+    """Least j with coeffs * tmat^j integral, or None if there is none.
+
+    The fractional parts live in (Z/den)^k for the common denominator den,
+    so _first_zero decides it by a walk of at most k*floor(log2 den) steps.
+    """
     den = lcm(*(c.denominator for c in coeffs))
-    if den == 1:
-        return 0
-    state = tuple(int(c * den) % den for c in coeffs)
-    seen = set()
-    j = 0
-    while True:
-        if all(x == 0 for x in state):
-            return j
-        if state in seen:
-            return None
-        seen.add(state)
-        state = tuple(sum(state[i] * tmat[i][k] for i in range(len(state))) % den for k in range(len(state)))
-        j += 1
-        if j > _STEP_CAP:
-            raise CapabilityError("denominator trajectory exceeded the supported step budget")
+    cols = list(zip(*tmat))
+    step = lambda state: [sum(a * b for a, b in zip(state, col)) for col in cols]
+    return _first_zero(step, [int(c * den) for c in coeffs], den)
 
 
 def trace_image_group(dg: OrderedBratteliDiagram) -> TraceImageGroup:

@@ -131,6 +131,11 @@ def random_stationary(rng: random.Random, max_vertices=3, max_edges=3, primitive
         return OrderedBratteliDiagram("stationary", (1, k), (root, tuple(rows)))
 
 
+def rows_of(mat):
+    """Ordered source rows of an incidence matrix, sources in increasing order."""
+    return tuple(tuple(s for s in range(len(r)) for _ in range(r[s])) for r in mat)
+
+
 def _is_primitive(rows, k):
     mat = [[0] * k for _ in range(k)]
     for v, row in enumerate(rows):

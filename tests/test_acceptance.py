@@ -15,7 +15,9 @@ import random
 from cantorconj import systems
 from cantorconj.bratteli import (
     MAX_PATH,
+    CapabilityError,
     cells,
+    composed_incidence,
     dump_diagram,
     heights,
     load_diagram,
@@ -32,6 +34,7 @@ from cantorconj.classify import (
     frobenius,
     ladder_certificate,
     represent,
+    SearchExhausted,
     tau_certificate,
     verify_certificate,
     verify_ladder,
@@ -48,6 +51,8 @@ from cantorconj.fullgroup import (
     verify_conjugator,
 )
 from cantorconj.invariants import check_divides_certificate, divides_unit
+
+from conftest import random_stationary, rows_of, time_ceiling
 
 DYADIC = systems.dyadic()
 TRIADIC = systems.triadic()
@@ -303,6 +308,76 @@ def test_criterion_05_hierarchy_consistency():
             assert not (tau and not weak), (a, b)
             pairs += 1
     _verdict(5, "hierarchy", "%d ordered pairs, no violations" % pairs)
+
+
+def _power(d, e):
+    """The same system read every e levels: its root edges, then A^e."""
+    return systems.stationary_from_rows(rows_of(composed_incidence(d, 1, 1 + e)), root=d.table(0))
+
+
+def _hierarchy_pool():
+    # seeded primitive systems of 1-3 vertices, each with its square and cube;
+    # no draw is dropped, a failing one is a finding
+    rng = random.Random(5)
+    pool = []
+    for _ in range(8):
+        d = random_stationary(rng, primitive=True)
+        pool += [d, _power(d, 2), _power(d, 3)]
+    return pool
+
+
+HIERARCHY = (
+    ("weak", decide_weak, "weak"),
+    ("tau", decide_tau, "tau"),
+    ("kconj", decide_k_conjugacy, "k-conjugate"),
+)
+
+
+def test_criterion_05_hierarchy_on_seeded_powers():
+    pool = _hierarchy_pool()
+    got = {}
+    for i, a in enumerate(pool):
+        for j, b in enumerate(pool):
+            for rel, decide, positive in HIERARCHY:
+                try:
+                    with time_ceiling(10):
+                        res = decide(a, b)
+                except (CapabilityError, SearchExhausted):  # the documented errors
+                    got[rel, i, j] = None
+                    continue
+                if res.verdict == "not":
+                    # every refutation names what refutes it
+                    assert (res.witness if rel == "weak" else res.obstructions), (rel, i, j)
+                got[rel, i, j] = "+" if res.verdict == positive else res.verdict
+    n = len(pool)
+    for i in range(n):
+        assert all(got[rel, i, i] == "+" for rel, _, _ in HIERARCHY), i
+        for j in range(n):
+            # kconj => tau => weak, read as: a positive verdict is never
+            # refuted further down; kconj may be positive where tau is
+            # unknown (powers whose minimal polynomials differ)
+            if got["kconj", i, j] == "+":
+                assert got["tau", i, j] != "not" and got["weak", i, j] != "not", (i, j)
+            if got["tau", i, j] == "+":
+                assert got["weak", i, j] != "not", (i, j)
+            for rel, _, _ in HIERARCHY:
+                assert not (got[rel, i, j] == "+" and got[rel, j, i] == "not"), (rel, i, j)
+    _verdict(5, "hierarchy", "%d seeded ordered pairs, no violations" % (n * n))
+
+
+def test_criterion_05_hierarchy_through_the_cli(tmp_path, capsys):
+    pool = _hierarchy_pool()
+    # a refuted weak pair, a tau pair left unknown, a k-conjugate pair
+    for command, i, j in (("weak", 0, 4), ("tau", 1, 0), ("kconj", 3, 4)):
+        paths = []
+        for k in (i, j):
+            paths.append(str(tmp_path / ("s%d.obd" % k)))
+            dump_diagram(pool[k], paths[-1])
+        with time_ceiling(30):
+            rc = run([command] + paths)
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2), (command, rc)
+        assert "Traceback" not in err, err
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,8 @@ from cantorconj.classify import (
 from cantorconj.dimgroup import DimGroup
 from cantorconj.systems import dyadic, fibonacci, quaternary, stationary_from_rows, triadic
 
+from conftest import rows_of
+
 DYADIC = dyadic()
 TRIADIC = triadic()
 QUATERNARY = quaternary()
@@ -320,9 +322,6 @@ def test_tau_verdicts():
 def test_tau_reports_the_rank_obstruction():
     # a cubic against a quadratic trace field: equal spectra, so the pair is
     # weak, but images spanning real fields of different degree differ
-    def rows_of(mat):
-        return tuple(tuple(s for s in range(len(r)) for _ in range(r[s])) for r in mat)
-
     a = stationary_from_rows(rows_of(((1, 1, 1), (2, 1, 0), (1, 1, 0))))
     b = stationary_from_rows(rows_of(((0, 1, 0), (1, 1, 1), (0, 1, 2))))
     assert decide_weak(a, b).verdict == "weak"

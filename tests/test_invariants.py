@@ -13,6 +13,7 @@ from cantorconj.dimgroup import DimGroup
 from cantorconj.fieldpoly import _solve_lin, charpoly, count_real_roots, isolate_largest_real_root
 from cantorconj.invariants import (
     AtLeast,
+    DividesUnitResult,
     InfiniteValuation,
     SupernaturalTruncation,
     check_divides_certificate,
@@ -23,10 +24,16 @@ from cantorconj.invariants import (
     trace_image_group,
     trace_images_isomorphic,
 )
-from cantorconj.invariants import _hnf_rows, _mul_by_t, _stationary_data, _stationary_valuation
+from cantorconj.invariants import (
+    _eventually_integral,
+    _hnf_rows,
+    _mul_by_t,
+    _stationary_data,
+    _stationary_valuation,
+)
 from cantorconj.systems import dyadic, fibonacci, quaternary, stationary_from_rows, triadic
 
-from conftest import oracle_heights, random_stationary, time_ceiling
+from conftest import _is_primitive, oracle_heights, random_stationary, rows_of, time_ceiling
 
 DYADIC = dyadic()
 TRIADIC = triadic()
@@ -84,11 +91,9 @@ def test_divides_unit_rejects_zero():
 def test_divides_unit_dyadic_three_cycles():
     res = divides_unit(DYADIC, 3)
     assert res.verdict == "no"
-    cert = res.certificate
-    assert cert is not None
-    # 2^m mod 3 runs through {2, 1} and never hits 0
-    seen = {tuple(s) for s in cert["states"]}
-    assert seen <= {(1,), (2,)}
+    # 2^m mod 3 runs through {2, 1} and never hits 0; one vertex and
+    # floor(log2 3) = 1 bound the walk at one step past level 1
+    assert res.certificate == {"modulus": 3, "level": 2}
     assert check_divides_certificate(DYADIC, 3, res)
 
 
@@ -129,12 +134,144 @@ def test_divides_unit_explicit_bounded():
 
 def test_divides_certificate_detects_tampering():
     res = divides_unit(DYADIC, 3)
-    cert = dict(res.certificate)
-    states = [list(s) for s in cert["states"]]
-    states[0][0] ^= 1
-    cert["states"] = states
-    bad = type(res)(verdict="no", level=None, certificate=cert, depth=res.depth)
-    assert not check_divides_certificate(DYADIC, 3, bad)
+    assert check_divides_certificate(DYADIC, 3, res)
+    tampered = [
+        {"modulus": 5, "level": 2},
+        {"modulus": 3, "level": 1},
+        {"modulus": 3, "level": 3},
+        {"modulus": 3, "level": 2.0},
+        {"modulus": 3, "level": "2"},
+        {"modulus": 3, "level": None},
+        {"level": 2},
+        {"modulus": 3},
+    ]
+    for cert in tampered:
+        bad = type(res)(verdict="no", level=None, certificate=cert, depth=res.depth)
+        assert not check_divides_certificate(DYADIC, 3, bad), cert
+    # the modulus must match the question as well as the certificate
+    assert not check_divides_certificate(DYADIC, 5, res)
+    # a well-formed No for a modulus that does divide the unit
+    two = type(res)(verdict="no", level=None, certificate={"modulus": 2, "level": 2}, depth=res.depth)
+    assert not check_divides_certificate(DYADIC, 2, two)
+
+
+def test_divides_certificate_replays_a_far_yes_at_the_bound():
+    # past level 1 + J divisibility is the same at every level, so a Yes
+    # claimed a billion levels up is replayed at 1 + J, not by pushing there
+    far = 10 ** 9
+    with time_ceiling(1):
+        assert check_divides_certificate(DYADIC, 2, DividesUnitResult("yes", far, None, 40))
+        assert not check_divides_certificate(DYADIC, 3, DividesUnitResult("yes", far, None, 40))
+    assert not check_divides_certificate(DYADIC, 2, DividesUnitResult("yes", "far", None, 40))
+    assert not check_divides_certificate(DYADIC, 2, DividesUnitResult("yes", -1, None, 40))
+
+
+# The walk divides_unit ran before its length was bounded: the height
+# residues mod n from level 1 until they vanish (the least level) or repeat
+# a state (None); "cap" when neither happened within `cap` steps.
+def reference_divides_level(d, n, cap):
+    table = d.table(1)
+    state = tuple(x % n for x in oracle_heights(d, 1))
+    seen = set()
+    level = 1
+    while any(state):
+        if state in seen:
+            return None
+        if level > cap:
+            return "cap"
+        seen.add(state)
+        state = tuple(sum(state[s] for s in row) % n for row in table)
+        level += 1
+    return level
+
+
+# The cycle search _eventually_integral ran before: least j with
+# coeffs * tmat^j integral, None once the fractional parts repeat.
+def reference_eventually_integral(coeffs, tmat):
+    den = lcm(*(c.denominator for c in coeffs))
+    k = len(coeffs)
+    state = tuple(int(c * den) % den for c in coeffs)
+    seen = set()
+    j = 0
+    while any(state):
+        if state in seen:
+            return None
+        seen.add(state)
+        state = tuple(sum(state[i] * tmat[i][c] for i in range(k)) % den for c in range(k))
+        j += 1
+    return j
+
+
+def _stationary_pool():
+    # seeded stationary systems of 1-4 vertices, primitive or not
+    rng = random.Random(11)
+    return [random_stationary(rng, max_vertices=4) for _ in range(100)]
+
+
+def test_divides_unit_matches_the_cycle_search():
+    compared, verdicts = 0, set()
+    pool = _stationary_pool()
+    assert {d.num_vertices(1) for d in pool} == {1, 2, 3, 4}
+    for d in pool:
+        for n in range(2, 65):
+            ref = reference_divides_level(d, n, cap=1000)
+            if ref == "cap":
+                continue
+            res = divides_unit(d, n)
+            assert (res.level if res.verdict == "yes" else None) == ref, (d.tables, n)
+            assert res.verdict == ("no" if ref is None else "yes")
+            assert check_divides_certificate(d, n, res), (d.tables, n)
+            compared += 1
+            verdicts.add(res.verdict)
+    assert compared >= 0.9 * len(pool) * 63
+    assert verdicts == {"yes", "no"}
+
+
+def test_eventually_integral_matches_the_cycle_search():
+    rng = random.Random(12)
+    answers = set()
+    for d in _stationary_pool():
+        if not _is_primitive(d.table(1), d.num_vertices(1)):
+            continue
+        g = trace_image_group(d)
+        if g.kind != "field":
+            continue
+        tmat = g.lattice[2]
+        # denominators built from the primes of det(tmat) reach 0 after a
+        # few steps; the others never do
+        det_primes = [p for p in range(2, 50) if charpoly(tmat)[0] % p == 0] or [1]
+        for _ in range(12):
+            den = rng.choice(det_primes) ** rng.randint(0, 4) * rng.choice((1, 1, 2, 3))
+            coeffs = [Fraction(rng.randint(-30, 30), den) for _ in tmat]
+            j = _eventually_integral(coeffs, tmat)
+            assert j == reference_eventually_integral(coeffs, tmat), (coeffs, tmat)
+            answers.add("none" if j is None else min(j, 1))
+    assert answers == {"none", 0, 1}
+
+
+# 8-vertex primitive system with long residue cycles: the cycle search
+# stored 236,220 states for n = 10 and 65,024 for n = 1024, and gave up
+# past a million steps for n = 11 and 37
+EIGHT = stationary_from_rows(rows_of((
+    (1, 1, 0, 0, 0, 0, 1, 1),
+    (0, 0, 1, 1, 1, 0, 0, 0),
+    (0, 0, 1, 0, 1, 0, 0, 1),
+    (0, 1, 0, 0, 0, 1, 1, 0),
+    (0, 0, 1, 1, 1, 1, 1, 1),
+    (1, 1, 1, 1, 0, 1, 0, 0),
+    (1, 1, 1, 1, 0, 1, 1, 1),
+    (1, 0, 0, 1, 0, 1, 1, 0),
+)))
+
+
+@pytest.mark.parametrize("n", [10, 11, 37, 1024])
+def test_divides_unit_long_cycles_end_within_the_bound(n):
+    with time_ceiling(5):
+        res = divides_unit(EIGHT, n)
+        assert res.verdict == "no"
+        assert check_divides_certificate(EIGHT, n, res)
+    assert res.certificate == {"modulus": n, "level": 1 + 8 * (n.bit_length() - 1)}
+    assert len(json.dumps(res.certificate)) < 100
 
 
 # ---------------------------------------------------------------------------

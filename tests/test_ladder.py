@@ -35,7 +35,7 @@ from cantorconj.classify import (
 from cantorconj.fieldpoly import _row_reduce_int, _solve_lin
 from cantorconj.systems import dyadic, fibonacci, odometer, quaternary, stationary_from_rows, triadic
 
-from conftest import time_ceiling
+from conftest import rows_of, time_ceiling
 
 NAMED = {"dyadic": dyadic(), "triadic": triadic(), "quaternary": quaternary(), "fibonacci": fibonacci()}
 
@@ -94,10 +94,6 @@ def reference_ladder(dgA, dgB, max_span=12, max_base=3):
                                     (a0, a0 + ga, a0 + 2 * ga), (b0, b0 + gb), (h, h), (bm, bm)
                                 )
     return None
-
-
-def rows_of(mat):
-    return tuple(tuple(s for s in range(len(r)) for _ in range(r[s])) for r in mat)
 
 
 def power_rows(rows, k):
