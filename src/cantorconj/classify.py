@@ -18,7 +18,9 @@ solution of the intertwining equation h.A^ga = B^gb.h with h.u_A = u_B
 nonnegative integer points of that linear system, and H as those of
 H.h = A^ga, h.H = B^gb and H.u_B = u_A' (the unit ga levels up), each in
 lexicographic order by a depth-first walk over a row echelon form; one
-budget of walk nodes bounds the whole search.
+budget of walk nodes bounds the whole search.  A period pair whose powers
+A^ga and B^gb differ in nonzero spectrum cannot hold such a pair (H.h and
+h.H share it), so its cells are skipped before any elimination.
 
 No-verdicts are only ever derived from sound obstructions: a prime power
 present in one divisor set and absent from the other, a rational-rank
@@ -52,12 +54,13 @@ from .bratteli import (
     cells,
     class_of_clopen,
     composed_incidence,
+    derived,
     heights,
     serialize_diagram,
     tower_map,
 )
 from .dimgroup import DimGroup, NEGATIVE, NOT_COMPARABLE, POSITIVE, UNKNOWN, ZERO
-from .fieldpoly import _mat_apply, _mat_mul, _row_reduce_int
+from .fieldpoly import _mat_apply, _mat_mul, _row_reduce_int, charpoly
 from .fullgroup import (
     ConjugacyReport,
     ConjugatorError,
@@ -572,6 +575,17 @@ def _unflatten(flat, width):
     return tuple(flat[i : i + width] for i in range(0, len(flat), width))
 
 
+def _nonzero_charpoly(d, g):
+    """charpoly of A^g, the g-th power of d's stationary incidence, with its
+    factors of t dropped; constant first, kept per power in derived()."""
+
+    def compute():
+        cp = charpoly(composed_incidence(d, 1, 1 + g))
+        return cp[next(i for i, c in enumerate(cp) if c) :]
+
+    return derived(d, ("nonzero_charpoly", 1, 1 + g), compute)
+
+
 def _ladder_search(dgA, dgB, max_span, max_base, budget):
     """Breadth-first over the total level span, then lexicographic.
 
@@ -582,10 +596,30 @@ def _ladder_search(dgA, dgB, max_span, max_base, budget):
     over the solutions of that equation with h.u_A = u_B, and H over those
     of H.h = C_A, h.H = C_B and H.u_B = u_A'; the first pair in
     lexicographic order of h, then of H, is returned.
+
+    Each period pair (ga, gb) is first tested once, exactly, and skipped
+    with all its base levels when the test fails:
+
+    - a cell yields a ladder only if H.h = C_A and h.H = C_B;
+    - Sylvester's identity gives t^nb det(tI - H.h) = t^na det(tI - h.H),
+      so there cp(C_A) and cp(C_B) agree once factors of t are dropped
+      (equal nonzero spectra, as shift equivalence forces);
+    - on a stationary diagram composed_incidence(d, a0, a0 + g) is A^g for
+      every a0 >= 1, so the test of A^ga against B^gb covers every cell of
+      the pair.
+
+    A skipped cell never held a ladder, so the ladder returned is the one
+    the unpruned search finds; only the nodes spent differ.  Returns the
+    ladder or None, the period pairs skipped and the period pairs visited.
     """
+    skipped = visited = 0
     for span in range(2, max_span + 1):
         for ga in range(1, span):
             gb = span - ga
+            visited += 1
+            if _nonzero_charpoly(dgA, ga) != _nonzero_charpoly(dgB, gb):
+                skipped += 1
+                continue
             for a0 in range(1, max_base + 1):
                 ua0, ua1 = heights(dgA, a0), heights(dgA, a0 + ga)
                 conn_a = composed_incidence(dgA, a0, a0 + ga)
@@ -599,13 +633,14 @@ def _ladder_search(dgA, dgB, max_span, max_base, budget):
                         flat_b = next(_lex_solutions(*backward, budget), None)
                         if flat_b is not None:
                             bm = _unflatten(flat_b, len(ub0))
-                            return IntertwiningLadder(
+                            ladder = IntertwiningLadder(
                                 (a0, a0 + ga, a0 + 2 * ga),
                                 (b0, b0 + gb),
                                 (h, h),
                                 (bm, bm),
                             )
-    return None
+                            return ladder, skipped, visited
+    return None, skipped, visited
 
 
 def decide_k_conjugacy(
@@ -626,9 +661,14 @@ def decide_k_conjugacy(
     the forward rung h runs over the nonnegative integer solutions of
     h.A^ga = B^gb.h with h.u_A = u_B, and the backward rung over those of
     H.h = A^ga, h.H = B^gb and H.u_B = u_A' (the unit ga levels up), both
-    in lexicographic order.  The whole search may visit LADDER_NODE_BUDGET
-    nodes.  Unknown comes with a note that names what ran out, the window
-    or the node budget, and the nodes spent.
+    in lexicographic order.  A period pair (ga, gb) is skipped with all its
+    cells when the characteristic polynomials of A^ga and B^gb differ once
+    factors of t are dropped: by Sylvester's identity H.h and h.H share
+    their nonzero spectrum, so no cell of such a pair holds a ladder, and
+    the ladder found is the one the unpruned search finds.  The whole search
+    may visit LADDER_NODE_BUDGET nodes.  Unknown comes with a note that
+    names what ran out, the window or the node budget, and the nodes spent;
+    a window run out also counts the period pairs the spectral test skipped.
     """
     obstructions = _obstructions(dgA, dgB, prime_cutoff, depth)[0]
     if obstructions:
@@ -641,7 +681,7 @@ def decide_k_conjugacy(
         return KConjResult("unknown", note="ladder search needs stationary input")
     budget = _NodeBudget(LADDER_NODE_BUDGET)
     try:
-        ladder = _ladder_search(dgA, dgB, max_span, max_base, budget)
+        ladder, skipped, visited = _ladder_search(dgA, dgB, max_span, max_base, budget)
     except SearchExhausted:
         return KConjResult(
             "unknown",
@@ -651,8 +691,9 @@ def decide_k_conjugacy(
     if ladder is None:
         return KConjResult(
             "unknown",
-            note="no ladder with span <= %d from base levels <= %d (%d nodes)"
-            % (max_span, max_base, budget.spent),
+            note="no ladder with span <= %d from base levels <= %d (%d nodes; "
+            "spectral test skipped %d of %d period pairs)"
+            % (max_span, max_base, budget.spent, skipped, visited),
         )
     rep = verify_ladder(ladder, dgA, dgB)
     assert rep.ok, rep.reason

@@ -251,7 +251,8 @@ def isolate_largest_real_root(p):
         if count_real_roots(p, mid, hi, chain) >= 1:
             lo = mid
         else:
-            hi = mid
+            # mid may be the largest root itself; hi stays strictly above it
+            hi = (mid + hi) / 2 if poly_eval(p, mid) == 0 else mid
     return lo, hi
 
 

@@ -14,7 +14,8 @@ import signal
 
 import pytest
 
-from cantorconj.bratteli import OrderedBratteliDiagram
+from cantorconj.bratteli import OrderedBratteliDiagram, composed_incidence
+from cantorconj.systems import stationary_from_rows
 
 
 # -- independent oracles -----------------------------------------------------
@@ -134,6 +135,22 @@ def random_stationary(rng: random.Random, max_vertices=3, max_edges=3, primitive
 def rows_of(mat):
     """Ordered source rows of an incidence matrix, sources in increasing order."""
     return tuple(tuple(s for s in range(len(r)) for _ in range(r[s])) for r in mat)
+
+
+def power_of(d, e):
+    """The same system read every e levels: its root edges, then A^e."""
+    return stationary_from_rows(rows_of(composed_incidence(d, 1, 1 + e)), root=d.table(0))
+
+
+def hierarchy_pool():
+    """Seeded primitive systems of 1-3 vertices, each with its square and
+    cube (24 systems); no draw is dropped, a failing one is a finding."""
+    rng = random.Random(5)
+    pool = []
+    for _ in range(8):
+        d = random_stationary(rng, primitive=True)
+        pool += [d, power_of(d, 2), power_of(d, 3)]
+    return pool
 
 
 def _is_primitive(rows, k):

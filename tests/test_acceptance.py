@@ -17,7 +17,6 @@ from cantorconj.bratteli import (
     MAX_PATH,
     CapabilityError,
     cells,
-    composed_incidence,
     dump_diagram,
     heights,
     load_diagram,
@@ -35,6 +34,7 @@ from cantorconj.classify import (
     ladder_certificate,
     represent,
     SearchExhausted,
+    StageError,
     tau_certificate,
     verify_certificate,
     verify_ladder,
@@ -52,7 +52,7 @@ from cantorconj.fullgroup import (
 )
 from cantorconj.invariants import check_divides_certificate, divides_unit
 
-from conftest import random_stationary, rows_of, time_ceiling
+from conftest import hierarchy_pool, time_ceiling
 
 DYADIC = systems.dyadic()
 TRIADIC = systems.triadic()
@@ -310,22 +310,6 @@ def test_criterion_05_hierarchy_consistency():
     _verdict(5, "hierarchy", "%d ordered pairs, no violations" % pairs)
 
 
-def _power(d, e):
-    """The same system read every e levels: its root edges, then A^e."""
-    return systems.stationary_from_rows(rows_of(composed_incidence(d, 1, 1 + e)), root=d.table(0))
-
-
-def _hierarchy_pool():
-    # seeded primitive systems of 1-3 vertices, each with its square and cube;
-    # no draw is dropped, a failing one is a finding
-    rng = random.Random(5)
-    pool = []
-    for _ in range(8):
-        d = random_stationary(rng, primitive=True)
-        pool += [d, _power(d, 2), _power(d, 3)]
-    return pool
-
-
 HIERARCHY = (
     ("weak", decide_weak, "weak"),
     ("tau", decide_tau, "tau"),
@@ -334,7 +318,7 @@ HIERARCHY = (
 
 
 def test_criterion_05_hierarchy_on_seeded_powers():
-    pool = _hierarchy_pool()
+    pool = hierarchy_pool()
     got = {}
     for i, a in enumerate(pool):
         for j, b in enumerate(pool):
@@ -366,7 +350,7 @@ def test_criterion_05_hierarchy_on_seeded_powers():
 
 
 def test_criterion_05_hierarchy_through_the_cli(tmp_path, capsys):
-    pool = _hierarchy_pool()
+    pool = hierarchy_pool()
     # a refuted weak pair, a tau pair left unknown, a k-conjugate pair
     for command, i, j in (("weak", 0, 4), ("tau", 1, 0), ("kconj", 3, 4)):
         paths = []
@@ -378,6 +362,28 @@ def test_criterion_05_hierarchy_through_the_cli(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc in (0, 1, 2), (command, rc)
         assert "Traceback" not in err, err
+
+
+def test_criterion_05_conjugators_at_resolution_on_seeded_powers():
+    # every ordered pair of the hierarchy pool at m = 1: each call ends in a
+    # bundle whose conjugator certificate replays, or in a documented error
+    pool = hierarchy_pool()
+    verified = 0
+    for a in pool:
+        for b in pool:
+            try:
+                with time_ceiling(10):
+                    bundle = conjugate_at_resolution(a, b, 1)
+            except (StageError, CapabilityError):  # the documented errors
+                continue
+            cert = conjugator_certificate(
+                bundle.corrector, bundle.sigma.target_level, bundle.blocks, bundle.images
+            )
+            check = verify_certificate(json.loads(json.dumps(cert)), (b,))
+            assert check.ok, check.reason
+            verified += 1
+    assert verified > 0
+    _verdict(5, "conjugators", "%d of 576 seeded pairs at m = 1, all replayed" % verified)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorconj.bratteli import OrderedBratteliDiagram
+from cantorconj.bratteli import OrderedBratteliDiagram, composed_incidence
+from cantorconj.classify import decide_k_conjugacy, decide_tau, decide_weak
 from cantorconj.dimgroup import DimGroup
 from cantorconj.fieldpoly import _solve_lin, charpoly, count_real_roots, isolate_largest_real_root
 from cantorconj.invariants import (
@@ -558,6 +559,24 @@ def test_largest_root_isolated_past_a_repeated_root():
     assert count_real_roots(p, lo, hi) == 1
     assert count_real_roots(p, Fraction(-4), Fraction(4)) == 2
     assert count_real_roots((1, -2, 1), Fraction(0), Fraction(2)) == 1  # (t - 1)^2
+
+
+def test_largest_root_isolated_when_a_bisection_point_is_the_root():
+    # (t - 3)(t + 1)(t^2 - t - 1): the Cauchy bound is 6, and the second
+    # midpoint is the root 3 itself, with no root above it; hi moves to 9/2,
+    # strictly above 3, instead of to 3
+    p = (3, 5, -2, -3, 1)
+    lo, hi = isolate_largest_real_root(p)
+    assert (lo, hi) == (Fraction(9, 4), Fraction(9, 2))
+    assert lo < 3 < hi and count_real_roots(p, lo, hi) == 1
+    # a primitive 4-vertex system with that characteristic polynomial: its
+    # trace image exists, and every relation holds of it against itself
+    d = stationary_from_rows(((0, 2, 3), (1, 2, 1), (3, 0, 0), (0, 1, 0)), root=((0,), (0,), (0, 0), (0, 0)))
+    assert charpoly(composed_incidence(d, 1, 2)) == p
+    assert trace_image_group(d).kind == "cyclic"
+    assert decide_weak(d, d).verdict == "weak"
+    assert decide_tau(d, d).verdict == "tau"
+    assert decide_k_conjugacy(d, d).verdict == "k-conjugate"
 
 
 def test_trace_image_with_a_repeated_eigenvalue():

@@ -7,6 +7,10 @@ against h . H = C_B.  Its row lists solve the last coordinate instead of
 trying every value (the same rows in the same order); nothing else bounds
 its work, so it only runs on pairs that have a ladder, under a time ceiling.
 
+`unpruned_ladder_search` is the search without its spectral test: every
+cell of the window is visited.  It is the reference for the pruned search,
+which must return the same ladder wherever it returns one.
+
 The enumerator reduces its system over Z; `fraction_lex_solutions` keeps
 the same walk over a reduction in Fraction as the reference for it.  That
 reduction, `row_reduce` (Gauss-Jordan over a field), is also the reference
@@ -15,6 +19,7 @@ them fraction-free.
 """
 
 import itertools
+import json
 import math
 import random
 import time
@@ -30,12 +35,13 @@ from cantorconj.classify import (
     _NodeBudget,
     _unflatten,
     decide_k_conjugacy,
+    ladder_certificate,
     verify_ladder,
 )
-from cantorconj.fieldpoly import _row_reduce_int, _solve_lin
+from cantorconj.fieldpoly import _mat_mul, _row_reduce_int, _solve_lin, charpoly
 from cantorconj.systems import dyadic, fibonacci, odometer, quaternary, stationary_from_rows, triadic
 
-from conftest import rows_of, time_ceiling
+from conftest import hierarchy_pool, rows_of, time_ceiling
 
 NAMED = {"dyadic": dyadic(), "triadic": triadic(), "quaternary": quaternary(), "fibonacci": fibonacci()}
 
@@ -94,6 +100,34 @@ def reference_ladder(dgA, dgB, max_span=12, max_base=3):
                                     (a0, a0 + ga, a0 + 2 * ga), (b0, b0 + gb), (h, h), (bm, bm)
                                 )
     return None
+
+
+def unpruned_ladder_search(dgA, dgB, max_span, max_base, budget):
+    """`classify._ladder_search` without the spectral test: every cell of the
+    window is searched; no period pair is skipped."""
+    visited = 0
+    for span in range(2, max_span + 1):
+        for ga in range(1, span):
+            gb = span - ga
+            visited += 1
+            for a0 in range(1, max_base + 1):
+                ua0, ua1 = heights(dgA, a0), heights(dgA, a0 + ga)
+                conn_a = composed_incidence(dgA, a0, a0 + ga)
+                for b0 in range(1, max_base + 1):
+                    ub0 = heights(dgB, b0)
+                    conn_b = composed_incidence(dgB, b0, b0 + gb)
+                    forward = _forward_system(ua0, ub0, conn_a, conn_b)
+                    for flat in _lex_solutions(*forward, budget):
+                        h = _unflatten(flat, len(ua0))
+                        backward = _backward_system(h, ub0, ua1, conn_a, conn_b)
+                        flat_b = next(_lex_solutions(*backward, budget), None)
+                        if flat_b is not None:
+                            bm = _unflatten(flat_b, len(ub0))
+                            ladder = IntertwiningLadder(
+                                (a0, a0 + ga, a0 + 2 * ga), (b0, b0 + gb), (h, h), (bm, bm)
+                            )
+                            return ladder, 0, visited
+    return None, 0, visited
 
 
 def power_rows(rows, k):
@@ -431,13 +465,20 @@ def test_ladder_matches_reference_enumeration():
     assert compared == 73 + 2 + 30
 
 
-def test_system_against_its_cube_both_orders():
+def cube_pairs():
+    """Every primitive 2x2 incidence with entries <= 2 against its cube, and
+    odometer 5 against 125, both orders."""
     pairs = []
     for mat in primitive_2x2(2):
         rows = rows_of(mat)
         a, cube = stationary_from_rows(rows), stationary_from_rows(power_rows(rows, 3))
         pairs += [(mat, a, cube), ("%s^3" % (mat,), cube, a)]
     pairs += [("odometer 125/5", odometer(125), odometer(5)), ("odometer 5/125", odometer(5), odometer(125))]
+    return pairs
+
+
+def test_system_against_its_cube_both_orders():
+    pairs = cube_pairs()
     assert len(pairs) == 66
     for label, a, b in pairs:
         start = time.perf_counter()
@@ -459,14 +500,17 @@ def test_distinct_quadratic_fields_end_unknown():
             res = decide_k_conjugacy(x, y)
         assert time.perf_counter() - start < 5
         assert res.verdict == "unknown" and res.ladder is None
-        assert res.note == "no ladder with span <= 12 from base levels <= 3 (594 nodes)"
+        assert res.note == (
+            "no ladder with span <= 12 from base levels <= 3 "
+            "(0 nodes; spectral test skipped 66 of 66 period pairs)"
+        )
 
 
 def test_exhausted_budget_is_named_in_the_note(monkeypatch):
-    monkeypatch.setattr(classify, "LADDER_NODE_BUDGET", 3)
+    monkeypatch.setattr(classify, "LADDER_NODE_BUDGET", 1)
     res = decide_k_conjugacy(dyadic(), quaternary())
     assert res.verdict == "unknown" and res.ladder is None
-    assert res.note == "ladder search ran out of LADDER_NODE_BUDGET = 3 nodes after 3 nodes"
+    assert res.note == "ladder search ran out of LADDER_NODE_BUDGET = 1 nodes after 1 nodes"
     monkeypatch.undo()
     res = decide_k_conjugacy(dyadic(), quaternary())
     assert res.verdict == "k-conjugate"
@@ -476,4 +520,94 @@ def test_exhausted_budget_is_named_in_the_note(monkeypatch):
 def test_window_without_ladder_names_the_nodes_spent():
     res = decide_k_conjugacy(dyadic(), quaternary(), max_span=2, max_base=1)
     assert res.verdict == "unknown"
-    assert res.note == "no ladder with span <= 2 from base levels <= 1 (1 nodes)"
+    assert res.note == (
+        "no ladder with span <= 2 from base levels <= 1 "
+        "(0 nodes; spectral test skipped 1 of 1 period pairs)"
+    )
+    # transposed incidences, one characteristic polynomial t^2 - t - 3: the
+    # period pairs with ga = gb pass the test and are searched in vain
+    a = stationary_from_rows(rows_of(((0, 3), (1, 1))))
+    b = stationary_from_rows(rows_of(((0, 1), (3, 1))))
+    res = decide_k_conjugacy(a, b)
+    assert res.verdict == "unknown"
+    assert res.note == (
+        "no ladder with span <= 12 from base levels <= 3 "
+        "(54 nodes; spectral test skipped 60 of 66 period pairs)"
+    )
+
+
+# ---------------------------------------------------------------------------
+# the spectral test
+
+
+def nonzero_part(p):
+    """A constant-first polynomial with its factors of t dropped."""
+    return p[next(i for i, c in enumerate(p) if c) :]
+
+
+def test_sylvester_identity_on_seeded_products():
+    # t^nb det(tI - H.h) = t^na det(tI - h.H): the two products share their
+    # characteristic polynomial once factors of t are dropped
+    rng = random.Random(12)
+    nilpotent = 0
+    for _ in range(400):
+        na, nb = rng.randint(1, 4), rng.randint(1, 4)
+        h = tuple(tuple(rng.randint(-3, 3) for _ in range(na)) for _ in range(nb))
+        big = tuple(tuple(rng.randint(-3, 3) for _ in range(nb)) for _ in range(na))
+        left, right = charpoly(_mat_mul(big, h)), charpoly(_mat_mul(h, big))
+        assert len(left) == na + 1 and len(right) == nb + 1
+        assert nonzero_part(left) == nonzero_part(right), (h, big)
+        nilpotent += nonzero_part(left) == (1,)
+    assert nilpotent < 100
+
+
+def split_pairs():
+    """Singular 3x3 incidences against 2x2 ones whose characteristic
+    polynomial is theirs without its factor t, both orders: the spectral
+    test must drop that factor to let their ladders through."""
+    pairs = []
+    for big, small in (
+        (((0, 0, 1), (1, 1, 0), (1, 1, 0)), ((1, 1), (1, 0))),
+        (((0, 0, 1), (0, 0, 1), (1, 1, 1)), ((0, 1), (2, 1))),
+        (((0, 0, 1), (0, 0, 1), (2, 2, 1)), ((0, 2), (2, 1))),
+    ):
+        a, b = stationary_from_rows(rows_of(big)), stationary_from_rows(rows_of(small))
+        pairs += [("%s/%s" % (big, small), a, b), ("%s/%s" % (small, big), b, a)]
+    return pairs
+
+
+def pruning_pools():
+    """The telescope pairs, the cube pairs, the split pairs and every ordered
+    pair of the hierarchy pool."""
+    pool = hierarchy_pool()
+    return (
+        telescope_style_pairs()
+        + cube_pairs()
+        + split_pairs()
+        + [("pool %d/%d" % (i, j), a, b) for (i, a), (j, b) in itertools.product(enumerate(pool), repeat=2)]
+    )
+
+
+def test_pruned_search_matches_the_unpruned_one(monkeypatch):
+    pairs = pruning_pools()
+    assert len(pairs) == 73 + 66 + 6 + 576
+    with monkeypatch.context() as patch:
+        patch.setattr(classify, "_ladder_search", unpruned_ladder_search)
+        wants = []
+        for label, a, b in pairs:
+            with time_ceiling(10):
+                wants.append(decide_k_conjugacy(a, b))
+    positive = 0
+    for (label, a, b), want in zip(pairs, wants):
+        with time_ceiling(10):
+            got = decide_k_conjugacy(a, b)
+        assert (got.verdict, got.obstructions) == (want.verdict, want.obstructions), label
+        if got.ladder is None:
+            continue
+        got_cert, want_cert = (
+            json.dumps(ladder_certificate(res.ladder, a, b), sort_keys=True) for res in (got, want)
+        )
+        assert got_cert == want_cert, label
+        positive += 1
+    # the last split pair, 2x2 first, has no ladder from base levels <= 3
+    assert positive == 73 + 66 + 5 + 72
