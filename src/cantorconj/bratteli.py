@@ -275,10 +275,11 @@ def derived(d: OrderedBratteliDiagram, key, compute):
 
     Diagrams are immutable, so anything computed from one alone holds for
     its whole life; the value is kept on the diagram under key, any
-    hashable: heights, composed incidences and tower projections (keyed
-    with their levels) and the invariants built on them.  Values are
-    shared, so callers must not mutate them.  An exception from compute()
-    is not kept: the next call computes again.
+    hashable: heights, incidence matrices, composed incidences and tower
+    projections (keyed with their levels), the integer trace weights of
+    dimgroup and the invariants built on them.  Values are shared, so
+    callers must not mutate them.  An exception from compute() is not
+    kept: the next call computes again.
     """
     memo = d._memo
     if key not in memo:
@@ -304,16 +305,26 @@ def heights(d: OrderedBratteliDiagram, m: int) -> tuple[int, ...]:
 
 
 def incidence(d: OrderedBratteliDiagram, n: int) -> tuple[tuple[int, ...], ...]:
-    """Multiplicity matrix of transition n -> n+1; rows = targets, cols = sources."""
-    tab = d.table(n)
-    cols = d.num_vertices(n)
-    out = []
-    for row in tab:
-        counts = [0] * cols
-        for s in row:
-            counts[s] += 1
-        out.append(tuple(counts))
-    return tuple(out)
+    """Multiplicity matrix of transition n -> n+1; rows = targets, cols = sources.
+
+    Kept per transition; a stationary diagram repeats one table past the
+    root, so every n >= 1 shares one matrix.
+    """
+    if d.kind == "stationary" and n >= 1:
+        n = 1
+
+    def compute():
+        tab = d.table(n)
+        cols = d.num_vertices(n)
+        out = []
+        for row in tab:
+            counts = [0] * cols
+            for s in row:
+                counts[s] += 1
+            out.append(tuple(counts))
+        return tuple(out)
+
+    return derived(d, ("incidence", n), compute)
 
 
 def composed_incidence(d: OrderedBratteliDiagram, m: int, m2: int) -> tuple[tuple[int, ...], ...]:
@@ -466,6 +477,8 @@ def cell_for_path(d: OrderedBratteliDiagram, path: Path) -> Cell:
 def tower_map(d: OrderedBratteliDiagram, m: int, m_fine: int) -> dict:
     """Dict sending each level-m_fine cell to the level-m cell its paths
     refine, built once per level pair and shared: callers must not mutate it.
+    Its keys run over cells(d, m_fine) in order, tower by tower and floors
+    upwards.
 
     Tower w at level n+1 stacks the floors of its sources in the order of
     its edge list, so the coarse cells under its floors are the
@@ -516,11 +529,15 @@ class ValidationReport:
     min_chain_witness: tuple
     max_chain_witness: tuple
     issues: tuple[str, ...] = field(default=())
+    # a primitive stationary diagram with incidence [1] has one path per
+    # root edge: a finite space, not a Cantor set
+    finite_path_space: bool = False
 
     @property
     def ok(self) -> bool:
-        """Primitivity is the hard requirement; ordering defects are reported."""
-        return self.primitive is True
+        """Primitivity and an infinite path space are the hard requirements;
+        ordering defects are reported."""
+        return self.primitive is True and not self.finite_path_space
 
 
 def _eventual_image(f: Sequence[int]) -> tuple[int, ...]:
@@ -536,10 +553,12 @@ def validate(d: OrderedBratteliDiagram, depth: int = 40) -> ValidationReport:
 
     Primitivity: some composed incidence product from level 1 is strictly
     positive within depth (for stationary diagrams the Wielandt bound caps
-    the search).  Proper ordering: the minimal-edge and maximal-edge source
-    chains funnel to a single vertex; for stationary diagrams this is exact
-    (eventual image of the source maps), for explicit diagrams it is checked
-    on the available levels and left None when the data runs out.
+    the search).  A primitive stationary diagram with incidence [1] is
+    flagged as a finite path space.  Proper ordering: the minimal-edge and
+    maximal-edge source chains funnel to a single vertex; for stationary
+    diagrams this is exact (eventual image of the source maps), for
+    explicit diagrams it is checked on the available levels and left None
+    when the data runs out.
     """
     issues = []
     top = d.max_level()
@@ -560,6 +579,13 @@ def validate(d: OrderedBratteliDiagram, depth: int = 40) -> ValidationReport:
                 "no strictly positive incidence power up to the Wielandt bound; "
                 "stationary matrix is not primitive"
             )
+        # the only primitive integer matrix with Perron root 1
+        finite = primitive and incidence(d, 1) == ((1,),)
+        if finite:
+            issues.append(
+                "one edge per level past the root: the path space has %d points, "
+                "not a Cantor set" % heights(d, 1)[0]
+            )
         tab = d.table(1)
         s_min = [row[0] for row in tab]
         s_max = [row[-1] for row in tab]
@@ -572,7 +598,7 @@ def validate(d: OrderedBratteliDiagram, depth: int = 40) -> ValidationReport:
                 "(min cycle %s, max cycle %s)" % (list(e_min), list(e_max))
             )
         return ValidationReport(
-            primitive, prim_level, properly, e_min, e_max, tuple(issues)
+            primitive, prim_level, properly, e_min, e_max, tuple(issues), finite
         )
 
     # explicit kind: work with what the finite data admits

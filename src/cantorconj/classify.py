@@ -780,6 +780,19 @@ def lift_class_under(
         raise ValueError("class exceeds the set it must fit under")
     if rem.verdict == UNKNOWN:
         raise SearchExhausted(depth, "room under the given set")
+    return _lowest_floors(grp, u, cls_u, x, depth)
+
+
+def _lowest_floors(grp, u: ClopenSet, cls_u: DgElement, x: DgElement, depth) -> ClopenSet:
+    """The floor-picking half of lift_class_under, with no sign checks.
+
+    cls_u is any presentation of u's class at a level <= u.level: pushed
+    to a level at or past u.level it is u's counting vector there.  The
+    first level from max(u.level, x.level) on where x's representative
+    lies between zero and that vector gives, tower by tower, the lowest
+    fine floors under u.
+    """
+    d = grp.diagram
     base = max(u.level, x.level)
     top = d.max_level()
     bound = base + depth if top is None else min(base + depth, top)
@@ -812,6 +825,13 @@ def partition_from_classes(
     last positive class receives the remainder outright.  Zero classes get
     empty sets.  The classes must each be positive or zero and sum to the
     order unit.
+
+    Each class's sign is decided once, up front.  The lifts then skip
+    lift_class_under's checks: a positive class is still positive, and the
+    room left, the unit minus the classes lifted so far, is the sum of the
+    remaining classes and so at least zero.  That room is kept as a class,
+    which pushed to the lift level is the running complement's counting
+    vector, so the cells chosen are the ones lift_class_under would choose.
     """
     grp = DimGroup(d)
     xs = tuple(xs)
@@ -833,6 +853,7 @@ def partition_from_classes(
     last_positive = max(i for i, v in enumerate(verdicts) if v == POSITIVE)
     level0 = max([x.level for x in xs] + [1])
     running = ClopenSet(level0, tuple(cells(d, level0)))
+    room = grp.unit(level0)
     out = []
     for i, x in enumerate(xs):
         if verdicts[i] == ZERO:
@@ -843,8 +864,9 @@ def partition_from_classes(
             out.append(running)
             running = ClopenSet(running.level, ())
             continue
-        q = lift_class_under(d, running, x, depth)
+        q = _lowest_floors(grp, running, room, x, depth)
         out.append(q)
+        room = grp.sub(room, x)
         refined = _refine_clopen(d, running, q.level)
         taken = set(q.cells)
         running = ClopenSet(q.level, tuple(c for c in refined.cells if c not in taken))

@@ -12,15 +12,16 @@ positivity is settled by the certified sign of the unique normalized trace);
 for explicit diagrams answers are depth-bounded three-valued, never guessed.
 The trace of g is <v, rep> / (root^(m-1) * normalizer), with rep a level-m
 presentation of g and v the Perron left eigenvector; the denominator is
-certified positive, so the sign is read from the numerator <v, rep> alone,
-an integer combination of v's coefficients, and nothing is divided.
+certified positive, so the sign is read from the numerator <v, rep> alone.
+v is scaled once by the positive lcm of its coefficients' denominators, so
+the numerator is an integer dot product and nothing is divided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .bratteli import (
     DgElement,
@@ -38,6 +39,7 @@ from .fieldpoly import (
     irreducible_factor_of_largest_root,
     poly_add,
     poly_scale,
+    poly_trim,
 )
 
 __all__ = [
@@ -145,10 +147,13 @@ class DimGroup:
         return DgElement(level, heights(self.diagram, level))
 
     def push(self, g: DgElement, to_level: int) -> DgElement:
-        """Push a presentation forward, one incidence matrix per level."""
+        """Push a presentation forward, one incidence matrix per level; g
+        itself when it already sits at to_level."""
         if to_level < g.level:
             raise ValueError("cannot push backwards (from %d to %d)" % (g.level, to_level))
         self.diagram.check_level(to_level)
+        if to_level == g.level:
+            return g
         vec = g.vector
         for n in range(g.level, to_level):
             vec = _mat_apply(incidence(self.diagram, n), vec)
@@ -204,9 +209,9 @@ class DimGroup:
         positive representative by Perron-Frobenius; zero trace with nonzero
         class is an infinitesimal-free contradiction, reported as
         NotComparable).  The trace's denominator root^(m-1) * normalizer is
-        certified positive, so the sign is that of the numerator <v, rep>.
-        A witness level with an all-nonnegative representative is located
-        by pushing.
+        certified positive, so the sign is that of the numerator <v, rep>,
+        read in the integer trace weights.  A witness level with an
+        all-nonnegative representative is located by pushing.
         """
         d = self.diagram
         if d.kind == "stationary" and self.primitive:
@@ -309,26 +314,46 @@ class DimGroup:
                 raise AssertionError("Perron left eigenvector must be positive")
         return v
 
+    @property
+    def trace_weights(self) -> tuple:
+        """(scale, columns): the Perron left eigenvector v times scale, the
+        positive lcm of the denominators of its power-basis coefficients.
+
+        columns[t][i] is the integer coefficient of root^t in scale * v[i],
+        so scale * <v, rep> has the coefficients columns . rep.
+        """
+        return derived(self.diagram, "trace_weights", self._trace_weights)
+
+    def _trace_weights(self) -> tuple:
+        v = self.perron.left_eigenvector
+        scale = lcm(*(c.denominator for vi in v for c in vi.coeffs))
+        degree = self.perron.field.degree
+        columns = tuple(
+            tuple(int(vi.coeffs[t] * scale) if t < len(vi.coeffs) else 0 for vi in v)
+            for t in range(degree)
+        )
+        return scale, columns
+
     def _trace_numerator(self, rep: DgElement) -> tuple:
-        """Power-basis coefficients of <v, rep> for a presentation at level >= 1.
+        """Power-basis coefficients of scale * <v, rep>, in integers, for a
+        presentation at level >= 1.
 
         The entries of v are reduced modulo the minimal polynomial, so their
-        integer combination is too: no reduction, no division.
+        integer combination is too: no reduction, no division.  scale is a
+        positive integer, so the sign is that of <v, rep>.
         """
-        out = ()
-        for vi, gi in zip(self.perron.left_eigenvector, rep.vector):
-            out = poly_add(out, poly_scale(vi.coeffs, gi))
-        return out
+        return poly_trim(_mat_apply(self.trace_weights[1], rep.vector))
 
     def trace_value(self, g: DgElement) -> CertifiedReal:
         """The unique normalized trace of g, as a certified algebraic real:
-        the numerator <v, rep> over the certified-positive denominator
-        root^(m-1) * normalizer, with rep the presentation of g at level
-        m = max(1, g.level)."""
+        the numerator scale * <v, rep> over the certified-positive
+        denominator scale * root^(m-1) * normalizer, with rep the
+        presentation of g at level m = max(1, g.level)."""
         data = self.perron
         rep = self.push(g, max(1, g.level))
         field = data.field
-        denom = (field.generator() ** (rep.level - 1)) * data.normalizer
+        scale = self.trace_weights[0]
+        denom = (field.generator() ** (rep.level - 1)) * data.normalizer * scale
         return CertifiedReal(FieldElement(field, self._trace_numerator(rep)) / denom)
 
     def gcd_chain(self, up_to: int) -> list[int]:

@@ -406,6 +406,13 @@ def verify_conjugator(
     that t lies in the image of the block containing c.  Cells whose walk
     crosses a fine roof (where the successor is not a cell) stay unresolved;
     a correct conjugator leaves exactly one such cell per fine tower.
+
+    s moves floors inside their fine tower and so does the successor, so
+    the walk runs tower by tower on lists indexed by floor.  Three passes,
+    in this order, decide the report: s is injective, each block covers as
+    many fine cells as its image, and every resolvable cell lands in its
+    block's image.  Fine cells are visited tower by tower, floors upwards,
+    so the first failure found is the one reported.
     """
     d = s.diagram
     mf = d.check_level(s.level + lookahead)
@@ -413,37 +420,58 @@ def verify_conjugator(
     images = tuple(tuple(sorted(v)) for v in images)
     if block_level is None:
         block_level = _infer_block_level(d, blocks, s.level)
-    fine = cells(d, mf)
     hf = heights(d, mf)
     proj_s = tower_map(d, s.level, mf)
     proj_b = tower_map(d, block_level, mf)
     where = {c: bi for bi, u in enumerate(blocks) for c in u}
     img_where = {c: bi for bi, v in enumerate(images) for c in v}
 
-    sig = {}
-    inv = {}
-    for v, j in fine:
-        w, k = proj_s[(v, j)]
-        t = j + s.tables[w][k - 1]
-        if 1 <= t <= hf[v]:
-            target = (v, t)
-            if target in inv:
-                return ConjugacyReport(
-                    "counterexample",
-                    mf,
-                    0,
-                    0,
-                    reason="two cells map to %r; not injective" % (target,),
-                )
-            sig[(v, j)] = target
-            inv[target] = (v, j)
+    # sig[v][j] is the floor s sends floor j of fine tower v to, inv its
+    # inverse; 0 where s leaves the tower at this resolution
+    sig = []
+    inv = []
+    coarse = iter(proj_s.values())
+    tables = s.tables
+    for v, h in enumerate(hf):
+        fwd = [0] * (h + 1)
+        back = [0] * (h + 1)
+        for j in range(1, h + 1):
+            w, k = next(coarse)
+            t = j + tables[w][k - 1]
+            if 1 <= t <= h:
+                if back[t]:
+                    return ConjugacyReport(
+                        "counterexample",
+                        mf,
+                        0,
+                        0,
+                        reason="two cells map to %r; not injective" % ((v, t),),
+                    )
+                fwd[j] = t
+                back[t] = j
+        sig.append(fwd)
+        inv.append(back)
 
+    # block and image-block labels of every fine cell, per tower and floor;
     # a conjugator matches block cardinalities cell by cell at every level
+    label = []
+    img_label = []
     fine_count = [0] * len(blocks)
     fine_image_count = [0] * len(blocks)
-    for c in fine:
-        fine_count[where[proj_b[c]]] += 1
-        fine_image_count[img_where[proj_b[c]]] += 1
+    coarse = iter(proj_b.values())
+    for h in hf:
+        lab = [None]
+        img = [None]
+        for _ in range(h):
+            c = next(coarse)
+            b = where[c]
+            i = img_where[c]
+            lab.append(b)
+            img.append(i)
+            fine_count[b] += 1
+            fine_image_count[i] += 1
+        label.append(lab)
+        img_label.append(img)
     for bi, (x, y) in enumerate(zip(fine_count, fine_image_count)):
         if x != y:
             return ConjugacyReport(
@@ -457,27 +485,25 @@ def verify_conjugator(
 
     checked = 0
     unresolved = 0
-    for c in fine:
-        y = inv.get(c)
-        z = None
-        if y is not None and y[1] < hf[y[0]]:
-            z = (y[0], y[1] + 1)
-        t = sig.get(z) if z is not None else None
-        if t is None:
-            unresolved += 1
-            continue
-        bi = where[proj_b[c]]
-        if img_where[proj_b[t]] != bi:
-            return ConjugacyReport(
-                "counterexample",
-                mf,
-                checked,
-                unresolved,
-                block=bi,
-                reason="cell %r of block %d conjugates into the wrong image"
-                % (c, bi),
-            )
-        checked += 1
+    for v, h in enumerate(hf):
+        fwd, back, lab, img = sig[v], inv[v], label[v], img_label[v]
+        for j in range(1, h + 1):
+            y = back[j]
+            t = fwd[y + 1] if 0 < y < h else 0
+            if not t:
+                unresolved += 1
+                continue
+            if img[t] != lab[j]:
+                return ConjugacyReport(
+                    "counterexample",
+                    mf,
+                    checked,
+                    unresolved,
+                    block=lab[j],
+                    reason="cell %r of block %d conjugates into the wrong image"
+                    % ((v, j), lab[j]),
+                )
+            checked += 1
     if unresolved > len(hf):
         return ConjugacyReport("inconclusive", mf, checked, unresolved)
     return ConjugacyReport("ok", mf, checked, unresolved)

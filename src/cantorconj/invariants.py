@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Optional, Union
 
 from .bratteli import CapabilityError, OrderedBratteliDiagram, derived, heights, incidence
@@ -185,6 +185,19 @@ def _valuation(n, p):
     return v
 
 
+def _primes_up_to(n):
+    """The primes p <= n in increasing order, by the sieve of Eratosthenes;
+    n is a prime cutoff, which is small."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(2, n + 1) if sieve[p]]
+
+
 def _prime_factors(n):
     from sympy import factorint
 
@@ -329,10 +342,8 @@ def periodic_spectrum(
             if v != 0:
                 entries.append((p, v))
         return SupernaturalTruncation(tuple(entries), prime_cutoff, depth)
-    from sympy import primerange
-
     cap = min(depth, dg.max_level())
-    primes = list(primerange(2, prime_cutoff + 1))
+    primes = _primes_up_to(prime_cutoff)
     best = {p: 0 for p in primes}
     for m in range(1, cap + 1):
         g = 0
@@ -422,9 +433,7 @@ def spectra_equal(
     statA = dgA.kind == "stationary"
     statB = dgB.kind == "stationary"
     witnesses = []
-    from sympy import primerange
-
-    for p in primerange(2, prime_cutoff + 1):
+    for p in _primes_up_to(prime_cutoff):
         loA, hiA = _bounds_of(trA.valuation(p), statA)
         loB, hiB = _bounds_of(trB.valuation(p), statB)
         if hiB is not None and hiB != _INF and loA > hiB:

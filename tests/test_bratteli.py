@@ -305,6 +305,29 @@ def test_tower_map_projection_tracks_floor_increment(rng):
                 assert (v2, k2) in bases
 
 
+def test_tower_map_keys_run_over_the_fine_cells_in_order(rng):
+    # verify_conjugator reads the projections tower by tower in this order
+    for d in list(EXAMPLES.values()) + [random_explicit(rng, levels=4) for _ in range(4)]:
+        for m, m_fine in ((0, 3), (1, 3), (2, 4), (3, 3)):
+            if m_fine <= (d.max_level() or m_fine):
+                assert list(tower_map(d, m, m_fine)) == cells(d, m_fine)
+
+
+def test_incidence_is_kept_and_shared_past_the_root(rng):
+    for _ in range(4):
+        d = random_stationary(rng)
+        first = incidence(d, 1)
+        assert all(incidence(d, n) is first for n in (2, 3, 17))
+        assert incidence(d, 0) is incidence(d, 0) and incidence(d, 0) is not first
+        assert [list(r) for r in first] == [list(r) for r in oracle_incidence(d, 5)]
+        e = random_explicit(rng, levels=4)
+        for n in range(4):
+            assert incidence(e, n) is incidence(e, n)
+            assert [list(r) for r in incidence(e, n)] == [list(r) for r in oracle_incidence(e, n)]
+        with pytest.raises(LevelRangeError):
+            incidence(e, 4)
+
+
 def test_tower_map_fibers_have_path_count_sizes():
     d = fibonacci()
     fiber = {}
@@ -373,6 +396,19 @@ def test_validate_reducible_rejected():
     assert rep.primitive is False
     assert not rep.ok
     assert any("primitive" in s for s in rep.issues)
+
+
+def test_validate_flags_a_finite_path_space():
+    for roots in (1, 2, 3):
+        d = OrderedBratteliDiagram("stationary", (1, 1), (((0,) * roots,), ((0,),)))
+        rep = validate(d)
+        assert rep.primitive is True and rep.finite_path_space
+        assert not rep.ok
+        assert any("%d points" % roots in s for s in rep.issues)
+    # any other primitive incidence has Perron root above 1
+    for d in (dyadic(), fibonacci(), odometer(5)):
+        rep = validate(d)
+        assert rep.ok and not rep.finite_path_space
 
 
 def test_validate_explicit_reports_positivity_level(rng):

@@ -8,7 +8,15 @@ import random
 
 import pytest
 
-from cantorconj.bratteli import OrderedBratteliDiagram, cells, class_of_clopen, heights, serialize_diagram
+from cantorconj.bratteli import (
+    CapabilityError,
+    OrderedBratteliDiagram,
+    cells,
+    class_of_clopen,
+    heights,
+    serialize_diagram,
+    tower_map,
+)
 from cantorconj.classify import (
     ClopenSet,
     IntertwiningLadder,
@@ -35,10 +43,10 @@ from cantorconj.classify import (
     verify_ladder,
     weak_certificate,
 )
-from cantorconj.dimgroup import DimGroup
+from cantorconj.dimgroup import POSITIVE, UNKNOWN, ZERO, DimGroup
 from cantorconj.systems import dyadic, fibonacci, quaternary, stationary_from_rows, triadic
 
-from conftest import rows_of
+from conftest import random_explicit, rows_of
 
 DYADIC = dyadic()
 TRIADIC = triadic()
@@ -496,6 +504,130 @@ def test_partition_homeo_degenerate():
     ph = partition_homeomorphism_from_hom(DYADIC, g, QUATERNARY, images)
     assert not ph.invertible
     assert ph.target_blocks[1].cells == ()
+
+
+def greedy_partition_reference(d, xs, depth=40):
+    """The greedy partition built on the public lift_class_under, which
+    decides every sign again and measures the running complement itself."""
+    grp = DimGroup(d)
+    verdicts = []
+    for x in xs:
+        v = grp.is_positive(x, depth).verdict
+        if v not in (POSITIVE, ZERO):
+            raise SearchExhausted(depth) if v == UNKNOWN else ValueError(v)
+        verdicts.append(v)
+    total = xs[0]
+    for x in xs[1:]:
+        total = grp.add(total, x)
+    if grp.equal(total, grp.unit(1), depth).value is not True:
+        raise ValueError("classes must sum to the order unit")
+    last = max(i for i, v in enumerate(verdicts) if v == POSITIVE)
+    level0 = max([x.level for x in xs] + [1])
+    running = ClopenSet(level0, tuple(cells(d, level0)))
+    out = []
+    for i, x in enumerate(xs):
+        if verdicts[i] == ZERO:
+            out.append(ClopenSet(running.level, ()))
+        elif i == last:
+            out.append(running)
+            running = ClopenSet(running.level, ())
+        else:
+            q = lift_class_under(d, running, x, depth)
+            out.append(q)
+            proj = tower_map(d, running.level, q.level)
+            rest = [
+                c for c in cells(d, q.level)
+                if proj[c] in running.cells and c not in q.cells
+            ]
+            running = ClopenSet(q.level, tuple(rest))
+    final = max(b.level for b in out)
+    refined = []
+    for b in out:
+        proj = tower_map(d, b.level, final)
+        refined.append(ClopenSet(final, tuple(c for c in cells(d, final) if proj[c] in b.cells)))
+    return tuple(refined)
+
+
+def _random_split(rng, items, parts):
+    items = list(items)
+    rng.shuffle(items)
+    cuts = sorted(rng.sample(range(1, len(items)), parts - 1))
+    return [items[a:b] for a, b in zip([0] + cuts, cuts + [len(items)])]
+
+
+def seeded_class_lists(rng, d, count):
+    """Classes of random clopen partitions: cells of level 1 or 2 split
+    into blocks, one block sometimes split again a level further down,
+    and sometimes a zero class inserted."""
+    grp = DimGroup(d)
+    for _ in range(count):
+        lvl = rng.randint(1, 2)
+        level_cells = cells(d, lvl)
+        parts = _random_split(rng, level_cells, rng.randint(1, min(5, len(level_cells))))
+        xs = [class_of_clopen(d, lvl, p) for p in parts]
+        if rng.random() < 0.5:
+            i = rng.randrange(len(parts))
+            proj = tower_map(d, lvl, lvl + 1)
+            under = [c for c in cells(d, lvl + 1) if proj[c] in parts[i]]
+            if len(under) > 1:
+                xs[i:i + 1] = [
+                    class_of_clopen(d, lvl + 1, p) for p in _random_split(rng, under, 2)
+                ]
+        if rng.random() < 0.3:
+            zero = grp.element(lvl, (0,) * d.num_vertices(lvl))
+            xs.insert(rng.randrange(len(xs) + 1), zero)
+        yield tuple(xs)
+
+
+def seeded_signed_class_lists(rng, d, count):
+    """Positive classes summing to the unit, drawn as integer vectors that
+    may have negative entries at their level (the lifts must push them)."""
+    grp = DimGroup(d)
+    made = 0
+    while made < count:
+        lvl = rng.randint(1, 2)
+        k = d.num_vertices(lvl)
+        xs = [
+            grp.element(lvl, [rng.randint(-2, 4) for _ in range(k)])
+            for _ in range(rng.randint(1, 3))
+        ]
+        rest = grp.unit(lvl)
+        for x in xs:
+            rest = grp.sub(rest, x)
+        xs.insert(rng.randrange(len(xs) + 1), rest)
+        if all(grp.is_positive(x).verdict == POSITIVE for x in xs):
+            made += 1
+            yield tuple(xs)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, SearchExhausted, CapabilityError) as e:
+        return type(e)
+
+
+def test_partition_matches_greedy_lift_reference():
+    rng = random.Random(41)
+    systems_ = [DYADIC, FIB]
+    while len(systems_) < 8:
+        k = rng.choice((2, 3))
+        rows = [tuple(rng.randrange(k) for _ in range(rng.randint(1, 3))) for _ in range(k)]
+        d = stationary_from_rows(rows)
+        if DimGroup(d).primitive:
+            systems_.append(d)
+    systems_ += [random_explicit(rng, levels=6) for _ in range(2)]
+    outcomes = []
+    for d in systems_:
+        lists = list(seeded_class_lists(rng, d, 12))
+        if d.kind == "stationary":
+            lists += seeded_signed_class_lists(rng, d, 6)
+        for xs in lists:
+            got = _outcome(partition_from_classes, d, xs)
+            assert got == _outcome(greedy_partition_reference, d, xs), xs
+            outcomes.append(got if isinstance(got, type) else tuple)
+    # a few lifts run past the cell cap, identically in both
+    assert outcomes.count(tuple) > 0.9 * len(outcomes)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,17 @@ def test_validate_reports_broken_input(corpus, capsys):
     assert rep["issues"]
 
 
+def test_validate_rejects_a_finite_path_space(tmp_path, capsys):
+    # one edge per level past two root edges: two paths, not a Cantor set
+    p = tmp_path / "two_points.obd"
+    p.write_text('{"edges":[[[0,0]],[[0]]],"format":"obd-v1","kind":"stationary","vertices":1}')
+    rc, rep = run_json(capsys, ["validate", str(p)])
+    assert rc == 0
+    assert rep["ok"] is False
+    assert rep["primitive"] is True
+    assert any("not a Cantor set" in s for s in rep["issues"])
+
+
 def test_heights(corpus, capsys):
     rc, rep = run_json(capsys, ["heights", corpus["dyadic"], "3"])
     assert rc == 0

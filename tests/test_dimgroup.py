@@ -12,6 +12,7 @@ one factor is left and tightens until it changes sign, and the eigenvector
 solved by Gauss-Jordan elimination over the field.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -112,6 +113,33 @@ def test_positivity_matches_division_reference():
                 assert grp.trace_value(g).element == _division_trace(grp, g), g
                 seen.add(res.verdict)
     assert {POSITIVE, NEGATIVE, ZERO} <= seen
+
+
+def test_trace_weights_are_the_eigenvector_scaled_to_integers():
+    for d in _systems():
+        grp = DimGroup(d)
+        scale, columns = grp.trace_weights
+        assert isinstance(scale, int) and scale > 0
+        assert grp.trace_weights is grp.trace_weights
+        v = grp.perron.left_eigenvector
+        assert len(columns) == grp.perron.field.degree
+        for t, col in enumerate(columns):
+            assert all(type(x) is int for x in col)
+            for i, vi in enumerate(v):
+                coeff = vi.coeffs[t] if t < len(vi.coeffs) else 0
+                assert col[i] == coeff * scale
+        # the least scale that clears every denominator: no common factor
+        assert math.gcd(scale, *(x for col in columns for x in col)) == 1
+
+
+def test_push_to_its_own_level_is_the_element_itself():
+    rng = random.Random(79)
+    for d in _systems()[:6] + [random_explicit(rng, levels=4)]:
+        grp = DimGroup(d)
+        for level in range(0, 4):
+            g = grp.element(level, [rng.randint(-9, 9) for _ in range(d.num_vertices(level))])
+            assert grp.push(g, level) is g
+            assert grp.push(g, level + 1) is not g
 
 
 def test_push_matches_composed_incidence():

@@ -13,6 +13,7 @@ from cantorconj.fullgroup import (
     ConjugatorError,
     FullGroupElement,
     check_block_condition,
+    _infer_block_level,
     conjugator_from_partition,
     cyclic_from_blocks,
     verify_conjugator,
@@ -436,3 +437,150 @@ def test_synthesized_conjugators_verify_on_random_partitions():
         assert sim == "ok"
         verified += 1
     assert verified == 25
+
+
+# ---------------------------------------------------------------------------
+# verification against the dict-based replay
+
+
+def reference_verify_conjugator(s, blocks, images, lookahead=2, block_level=None):
+    """The replay with fine cells as (tower, floor) dict keys throughout:
+    injectivity, then block counts, then the image of every resolvable cell."""
+    d = s.diagram
+    mf = d.check_level(s.level + lookahead)
+    blocks = tuple(tuple(sorted(u)) for u in blocks)
+    images = tuple(tuple(sorted(v)) for v in images)
+    if block_level is None:
+        block_level = _infer_block_level(d, blocks, s.level)
+    fine = cells(d, mf)
+    hf = heights(d, mf)
+    proj_s = tower_map(d, s.level, mf)
+    proj_b = tower_map(d, block_level, mf)
+    where = {c: bi for bi, u in enumerate(blocks) for c in u}
+    img_where = {c: bi for bi, v in enumerate(images) for c in v}
+    sig, inv = {}, {}
+    for v, j in fine:
+        w, k = proj_s[(v, j)]
+        t = j + s.tables[w][k - 1]
+        if 1 <= t <= hf[v]:
+            if (v, t) in inv:
+                return ConjugacyReport(
+                    "counterexample", mf, 0, 0,
+                    reason="two cells map to %r; not injective" % ((v, t),),
+                )
+            sig[(v, j)] = (v, t)
+            inv[(v, t)] = (v, j)
+    count = [0] * len(blocks)
+    image_count = [0] * len(blocks)
+    for c in fine:
+        count[where[proj_b[c]]] += 1
+        image_count[img_where[proj_b[c]]] += 1
+    for bi, (x, y) in enumerate(zip(count, image_count)):
+        if x != y:
+            return ConjugacyReport(
+                "counterexample", mf, 0, 0, block=bi,
+                reason="block %d covers %d fine cells, its image %d" % (bi, x, y),
+            )
+    checked = unresolved = 0
+    for c in fine:
+        y = inv.get(c)
+        z = (y[0], y[1] + 1) if y is not None and y[1] < hf[y[0]] else None
+        t = sig.get(z) if z is not None else None
+        if t is None:
+            unresolved += 1
+            continue
+        bi = where[proj_b[c]]
+        if img_where[proj_b[t]] != bi:
+            return ConjugacyReport(
+                "counterexample", mf, checked, unresolved, block=bi,
+                reason="cell %r of block %d conjugates into the wrong image" % (c, bi),
+            )
+        checked += 1
+    if unresolved > len(hf):
+        return ConjugacyReport("inconclusive", mf, checked, unresolved)
+    return ConjugacyReport("ok", mf, checked, unresolved)
+
+
+def _branch(rep):
+    if rep.verdict != "counterexample":
+        return rep.verdict
+    for key in ("not injective", "covers", "wrong image"):
+        if key in rep.reason:
+            return key
+    raise AssertionError(rep)
+
+
+def resolution_bundles():
+    """Odometer conjugators at every level with at most 20 source cells."""
+    from cantorconj.classify import conjugate_at_resolution
+    from cantorconj.systems import odometer
+
+    out = []
+    for qa, qb in ((2, 2), (2, 4), (4, 2), (3, 3), (4, 4)):
+        m = 1
+        while qa ** m <= 20:
+            out.append(conjugate_at_resolution(odometer(qa), odometer(qb), m))
+            m += 1
+    return out
+
+
+def tampered(rng, bundle, count):
+    """(tables, images) pairs: the bundle's own, perturbed table entries,
+    swapped image blocks and an image block that gained a cell."""
+    tables = bundle.corrector.tables
+    images = bundle.images
+    out = [(tables, images)]
+    for _ in range(count):
+        rows = [list(r) for r in tables]
+        for _ in range(rng.randint(1, 3)):
+            row = rng.choice(rows)
+            i = rng.randrange(len(row))
+            row[i] += rng.choice((-2, -1, 1, 2, len(row), -len(row)))
+        out.append((tuple(map(tuple, rows)), images))
+        swapped = list(images)
+        i, j = rng.sample(range(len(swapped)), 2)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        out.append((tables, tuple(swapped)))
+    moved = [list(v) for v in images]
+    i, j = rng.sample(range(len(moved)), 2)
+    moved[j].append(moved[i].pop())
+    out.append((tables, tuple(tuple(v) for v in moved)))
+    return out
+
+
+def test_verification_matches_dict_reference_on_resolution_conjugators():
+    rng = random.Random(31)
+    seen = set()
+    for bundle in resolution_bundles():
+        elem = bundle.corrector
+        lvl = bundle.sigma.target_level
+        for tables, images in tampered(rng, bundle, 6):
+            s = FullGroupElement(elem.diagram, elem.level, tables)
+            for lookahead in (1, 2):
+                got = verify_conjugator(s, bundle.blocks, images, lookahead, lvl)
+                ref = reference_verify_conjugator(s, bundle.blocks, images, lookahead, lvl)
+                assert got == ref, (tables, images, lookahead)
+                seen.add(_branch(got))
+    assert seen == {"ok", "not injective", "covers", "wrong image", "inconclusive"}
+
+
+def test_verification_fails_malformed_blocks_like_the_reference():
+    # a block naming a cell that does not exist: the label lookup raises
+    # the same KeyError, after the injectivity pass
+    bundle = resolution_bundles()[1]
+    elem = bundle.corrector
+    images = bundle.images[:-1] + (bundle.images[-1][:-1] + ((0, 10 ** 6),),)
+    errors = []
+    for replay in (verify_conjugator, reference_verify_conjugator):
+        with pytest.raises(KeyError) as e:
+            replay(elem, bundle.blocks, images, 2, bundle.sigma.target_level)
+        errors.append(e.value.args)
+    assert errors[0] == errors[1]
+    # a table that is not injective is reported before any label is read
+    r = (1,) + (0,) * (len(elem.tables[0]) - 1)
+    bad = FullGroupElement(elem.diagram, elem.level, (r,))
+    got = verify_conjugator(bad, bundle.blocks, images, 2, bundle.sigma.target_level)
+    assert _branch(got) == "not injective"
+    assert got == reference_verify_conjugator(
+        bad, bundle.blocks, images, 2, bundle.sigma.target_level
+    )

@@ -360,6 +360,15 @@ def _primitive_pool():
     return pool + [stationary_from_rows(((0, 0),), root=((0,) * 12,))]
 
 
+def test_prime_sieve_matches_sympy():
+    from sympy import primerange
+
+    from cantorconj.invariants import _primes_up_to
+
+    for n in list(range(-2, 400)) + [997, 1000, 7919]:
+        assert _primes_up_to(n) == list(primerange(2, n + 1)), n
+
+
 def test_spectrum_lists_candidate_primes_only():
     # reference: every prime up to the cutoff, keeping the nonzero valuations
     from sympy import primerange
