@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -65,6 +64,7 @@ from .fullgroup import (
     ConjugacyReport,
     ConjugatorError,
     FullGroupElement,
+    _validate_partition,
     conjugator_from_partition,
     verify_conjugator,
 )
@@ -157,13 +157,10 @@ def frobenius(k) -> int:
 def represent(d: int, k) -> Optional[tuple]:
     """Lexicographically least nonnegative coefficients with sum c_i k_i = d.
 
-    None when d is not representable.  Greedy: each coordinate takes the
-    least value that leaves the rest representable by the later entries,
-    read off their residue table (see _least_by_residue).  Values of a
-    coordinate that differ by the tail's least entry g leave remainders in
-    one residue class, and the smaller value leaves the larger remainder,
-    so at most g values are tried; the last coordinate is one division.
-    The work does not grow with d.
+    None when d is not representable.  Builds the residue table of every
+    proper suffix of k (see _least_by_residue) and reads the coefficients
+    off them with _least_row, the routine build_k0_morphism runs on the
+    tables it keeps per level.
     """
     ks = tuple(int(x) for x in k)
     d = int(d)
@@ -171,10 +168,28 @@ def represent(d: int, k) -> Optional[tuple]:
         return None
     if not ks:
         return () if d == 0 else None
+    return _least_row(d, ks, _suffix_tables(ks))
+
+
+def _suffix_tables(ks):
+    """Residue tables of ks[i + 1:] for each i but the last."""
+    return tuple(_least_by_residue(ks[i + 1 :]) for i in range(len(ks) - 1))
+
+
+def _least_row(d, ks, tables):
+    """represent(d, ks) for d >= 0 and nonempty positive ks, given
+    tables = _suffix_tables(ks).
+
+    Greedy: each coordinate takes the least value that leaves the rest
+    representable by the later entries, read off their residue table.
+    Values of a coordinate that differ by the tail's least entry g leave
+    remainders in one residue class, and the smaller value leaves the
+    larger remainder, so at most g values are tried; the last coordinate
+    is one division.  The work does not grow with d.
+    """
     out = []
     rem = d
-    for i, x in enumerate(ks[:-1]):
-        least = _least_by_residue(ks[i + 1 :])
+    for x, least in zip(ks, tables):
         g = len(least)
         for c in range(min(g, rem // x + 1)):
             t = rem - c * x
@@ -228,6 +243,20 @@ class K0Morphism:
         }
 
 
+def _source_level(d, m):
+    """(heights, p, ks, threshold, tables) of level m as a morphism source:
+    p = gcd of the heights, ks the heights over p, threshold = frobenius(ks)
+    and tables = _suffix_tables(ks); kept per diagram and level."""
+
+    def compute():
+        hs = heights(d, m)
+        p = math.gcd(*hs)
+        ks = tuple(x // p for x in hs)
+        return hs, p, ks, frobenius(ks), _suffix_tables(ks)
+
+    return derived(d, ("k0_source", m), compute)
+
+
 def build_k0_morphism(
     dgA: OrderedBratteliDiagram,
     levelA: int,
@@ -242,16 +271,15 @@ def build_k0_morphism(
     target is then pushed deep enough that the reduced heights clear the
     representability threshold, and each row is the lexicographically least
     representation; unit preservation holds by construction and is asserted.
+    The source level's gcd, threshold and residue tables are computed once
+    per diagram and level and shared by every call (see _source_level).
     """
-    hA = heights(dgA, levelA)
-    p = math.gcd(*hA)
-    ks = tuple(m // p for m in hA)
+    hA, p, ks, threshold, tables = _source_level(dgA, levelA)
     res = divides_unit(dgB, p, depth)
     if res.verdict == "no":
         return Obstruction("divisor", _least_failing_factor(dgB, p, depth))
     if res.verdict == "unknown":
         raise SearchExhausted(depth, "divisibility of the target unit by %d" % p)
-    threshold = frobenius(ks)
     start = max(levelB, res.level)
     top = dgB.max_level()
     bound = start + depth if top is None else min(start + depth, top)
@@ -262,7 +290,7 @@ def build_k0_morphism(
         ds = tuple(x // p for x in hB)
         if not all(dd >= threshold for dd in ds):
             continue
-        rows = tuple(represent(dd, ks) for dd in ds)
+        rows = tuple(_least_row(dd, ks, tables) for dd in ds)
         assert all(row is not None for row in rows)
         t = K0Morphism(rows, levelA, lb)
         assert t.apply(hA) == hB
@@ -1106,8 +1134,10 @@ class CertificateCheck:
 
 
 def diagram_digest(d: OrderedBratteliDiagram) -> str:
-    """Content hash of the canonical serialization."""
-    return hashlib.sha256(serialize_diagram(d).encode("utf-8")).hexdigest()
+    """Content hash of the canonical serialization, kept per diagram."""
+    return derived(
+        d, "digest", lambda: hashlib.sha256(serialize_diagram(d).encode("utf-8")).hexdigest()
+    )
 
 
 def _certificate(claim, systems, witness, verifier) -> dict:
@@ -1183,8 +1213,31 @@ def conjugator_certificate(
     return _certificate("conjugator", (elem.diagram,), witness, "verify_conjugator")
 
 
-def _normalized(obj):
-    return json.loads(json.dumps(obj, sort_keys=True))
+_JSON_SCALARS = (str, int, float, type(None))
+
+
+def _same_json(ours, given) -> bool:
+    """Does given stand for the same JSON value as ours?
+
+    ours is a recomputed witness: dicts with string keys, lists, strings,
+    numbers, booleans and None.  given may come from json.loads or from a
+    caller in this process, so a tuple stands for a list; a value of any
+    type JSON has no counterpart for is a mismatch.  Scalars compare with
+    ==, as they do after a JSON round trip.
+    """
+    if isinstance(ours, dict):
+        return (
+            isinstance(given, dict)
+            and given.keys() == ours.keys()
+            and all(_same_json(v, given[k]) for k, v in ours.items())
+        )
+    if isinstance(ours, (list, tuple)):
+        return (
+            isinstance(given, (list, tuple))
+            and len(given) == len(ours)
+            and all(map(_same_json, ours, given))
+        )
+    return isinstance(given, _JSON_SCALARS) and given == ours
 
 
 _EXPECTED_VERIFIER = {
@@ -1202,7 +1255,11 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
     named independent check; any malformation is a rejection, not an error.
     Witness payloads are pinned down to the byte: schedules must equal their
     canonical recomputation and free parameters are fixed constants, so any
-    tampering fails even when the mutated payload would still be true.
+    tampering fails even when the mutated payload would still be true.  Weak
+    and tau witnesses are compared with their recomputation as JSON values
+    (see _same_json), whether they were loaded from JSON or built in this
+    process; a conjugator's blocks and images must each partition the cells
+    of its block level before the conjugator is replayed.
     """
     systems = tuple(systems)
     try:
@@ -1247,7 +1304,7 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
             res = decide_weak(systems[0], systems[1], rounds=rounds)
             if res.verdict != "weak":
                 return CertificateCheck(False, "spectra no longer verify as equal")
-            if _normalized(_weak_witness(res)) != _normalized(witness):
+            if not _same_json(_weak_witness(res), witness):
                 return CertificateCheck(False, "witness differs from recomputation")
             return CertificateCheck(True)
         if claim == "tau":
@@ -1256,7 +1313,7 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
             res = decide_tau(systems[0], systems[1])
             if res.verdict != "tau":
                 return CertificateCheck(False, "invariants no longer verify")
-            if _normalized(_tau_witness(res, *systems)) != _normalized(witness):
+            if not _same_json(_tau_witness(res, *systems), witness):
                 return CertificateCheck(False, "witness differs from recomputation")
             return CertificateCheck(True)
         if claim == "conjugator":
@@ -1275,12 +1332,19 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
             )
             blocks = tuple(tuple(tuple(c) for c in u) for u in witness["blocks"])
             images = tuple(tuple(tuple(c) for c in v) for v in witness["images"])
+            block_level = int(witness["block_level"])
+            universe = set(cells(systems[0], block_level))
+            try:
+                _validate_partition(blocks, universe, "block")
+                _validate_partition(images, universe, "image block")
+            except ValueError as e:
+                return CertificateCheck(False, "conjugator witness is not a partition: %s" % e)
             rep = verify_conjugator(
                 elem,
                 blocks,
                 images,
                 lookahead=int(witness["lookahead"]),
-                block_level=int(witness["block_level"]),
+                block_level=block_level,
             )
             if rep.verdict != "ok":
                 return CertificateCheck(False, "conjugator fails verification: %s" % rep.verdict)

@@ -455,7 +455,8 @@ class TraceImageGroup:
     """Image of the dimension group under the unique normalized trace.
 
     kind "cyclic": the subgroup (1/denominator) Z[1/ratio] of the rationals
-    (denominator coprime to ratio).  kind "field": the increasing union of
+    (denominator coprime to ratio), whose prime set `radical` is kept once
+    computed.  kind "field": the increasing union of
     lambda^-m copies of the lattice spanned by `generators` (coordinate
     tuples over the power basis of Q[t]/(minpoly)); `lattice` is that
     lattice in integer form, and `stabilized`, derived from it, marks the
@@ -483,6 +484,12 @@ class TraceImageGroup:
             assert coeffs is not None and all(c.denominator == 1 for c in coeffs)
             tmat.append([int(c) for c in coeffs])
         return basis, scale, tmat
+
+    @cached_property
+    def radical(self) -> frozenset:
+        """Cyclic kind: the primes dividing ratio, the primes the group is
+        divisible by."""
+        return frozenset(_prime_factors(self.ratio))
 
     @property
     def stabilized(self) -> Optional[bool]:
@@ -608,10 +615,6 @@ class TraceIsoResult:
     certificate: Optional[dict] = None
 
 
-def _cyclic_radical(g):
-    return frozenset(_prime_factors(g.ratio))
-
-
 def _field_included(a: TraceImageGroup, b: TraceImageGroup):
     """Is the group of a contained in the group of b (same minimal polynomial)?
 
@@ -637,7 +640,7 @@ def _field_included(a: TraceImageGroup, b: TraceImageGroup):
 def trace_images_isomorphic(a: TraceImageGroup, b: TraceImageGroup) -> TraceIsoResult:
     """Decide unital order isomorphism (equivalently set equality) of images."""
     if a.kind == "cyclic" and b.kind == "cyclic":
-        ra, rb = _cyclic_radical(a), _cyclic_radical(b)
+        ra, rb = a.radical, b.radical
         if ra != rb:
             p = min(ra ^ rb)
             return TraceIsoResult(False, "divisible primes differ at %d" % p)

@@ -1,6 +1,7 @@
 """Decision procedures for the conjugacy hierarchy and their certificates."""
 
 import copy
+import hashlib
 import itertools
 import json
 import math
@@ -43,10 +44,20 @@ from cantorconj.classify import (
     verify_ladder,
     weak_certificate,
 )
+from cantorconj.classify import _least_failing_factor
 from cantorconj.dimgroup import POSITIVE, UNKNOWN, ZERO, DimGroup
-from cantorconj.systems import dyadic, fibonacci, quaternary, stationary_from_rows, triadic
+from cantorconj.invariants import DEFAULT_DEPTH, divides_unit
+from cantorconj.systems import (
+    NAMED,
+    dyadic,
+    fibonacci,
+    odometer,
+    quaternary,
+    stationary_from_rows,
+    triadic,
+)
 
-from conftest import random_explicit, rows_of
+from conftest import power_of, random_explicit, random_stationary, rows_of
 
 DYADIC = dyadic()
 TRIADIC = triadic()
@@ -237,6 +248,67 @@ def test_morphism_trivial_root():
     t = build_k0_morphism(DYADIC, 0, DYADIC, 0)
     assert isinstance(t, K0Morphism)
     assert t.matrix == ((1,),)
+
+
+def reference_build_k0_morphism(dgA, levelA, dgB, levelB, depth=DEFAULT_DEPTH):
+    """build_k0_morphism with frobenius and represent run afresh on every
+    call, as it was before the source level's tables were kept."""
+    hA = heights(dgA, levelA)
+    p = math.gcd(*hA)
+    ks = tuple(m // p for m in hA)
+    res = divides_unit(dgB, p, depth)
+    if res.verdict == "no":
+        return Obstruction("divisor", _least_failing_factor(dgB, p, depth))
+    if res.verdict == "unknown":
+        raise SearchExhausted(depth, "divisibility of the target unit by %d" % p)
+    threshold = frobenius(ks)
+    start = max(levelB, res.level)
+    top = dgB.max_level()
+    bound = start + depth if top is None else min(start + depth, top)
+    for lb in range(start, bound + 1):
+        hB = heights(dgB, lb)
+        if any(x % p for x in hB):
+            continue
+        ds = tuple(x // p for x in hB)
+        if not all(dd >= threshold for dd in ds):
+            continue
+        rows = tuple(represent(dd, ks) for dd in ds)
+        assert all(row is not None for row in rows)
+        t = K0Morphism(rows, levelA, lb)
+        assert t.apply(hA) == hB
+        return t
+    raise SearchExhausted(depth, "target level with reduced heights above %d" % threshold)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except SearchExhausted as e:
+        return ("exhausted", str(e))
+
+
+def test_morphisms_match_the_per_call_reference():
+    # named systems, odometers 2-6 and 20 seeded primitive 2x2/3x3 systems,
+    # every ordered pair at source and target levels 1-3; the first call on
+    # a source level fills its tables, the later ones read them
+    pool = [NAMED[name]() for name in sorted(NAMED)]
+    pool += [odometer(q) for q in range(2, 7)]
+    rng = random.Random(14)
+    while len(pool) < 9 + 20:
+        d = random_stationary(rng, primitive=True)
+        if d.num_vertices(1) >= 2:
+            pool.append(d)
+    morphisms = obstructions = 0
+    for a in pool:
+        for b in pool:
+            for la in (1, 2, 3):
+                for lb in (1, 2, 3):
+                    got = _outcome(build_k0_morphism, a, la, b, lb)
+                    assert got == _outcome(reference_build_k0_morphism, a, la, b, lb)
+                    assert got == _outcome(build_k0_morphism, a, la, b, lb)
+                    morphisms += isinstance(got, K0Morphism)
+                    obstructions += isinstance(got, Obstruction)
+    assert morphisms > 1000 and obstructions > 1000
 
 
 # ---------------------------------------------------------------------------
@@ -784,6 +856,119 @@ def test_conjugator_certificate_roundtrip():
 def test_digest_is_canonical_and_distinct():
     assert diagram_digest(DYADIC) == diagram_digest(dyadic())
     assert diagram_digest(DYADIC) != diagram_digest(QUATERNARY)
+
+
+def test_digest_of_a_warm_diagram_is_the_hash_of_its_serialization():
+    d = fibonacci()
+    decide_k_conjugacy(d, stationary_from_rows(((0, 0, 1), (0, 1))))
+    first = diagram_digest(d)
+    assert d._memo
+    for _ in range(2):
+        assert diagram_digest(d) == first
+        assert first == hashlib.sha256(serialize_diagram(d).encode("utf-8")).hexdigest()
+
+
+def _tupled(obj):
+    """obj with every list turned into a tuple, as a caller in this process
+    may hand a witness over."""
+    if isinstance(obj, dict):
+        return {k: _tupled(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return tuple(_tupled(v) for v in obj)
+    return obj
+
+
+def _as_given(cert):
+    """The certificate as emitted, after a JSON round trip, and tupled."""
+    loaded = json.loads(json.dumps(cert))
+    return cert, loaded, _tupled(loaded)
+
+
+# weak and tau pairs: odometers, a multi-vertex system against its
+# square, and a cubic trace field against itself
+B21 = stationary_from_rows(((0, 0, 1), (0, 1, 1)))  # [[2,1],[1,2]]
+REPLAY_PAIRS = (
+    (DYADIC, QUATERNARY),
+    (QUATERNARY, DYADIC),
+    (B21, power_of(B21, 2)),
+    (power_of(B21, 2), B21),
+    (TRI3, TRI3),
+)
+
+
+def test_weak_replay_accepts_every_form_and_rejects_a_changed_schedule():
+    for a, b in REPLAY_PAIRS + ((FIB, stationary_from_rows(((0, 0, 1), (0, 1)))),):
+        res = decide_weak(a, b)
+        assert res.verdict == "weak"
+        cert = weak_certificate(res, a, b)
+        for given in _as_given(cert):
+            check = verify_certificate(given, (a, b))
+            assert check.ok, check.reason
+        for key, src, dst in (("forward", a, b), ("backward", b, a)):
+            for i, blob in enumerate(cert["witness"][key]):
+                # a unit-preserving morphism one target level deeper: true,
+                # but not the canonical schedule entry
+                deeper = build_k0_morphism(src, blob["source_level"], dst, blob["target_level"] + 1)
+                bad = copy.deepcopy(cert)
+                bad["witness"][key][i] = deeper.to_json()
+                for given in _as_given(bad):
+                    check = verify_certificate(given, (a, b))
+                    assert check.reason == "witness differs from recomputation"
+                # the same entry read one level off
+                bad = copy.deepcopy(cert)
+                bad["witness"][key][i]["target_level"] += 1
+                for given in _as_given(bad):
+                    assert not verify_certificate(given, (a, b)).ok
+        bad = copy.deepcopy(cert)
+        bad["witness"]["forward"][0]["source_level"] = str(bad["witness"]["forward"][0]["source_level"])
+        assert verify_certificate(bad, (a, b)).reason == "witness differs from recomputation"
+        bad = copy.deepcopy(cert)
+        bad["witness"]["extra"] = []
+        assert verify_certificate(bad, (a, b)).reason == "witness differs from recomputation"
+
+
+def test_tau_replay_accepts_every_form_and_rejects_a_changed_witness():
+    for a, b in REPLAY_PAIRS:
+        res = decide_tau(a, b)
+        assert res.verdict == "tau"
+        cert = tau_certificate(res, a, b)
+        for given in _as_given(cert):
+            check = verify_certificate(given, (a, b))
+            assert check.ok, check.reason
+        text = json.dumps(cert["witness"], sort_keys=True)
+        for pos in [i for i, ch in enumerate(text) if ch.isdigit()]:
+            bad = copy.deepcopy(cert)
+            bad["witness"] = json.loads(text[:pos] + str((int(text[pos]) + 1) % 10) + text[pos + 1 :])
+            for given in _as_given(bad):
+                check = verify_certificate(given, (a, b))
+                assert check.reason == "witness differs from recomputation", pos
+
+
+def test_conjugator_replay_rejects_blocks_that_are_not_a_partition():
+    d = odometer(2)
+    bundle = conjugate_at_resolution(d, d, 2)
+    cert = conjugator_certificate(
+        bundle.corrector, bundle.sigma.target_level, bundle.blocks, bundle.images
+    )
+    cert = json.loads(json.dumps(cert))
+    assert verify_certificate(cert, (d,)).ok
+    w = cert["witness"]
+    assert len(w["blocks"]) >= 2
+
+    def tampered(change):
+        bad = copy.deepcopy(cert)
+        change(bad["witness"])
+        return verify_certificate(bad, (d,))
+
+    for change, reason in (
+        (lambda w: w["blocks"][0].append([0, 999]), "blocks do not partition"),
+        (lambda w: w["images"][0].append(list(w["images"][1][0])), "image block overlap"),
+        (lambda w: w["blocks"][0].append(list(w["blocks"][1][0])), "block overlap"),
+    ):
+        check = tampered(change)
+        assert not check.ok
+        assert check.reason.startswith("conjugator witness is not a partition: ")
+        assert reason in check.reason
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from cantorconj.invariants import (
     DividesUnitResult,
     InfiniteValuation,
     SupernaturalTruncation,
+    TraceIsoResult,
     check_divides_certificate,
     check_infinity_certificate,
     divides_unit,
@@ -668,3 +669,34 @@ def test_iso_pure_odometers_match_radicals(p, q):
     rad = lambda n: {f for f in range(2, n + 1) if n % f == 0 and all(f % d for d in range(2, f))}
     expected = rad(p) == rad(q)
     assert trace_images_isomorphic(a, b).value is expected
+
+
+def test_cyclic_radical_is_factored_once_per_group(monkeypatch):
+    import sympy
+
+    scaled = stationary_from_rows(((0, 0),), root=((0, 0, 0),))  # (1/3) Z[1/2]
+    diagrams = [stationary_from_rows(((0,) * q,), root=((0,) * q,)) for q in (2, 3, 4, 6, 12, 18)]
+    groups = [trace_image_group(d) for d in diagrams + [scaled]]
+    calls = []
+    real = sympy.factorint
+    monkeypatch.setattr(sympy, "factorint", lambda n, *a, **k: calls.append(n) or real(n, *a, **k))
+    first = [[trace_images_isomorphic(a, b) for b in groups] for a in groups]
+    assert len(calls) == len(groups)
+    again = [[trace_images_isomorphic(a, b) for b in groups] for a in groups]
+    assert again == first and len(calls) == len(groups)
+    # reference: the radical and the denominator compared directly
+    rad = lambda n: {p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))}
+    for a, row in zip(groups, first):
+        assert a.radical == frozenset(rad(a.ratio))
+        for b, res in zip(groups, row):
+            if rad(a.ratio) != rad(b.ratio):
+                p = min(rad(a.ratio) ^ rad(b.ratio))
+                assert res == TraceIsoResult(False, "divisible primes differ at %d" % p)
+            elif a.denominator != b.denominator:
+                assert res.value is False and res.reason.startswith("global denominators differ")
+            else:
+                assert res == TraceIsoResult(
+                    True,
+                    "identical rational subgroups",
+                    {"radical": sorted(rad(a.ratio)), "denominator": a.denominator},
+                )
