@@ -50,7 +50,9 @@ from .fieldpoly import _mat_mul
 FORMAT_NAME = "obd-v1"
 
 # Enumeration guard: operations that materialize every cell of a level stay
-# below this many cells and raise CapabilityError beyond.
+# below this many cells and raise CapabilityError beyond (see cells and
+# capped_heights).  It binds where cells are listed, not on levels that are
+# only read tower by tower, such as the audit level of a conjugator.
 CELL_CAP = 2 ** 12
 
 
@@ -458,8 +460,9 @@ def path_for_floor(d: OrderedBratteliDiagram, v: int, m: int, floor: int) -> Pat
 # Cells and towers
 
 
-def cells(d: OrderedBratteliDiagram, m: int) -> list[Cell]:
-    """All Kakutani-Rohlin cells (vertex, floor) at level m, capped at CELL_CAP."""
+def capped_heights(d: OrderedBratteliDiagram, m: int) -> tuple[int, ...]:
+    """heights(d, m) for a level whose cells are about to be enumerated;
+    CapabilityError when they number more than CELL_CAP."""
     h = heights(d, m)
     total = sum(h)
     if total > CELL_CAP:
@@ -467,6 +470,18 @@ def cells(d: OrderedBratteliDiagram, m: int) -> list[Cell]:
             "level %d has %d cells, above the supported cap of %d"
             % (m, total, CELL_CAP)
         )
+    return h
+
+
+def cells(d: OrderedBratteliDiagram, m: int) -> list[Cell]:
+    """All Kakutani-Rohlin cells (vertex, floor) at level m, capped at CELL_CAP.
+
+    The cap binds wherever a level's cells are enumerated, by this function
+    or by capped_heights: a replay that works per coarse tower (as
+    fullgroup.verify_conjugator does) is not bound by the size of the
+    finer level it audits.
+    """
+    h = capped_heights(d, m)
     return [(v, k) for v in range(len(h)) for k in range(1, h[v] + 1)]
 
 
@@ -480,22 +495,42 @@ def tower_map(d: OrderedBratteliDiagram, m: int, m_fine: int) -> dict:
     Its keys run over cells(d, m_fine) in order, tower by tower and floors
     upwards.
 
-    Tower w at level n+1 stacks the floors of its sources in the order of
-    its edge list, so the coarse cells under its floors are the
-    concatenation of its sources' sequences; starting from the level-m cells
-    themselves, m_fine - m such steps give every fine cell its coarse cell.
+    Each fine tower stacks whole level-m towers (see tower_stacks), so the
+    coarse cells under its floors are their floors in stacking order.
     """
     if m_fine < m:
         raise ValueError("fine level must be >= coarse level")
 
     def compute():
         fine_cells = cells(d, m_fine)
-        seqs = [[(v, j) for j in range(1, h + 1)] for v, h in enumerate(heights(d, m))]
-        for n in range(m, m_fine):
-            seqs = [[c for s in row for c in seqs[s]] for row in d.table(n)]
-        return dict(zip(fine_cells, (c for seq in seqs for c in seq)))
+        coarse = [[(v, j) for j in range(1, h + 1)] for v, h in enumerate(heights(d, m))]
+        under = (c for stack in tower_stacks(d, m, m_fine) for u in stack for c in coarse[u])
+        return dict(zip(fine_cells, under))
 
     return derived(d, ("tower_map", m, m_fine), compute)
+
+
+def tower_stacks(d: OrderedBratteliDiagram, m: int, m_fine: int) -> tuple:
+    """For each level-m_fine tower, the level-m towers it stacks, bottom
+    first, as a tuple of vertex indices; kept per level pair and shared.
+
+    Tower w at level n+1 stacks the floors of its sources in the order of
+    its edge list, so its stack is the concatenation of its sources'
+    stacks; starting from the level-m towers themselves, m_fine - m such
+    steps give every fine tower its stack.  The fine floors are the coarse
+    floors of the stack in order, so nothing here grows with the cells.
+    """
+    if m_fine < m:
+        raise ValueError("fine level must be >= coarse level")
+    d.check_level(m_fine)
+
+    def compute():
+        stacks = [(v,) for v in range(d.num_vertices(m))]
+        for n in range(m, m_fine):
+            stacks = [tuple(u for s in row for u in stacks[s]) for row in d.table(n)]
+        return tuple(stacks)
+
+    return derived(d, ("tower_stacks", m, m_fine), compute)
 
 
 def class_of_clopen(d: OrderedBratteliDiagram, level: int, cell_set: Iterable[Cell]) -> DgElement:

@@ -44,19 +44,21 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 from .bratteli import (
     DgElement,
     OrderedBratteliDiagram,
+    capped_heights,
     cells,
     class_of_clopen,
     composed_incidence,
     derived,
     heights,
     serialize_diagram,
-    tower_map,
+    tower_stacks,
 )
 from .dimgroup import DimGroup, NEGATIVE, NOT_COMPARABLE, POSITIVE, UNKNOWN, ZERO
 from .fieldpoly import _mat_apply, _mat_mul, _row_reduce_int, charpoly
@@ -671,6 +673,21 @@ def _ladder_search(dgA, dgB, max_span, max_base, budget):
     return None, skipped, visited
 
 
+def _reversed_ladder(ladder: IntertwiningLadder) -> IntertwiningLadder:
+    """The periodic ladder of _ladder_search read from the other side.
+
+    A ladder from B to A, with B levels (b0, b0 + gb, b0 + 2gb), A levels
+    (a0, a0 + ga) and rungs (h, h), (H, H), is the chain b0 -> a0 -> b0 + gb
+    -> a0 + ga -> b0 + 2gb.  Dropping its first rung and extending it by one
+    period (stationarity) gives a0 -> b0 + gb -> a0 + ga -> b0 + 2gb ->
+    a0 + 2ga, a ladder from A to B with the rungs swapped.
+    """
+    (a0, a1), (_, b1, b2) = ladder.b_levels, ladder.a_levels
+    return IntertwiningLadder(
+        (a0, a1, 2 * a1 - a0), (b1, b2), ladder.backwards, ladder.forwards
+    )
+
+
 def decide_k_conjugacy(
     dgA: OrderedBratteliDiagram,
     dgB: OrderedBratteliDiagram,
@@ -693,10 +710,14 @@ def decide_k_conjugacy(
     cells when the characteristic polynomials of A^ga and B^gb differ once
     factors of t are dropped: by Sylvester's identity H.h and h.H share
     their nonzero spectrum, so no cell of such a pair holds a ladder, and
-    the ladder found is the one the unpruned search finds.  The whole search
+    the ladder found is the one the unpruned search finds.  When the window
+    holds no ladder from A to B, the same window is searched from B to A
+    and a ladder found there is read backwards (_reversed_ladder), so the
+    verdict does not depend on the argument order.  Both searches together
     may visit LADDER_NODE_BUDGET nodes.  Unknown comes with a note that
     names what ran out, the window or the node budget, and the nodes spent;
-    a window run out also counts the period pairs the spectral test skipped.
+    a window run out also counts the period pairs the spectral test
+    skipped, over both orders.
     """
     obstructions = _obstructions(dgA, dgB, prime_cutoff, depth)[0]
     if obstructions:
@@ -710,6 +731,14 @@ def decide_k_conjugacy(
     budget = _NodeBudget(LADDER_NODE_BUDGET)
     try:
         ladder, skipped, visited = _ladder_search(dgA, dgB, max_span, max_base, budget)
+        if ladder is None:
+            back, skipped_b, visited_b = _ladder_search(
+                dgB, dgA, max_span, max_base, budget
+            )
+            skipped += skipped_b
+            visited += visited_b
+            if back is not None:
+                ladder = _reversed_ladder(back)
     except SearchExhausted:
         return KConjResult(
             "unknown",
@@ -719,8 +748,8 @@ def decide_k_conjugacy(
     if ladder is None:
         return KConjResult(
             "unknown",
-            note="no ladder with span <= %d from base levels <= %d (%d nodes; "
-            "spectral test skipped %d of %d period pairs)"
+            note="no ladder with span <= %d from base levels <= %d in either "
+            "order (%d nodes; spectral test skipped %d of %d period pairs)"
             % (max_span, max_base, budget.spent, skipped, visited),
         )
     rep = verify_ladder(ladder, dgA, dgB)
@@ -771,14 +800,37 @@ class ClopenSet:
         object.__setattr__(self, "cells", tuple(sorted(set(self.cells))))
 
 
-def _refine_clopen(d, cs: ClopenSet, level: int) -> ClopenSet:
-    if level == cs.level:
-        return cs
-    proj = tower_map(d, cs.level, level)
-    members = set(cs.cells)
-    return ClopenSet(
-        level, tuple(c for c in cells(d, level) if proj[c] in members)
-    )
+def _tower_floors(d, cs: ClopenSet) -> list:
+    """cs's floors, one increasing deque per tower of its level."""
+    floors = [deque() for _ in range(d.num_vertices(cs.level))]
+    for w, j in cs.cells:
+        floors[w].append(j)
+    return floors
+
+
+def _refine_floors(d, floors, level: int, fine: int) -> list:
+    """The same set at a finer level, one increasing deque per fine tower.
+
+    A fine tower stacks whole level towers (bratteli.tower_stacks), so its
+    floors in the set are those of each copy shifted by the floors below
+    the copy; the work grows with the floors kept, not with the level.
+    """
+    if fine == level:
+        return floors
+    h = heights(d, level)
+    out = []
+    for stack in tower_stacks(d, level, fine):
+        row = deque()
+        below = 0
+        for u in stack:
+            row.extend(below + j for j in floors[u])
+            below += h[u]
+        out.append(row)
+    return out
+
+
+def _as_clopen(level: int, floors) -> ClopenSet:
+    return ClopenSet(level, tuple((w, j) for w, row in enumerate(floors) for j in row))
 
 
 def lift_class_under(
@@ -808,37 +860,38 @@ def lift_class_under(
         raise ValueError("class exceeds the set it must fit under")
     if rem.verdict == UNKNOWN:
         raise SearchExhausted(depth, "room under the given set")
-    return _lowest_floors(grp, u, cls_u, x, depth)
+    lvl, taken, _ = _lowest_floors(grp, u.level, _tower_floors(d, u), cls_u, x, depth)
+    return _as_clopen(lvl, taken)
 
 
-def _lowest_floors(grp, u: ClopenSet, cls_u: DgElement, x: DgElement, depth) -> ClopenSet:
-    """The floor-picking half of lift_class_under, with no sign checks.
+def _lowest_floors(grp, level: int, floors, cls_u: DgElement, x: DgElement, depth) -> tuple:
+    """The floor-picking routine of lift_class_under and
+    partition_from_classes, with no sign checks.
 
-    cls_u is any presentation of u's class at a level <= u.level: pushed
-    to a level at or past u.level it is u's counting vector there.  The
-    first level from max(u.level, x.level) on where x's representative
-    lies between zero and that vector gives, tower by tower, the lowest
-    fine floors under u.
+    floors holds a set u at level as one increasing deque per tower, and
+    cls_u is any presentation of u's class at a level <= level: pushed to a
+    level at or past level it is u's counting vector there.  The first level
+    lvl from max(level, x.level) on where x's representative rep lies
+    between zero and that vector is the lift level.  Returns lvl, the lowest
+    rep[w] floors of u in each tower w at lvl, and u's remaining floors
+    there, taken off the front of the deques: the complement is what is
+    left, so nothing is rebuilt.  CELL_CAP binds on a lift level past
+    level, whose cells the lifts enumerate (the caller's set at level is
+    within it already).
     """
     d = grp.diagram
-    base = max(u.level, x.level)
+    base = max(level, x.level)
     top = d.max_level()
     bound = base + depth if top is None else min(base + depth, top)
     for lvl in range(base, bound + 1):
         rep = grp.push(x, lvl).vector
         cap = grp.push(cls_u, lvl).vector
         if all(0 <= r <= c for r, c in zip(rep, cap)):
-            proj = tower_map(d, u.level, lvl)
-            members = set(u.cells)
-            chosen = []
-            need = list(rep)
-            for c in cells(d, lvl):
-                w = c[0]
-                if need[w] > 0 and proj[c] in members:
-                    chosen.append(c)
-                    need[w] -= 1
-            assert not any(need)
-            return ClopenSet(lvl, tuple(chosen))
+            if lvl > level:
+                capped_heights(d, lvl)
+            floors = _refine_floors(d, floors, level, lvl)
+            taken = [[row.popleft() for _ in range(r)] for row, r in zip(floors, rep)]
+            return lvl, taken, floors
     raise SearchExhausted(depth, "level with a coordinatewise representative")
 
 
@@ -860,6 +913,13 @@ def partition_from_classes(
     remaining classes and so at least zero.  That room is kept as a class,
     which pushed to the lift level is the running complement's counting
     vector, so the cells chosen are the ones lift_class_under would choose.
+
+    The complement is one increasing deque of floors per tower: each lift
+    takes a prefix of every deque and leaves the suffix, and a lift that
+    needs a finer level refines only what is left.  Every set is refined
+    once more, to the last lift level, at the end.  So the work grows with
+    the cells of the levels reached, not with their product with the
+    number of classes; CELL_CAP binds on the levels reached.
     """
     grp = DimGroup(d)
     xs = tuple(xs)
@@ -873,33 +933,33 @@ def partition_from_classes(
         if v == UNKNOWN:
             raise SearchExhausted(depth, "positivity of a prescribed class")
         verdicts.append(v)
-    total = xs[0]
-    for x in xs[1:]:
-        total = grp.add(total, x)
+    top = max(x.level for x in xs)
+    total = DgElement(top, tuple(map(sum, zip(*(grp.push(x, top).vector for x in xs)))))
     if grp.equal(total, grp.unit(1), depth).value is not True:
         raise ValueError("classes must sum to the order unit")
     last_positive = max(i for i, v in enumerate(verdicts) if v == POSITIVE)
-    level0 = max([x.level for x in xs] + [1])
-    running = ClopenSet(level0, tuple(cells(d, level0)))
-    room = grp.unit(level0)
+    level = max(top, 1)
+    running = [deque(range(1, h + 1)) for h in capped_heights(d, level)]
+    room = grp.unit(level)
     out = []
     for i, x in enumerate(xs):
         if verdicts[i] == ZERO:
-            out.append(ClopenSet(running.level, ()))
+            out.append((level, ()))
             continue
         if i == last_positive:
-            assert grp.equal(class_of_clopen(d, running.level, running.cells), x).value
-            out.append(running)
-            running = ClopenSet(running.level, ())
+            left = DgElement(level, tuple(len(row) for row in running))
+            assert grp.equal(left, x).value
+            out.append((level, running))
+            running = [deque() for _ in running]
             continue
-        q = _lowest_floors(grp, running, room, x, depth)
-        out.append(q)
+        level, taken, running = _lowest_floors(grp, level, running, room, x, depth)
+        out.append((level, taken))
         room = grp.sub(room, x)
-        refined = _refine_clopen(d, running, q.level)
-        taken = set(q.cells)
-        running = ClopenSet(q.level, tuple(c for c in refined.cells if c not in taken))
-    final = max(b.level for b in out)
-    return tuple(_refine_clopen(d, b, final) for b in out)
+    final = max(lvl for lvl, _ in out)
+    return tuple(
+        _as_clopen(final, _refine_floors(d, floors, lvl, final) if floors else ())
+        for lvl, floors in out
+    )
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,14 @@ class DimGroup:
         return Decision(pos.verdict == ZERO, witness_level=pos.witness_level)
 
     def equal(self, a: DgElement, b: DgElement, depth: int = 40) -> Decision:
+        """Is a - b the zero class?  Two presentations at one level with
+        one vector are answered at once, with the Decision is_zero gives
+        the zero vector there."""
+        if a == b:
+            self.diagram.check_level(a.level)
+            if self.diagram.kind == "stationary":
+                return Decision(True)
+            return Decision(True, witness_level=a.level)
         return self.is_zero(self.sub(a, b), depth)
 
     def is_positive(self, g: DgElement, depth: int = 40) -> PositivityResult:
@@ -211,12 +219,18 @@ class DimGroup:
         NotComparable).  The trace's denominator root^(m-1) * normalizer is
         certified positive, so the sign is that of the numerator <v, rep>,
         read in the integer trace weights.  A witness level with an
-        all-nonnegative representative is located by pushing.
+        all-nonnegative representative is located by pushing; a nonnegative,
+        nonzero vector at level >= 1 is its own witness, and its trace is
+        positive because v is, so it is answered at once.
         """
         d = self.diagram
         if d.kind == "stationary" and self.primitive:
+            data = self.perron  # unsupported diagrams raise here either way
+            if g.level >= 1 and min(g.vector) >= 0 and any(g.vector):
+                d.check_level(g.level)
+                return PositivityResult(POSITIVE, g.level)
             rep = self.push(g, max(1, g.level))
-            s = self.perron.field.sign(self._trace_numerator(rep))
+            s = data.field.sign(self._trace_numerator(rep))
             if s == 0:
                 if self.is_zero(g).value:
                     return PositivityResult(ZERO)

@@ -24,7 +24,9 @@ accepted.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 from .bratteli import (
@@ -34,6 +36,7 @@ from .bratteli import (
     composed_incidence,
     heights,
     tower_map,
+    tower_stacks,
 )
 from .dimgroup import DimGroup
 
@@ -343,7 +346,7 @@ def conjugator_from_partition(
         if any(x == 0 for row in comp for x in row):
             continue
         if all(
-            grp.push(cu, cand).vector == grp.push(cv, cand).vector
+            cu == cv or grp.push(cu, cand).vector == grp.push(cv, cand).vector
             for cu, cv in classes
         ):
             mstar = cand
@@ -360,17 +363,18 @@ def conjugator_from_partition(
     where = {c: bi for bi, u in enumerate(blocks) for c in u}
     img_where = {c: bi for bi, v in enumerate(images) for c in v}
     tables = []
+    coarse = iter(proj.values())
     for w in range(len(h)):
-        plabel = [where[proj[(w, j)]] for j in range(1, h[w] + 1)]
-        qlabel = [img_where[proj[(w, j)]] for j in range(1, h[w] + 1)]
-        tower_blocks = tuple(
-            tuple(j for j in range(1, h[w] + 1) if plabel[j - 1] == t)
-            for t in range(len(blocks))
-        )
-        tower_images = tuple(
-            tuple(j for j in range(1, h[w] + 1) if qlabel[j - 1] == t)
-            for t in range(len(blocks))
-        )
+        tower_blocks = [[] for _ in blocks]
+        tower_images = [[] for _ in blocks]
+        first = None
+        for j in range(1, h[w] + 1):
+            c = next(coarse)
+            b = where[c]
+            tower_blocks[b].append(j)
+            tower_images[img_where[c]].append(j)
+            if first is None and b == 0:
+                first = j
         try:
             sigma = cyclic_from_blocks(BlockBijection(h[w], tower_blocks, tower_images))
         except BlockConditionViolation as e:
@@ -382,14 +386,181 @@ def conjugator_from_partition(
             ) from e
         # anchor the cycle at the least floor of the first block; the walk
         # sigma^j then pairs floor j with its conjugated position
-        jw = plabel.index(0) + 1
         row = []
-        s = jw
+        s = first
         for j in range(1, h[w] + 1):
             s = sigma[s - 1]
             row.append(s - j)
         tables.append(tuple(row))
     return FullGroupElement(d, mstar, tuple(tables))
+
+
+class _CoarseTower:
+    """One tower of the audit's coarse level, replayed on its own floors.
+
+    fwd[j] is the floor s sends floor j to while it stays in the tower, 0
+    otherwise; back[t] is the lowest floor sent to t, 0 if none; jumps
+    maps each floor s sends out of the tower to its displacement.
+    collision is the first floor, upwards, whose image is already taken,
+    with that image.  lab and img are the block and image-block labels of
+    the floors, missing the first floor's block cell that has no label.
+    """
+
+    def __init__(self, h: int, disp):
+        self.h = h
+        fwd = [0] * (h + 1)
+        back = [0] * (h + 1)
+        jumps = {}
+        collision = None
+        for j, r in enumerate(disp, 1):
+            t = j + r
+            if not 1 <= t <= h:
+                jumps[j] = r
+                continue
+            fwd[j] = t
+            if not back[t]:
+                back[t] = j
+            elif collision is None:
+                collision = (j, t)
+        self.fwd, self.back, self.jumps, self.collision = fwd, back, jumps, collision
+
+    def label(self, block_cells, where, img_where):
+        """Read the labels of the floors; for a tower without jumps also
+        walk one copy of it (see walk_inside)."""
+        self.lab = [None]
+        self.img = [None]
+        self.missing = None
+        for c in block_cells:
+            b = where.get(c)
+            i = img_where.get(c)
+            if (b is None or i is None) and self.missing is None:
+                self.missing = c
+            self.lab.append(b)
+            self.img.append(i)
+        if not self.jumps and self.missing is None:
+            self.walk_inside()
+
+    def walk_inside(self):
+        """The walk inside one copy of a tower without jumps or collisions:
+        s then permutes its floors, so every floor has one preimage.  seam
+        is the floor whose preimage is the top floor (its walk enters the
+        next copy); checked counts the other floors, and clean says that
+        none of them leaves its block's image."""
+        h, fwd, back, lab, img = self.h, self.fwd, self.back, self.lab, self.img
+        self.checked = 0
+        self.clean = True
+        for j in range(1, h + 1):
+            y = back[j]
+            if y == h:
+                self.seam = j
+            elif img[fwd[y + 1]] == lab[j]:
+                self.checked += 1
+            else:
+                self.clean = False
+
+
+class _FineTower:
+    """A tower of the audit level as the copies of coarse towers it stacks.
+
+    starts[i] is the floor under copy i; landed maps every floor of this
+    tower that a jump out of a copy reaches to the floors jumping there, in
+    increasing order.  A coarse tower without jumps maps its floors onto
+    themselves, so a jump that lands in a copy of one makes s fail to be
+    injective: the walk meets landed floors only in copies of towers with
+    jumps, and replays those floor by floor.
+    """
+
+    def __init__(self, stack, towers, h: int):
+        self.stack, self.towers, self.h = stack, towers, h
+        self.starts = starts = []
+        top = 0
+        for u in stack:
+            starts.append(top)
+            top += towers[u].h
+        self.landed = landed = {}
+        for i, u in enumerate(stack):
+            for j, r in towers[u].jumps.items():
+                t = starts[i] + j + r
+                if 1 <= t <= h:
+                    landed.setdefault(t, []).append(starts[i] + j)
+
+    def locate(self, floor: int) -> tuple:
+        """(copy, floor inside that copy) of a floor of this tower."""
+        i = bisect_left(self.starts, floor) - 1
+        return i, floor - self.starts[i]
+
+    def image(self, floor: int) -> int:
+        """The floor s sends floor to, 0 past either end of this tower."""
+        i, j = self.locate(floor)
+        t = self.towers[self.stack[i]]
+        if t.fwd[j]:
+            return self.starts[i] + t.fwd[j]
+        floor += t.jumps[j]
+        return floor if 1 <= floor <= self.h else 0
+
+    def preimage(self, floor: int) -> int:
+        i, j = self.locate(floor)
+        y = self.towers[self.stack[i]].back[j]
+        return self.starts[i] + y if y else self.landed.get(floor, (0,))[0]
+
+    def first_collision(self) -> int:
+        """The image of the lowest floor whose image an earlier floor
+        already has, 0 if s is injective here.
+
+        Inside a copy the coarse tower's collision holds; the copies that
+        jumps land in also count the jumps.  A floor's image has a single
+        lowest preimage, so comparing second preimages picks one floor.
+        """
+        found = []
+        for i, u in enumerate(self.stack):
+            hit = self.towers[u].collision
+            if hit:
+                found.append((self.starts[i] + hit[0], self.starts[i] + hit[1]))
+                break
+        for t, jumped in self.landed.items():
+            i, j = self.locate(t)
+            y = self.towers[self.stack[i]].back[j]
+            pre = sorted(jumped + [self.starts[i] + y]) if y else jumped
+            if len(pre) > 1:
+                found.append((pre[1], t))
+        return min(found)[1] if found else 0
+
+    def walk(self, tally):
+        """Add this tower's checked and unresolved cells to tally, floors
+        upwards; stop at the first cell whose walk leaves its block's
+        image and return (floor, block).  Runs after the injectivity pass,
+        so no tower met here has a collision."""
+        for i, u in enumerate(self.stack):
+            t = self.towers[u]
+            if not t.jumps:
+                top = self.starts[i] + t.h
+                nxt = self.image(top + 1) if top < self.h else 0
+                if t.clean and (not nxt or self.image_label(nxt) == t.lab[t.seam]):
+                    tally[0] += t.checked + bool(nxt)
+                    tally[1] += not nxt
+                    continue
+            failed = self.replay(i, tally)
+            if failed:
+                return failed
+        return None
+
+    def image_label(self, floor: int):
+        i, j = self.locate(floor)
+        return self.towers[self.stack[i]].img[j]
+
+    def replay(self, i: int, tally):
+        """walk on copy i alone, floor by floor."""
+        t = self.towers[self.stack[i]]
+        for j in range(1, t.h + 1):
+            y = self.preimage(self.starts[i] + j)
+            nxt = self.image(y + 1) if 0 < y < self.h else 0
+            if not nxt:
+                tally[1] += 1
+            elif self.image_label(nxt) == t.lab[j]:
+                tally[0] += 1
+            else:
+                return self.starts[i] + j, t.lab[j]
+        return None
 
 
 def verify_conjugator(
@@ -405,14 +576,23 @@ def verify_conjugator(
     For every fine cell c the walk computes t = s(alpha(s^-1(c))) and checks
     that t lies in the image of the block containing c.  Cells whose walk
     crosses a fine roof (where the successor is not a cell) stay unresolved;
-    a correct conjugator leaves exactly one such cell per fine tower.
+    a correct conjugator leaves exactly one such cell per fine tower.  Three
+    passes, in this order, decide the report: s is injective, each block
+    covers as many fine cells as its image, and every resolvable cell lands
+    in its block's image.  The first failure in tower-then-floor order of
+    the fine cells is the one reported.
 
-    s moves floors inside their fine tower and so does the successor, so
-    the walk runs tower by tower on lists indexed by floor.  Three passes,
-    in this order, decide the report: s is injective, each block covers as
-    many fine cells as its image, and every resolvable cell lands in its
-    block's image.  Fine cells are visited tower by tower, floors upwards,
-    so the first failure found is the one reported.
+    The replay never lists the fine cells.  Each fine tower stacks whole
+    towers of level c = max(s.level, block_level) (bratteli.tower_stacks),
+    and both s and the block labels are constant on their fibers, so a
+    displacement that keeps a floor inside its c-tower acts alike in every
+    copy of that tower.  Injectivity, the walk and the labels are therefore
+    worked out once per c-tower; a copy adds only its seam, the floor whose
+    walk crosses into the next copy, and block counts are c-tower counts
+    times copy multiplicities.  Floors whose displacement leaves their
+    c-tower, and the copies they land in, are replayed floor by floor.  The
+    cost grows with the cells of level c and the number of copies, and
+    CELL_CAP binds on level c only.
     """
     d = s.diagram
     mf = d.check_level(s.level + lookahead)
@@ -420,58 +600,46 @@ def verify_conjugator(
     images = tuple(tuple(sorted(v)) for v in images)
     if block_level is None:
         block_level = _infer_block_level(d, blocks, s.level)
+    c = max(s.level, block_level)
+    stacks = tower_stacks(d, c, mf)
     hf = heights(d, mf)
-    proj_s = tower_map(d, s.level, mf)
-    proj_b = tower_map(d, block_level, mf)
-    where = {c: bi for bi, u in enumerate(blocks) for c in u}
-    img_where = {c: bi for bi, v in enumerate(images) for c in v}
+    under = iter(tower_map(d, s.level, c).values())
+    towers = [
+        _CoarseTower(h, [s.tables[w][k - 1] for w, k in islice(under, h)])
+        for h in heights(d, c)
+    ]
+    views = [_FineTower(stack, towers, h) for stack, h in zip(stacks, hf)]
+    suspect = any(t.collision or t.jumps for t in towers)
 
-    # sig[v][j] is the floor s sends floor j of fine tower v to, inv its
-    # inverse; 0 where s leaves the tower at this resolution
-    sig = []
-    inv = []
-    coarse = iter(proj_s.values())
-    tables = s.tables
-    for v, h in enumerate(hf):
-        fwd = [0] * (h + 1)
-        back = [0] * (h + 1)
-        for j in range(1, h + 1):
-            w, k = next(coarse)
-            t = j + tables[w][k - 1]
-            if 1 <= t <= h:
-                if back[t]:
-                    return ConjugacyReport(
-                        "counterexample",
-                        mf,
-                        0,
-                        0,
-                        reason="two cells map to %r; not injective" % ((v, t),),
-                    )
-                fwd[j] = t
-                back[t] = j
-        sig.append(fwd)
-        inv.append(back)
+    for v, view in enumerate(views):
+        hit = view.first_collision() if suspect else 0
+        if hit:
+            return ConjugacyReport(
+                "counterexample",
+                mf,
+                0,
+                0,
+                reason="two cells map to %r; not injective" % ((v, hit),),
+            )
 
-    # block and image-block labels of every fine cell, per tower and floor;
-    # a conjugator matches block cardinalities cell by cell at every level
-    label = []
-    img_label = []
+    # labels per c-floor; a lookup that fails raises, as listing the fine
+    # cells would, at the first fine cell whose block cell is unknown
+    where = {cell: bi for bi, u in enumerate(blocks) for cell in u}
+    img_where = {cell: bi for bi, v in enumerate(images) for cell in v}
+    under = iter(tower_map(d, block_level, c).values())
+    for t in towers:
+        t.label(islice(under, t.h), where, img_where)
+    for stack in stacks:
+        for u in stack:
+            if towers[u].missing is not None:
+                raise KeyError(towers[u].missing)
+    copies = [sum(col) for col in zip(*composed_incidence(d, c, mf))]
     fine_count = [0] * len(blocks)
     fine_image_count = [0] * len(blocks)
-    coarse = iter(proj_b.values())
-    for h in hf:
-        lab = [None]
-        img = [None]
-        for _ in range(h):
-            c = next(coarse)
-            b = where[c]
-            i = img_where[c]
-            lab.append(b)
-            img.append(i)
-            fine_count[b] += 1
-            fine_image_count[i] += 1
-        label.append(lab)
-        img_label.append(img)
+    for t, n in zip(towers, copies):
+        for b, i in zip(t.lab[1:], t.img[1:] if n else ()):
+            fine_count[b] += n
+            fine_image_count[i] += n
     for bi, (x, y) in enumerate(zip(fine_count, fine_image_count)):
         if x != y:
             return ConjugacyReport(
@@ -483,27 +651,21 @@ def verify_conjugator(
                 reason="block %d covers %d fine cells, its image %d" % (bi, x, y),
             )
 
-    checked = 0
-    unresolved = 0
-    for v, h in enumerate(hf):
-        fwd, back, lab, img = sig[v], inv[v], label[v], img_label[v]
-        for j in range(1, h + 1):
-            y = back[j]
-            t = fwd[y + 1] if 0 < y < h else 0
-            if not t:
-                unresolved += 1
-                continue
-            if img[t] != lab[j]:
-                return ConjugacyReport(
-                    "counterexample",
-                    mf,
-                    checked,
-                    unresolved,
-                    block=lab[j],
-                    reason="cell %r of block %d conjugates into the wrong image"
-                    % ((v, j), lab[j]),
-                )
-            checked += 1
+    tally = [0, 0]  # checked, unresolved
+    for v, view in enumerate(views):
+        failed = view.walk(tally)
+        if failed:
+            j, b = failed
+            return ConjugacyReport(
+                "counterexample",
+                mf,
+                tally[0],
+                tally[1],
+                block=b,
+                reason="cell %r of block %d conjugates into the wrong image"
+                % ((v, j), b),
+            )
+    checked, unresolved = tally
     if unresolved > len(hf):
         return ConjugacyReport("inconclusive", mf, checked, unresolved)
     return ConjugacyReport("ok", mf, checked, unresolved)

@@ -346,6 +346,8 @@ def test_criterion_05_hierarchy_on_seeded_powers():
                 assert got["weak", i, j] != "not", (i, j)
             for rel, _, _ in HIERARCHY:
                 assert not (got[rel, i, j] == "+" and got[rel, j, i] == "not"), (rel, i, j)
+            # a ladder found in one order is read backwards for the other
+            assert not (got["kconj", i, j] == "+" and got["kconj", j, i] == "unknown"), (i, j)
     _verdict(5, "hierarchy", "%d seeded ordered pairs, no violations" % (n * n))
 
 

@@ -27,6 +27,7 @@ from cantorconj.bratteli import (
     path_rank,
     serialize_diagram,
     tower_map,
+    tower_stacks,
     validate,
     vershik_predecessor,
     vershik_successor,
@@ -193,6 +194,26 @@ def test_tower_map_past_the_cell_cap_raises_every_time():
     for _ in range(2):
         with pytest.raises(CapabilityError):
             tower_map(d, 1, top)
+
+
+def test_tower_stacks_count_paths_and_pass_the_cell_cap(rng):
+    # tower v at the fine level stacks each coarse tower u as many times as
+    # there are paths from u to v, and its height is the sum of theirs
+    for d in (dyadic(), fibonacci(), random_explicit(rng, levels=5)):
+        top = d.max_level() or 5
+        for m in range(top + 1):
+            for m_fine in range(m, top + 1):
+                stacks = tower_stacks(d, m, m_fine)
+                comp = composed_incidence(d, m, m_fine)
+                h = heights(d, m)
+                assert [sum(h[u] for u in stack) for stack in stacks] == list(heights(d, m_fine))
+                for v, stack in enumerate(stacks):
+                    assert [stack.count(u) for u in range(len(h))] == list(comp[v])
+    d = dyadic()
+    top = CELL_CAP.bit_length()
+    assert tower_stacks(d, top - 2, top) == ((0, 0, 0, 0),)
+    with pytest.raises(ValueError):
+        tower_stacks(d, 2, 1)
 
 
 # -- paths and the successor ---------------------------------------------------

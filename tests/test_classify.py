@@ -702,6 +702,164 @@ def test_partition_matches_greedy_lift_reference():
     assert outcomes.count(tuple) > 0.9 * len(outcomes)
 
 
+def rescanning_lowest_floors(grp, u, cls_u, x, depth):
+    """The lowest floors of u, found by scanning every cell of the lift
+    level against the projection of u."""
+    d = grp.diagram
+    base = max(u.level, x.level)
+    top = d.max_level()
+    bound = base + depth if top is None else min(base + depth, top)
+    for lvl in range(base, bound + 1):
+        rep = grp.push(x, lvl).vector
+        cap = grp.push(cls_u, lvl).vector
+        if all(0 <= r <= c for r, c in zip(rep, cap)):
+            proj = tower_map(d, u.level, lvl)
+            members = set(u.cells)
+            chosen = []
+            need = list(rep)
+            for c in cells(d, lvl):
+                if need[c[0]] > 0 and proj[c] in members:
+                    chosen.append(c)
+                    need[c[0]] -= 1
+            return ClopenSet(lvl, tuple(chosen))
+    raise SearchExhausted(depth, "level with a coordinatewise representative")
+
+
+def rescanning_refine(d, cs, level):
+    if level == cs.level:
+        return cs
+    proj = tower_map(d, cs.level, level)
+    members = set(cs.cells)
+    return ClopenSet(level, tuple(c for c in cells(d, level) if proj[c] in members))
+
+
+def rescanning_lift_class_under(d, u, x, depth=DEFAULT_DEPTH):
+    """lift_class_under as it was before the per-tower floor lists."""
+    grp = DimGroup(d)
+    cls_u = class_of_clopen(d, u.level, u.cells)
+    pos = grp.is_positive(x, depth)
+    if pos.verdict == ZERO:
+        return ClopenSet(u.level, ())
+    if pos.verdict != POSITIVE:
+        if pos.verdict == UNKNOWN:
+            raise SearchExhausted(depth, "positivity of the class")
+        raise ValueError("class to lift must be positive or zero")
+    rem = grp.is_positive(grp.sub(cls_u, x), depth)
+    if rem.verdict == UNKNOWN:
+        raise SearchExhausted(depth, "room under the given set")
+    if rem.verdict not in (POSITIVE, ZERO):
+        raise ValueError("class exceeds the set it must fit under")
+    return rescanning_lowest_floors(grp, u, cls_u, x, depth)
+
+
+def rescanning_partition_from_classes(d, xs, depth=DEFAULT_DEPTH):
+    """partition_from_classes as it was before the per-tower floor lists:
+    every lift rescans the cells of its level and rebuilds the complement."""
+    grp = DimGroup(d)
+    xs = tuple(xs)
+    verdicts = []
+    for x in xs:
+        v = grp.is_positive(x, depth).verdict
+        if v == UNKNOWN:
+            raise SearchExhausted(depth, "positivity of a prescribed class")
+        if v not in (POSITIVE, ZERO):
+            raise ValueError("classes must be positive or zero")
+        verdicts.append(v)
+    total = xs[0]
+    for x in xs[1:]:
+        total = grp.add(total, x)
+    if grp.equal(total, grp.unit(1), depth).value is not True:
+        raise ValueError("classes must sum to the order unit")
+    last_positive = max(i for i, v in enumerate(verdicts) if v == POSITIVE)
+    level0 = max([x.level for x in xs] + [1])
+    running = ClopenSet(level0, tuple(cells(d, level0)))
+    room = grp.unit(level0)
+    out = []
+    for i, x in enumerate(xs):
+        if verdicts[i] == ZERO:
+            out.append(ClopenSet(running.level, ()))
+            continue
+        if i == last_positive:
+            out.append(running)
+            running = ClopenSet(running.level, ())
+            continue
+        q = rescanning_lowest_floors(grp, running, room, x, depth)
+        out.append(q)
+        room = grp.sub(room, x)
+        refined = rescanning_refine(d, running, q.level)
+        taken = set(q.cells)
+        running = ClopenSet(q.level, tuple(c for c in refined.cells if c not in taken))
+    final = max(b.level for b in out)
+    return tuple(rescanning_refine(d, b, final) for b in out)
+
+
+def _kind(outcome, level):
+    """The error raised, or whether the sets came out finer than level."""
+    if isinstance(outcome, type):
+        return outcome.__name__
+    lifted = outcome[0].level if isinstance(outcome, tuple) else outcome.level
+    return "finer" if lifted > level else "same level"
+
+
+def test_partition_and_lift_match_the_rescanning_references():
+    rng = random.Random(43)
+    systems_ = [odometer(2), odometer(3), FIB, TRI3]
+    systems_ += [random_explicit(rng, levels=6) for _ in range(3)]
+    kinds = {}
+    for d in systems_:
+        grp = DimGroup(d)
+        lists = list(seeded_class_lists(rng, d, 10))
+        if d.kind == "stationary":
+            lists += seeded_signed_class_lists(rng, d, 5)
+        # classes off the unit, and a negative class
+        lists.append(lists[0][:-1] + (grp.add(lists[0][-1], lists[0][-1]),))
+        lists.append((grp.scale(-1, grp.unit(1)), grp.scale(2, grp.unit(1))))
+        u1 = grp.unit(1)
+        for xs in lists:
+            for depth in (0, 1, DEFAULT_DEPTH):
+                got = _outcome(partition_from_classes, d, xs, depth)
+                assert got == _outcome(rescanning_partition_from_classes, d, xs, depth), xs
+                key = "partition " + _kind(got, max(x.level for x in xs + (u1,)))
+                kinds[key] = kinds.get(key, 0) + 1
+        for _ in range(12):
+            lvl = rng.randint(1, 2)
+            under = sorted(rng.sample(cells(d, lvl), rng.randint(1, min(6, len(cells(d, lvl))))))
+            u = ClopenSet(lvl, under)
+            part = under[: rng.randint(0, len(under))]
+            if rng.random() < 0.5:
+                # the same class one level down, so the lift must refine
+                proj = tower_map(d, lvl, lvl + 1)
+                x = class_of_clopen(d, lvl + 1, [c for c in cells(d, lvl + 1) if proj[c] in part])
+            else:
+                x = class_of_clopen(d, lvl, part)
+            if rng.random() < 0.2:
+                x = grp.add(x, grp.unit(1))  # too large for u
+            for depth in (0, DEFAULT_DEPTH):
+                got = _outcome(lift_class_under, d, u, x, depth)
+                assert got == _outcome(rescanning_lift_class_under, d, u, x, depth), (u, x)
+                key = "lift " + _kind(got, lvl)
+                kinds[key] = kinds.get(key, 0) + 1
+    for key in ("partition ValueError", "partition SearchExhausted", "partition finer",
+                "partition same level", "lift ValueError", "lift finer", "lift same level"):
+        assert kinds.get(key, 0) > 0, (key, kinds)
+
+
+def test_conjugator_past_the_cell_cap_replays():
+    # quaternary against dyadic at m = 5 audits 8,192 cells at level 13,
+    # above CELL_CAP: the audit runs per coarse tower
+    from conftest import time_ceiling
+
+    with time_ceiling(30):
+        bundle = conjugate_at_resolution(QUATERNARY, DYADIC, 5)
+        assert sum(heights(DYADIC, bundle.report.level)) > 4096
+        assert bundle.report.verdict == "ok"
+        cert = conjugator_certificate(
+            bundle.corrector, bundle.sigma.target_level, bundle.blocks, bundle.images
+        )
+        check = verify_certificate(json.loads(json.dumps(cert)), (DYADIC,))
+    assert check.ok, check.reason
+
+
 # ---------------------------------------------------------------------------
 # unit lifting across divisor sets
 

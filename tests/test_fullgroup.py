@@ -18,7 +18,7 @@ from cantorconj.fullgroup import (
     cyclic_from_blocks,
     verify_conjugator,
 )
-from cantorconj.systems import dyadic, fibonacci
+from cantorconj.systems import dyadic, fibonacci, stationary_from_rows
 
 DYADIC = dyadic()
 FIB = fibonacci()
@@ -526,9 +526,11 @@ def resolution_bundles():
 
 def tampered(rng, bundle, count):
     """(tables, images) pairs: the bundle's own, perturbed table entries,
-    swapped image blocks and an image block that gained a cell."""
-    tables = bundle.corrector.tables
-    images = bundle.images
+    swapped image blocks, an image block that gained a cell, and jumps."""
+    return tampers(rng, bundle.corrector.tables, bundle.images, count)
+
+
+def tampers(rng, tables, images, count):
     out = [(tables, images)]
     for _ in range(count):
         rows = [list(r) for r in tables]
@@ -541,6 +543,7 @@ def tampered(rng, bundle, count):
         i, j = rng.sample(range(len(swapped)), 2)
         swapped[i], swapped[j] = swapped[j], swapped[i]
         out.append((tables, tuple(swapped)))
+        out.append((jumped(rng, tables), images))
     moved = [list(v) for v in images]
     i, j = rng.sample(range(len(moved)), 2)
     moved[j].append(moved[i].pop())
@@ -548,20 +551,133 @@ def tampered(rng, bundle, count):
     return out
 
 
+def jumped(rng, tables):
+    """tables with one floor sent past the top (or below the bottom) of its
+    tower at the tables' level, by less than one tower height: in a fine
+    tower it lands in the next (or previous) copy of a coarse tower."""
+    rows = [list(r) for r in tables]
+    row = rng.choice(rows)
+    i = rng.randrange(len(row))
+    x = rng.randrange(len(row))
+    row[i] = len(row) - i + x if rng.random() < 0.5 else -(i + 1) - x
+    return tuple(map(tuple, rows))
+
+
+def leaves_its_tower(s):
+    return any(not 1 <= j + r <= len(row) for row in s.tables for j, r in enumerate(row, 1))
+
+
+def refined_partition(d, part, level, fine):
+    proj = tower_map(d, level, fine)
+    return tuple(tuple(c for c in proj if proj[c] in set(u)) for u in part)
+
+
+def synthesized_on(rng, d, m, want):
+    """Conjugators synthesized on random matched partitions of d at level m:
+    (element, blocks, images) triples."""
+    out = []
+    for _ in range(100 * want):
+        if len(out) == want:
+            break
+        made = random_matched_partition(rng, d, m, rng.randint(2, 3))
+        if made is None:
+            continue
+        try:
+            out.append((conjugator_from_partition(d, m, *made),) + made)
+        except ConjugatorError:
+            continue
+    assert len(out) == want
+    return out
+
+
+def assert_matches_reference(s, blocks, images, lookahead, block_level, seen):
+    got = verify_conjugator(s, blocks, images, lookahead, block_level)
+    ref = reference_verify_conjugator(s, blocks, images, lookahead, block_level)
+    assert got == ref, (s.tables, blocks, images, lookahead, block_level)
+    seen.add(_branch(got))
+
+
 def test_verification_matches_dict_reference_on_resolution_conjugators():
     rng = random.Random(31)
     seen = set()
+    escaped = 0
     for bundle in resolution_bundles():
         elem = bundle.corrector
         lvl = bundle.sigma.target_level
         for tables, images in tampered(rng, bundle, 6):
             s = FullGroupElement(elem.diagram, elem.level, tables)
+            escaped += leaves_its_tower(s)
             for lookahead in (1, 2):
-                got = verify_conjugator(s, bundle.blocks, images, lookahead, lvl)
-                ref = reference_verify_conjugator(s, bundle.blocks, images, lookahead, lvl)
-                assert got == ref, (tables, images, lookahead)
-                seen.add(_branch(got))
+                assert_matches_reference(s, bundle.blocks, images, lookahead, lvl, seen)
     assert seen == {"ok", "not injective", "covers", "wrong image", "inconclusive"}
+    assert escaped > 50
+
+
+def test_verification_matches_dict_reference_above_the_element_level():
+    # blocks given one level finer than the element: the coarse towers of
+    # the replay are the blocks' towers, each stacking element towers
+    rng = random.Random(32)
+    seen = set()
+    for bundle in resolution_bundles()[:8]:
+        elem = bundle.corrector
+        d, fine = elem.diagram, elem.level + 1
+        blocks = refined_partition(d, bundle.blocks, bundle.sigma.target_level, fine)
+        for tables, images in tampers(rng, elem.tables, bundle.images, 3):
+            images = refined_partition(d, images, bundle.sigma.target_level, fine)
+            s = FullGroupElement(d, elem.level, tables)
+            for lookahead in (1, 2, 3):
+                assert_matches_reference(s, blocks, images, lookahead, fine, seen)
+    assert {"ok", "not injective", "wrong image"} <= seen
+
+
+def test_verification_matches_dict_reference_on_multi_tower_conjugators():
+    rng = random.Random(33)
+    tri3 = stationary_from_rows(((0, 1), (1, 2), (0, 0, 1, 1, 2, 2)))
+    seen = set()
+    for d, m in ((FIB, 3), (FIB, 4), (tri3, 2), (tri3, 3)):
+        for elem, blocks, images in synthesized_on(rng, d, m, 3):
+            for tables, imgs in tampers(rng, elem.tables, images, 3):
+                s = FullGroupElement(d, elem.level, tables)
+                for lookahead in (1, 2):
+                    assert_matches_reference(s, blocks, imgs, lookahead, m, seen)
+        # the identity against the rotation of each tower: right on every
+        # floor but the seams where a copy of one tower meets another's
+        h = heights(d, m)
+        identity = FullGroupElement(d, m, tuple((0,) * x for x in h))
+        level_cells = cells(d, m)
+        blocks = tuple((c,) for c in level_cells)
+        images = tuple(((v, j % h[v] + 1),) for v, j in level_cells)
+        for lookahead in (1, 2):
+            assert_matches_reference(identity, blocks, images, lookahead, m, seen)
+            rep = verify_conjugator(identity, blocks, images, lookahead, m)
+            assert _branch(rep) == "wrong image" and rep.checked > 0
+    assert seen == {"ok", "not injective", "covers", "wrong image", "inconclusive"}
+
+
+def test_verification_past_the_cell_cap_matches_the_reference(monkeypatch):
+    # audits whose level lists more than CELL_CAP cells: answered per coarse
+    # tower, and equal to the dict replay run with the cap raised
+    from cantorconj import bratteli
+    from cantorconj.classify import conjugate_at_resolution
+    from cantorconj.systems import odometer
+
+    from conftest import hierarchy_pool
+
+    pool = hierarchy_pool()
+    inputs = [(odometer(2), odometer(6), 2), (odometer(4), odometer(6), 1)]
+    inputs += [(pool[9], pool[2], 1), (pool[10], pool[4], 1)]
+    bundles = []
+    for a, b, m in inputs:
+        bundle = conjugate_at_resolution(a, b, m)
+        assert sum(heights(b, bundle.report.level)) > bratteli.CELL_CAP
+        assert bundle.report.verdict == "ok"
+        bundles.append(bundle)
+    monkeypatch.setattr(bratteli, "CELL_CAP", 2 ** 15)
+    for bundle in bundles:
+        elem = bundle.corrector
+        args = (bundle.blocks, bundle.images, 2, bundle.sigma.target_level)
+        assert verify_conjugator(elem, *args) == reference_verify_conjugator(elem, *args)
+        assert verify_conjugator(elem, *args) == bundle.report
 
 
 def test_verification_fails_malformed_blocks_like_the_reference():

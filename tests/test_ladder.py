@@ -501,8 +501,8 @@ def test_distinct_quadratic_fields_end_unknown():
         assert time.perf_counter() - start < 5
         assert res.verdict == "unknown" and res.ladder is None
         assert res.note == (
-            "no ladder with span <= 12 from base levels <= 3 "
-            "(0 nodes; spectral test skipped 66 of 66 period pairs)"
+            "no ladder with span <= 12 from base levels <= 3 in either order "
+            "(0 nodes; spectral test skipped 132 of 132 period pairs)"
         )
 
 
@@ -518,22 +518,54 @@ def test_exhausted_budget_is_named_in_the_note(monkeypatch):
 
 
 def test_window_without_ladder_names_the_nodes_spent():
+    # the note counts the search in both orders
     res = decide_k_conjugacy(dyadic(), quaternary(), max_span=2, max_base=1)
     assert res.verdict == "unknown"
     assert res.note == (
-        "no ladder with span <= 2 from base levels <= 1 "
-        "(0 nodes; spectral test skipped 1 of 1 period pairs)"
+        "no ladder with span <= 2 from base levels <= 1 in either order "
+        "(0 nodes; spectral test skipped 2 of 2 period pairs)"
     )
     # transposed incidences, one characteristic polynomial t^2 - t - 3: the
-    # period pairs with ga = gb pass the test and are searched in vain
+    # period pairs with ga = gb pass the test and are searched in vain,
+    # since each order's ladder starts above base level 1
     a = stationary_from_rows(rows_of(((0, 3), (1, 1))))
     b = stationary_from_rows(rows_of(((0, 1), (3, 1))))
+    for x, y in ((a, b), (b, a)):
+        res = decide_k_conjugacy(x, y, max_base=1)
+        assert res.verdict == "unknown"
+        assert res.note == (
+            "no ladder with span <= 12 from base levels <= 1 in either order "
+            "(12 nodes; spectral test skipped 120 of 132 period pairs)"
+        )
+
+
+def test_ladder_found_in_one_order_answers_both():
+    # b against a has a ladder from base levels (1, 2); a against b would
+    # need base level 5 on b's side, past max_base, and is answered by the
+    # search from b read backwards
+    a = stationary_from_rows(rows_of(((0, 3), (1, 1))))
+    b = stationary_from_rows(rows_of(((0, 1), (3, 1))))
+    direct = decide_k_conjugacy(b, a)
+    assert (direct.ladder.a_levels, direct.ladder.b_levels) == ((1, 5, 9), (2, 6))
     res = decide_k_conjugacy(a, b)
-    assert res.verdict == "unknown"
-    assert res.note == (
-        "no ladder with span <= 12 from base levels <= 3 "
-        "(54 nodes; spectral test skipped 60 of 66 period pairs)"
+    assert res.verdict == "k-conjugate"
+    assert res.ladder == IntertwiningLadder(
+        (2, 6, 10), (5, 9), direct.ladder.backwards, direct.ladder.forwards
     )
+    assert verify_ladder(res.ladder, a, b).ok
+    # the split pair of the old asymmetry: k-conjugate with ladder
+    # (1, 7, 13)/(3, 9) in one order, so in the other as well
+    big = stationary_from_rows(rows_of(((0, 0, 1), (0, 0, 1), (2, 2, 1))))
+    small = stationary_from_rows(rows_of(((0, 2), (2, 1))))
+    forward = decide_k_conjugacy(big, small)
+    assert (forward.ladder.a_levels, forward.ladder.b_levels) == ((1, 7, 13), (3, 9))
+    res = decide_k_conjugacy(small, big)
+    assert res.verdict == "k-conjugate"
+    assert (res.ladder.a_levels, res.ladder.b_levels) == ((3, 9, 15), (7, 13))
+    assert (res.ladder.forwards, res.ladder.backwards) == (
+        forward.ladder.backwards, forward.ladder.forwards
+    )
+    assert verify_ladder(res.ladder, small, big).ok
 
 
 # ---------------------------------------------------------------------------
@@ -609,5 +641,5 @@ def test_pruned_search_matches_the_unpruned_one(monkeypatch):
         )
         assert got_cert == want_cert, label
         positive += 1
-    # the last split pair, 2x2 first, has no ladder from base levels <= 3
-    assert positive == 73 + 66 + 5 + 72
+    # every split pair has a ladder in one order or the other
+    assert positive == 73 + 66 + 6 + 72
