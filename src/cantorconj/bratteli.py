@@ -485,10 +485,6 @@ def cells(d: OrderedBratteliDiagram, m: int) -> list[Cell]:
     return [(v, k) for v in range(len(h)) for k in range(1, h[v] + 1)]
 
 
-def cell_for_path(d: OrderedBratteliDiagram, path: Path) -> Cell:
-    return (path_end(path), path_rank(d, path) + 1)
-
-
 def tower_map(d: OrderedBratteliDiagram, m: int, m_fine: int) -> dict:
     """Dict sending each level-m_fine cell to the level-m cell its paths
     refine, built once per level pair and shared: callers must not mutate it.

@@ -33,10 +33,9 @@ layer binds every witness to content digests of the input presentations.
 
 The second half of the module implements the lifting lemmas the deciders
 rest on: realizing a positive class as a clopen subset of a given clopen
-set, splitting the space along a list of classes, matching partitions
-across two systems, lifting units across divisor sets with a Bezout
-correction, and finally assembling an approximate conjugacy at a fixed
-resolution out of all of the above plus a full-group corrector.
+set, splitting the space along a list of classes, and finally assembling
+an approximate conjugacy at a fixed resolution out of a unit-preserving
+morphism, such a splitting of the target and a full-group corrector.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bratteli import (
+    CapabilityError,
     DgElement,
     OrderedBratteliDiagram,
     capped_heights,
@@ -895,6 +895,19 @@ def _lowest_floors(grp, level: int, floors, cls_u: DgElement, x: DgElement, dept
     raise SearchExhausted(depth, "level with a coordinatewise representative")
 
 
+def _class_signs(grp, xs, depth) -> list:
+    """Each class's verdict, POSITIVE or ZERO; any other sign raises."""
+    verdicts = []
+    for x in xs:
+        v = grp.is_positive(x, depth).verdict
+        if v in (NEGATIVE, NOT_COMPARABLE):
+            raise ValueError("classes must be positive or zero")
+        if v == UNKNOWN:
+            raise SearchExhausted(depth, "positivity of a prescribed class")
+        verdicts.append(v)
+    return verdicts
+
+
 def partition_from_classes(
     d: OrderedBratteliDiagram,
     xs,
@@ -925,14 +938,7 @@ def partition_from_classes(
     xs = tuple(xs)
     if not xs:
         raise ValueError("need at least one class")
-    verdicts = []
-    for x in xs:
-        v = grp.is_positive(x, depth).verdict
-        if v in (NEGATIVE, NOT_COMPARABLE):
-            raise ValueError("classes must be positive or zero")
-        if v == UNKNOWN:
-            raise SearchExhausted(depth, "positivity of a prescribed class")
-        verdicts.append(v)
+    verdicts = _class_signs(grp, xs, depth)
     top = max(x.level for x in xs)
     total = DgElement(top, tuple(map(sum, zip(*(grp.push(x, top).vector for x in xs)))))
     if grp.equal(total, grp.unit(1), depth).value is not True:
@@ -968,8 +974,8 @@ class PartitionHomeomorphism:
 
     Any two nonempty clopen Cantor sets are homeomorphic, so matched blocks
     of equal K0 class carry a homeomorphism; the object records its action
-    on the partition algebra.  Non-invertible outputs (some block matched
-    to the empty set) model point-evaluation homomorphisms and are flagged.
+    on the partition algebra.  invertible says no block is empty; the
+    resolution pipeline fails instead of returning a matching that is not.
     """
 
     source_level: int
@@ -977,115 +983,6 @@ class PartitionHomeomorphism:
     source_blocks: tuple
     target_blocks: tuple
     invertible: bool
-
-
-def partition_homeomorphism_from_hom(
-    dgA: OrderedBratteliDiagram,
-    classes,
-    dgB: OrderedBratteliDiagram,
-    images,
-    depth: int = DEFAULT_DEPTH,
-) -> PartitionHomeomorphism:
-    """Realize matched partitions from a list of classes and their images."""
-    classes, images = tuple(classes), tuple(images)
-    if len(classes) != len(images):
-        raise ValueError("need exactly one image per class")
-    source = partition_from_classes(dgA, classes, depth)
-    target = partition_from_classes(dgB, images, depth)
-    # partition_from_classes gives each zero class an empty block and each
-    # positive class a nonempty one, and admits no other verdict
-    invertible = all(b.cells for b in source + target)
-    return PartitionHomeomorphism(
-        source[0].level, target[0].level, source, target, invertible
-    )
-
-
-# ---------------------------------------------------------------------------
-# unit lifting across divisor sets
-
-
-@dataclass(frozen=True)
-class BezoutLift:
-    """Images of a free basis under a unit-preserving lift.
-
-    columns[i] is the image of the i-th basis vector, presented at `level`;
-    the weighted sum over the source unit's entries lands exactly on the
-    target unit.  coefficients are the Bezout weights over the reduced unit.
-    """
-
-    columns: tuple
-    level: int
-    coefficients: tuple
-    divisor_level: int
-
-
-def _bezout(ks):
-    g, coeffs = ks[0], [1]
-    for x in ks[1:]:
-        old = g
-        g = math.gcd(g, x)
-        # a*old + b*x = g
-        a, b = _xgcd(old, x)
-        coeffs = [c * a for c in coeffs] + [b]
-    assert g == 1
-    return tuple(coeffs)
-
-
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return x0, y0
-
-
-def bezout_lift(
-    f1,
-    dgB: OrderedBratteliDiagram,
-    images=None,
-    depth: int = DEFAULT_DEPTH,
-):
-    """Lift a free unit (m_1..m_r) to the target unit through its gcd.
-
-    With p = gcd(m_i), the target unit must be divisible by p (witnessed by
-    f0 with p*f0 = unit; failure is the divisor obstruction).  Bezout
-    weights n_i over k_i = m_i/p correct any choice of basis images g_i by
-    the kernel element sum(k_i g_i) - f0, and the corrected images send the
-    source unit exactly to the target unit; the identity is verified.
-    """
-    ms = tuple(int(x) for x in f1)
-    if not ms or any(x < 1 for x in ms):
-        raise ValueError("unit entries must be positive integers")
-    p = math.gcd(*ms)
-    ks = tuple(m // p for m in ms)
-    res = divides_unit(dgB, p, depth)
-    if res.verdict == "no":
-        return Obstruction("divisor", p)
-    if res.verdict == "unknown":
-        raise SearchExhausted(depth, "divisibility of the target unit by %d" % p)
-    grp = DimGroup(dgB)
-    f0 = DgElement(res.level, tuple(h // p for h in heights(dgB, res.level)))
-    ns = _bezout(ks)
-    if images is None:
-        images = tuple(grp.scale(k, f0) for k in ks)
-    else:
-        images = tuple(images)
-        if len(images) != len(ms):
-            raise ValueError("need one image per unit entry")
-    lvl = max([f0.level] + [g.level for g in images])
-    f0 = grp.push(f0, lvl)
-    images = tuple(grp.push(g, lvl) for g in images)
-    f00 = DgElement(lvl, tuple(0 for _ in range(dgB.num_vertices(lvl))))
-    for k, g in zip(ks, images):
-        f00 = grp.add(f00, grp.scale(k, g))
-    f00 = grp.sub(f00, f0)
-    columns = tuple(grp.sub(g, grp.scale(n, f00)) for g, n in zip(images, ns))
-    total = DgElement(lvl, tuple(0 for _ in range(dgB.num_vertices(lvl))))
-    for m, col in zip(ms, columns):
-        total = grp.add(total, grp.scale(m, col))
-    assert grp.equal(total, grp.unit(1), depth).value is True
-    return BezoutLift(columns, lvl, ns, res.level)
 
 
 # ---------------------------------------------------------------------------
@@ -1123,10 +1020,15 @@ def conjugate_at_resolution(
 
     Pipeline, each stage failing with its own label: a unit-preserving
     morphism (divisor obstructions surface here); a partition matching
-    realizing the transported classes as clopen sets; the successor map on
-    level-m cells pushed through the matching, with roofs paired to bases
-    of equal class; and a full-group corrector synthesized and verified on
-    the transported data.
+    realizing the transported classes as clopen sets of dB; the successor
+    map on level-m cells pushed through the matching, with roofs paired to
+    bases of equal class; and a full-group corrector synthesized and
+    verified on the transported data.
+
+    Only dB's side is realized as clopen sets: dA's blocks are its level-m
+    cells (sigma.source_level is m), which splitting dA along their classes
+    would give back.  A zero cell class, or one of undecided sign (only a
+    non-primitive dA has either), fails the partition stage.
     """
     try:
         t = build_k0_morphism(dA, m, dB, 1, depth)
@@ -1136,18 +1038,22 @@ def conjugate_at_resolution(
         raise StageError("morphism", t)
     acells = cells(dA, m)
     grpb = DimGroup(dB)
-    classes = tuple(class_of_clopen(dA, m, (c,)) for c in acells)
     images = tuple(
         grpb.element(t.target_level, tuple(row[c[0]] for row in t.matrix))
         for c in acells
     )
+    # one sign per tower: its cells share their class
+    bottoms = [class_of_clopen(dA, m, ((w, 1),)) for w in range(dA.num_vertices(m))]
     try:
-        sigma = partition_homeomorphism_from_hom(dA, classes, dB, images, depth)
+        signs = _class_signs(DimGroup(dA), bottoms, depth)
+        target = partition_from_classes(dB, images, depth)
     except (ValueError, SearchExhausted) as e:
         raise StageError("partition", message=str(e))
-    if not sigma.invertible:
+    if ZERO in signs or not all(b.cells for b in target):
         raise StageError("partition", message="a cell transported to the zero class")
-    blocks = tuple(b.cells for b in sigma.target_blocks)
+    source = tuple(ClopenSet(m, (c,)) for c in acells)
+    sigma = PartitionHomeomorphism(m, target[0].level, source, target, True)
+    blocks = tuple(b.cells for b in target)
     hA = heights(dA, m)
     index = {c: i for i, c in enumerate(acells)}
     perm = [None] * len(acells)
@@ -1312,7 +1218,8 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
     """Re-verify a certificate against the actual systems it claims to bind.
 
     The systems' digests must match in order, and the witness must pass the
-    named independent check; any malformation is a rejection, not an error.
+    named independent check; any malformation is a rejection, not an error,
+    while a fault inside a check (an AssertionError, say) propagates.
     Witness payloads are pinned down to the byte: schedules must equal their
     canonical recomputation and free parameters are fixed constants, so any
     tampering fails even when the mutated payload would still be true.  Weak
@@ -1410,5 +1317,7 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
                 return CertificateCheck(False, "conjugator fails verification: %s" % rep.verdict)
             return CertificateCheck(True)
         return CertificateCheck(False, "unknown claim %r" % claim)
-    except Exception as e:  # malformed certificates are rejections, not crashes
+    # what a malformed payload raises (OverflowError: int() of an infinite
+    # float); a fault inside a check propagates
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, CapabilityError) as e:
         return CertificateCheck(False, "malformed certificate: %s" % e)

@@ -65,9 +65,6 @@ class _Parser(argparse.ArgumentParser):
 def _common_flags(sub):
     sub.add_argument("--depth", type=int, default=40, help="search depth bound")
     sub.add_argument("--primes", type=int, default=97, help="prime cutoff")
-    sub.add_argument(
-        "--max-level", dest="max_level", type=int, default=None, help="level cap"
-    )
     sub.add_argument("--format", choices=("table", "json"), default="table")
     sub.add_argument("--out", default=None, help="write the report to a file")
 
@@ -368,7 +365,7 @@ def run(argv=None) -> int:
         print("input error: %s" % e, file=sys.stderr)
         return 1
     bounds = {}
-    for key in ("depth", "primes", "span", "base", "max_level"):
+    for key in ("depth", "primes", "span", "base"):
         if getattr(args, key, None) is not None:
             bounds[key] = getattr(args, key)
     report = {"command": args.command, "bounds": bounds}

@@ -182,15 +182,14 @@ def cyclic_from_blocks(b: BlockBijection) -> tuple:
     sigma with sigma[i-1] the image of i.
 
     Start from the order-respecting assignment inside each block, then merge
-    cycles: as long as the element 1 does not exhaust its cycle C, some block
-    straddles C (otherwise the blocks inside C would violate the condition),
-    and swapping the images of the earliest straddling pair splices two
-    cycles into one.  Deterministic: blocks are scanned in index order and
-    the smallest straddling elements are used.
+    cycles: as long as the element 1 does not exhaust its cycle C, swapping
+    the images of the earliest pair a block splits between C and the rest
+    splices two cycles into one.  Deterministic: blocks are scanned in index
+    order and the smallest straddling elements are used.  The merging
+    stalls, with no block straddling C, exactly when the block condition
+    fails: C is then a preserved union of blocks, and a preserved union
+    confines every splice.  The violation raised is check_block_condition's.
     """
-    cond = check_block_condition(b)
-    if not cond.ok:
-        raise BlockConditionViolation(cond.violation)
     n = b.size
     sigma = [0] * (n + 1)
     for u, v in zip(b.blocks, b.images):
@@ -209,7 +208,7 @@ def cyclic_from_blocks(b: BlockBijection) -> tuple:
                 j = next(x for x in u if x not in cyc)
                 break
         else:
-            raise AssertionError("no straddling block despite the condition holding")
+            raise BlockConditionViolation(check_block_condition(b).violation)
         # the splice merges the cycle D through j into C, so the cycle of 1
         # becomes C | D and strictly grows
         x = j

@@ -14,7 +14,6 @@ from cantorconj.bratteli import (
     DiagramSyntaxError,
     LevelRangeError,
     OrderedBratteliDiagram,
-    cell_for_path,
     cells,
     class_of_clopen,
     composed_incidence,
@@ -23,6 +22,7 @@ from cantorconj.bratteli import (
     max_path,
     min_path,
     parse_diagram,
+    path_end,
     path_for_floor,
     path_rank,
     serialize_diagram,
@@ -379,8 +379,9 @@ def test_tower_map_matches_path_unranking():
                 proj = tower_map(d, m, m_fine)
                 assert list(proj) == cells(d, m_fine)
                 for p in paths.values():
-                    if p[:m] not in ranked:
-                        ranked[p[:m]] = cell_for_path(d, p[:m]) if m else (0, 1)
+                    q = p[:m]
+                    if q not in ranked:
+                        ranked[q] = (path_end(q), path_rank(d, q) + 1) if m else (0, 1)
                 assert proj == {c: ranked[p[:m]] for c, p in paths.items()}
             m_fine += 1
         if m_fine <= 12:

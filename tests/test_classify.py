@@ -1,5 +1,6 @@
 """Decision procedures for the conjugacy hierarchy and their certificates."""
 
+import collections
 import copy
 import hashlib
 import itertools
@@ -23,9 +24,9 @@ from cantorconj.classify import (
     IntertwiningLadder,
     K0Morphism,
     Obstruction,
+    PartitionHomeomorphism,
     SearchExhausted,
     StageError,
-    bezout_lift,
     build_k0_morphism,
     conjugate_at_resolution,
     conjugator_certificate,
@@ -37,7 +38,6 @@ from cantorconj.classify import (
     ladder_certificate,
     lift_class_under,
     partition_from_classes,
-    partition_homeomorphism_from_hom,
     represent,
     tau_certificate,
     verify_certificate,
@@ -548,34 +548,33 @@ def test_partition_classes_match():
 
 
 def test_partition_homeo_identity():
-    grp = DimGroup(DYADIC)
-    g = (grp.element(1, (1,)), grp.element(1, (1,)))
-    ph = partition_homeomorphism_from_hom(DYADIC, g, DYADIC, g)
-    assert ph.invertible
-    assert len(ph.source_blocks) == len(ph.target_blocks) == 2
+    # the identity morphism matches each level-m cell with itself
+    for d in (DYADIC, TRIADIC):
+        sigma = conjugate_at_resolution(d, d, 2).sigma
+        assert sigma.invertible and sigma.source_level == sigma.target_level == 2
+        assert sigma.target_blocks == sigma.source_blocks
+        assert [b.cells for b in sigma.source_blocks] == [(c,) for c in cells(d, 2)]
 
 
 def test_partition_homeo_from_morphism():
     t = build_k0_morphism(DYADIC, 1, QUATERNARY, 1)
-    grpa, grpb = DimGroup(DYADIC), DimGroup(QUATERNARY)
-    g = tuple(grpa.element(1, (1,)) for _ in range(2))
-    images = tuple(
-        grpb.element(t.target_level, mat_apply(t.matrix, (1,))) for _ in range(2)
-    )
-    ph = partition_homeomorphism_from_hom(DYADIC, g, QUATERNARY, images)
-    assert ph.invertible
-    for block, img in zip(ph.target_blocks, images):
-        got = class_of_clopen(QUATERNARY, ph.target_level, block.cells)
+    grpb = DimGroup(QUATERNARY)
+    sigma = conjugate_at_resolution(DYADIC, QUATERNARY, 1).sigma
+    assert sigma.invertible
+    assert sigma.source_blocks == (ClopenSet(1, ((0, 1),)), ClopenSet(1, ((0, 2),)))
+    for block in sigma.target_blocks:
+        got = class_of_clopen(QUATERNARY, sigma.target_level, block.cells)
+        img = grpb.element(t.target_level, mat_apply(t.matrix, (1,)))
         assert grpb.equal(got, img).value is True
 
 
 def test_partition_homeo_degenerate():
-    grpa, grpb = DimGroup(DYADIC), DimGroup(QUATERNARY)
-    g = (grpa.element(1, (2,)), grpa.element(1, (0,)))
+    # an image in the zero class gets an empty target block
+    grpb = DimGroup(QUATERNARY)
     images = (grpb.element(1, (4,)), grpb.element(1, (0,)))
-    ph = partition_homeomorphism_from_hom(DYADIC, g, QUATERNARY, images)
-    assert not ph.invertible
-    assert ph.target_blocks[1].cells == ()
+    target = partition_from_classes(QUATERNARY, images)
+    assert target[0].cells == tuple(cells(QUATERNARY, 1))
+    assert target[1].cells == ()
 
 
 def greedy_partition_reference(d, xs, depth=40):
@@ -861,49 +860,6 @@ def test_conjugator_past_the_cell_cap_replays():
 
 
 # ---------------------------------------------------------------------------
-# unit lifting across divisor sets
-
-
-def test_bezout_single_generator():
-    grp = DimGroup(DYADIC)
-    res = bezout_lift((2,), DYADIC)
-    col = res.columns[0]
-    assert grp.equal(grp.scale(2, col), grp.unit(1)).value is True
-
-
-def test_bezout_coefficients_pinned():
-    res = bezout_lift((2, 4), DYADIC)
-    assert res.coefficients == (1, 0)
-    grp = DimGroup(DYADIC)
-    total = grp.element(res.level, (0,) * DYADIC.num_vertices(res.level))
-    for m, col in zip((2, 4), res.columns):
-        total = grp.add(total, grp.scale(m, col))
-    assert grp.equal(total, grp.unit(1)).value is True
-
-
-def test_bezout_trivial_gcd():
-    grp = DimGroup(DYADIC)
-    res = bezout_lift((1,), DYADIC)
-    assert grp.equal(res.columns[0], grp.unit(1)).value is True
-
-
-def test_bezout_obstruction():
-    res = bezout_lift((3,), DYADIC)
-    assert isinstance(res, Obstruction)
-    assert res.witness == 3
-
-
-def test_bezout_with_supplied_images():
-    grp = DimGroup(DYADIC)
-    gs = (grp.element(1, (1,)), grp.element(2, (1,)))
-    res = bezout_lift((2, 4), DYADIC, images=gs)
-    total = grp.element(res.level, (0,) * DYADIC.num_vertices(res.level))
-    for m, col in zip((2, 4), res.columns):
-        total = grp.add(total, grp.scale(m, col))
-    assert grp.equal(total, grp.unit(1)).value is True
-
-
-# ---------------------------------------------------------------------------
 # conjugation at a resolution
 
 
@@ -943,6 +899,76 @@ def test_conjugate_unresolved_divisibility_is_a_morphism_stage_error():
     assert e.value.stage == "morphism"
     assert e.value.obstruction is None
     assert "divisibility of the target unit by 2" in str(e.value)
+
+
+def two_partition_stage_reference(dA, dB, m, depth=DEFAULT_DEPTH):
+    """The morphism and partition stages built with both sides split along
+    classes: dA along its cells' classes, dB along their images.  Returns
+    the matching, or raises the StageError those stages raise."""
+    try:
+        t = build_k0_morphism(dA, m, dB, 1, depth)
+    except SearchExhausted as e:
+        raise StageError("morphism", message=str(e))
+    if isinstance(t, Obstruction):
+        raise StageError("morphism", t)
+    acells = cells(dA, m)
+    grpb = DimGroup(dB)
+    classes = tuple(class_of_clopen(dA, m, (c,)) for c in acells)
+    images = tuple(
+        grpb.element(t.target_level, tuple(row[c[0]] for row in t.matrix))
+        for c in acells
+    )
+    try:
+        source = partition_from_classes(dA, classes, depth)
+        target = partition_from_classes(dB, images, depth)
+    except (ValueError, SearchExhausted) as e:
+        raise StageError("partition", message=str(e))
+    if not all(b.cells for b in source + target):
+        raise StageError("partition", message="a cell transported to the zero class")
+    return PartitionHomeomorphism(source[0].level, target[0].level, source, target, True)
+
+
+def resolution_grid():
+    """Every 2x2 incidence with entries <= 2 that builds (primitive or not),
+    odometers 2, 3, 4 and 6, and two multi-vertex systems: 70 systems."""
+    out = []
+    for entries in itertools.product(range(3), repeat=4):
+        try:
+            out.append(stationary_from_rows(rows_of((entries[:2], entries[2:]))))
+        except ValueError:  # a vertex with no incoming edge
+            pass
+    out += [odometer(q) for q in (2, 3, 4, 6)]
+    out += [FIB, stationary_from_rows(((0, 1), (0, 1, 1)))]
+    return out
+
+
+def test_one_partition_stage_matches_the_two_partition_reference():
+    def outcome(run):
+        try:
+            return run()
+        except (StageError, CapabilityError) as e:
+            return (type(e).__name__, getattr(e, "stage", None), str(e))
+
+    grid = resolution_grid()
+    assert len(grid) == 70
+    failures = collections.Counter()
+    for a, b in itertools.product(grid, repeat=2):
+        for m in (1, 2):
+            want = outcome(lambda: two_partition_stage_reference(a, b, m))
+            got = outcome(lambda: conjugate_at_resolution(a, b, m).sigma)
+            if isinstance(want, PartitionHomeomorphism) and isinstance(got, tuple):
+                # a later stage failed; those stages read only dB's side
+                assert got[1] not in ("morphism", "partition"), (a, b, m, got)
+                continue
+            assert got == want, (a, b, m)
+            if isinstance(got, tuple):
+                failures[got] += 1
+    # non-primitive systems reach both partition-stage failures
+    partition = {msg for _, stage, msg in failures if stage == "partition"}
+    assert partition == {
+        "a cell transported to the zero class",
+        "positivity of a prescribed class exhausted within depth %d" % DEFAULT_DEPTH,
+    }, partition
 
 
 # ---------------------------------------------------------------------------
@@ -1100,6 +1126,28 @@ def test_tau_replay_accepts_every_form_and_rejects_a_changed_witness():
             for given in _as_given(bad):
                 check = verify_certificate(given, (a, b))
                 assert check.reason == "witness differs from recomputation", pos
+
+
+def test_verify_certificate_rejects_malformed_payloads_and_propagates_faults(monkeypatch):
+    from cantorconj import classify
+
+    bundle = conjugate_at_resolution(DYADIC, QUATERNARY, 2)
+    cert = conjugator_certificate(
+        bundle.corrector, bundle.sigma.target_level, bundle.blocks, bundle.images
+    )
+    for key in ("lookahead", "block_level"):
+        # json.loads reads Infinity and 1e999 as float("inf")
+        bad = json.loads(json.dumps(cert))
+        bad["witness"][key] = float("inf")
+        check = verify_certificate(bad, (QUATERNARY,))
+        assert not check.ok and check.reason.startswith("malformed certificate: ")
+
+    def faulty(*args, **kwargs):
+        raise AssertionError("fault inside the replay")
+
+    monkeypatch.setattr(classify, "verify_conjugator", faulty)
+    with pytest.raises(AssertionError, match="fault inside the replay"):
+        verify_certificate(cert, (QUATERNARY,))
 
 
 def test_conjugator_replay_rejects_blocks_that_are_not_a_partition():

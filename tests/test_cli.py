@@ -324,5 +324,9 @@ def test_missing_argument_is_usage_error():
     assert run(["heights"]) == 1
 
 
+def test_unknown_option_is_usage_error(corpus):
+    assert run(["heights", corpus["dyadic"], "1", "--max-level", "3"]) == 1
+
+
 def test_missing_file_is_input_error(tmp_path):
     assert run(["heights", str(tmp_path / "nope.obd"), "1"]) == 1

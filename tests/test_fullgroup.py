@@ -296,10 +296,15 @@ def test_cyclic_raises_with_witness():
 
 def test_cyclic_valid_on_random_instances():
     rng = random.Random(7)
-    produced = 0
-    while produced < 80:
+    produced = violated = 0
+    while min(produced, violated) < 80:
         b = random_block_bijection(rng, rng.randint(1, 7))
-        if not check_block_condition(b).ok:
+        cond = check_block_condition(b)
+        if not cond.ok:
+            with pytest.raises(BlockConditionViolation) as e:
+                cyclic_from_blocks(b)
+            assert e.value.violation == cond.violation
+            violated += 1
             continue
         sigma = cyclic_from_blocks(b)
         assert is_single_cycle(sigma) and respects(sigma, b)
