@@ -3,8 +3,10 @@
 Layers, bottom up: diagrams and their Vershik combinatorics (bratteli),
 the dimension group with exact spectral data (dimgroup), computable
 conjugacy invariants (invariants), topological full group elements and
-conjugator synthesis (fullgroup), the equivalence deciders and certificate
-constructions (classify), and a command line front end (cli).
+conjugator synthesis (fullgroup), witnesses and their replay, with the
+unit-preserving morphisms a weak witness is made of (check), the
+equivalence deciders and the resolution pipeline (classify), and a command
+line front end (cli).
 """
 
 from .bratteli import (
@@ -75,35 +77,37 @@ from .fullgroup import (
     cyclic_from_blocks,
     verify_conjugator,
 )
-from .classify import (
+from .check import (
     CertificateCheck,
-    ClopenSet,
     IntertwiningLadder,
     K0Morphism,
-    KConjResult,
     LadderReport,
     Obstruction,
+    SearchExhausted,
+    build_k0_morphism,
+    diagram_digest,
+    frobenius,
+    represent,
+    verify_certificate,
+    verify_ladder,
+)
+from .classify import (
+    ClopenSet,
+    KConjResult,
     PartitionHomeomorphism,
     ResolutionBundle,
-    SearchExhausted,
     StageError,
     TauResult,
     WeakResult,
-    build_k0_morphism,
     conjugate_at_resolution,
     conjugator_certificate,
     decide_k_conjugacy,
     decide_tau,
     decide_weak,
-    diagram_digest,
-    frobenius,
     ladder_certificate,
     lift_class_under,
     partition_from_classes,
-    represent,
     tau_certificate,
-    verify_certificate,
-    verify_ladder,
     weak_certificate,
 )
 from . import systems

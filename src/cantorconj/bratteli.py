@@ -464,13 +464,26 @@ def capped_heights(d: OrderedBratteliDiagram, m: int) -> tuple[int, ...]:
     """heights(d, m) for a level whose cells are about to be enumerated;
     CapabilityError when they number more than CELL_CAP."""
     h = heights(d, m)
-    total = sum(h)
-    if total > CELL_CAP:
+    if sum(h) > CELL_CAP:
         raise CapabilityError(
-            "level %d has %d cells, above the supported cap of %d"
-            % (m, total, CELL_CAP)
+            "level %d has more than CELL_CAP = %d cells" % (m, CELL_CAP)
         )
     return h
+
+
+def first_level_over_cap(d: OrderedBratteliDiagram, m: int) -> int | None:
+    """The first level below m with more than CELL_CAP cells, or None.
+
+    The heights are walked up from the root and not kept, so no level past
+    that one is computed, and a diagram whose cells never pass the cap
+    costs what heights(d, m) costs from the root.
+    """
+    h = (1,)
+    for n in range(m):
+        if sum(h) > CELL_CAP:
+            return n
+        h = tuple(sum(h[s] for s in row) for row in d.table(n))
+    return None
 
 
 def cells(d: OrderedBratteliDiagram, m: int) -> list[Cell]:

@@ -1,0 +1,587 @@
+"""Certificates: the witnesses of the conjugacy hierarchy and their replay.
+
+A certificate binds a witness to content digests of the input
+presentations, and verify_certificate replays it from the invariants the
+claim rests on, never by re-running a decider: a ladder square by square
+(verify_ladder), weak schedules by unit preservation, equal spectra and
+their canonical recomputation (build_k0_morphism, whose output a weak
+witness is, so it lives here with the semigroup arithmetic it reads), tau
+by equal spectra and isomorphic trace images, and a conjugator by
+fullgroup.verify_conjugator.
+
+This module imports no decider (classify), no front end (cli) and not
+sympy; the invariants it calls still import sympy lazily, inside the
+functions that factor, so a replay that reaches them loads it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import heapq
+import math
+from dataclasses import dataclass
+from typing import Optional
+
+from .bratteli import (
+    CELL_CAP,
+    CapabilityError,
+    OrderedBratteliDiagram,
+    cells,
+    composed_incidence,
+    derived,
+    first_level_over_cap,
+    heights,
+    serialize_diagram,
+)
+from .fieldpoly import _mat_apply, _mat_mul
+from .fullgroup import FullGroupElement, _validate_partition, verify_conjugator
+from .invariants import (
+    DEFAULT_DEPTH,
+    divides_unit,
+    spectra_equal,
+    trace_image_group,
+    trace_images_isomorphic,
+)
+
+# Conjugator certificates always audit at this lookahead; the verifier
+# rejects any other value, so the witness bytes stay fully pinned.
+AUDIT_LOOKAHEAD = 2
+
+# Morphisms per direction in a weak witness, from source levels 1.. on;
+# the verifier rejects schedules of any other length.
+WEAK_ROUNDS = 2
+
+
+class SearchExhausted(RuntimeError):
+    """A bounded search ran out of room without reaching a verdict."""
+
+    def __init__(self, depth, what="search"):
+        self.depth = depth
+        super().__init__("%s exhausted within depth %s" % (what, depth))
+
+
+@dataclass(frozen=True)
+class Obstruction:
+    """Sound reason a positive verdict is impossible.
+
+    kind "divisor": witness is an integer absent from the target divisor
+    set.  kind "spectra": witness is the minimal distinguishing prime
+    power.  kind "rank": witness is the pair of rational ranks.  kind
+    "trace": witness is the verifier's reason string.
+    """
+
+    kind: str
+    witness: object
+
+
+# ---------------------------------------------------------------------------
+# numerical semigroups
+
+
+def _least_by_residue(ks):
+    """Least nonnegative combination of ks in each residue class mod min(ks).
+
+    Dijkstra over the residues (Nijenhuis 1979): entry r is the least
+    representable number congruent to r, or None when none is.  A number
+    t is representable exactly when t >= entry t % min(ks), since adding
+    min(ks) to a representation stays in the class.
+    """
+    g = min(ks)
+    least = [None] * g
+    least[0] = 0
+    heap = [(0, 0)]
+    while heap:
+        val, r = heapq.heappop(heap)
+        if val > least[r]:
+            continue
+        for x in ks:
+            nv, nr = val + x, (val + x) % g
+            if least[nr] is None or nv < least[nr]:
+                least[nr] = nv
+                heapq.heappush(heap, (nv, nr))
+    return least
+
+
+def frobenius(k) -> int:
+    """Least N with every integer >= N a nonnegative combination of k.
+
+    The largest gap is the largest least representable number of a residue
+    class modulo min(k) (see _least_by_residue), less min(k); the
+    threshold sits one past it.  Returns at least 1 even when k contains 1 (so callers can rely on the
+    reduced heights being strictly positive).
+    """
+    ks = tuple(int(x) for x in k)
+    if not ks or any(x < 1 for x in ks):
+        raise ValueError("generators must be positive integers")
+    if math.gcd(*ks) != 1:
+        raise ValueError("generators must be coprime, gcd is %d" % math.gcd(*ks))
+    return max(max(_least_by_residue(ks)) - min(ks) + 1, 1)
+
+
+def represent(d: int, k) -> Optional[tuple]:
+    """Lexicographically least nonnegative coefficients with sum c_i k_i = d.
+
+    None when d is not representable.  Builds the residue table of every
+    proper suffix of k (see _least_by_residue) and reads the coefficients
+    off them with _least_row, the routine build_k0_morphism runs on the
+    tables it keeps per level.
+    """
+    ks = tuple(int(x) for x in k)
+    d = int(d)
+    if d < 0 or any(x < 1 for x in ks):
+        return None
+    if not ks:
+        return () if d == 0 else None
+    return _least_row(d, ks, _suffix_tables(ks))
+
+
+def _suffix_tables(ks):
+    """Residue tables of ks[i + 1:] for each i but the last."""
+    return tuple(_least_by_residue(ks[i + 1 :]) for i in range(len(ks) - 1))
+
+
+def _least_row(d, ks, tables):
+    """represent(d, ks) for d >= 0 and nonempty positive ks, given
+    tables = _suffix_tables(ks).
+
+    Greedy: each coordinate takes the least value that leaves the rest
+    representable by the later entries, read off their residue table.
+    Values of a coordinate that differ by the tail's least entry g leave
+    remainders in one residue class, and the smaller value leaves the
+    larger remainder, so at most g values are tried; the last coordinate
+    is one division.  The work does not grow with d.
+    """
+    out = []
+    rem = d
+    for x, least in zip(ks, tables):
+        g = len(least)
+        for c in range(min(g, rem // x + 1)):
+            t = rem - c * x
+            if least[t % g] is not None and least[t % g] <= t:
+                break
+        else:
+            return None
+        out.append(c)
+        rem -= c * x
+    c, left = divmod(rem, ks[-1])
+    if left:
+        return None
+    return tuple(out) + (c,)
+
+
+# ---------------------------------------------------------------------------
+# unit-preserving morphisms
+
+
+def _least_failing_factor(dg, p, depth):
+    """Smallest prime power dividing p that misses the divisor set of dg."""
+    q, rest = 2, p
+    while rest > 1:
+        if rest % q == 0:
+            power = q
+            while rest % q == 0:
+                rest //= q
+                if divides_unit(dg, power, depth).verdict == "no":
+                    return power
+                power *= q
+        q += 1 if q == 2 else 2
+    return p
+
+
+@dataclass(frozen=True)
+class K0Morphism:
+    """Nonnegative integer matrix sending the source unit to the target unit."""
+
+    matrix: tuple
+    source_level: int
+    target_level: int
+
+    def apply(self, vec):
+        return _mat_apply(self.matrix, vec)
+
+    def to_json(self) -> dict:
+        return {
+            "source_level": self.source_level,
+            "target_level": self.target_level,
+            "matrix": [list(row) for row in self.matrix],
+        }
+
+
+def _source_level(d, m):
+    """(heights, p, ks, threshold, tables) of level m as a morphism source:
+    p = gcd of the heights, ks the heights over p, threshold = frobenius(ks)
+    and tables = _suffix_tables(ks); kept per diagram and level."""
+
+    def compute():
+        hs = heights(d, m)
+        p = math.gcd(*hs)
+        ks = tuple(x // p for x in hs)
+        return hs, p, ks, frobenius(ks), _suffix_tables(ks)
+
+    return derived(d, ("k0_source", m), compute)
+
+
+def build_k0_morphism(
+    dgA: OrderedBratteliDiagram,
+    levelA: int,
+    dgB: OrderedBratteliDiagram,
+    levelB: int,
+    depth: int = DEFAULT_DEPTH,
+):
+    """Positive unit-preserving morphism from level levelA of A into B.
+
+    Extracts p = gcd of the source heights; p must divide the target unit
+    (else the divisor obstruction is returned with p as witness).  The
+    target is then pushed deep enough that the reduced heights clear the
+    representability threshold, and each row is the lexicographically least
+    representation; unit preservation holds by construction and is asserted.
+    The source level's gcd, threshold and residue tables are computed once
+    per diagram and level and shared by every call (see _source_level).
+    """
+    hA, p, ks, threshold, tables = _source_level(dgA, levelA)
+    res = divides_unit(dgB, p, depth)
+    if res.verdict == "no":
+        return Obstruction("divisor", _least_failing_factor(dgB, p, depth))
+    if res.verdict == "unknown":
+        raise SearchExhausted(depth, "divisibility of the target unit by %d" % p)
+    start = max(levelB, res.level)
+    top = dgB.max_level()
+    bound = start + depth if top is None else min(start + depth, top)
+    for lb in range(start, bound + 1):
+        hB = heights(dgB, lb)
+        if any(x % p for x in hB):
+            continue
+        ds = tuple(x // p for x in hB)
+        if not all(dd >= threshold for dd in ds):
+            continue
+        rows = tuple(_least_row(dd, ks, tables) for dd in ds)
+        assert all(row is not None for row in rows)
+        t = K0Morphism(rows, levelA, lb)
+        assert t.apply(hA) == hB
+        return t
+    raise SearchExhausted(depth, "target level with reduced heights above %d" % threshold)
+
+
+def weak_schedules(dgA, dgB, depth: int = DEFAULT_DEPTH) -> Optional[tuple]:
+    """(forward, backward): build_k0_morphism from levels 1..WEAK_ROUNDS of
+    A into B, then of B into A, both from level 1 on.  None when a search
+    runs out or a divisor obstruction turns up (equal spectra rule it out).
+    """
+    try:
+        out = tuple(
+            tuple(build_k0_morphism(src, m, dst, 1, depth) for m in range(1, WEAK_ROUNDS + 1))
+            for src, dst in ((dgA, dgB), (dgB, dgA))
+        )
+    except SearchExhausted:
+        return None
+    if any(isinstance(t, Obstruction) for schedule in out for t in schedule):
+        return None
+    return out
+
+
+# ---------------------------------------------------------------------------
+# intertwining ladders
+
+
+@dataclass(frozen=True)
+class IntertwiningLadder:
+    """Alternating unit-preserving matrices whose squares telescope.
+
+    forwards[i] maps level a_levels[i] of the A side to level b_levels[i]
+    of the B side; backwards[i] returns to level a_levels[i+1].  Each
+    backward-after-forward composite equals the A-side connecting matrix,
+    each forward-after-backward composite the B-side one.
+    """
+
+    a_levels: tuple
+    b_levels: tuple
+    forwards: tuple
+    backwards: tuple
+
+    def to_json(self) -> dict:
+        return {
+            "a_levels": list(self.a_levels),
+            "b_levels": list(self.b_levels),
+            "forwards": [[list(row) for row in m] for m in self.forwards],
+            "backwards": [[list(row) for row in m] for m in self.backwards],
+        }
+
+    @staticmethod
+    def from_json(blob: dict) -> "IntertwiningLadder":
+        freeze = lambda m: tuple(tuple(int(x) for x in row) for row in m)
+        return IntertwiningLadder(
+            tuple(int(x) for x in blob["a_levels"]),
+            tuple(int(x) for x in blob["b_levels"]),
+            tuple(freeze(m) for m in blob["forwards"]),
+            tuple(freeze(m) for m in blob["backwards"]),
+        )
+
+
+@dataclass(frozen=True)
+class LadderReport:
+    ok: bool
+    index: Optional[int] = None  # rung position: forward i -> 2i, backward i -> 2i+1
+    reason: Optional[str] = None
+
+
+def verify_ladder(
+    ladder: IntertwiningLadder,
+    dgA: OrderedBratteliDiagram,
+    dgB: OrderedBratteliDiagram,
+) -> LadderReport:
+    """Exact integer recomputation of every square and every unit image."""
+    la, lb = ladder.a_levels, ladder.b_levels
+    fs, bs = ladder.forwards, ladder.backwards
+    if not (len(fs) == len(bs) == len(lb) == len(la) - 1):
+        return LadderReport(False, None, "rung counts do not line up")
+    if any(x > y for x, y in zip(la, la[1:])) or any(
+        x > y for x, y in zip(lb, lb[1:])
+    ):
+        return LadderReport(False, None, "levels must be nondecreasing")
+    for i, h in enumerate(fs):
+        ua, ub = heights(dgA, la[i]), heights(dgB, lb[i])
+        if len(h) != len(ub) or any(len(row) != len(ua) for row in h):
+            return LadderReport(False, 2 * i, "forward rung has the wrong shape")
+        if any(x < 0 for row in h for x in row):
+            return LadderReport(False, 2 * i, "negative entry")
+        if _mat_apply(h, ua) != ub:
+            return LadderReport(False, 2 * i, "unit not preserved")
+    for i, bm in enumerate(bs):
+        ub, ua1 = heights(dgB, lb[i]), heights(dgA, la[i + 1])
+        if len(bm) != len(ua1) or any(len(row) != len(ub) for row in bm):
+            return LadderReport(False, 2 * i + 1, "backward rung has the wrong shape")
+        if any(x < 0 for row in bm for x in row):
+            return LadderReport(False, 2 * i + 1, "negative entry")
+        if _mat_apply(bm, ub) != ua1:
+            return LadderReport(False, 2 * i + 1, "unit not preserved")
+        if _mat_mul(bm, fs[i]) != composed_incidence(dgA, la[i], la[i + 1]):
+            return LadderReport(False, 2 * i + 1, "source-side square does not commute")
+        if i + 1 < len(fs):
+            if _mat_mul(fs[i + 1], bm) != composed_incidence(dgB, lb[i], lb[i + 1]):
+                return LadderReport(
+                    False, 2 * i + 2, "target-side square does not commute"
+                )
+    return LadderReport(True)
+
+
+# ---------------------------------------------------------------------------
+# certificates
+
+
+@dataclass(frozen=True)
+class CertificateCheck:
+    ok: bool
+    reason: str = ""
+
+
+def diagram_digest(d: OrderedBratteliDiagram) -> str:
+    """Content hash of the canonical serialization, kept per diagram."""
+    return derived(
+        d, "digest", lambda: hashlib.sha256(serialize_diagram(d).encode("utf-8")).hexdigest()
+    )
+
+
+_VERIFIER = {
+    "k-conjugate": "verify_ladder",
+    "weak": "unit_preservation",
+    "tau": "invariant_recomputation",
+    "conjugator": "verify_conjugator",
+}
+
+
+def _certificate(claim, systems, witness) -> dict:
+    return {
+        "claim": claim,
+        "systems": [diagram_digest(d) for d in systems],
+        "witness": witness,
+        "verifier": _VERIFIER[claim],
+    }
+
+
+def _weak_witness(forward, backward) -> dict:
+    return {
+        "forward": [t.to_json() for t in forward],
+        "backward": [t.to_json() for t in backward],
+    }
+
+
+def _trace_group_json(g) -> dict:
+    return {
+        "kind": g.kind,
+        "ratio": g.ratio,
+        "denominator": g.denominator,
+        "minpoly": None if g.minpoly is None else list(g.minpoly),
+        "generators": None
+        if g.generators is None
+        else [[str(c) for c in vec] for vec in g.generators],
+        "stabilized": g.stabilized,
+    }
+
+
+def _tau_witness(spectra, dgA, dgB) -> dict:
+    return {
+        "spectra": spectra.certificate,
+        "trace": {
+            "a": _trace_group_json(trace_image_group(dgA)),
+            "b": _trace_group_json(trace_image_group(dgB)),
+        },
+    }
+
+
+def _conjugator_witness(elem: FullGroupElement, block_level: int, blocks, images) -> dict:
+    return {
+        "element": elem.to_json(),
+        "block_level": block_level,
+        "blocks": [[list(c) for c in u] for u in blocks],
+        "images": [[list(c) for c in v] for v in images],
+        "lookahead": AUDIT_LOOKAHEAD,
+    }
+
+
+_JSON_SCALARS = (str, int, float, type(None))
+
+
+def _same_json(ours, given) -> bool:
+    """Does given stand for the same JSON value as ours?
+
+    ours is a recomputed witness: dicts with string keys, lists, strings,
+    numbers, booleans and None.  given may come from json.loads or from a
+    caller in this process, so a tuple stands for a list; a value of any
+    type JSON has no counterpart for is a mismatch.  Scalars compare with
+    ==, as they do after a JSON round trip.
+    """
+    if isinstance(ours, dict):
+        return (
+            isinstance(given, dict)
+            and given.keys() == ours.keys()
+            and all(_same_json(v, given[k]) for k, v in ours.items())
+        )
+    if isinstance(ours, (list, tuple)):
+        return (
+            isinstance(given, (list, tuple))
+            and len(given) == len(ours)
+            and all(map(_same_json, ours, given))
+        )
+    return isinstance(given, _JSON_SCALARS) and given == ours
+
+
+def verify_certificate(cert: dict, systems) -> CertificateCheck:
+    """Re-verify a certificate against the actual systems it claims to bind.
+
+    The systems' digests must match in order, and the witness must pass the
+    named independent check; any malformation is a rejection, not an error,
+    while a fault inside a check (an AssertionError, say) propagates.
+    Witness payloads are pinned down to the byte: schedules must equal their
+    canonical recomputation and free parameters are fixed constants (a weak
+    witness has WEAK_ROUNDS morphisms each way, a conjugator audits at
+    AUDIT_LOOKAHEAD), so any tampering fails even when the mutated payload
+    would still be true.  Weak and tau witnesses are compared with their
+    recomputation as JSON values (see _same_json), whether they were loaded
+    from JSON or built in this process.  A conjugator's levels must lie at
+    or below the first level with more than CELL_CAP cells, and its blocks
+    and images must each partition the cells of its block level, before
+    the conjugator is replayed.
+    """
+    systems = tuple(systems)
+    try:
+        digests = list(cert["systems"])
+        if digests != [diagram_digest(d) for d in systems]:
+            return CertificateCheck(False, "system digests do not match the inputs")
+        claim = cert["claim"]
+        witness = cert["witness"]
+        if cert["verifier"] != _VERIFIER.get(claim):
+            return CertificateCheck(False, "verifier does not match the claim")
+        if claim == "k-conjugate":
+            if len(systems) != 2:
+                return CertificateCheck(False, "claim needs exactly two systems")
+            ladder = IntertwiningLadder.from_json(witness)
+            rep = verify_ladder(ladder, systems[0], systems[1])
+            if not rep.ok:
+                return CertificateCheck(
+                    False, "ladder broken at rung %s: %s" % (rep.index, rep.reason)
+                )
+            return CertificateCheck(True)
+        if claim == "weak":
+            if len(systems) != 2:
+                return CertificateCheck(False, "claim needs exactly two systems")
+            if any(len(witness[key]) != WEAK_ROUNDS for key in ("forward", "backward")):
+                return CertificateCheck(False, "schedules must hold %d morphisms" % WEAK_ROUNDS)
+            for key, src, dst in (
+                ("forward", systems[0], systems[1]),
+                ("backward", systems[1], systems[0]),
+            ):
+                for blob in witness[key]:
+                    mat = tuple(tuple(int(x) for x in row) for row in blob["matrix"])
+                    if any(x < 0 for row in mat for x in row):
+                        return CertificateCheck(False, "negative entry in schedule")
+                    hs = heights(src, int(blob["source_level"]))
+                    ht = heights(dst, int(blob["target_level"]))
+                    if _mat_apply(mat, hs) != ht:
+                        return CertificateCheck(
+                            False, "%s schedule does not preserve the unit" % key
+                        )
+            schedules = None
+            if spectra_equal(*systems).verdict == "equal":
+                schedules = weak_schedules(*systems)
+            if schedules is None:
+                return CertificateCheck(False, "spectra no longer verify as equal")
+            if not _same_json(_weak_witness(*schedules), witness):
+                return CertificateCheck(False, "witness differs from recomputation")
+            return CertificateCheck(True)
+        if claim == "tau":
+            if len(systems) != 2:
+                return CertificateCheck(False, "claim needs exactly two systems")
+            comp = spectra_equal(*systems)
+            if comp.verdict != "equal" or trace_images_isomorphic(
+                *map(trace_image_group, systems)
+            ).value is not True:
+                return CertificateCheck(False, "invariants no longer verify")
+            if not _same_json(_tau_witness(comp, *systems), witness):
+                return CertificateCheck(False, "witness differs from recomputation")
+            return CertificateCheck(True)
+        if claim == "conjugator":
+            if len(systems) != 1:
+                return CertificateCheck(False, "claim needs exactly one system")
+            if int(witness["lookahead"]) != AUDIT_LOOKAHEAD:
+                return CertificateCheck(False, "audit lookahead must be %d" % AUDIT_LOOKAHEAD)
+            blob = witness["element"]
+            block_level = int(witness["block_level"])
+            for level in (int(blob["level"]), block_level):
+                capped = first_level_over_cap(systems[0], level)
+                if capped is not None:
+                    return CertificateCheck(
+                        False,
+                        "level %d lies past level %d, the first with more than "
+                        "CELL_CAP = %d cells" % (level, capped, CELL_CAP),
+                    )
+            towers = sorted(blob["towers"], key=lambda t: t["w"])
+            if [t["w"] for t in towers] != list(range(len(towers))):
+                return CertificateCheck(False, "tower indices must be 0..k-1")
+            elem = FullGroupElement(
+                systems[0],
+                int(blob["level"]),
+                tuple(tuple(int(x) for x in tower["r"]) for tower in towers),
+            )
+            blocks = tuple(tuple(tuple(c) for c in u) for u in witness["blocks"])
+            images = tuple(tuple(tuple(c) for c in v) for v in witness["images"])
+            universe = set(cells(systems[0], block_level))
+            try:
+                _validate_partition(blocks, universe, "block")
+                _validate_partition(images, universe, "image block")
+            except ValueError as e:
+                return CertificateCheck(False, "conjugator witness is not a partition: %s" % e)
+            rep = verify_conjugator(
+                elem,
+                blocks,
+                images,
+                lookahead=AUDIT_LOOKAHEAD,
+                block_level=block_level,
+            )
+            if rep.verdict != "ok":
+                return CertificateCheck(False, "conjugator fails verification: %s" % rep.verdict)
+            return CertificateCheck(True)
+        return CertificateCheck(False, "unknown claim %r" % claim)
+    # what a malformed payload raises (OverflowError: int() of an infinite
+    # float); a fault inside a check propagates
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, CapabilityError) as e:
+        return CertificateCheck(False, "malformed certificate: %s" % e)

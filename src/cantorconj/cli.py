@@ -35,18 +35,16 @@ from .bratteli import (
     validate,
     vershik_successor,
 )
+from .check import frobenius, verify_certificate
 from .classify import (
     StageError,
-    _weak_witness,
     conjugate_at_resolution,
     conjugator_certificate,
     decide_k_conjugacy,
     decide_tau,
     decide_weak,
-    frobenius,
     ladder_certificate,
     tau_certificate,
-    verify_certificate,
     weak_certificate,
 )
 from .dimgroup import DimGroup
@@ -210,8 +208,8 @@ def _cmd_weak(args):
     res = decide_weak(a, b, prime_cutoff=args.primes, depth=args.depth)
     out = {"verdict": res.verdict, "witness": res.witness}
     if res.verdict == "weak":
-        out.update(_weak_witness(res))
         out["certificate"] = weak_certificate(res, a, b)
+        out.update(out["certificate"]["witness"])
     return out
 
 

@@ -30,9 +30,7 @@ from cantorconj.classify import (
     decide_k_conjugacy,
     decide_tau,
     decide_weak,
-    frobenius,
     ladder_certificate,
-    represent,
     SearchExhausted,
     StageError,
     tau_certificate,
@@ -40,6 +38,7 @@ from cantorconj.classify import (
     verify_ladder,
     weak_certificate,
 )
+from cantorconj.check import frobenius, represent
 from cantorconj.cli import run
 from cantorconj.dimgroup import DimGroup, NEGATIVE, POSITIVE, ZERO
 from cantorconj.fullgroup import (

@@ -1,0 +1,155 @@
+"""Certificate replay in cantorconj.check, apart from the deciders."""
+
+import ast
+import copy
+import json
+import pathlib
+
+import pytest
+
+from cantorconj import check
+from cantorconj.bratteli import cells
+from cantorconj.check import WEAK_ROUNDS, build_k0_morphism, verify_certificate
+from cantorconj.classify import (
+    conjugate_at_resolution,
+    conjugator_certificate,
+    decide_k_conjugacy,
+    decide_tau,
+    decide_weak,
+    ladder_certificate,
+    tau_certificate,
+    weak_certificate,
+)
+from cantorconj.fullgroup import conjugator_from_partition
+from cantorconj.systems import dyadic, quaternary, stationary_from_rows
+
+from conftest import power_of, time_ceiling
+
+DYADIC = dyadic()
+QUATERNARY = quaternary()
+B21 = stationary_from_rows(((0, 0, 1), (0, 1, 1)))  # [[2,1],[1,2]]
+PAIRS = ((DYADIC, QUATERNARY), (B21, power_of(B21, 2)))
+
+
+def imported_modules(path):
+    """Every module an import statement of the file names, nested ones too,
+    with each name a `from` import binds."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            out.add(node.module or "")
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_check_imports_no_decider_front_end_or_sympy():
+    names = imported_modules(pathlib.Path(check.__file__))
+    assert "bratteli" in names and "invariants" in names
+    for name in names:
+        parts = set(name.split("."))
+        assert not parts & {"classify", "cli", "sympy"}, name
+
+
+def floor_cycle_certificate(d, level):
+    """A conjugator certificate whose blocks are the floors of level, each
+    sent to the floor above it and the top floor to the bottom one."""
+    cs = cells(d, level)
+    floors = [tuple(c for c in cs if c[1] == j) for j in range(1, max(j for _, j in cs) + 1)]
+    images = floors[1:] + floors[:1]
+    elem = conjugator_from_partition(d, level, floors, images)
+    return conjugator_certificate(elem, level, floors, images)
+
+
+def test_replay_runs_with_every_decider_raising(monkeypatch):
+    certs = []
+    for a, b in PAIRS:
+        certs.append((weak_certificate(decide_weak(a, b), a, b), (a, b)))
+        certs.append((tau_certificate(decide_tau(a, b), a, b), (a, b)))
+        certs.append((ladder_certificate(decide_k_conjugacy(a, b).ladder, a, b), (a, b)))
+    bundle = conjugate_at_resolution(DYADIC, QUATERNARY, 2)
+    certs.append(
+        (
+            conjugator_certificate(
+                bundle.corrector, bundle.sigma.target_level, bundle.blocks, bundle.images
+            ),
+            (QUATERNARY,),
+        )
+    )
+    certs.append((floor_cycle_certificate(B21, 2), (B21,)))
+
+    def decider(*args, **kwargs):
+        raise AssertionError("a replay reached a decider")
+
+    for name in (
+        "decide_weak",
+        "decide_tau",
+        "decide_k_conjugacy",
+        "_ladder_search",
+        "conjugate_at_resolution",
+    ):
+        monkeypatch.setattr("cantorconj.classify." + name, decider)
+    for cert, systems in certs:
+        for given in (cert, json.loads(json.dumps(cert))):
+            result = verify_certificate(given, systems)
+            assert result.ok, (cert["claim"], result.reason)
+
+
+def test_weak_schedules_of_another_length_are_rejected_before_any_work(monkeypatch):
+    for a, b in PAIRS:
+        cert = weak_certificate(decide_weak(a, b), a, b)
+        assert len(cert["witness"]["forward"]) == WEAK_ROUNDS
+        one = copy.deepcopy(cert)
+        del one["witness"]["forward"][1:], one["witness"]["backward"][1:]
+        three = copy.deepcopy(cert)
+        for key, src, dst in (("forward", a, b), ("backward", b, a)):
+            # the next canonical entry: true, unit-preserving, one round more
+            three["witness"][key].append(build_k0_morphism(src, 3, dst, 1).to_json())
+        lopsided = copy.deepcopy(cert)
+        del lopsided["witness"]["backward"][1:]
+        with monkeypatch.context() as patch:
+            for name in ("heights", "spectra_equal", "build_k0_morphism"):
+                patch.setattr("cantorconj.check." + name, None)
+            for bad in (one, three, lopsided):
+                result = verify_certificate(bad, (a, b))
+                assert result.reason == "schedules must hold %d morphisms" % WEAK_ROUNDS
+
+
+@pytest.mark.parametrize("where", ["block_level", "level"])
+def test_conjugator_levels_past_the_cell_cap_are_rejected_at_once(where):
+    bundle = conjugate_at_resolution(DYADIC, QUATERNARY, 2)
+    cert = conjugator_certificate(
+        bundle.corrector, bundle.sigma.target_level, bundle.blocks, bundle.images
+    )
+    q = quaternary()  # fresh: no heights kept from the pipeline
+    for level in (10 ** 6, 20000, 8):
+        bad = json.loads(json.dumps(cert))
+        if where == "level":
+            bad["witness"]["element"]["level"] = level
+        else:
+            bad["witness"]["block_level"] = level
+        with time_ceiling(1):
+            result = verify_certificate(bad, (q,))
+        # quaternary's level 7 is the first with more than 4096 cells
+        assert result.reason == (
+            "level %d lies past level 7, the first with more than CELL_CAP = 4096 cells"
+            % level
+        )
+        assert "heights" not in q._memo
+    bad = json.loads(json.dumps(cert))
+    bad["witness"]["block_level"] = 7
+    assert verify_certificate(bad, (q,)).reason == (
+        "malformed certificate: level 7 has more than CELL_CAP = 4096 cells"
+    )
+
+
+def test_level_bound_walks_a_diagram_that_never_passes_the_cap_once():
+    d = stationary_from_rows(((0,),))  # incidence [1]: one cell at every level
+    blocks = (((0, 1),),)
+    cert = conjugator_certificate(conjugator_from_partition(d, 1, blocks, blocks), 1, blocks, blocks)
+    assert verify_certificate(cert, (d,)).ok
+    cert["witness"]["block_level"] = 10 ** 5
+    with time_ceiling(1):
+        result = verify_certificate(cert, (d,))
+    assert not result.ok

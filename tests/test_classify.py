@@ -33,18 +33,15 @@ from cantorconj.classify import (
     decide_k_conjugacy,
     decide_tau,
     decide_weak,
-    diagram_digest,
-    frobenius,
     ladder_certificate,
     lift_class_under,
     partition_from_classes,
-    represent,
     tau_certificate,
     verify_certificate,
     verify_ladder,
     weak_certificate,
 )
-from cantorconj.classify import _least_failing_factor
+from cantorconj.check import _least_failing_factor, diagram_digest, frobenius, represent
 from cantorconj.dimgroup import POSITIVE, UNKNOWN, ZERO, DimGroup
 from cantorconj.invariants import DEFAULT_DEPTH, divides_unit
 from cantorconj.systems import (
@@ -1129,8 +1126,6 @@ def test_tau_replay_accepts_every_form_and_rejects_a_changed_witness():
 
 
 def test_verify_certificate_rejects_malformed_payloads_and_propagates_faults(monkeypatch):
-    from cantorconj import classify
-
     bundle = conjugate_at_resolution(DYADIC, QUATERNARY, 2)
     cert = conjugator_certificate(
         bundle.corrector, bundle.sigma.target_level, bundle.blocks, bundle.images
@@ -1145,7 +1140,7 @@ def test_verify_certificate_rejects_malformed_payloads_and_propagates_faults(mon
     def faulty(*args, **kwargs):
         raise AssertionError("fault inside the replay")
 
-    monkeypatch.setattr(classify, "verify_conjugator", faulty)
+    monkeypatch.setattr("cantorconj.check.verify_conjugator", faulty)
     with pytest.raises(AssertionError, match="fault inside the replay"):
         verify_certificate(cert, (QUATERNARY,))
 
