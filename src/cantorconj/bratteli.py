@@ -42,6 +42,7 @@ round-trips bit-exactly on canonical input.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -111,7 +112,7 @@ class DgElement:
     vector: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", tuple(int(x) for x in self.vector))
+        object.__setattr__(self, "vector", tuple(map(int, self.vector)))
 
 
 @dataclass(frozen=True)
@@ -154,10 +155,10 @@ class OrderedBratteliDiagram:
     def check_level(self, m: int) -> int:
         if m < 0:
             raise ValueError("negative level")
-        top = self.max_level()
-        if top is not None and m > top:
+        if self.kind != "stationary" and m >= len(self.vertex_counts):
             raise LevelRangeError(
-                "explicit diagram has no level %d (last is %d)" % (m, top)
+                "explicit diagram has no level %d (last is %d)"
+                % (m, len(self.vertex_counts) - 1)
             )
         return m
 
@@ -289,20 +290,32 @@ def derived(d: OrderedBratteliDiagram, key, compute):
     return memo[key]
 
 
+class _KeptHeights(dict):
+    """Heights by level, with the kept levels also listed in increasing
+    order, so the deepest one below a new level is found by bisection."""
+
+    def __init__(self):
+        super().__init__({0: (1,)})
+        self.levels = [0]
+
+
 def heights(d: OrderedBratteliDiagram, m: int) -> tuple[int, ...]:
     """Tower heights at level m; h_0 = (1,), h_{n+1}(v) = sum over v's sources.
 
     Only the levels asked for are kept: a missing level is computed from the
     deepest kept level below it, and the levels in between are not stored.
+    A walk up the levels thus costs one transition per level.
     """
     d.check_level(m)
-    hs = derived(d, "heights", lambda: {0: (1,)})
+    hs = derived(d, "heights", _KeptHeights)
     if m not in hs:
-        start = max(n for n in hs if n < m)
+        i = bisect_left(hs.levels, m)
+        start = hs.levels[i - 1]
         h = hs[start]
         for n in range(start, m):
             h = tuple(sum(h[s] for s in row) for row in d.table(n))
         hs[m] = h
+        hs.levels.insert(i, m)
     return hs[m]
 
 

@@ -40,17 +40,19 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
+from operator import ge
 from typing import Optional
 
 from .bratteli import (
     DgElement,
     OrderedBratteliDiagram,
     capped_heights,
-    cells,
     class_of_clopen,
     composed_incidence,
     derived,
     heights,
+    incidence,
     tower_stacks,
 )
 from .check import (
@@ -68,7 +70,7 @@ from .check import (
     weak_schedules,
 )
 from .dimgroup import DimGroup, NEGATIVE, NOT_COMPARABLE, POSITIVE, UNKNOWN, ZERO
-from .fieldpoly import _row_reduce_int, charpoly
+from .fieldpoly import _mat_apply, _row_reduce_int, charpoly
 from .fullgroup import (
     ConjugacyReport,
     ConjugatorError,
@@ -490,13 +492,20 @@ def decide_tau(
 
 @dataclass(frozen=True)
 class ClopenSet:
-    """A union of tower cells at a fixed level; an empty union is allowed."""
+    """A union of tower cells at a fixed level; an empty union is allowed.
+
+    cells is kept strictly increasing: a tuple that already is (as the
+    floor lists of this module and single cells always give) is kept as
+    it is, anything else is sorted and stripped of repeats.
+    """
 
     level: int
     cells: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(sorted(set(self.cells))))
+        cs = self.cells
+        if type(cs) is not tuple or any(map(ge, cs, islice(cs, 1, None))):
+            object.__setattr__(self, "cells", tuple(sorted(set(cs))))
 
 
 def _tower_floors(d, cs: ClopenSet) -> list:
@@ -559,33 +568,38 @@ def lift_class_under(
         raise ValueError("class exceeds the set it must fit under")
     if rem.verdict == UNKNOWN:
         raise SearchExhausted(depth, "room under the given set")
-    lvl, taken, _ = _lowest_floors(grp, u.level, _tower_floors(d, u), cls_u, x, depth)
+    lvl, taken, _ = _lowest_floors(grp, u.level, _tower_floors(d, u), x, depth)
     return _as_clopen(lvl, taken)
 
 
-def _lowest_floors(grp, level: int, floors, cls_u: DgElement, x: DgElement, depth) -> tuple:
+def _lowest_floors(grp, level: int, floors, x: DgElement, depth) -> tuple:
     """The floor-picking routine of lift_class_under and
     partition_from_classes, with no sign checks.
 
-    floors holds a set u at level as one increasing deque per tower, and
-    cls_u is any presentation of u's class at a level <= level: pushed to a
-    level at or past level it is u's counting vector there.  The first level
-    lvl from max(level, x.level) on where x's representative rep lies
-    between zero and that vector is the lift level.  Returns lvl, the lowest
-    rep[w] floors of u in each tower w at lvl, and u's remaining floors
-    there, taken off the front of the deques: the complement is what is
-    left, so nothing is rebuilt.  CELL_CAP binds on a lift level past
-    level, whose cells the lifts enumerate (the caller's set at level is
-    within it already).
+    floors holds a set u at level as one increasing deque per tower, so
+    their lengths are u's counting vector there, and pushed further they
+    are u's counting vector at each finer level.  The first level lvl from
+    max(level, x.level) on where x's representative rep lies between zero
+    and that vector is the lift level; both vectors move up one incidence
+    matrix per level.  Returns lvl, the lowest rep[w] floors of u in each
+    tower w at lvl, and u's remaining floors there, taken off the front of
+    the deques: the complement is what is left, so nothing is rebuilt.
+    CELL_CAP binds on a lift level past level, whose cells the lifts
+    enumerate (the caller's set at level is within it already).
     """
     d = grp.diagram
     base = max(level, x.level)
     top = d.max_level()
     bound = base + depth if top is None else min(base + depth, top)
+    rep = grp.push(x, base).vector
+    room = tuple(map(len, floors))
+    for n in range(level, base):
+        room = _mat_apply(incidence(d, n), room)
     for lvl in range(base, bound + 1):
-        rep = grp.push(x, lvl).vector
-        cap = grp.push(cls_u, lvl).vector
-        if all(0 <= r <= c for r, c in zip(rep, cap)):
+        if lvl > base:
+            a = incidence(d, lvl - 1)
+            rep, room = _mat_apply(a, rep), _mat_apply(a, room)
+        if all(0 <= r <= c for r, c in zip(rep, room)):
             if lvl > level:
                 capped_heights(d, lvl)
             floors = _refine_floors(d, floors, level, lvl)
@@ -595,10 +609,14 @@ def _lowest_floors(grp, level: int, floors, cls_u: DgElement, x: DgElement, dept
 
 
 def _class_signs(grp, xs, depth) -> list:
-    """Each class's verdict, POSITIVE or ZERO; any other sign raises."""
+    """Each class's verdict, POSITIVE or ZERO; any other sign raises at the
+    first class that has it.  Equal classes share one decision."""
+    known = {}
     verdicts = []
     for x in xs:
-        v = grp.is_positive(x, depth).verdict
+        v = known.get(x)
+        if v is None:
+            v = known[x] = grp.is_positive(x, depth).verdict
         if v in (NEGATIVE, NOT_COMPARABLE):
             raise ValueError("classes must be positive or zero")
         if v == UNKNOWN:
@@ -619,12 +637,12 @@ def partition_from_classes(
     empty sets.  The classes must each be positive or zero and sum to the
     order unit.
 
-    Each class's sign is decided once, up front.  The lifts then skip
-    lift_class_under's checks: a positive class is still positive, and the
-    room left, the unit minus the classes lifted so far, is the sum of the
-    remaining classes and so at least zero.  That room is kept as a class,
-    which pushed to the lift level is the running complement's counting
-    vector, so the cells chosen are the ones lift_class_under would choose.
+    Each distinct class's sign is decided once, up front.  The lifts then
+    skip lift_class_under's checks: a positive class is still positive, and
+    the room left, the unit minus the classes lifted so far, is the sum of
+    the remaining classes and so at least zero.  That room is the running
+    complement's counting vector, read off its floor lists, so the cells
+    chosen are the ones lift_class_under would choose.
 
     The complement is one increasing deque of floors per tower: each lift
     takes a prefix of every deque and leaves the suffix, and a lift that
@@ -638,28 +656,25 @@ def partition_from_classes(
     if not xs:
         raise ValueError("need at least one class")
     verdicts = _class_signs(grp, xs, depth)
-    top = max(x.level for x in xs)
-    total = DgElement(top, tuple(map(sum, zip(*(grp.push(x, top).vector for x in xs)))))
-    if grp.equal(total, grp.unit(1), depth).value is not True:
+    level = max(max(x.level for x in xs), 1)
+    total = DgElement(level, tuple(map(sum, zip(*(grp.push(x, level).vector for x in xs)))))
+    if grp.equal(total, grp.unit(level), depth).value is not True:
         raise ValueError("classes must sum to the order unit")
     last_positive = max(i for i, v in enumerate(verdicts) if v == POSITIVE)
-    level = max(top, 1)
     running = [deque(range(1, h + 1)) for h in capped_heights(d, level)]
-    room = grp.unit(level)
     out = []
     for i, x in enumerate(xs):
         if verdicts[i] == ZERO:
             out.append((level, ()))
             continue
         if i == last_positive:
-            left = DgElement(level, tuple(len(row) for row in running))
+            left = DgElement(level, tuple(map(len, running)))
             assert grp.equal(left, x).value
             out.append((level, running))
             running = [deque() for _ in running]
             continue
-        level, taken, running = _lowest_floors(grp, level, running, room, x, depth)
+        level, taken, running = _lowest_floors(grp, level, running, x, depth)
         out.append((level, taken))
-        room = grp.sub(room, x)
     final = max(lvl for lvl, _ in out)
     return tuple(
         _as_clopen(final, _refine_floors(d, floors, lvl, final) if floors else ())
@@ -735,47 +750,43 @@ def conjugate_at_resolution(
         raise StageError("morphism", message=str(e))
     if isinstance(t, Obstruction):
         raise StageError("morphism", t)
-    acells = cells(dA, m)
-    grpb = DimGroup(dB)
-    images = tuple(
-        grpb.element(t.target_level, tuple(row[c[0]] for row in t.matrix))
-        for c in acells
-    )
-    # one sign per tower: its cells share their class
-    bottoms = [class_of_clopen(dA, m, ((w, 1),)) for w in range(dA.num_vertices(m))]
+    hA = capped_heights(dA, m)
+    # one class per tower: column w of the matrix is the class of every
+    # cell of tower w, and its bottom cell's class is the unit vector e_w
+    classes = [DgElement(t.target_level, col) for col in zip(*t.matrix)]
+    bottoms = [DgElement(m, tuple(int(v == w) for v in range(len(hA)))) for w in range(len(hA))]
     try:
         signs = _class_signs(DimGroup(dA), bottoms, depth)
-        target = partition_from_classes(dB, images, depth)
+        target = partition_from_classes(
+            dB, [x for x, h in zip(classes, hA) for _ in range(h)], depth
+        )
     except (ValueError, SearchExhausted) as e:
         raise StageError("partition", message=str(e))
     if ZERO in signs or not all(b.cells for b in target):
         raise StageError("partition", message="a cell transported to the zero class")
-    source = tuple(ClopenSet(m, (c,)) for c in acells)
+    source = tuple(ClopenSet(m, ((w, j),)) for w, h in enumerate(hA) for j in range(1, h + 1))
     sigma = PartitionHomeomorphism(m, target[0].level, source, target, True)
     blocks = tuple(b.cells for b in target)
-    hA = heights(dA, m)
-    index = {c: i for i, c in enumerate(acells)}
-    perm = [None] * len(acells)
-    for i, (w, j) in enumerate(acells):
-        if j < hA[w]:
-            perm[i] = index[(w, j + 1)]
-    free_bases = [index[(v, 1)] for v in range(len(hA))]
-    for i, (w, j) in enumerate(acells):
-        if perm[i] is not None:
-            continue
-        match = None
-        for bidx in free_bases:
-            if grpb.equal(images[i], images[bidx], depth).value is True:
-                match = bidx
-                break
+    # the successor moves each cell one floor up its tower; a roof goes to
+    # the first free base whose tower has the roof's class
+    grpb = DimGroup(dB)
+    free = list(range(len(hA)))
+    base = 0
+    image_blocks = []
+    for w, h in enumerate(hA):
+        match = next(
+            (v for v in free if grpb.equal(classes[w], classes[v], depth).value is True), None
+        )
         if match is None:
             raise StageError(
                 "transport",
                 message="no base cell matches the class of tower %d's roof" % w,
             )
-        free_bases.remove(match)
-        perm[i] = match
-    image_blocks = tuple(blocks[perm[i]] for i in range(len(acells)))
+        free.remove(match)
+        image_blocks += blocks[base + 1:base + h]
+        image_blocks.append(blocks[sum(hA[:match])])
+        base += h
+    image_blocks = tuple(image_blocks)
     try:
         corrector = conjugator_from_partition(
             dB, sigma.target_level, blocks, image_blocks, lookahead_bound

@@ -26,19 +26,20 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain
 from typing import Optional
 
 from .bratteli import (
+    DgElement,
     OrderedBratteliDiagram,
+    capped_heights,
     cells,
-    class_of_clopen,
     composed_incidence,
     heights,
-    tower_map,
     tower_stacks,
 )
 from .dimgroup import DimGroup
+from .fieldpoly import _mat_apply
 
 # Default synthesis searches this many levels past the partition level.
 DEFAULT_LOOKAHEAD_LEVELS = 6
@@ -71,11 +72,12 @@ class BlockBijection:
     images: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(tuple(sorted(u)) for u in self.blocks))
-        object.__setattr__(self, "images", tuple(tuple(sorted(v)) for v in self.images))
+        object.__setattr__(self, "blocks", tuple(map(tuple, map(sorted, self.blocks))))
+        object.__setattr__(self, "images", tuple(map(tuple, map(sorted, self.images))))
+        # size elements in all, and every one of 1..size among them
+        full = set(range(1, self.size + 1))
         for name, part in (("blocks", self.blocks), ("images", self.images)):
-            flat = [x for u in part for x in u]
-            if sorted(flat) != list(range(1, self.size + 1)):
+            if sum(map(len, part)) != len(full) or set().union(*part) != full:
                 raise ValueError("%s do not partition 1..%d" % (name, self.size))
         if len(self.blocks) != len(self.images):
             raise ValueError("partitions have different block counts")
@@ -314,6 +316,12 @@ def conjugator_from_partition(
     strictly positive composed incidence below m and carry equal pushed
     counting vectors for every pair ('level'); and the per-tower partitions
     induced at m* must satisfy the block condition ('blocks').
+
+    Once the partitions are checked, one pass over them reads each floor's
+    block and image-block label at level m and counts the classes.  A tower
+    of m* stacks whole towers of m (bratteli.tower_stacks), so its labels
+    are those of its stack, concatenated; the cells of m* are not listed,
+    but CELL_CAP still binds on m*.
     """
     if lookahead_bound is None:
         lookahead_bound = m + DEFAULT_LOOKAHEAD_LEVELS
@@ -328,26 +336,34 @@ def conjugator_from_partition(
     _validate_partition(blocks, universe, "block")
     _validate_partition(images, universe, "image block")
     grp = DimGroup(d)
-    classes = []
+    hm = heights(d, m)
+    lab = [[0] * h for h in hm]
+    img = [[0] * h for h in hm]
+    unequal = []
     for bi, (u, v) in enumerate(zip(blocks, images)):
-        cu = class_of_clopen(d, m, u)
-        cv = class_of_clopen(d, m, v)
-        if grp.equal(cu, cv).value is not True:
+        cu = [0] * len(hm)
+        cv = [0] * len(hm)
+        for w, j in u:
+            cu[w] += 1
+            lab[w][j - 1] = bi
+        for w, j in v:
+            cv[w] += 1
+            img[w][j - 1] = bi
+        if cu == cv:
+            continue
+        if grp.equal(DgElement(m, cu), DgElement(m, cv)).value is not True:
             raise ConjugatorError(
                 "class",
                 "block %d and its image are not equivalent in K0" % bi,
                 block=bi,
             )
-        classes.append((cu, cv))
+        unequal.append((cu, cv))
     mstar = None
     for cand in range(m + 1, lookahead_bound + 1):
         comp = composed_incidence(d, m, cand)
         if any(x == 0 for row in comp for x in row):
             continue
-        if all(
-            cu == cv or grp.push(cu, cand).vector == grp.push(cv, cand).vector
-            for cu, cv in classes
-        ):
+        if all(_mat_apply(comp, cu) == _mat_apply(comp, cv) for cu, cv in unequal):
             mstar = cand
             break
     if mstar is None:
@@ -357,23 +373,17 @@ def conjugator_from_partition(
             "matching counting vectors" % (m, lookahead_bound),
             bound=lookahead_bound,
         )
-    proj = tower_map(d, m, mstar)
-    h = heights(d, mstar)
-    where = {c: bi for bi, u in enumerate(blocks) for c in u}
-    img_where = {c: bi for bi, v in enumerate(images) for c in v}
+    h = capped_heights(d, mstar)
     tables = []
-    coarse = iter(proj.values())
-    for w in range(len(h)):
+    for w, stack in enumerate(tower_stacks(d, m, mstar)):
         tower_blocks = [[] for _ in blocks]
         tower_images = [[] for _ in blocks]
-        first = None
-        for j in range(1, h[w] + 1):
-            c = next(coarse)
-            b = where[c]
-            tower_blocks[b].append(j)
-            tower_images[img_where[c]].append(j)
-            if first is None and b == 0:
-                first = j
+        j = 0
+        for u in stack:
+            for b, i in zip(lab[u], img[u]):
+                j += 1
+                tower_blocks[b].append(j)
+                tower_images[i].append(j)
         try:
             sigma = cyclic_from_blocks(BlockBijection(h[w], tower_blocks, tower_images))
         except BlockConditionViolation as e:
@@ -386,7 +396,7 @@ def conjugator_from_partition(
         # anchor the cycle at the least floor of the first block; the walk
         # sigma^j then pairs floor j with its conjugated position
         row = []
-        s = first
+        s = tower_blocks[0][0]
         for j in range(1, h[w] + 1):
             s = sigma[s - 1]
             row.append(s - j)
@@ -423,20 +433,14 @@ class _CoarseTower:
                 collision = (j, t)
         self.fwd, self.back, self.jumps, self.collision = fwd, back, jumps, collision
 
-    def label(self, block_cells, where, img_where):
-        """Read the labels of the floors; for a tower without jumps also
+    def label(self, lab, img, missing):
+        """Take the labels of the floors, bottom first, and the first block
+        cell without both; for a tower without jumps or missing labels also
         walk one copy of it (see walk_inside)."""
-        self.lab = [None]
-        self.img = [None]
-        self.missing = None
-        for c in block_cells:
-            b = where.get(c)
-            i = img_where.get(c)
-            if (b is None or i is None) and self.missing is None:
-                self.missing = c
-            self.lab.append(b)
-            self.img.append(i)
-        if not self.jumps and self.missing is None:
+        self.lab = [None, *lab]
+        self.img = [None, *img]
+        self.missing = missing
+        if not self.jumps and missing is None:
             self.walk_inside()
 
     def walk_inside(self):
@@ -529,12 +533,20 @@ class _FineTower:
         upwards; stop at the first cell whose walk leaves its block's
         image and return (floor, block).  Runs after the injectivity pass,
         so no tower met here has a collision."""
-        for i, u in enumerate(self.stack):
-            t = self.towers[u]
+        stack, towers = self.stack, self.towers
+        for i, u in enumerate(stack):
+            t = towers[u]
             if not t.jumps:
-                top = self.starts[i] + t.h
-                nxt = self.image(top + 1) if top < self.h else 0
-                if t.clean and (not nxt or self.image_label(nxt) == t.lab[t.seam]):
+                # the walk from this copy's top floor enters the next copy
+                # at the image of its floor 1, read there when s keeps that
+                # floor inside the copy
+                nxt = label = 0
+                if i + 1 < len(stack):
+                    n = towers[stack[i + 1]]
+                    f = n.fwd[1]
+                    nxt = self.starts[i + 1] + f if f else self.image(self.starts[i + 1] + 1)
+                    label = n.img[f] if f else nxt and self.image_label(nxt)
+                if t.clean and (not nxt or label == t.lab[t.seam]):
                     tally[0] += t.checked + bool(nxt)
                     tally[1] += not nxt
                     continue
@@ -587,25 +599,27 @@ def verify_conjugator(
     displacement that keeps a floor inside its c-tower acts alike in every
     copy of that tower.  Injectivity, the walk and the labels are therefore
     worked out once per c-tower; a copy adds only its seam, the floor whose
-    walk crosses into the next copy, and block counts are c-tower counts
-    times copy multiplicities.  Floors whose displacement leaves their
-    c-tower, and the copies they land in, are replayed floor by floor.  The
-    cost grows with the cells of level c and the number of copies, and
-    CELL_CAP binds on level c only.
+    walk crosses into the next copy, and block counts are block-level
+    counts times copy multiplicities.  Floors whose displacement leaves
+    their c-tower, and the copies they land in, are replayed floor by
+    floor.  A c-tower's displacements and labels are those of the towers
+    of s.level and of block_level it stacks, concatenated, so no level's
+    cells are listed either.  The cost grows with the cells of level c and
+    the number of copies, and CELL_CAP binds on level c only.
     """
     d = s.diagram
     mf = d.check_level(s.level + lookahead)
-    blocks = tuple(tuple(sorted(u)) for u in blocks)
-    images = tuple(tuple(sorted(v)) for v in images)
+    # the order of cells inside a block plays no part here
+    blocks = tuple(map(tuple, blocks))
+    images = tuple(map(tuple, images))
     if block_level is None:
         block_level = _infer_block_level(d, blocks, s.level)
     c = max(s.level, block_level)
     stacks = tower_stacks(d, c, mf)
     hf = heights(d, mf)
-    under = iter(tower_map(d, s.level, c).values())
     towers = [
-        _CoarseTower(h, [s.tables[w][k - 1] for w, k in islice(under, h)])
-        for h in heights(d, c)
+        _CoarseTower(h, chain.from_iterable(map(s.tables.__getitem__, stack)))
+        for h, stack in zip(capped_heights(d, c), tower_stacks(d, s.level, c))
     ]
     views = [_FineTower(stack, towers, h) for stack, h in zip(stacks, hf)]
     suspect = any(t.collision or t.jumps for t in towers)
@@ -621,22 +635,37 @@ def verify_conjugator(
                 reason="two cells map to %r; not injective" % ((v, hit),),
             )
 
-    # labels per c-floor; a lookup that fails raises, as listing the fine
-    # cells would, at the first fine cell whose block cell is unknown
+    # labels per block-level floor, read up each c-tower's stack; a lookup
+    # that fails raises, as listing the fine cells would, at the first fine
+    # cell whose block cell is unknown
     where = {cell: bi for bi, u in enumerate(blocks) for cell in u}
     img_where = {cell: bi for bi, v in enumerate(images) for cell in v}
-    under = iter(tower_map(d, block_level, c).values())
-    for t in towers:
-        t.label(islice(under, t.h), where, img_where)
+    lab, img, missing = [], [], []
+    for w, h in enumerate(heights(d, block_level)):
+        floor_cells = [(w, j) for j in range(1, h + 1)]
+        lab.append(list(map(where.get, floor_cells)))
+        img.append(list(map(img_where.get, floor_cells)))
+        missing.append(
+            next(cell for cell, b, i in zip(floor_cells, lab[w], img[w]) if b is None or i is None)
+            if None in lab[w] or None in img[w]
+            else None
+        )
+    for t, stack in zip(towers, tower_stacks(d, block_level, c)):
+        t.label(
+            chain.from_iterable(map(lab.__getitem__, stack)),
+            chain.from_iterable(map(img.__getitem__, stack)),
+            next((missing[w] for w in stack if missing[w] is not None), None),
+        )
     for stack in stacks:
         for u in stack:
             if towers[u].missing is not None:
                 raise KeyError(towers[u].missing)
-    copies = [sum(col) for col in zip(*composed_incidence(d, c, mf))]
+    # block counts: each block-level floor's labels times its copies in mf
+    copies = [sum(col) for col in zip(*composed_incidence(d, block_level, mf))]
     fine_count = [0] * len(blocks)
     fine_image_count = [0] * len(blocks)
-    for t, n in zip(towers, copies):
-        for b, i in zip(t.lab[1:], t.img[1:] if n else ()):
+    for n, bs, js in zip(copies, lab, img):
+        for b, i in zip(bs, js) if n else ():
             fine_count[b] += n
             fine_image_count[i] += n
     for bi, (x, y) in enumerate(zip(fine_count, fine_image_count)):

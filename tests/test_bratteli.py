@@ -32,7 +32,14 @@ from cantorconj.bratteli import (
     vershik_predecessor,
     vershik_successor,
 )
-from cantorconj.systems import dyadic, fibonacci, odometer, quaternary, triadic
+from cantorconj.systems import (
+    dyadic,
+    fibonacci,
+    odometer,
+    quaternary,
+    stationary_from_rows,
+    triadic,
+)
 
 from conftest import (
     oracle_all_paths,
@@ -41,6 +48,7 @@ from conftest import (
     oracle_sorted_tower,
     random_explicit,
     random_stationary,
+    time_ceiling,
 )
 
 EXAMPLES = {
@@ -142,6 +150,22 @@ def test_heights_keep_only_the_levels_asked_for(rng):
         got = {m: heights(d, m) for m in (12, 3, 7)}
         assert got == {m: oracle_heights(d, m) for m in (12, 3, 7)}
         assert set(d._memo["heights"]) <= {0, 3, 7, 12}
+
+
+def test_heights_walk_up_the_levels_in_linear_time(rng):
+    # each new level extends the deepest kept level below it, found by
+    # bisection: an ascending walk costs one transition per level
+    d = stationary_from_rows(((0,),))
+    with time_ceiling(1):
+        for m in range(20001):
+            assert heights(d, m) == (1,)
+    for _ in range(6):
+        d = random_stationary(rng)
+        levels = list(range(40))
+        rng.shuffle(levels)
+        got = {m: heights(d, m) for m in levels}
+        fresh = OrderedBratteliDiagram(d.kind, d.vertex_counts, d.tables)
+        assert got == {m: heights(fresh, m) for m in range(40)}
 
 
 def test_incidence_fibonacci():

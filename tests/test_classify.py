@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -12,6 +13,7 @@ import pytest
 
 from cantorconj.bratteli import (
     CapabilityError,
+    DgElement,
     OrderedBratteliDiagram,
     cells,
     class_of_clopen,
@@ -697,6 +699,40 @@ def test_partition_matches_greedy_lift_reference():
     # a few lifts run past the cell cap, identically in both
     assert outcomes.count(tuple) > 0.9 * len(outcomes)
 
+    # the transported shape: one class per source tower, repeated on its cells
+    transported = 0
+    for a, b in itertools.product(systems_[:8], repeat=2):
+        for m in (1, 2):
+            t = _outcome(build_k0_morphism, a, m, b, 1)
+            if not isinstance(t, K0Morphism):
+                continue
+            columns = [DgElement(t.target_level, col) for col in zip(*t.matrix)]
+            xs = tuple(x for x, h in zip(columns, heights(a, m)) for _ in range(h))
+            got = _outcome(partition_from_classes, b, xs)
+            assert got == _outcome(greedy_partition_reference, b, xs), (a, b, m)
+            transported += got is not CapabilityError
+    assert transported > 40
+
+    # explicit diagrams where a lift walks three or more levels past its
+    # start, so the room moves up the levels one incidence matrix at a time
+    deep = 0
+    for _ in range(12):
+        d = random_explicit(rng, levels=9, max_vertices=3, max_edges=3)
+        grp = DimGroup(d)
+        for _ in range(30):
+            k = d.num_vertices(1)
+            xs = [grp.element(1, [rng.randint(-2, 3) for _ in range(k)])
+                  for _ in range(rng.randint(1, 3))]
+            rest = grp.unit(1)
+            for x in xs:
+                rest = grp.sub(rest, x)
+            xs.insert(rng.randrange(len(xs) + 1), rest)
+            got = _outcome(partition_from_classes, d, xs)
+            assert got == _outcome(greedy_partition_reference, d, xs), xs
+            assert got == _outcome(rescanning_partition_from_classes, d, xs), xs
+            deep += isinstance(got, tuple) and got[0].level >= 4
+    assert deep >= 3, deep
+
 
 def rescanning_lowest_floors(grp, u, cls_u, x, depth):
     """The lowest floors of u, found by scanning every cell of the lift
@@ -966,6 +1002,28 @@ def test_one_partition_stage_matches_the_two_partition_reference():
         "a cell transported to the zero class",
         "positivity of a prescribed class exhausted within depth %d" % DEFAULT_DEPTH,
     }, partition
+
+
+def test_pipeline_outputs_on_odometer_pairs_are_pinned():
+    # the conjugator certificate and report of every ordered pair of
+    # odometers 2..6 at m = 1..3, or the error raised, hashed in order
+    odometers = {q: odometer(q) for q in range(2, 7)}
+    digest = hashlib.sha256()
+    for qa, qb in itertools.product(odometers, repeat=2):
+        for m in (1, 2, 3):
+            try:
+                b = conjugate_at_resolution(odometers[qa], odometers[qb], m)
+            except (StageError, CapabilityError) as e:
+                record = [type(e).__name__, getattr(e, "stage", None), str(e)]
+            else:
+                cert = conjugator_certificate(
+                    b.corrector, b.sigma.target_level, b.blocks, b.images
+                )
+                record = [cert, dataclasses.asdict(b.report)]
+            digest.update(json.dumps(record, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "7d86b14efbf783b959cb5ee92172a5339a20a3320f5c524fb11bf473937269c9"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -249,12 +249,22 @@ def test_block_condition_least_violation():
 
 
 def test_block_bijection_validation():
-    with pytest.raises(ValueError):
-        BlockBijection(3, ((1, 2),), ((1, 2),))  # does not cover 3
-    with pytest.raises(ValueError):
-        BlockBijection(3, ((1, 2), (2, 3)), ((1, 2), (2, 3)))  # overlap
-    with pytest.raises(ValueError):
-        BlockBijection(3, ((1, 2), (3,)), ((1,), (2, 3)))  # size mismatch
+    cases = [
+        ((3, ((1, 2), (2, 3)), ((1, 2), (3,))), "blocks do not partition 1..3"),  # overlap
+        ((3, ((1, 2),), ((1, 2, 3),)), "blocks do not partition 1..3"),  # 3 missing
+        ((3, ((1, 2), (4,)), ((1, 2), (3,))), "blocks do not partition 1..3"),  # 4 out of range
+        ((3, ((1,), (2, 3)), ((1, 2), (2,))), "images do not partition 1..3"),  # overlap
+        ((3, ((1, 2), (3,)), ((0, 1, 2),)), "images do not partition 1..3"),  # 0 out of range
+        ((3, ((1, 2), (3,)), ((1, 2, 3),)), "partitions have different block counts"),
+        ((3, ((1, 2), (3,)), ((1,), (2, 3))), "block (1, 2) and its image (1,) have different sizes"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError) as e:
+            BlockBijection(*args)
+        assert str(e.value) == message, args
+    # the blocks are checked before the images, the images before the counts
+    with pytest.raises(ValueError, match="^blocks do not"):
+        BlockBijection(2, ((1,), (1,)), ((3,),))
 
 
 def test_block_condition_matches_brute_force():
