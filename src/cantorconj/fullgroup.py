@@ -10,9 +10,11 @@ inherits two labelled partitions of its floors (where the blocks and the
 image blocks cut it), and the existence of a single N-cycle sending label
 fibers onto label fibers is governed by a clean combinatorial criterion: no
 nonempty proper subfamily of blocks may have its union fixed by the
-bijection.  When the criterion holds, a greedy cycle-merging procedure
-produces such an N-cycle; reading off its offsets against the floor index
-yields the return-time table r(w, j) of a full-group element.
+bijection.  The criterion is decided first, on the block graph; when it
+holds, splicing the cycles of the in-block assignment across the first
+block that straddles the cycle of 1, one splice at a time, produces such an
+N-cycle; reading off its offsets against the floor index yields the
+return-time table r(w, j) of a full-group element.
 
 Verification replays the induced cell maps at a still finer level and checks
 that conjugating the successor map transports every block onto its image on
@@ -86,6 +88,10 @@ class BlockBijection:
                 raise ValueError(
                     "block %r and its image %r have different sizes" % (u, v)
                 )
+        if self.size < 1:
+            raise ValueError("size %d is not positive" % self.size)
+        if not all(self.blocks):
+            raise ValueError("block %d is empty" % self.blocks.index(()))
 
 
 @dataclass(frozen=True)
@@ -116,10 +122,18 @@ def check_block_condition(b: BlockBijection) -> BlockConditionResult:
     least member of the closure not yet chosen, whose closure joined with
     the current one adds no unchosen index below y and stays proper; the
     family is complete once the closure adds nothing to the chosen indices.
+    The reach sets are shared within the call: each is searched at most
+    once, and a search that meets a block whose reach is known ORs that
+    reach in instead of expanding the block.
     """
+    violation = _decide(b)[1]
+    return BlockConditionResult(violation is None, violation)
+
+
+def _decide(b: BlockBijection):
+    """The block of each element (block_of[x], 1-based x) and the least
+    violating family of check_block_condition, or None when none exists."""
     k = len(b.blocks)
-    if k <= 1:
-        return BlockConditionResult(True)
     block_of = [0] * (b.size + 1)
     for i, u in enumerate(b.blocks):
         for x in u:
@@ -132,15 +146,14 @@ def check_block_condition(b: BlockBijection) -> BlockConditionResult:
             adj[i] |= 1 << j
             radj[j] |= 1 << i
     full = (1 << k) - 1
-    forward = _reach(adj, 1)
-    if forward == full and _reach(radj, 1) == full:
-        return BlockConditionResult(True)
-
-    reach = {0: forward}
+    reach = [0] * k  # 0 until searched: a reach holds its own block
+    reach[0] = _reach(adj, 0, reach)
+    if reach[0] == full and _reach(radj, 0, [0] * k) == full:
+        return block_of, None
 
     def closure_of(y):
-        if y not in reach:
-            reach[y] = _reach(adj, 1 << y)
+        if not reach[y]:
+            reach[y] = _reach(adj, y, reach)
         return reach[y]
 
     a = next(
@@ -161,18 +174,22 @@ def check_block_condition(b: BlockBijection) -> BlockConditionResult:
         chosen |= 1 << y
         closure = grown
         last = y
-    offending = tuple(b.blocks[i] for i in range(k) if chosen >> i & 1)
-    return BlockConditionResult(False, offending)
+    return block_of, tuple(b.blocks[i] for i in range(k) if chosen >> i & 1)
 
 
-def _reach(adj, start: int) -> int:
-    """Bitmask of the vertices reachable from the bitmask start along adj."""
-    seen = frontier = start
+def _reach(adj, y: int, known) -> int:
+    """Bitmask of the vertices reachable from vertex y along adj; a vertex v
+    with known[v] nonzero contributes that (closed) reach unexpanded."""
+    seen = frontier = 1 << y
     while frontier:
         step = 0
         while frontier:
             low = frontier & -frontier
-            step |= adj[low.bit_length() - 1]
+            v = low.bit_length() - 1
+            if known[v]:
+                seen |= known[v]
+            else:
+                step |= adj[v]
             frontier ^= low
         frontier = step & ~seen
         seen |= frontier
@@ -183,41 +200,49 @@ def cyclic_from_blocks(b: BlockBijection) -> tuple:
     """A single size-cycle sending each block onto its image, as a tuple
     sigma with sigma[i-1] the image of i.
 
-    Start from the order-respecting assignment inside each block, then merge
+    Decides first: when the block condition fails, the violation of
+    check_block_condition is raised before any splicing.  Otherwise start
+    from the order-respecting assignment inside each block, then merge
     cycles: as long as the element 1 does not exhaust its cycle C, swapping
     the images of the earliest pair a block splits between C and the rest
-    splices two cycles into one.  Deterministic: blocks are scanned in index
-    order and the smallest straddling elements are used.  The merging
-    stalls, with no block straddling C, exactly when the block condition
-    fails: C is then a preserved union of blocks, and a preserved union
-    confines every splice.  The violation raised is check_block_condition's.
+    splices two cycles into one.  Until C is everything some block
+    straddles it, or C would be a preserved union of blocks.  Deterministic:
+    a count per block of its elements on C picks the first straddling block
+    by index, and its smallest elements on and off C are used.
     """
+    block_of, violation = _decide(b)
+    if violation is not None:
+        raise BlockConditionViolation(violation)
     n = b.size
     sigma = [0] * (n + 1)
     for u, v in zip(b.blocks, b.images):
         for i, j in zip(u, v):
             sigma[i] = j
-    cyc, x = set(), 1
-    while x not in cyc:
-        cyc.add(x)
-        x = sigma[x]
-    while len(cyc) < n:
-        for u in b.blocks:
-            # blocks are sorted, so these are the least straddling elements
-            inner = [x for x in u if x in cyc]
-            if 0 < len(inner) < len(u):
-                i = inner[0]
-                j = next(x for x in u if x not in cyc)
-                break
-        else:
-            raise BlockConditionViolation(check_block_condition(b).violation)
-        # the splice merges the cycle D through j into C, so the cycle of 1
-        # becomes C | D and strictly grows
-        x = j
-        while x not in cyc:
-            cyc.add(x)
+    sizes = [len(u) for u in b.blocks]
+    count = [0] * len(sizes)
+    on = [False] * (n + 1)
+    straddling = 0  # bit t set while 0 < count[t] < sizes[t]
+    x = 1
+    while True:
+        while not on[x]:
+            on[x] = True
+            t = block_of[x]
+            c = count[t] = count[t] + 1
+            if c == 1:
+                straddling |= 1 << t
+            if c == sizes[t]:
+                straddling ^= 1 << t
             x = sigma[x]
+        if not straddling:
+            break
+        u = b.blocks[(straddling & -straddling).bit_length() - 1]
+        # blocks are sorted, so these are the least straddling elements
+        i = next(x for x in u if on[x])
+        j = next(x for x in u if not on[x])
+        # the splice merges the cycle D through j into C, so the cycle of 1
+        # becomes C | D and strictly grows; D is walked from its new entry
         sigma[i], sigma[j] = sigma[j], sigma[i]
+        x = sigma[i]
     return tuple(sigma[1:])
 
 

@@ -559,11 +559,11 @@ def test_criterion_09_semigroup_thresholds():
 # criterion 10: certificates re-verify from disk and reject every tamper
 
 
-def _verify_from_disk(cert_path, system_paths):
-    # the command line pipeline: read, load, re-verify; any failure rejects
+def _verify_text(text, system_paths):
+    # the command line pipeline on certificate text: parse, load the systems
+    # from disk, re-verify; any failure rejects
     try:
-        with open(cert_path, "r", encoding="utf-8") as fh:
-            cert = json.load(fh)
+        cert = json.loads(text)
         if not isinstance(cert, dict):
             return False
         loaded = [load_diagram(p) for p in system_paths]
@@ -607,12 +607,12 @@ def test_criterion_10_certificate_tamper_sweep(tmp_path, capsys):
         rc = run(["verify", str(cp), *syspaths, "--format", "json"])
         out = json.loads(capsys.readouterr().out)
         assert rc == 0 and out["ok"] is True, (label, out)
-        mp = tmp_path / (label + ".tampered.json")
+        # the tampered texts are verified from memory: one file write per
+        # character costs far more than the verification itself
         for pos, ch in enumerate(text):
             repl = str((int(ch) + 1) % 10) if ch.isdigit() else ("x" if ch != "x" else "y")
-            mp.write_text(text[:pos] + repl + text[pos + 1 :])
             mutations += 1
-            if _verify_from_disk(str(mp), syspaths):
+            if _verify_text(text[:pos] + repl + text[pos + 1 :], syspaths):
                 survivors.append((label, pos, ch, repl))
     assert not survivors, survivors[:10]
     _verdict(10, "certificates", "4 round trips, %d tampers rejected" % mutations)

@@ -8,6 +8,7 @@ import pytest
 from cantorconj.bratteli import cells, heights, tower_map
 from cantorconj.fullgroup import (
     BlockBijection,
+    BlockConditionResult,
     BlockConditionViolation,
     ConjugacyReport,
     ConjugatorError,
@@ -204,18 +205,17 @@ def wide_planted_bijection(components):
     return BlockBijection(2 * k, tuple(blocks), tuple(images))
 
 
-def test_block_condition_wide_planted_family():
-    k = 200
-    c0 = [0, 150]
+def assert_planted_family(k):
+    # components (0, k - 50), (1, 2, 3) and the rest; proper unions of
+    # components holding block 0: c0, c0 + c1 = (0, 1, 2, 3, k - 50) and
+    # c0 + c2 = (0, 4, 5, ...); the middle one is lexicographically least
+    c0 = [0, k - 50]
     c1 = [1, 2, 3]
     c2 = [i for i in range(k) if i not in c0 + c1]
     b = wide_planted_bijection([c0, c1, c2])
     res = check_block_condition(b)
     assert not res.ok
-    # proper unions of components holding block 0: c0 = (0, 150),
-    # c0 + c1 = (0, 1, 2, 3, 150) and c0 + c2 = (0, 4, 5, ...); the middle
-    # one is lexicographically least
-    assert res.violation == tuple(b.blocks[i] for i in (0, 1, 2, 3, 150))
+    assert res.violation == tuple(b.blocks[i] for i in (0, 1, 2, 3, k - 50))
     with pytest.raises(BlockConditionViolation) as e:
         cyclic_from_blocks(b)
     assert e.value.violation == res.violation
@@ -223,6 +223,14 @@ def test_block_condition_wide_planted_family():
     assert check_block_condition(joined).ok
     sigma = cyclic_from_blocks(joined)
     assert is_single_cycle(sigma) and respects(sigma, joined)
+
+
+def test_block_condition_wide_planted_family():
+    assert_planted_family(200)
+
+
+def test_block_condition_wide_planted_family_at_width_2000():
+    assert_planted_family(2000)
 
 
 def test_block_condition_matches_subset_enumeration():
@@ -265,6 +273,24 @@ def test_block_bijection_validation():
     # the blocks are checked before the images, the images before the counts
     with pytest.raises(ValueError, match="^blocks do not"):
         BlockBijection(2, ((1,), (1,)), ((3,),))
+
+
+def test_block_bijection_rejects_empty_blocks_and_sizes_below_one():
+    # each passes the partition checks, which run first
+    cases = [
+        ((0, (), ()), "size 0 is not positive"),
+        ((-2, (), ()), "size -2 is not positive"),
+        ((3, ((1, 2), (), (3,)), ((2, 3), (), (1,))), "block 1 is empty"),
+        ((1, ((), (1,)), ((), (1,))), "block 0 is empty"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError) as e:
+            BlockBijection(*args)
+        assert str(e.value) == message, args
+    with pytest.raises(ValueError, match="^blocks do not"):
+        BlockBijection(0, ((1,),), ((1,),))
+    with pytest.raises(ValueError, match="^partitions have different"):
+        BlockBijection(1, ((1,), ()), ((1,),))
 
 
 def test_block_condition_matches_brute_force():
@@ -319,6 +345,211 @@ def test_cyclic_valid_on_random_instances():
         sigma = cyclic_from_blocks(b)
         assert is_single_cycle(sigma) and respects(sigma, b)
         produced += 1
+
+
+# ---------------------------------------------------------------------------
+# the block layer pinned to an earlier implementation
+#
+# reference_check_block_condition and reference_cyclic_from_blocks are the
+# block layer as it stood before reach sets were shared and before
+# cyclic_from_blocks decided the condition ahead of splicing (renamed, bodies
+# unchanged).  Their results feed the synthesis tables and certificate bytes,
+# so the current functions must agree with them exactly.
+
+
+def reference_check_block_condition(b: BlockBijection) -> BlockConditionResult:
+    """Does some block-respecting permutation act as a single cycle?
+
+    Equivalent criterion: no nonempty proper subfamily F of the blocks
+    satisfies union(F) = union(images of F).  Sufficiency is witnessed
+    constructively by cyclic_from_blocks; necessity is immediate, since a
+    preserved union confines every respecting permutation.
+
+    Since each block and its image have the same size, union(F) equals
+    union(images of F) exactly when F is closed under the relation
+    i -> j, "images[i] meets blocks[j]": closure puts the images of F inside
+    union(F), and equal sizes make the inclusion an equality.  So the
+    condition holds iff this block graph is strongly connected, which one
+    forward and one reverse search from block 0 decide.
+
+    On failure the witness is the closed proper family whose sorted index
+    tuple is lexicographically least, listed as blocks.  It is found
+    greedily: its first index a is the least one whose reach is proper and
+    has no member below a; each further index y is the least one, up to the
+    least member of the closure not yet chosen, whose closure joined with
+    the current one adds no unchosen index below y and stays proper; the
+    family is complete once the closure adds nothing to the chosen indices.
+    """
+    k = len(b.blocks)
+    if k <= 1:
+        return BlockConditionResult(True)
+    block_of = [0] * (b.size + 1)
+    for i, u in enumerate(b.blocks):
+        for x in u:
+            block_of[x] = i
+    adj = [0] * k
+    radj = [0] * k
+    for i, v in enumerate(b.images):
+        for x in v:
+            j = block_of[x]
+            adj[i] |= 1 << j
+            radj[j] |= 1 << i
+    full = (1 << k) - 1
+    forward = _reference_reach(adj, 1)
+    if forward == full and _reference_reach(radj, 1) == full:
+        return BlockConditionResult(True)
+
+    reach = {0: forward}
+
+    def closure_of(y):
+        if y not in reach:
+            reach[y] = _reference_reach(adj, 1 << y)
+        return reach[y]
+
+    a = next(
+        a for a in range(k)
+        if closure_of(a) != full and not closure_of(a) & ((1 << a) - 1)
+    )
+    chosen = 1 << a
+    closure = closure_of(a)
+    last = a
+    while closure != chosen:
+        rest = closure & ~chosen
+        z = (rest & -rest).bit_length() - 1
+        # y = z always qualifies: z's reach lies inside the closed closure
+        for y in range(last + 1, z + 1):
+            grown = closure | closure_of(y)
+            if grown != full and not grown & ~chosen & ((1 << y) - 1):
+                break
+        chosen |= 1 << y
+        closure = grown
+        last = y
+    offending = tuple(b.blocks[i] for i in range(k) if chosen >> i & 1)
+    return BlockConditionResult(False, offending)
+
+
+def _reference_reach(adj, start: int) -> int:
+    """Bitmask of the vertices reachable from the bitmask start along adj."""
+    seen = frontier = start
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
+
+
+def reference_cyclic_from_blocks(b: BlockBijection) -> tuple:
+    """A single size-cycle sending each block onto its image, as a tuple
+    sigma with sigma[i-1] the image of i.
+
+    Start from the order-respecting assignment inside each block, then merge
+    cycles: as long as the element 1 does not exhaust its cycle C, swapping
+    the images of the earliest pair a block splits between C and the rest
+    splices two cycles into one.  Deterministic: blocks are scanned in index
+    order and the smallest straddling elements are used.  The merging
+    stalls, with no block straddling C, exactly when the block condition
+    fails: C is then a preserved union of blocks, and a preserved union
+    confines every splice.  The violation raised is check_block_condition's.
+    """
+    n = b.size
+    sigma = [0] * (n + 1)
+    for u, v in zip(b.blocks, b.images):
+        for i, j in zip(u, v):
+            sigma[i] = j
+    cyc, x = set(), 1
+    while x not in cyc:
+        cyc.add(x)
+        x = sigma[x]
+    while len(cyc) < n:
+        for u in b.blocks:
+            # blocks are sorted, so these are the least straddling elements
+            inner = [x for x in u if x in cyc]
+            if 0 < len(inner) < len(u):
+                i = inner[0]
+                j = next(x for x in u if x not in cyc)
+                break
+        else:
+            raise BlockConditionViolation(reference_check_block_condition(b).violation)
+        # the splice merges the cycle D through j into C, so the cycle of 1
+        # becomes C | D and strictly grows
+        x = j
+        while x not in cyc:
+            cyc.add(x)
+            x = sigma[x]
+        sigma[i], sigma[j] = sigma[j], sigma[i]
+    return tuple(sigma[1:])
+
+
+def block_layer_outcome(check, cyclic, b):
+    res = check(b)
+    try:
+        built = ("cycle", cyclic(b))
+    except BlockConditionViolation as e:
+        built = ("raised", e.violation)
+    return res.ok, res.violation, built
+
+
+def bench_style_bijection(rng, k):
+    # k blocks of sizes 1..3; the images reshuffle either all elements or
+    # those of two complementary groups of blocks among themselves
+    sizes = [rng.randint(1, 3) for _ in range(k)]
+    n = sum(sizes)
+    elems = list(range(1, n + 1))
+    rng.shuffle(elems)
+    cuts = list(itertools.accumulate(sizes))
+    blocks = [tuple(elems[a:b]) for a, b in zip([0] + cuts, cuts)]
+    order = list(range(k))
+    rng.shuffle(order)
+    cut = rng.choice([0, rng.randint(1, k - 1)])
+    images = [None] * k
+    for g in (order[:cut], order[cut:]):
+        pool = [x for i in g for x in blocks[i]]
+        rng.shuffle(pool)
+        for i in g:
+            images[i], pool = tuple(pool[: sizes[i]]), pool[sizes[i]:]
+    return BlockBijection(n, tuple(blocks), tuple(images))
+
+
+def near_identity_bijection(rng, n):
+    # a random partition of 1..n; the images apply a few transpositions
+    elems = list(range(1, n + 1))
+    rng.shuffle(elems)
+    k = rng.randint(1, n)
+    cuts = sorted(rng.sample(range(1, n), k - 1))
+    blocks = [tuple(elems[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+    pi = list(range(n + 1))
+    for _ in range(rng.randint(0, n // 2)):
+        x, y = rng.randint(1, n), rng.randint(1, n)
+        pi[x], pi[y] = pi[y], pi[x]
+    images = [tuple(pi[x] for x in u) for u in blocks]
+    return BlockBijection(n, tuple(blocks), tuple(images))
+
+
+def planted_components(rng, k):
+    order = list(range(k))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, k), rng.randint(0, 3)))
+    return [order[a:b] for a, b in zip([0] + cuts, cuts + [k])]
+
+
+def test_block_layer_matches_the_pinned_reference():
+    rng = random.Random(20)
+    instances = [bench_style_bijection(rng, rng.randint(10, 20)) for _ in range(600)]
+    instances += [near_identity_bijection(rng, rng.randint(1, 60)) for _ in range(400)]
+    for k in (50, 300):
+        instances += [wide_planted_bijection(planted_components(rng, k)) for _ in range(6)]
+    kinds = set()
+    for b in instances:
+        expected = block_layer_outcome(
+            reference_check_block_condition, reference_cyclic_from_blocks, b
+        )
+        assert block_layer_outcome(check_block_condition, cyclic_from_blocks, b) == expected, b
+        kinds.add((len(b.blocks) >= 50, expected[0]))
+    assert kinds == {(False, True), (False, False), (True, True), (True, False)}
 
 
 # ---------------------------------------------------------------------------
