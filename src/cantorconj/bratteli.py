@@ -280,9 +280,12 @@ def derived(d: OrderedBratteliDiagram, key, compute):
     its whole life; the value is kept on the diagram under key, any
     hashable: heights, incidence matrices, composed incidences and tower
     projections (keyed with their levels), the integer trace weights of
-    dimgroup and the invariants built on them.  Values are shared, so
-    callers must not mutate them.  An exception from compute() is not
-    kept: the next call computes again.
+    dimgroup and the invariants built on them, and both halves of
+    check.build_k0_morphism: a source level's tables ("k0_source") and the
+    target level or obstruction found for a gcd, threshold, start level
+    and depth ("k0_target").  Values are shared, so callers must not
+    mutate them.  An exception from compute() is not kept: the next call
+    computes again.
     """
     memo = d._memo
     if key not in memo:

@@ -174,9 +174,13 @@ def _least_row(d, ks, tables):
 
 
 def _least_failing_factor(dg, p, depth):
-    """Smallest prime power dividing p that misses the divisor set of dg."""
+    """Smallest prime power dividing p that misses the divisor set of dg.
+
+    Trial division stops once q * q exceeds what is left of p; the rest is
+    then 1 or a prime larger than every q tried, so it is tested last.
+    """
     q, rest = 2, p
-    while rest > 1:
+    while q * q <= rest:
         if rest % q == 0:
             power = q
             while rest % q == 0:
@@ -185,6 +189,8 @@ def _least_failing_factor(dg, p, depth):
                     return power
                 power *= q
         q += 1 if q == 2 else 2
+    if rest > 1 and divides_unit(dg, rest, depth).verdict == "no":
+        return rest
     return p
 
 
@@ -221,6 +227,34 @@ def _source_level(d, m):
     return derived(d, ("k0_source", m), compute)
 
 
+def _target_level(d, p, threshold, level, depth):
+    """(level, heights, reduced heights) of the first level of d from level
+    on whose heights p divides with every reduced height at least
+    threshold, or the divisor Obstruction when p misses the divisor set of
+    d; kept per diagram under every input the search reads.  SearchExhausted
+    is not kept (see derived), so it is raised again on every call."""
+
+    def compute():
+        res = divides_unit(d, p, depth)
+        if res.verdict == "no":
+            return Obstruction("divisor", _least_failing_factor(d, p, depth))
+        if res.verdict == "unknown":
+            raise SearchExhausted(depth, "divisibility of the target unit by %d" % p)
+        start = max(level, res.level)
+        top = d.max_level()
+        bound = start + depth if top is None else min(start + depth, top)
+        for lb in range(start, bound + 1):
+            hs = heights(d, lb)
+            if any(x % p for x in hs):
+                continue
+            ds = tuple(x // p for x in hs)
+            if all(dd >= threshold for dd in ds):
+                return lb, hs, ds
+        raise SearchExhausted(depth, "target level with reduced heights above %d" % threshold)
+
+    return derived(d, ("k0_target", p, threshold, level, depth), compute)
+
+
 def build_k0_morphism(
     dgA: OrderedBratteliDiagram,
     levelA: int,
@@ -235,31 +269,21 @@ def build_k0_morphism(
     target is then pushed deep enough that the reduced heights clear the
     representability threshold, and each row is the lexicographically least
     representation; unit preservation holds by construction and is asserted.
-    The source level's gcd, threshold and residue tables are computed once
-    per diagram and level and shared by every call (see _source_level).
+    Both halves are kept per diagram: the source level's gcd, threshold and
+    residue tables (see _source_level), and the target level found for a
+    gcd, threshold, start level and depth, or the obstruction (see
+    _target_level).  Only the rows are computed on every call.
     """
     hA, p, ks, threshold, tables = _source_level(dgA, levelA)
-    res = divides_unit(dgB, p, depth)
-    if res.verdict == "no":
-        return Obstruction("divisor", _least_failing_factor(dgB, p, depth))
-    if res.verdict == "unknown":
-        raise SearchExhausted(depth, "divisibility of the target unit by %d" % p)
-    start = max(levelB, res.level)
-    top = dgB.max_level()
-    bound = start + depth if top is None else min(start + depth, top)
-    for lb in range(start, bound + 1):
-        hB = heights(dgB, lb)
-        if any(x % p for x in hB):
-            continue
-        ds = tuple(x // p for x in hB)
-        if not all(dd >= threshold for dd in ds):
-            continue
-        rows = tuple(_least_row(dd, ks, tables) for dd in ds)
-        assert all(row is not None for row in rows)
-        t = K0Morphism(rows, levelA, lb)
-        assert t.apply(hA) == hB
-        return t
-    raise SearchExhausted(depth, "target level with reduced heights above %d" % threshold)
+    found = _target_level(dgB, p, threshold, levelB, depth)
+    if isinstance(found, Obstruction):
+        return found
+    lb, hB, ds = found
+    rows = tuple(_least_row(dd, ks, tables) for dd in ds)
+    assert all(row is not None for row in rows)
+    t = K0Morphism(rows, levelA, lb)
+    assert t.apply(hA) == hB
+    return t
 
 
 def weak_schedules(dgA, dgB, depth: int = DEFAULT_DEPTH) -> Optional[tuple]:

@@ -15,6 +15,7 @@ decision; floats appear only in display helpers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -24,17 +25,12 @@ from typing import Sequence
 
 
 def _mat_apply(mat, vec):
-    return tuple(sum(r * x for r, x in zip(row, vec)) for row in mat)
+    return tuple([sum(map(operator.mul, row, vec)) for row in mat])
 
 
 def _mat_mul(a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols))
-        for i in range(rows)
-    )
+    cols = tuple(zip(*b))
+    return tuple([tuple([sum(map(operator.mul, row, col)) for col in cols]) for row in a])
 
 
 def _row_reduce_int(aug, columns):

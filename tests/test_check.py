@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import hashlib
 import json
 import pathlib
 
@@ -153,3 +154,43 @@ def test_level_bound_walks_a_diagram_that_never_passes_the_cap_once():
     with time_ceiling(1):
         result = verify_certificate(cert, (d,))
     assert not result.ok
+
+
+def single_character_tampers(text):
+    """The criterion-10 sweep: each character bumped (a digit) or replaced."""
+    for pos, ch in enumerate(text):
+        repl = str((int(ch) + 1) % 10) if ch.isdigit() else ("x" if ch != "x" else "y")
+        yield text[:pos] + repl + text[pos + 1 :]
+
+
+def test_ladder_tampers_keep_their_rejection_reasons():
+    # every tamper of the criterion-10 ladder certificate, with the reason
+    # it is rejected for ("unparsed" when it is no JSON object), hashed in
+    # order; then every rung made ragged or cut short, on a 2x2 ladder too
+    ladder = decide_k_conjugacy(DYADIC, QUATERNARY).ladder
+    text = json.dumps(ladder_certificate(ladder, DYADIC, QUATERNARY))
+    reasons = []
+    for tampered in single_character_tampers(text):
+        try:
+            cert = json.loads(tampered)
+        except ValueError:
+            cert = None
+        if not isinstance(cert, dict):
+            reasons.append("unparsed")
+            continue
+        result = verify_certificate(cert, (DYADIC, QUATERNARY))
+        assert not result.ok
+        reasons.append(result.reason)
+    digest = hashlib.sha256(json.dumps(reasons).encode()).hexdigest()
+    assert digest == "b1807e0266fe4211b2b0e51dce0ce3b287e861b76fb9728fc17d61e016839405"
+    for a, b in PAIRS:
+        cert = ladder_certificate(decide_k_conjugacy(a, b).ladder, a, b)
+        for key, rung in (("forwards", 0), ("backwards", 1)):
+            for i, mat in enumerate(cert["witness"][key]):
+                for bad in (mat[:-1], [mat[0][:-1]] + mat[1:], [mat[0] + [0]] + mat[1:]):
+                    tampered = copy.deepcopy(cert)
+                    tampered["witness"][key][i] = bad
+                    assert verify_certificate(tampered, (a, b)).reason == (
+                        "ladder broken at rung %d: %s rung has the wrong shape"
+                        % (2 * i + rung, key[:-1])
+                    )

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -56,7 +57,7 @@ from cantorconj.systems import (
     triadic,
 )
 
-from conftest import power_of, random_explicit, random_stationary, rows_of
+from conftest import power_of, random_explicit, random_stationary, rows_of, time_ceiling
 
 DYADIC = dyadic()
 TRIADIC = triadic()
@@ -279,7 +280,7 @@ def reference_build_k0_morphism(dgA, levelA, dgB, levelB, depth=DEFAULT_DEPTH):
     raise SearchExhausted(depth, "target level with reduced heights above %d" % threshold)
 
 
-def _outcome(build, *args):
+def _morphism_outcome(build, *args):
     try:
         return build(*args)
     except SearchExhausted as e:
@@ -287,9 +288,11 @@ def _outcome(build, *args):
 
 
 def test_morphisms_match_the_per_call_reference():
-    # named systems, odometers 2-6 and 20 seeded primitive 2x2/3x3 systems,
-    # every ordered pair at source and target levels 1-3; the first call on
-    # a source level fills its tables, the later ones read them
+    # named systems, odometers 2-6, 20 seeded primitive 2x2/3x3 systems and
+    # 8 seeded explicit 4-level diagrams, every ordered pair at source and
+    # target levels 1-3, at the default depth and at depth 1; the first call
+    # on a source level or target search fills its entry, the later ones
+    # read it, and a search that ran out raises again on the second call
     pool = [NAMED[name]() for name in sorted(NAMED)]
     pool += [odometer(q) for q in range(2, 7)]
     rng = random.Random(14)
@@ -297,17 +300,72 @@ def test_morphisms_match_the_per_call_reference():
         d = random_stationary(rng, primitive=True)
         if d.num_vertices(1) >= 2:
             pool.append(d)
+    pool += [random_explicit(rng) for _ in range(8)]
     morphisms = obstructions = 0
+    exhausted = collections.Counter()
     for a in pool:
         for b in pool:
             for la in (1, 2, 3):
                 for lb in (1, 2, 3):
-                    got = _outcome(build_k0_morphism, a, la, b, lb)
-                    assert got == _outcome(reference_build_k0_morphism, a, la, b, lb)
-                    assert got == _outcome(build_k0_morphism, a, la, b, lb)
-                    morphisms += isinstance(got, K0Morphism)
-                    obstructions += isinstance(got, Obstruction)
+                    for depth in (DEFAULT_DEPTH, 1):
+                        args = (a, la, b, lb, depth)
+                        got = _morphism_outcome(build_k0_morphism, *args)
+                        assert got == _morphism_outcome(reference_build_k0_morphism, *args)
+                        assert got == _morphism_outcome(build_k0_morphism, *args)
+                        morphisms += isinstance(got, K0Morphism)
+                        obstructions += isinstance(got, Obstruction)
+                        if isinstance(got, tuple):
+                            exhausted[got[1].split(" by ")[0].split(" above ")[0]] += 1
     assert morphisms > 1000 and obstructions > 1000
+    assert set(exhausted) == {
+        "divisibility of the target unit",
+        "target level with reduced heights",
+    }, exhausted
+
+
+def verbatim_least_failing_factor(dg, p, depth):
+    """_least_failing_factor as it was first written: trial division by
+    every odd q up to p."""
+    q, rest = 2, p
+    while rest > 1:
+        if rest % q == 0:
+            power = q
+            while rest % q == 0:
+                rest //= q
+                if divides_unit(dg, power, depth).verdict == "no":
+                    return power
+                power *= q
+        q += 1 if q == 2 else 2
+    return p
+
+
+def test_obstruction_witness_matches_the_full_trial_division():
+    pool = [odometer(q) for q in range(2, 61)] + [NAMED[name]() for name in sorted(NAMED)]
+    obstructions = 0
+    for a in pool:
+        p = math.gcd(*heights(a, 1))
+        for b in pool:
+            want = verbatim_least_failing_factor(b, p, DEFAULT_DEPTH)
+            assert _least_failing_factor(b, p, DEFAULT_DEPTH) == want
+            got = build_k0_morphism(a, 1, b, 1)
+            if isinstance(got, Obstruction):
+                assert got == Obstruction("divisor", want)
+                obstructions += 1
+    assert obstructions > 2000
+
+
+def test_obstruction_witness_of_a_large_prime_stops_at_its_square_root():
+    # both level-2 heights are 10^4 * 10^4 + 1 * 7 = 100000007, a prime; the
+    # diagram has about 3 * 10^4 edges where odometer(100000007) has 10^8
+    row = (0,) * 10 ** 4 + (1,)
+    a = stationary_from_rows((row, row), root=((0,) * 10 ** 4, (0,) * 7))
+    assert heights(a, 2) == (100000007, 100000007)
+    with time_ceiling(5):
+        start = time.perf_counter()
+        got = build_k0_morphism(a, 2, dyadic(), 1)
+        elapsed = time.perf_counter() - start
+    assert got == Obstruction("divisor", 100000007)
+    assert elapsed < 0.1
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,14 @@ from cantorconj.classify import (
     ladder_certificate,
     verify_ladder,
 )
-from cantorconj.fieldpoly import _mat_mul, _row_reduce_int, _solve_lin, charpoly
+from cantorconj.fieldpoly import (
+    NumberField,
+    _mat_apply,
+    _mat_mul,
+    _row_reduce_int,
+    _solve_lin,
+    charpoly,
+)
 from cantorconj.systems import dyadic, fibonacci, odometer, quaternary, stationary_from_rows, triadic
 
 from conftest import hierarchy_pool, rows_of, time_ceiling
@@ -591,6 +598,45 @@ def test_sylvester_identity_on_seeded_products():
         assert nonzero_part(left) == nonzero_part(right), (h, big)
         nilpotent += nonzero_part(left) == (1,)
     assert nilpotent < 100
+
+
+def generator_mat_apply(mat, vec):
+    """The matrix kernel as it was first written, one generator per row."""
+    return tuple(sum(r * x for r, x in zip(row, vec)) for row in mat)
+
+
+def generator_mat_mul(a, b):
+    rows = len(a)
+    inner = len(b)
+    cols = len(b[0]) if inner else 0
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols))
+        for i in range(rows)
+    )
+
+
+def test_matrix_kernel_matches_the_generator_formulas():
+    rng = random.Random(21)
+    sqrt2 = NumberField((-2, 0, 1), 1, 2)
+    entries = (
+        lambda: rng.randint(-5, 9),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+        lambda: sqrt2.element((rng.randint(-3, 3), rng.randint(-3, 3))),
+    )
+    # (rows, inner, cols): 1x1, an empty inner dimension (b == ()), no rows,
+    # a zero-column b, then seeded shapes
+    shapes = [(1, 1, 1), (2, 0, 3), (0, 2, 2), (3, 2, 0), (1, 3, 1)]
+    shapes += [tuple(rng.randint(1, 4) for _ in range(3)) for _ in range(40)]
+    for entry in entries:
+        for rows, inner, cols in shapes:
+            a = tuple(tuple(entry() for _ in range(inner)) for _ in range(rows))
+            b = tuple(tuple(entry() for _ in range(cols)) for _ in range(inner))
+            vec = tuple(entry() for _ in range(inner))
+            assert _mat_apply(a, vec) == generator_mat_apply(a, vec)
+            # callers compare products with tuples, so rows must be tuples too
+            product = _mat_mul(a, b)
+            assert product == generator_mat_mul(a, b)
+            assert type(product) is tuple and all(type(row) is tuple for row in product)
 
 
 def split_pairs():

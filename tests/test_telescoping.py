@@ -1,0 +1,118 @@
+"""Verdicts and certificates on systems against their own telescopings.
+
+Telescoping an ordered diagram (A to A^2, edges ordered as composed paths)
+and renaming its vertices both give a conjugate Vershik system (Herman,
+Putnam and Skau 1992), so a decided verdict must survive either one.
+
+P40' is `random.Random(7).sample(all, 40)`, where `all` is the 11,200
+primitive 2x2 and 3x3 incidences with entries 0..2 in itertools.product
+order, row i listing source j m[i][j] times, one root edge per vertex.
+"""
+
+import hashlib
+import itertools
+import json
+import random
+
+from cantorconj.classify import (
+    decide_k_conjugacy,
+    decide_tau,
+    decide_weak,
+    ladder_certificate,
+    weak_certificate,
+)
+from cantorconj.systems import NAMED, odometer, stationary_from_rows
+
+from conftest import _is_primitive, rows_of, time_ceiling
+
+POSITIVE = ("weak", "tau", "k-conjugate")
+DECIDERS = (decide_weak, decide_tau, decide_k_conjugacy)
+
+
+def composed_rows(rows):
+    """Rows of the two-step transition: paths ordered by their upper edge first."""
+    return tuple(tuple(x for s in row for x in rows[s]) for row in rows)
+
+
+def reversed_rows(rows):
+    """The same rows with vertex i renamed n - 1 - i."""
+    n = len(rows)
+    return tuple(tuple(n - 1 - s for s in rows[n - 1 - i]) for i in range(n))
+
+
+def primitive_incidences(n):
+    for entries in itertools.product(range(3), repeat=n * n):
+        mat = tuple(entries[i * n : (i + 1) * n] for i in range(n))
+        if _is_primitive(rows_of(mat), n):
+            yield mat
+
+
+def p40_rows():
+    every = [m for n in (2, 3) for m in primitive_incidences(n)]
+    assert len(every) == 11200
+    return [rows_of(m) for m in random.Random(7).sample(every, 40)]
+
+
+def verdicts(a, b):
+    out = []
+    for decide in DECIDERS:
+        with time_ceiling(5):
+            out.append(decide(a, b).verdict)
+    return tuple(out)
+
+
+def test_p40_verdicts_survive_squaring_and_relabelling():
+    rows = p40_rows()
+    plain = [stationary_from_rows(r) for r in rows]
+    squared = [stationary_from_rows(composed_rows(r)) for r in rows]
+    flipped = [stationary_from_rows(reversed_rows(r)) for r in rows]
+    changed = {"squared": 0, "reversed": 0}
+    for i, j in itertools.permutations(range(len(rows)), 2):
+        base = verdicts(plain[i], plain[j])
+        for way, pool in (("squared", squared), ("reversed", flipped)):
+            got = verdicts(pool[i], plain[j])
+            for positive, x, y in zip(POSITIVE, base, got):
+                assert {x, y} != {positive, "not"}, (way, rows[i], rows[j], base, got)
+            changed[way] += got != base
+    # a ratchet: the squared count may fall, never rise (see ROADMAP item 1(b))
+    assert changed == {"squared": 14, "reversed": 0}
+
+
+def telescoping_pairs():
+    """Every primitive 2x2 incidence with entries <= 2 against its square,
+    both orders, and odometers 2, 3, 5 against their squares, both orders,
+    and their cubes."""
+    out = []
+    for mat in primitive_incidences(2):
+        rows = rows_of(mat)
+        a, sq = stationary_from_rows(rows), stationary_from_rows(composed_rows(rows))
+        out += [(a, sq), (sq, a)]
+    for q in (2, 3, 5):
+        out += [(odometer(q), odometer(q * q)), (odometer(q * q), odometer(q))]
+        out.append((odometer(q), odometer(q ** 3)))
+    return out
+
+
+def test_weak_and_ladder_certificates_are_pinned():
+    # weak certificates (or the verdict) on every ordered pair of P40' and
+    # the named systems, then weak and ladder certificates (or the verdict)
+    # on every telescoping pair, hashed in order
+    pool = [stationary_from_rows(r) for r in p40_rows()]
+    pool += [NAMED[name]() for name in sorted(NAMED)]
+    digest = hashlib.sha256()
+
+    def weak_record(a, b):
+        res = decide_weak(a, b)
+        return weak_certificate(res, a, b) if res.verdict == "weak" else res.verdict
+
+    for a, b in itertools.product(pool, repeat=2):
+        digest.update(json.dumps(weak_record(a, b), sort_keys=True).encode())
+    for a, b in telescoping_pairs():
+        weak = weak_record(a, b)
+        assert weak != "not"
+        kconj = decide_k_conjugacy(a, b)
+        ladder = kconj.verdict if kconj.ladder is None else ladder_certificate(kconj.ladder, a, b)
+        digest.update(json.dumps([weak, ladder], sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "c08f7787a2df32487938f5e9f0245031a5acd5a7f6d797f9d8f6efe0c81344fa"
+    )
