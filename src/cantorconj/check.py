@@ -353,7 +353,20 @@ def verify_ladder(
     dgA: OrderedBratteliDiagram,
     dgB: OrderedBratteliDiagram,
 ) -> LadderReport:
-    """Exact integer recomputation of every square and every unit image."""
+    """Exact integer recomputation of every square and every unit image,
+    then the shapes of ladder that certify an isomorphism.
+
+    Finitely many rungs prove nothing by themselves.  A ladder certifies in
+    two shapes only:
+
+    - period zero (every level of each side the same), which binds a
+      diagram to itself only, as the identity ladder of decide_k_conjugacy;
+    - periodic: both diagrams stationary, at least two forward rungs, all
+      forwards equal and all backwards equal, and each side's levels a
+      progression with step >= 1 from level >= 1.  Then H.h = A^ga and
+      h.H = B^gb, and the ladder extends by stationarity to an infinite
+      intertwining (the ladders of _ladder_search and _reversed_ladder).
+    """
     la, lb = ladder.a_levels, ladder.b_levels
     fs, bs = ladder.forwards, ladder.backwards
     if not (len(fs) == len(bs) == len(lb) == len(la) - 1):
@@ -385,7 +398,30 @@ def verify_ladder(
                 return LadderReport(
                     False, 2 * i + 2, "target-side square does not commute"
                 )
+    if not fs:
+        return LadderReport(False, None, "ladder has no rungs")
+    if la[0] == la[-1] and lb[0] == lb[-1]:
+        if dgA == dgB:
+            return LadderReport(True)
+        return LadderReport(False, None, "ladder of period zero between different diagrams")
+    if not (
+        len(fs) >= 2
+        and dgA.kind == dgB.kind == "stationary"
+        and fs.count(fs[0]) == len(fs)
+        and bs.count(bs[0]) == len(bs)
+        and _progression(la)
+        and _progression(lb)
+    ):
+        return LadderReport(False, None, "ladder is not periodic on stationary diagrams")
     return LadderReport(True)
+
+
+def _progression(levels):
+    """Levels from level >= 1 on, each the last plus one step >= 1."""
+    step = levels[1] - levels[0]
+    return (
+        levels[0] >= 1 and step >= 1 and all(y - x == step for x, y in zip(levels, levels[1:]))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,11 @@ solution of the intertwining equation h.A^ga = B^gb.h with h.u_A = u_B
 nonnegative integer points of that linear system, and H as those of
 H.h = A^ga, h.H = B^gb and H.u_B = u_A' (the unit ga levels up), each in
 lexicographic order by a depth-first walk over a row echelon form; one
-budget of walk nodes bounds the whole search.  A period pair whose powers
-A^ga and B^gb differ in nonzero spectrum cannot hold such a pair (H.h and
-h.H share it), so its cells are skipped before any elimination.
+budget of walk nodes bounds the whole search.  When h has full column
+rank, h.H = B^gb forces H, which is read off one small elimination of
+[h | B^gb] instead.  A period pair whose powers A^ga and B^gb differ in
+nonzero spectrum cannot hold such a pair (H.h and h.H share it), so its
+cells are skipped before any elimination.
 
 No-verdicts are only ever derived from sound obstructions: a prime power
 present in one divisor set and absent from the other, a rational-rank
@@ -70,7 +72,7 @@ from .check import (
     weak_schedules,
 )
 from .dimgroup import DimGroup, NEGATIVE, NOT_COMPARABLE, POSITIVE, UNKNOWN, ZERO
-from .fieldpoly import _mat_apply, _row_reduce_int, charpoly
+from .fieldpoly import _mat_apply, _mat_mul, _row_reduce_int, charpoly
 from .fullgroup import (
     ConjugacyReport,
     ConjugatorError,
@@ -306,6 +308,40 @@ def _unflatten(flat, width):
     return tuple(flat[i : i + width] for i in range(0, len(flat), width))
 
 
+def _backward_rung(h, ub0, ua1, conn_a, conn_b, budget):
+    """The lexicographically least backward rung H for the forward rung h,
+    or None when there is none.
+
+    One fraction-free elimination of [h | C_B] on the columns of h decides
+    the rank of h.  When h has full column rank, h.H = C_B forces H: row r
+    of H is the C_B side of pivot row r over its pivot, so the division
+    must be exact and nonnegative, and the rows past the pivots must be
+    zero on the C_B side; then H.h = C_A is checked.  H.u_B = u_A' follows,
+    since H.u_B = H.h.u_A = C_A.u_A, and with it the bounds of the
+    Kronecker system; that system has no free variable here, so this costs
+    the one node `_lex_solutions` charges on it.  A rank-deficient h (only
+    when C_A is singular) goes to `_backward_system` and `_lex_solutions`.
+    """
+    na = len(h[0])
+    aug = [list(hrow) + list(crow) for hrow, crow in zip(h, conn_b)]
+    if len(_row_reduce_int(aug, range(na))) < na:
+        backward = _backward_system(h, ub0, ua1, conn_a, conn_b)
+        flat = next(_lex_solutions(*backward, budget), None)
+        return None if flat is None else _unflatten(flat, len(ub0))
+    budget.charge()
+    for row in aug[na:]:
+        if any(row[na:]):
+            return None
+    bm = []
+    for r, row in enumerate(aug[:na]):
+        pv = row[r]
+        if any(x < 0 or x % pv for x in row[na:]):
+            return None
+        bm.append(tuple([x // pv for x in row[na:]]))
+    bm = tuple(bm)
+    return bm if _mat_mul(bm, h) == conn_a else None
+
+
 def _nonzero_charpoly(d, g):
     """charpoly of A^g, the g-th power of d's stationary incidence, with its
     factors of t dropped; constant first, kept per power in derived()."""
@@ -326,7 +362,10 @@ def _ladder_search(dgA, dgB, max_span, max_base, budget):
     Any such h solves h.C_A = C_B.h (shift equivalence over Z+), so h ranges
     over the solutions of that equation with h.u_A = u_B, and H over those
     of H.h = C_A, h.H = C_B and H.u_B = u_A'; the first pair in
-    lexicographic order of h, then of H, is returned.
+    lexicographic order of h, then of H, is returned.  When h has full
+    column rank, h.H = C_B forces H, which is read off one small
+    elimination of [h | C_B] (_backward_rung); only a rank-deficient h,
+    possible only when C_A is singular, takes the Kronecker system.
 
     Each period pair (ga, gb) is first tested once, exactly, and skipped
     with all its base levels when the test fails:
@@ -360,10 +399,8 @@ def _ladder_search(dgA, dgB, max_span, max_base, budget):
                     forward = _forward_system(ua0, ub0, conn_a, conn_b)
                     for flat in _lex_solutions(*forward, budget):
                         h = _unflatten(flat, len(ua0))
-                        backward = _backward_system(h, ub0, ua1, conn_a, conn_b)
-                        flat_b = next(_lex_solutions(*backward, budget), None)
-                        if flat_b is not None:
-                            bm = _unflatten(flat_b, len(ub0))
+                        bm = _backward_rung(h, ub0, ua1, conn_a, conn_b, budget)
+                        if bm is not None:
                             ladder = IntertwiningLadder(
                                 (a0, a0 + ga, a0 + 2 * ga),
                                 (b0, b0 + gb),

@@ -51,19 +51,26 @@ def _row_reduce_int(aug, columns):
     for col in columns:
         if row == m:
             break
-        sel = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if sel is None:
+        sel = row
+        while sel < m and aug[sel][col] == 0:
+            sel += 1
+        if sel == m:
             continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        g = math.gcd(*aug[row])
-        if aug[row][col] < 0:
-            g = -g
-        prow = aug[row] = [x // g for x in aug[row]]
+        prow = aug[sel]
+        aug[sel] = aug[row]
         pv = prow[col]
+        g = math.gcd(*prow)
+        if pv < 0:
+            g = -g
+        if g != 1:
+            prow = [x // g for x in prow]
+            pv = prow[col]
+        aug[row] = prow
         for r in range(m):
-            f = aug[r][col]
-            if r != row and f != 0:
-                new = [pv * x - f * y for x, y in zip(aug[r], prow)]
+            other = aug[r]
+            f = other[col]
+            if f and r != row:
+                new = [pv * x - f * y for x, y in zip(other, prow)]
                 g = math.gcd(*new)
                 aug[r] = [x // g for x in new] if g > 1 else new
         pivots.append(col)

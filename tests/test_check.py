@@ -10,7 +10,15 @@ import pytest
 
 from cantorconj import check
 from cantorconj.bratteli import cells
-from cantorconj.check import WEAK_ROUNDS, build_k0_morphism, verify_certificate
+from cantorconj.check import (
+    WEAK_ROUNDS,
+    IntertwiningLadder,
+    _certificate,
+    build_k0_morphism,
+    diagram_digest,
+    verify_certificate,
+    verify_ladder,
+)
 from cantorconj.classify import (
     conjugate_at_resolution,
     conjugator_certificate,
@@ -22,7 +30,7 @@ from cantorconj.classify import (
     weak_certificate,
 )
 from cantorconj.fullgroup import conjugator_from_partition
-from cantorconj.systems import dyadic, quaternary, stationary_from_rows
+from cantorconj.systems import dyadic, fibonacci, quaternary, stationary_from_rows
 
 from conftest import power_of, time_ceiling
 
@@ -194,3 +202,52 @@ def test_ladder_tampers_keep_their_rejection_reasons():
                         "ladder broken at rung %d: %s rung has the wrong shape"
                         % (2 * i + rung, key[:-1])
                     )
+
+
+def test_forged_ladders_that_prove_nothing_are_rejected():
+    fib = fibonacci()
+    b12 = stationary_from_rows(((0, 1, 1), (0, 0, 1)))  # [[1,2],[2,1]]
+    # no rungs at all
+    empty = _certificate(
+        "k-conjugate",
+        (fib, DYADIC),
+        {"a_levels": [1], "b_levels": [], "forwards": [], "backwards": []},
+    )
+    # one rung, so no target-side square is ever checked
+    one = _certificate(
+        "k-conjugate",
+        (DYADIC, fib),
+        {"a_levels": [0, 1], "b_levels": [1], "forwards": [[[1], [1]]], "backwards": [[[2, 0]]]},
+    )
+    # fibonacci's identity ladder against another diagram
+    swapped = ladder_certificate(decide_k_conjugacy(fib, fib).ladder, fib, fib)
+    swapped["systems"][1] = diagram_digest(b12)
+    for cert, systems, reason in (
+        (empty, (fib, DYADIC), "ladder has no rungs"),
+        (one, (DYADIC, fib), "ladder is not periodic on stationary diagrams"),
+        (swapped, (fib, b12), "ladder of period zero between different diagrams"),
+    ):
+        assert verify_certificate(cert, systems).reason == "ladder broken at rung None: " + reason
+    for decide in (decide_weak, decide_tau, decide_k_conjugacy):
+        assert decide(fib, b12).verdict == "not"
+    # every square commutes from the root level on, but the diagrams are
+    # stationary only from level 1, where the search's own ladder starts
+    root = IntertwiningLadder((0, 2, 4), (0, 1), (((1,),),) * 2, (((4,),),) * 2)
+    assert verify_ladder(root, DYADIC, QUATERNARY).reason == (
+        "ladder is not periodic on stationary diagrams"
+    )
+    lifted = IntertwiningLadder((1, 3, 5), (1, 2), (((2,),),) * 2, (((2,),),) * 2)
+    assert verify_ladder(lifted, DYADIC, QUATERNARY).ok
+    # its first rung pair alone checks no target-side square
+    half = IntertwiningLadder((1, 3), (1,), (((2,),),), (((2,),),))
+    assert verify_ladder(half, DYADIC, QUATERNARY).reason == (
+        "ladder is not periodic on stationary diagrams"
+    )
+    # incidence [[1,1],[1,1]] under two edge orders: every square commutes
+    # with the forward rungs I then the swap, but the ladder only extends
+    # when its rungs repeat
+    a, b = stationary_from_rows(((0, 1), (0, 1))), stationary_from_rows(((0, 1), (1, 0)))
+    eye, swap, ones = ((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (1, 1))
+    mixed = IntertwiningLadder((1, 2, 3), (1, 2), (eye, swap), (ones, ones))
+    assert verify_ladder(mixed, a, b).reason == "ladder is not periodic on stationary diagrams"
+    assert verify_ladder(IntertwiningLadder((1, 2, 3), (1, 2), (eye, eye), (ones, ones)), a, b).ok

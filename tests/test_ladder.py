@@ -10,12 +10,16 @@ its work, so it only runs on pairs that have a ladder, under a time ceiling.
 `unpruned_ladder_search` is the search without its spectral test: every
 cell of the window is visited.  It is the reference for the pruned search,
 which must return the same ladder wherever it returns one.
+`kronecker_ladder_search` is the search as it was before backward rungs
+were forced: every H solves the Kronecker system of `_backward_system`.
+It is the reference for ladders, counts and nodes spent.
 
 The enumerator reduces its system over Z; `fraction_lex_solutions` keeps
 the same walk over a reduction in Fraction as the reference for it.  That
 reduction, `row_reduce` (Gauss-Jordan over a field), is also the reference
 for `_solve_lin`, which scales rational systems to integers and reduces
-them fraction-free.
+them fraction-free.  `generator_row_reduce_int` is the integer kernel as it
+was first written, the reference for the one in use.
 """
 
 import itertools
@@ -29,10 +33,13 @@ from cantorconj import classify
 from cantorconj.bratteli import composed_incidence, heights
 from cantorconj.classify import (
     IntertwiningLadder,
+    SearchExhausted,
     _backward_system,
     _forward_system,
+    _ladder_search,
     _lex_solutions,
     _NodeBudget,
+    _nonzero_charpoly,
     _unflatten,
     decide_k_conjugacy,
     ladder_certificate,
@@ -48,7 +55,8 @@ from cantorconj.fieldpoly import (
 )
 from cantorconj.systems import dyadic, fibonacci, odometer, quaternary, stationary_from_rows, triadic
 
-from conftest import hierarchy_pool, rows_of, time_ceiling
+from conftest import _is_primitive, hierarchy_pool, rows_of, time_ceiling
+from test_telescoping import composed_rows, p40_rows, telescoping_pairs
 
 NAMED = {"dyadic": dyadic(), "triadic": triadic(), "quaternary": quaternary(), "fibonacci": fibonacci()}
 
@@ -135,6 +143,41 @@ def unpruned_ladder_search(dgA, dgB, max_span, max_base, budget):
                             )
                             return ladder, 0, visited
     return None, 0, visited
+
+
+def kronecker_ladder_search(dgA, dgB, max_span, max_base, budget):
+    """`classify._ladder_search` with every backward rung taken from the
+    Kronecker system of `_backward_system`, as it was before rungs were
+    forced."""
+    skipped = visited = 0
+    for span in range(2, max_span + 1):
+        for ga in range(1, span):
+            gb = span - ga
+            visited += 1
+            if _nonzero_charpoly(dgA, ga) != _nonzero_charpoly(dgB, gb):
+                skipped += 1
+                continue
+            for a0 in range(1, max_base + 1):
+                ua0, ua1 = heights(dgA, a0), heights(dgA, a0 + ga)
+                conn_a = composed_incidence(dgA, a0, a0 + ga)
+                for b0 in range(1, max_base + 1):
+                    ub0 = heights(dgB, b0)
+                    conn_b = composed_incidence(dgB, b0, b0 + gb)
+                    forward = _forward_system(ua0, ub0, conn_a, conn_b)
+                    for flat in _lex_solutions(*forward, budget):
+                        h = _unflatten(flat, len(ua0))
+                        backward = _backward_system(h, ub0, ua1, conn_a, conn_b)
+                        flat_b = next(_lex_solutions(*backward, budget), None)
+                        if flat_b is not None:
+                            bm = _unflatten(flat_b, len(ub0))
+                            ladder = IntertwiningLadder(
+                                (a0, a0 + ga, a0 + 2 * ga),
+                                (b0, b0 + gb),
+                                (h, h),
+                                (bm, bm),
+                            )
+                            return ladder, skipped, visited
+    return None, skipped, visited
 
 
 def power_rows(rows, k):
@@ -412,6 +455,65 @@ def test_integer_reduction_matches_fraction_reduction_on_rungs():
     assert min(solvable) >= 20
 
 
+def generator_row_reduce_int(aug, columns):
+    """`fieldpoly._row_reduce_int` as it was first written: the pivot found
+    by a generator, every pivot row divided by its gcd."""
+    m = len(aug)
+    pivots = []
+    row = 0
+    for col in columns:
+        if row == m:
+            break
+        sel = next((r for r in range(row, m) if aug[r][col] != 0), None)
+        if sel is None:
+            continue
+        aug[row], aug[sel] = aug[sel], aug[row]
+        g = math.gcd(*aug[row])
+        if aug[row][col] < 0:
+            g = -g
+        prow = aug[row] = [x // g for x in aug[row]]
+        pv = prow[col]
+        for r in range(m):
+            f = aug[r][col]
+            if r != row and f != 0:
+                new = [pv * x - f * y for x, y in zip(aug[r], prow)]
+                g = math.gcd(*new)
+                aug[r] = [x // g for x in new] if g > 1 else new
+        pivots.append(col)
+        row += 1
+    return pivots
+
+
+def test_row_reduce_int_matches_the_first_kernel():
+    # seeded integer systems of 1..8 rows and columns, over random column
+    # subsets in random orders, with negative pivots, zero rows and rows
+    # whose gcd is 1 or not
+    rng = random.Random(22)
+    seen = {"negative pivot": 0, "zero row": 0, "scaled row": 0}
+    for _ in range(3000):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        top = rng.choice((1, 3, 9))
+        rows = [[rng.randint(-top, top) for _ in range(n)] for _ in range(m)]
+        for row in rows:
+            pick = rng.random()
+            if pick < 0.1:
+                row[:] = [0] * n
+            elif pick < 0.3:
+                row[:] = [rng.choice((2, 3, -2)) * x for x in row]
+        if m > 1 and rng.random() < 0.3:
+            # one row a combination of two others: a rank-deficient system
+            c = rng.randint(-2, 2)
+            rows[-1] = [c * x + y for x, y in zip(rows[0], rows[1 % (m - 1)])]
+        columns = rng.sample(range(n), rng.randint(1, n))
+        seen["negative pivot"] += any(row[columns[0]] < 0 for row in rows)
+        seen["zero row"] += any(not any(row) for row in rows)
+        seen["scaled row"] += any(math.gcd(*row) > 1 for row in rows)
+        got, want = [list(row) for row in rows], [list(row) for row in rows]
+        assert _row_reduce_int(got, columns) == generator_row_reduce_int(want, columns), rows
+        assert got == want, (rows, columns)
+    assert min(seen.values()) >= 300, seen
+
+
 def fraction_solve_lin(vectors, target):
     """`_solve_lin` over Fraction: x[pivot] is the reduced row's constant."""
     ncols = len(vectors)
@@ -573,6 +675,119 @@ def test_ladder_found_in_one_order_answers_both():
         forward.ladder.backwards, forward.ladder.forwards
     )
     assert verify_ladder(res.ladder, small, big).ok
+
+
+def singular_incidences(count, seed):
+    """Seeded distinct primitive 3x3 incidences with entries 0..2 and
+    determinant 0: the only inputs where a forward rung can lack full
+    column rank."""
+    rng = random.Random(seed)
+    seen, out = set(), []
+    while len(out) < count:
+        m = tuple(tuple(rng.randint(0, 2) for _ in range(3)) for _ in range(3))
+        if m in seen:
+            continue
+        seen.add(m)
+        det = (
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        )
+        if det == 0 and _is_primitive(rows_of(m), 3):
+            out.append(m)
+    return out
+
+
+def rung_pool():
+    """Every ordered pair of distinct P40' systems and their squares, the
+    telescoping pairs, and 333 singular incidences against their squares,
+    both orders."""
+    rows = p40_rows()
+    systems = [stationary_from_rows(r) for r in rows]
+    systems += [stationary_from_rows(composed_rows(r)) for r in rows]
+    pairs = list(itertools.permutations(systems, 2)) + telescoping_pairs()
+    for mat in singular_incidences(333, 3):
+        rows = rows_of(mat)
+        a, sq = stationary_from_rows(rows), stationary_from_rows(composed_rows(rows))
+        pairs += [(a, sq), (sq, a)]
+    return pairs
+
+
+def test_backward_rung_matches_the_kronecker_system():
+    # seeded planted rungs: H and h drawn, C_A = H.h and C_B = h.H, the
+    # units from u_A, then one entry of C_A or C_B bumped in some draws;
+    # some planted H have a negative entry
+    rng = random.Random(23)
+    kinds = {"forced": 0, "deficient": 0, "found": 0, "none": 0}
+    for _ in range(1500):
+        na, nb = rng.randint(1, 3), rng.randint(1, 4)
+        h = tuple(tuple(rng.randint(0, 2) for _ in range(na)) for _ in range(nb))
+        low = -1 if rng.random() < 0.2 else 0
+        bm = tuple(tuple(rng.randint(low, 2) for _ in range(nb)) for _ in range(na))
+        ua0 = tuple(rng.randint(1, 4) for _ in range(na))
+        ub0 = _mat_apply(h, ua0)
+        if 0 in ub0:
+            continue
+        conn_a = [list(row) for row in _mat_mul(bm, h)]
+        conn_b = [list(row) for row in _mat_mul(h, bm)]
+        if rng.random() < 0.4:
+            bumped = rng.choice((conn_a, conn_b))
+            bumped[rng.randrange(len(bumped))][rng.randrange(len(bumped[0]))] += rng.choice((1, 2))
+        conn_a, conn_b = tuple(map(tuple, conn_a)), tuple(map(tuple, conn_b))
+        ua1 = _mat_apply(conn_a, ua0)
+        got_budget, want_budget = _NodeBudget(10 ** 6), _NodeBudget(10 ** 6)
+        got = classify._backward_rung(h, ub0, ua1, conn_a, conn_b, got_budget)
+        backward = _backward_system(h, ub0, ua1, conn_a, conn_b)
+        flat = next(_lex_solutions(*backward, want_budget), None)
+        assert got == (None if flat is None else _unflatten(flat, nb)), (h, conn_a, conn_b)
+        assert got_budget.spent == want_budget.spent
+        rank = len(_row_reduce_int([list(row) for row in h], range(na)))
+        kinds["forced" if rank == na else "deficient"] += 1
+        kinds["none" if got is None else "found"] += 1
+    assert min(kinds.values()) >= 200, kinds
+
+
+def search_outcome(search, a, b, limit):
+    budget = _NodeBudget(limit)
+    try:
+        return search(a, b, 12, 3, budget), budget.spent
+    except SearchExhausted as e:
+        return ("exhausted", str(e)), budget.spent
+
+
+def test_forced_backward_rungs_match_the_kronecker_system(monkeypatch):
+    pairs = rung_pool()
+    assert len(pairs) == 80 * 79 + 73 + 2 * 333
+    wants = [search_outcome(kronecker_ladder_search, a, b, 20_000) for a, b in pairs]
+    calls = {"_backward_rung": 0, "_backward_system": 0}
+
+    def counted(name):
+        inner = getattr(classify, name)
+
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(classify, name, counted(name))
+    found = []
+    for (a, b), want in zip(pairs, wants):
+        assert search_outcome(_ladder_search, a, b, 20_000) == want
+        if isinstance(want[0][0], IntertwiningLadder):
+            found.append((a, b, want[1]))
+    # both rung paths run: forced rungs, and rank-deficient h on the
+    # singular incidences
+    assert 0 < calls["_backward_system"] < calls["_backward_rung"], calls
+    assert len(found) > 500
+    # a budget that runs out midway, or at the last node, runs out at the
+    # same node with the same message
+    for a, b, spent in found[::8]:
+        for limit in (spent // 2, spent - 1):
+            want = search_outcome(kronecker_ladder_search, a, b, limit)
+            assert want[0][0] == "exhausted"
+            assert search_outcome(_ladder_search, a, b, limit) == want
 
 
 # ---------------------------------------------------------------------------
