@@ -56,6 +56,9 @@ FORMAT_NAME = "obd-v1"
 # only read tower by tower, such as the audit level of a conjugator.
 CELL_CAP = 2 ** 12
 
+# Default depth bound: how many levels a bounded scan reads before it gives up.
+DEFAULT_DEPTH = 40
+
 
 class DiagramSyntaxError(ValueError):
     """Diagram text is not valid JSON; message carries the position."""
@@ -608,7 +611,7 @@ def _eventual_image(f: Sequence[int]) -> tuple[int, ...]:
     return tuple(cur)
 
 
-def validate(d: OrderedBratteliDiagram, depth: int = 40) -> ValidationReport:
+def validate(d: OrderedBratteliDiagram, depth: int = DEFAULT_DEPTH) -> ValidationReport:
     """Primitivity and proper-orderedness report with explicit witnesses.
 
     Primitivity: some composed incidence product from level 1 is strictly

@@ -557,9 +557,8 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
             ladder = IntertwiningLadder.from_json(witness)
             rep = verify_ladder(ladder, systems[0], systems[1])
             if not rep.ok:
-                return CertificateCheck(
-                    False, "ladder broken at rung %s: %s" % (rep.index, rep.reason)
-                )
+                where = "rejected" if rep.index is None else "broken at rung %d" % rep.index
+                return CertificateCheck(False, "ladder %s: %s" % (where, rep.reason))
             return CertificateCheck(True)
         if claim == "weak":
             if len(systems) != 2:

@@ -4,9 +4,10 @@ Subcommands map onto the library layers: diagram hygiene (validate,
 heights, vershik), dimension group queries (k0-class, positivity),
 invariants (spectrum), the equivalence deciders (weak, tau, kconj,
 conjugator), numerical semigroup arithmetic (frobenius), and certificate
-re-checking (verify).  Every report embeds the bounds it ran with, so an
-Unknown verdict names the exact search that was exhausted; --format picks
-json or a flat key:value table and --out redirects the report to a file.
+re-checking (verify).  A subcommand takes only the bounds it passes on,
+and its report embeds them, so an Unknown verdict names the exact search
+that was exhausted; --format picks json or a flat key:value table and
+--out redirects the report to a file.
 For kconj the ladder search solves the intertwining equation within the
 --span and --base window under a fixed budget of search nodes, and the
 note of an Unknown verdict says which ran out and how many nodes were spent.
@@ -22,6 +23,7 @@ import sys
 
 from .bratteli import (
     CELL_CAP,
+    DEFAULT_DEPTH,
     CapabilityError,
     DiagramStructureError,
     DiagramSyntaxError,
@@ -48,7 +50,7 @@ from .classify import (
     weak_certificate,
 )
 from .dimgroup import DimGroup
-from .invariants import periodic_spectrum
+from .invariants import DEFAULT_PRIME_CUTOFF, periodic_spectrum
 
 
 class _UsageError(Exception):
@@ -60,9 +62,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _common_flags(sub):
-    sub.add_argument("--depth", type=int, default=40, help="search depth bound")
-    sub.add_argument("--primes", type=int, default=97, help="prime cutoff")
+# The subcommands that pass each bound on to the library.
+_DEPTH_TAKERS = {"validate", "positivity", "spectrum", "weak", "tau", "kconj", "conjugator"}
+_PRIMES_TAKERS = {"spectrum", "weak", "tau", "kconj"}
+
+
+def _common_flags(name, sub):
+    if name in _DEPTH_TAKERS:
+        sub.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="search depth bound")
+    if name in _PRIMES_TAKERS:
+        sub.add_argument("--primes", type=int, default=DEFAULT_PRIME_CUTOFF, help="prime cutoff")
     sub.add_argument("--format", choices=("table", "json"), default="table")
     sub.add_argument("--out", default=None, help="write the report to a file")
 
@@ -137,8 +146,8 @@ def _build_parser():
     sub.add_argument("generators", nargs="+", type=int)
     sub.set_defaults(handler=_cmd_frobenius)
 
-    for sub in subs.choices.values():
-        _common_flags(sub)
+    for name, sub in subs.choices.items():
+        _common_flags(name, sub)
     return parser
 
 
@@ -362,10 +371,8 @@ def run(argv=None) -> int:
     except (OSError, ValueError) as e:
         print("input error: %s" % e, file=sys.stderr)
         return 1
-    bounds = {}
-    for key in ("depth", "primes", "span", "base"):
-        if getattr(args, key, None) is not None:
-            bounds[key] = getattr(args, key)
+    keys = ("depth", "primes", "span", "base")
+    bounds = {key: getattr(args, key) for key in keys if hasattr(args, key)}
     report = {"command": args.command, "bounds": bounds}
     report.update(payload)
     _emit(report, args.format, args.out)

@@ -20,10 +20,10 @@ the numerator is an integer dot product and nothing is divided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .bratteli import (
+    DEFAULT_DEPTH,
     DgElement,
     OrderedBratteliDiagram,
     derived,
@@ -53,7 +53,6 @@ __all__ = [
     "NOT_COMPARABLE",
     "UNKNOWN",
     "PerronData",
-    "CertifiedReal",
 ]
 
 
@@ -97,28 +96,6 @@ class PerronData:
     field: NumberField
     left_eigenvector: tuple
     normalizer: FieldElement
-
-
-@dataclass
-class CertifiedReal:
-    """A real algebraic number with certified sign and refinable enclosure."""
-
-    element: FieldElement
-
-    def sign(self) -> int:
-        return self.element.sign()
-
-    def interval(self, eps) -> tuple:
-        return self.element.interval(eps)
-
-    def is_rational(self) -> bool:
-        return self.element.is_rational()
-
-    def as_fraction(self) -> Fraction:
-        return self.element.as_rational()
-
-    def approx(self) -> float:
-        return self.element.approx()
 
 
 class DimGroup:
@@ -176,7 +153,7 @@ class DimGroup:
 
     # -- exact/bounded decisions --------------------------------------------
 
-    def is_zero(self, g: DgElement, depth: int = 40) -> Decision:
+    def is_zero(self, g: DgElement, depth: int = DEFAULT_DEPTH) -> Decision:
         """Is g the zero class?
 
         Stationary: exact.  The kernels of A, A^2, ... form an increasing
@@ -198,7 +175,7 @@ class DimGroup:
             return Decision(None, depth=pos.depth)
         return Decision(pos.verdict == ZERO, witness_level=pos.witness_level)
 
-    def equal(self, a: DgElement, b: DgElement, depth: int = 40) -> Decision:
+    def equal(self, a: DgElement, b: DgElement, depth: int = DEFAULT_DEPTH) -> Decision:
         """Is a - b the zero class?  Two presentations at one level with
         one vector are answered at once, with the Decision is_zero gives
         the zero vector there."""
@@ -209,7 +186,7 @@ class DimGroup:
             return Decision(True, witness_level=a.level)
         return self.is_zero(self.sub(a, b), depth)
 
-    def is_positive(self, g: DgElement, depth: int = 40) -> PositivityResult:
+    def is_positive(self, g: DgElement, depth: int = DEFAULT_DEPTH) -> PositivityResult:
         """Order position of g: Positive, Zero, Negative, NotComparable, Unknown.
 
         Primitive stationary case is exact: the sign of the normalized trace
@@ -358,7 +335,7 @@ class DimGroup:
         """
         return poly_trim(_mat_apply(self.trace_weights[1], rep.vector))
 
-    def trace_value(self, g: DgElement) -> CertifiedReal:
+    def trace_value(self, g: DgElement) -> FieldElement:
         """The unique normalized trace of g, as a certified algebraic real:
         the numerator scale * <v, rep> over the certified-positive
         denominator scale * root^(m-1) * normalizer, with rep the
@@ -368,7 +345,7 @@ class DimGroup:
         field = data.field
         scale = self.trace_weights[0]
         denom = (field.generator() ** (rep.level - 1)) * data.normalizer * scale
-        return CertifiedReal(FieldElement(field, self._trace_numerator(rep)) / denom)
+        return FieldElement(field, self._trace_numerator(rep)) / denom
 
     def gcd_chain(self, up_to: int) -> list[int]:
         """gcd of the height entries at levels 1..up_to (a divisibility chain)."""

@@ -473,11 +473,6 @@ class FieldElement:
                 return (lo, hi)
             self.field.refine()
 
-    def approx(self) -> float:
-        """Display-only float; never used for decisions."""
-        lo, hi = self.interval(Fraction(1, 10 ** 12))
-        return float((lo + hi) / 2)
-
 
 # ---------------------------------------------------------------------------
 # Integer characteristic polynomials (Faddeev-LeVerrier, exact).

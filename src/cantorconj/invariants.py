@@ -37,7 +37,14 @@ from functools import cached_property
 from math import gcd, isqrt, lcm
 from typing import Optional, Union
 
-from .bratteli import CapabilityError, OrderedBratteliDiagram, derived, heights, incidence
+from .bratteli import (
+    DEFAULT_DEPTH,
+    CapabilityError,
+    OrderedBratteliDiagram,
+    derived,
+    heights,
+    incidence,
+)
 from .dimgroup import DimGroup
 from .fieldpoly import _mat_apply, _solve_lin, charpoly
 
@@ -61,7 +68,6 @@ __all__ = [
 ]
 
 DEFAULT_PRIME_CUTOFF = 97
-DEFAULT_DEPTH = 40
 
 _VALUATION_CAP = 4096  # defense in depth: certified-finite loops must stop long before
 
@@ -586,7 +592,7 @@ def _trace_image_group(dg):
     taus = []
     for i in range(k):
         vec = tuple(1 if j == i else 0 for j in range(k))
-        taus.append(grp.trace_value(grp.element(1, vec)).element)
+        taus.append(grp.trace_value(grp.element(1, vec)))
     if deg == 1:
         lam = -data.minpoly[0]
         fracs = [t.as_rational() for t in taus]

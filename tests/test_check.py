@@ -4,12 +4,15 @@ import ast
 import copy
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from cantorconj import check
-from cantorconj.bratteli import cells
+from cantorconj.bratteli import cells, serialize_diagram
 from cantorconj.check import (
     WEAK_ROUNDS,
     IntertwiningLadder,
@@ -59,6 +62,41 @@ def test_check_imports_no_decider_front_end_or_sympy():
     for name in names:
         parts = set(name.split("."))
         assert not parts & {"classify", "cli", "sympy"}, name
+
+
+REPLAY_ALONE = """
+import json, sys
+import cantorconj.check
+from cantorconj.bratteli import parse_diagram  # loaded by check already
+
+UPPER = {"cantorconj.classify", "cantorconj.cli", "sympy"}
+before = sorted(UPPER & set(sys.modules))
+cert, texts = json.load(sys.stdin)
+chk = cantorconj.check.verify_certificate(cert, [parse_diagram(t) for t in texts])
+after = sorted(UPPER & set(sys.modules))
+print(json.dumps({"before": before, "ok": chk.ok, "reason": chk.reason, "after": after}))
+"""
+
+
+def test_replay_alone_loads_no_decider_front_end_or_sympy():
+    # a fresh interpreter imports cantorconj.check, not the package's upper
+    # layers, and replays the dyadic-quaternary ladder handed in as JSON
+    ladder = decide_k_conjugacy(DYADIC, QUATERNARY).ladder
+    cert = ladder_certificate(ladder, DYADIC, QUATERNARY)
+    blob = json.dumps([cert, [serialize_diagram(DYADIC), serialize_diagram(QUATERNARY)]])
+    src = str(pathlib.Path(check.__file__).resolve().parents[1])
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    proc = subprocess.run(
+        [sys.executable, "-c", REPLAY_ALONE],
+        input=blob,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert (out["before"], out["ok"], out["after"]) == ([], True, []), out
 
 
 def floor_cycle_certificate(d, level):
@@ -227,7 +265,7 @@ def test_forged_ladders_that_prove_nothing_are_rejected():
         (one, (DYADIC, fib), "ladder is not periodic on stationary diagrams"),
         (swapped, (fib, b12), "ladder of period zero between different diagrams"),
     ):
-        assert verify_certificate(cert, systems).reason == "ladder broken at rung None: " + reason
+        assert verify_certificate(cert, systems).reason == "ladder rejected: " + reason
     for decide in (decide_weak, decide_tau, decide_k_conjugacy):
         assert decide(fib, b12).verdict == "not"
     # every square commutes from the root level on, but the diagrams are

@@ -223,6 +223,36 @@ def test_kconj_reports_bounds(corpus, capsys):
     assert rep["bounds"]["span"] == 12
 
 
+def test_each_subcommand_takes_and_echoes_only_its_own_bounds(corpus, tmp_path, capsys):
+    d, q = corpus["dyadic"], corpus["quaternary"]
+    rc, rep = run_json(capsys, ["kconj", d, q])
+    cert = tmp_path / "kconj.cert.json"
+    cert.write_text(json.dumps(rep["certificate"]))
+    scan, divisors = {"depth": 40}, {"depth": 40, "primes": 97}
+    cases = {
+        "validate": ([d], scan),
+        "heights": ([d, "3"], {}),
+        "k0-class": ([d, "1", "0:1"], {}),
+        "positivity": ([d, "1", "1"], scan),
+        "spectrum": ([d], divisors),
+        "weak": ([d, q], divisors),
+        "tau": ([d, q], divisors),
+        "kconj": ([d, q], dict(divisors, span=12, base=3)),
+        "conjugator": ([d, q, "2"], scan),
+        "verify": ([str(cert), d, q], {}),
+        "vershik": ([d], {}),
+        "frobenius": (["3", "5"], {}),
+    }
+    for command, (args, bounds) in cases.items():
+        rc, rep = run_json(capsys, [command] + args)
+        assert (rc, rep["bounds"]) == (0, bounds), command
+        for flag in ("--depth", "--primes"):
+            if flag[2:] not in bounds:
+                assert run([command] + args + [flag, "5"]) == 1, (command, flag)
+                err = capsys.readouterr().err
+                assert err == "usage error: unrecognized arguments: %s 5\n" % flag, err
+
+
 def test_conjugator_roundtrip(corpus, tmp_path, capsys):
     rc, rep = run_json(
         capsys, ["conjugator", corpus["dyadic"], corpus["quaternary"], "2"]

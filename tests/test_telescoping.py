@@ -9,6 +9,7 @@ primitive 2x2 and 3x3 incidences with entries 0..2 in itertools.product
 order, row i listing source j m[i][j] times, one root edge per vertex.
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -47,10 +48,12 @@ def primitive_incidences(n):
             yield mat
 
 
+@functools.cache
 def p40_rows():
+    """The P40' rows, enumerated once per session (the tests share them)."""
     every = [m for n in (2, 3) for m in primitive_incidences(n)]
     assert len(every) == 11200
-    return [rows_of(m) for m in random.Random(7).sample(every, 40)]
+    return tuple(rows_of(m) for m in random.Random(7).sample(every, 40))
 
 
 def verdicts(a, b):
