@@ -9,9 +9,8 @@ witness is, so it lives here with the semigroup arithmetic it reads), tau
 by equal spectra and isomorphic trace images, and a conjugator by
 fullgroup.verify_conjugator.
 
-This module imports no decider (classify), no front end (cli) and not
-sympy; the invariants it calls still import sympy lazily, inside the
-functions that factor, so a replay that reaches them loads it.
+This module imports no decider (classify) and no front end (cli); no
+module of the package imports sympy.
 """
 
 from __future__ import annotations

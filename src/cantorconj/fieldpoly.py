@@ -1,4 +1,4 @@
-"""Exact arithmetic: small dense matrices, and real algebraic numbers.
+"""Exact arithmetic: small dense matrices, factoring over Z, and real algebraic numbers.
 
 Matrices are sequences of rows over any exact ring (int, Fraction or
 FieldElement); one product and one matrix-vector product serve every layer
@@ -8,12 +8,16 @@ spectral is decided over Q: elements of the number field Q[t]/(minpoly) are
 dense rational-coefficient polynomials, the distinguished real root lives in an
 isolating interval with rational endpoints (endpoint signs of the minimal
 polynomial differ), and sign questions are settled by interval evaluation
-plus bisection refinement.  No floating point participates in any
-decision; floats appear only in display helpers.
+plus bisection refinement.  The minimal polynomial of the Perron root is
+found by factoring the characteristic polynomial over Z here, and integers
+are factored here too (trial division, Pollard-Brent rho, Miller-Rabin and
+Baillie-PSW); no other library takes part.  No floating point participates
+in any decision; floats appear only in display helpers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -498,23 +502,431 @@ def charpoly(matrix) -> tuple:
     return poly_trim(tuple(reversed(cs)))
 
 
+# ---------------------------------------------------------------------------
+# Integer factoring: trial division by the primes below 1000, then
+# Pollard-Brent rho.  Primality is decided by Miller-Rabin on the first 13
+# prime bases, which no composite below 3.3e24 passes, and above that by the
+# Baillie-PSW test (a base-2 strong probable prime that is also a strong
+# Lucas probable prime), for which no composite is known.
+
+
+def primes_up_to(n):
+    """The primes p <= n in increasing order, by the sieve of Eratosthenes;
+    n is a prime cutoff, which is small."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(2, n + 1) if sieve[p]]
+
+
+_TRIAL_PRIMES = tuple(primes_up_to(1000))
+_MR_BASES = _TRIAL_PRIMES[:13]
+_MR_LIMIT = 3317044064679887385961981  # least composite passing every base in _MR_BASES
+
+
+def _strong_probable_prime(n, a):
+    """Miller-Rabin to base a of the odd n > a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) of odd positive n."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n):
+    """Strong Lucas test of the odd n, with Selfridge's parameters: D the first
+    of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and Q = (1 - D)/4."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D would do
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # n > |D| shares a factor with D
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x):
+        return (x + n if x % 2 else x) // 2 % n
+
+    # U_k, V_k and Q^k for k the leading bits of d, doubling then stepping
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(D * u + v), qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def is_prime(n) -> bool:
+    """Is the integer n prime: by trial division up to 1000^2, then as above."""
+    if n < 2:
+        return False
+    for p in _TRIAL_PRIMES:
+        if n % p == 0:
+            return n == p
+        if p * p > n:
+            return True
+    if n < _MR_LIMIT:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _brent_rho(n):
+    """A proper factor of the composite n, which has no prime factor below
+    1000: Pollard's rho with Brent's cycle search, taking gcds of batched
+    products, on t^2 + c for c = 1, 2, ... until one splits n."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def factor_integer(n) -> dict:
+    """The prime factorization {p: exponent} of the positive integer n, in
+    increasing order of p."""
+    out = {}
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _brent_rho(m)
+            stack += [f, m // f]
+    return dict(sorted(out.items()))
+
+
+# ---------------------------------------------------------------------------
+# Factoring integer polynomials: Yun's square-free decomposition, then
+# Zassenhaus's method on each part (H. Cohen, A Course in Computational
+# Algebraic Number Theory, ch. 3).  Integer polynomials are tuples of ints;
+# polynomials over F_p are lists of residues in [0, p); both are constant
+# first and trimmed.
+
+
+def _primitive(f):
+    """f divided by its content, with a positive leading coefficient."""
+    g = math.gcd(*f)
+    if f[-1] < 0:
+        g = -g
+    return tuple(c // g for c in f)
+
+
+def _zquo(f, g):
+    """The integer polynomial f / g when g divides f in Z[t], else None."""
+    rem = list(f)
+    dg, lead = len(g) - 1, g[-1]
+    quot = [0] * max(0, len(rem) - dg)
+    while len(rem) > dg:
+        c, r = divmod(rem[-1], lead)
+        if r:
+            return None
+        shift = len(rem) - 1 - dg
+        quot[shift] = c
+        if c:
+            for i, y in enumerate(g):
+                rem[shift + i] -= c * y
+        rem.pop()
+    return poly_trim(quot) if not any(rem) else None
+
+
+def _zgcd(f, g):
+    """Primitive gcd of integer polynomials, positive leading coefficient,
+    by the primitive pseudo-remainder sequence; gcd(f, ()) is f's primitive
+    part."""
+    if not g:
+        return _primitive(f)
+    f, g = _primitive(f), _primitive(g)
+    while len(g) > 1:
+        rem = list(f)
+        dg, lead = len(g) - 1, g[-1]
+        while len(rem) > dg:
+            c = rem[-1]
+            shift = len(rem) - 1 - dg
+            rem = [lead * x for x in rem]
+            for i, y in enumerate(g):
+                rem[shift + i] -= c * y
+            rem = list(poly_trim(rem))
+        f, g = g, (_primitive(rem) if rem else ())
+    return (1,) if g else f
+
+
+def _squarefree_parts(f):
+    """Yun: pairwise coprime square-free primitive a_1, a_2, ... with f = c
+    prod a_i^i; returns those of positive degree."""
+    df = poly_derivative(f)
+    a = _zgcd(f, df)
+    b, c = _zquo(f, a), _zquo(df, a)
+    out = []
+    while len(b) > 1:
+        d = poly_sub(c, poly_derivative(b))
+        a = _zgcd(b, d)
+        if len(a) > 1:
+            out.append(a)
+        b, c = _zquo(b, a), _zquo(d, a)
+    return out
+
+
+def _pmod(f, p):
+    out = [c % p for c in f]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _pmul(f, g, p):
+    return _pmod(poly_mul(f, g), p)
+
+
+def _psub(f, g, p):
+    return _pmod(poly_sub(f, g), p)
+
+
+def _pdivmod(f, g, p):
+    """Division with remainder in F_p[t]; g must be non-zero."""
+    rem = list(f)
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    quot = [0] * max(0, len(rem) - dg)
+    while len(rem) > dg:
+        c = rem[-1] * inv % p
+        shift = len(rem) - 1 - dg
+        quot[shift] = c
+        for i, y in enumerate(g):
+            rem[shift + i] = (rem[shift + i] - c * y) % p
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quot, rem
+
+
+def _pmonic(f, p):
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _pgcd(f, g, p):
+    """Monic gcd in F_p[t]."""
+    while g:
+        f, g = g, _pdivmod(f, g, p)[1]
+    return _pmonic(f, p)
+
+
+def _ppowmod(f, e, m, p):
+    """f^e mod m in F_p[t]."""
+    out, base = [1], _pdivmod(f, m, p)[1]
+    while e:
+        if e & 1:
+            out = _pdivmod(_pmul(out, base, p), m, p)[1]
+        base = _pdivmod(_pmul(base, base, p), m, p)[1]
+        e >>= 1
+    return out
+
+
+def _pinverse(f, m, p):
+    """g with f g = 1 mod m in F_p[t]; f must be prime to m."""
+    r0, r1 = m, _pdivmod(f, m, p)[1]
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        q, r = _pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
+    if not r1:
+        raise AssertionError("polynomial is not invertible modulo m")
+    inv = pow(r1[0], -1, p)
+    return _pdivmod([c * inv % p for c in s1], m, p)[1]
+
+
+def _distinct_degree(f, p):
+    """Distinct-degree factorization of the monic square-free f over F_p:
+    pairs (g_d, d), g_d the product of f's irreducible factors of degree d."""
+    out = []
+    h, d = [0, 1], 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _ppowmod(h, p, f, p)
+        g = _pgcd(f, _psub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _pdivmod(f, g, p)[0]
+            h = _pdivmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(f, d, p):
+    """The monic irreducible factors of f over F_p (p odd), all of degree d:
+    Cantor-Zassenhaus splitting by gcd(f, a^((p^d - 1)/2) - 1), with a running
+    through the polynomials of degree 1 to deg f - 1 in the order of the
+    integer whose base-p digits are a's coefficients."""
+    n = len(f) - 1
+    if n == d:
+        return [f]
+    e = (p**d - 1) // 2
+    for k in range(p, p**n):
+        a, x = [], k
+        while x:
+            x, r = divmod(x, p)
+            a.append(r)
+        g = _pgcd(f, _psub(_ppowmod(a, e, f, p), [1], p), p)
+        if 1 < len(g) < len(f):
+            return _equal_degree(g, d, p) + _equal_degree(_pdivmod(f, g, p)[0], d, p)
+    raise AssertionError("no splitting polynomial below degree %d" % n)
+
+
+def _hensel_lift(f, factors, p, k):
+    """Monic g_i = factors[i] mod p whose product is f / lc(f) mod p^k, lifted
+    one p-adic digit at a time: with E = (f / lc(f) - prod g_i) / p^e mod p,
+    each g_i gains p^e (s_i E mod g_i), where s_i inverts prod_{j != i} g_j
+    modulo g_i; then sum_i (s_i E mod g_i) prod_{j != i} g_j = E mod p, both
+    sides being of degree below deg f and equal modulo every g_i."""
+    m = p**k
+    inv = pow(f[-1], -1, m)
+    target = [c * inv % m for c in f]
+    s = []
+    for i, g in enumerate(factors):
+        cof = [1]
+        for j, h in enumerate(factors):
+            if j != i:
+                cof = _pmul(cof, h, p)
+        s.append(_pinverse(cof, g, p))
+    lifted = [list(g) for g in factors]
+    pe = p
+    for _ in range(1, k):
+        prod = [1]
+        for g in lifted:
+            prod = _pmod(poly_mul(prod, g), pe * p)
+        err = _pmod([(c - x) // pe for c, x in zip(target, prod)], p)
+        for i, g in enumerate(factors):
+            delta = _pdivmod(_pmul(s[i], err, p), g, p)[1]
+            for j, c in enumerate(delta):
+                lifted[i][j] += pe * c
+        pe *= p
+    return lifted
+
+
+def _zassenhaus(f):
+    """The irreducible factors of the square-free primitive f (degree at least
+    2): factor f mod the least odd prime p that divides neither lc(f) nor the
+    discriminant, lift the factors mod p^k past twice the bound B on the
+    coefficients of lc(f)/lc(h) h for any factor h of f, and recombine them,
+    fewest first, keeping each product whose primitive part divides f."""
+    lc = f[-1]
+    for p in _TRIAL_PRIMES[1:]:
+        fp = _pmod(f, p)
+        if lc % p and len(_pgcd(fp, _pmod(poly_derivative(f), p), p)) == 1:
+            break
+    else:
+        raise AssertionError("no prime below 1000 keeps f square-free")
+    fp = _pmonic(fp, p)
+    factors = [g for h, d in _distinct_degree(fp, p) for g in _equal_degree(h, d, p)]
+    if len(factors) == 1:
+        return [f]
+    # Mignotte: every factor h of f has |h_j| <= 2^deg(h) |f|_2
+    bound = lc * (math.isqrt(sum(c * c for c in f)) + 1) << (len(f) - 1)
+    k, m = 1, p
+    while m <= 2 * bound:
+        k, m = k + 1, m * p
+    lifted = _hensel_lift(f, factors, p, k)
+    out = []
+    live = list(range(len(lifted)))
+    size = 1
+    while 2 * size <= len(live):
+        for subset in itertools.combinations(live, size):
+            g = [f[-1]]
+            for i in subset:
+                g = _pmod(poly_mul(g, lifted[i]), m)
+            g = _primitive(tuple(c - m if 2 * c > m else c for c in g))
+            q = _zquo(f, g)
+            if q is not None:
+                out.append(g)
+                f = q
+                live = [i for i in live if i not in subset]
+                break
+        else:
+            size += 1
+    return out + [f]
+
+
+def irreducible_factors(p):
+    """The distinct irreducible factors of the non-zero integer polynomial p,
+    each primitive with a positive leading coefficient."""
+    out = []
+    for a in _squarefree_parts(_primitive(poly_trim(tuple(int(c) for c in p)))):
+        out += [a] if len(a) == 2 else _zassenhaus(a)
+    return out
+
+
 def irreducible_factor_of_largest_root(p):
     """Monic irreducible integer factor of p whose root is p's largest real root.
 
-    Factorization itself is delegated to sympy (standard method, degree kept
-    small); the selection is certified here with Sturm counts on the
-    isolating interval of p's largest root, so no inexact data flows onward.
+    p is a monic integer polynomial.  Its distinct irreducible factors come
+    from irreducible_factors, in exact integer arithmetic; the selection is
+    certified with Sturm counts on the isolating interval of p's largest root.
     """
-    import sympy
-
-    x = sympy.symbols("x")
-    expr = sum(int(c) * x ** i for i, c in enumerate(p))
-    factors = []
-    for fac, mult in sympy.factor_list(sympy.Poly(expr, x))[1]:
-        coeffs = [int(c) for c in reversed(sympy.Poly(fac, x).all_coeffs())]
-        if coeffs[-1] < 0:
-            coeffs = [-c for c in coeffs]
-        factors.append(poly_trim(tuple(coeffs)))
+    factors = irreducible_factors(p)
     # (lo, hi] holds one distinct root of p, the largest; distinct
     # irreducible factors are coprime, so exactly one vanishes there, and it
     # changes sign across: its roots are simple, hi is above all of them, and

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Optional, Union
 
 from .bratteli import (
@@ -46,7 +46,7 @@ from .bratteli import (
     incidence,
 )
 from .dimgroup import DimGroup
-from .fieldpoly import _mat_apply, _solve_lin, charpoly
+from .fieldpoly import _mat_apply, _solve_lin, charpoly, factor_integer, primes_up_to
 
 __all__ = [
     "AtLeast",
@@ -191,25 +191,9 @@ def _valuation(n, p):
     return v
 
 
-def _primes_up_to(n):
-    """The primes p <= n in increasing order, by the sieve of Eratosthenes;
-    n is a prime cutoff, which is small."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p in range(2, n + 1) if sieve[p]]
-
-
 def _prime_factors(n):
-    from sympy import factorint
-
-    if n in (0, 1):
-        return set()
-    return set(factorint(abs(n)).keys())
+    """The primes dividing the integer n; none for 0 and +-1."""
+    return set(factor_integer(abs(n))) if n else set()
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +333,7 @@ def periodic_spectrum(
                 entries.append((p, v))
         return SupernaturalTruncation(tuple(entries), prime_cutoff, depth)
     cap = min(depth, dg.max_level())
-    primes = _primes_up_to(prime_cutoff)
+    primes = primes_up_to(prime_cutoff)
     best = {p: 0 for p in primes}
     for m in range(1, cap + 1):
         g = 0
@@ -439,7 +423,7 @@ def spectra_equal(
     statA = dgA.kind == "stationary"
     statB = dgB.kind == "stationary"
     witnesses = []
-    for p in _primes_up_to(prime_cutoff):
+    for p in primes_up_to(prime_cutoff):
         loA, hiA = _bounds_of(trA.valuation(p), statA)
         loB, hiB = _bounds_of(trB.valuation(p), statB)
         if hiB is not None and hiB != _INF and loA > hiB:

@@ -1,8 +1,10 @@
 """Certificate replay in cantorconj.check, apart from the deciders."""
 
 import ast
+import collections
 import copy
 import hashlib
+import inspect
 import json
 import os
 import pathlib
@@ -12,10 +14,11 @@ import sys
 import pytest
 
 from cantorconj import check
-from cantorconj.bratteli import cells, serialize_diagram
+from cantorconj.bratteli import CapabilityError, cells, serialize_diagram
 from cantorconj.check import (
     WEAK_ROUNDS,
     IntertwiningLadder,
+    SearchExhausted,
     _certificate,
     build_k0_morphism,
     diagram_digest,
@@ -33,9 +36,9 @@ from cantorconj.classify import (
     weak_certificate,
 )
 from cantorconj.fullgroup import conjugator_from_partition
-from cantorconj.systems import dyadic, fibonacci, quaternary, stationary_from_rows
+from cantorconj.systems import NAMED, dyadic, fibonacci, quaternary, stationary_from_rows
 
-from conftest import power_of, time_ceiling
+from conftest import hierarchy_pool, power_of, time_ceiling
 
 DYADIC = dyadic()
 QUATERNARY = quaternary()
@@ -71,32 +74,136 @@ from cantorconj.bratteli import parse_diagram  # loaded by check already
 
 UPPER = {"cantorconj.classify", "cantorconj.cli", "sympy"}
 before = sorted(UPPER & set(sys.modules))
-cert, texts = json.load(sys.stdin)
-chk = cantorconj.check.verify_certificate(cert, [parse_diagram(t) for t in texts])
+out = []
+for cert, texts in json.load(sys.stdin):
+    chk = cantorconj.check.verify_certificate(cert, [parse_diagram(t) for t in texts])
+    out.append([cert["claim"], chk.ok, chk.reason])
 after = sorted(UPPER & set(sys.modules))
-print(json.dumps({"before": before, "ok": chk.ok, "reason": chk.reason, "after": after}))
+print(json.dumps({"before": before, "replays": out, "after": after}))
 """
 
 
-def test_replay_alone_loads_no_decider_front_end_or_sympy():
-    # a fresh interpreter imports cantorconj.check, not the package's upper
-    # layers, and replays the dyadic-quaternary ladder handed in as JSON
-    ladder = decide_k_conjugacy(DYADIC, QUATERNARY).ladder
-    cert = ladder_certificate(ladder, DYADIC, QUATERNARY)
-    blob = json.dumps([cert, [serialize_diagram(DYADIC), serialize_diagram(QUATERNARY)]])
+def run_fresh(script, payload):
+    """Run script in a fresh interpreter that imports cantorconj from this
+    checkout, with payload as JSON on its standard input; its JSON output."""
     src = str(pathlib.Path(check.__file__).resolve().parents[1])
     path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     proc = subprocess.run(
-        [sys.executable, "-c", REPLAY_ALONE],
-        input=blob,
+        [sys.executable, "-c", script],
+        input=json.dumps(payload),
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert (out["before"], out["ok"], out["after"]) == ([], True, []), out
+    return json.loads(proc.stdout)
+
+
+def test_replay_alone_loads_no_decider_front_end_or_sympy():
+    # a fresh interpreter imports cantorconj.check, not the package's upper
+    # layers, and replays weak, tau, ladder and conjugator certificates
+    # handed in as JSON; tau replays build trace images, which factor
+    fib = fibonacci()
+    certs = [
+        (weak_certificate(decide_weak(DYADIC, QUATERNARY), DYADIC, QUATERNARY), (DYADIC, QUATERNARY)),
+        (tau_certificate(decide_tau(DYADIC, QUATERNARY), DYADIC, QUATERNARY), (DYADIC, QUATERNARY)),
+        (tau_certificate(decide_tau(fib, fib), fib, fib), (fib, fib)),
+        (
+            ladder_certificate(decide_k_conjugacy(DYADIC, QUATERNARY).ladder, DYADIC, QUATERNARY),
+            (DYADIC, QUATERNARY),
+        ),
+        (floor_cycle_certificate(B21, 2), (B21,)),
+    ]
+    payload = [[cert, [serialize_diagram(d) for d in ds]] for cert, ds in certs]
+    out = run_fresh(REPLAY_ALONE, payload)
+    assert (out["before"], out["after"]) == ([], []), out
+    claims = [claim for claim, ok, reason in out["replays"] if ok]
+    assert claims == ["weak", "tau", "tau", "k-conjugate", "conjugator"], out["replays"]
+
+
+def hierarchy_grid(pool):
+    """Each decider's verdict on each ordered pair of pool, None where it
+    raises one of its documented errors."""
+    grid = []
+    for a in pool:
+        for b in pool:
+            for decide in (decide_weak, decide_tau, decide_k_conjugacy):
+                try:
+                    grid.append(decide(a, b).verdict)
+                except (CapabilityError, SearchExhausted):
+                    grid.append(None)
+    return grid
+
+
+def named_replays(named):
+    """Every weak, tau and ladder certificate among the ordered pairs of
+    named, and a conjugator certificate on the first, each replayed: the
+    claim, the verdict of the replay and its reason."""
+    certs = []
+    for a in named:
+        for b in named:
+            weak, tau, kconj = decide_weak(a, b), decide_tau(a, b), decide_k_conjugacy(a, b)
+            if weak.verdict == "weak":
+                certs.append((weak_certificate(weak, a, b), (a, b)))
+            if tau.verdict == "tau":
+                certs.append((tau_certificate(tau, a, b), (a, b)))
+            if kconj.verdict == "k-conjugate":
+                certs.append((ladder_certificate(kconj.ladder, a, b), (a, b)))
+    bundle = conjugate_at_resolution(named[0], named[2], 2)
+    blocks = (bundle.sigma.target_level, bundle.blocks, bundle.images)
+    certs.append((conjugator_certificate(bundle.corrector, *blocks), (named[2],)))
+    out = []
+    for cert, systems in certs:
+        chk = verify_certificate(json.loads(json.dumps(cert)), systems)
+        out.append([cert["claim"], chk.ok, chk.reason])
+    return out
+
+
+SYMPY_BLOCKED = """
+import json, sys
+sys.modules["sympy"] = None  # from here on, importing sympy raises ImportError
+from cantorconj.bratteli import CapabilityError, parse_diagram
+from cantorconj.check import SearchExhausted, verify_certificate
+from cantorconj.classify import (
+    conjugate_at_resolution,
+    conjugator_certificate,
+    decide_k_conjugacy,
+    decide_tau,
+    decide_weak,
+    ladder_certificate,
+    tau_certificate,
+    weak_certificate,
+)
+%s
+%s
+pool, named = ([parse_diagram(t) for t in texts] for texts in json.load(sys.stdin))
+print(json.dumps({"grid": hierarchy_grid(pool), "replays": named_replays(named)}))
+"""
+
+
+def test_deciders_and_replays_run_where_sympy_cannot_be_imported():
+    # the seeded hierarchy pool decided, and every certificate of the named
+    # systems replayed, in an interpreter where importing sympy fails
+    pool = hierarchy_pool()
+    named = [make() for make in NAMED.values()]
+    script = SYMPY_BLOCKED % (inspect.getsource(hierarchy_grid), inspect.getsource(named_replays))
+    out = run_fresh(script, [[serialize_diagram(d) for d in ds] for ds in (pool, named)])
+    counts = [collections.Counter(out["grid"][i::3]) for i in range(3)]
+    assert counts == [
+        {"not": 468, "weak": 96, "unknown": 12},
+        {"not": 504, "tau": 48, "unknown": 24},
+        {"not": 504, "k-conjugate": 72},
+    ]
+    assert all(ok for _, ok, _ in out["replays"]), out["replays"]
+    claims = collections.Counter(claim for claim, _, _ in out["replays"])
+    assert claims == {"weak": 6, "tau": 6, "k-conjugate": 6, "conjugator": 1}
+
+
+def test_no_module_of_the_package_imports_sympy():
+    for path in pathlib.Path(check.__file__).parent.glob("*.py"):
+        for name in imported_modules(path):
+            assert "sympy" not in name.split("."), (path.name, name)
 
 
 def floor_cycle_certificate(d, level):

@@ -364,10 +364,10 @@ def _primitive_pool():
 def test_prime_sieve_matches_sympy():
     from sympy import primerange
 
-    from cantorconj.invariants import _primes_up_to
+    from cantorconj.fieldpoly import primes_up_to
 
     for n in list(range(-2, 400)) + [997, 1000, 7919]:
-        assert _primes_up_to(n) == list(primerange(2, n + 1)), n
+        assert primes_up_to(n) == list(primerange(2, n + 1)), n
 
 
 def test_spectrum_lists_candidate_primes_only():
@@ -672,14 +672,14 @@ def test_iso_pure_odometers_match_radicals(p, q):
 
 
 def test_cyclic_radical_is_factored_once_per_group(monkeypatch):
-    import sympy
+    from cantorconj import invariants
 
     scaled = stationary_from_rows(((0, 0),), root=((0, 0, 0),))  # (1/3) Z[1/2]
     diagrams = [stationary_from_rows(((0,) * q,), root=((0,) * q,)) for q in (2, 3, 4, 6, 12, 18)]
     groups = [trace_image_group(d) for d in diagrams + [scaled]]
     calls = []
-    real = sympy.factorint
-    monkeypatch.setattr(sympy, "factorint", lambda n, *a, **k: calls.append(n) or real(n, *a, **k))
+    real = invariants._prime_factors
+    monkeypatch.setattr(invariants, "_prime_factors", lambda n: calls.append(n) or real(n))
     first = [[trace_images_isomorphic(a, b) for b in groups] for a in groups]
     assert len(calls) == len(groups)
     again = [[trace_images_isomorphic(a, b) for b in groups] for a in groups]
