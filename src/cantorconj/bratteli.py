@@ -283,10 +283,12 @@ def derived(d: OrderedBratteliDiagram, key, compute):
     its whole life; the value is kept on the diagram under key, any
     hashable: heights, incidence matrices, composed incidences and tower
     projections (keyed with their levels), the integer trace weights of
-    dimgroup and the invariants built on them, and both halves of
-    check.build_k0_morphism: a source level's tables ("k0_source") and the
-    target level or obstruction found for a gcd, threshold, start level
-    and depth ("k0_target").  Values are shared, so callers must not
+    dimgroup and the invariants built on them, and what
+    check.build_k0_morphism reads and builds: a source level's tables
+    ("k0_source"), the target level or obstruction found for a gcd,
+    threshold, start level and depth ("k0_target"), and the morphism on
+    its source diagram under its source level, target level and reduced
+    target heights ("k0_morphism").  Values are shared, so callers must not
     mutate them.  An exception from compute() is not kept: the next call
     computes again.
     """

@@ -3,10 +3,10 @@
 A certificate binds a witness to content digests of the input
 presentations, and verify_certificate replays it from the invariants the
 claim rests on, never by re-running a decider: a ladder square by square
-(verify_ladder), weak schedules by unit preservation, equal spectra and
-their canonical recomputation (build_k0_morphism, whose output a weak
-witness is, so it lives here with the semigroup arithmetic it reads), tau
-by equal spectra and isomorphic trace images, and a conjugator by
+(verify_ladder), weak schedules by equal spectra and their canonical
+recomputation (build_k0_morphism, whose output a weak witness is, so it
+lives here with the semigroup arithmetic it reads), tau by equal spectra
+and isomorphic trace images, and a conjugator by
 fullgroup.verify_conjugator.
 
 This module imports no decider (classify) and no front end (cli); no
@@ -15,7 +15,6 @@ module of the package imports sympy.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 from dataclasses import dataclass
@@ -267,20 +266,26 @@ def build_k0_morphism(
     (else the divisor obstruction is returned with p as witness).  The
     target is then pushed deep enough that the reduced heights clear the
     representability threshold, and each row is the lexicographically least
-    representation; unit preservation holds by construction and is asserted.
-    Both halves are kept per diagram: the source level's gcd, threshold and
-    residue tables (see _source_level), and the target level found for a
-    gcd, threshold, start level and depth, or the obstruction (see
-    _target_level).  Only the rows are computed on every call.
+    representation; unit preservation holds by construction and is asserted
+    on every call.  Everything else is kept per diagram: the source level's
+    gcd, threshold and residue tables (see _source_level), the target level
+    found for a gcd, threshold, start level and depth, or the obstruction
+    (see _target_level), and the morphism itself on the source diagram,
+    under its source level, target level and reduced target heights, which
+    are all its rows read.
     """
     hA, p, ks, threshold, tables = _source_level(dgA, levelA)
     found = _target_level(dgB, p, threshold, levelB, depth)
     if isinstance(found, Obstruction):
         return found
     lb, hB, ds = found
-    rows = tuple(_least_row(dd, ks, tables) for dd in ds)
-    assert all(row is not None for row in rows)
-    t = K0Morphism(rows, levelA, lb)
+
+    def compute():
+        rows = tuple(_least_row(dd, ks, tables) for dd in ds)
+        assert all(row is not None for row in rows)
+        return K0Morphism(rows, levelA, lb)
+
+    t = derived(dgA, ("k0_morphism", levelA, lb, ds), compute)
     assert t.apply(hA) == hB
     return t
 
@@ -435,9 +440,15 @@ class CertificateCheck:
 
 def diagram_digest(d: OrderedBratteliDiagram) -> str:
     """Content hash of the canonical serialization, kept per diagram."""
-    return derived(
-        d, "digest", lambda: hashlib.sha256(serialize_diagram(d).encode("utf-8")).hexdigest()
-    )
+
+    def compute():
+        # imported here, not at the top: hashlib loads OpenSSL, a few MB
+        # that the subcommands and deciders which take no digest never need
+        import hashlib
+
+        return hashlib.sha256(serialize_diagram(d).encode("utf-8")).hexdigest()
+
+    return derived(d, "digest", compute)
 
 
 _VERIFIER = {
@@ -500,6 +511,19 @@ def _conjugator_witness(elem: FullGroupElement, block_level: int, blocks, images
 _JSON_SCALARS = (str, int, float, type(None))
 
 
+def _same_scalar(ours, given) -> bool:
+    return isinstance(given, _JSON_SCALARS) and given == ours
+
+
+def _same_sequence(ours, given, same) -> bool:
+    """Is given a list or tuple whose items match those of ours under same?"""
+    return (
+        isinstance(given, (list, tuple))
+        and len(given) == len(ours)
+        and all(map(same, ours, given))
+    )
+
+
 def _same_json(ours, given) -> bool:
     """Does given stand for the same JSON value as ours?
 
@@ -516,12 +540,35 @@ def _same_json(ours, given) -> bool:
             and all(_same_json(v, given[k]) for k, v in ours.items())
         )
     if isinstance(ours, (list, tuple)):
-        return (
-            isinstance(given, (list, tuple))
-            and len(given) == len(ours)
-            and all(map(_same_json, ours, given))
+        return _same_sequence(ours, given, _same_json)
+    return _same_scalar(ours, given)
+
+
+def _same_row(row, given) -> bool:
+    return _same_sequence(row, given, _same_scalar)
+
+
+def _same_morphism(t: K0Morphism, given) -> bool:
+    return (
+        isinstance(given, dict)
+        and given.keys() == {"source_level", "target_level", "matrix"}
+        and _same_scalar(t.source_level, given["source_level"])
+        and _same_scalar(t.target_level, given["target_level"])
+        and _same_sequence(t.matrix, given["matrix"], _same_row)
+    )
+
+
+def _same_weak_witness(schedules, given) -> bool:
+    """_same_json(_weak_witness(*schedules), given), read off the morphisms
+    without building their JSON."""
+    return (
+        isinstance(given, dict)
+        and given.keys() == {"forward", "backward"}
+        and all(
+            _same_sequence(schedule, given[key], _same_morphism)
+            for key, schedule in zip(("forward", "backward"), schedules)
         )
-    return isinstance(given, _JSON_SCALARS) and given == ours
+    )
 
 
 def verify_certificate(cert: dict, systems) -> CertificateCheck:
@@ -536,10 +583,13 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
     AUDIT_LOOKAHEAD), so any tampering fails even when the mutated payload
     would still be true.  Weak and tau witnesses are compared with their
     recomputation as JSON values (see _same_json), whether they were loaded
-    from JSON or built in this process.  A conjugator's levels must lie at
-    or below the first level with more than CELL_CAP cells, and its blocks
-    and images must each partition the cells of its block level, before
-    the conjugator is replayed.
+    from JSON or built in this process.  A weak witness is read field by
+    field against the recomputed morphisms (see _same_weak_witness), never
+    parsed or walked to its own levels: the recomputation is nonnegative
+    and unit-preserving by construction, so a witness equal to it is too.
+    A conjugator's levels must lie at or below the first level with more
+    than CELL_CAP cells, and its blocks and images must each partition the
+    cells of its block level, before the conjugator is replayed.
     """
     systems = tuple(systems)
     try:
@@ -564,26 +614,12 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
                 return CertificateCheck(False, "claim needs exactly two systems")
             if any(len(witness[key]) != WEAK_ROUNDS for key in ("forward", "backward")):
                 return CertificateCheck(False, "schedules must hold %d morphisms" % WEAK_ROUNDS)
-            for key, src, dst in (
-                ("forward", systems[0], systems[1]),
-                ("backward", systems[1], systems[0]),
-            ):
-                for blob in witness[key]:
-                    mat = tuple(tuple(int(x) for x in row) for row in blob["matrix"])
-                    if any(x < 0 for row in mat for x in row):
-                        return CertificateCheck(False, "negative entry in schedule")
-                    hs = heights(src, int(blob["source_level"]))
-                    ht = heights(dst, int(blob["target_level"]))
-                    if _mat_apply(mat, hs) != ht:
-                        return CertificateCheck(
-                            False, "%s schedule does not preserve the unit" % key
-                        )
             schedules = None
             if spectra_equal(*systems).verdict == "equal":
                 schedules = weak_schedules(*systems)
             if schedules is None:
                 return CertificateCheck(False, "spectra no longer verify as equal")
-            if not _same_json(_weak_witness(*schedules), witness):
+            if not _same_weak_witness(schedules, witness):
                 return CertificateCheck(False, "witness differs from recomputation")
             return CertificateCheck(True)
         if claim == "tau":

@@ -127,7 +127,10 @@ def check_divides_certificate(dg: OrderedBratteliDiagram, n: int, result: Divide
             if dg.kind == "stationary":
                 level = min(level, 1 + _walk_bound(dg.num_vertices(1), n))
             return all(x % n == 0 for x in heights(dg, level))
-        except Exception:
+        # what a malformed level or modulus raises: a level of the wrong
+        # type, a negative level or one past an explicit diagram's end
+        # (LevelRangeError), modulus 0; a fault inside the check propagates
+        except (TypeError, ValueError, ZeroDivisionError):
             return False
     if result.verdict != "no" or dg.kind != "stationary" or result.certificate is None:
         return False

@@ -73,7 +73,8 @@ import cantorconj.check
 from cantorconj.bratteli import parse_diagram  # loaded by check already
 
 UPPER = {"cantorconj.classify", "cantorconj.cli", "sympy"}
-before = sorted(UPPER & set(sys.modules))
+# hashlib (OpenSSL) is loaded by the first digest, not by the import
+before = sorted((UPPER | {"hashlib"}) & set(sys.modules))
 out = []
 for cert, texts in json.load(sys.stdin):
     chk = cantorconj.check.verify_certificate(cert, [parse_diagram(t) for t in texts])

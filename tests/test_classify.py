@@ -7,8 +7,10 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -44,9 +46,19 @@ from cantorconj.classify import (
     verify_ladder,
     weak_certificate,
 )
-from cantorconj.check import _least_failing_factor, diagram_digest, frobenius, represent
+from cantorconj.check import (
+    WEAK_ROUNDS,
+    CertificateCheck,
+    _least_failing_factor,
+    _weak_witness,
+    diagram_digest,
+    frobenius,
+    represent,
+    weak_schedules,
+)
 from cantorconj.dimgroup import POSITIVE, UNKNOWN, ZERO, DimGroup
-from cantorconj.invariants import DEFAULT_DEPTH, divides_unit
+from cantorconj.fieldpoly import _mat_apply
+from cantorconj.invariants import DEFAULT_DEPTH, divides_unit, spectra_equal
 from cantorconj.systems import (
     NAMED,
     dyadic,
@@ -287,12 +299,18 @@ def _morphism_outcome(build, *args):
         return ("exhausted", str(e))
 
 
+def fresh(d):
+    """An equal diagram that has computed nothing yet."""
+    return OrderedBratteliDiagram(d.kind, d.vertex_counts, d.tables)
+
+
 def test_morphisms_match_the_per_call_reference():
     # named systems, odometers 2-6, 20 seeded primitive 2x2/3x3 systems and
     # 8 seeded explicit 4-level diagrams, every ordered pair at source and
     # target levels 1-3, at the default depth and at depth 1; the first call
-    # on a source level or target search fills its entry, the later ones
-    # read it, and a search that ran out raises again on the second call
+    # on a source level, target search or morphism fills its entry, the
+    # later ones read it and must give what fresh copies of both diagrams
+    # give, and a search that ran out raises again on the second call
     pool = [NAMED[name]() for name in sorted(NAMED)]
     pool += [odometer(q) for q in range(2, 7)]
     rng = random.Random(14)
@@ -312,6 +330,9 @@ def test_morphisms_match_the_per_call_reference():
                         got = _morphism_outcome(build_k0_morphism, *args)
                         assert got == _morphism_outcome(reference_build_k0_morphism, *args)
                         assert got == _morphism_outcome(build_k0_morphism, *args)
+                        assert got == _morphism_outcome(
+                            build_k0_morphism, fresh(a), la, fresh(b), lb, depth
+                        )
                         morphisms += isinstance(got, K0Morphism)
                         obstructions += isinstance(got, Obstruction)
                         if isinstance(got, tuple):
@@ -321,6 +342,23 @@ def test_morphisms_match_the_per_call_reference():
         "divisibility of the target unit",
         "target level with reduced heights",
     }, exhausted
+
+
+def test_one_source_level_keeps_a_morphism_per_target():
+    # fibonacci's level 2 (heights (2, 1)) into dyadic and triadic: both
+    # targets are found at level 1, with reduced heights (2,) and (3,)
+    a = fibonacci()
+    got = [build_k0_morphism(a, 2, b, 1) for b in (DYADIC, TRIADIC)]
+    assert [t.target_level for t in got] == [1, 1]
+    assert got[0] != got[1]
+    for t, b in zip(got, (DYADIC, TRIADIC)):
+        assert t == build_k0_morphism(fresh(a), 2, fresh(b), 1)
+        assert mat_apply(t.matrix, heights(a, 2)) == heights(b, 1)
+    assert sorted(key for key in a._memo if key[0] == "k0_morphism") == [
+        ("k0_morphism", 2, 1, (2,)),
+        ("k0_morphism", 2, 1, (3,)),
+    ]
+    assert [build_k0_morphism(a, 2, b, 1) for b in (DYADIC, TRIADIC)] == got
 
 
 def verbatim_least_failing_factor(dg, p, depth):
@@ -1222,6 +1260,144 @@ def test_weak_replay_accepts_every_form_and_rejects_a_changed_schedule():
         bad = copy.deepcopy(cert)
         bad["witness"]["extra"] = []
         assert verify_certificate(bad, (a, b)).reason == "witness differs from recomputation"
+
+
+def verbatim_same_json(ours, given) -> bool:
+    """check._same_json as the weak replay below used it."""
+    if isinstance(ours, dict):
+        return (
+            isinstance(given, dict)
+            and given.keys() == ours.keys()
+            and all(verbatim_same_json(v, given[k]) for k, v in ours.items())
+        )
+    if isinstance(ours, (list, tuple)):
+        return (
+            isinstance(given, (list, tuple))
+            and len(given) == len(ours)
+            and all(map(verbatim_same_json, ours, given))
+        )
+    return isinstance(given, (str, int, float, type(None))) and given == ours
+
+
+def verbatim_weak_replay(witness, systems) -> CertificateCheck:
+    """The weak branch of verify_certificate, with its handler, as it was
+    while every entry was parsed and checked for sign and unit preservation
+    and the recomputation was rebuilt as JSON to compare."""
+    try:
+        if len(systems) != 2:
+            return CertificateCheck(False, "claim needs exactly two systems")
+        if any(len(witness[key]) != WEAK_ROUNDS for key in ("forward", "backward")):
+            return CertificateCheck(False, "schedules must hold %d morphisms" % WEAK_ROUNDS)
+        for key, src, dst in (
+            ("forward", systems[0], systems[1]),
+            ("backward", systems[1], systems[0]),
+        ):
+            for blob in witness[key]:
+                mat = tuple(tuple(int(x) for x in row) for row in blob["matrix"])
+                if any(x < 0 for row in mat for x in row):
+                    return CertificateCheck(False, "negative entry in schedule")
+                hs = heights(src, int(blob["source_level"]))
+                ht = heights(dst, int(blob["target_level"]))
+                if _mat_apply(mat, hs) != ht:
+                    return CertificateCheck(
+                        False, "%s schedule does not preserve the unit" % key
+                    )
+        schedules = None
+        if spectra_equal(*systems).verdict == "equal":
+            schedules = weak_schedules(*systems)
+        if schedules is None:
+            return CertificateCheck(False, "spectra no longer verify as equal")
+        if not verbatim_same_json(_weak_witness(*schedules), witness):
+            return CertificateCheck(False, "witness differs from recomputation")
+        return CertificateCheck(True)
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, CapabilityError) as e:
+        return CertificateCheck(False, "malformed certificate: %s" % e)
+
+
+def _nodes(obj, path=()):
+    """(path, value) for obj and every value inside it; a path lists the
+    keys and indices that lead there."""
+    yield path, obj
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _nodes(v, path + (k,))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _nodes(v, path + (i,))
+
+
+def _replaced(obj, path, value):
+    """obj with the value at path replaced, obj itself left as it is."""
+    if not path:
+        return value
+    out = copy.copy(obj)
+    out[path[0]] = _replaced(obj[path[0]], path[1:], value)
+    return out
+
+
+def weak_witness_tampers(witness):
+    """Each digit of the JSON text bumped; each leaf negated and retyped to
+    float, str, bool, None and Fraction (equal, but no JSON value); each list as a tuple, one item short and one item long,
+    and every list a tuple at once; each key of each dict dropped, and an
+    extra one added."""
+    text = json.dumps(witness)
+    for pos, ch in enumerate(text):
+        if ch.isdigit():
+            yield json.loads(text[:pos] + str((int(ch) + 1) % 10) + text[pos + 1 :])
+    yield _tupled(witness)
+    for path, value in _nodes(witness):
+        if isinstance(value, dict):
+            for key in value:
+                yield _replaced(witness, path, {k: v for k, v in value.items() if k != key})
+            yield _replaced(witness, path, dict(value, extra=0))
+        elif isinstance(value, list):
+            yield _replaced(witness, path, tuple(value))
+            yield _replaced(witness, path, value[:-1])
+            yield _replaced(witness, path, value + value[-1:])
+        else:
+            for retype in (operator.neg, float, str, bool, lambda v: None, Fraction):
+                yield _replaced(witness, path, retype(value))
+
+
+def weak_replay_pairs():
+    """REPLAY_PAIRS, the fibonacci pair, and the weak ordered pairs among
+    four seeded primitive 2x2/3x3 systems and their squares."""
+    pairs = list(REPLAY_PAIRS) + [(FIB, stationary_from_rows(((0, 0, 1), (0, 1))))]
+    rng = random.Random(25)
+    pool = []
+    while len(pool) < 8:
+        d = random_stationary(rng, primitive=True)
+        if d.num_vertices(1) >= 2:
+            pool += [d, power_of(d, 2)]
+    pairs += [
+        (a, b)
+        for a, b in itertools.product(pool, repeat=2)
+        if decide_weak(a, b).verdict == "weak"
+    ]
+    return pairs
+
+
+def test_weak_replay_agrees_with_the_verbatim_branch_on_every_tamper():
+    pairs = weak_replay_pairs()
+    assert len(pairs) >= 6 + 8
+    outcomes = collections.Counter()
+    for a, b in pairs:
+        cert = weak_certificate(decide_weak(a, b), a, b)
+        witness = json.loads(json.dumps(cert["witness"]))
+        for bad in weak_witness_tampers(witness):
+            got = verify_certificate(dict(cert, witness=bad), (a, b))
+            assert got.ok == verbatim_weak_replay(bad, (a, b)).ok, (bad, got.reason)
+            outcomes[got.ok] += 1
+        # a level a million levels up is never walked to
+        for key in ("forward", "backward"):
+            for i in range(WEAK_ROUNDS):
+                for field in ("source_level", "target_level"):
+                    bad = _replaced(witness, (key, i, field), 10 ** 6)
+                    with time_ceiling(1):
+                        got = verify_certificate(dict(cert, witness=bad), (a, b))
+                    assert got.reason == "witness differs from recomputation"
+    # floats, booleans and tuples that stand for the same JSON value pass
+    assert outcomes[True] > 100 and outcomes[False] > 1000, outcomes
 
 
 def test_tau_replay_accepts_every_form_and_rejects_a_changed_witness():

@@ -168,6 +168,30 @@ def test_divides_certificate_replays_a_far_yes_at_the_bound():
     assert not check_divides_certificate(DYADIC, 2, DividesUnitResult("yes", -1, None, 40))
 
 
+def test_divides_certificate_rejects_malformed_input_and_propagates_faults(monkeypatch):
+    # levels 0 -> 1 -> 2 -> 3 with heights (1,), (2,), (4, 2), (10,)
+    explicit = OrderedBratteliDiagram(
+        "explicit", (1, 1, 2, 1), (((0, 0),), ((0, 0), (0,)), ((0, 1, 0),))
+    )
+    for dg, n, level in ((DYADIC, 2 ** 10, 10), (explicit, 2, 2)):
+        assert check_divides_certificate(dg, n, DividesUnitResult("yes", level, None, 40))
+        # a level of the wrong type (TypeError), a negative one (ValueError)
+        for bad in (None, "3", 2.5, -1):
+            assert not check_divides_certificate(dg, n, DividesUnitResult("yes", bad, None, 40))
+        # modulus 0 (ZeroDivisionError)
+        assert not check_divides_certificate(dg, 0, DividesUnitResult("yes", level, None, 40))
+    # past an explicit diagram's end (LevelRangeError, a ValueError)
+    assert not check_divides_certificate(explicit, 2, DividesUnitResult("yes", 4, None, 40))
+
+    def faulty(*args, **kwargs):
+        raise AssertionError("fault inside the check")
+
+    monkeypatch.setattr("cantorconj.invariants.heights", faulty)
+    for dg, n, level in ((DYADIC, 2 ** 10, 10), (explicit, 2, 2)):
+        with pytest.raises(AssertionError, match="fault inside the check"):
+            check_divides_certificate(dg, n, DividesUnitResult("yes", level, None, 40))
+
+
 # The walk divides_unit ran before its length was bounded: the height
 # residues mod n from level 1 until they vanish (the least level) or repeat
 # a state (None); "cap" when neither happened within `cap` steps.
