@@ -6,9 +6,9 @@ Run:  python3 demos/invariant_zoo.py
 from fractions import Fraction
 
 from cantorconj import systems
+from cantorconj.check import check_divides_certificate
 from cantorconj.dimgroup import DimGroup
 from cantorconj.invariants import (
-    check_divides_certificate,
     divides_unit,
     periodic_spectrum,
     spectra_equal,

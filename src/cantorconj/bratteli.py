@@ -61,7 +61,7 @@ DEFAULT_DEPTH = 40
 
 
 class DiagramSyntaxError(ValueError):
-    """Diagram text is not valid JSON; message carries the position."""
+    """Diagram text is not valid JSON (message has the position) or too deep."""
 
 
 class DiagramStructureError(ValueError):
@@ -155,6 +155,11 @@ class OrderedBratteliDiagram:
         """Deepest available level; None when levels are unbounded."""
         return None if self.kind == "stationary" else len(self.vertex_counts) - 1
 
+    def scan_end(self, start: int, depth: int) -> int:
+        """Last level of a depth-level scan from start, within the diagram."""
+        top = self.max_level()
+        return start + depth if top is None else min(start + depth, top)
+
     def check_level(self, m: int) -> int:
         if m < 0:
             raise ValueError("negative level")
@@ -164,6 +169,11 @@ class OrderedBratteliDiagram:
                 % (m, len(self.vertex_counts) - 1)
             )
         return m
+
+
+def _plain_int(x) -> bool:
+    """An int but not a bool: what obd-v1 and certificate fields hold."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _as_table(obj, n_targets, n_sources, where) -> EdgeTable:
@@ -180,7 +190,7 @@ def _as_table(obj, n_targets, n_sources, where) -> EdgeTable:
                 "%s: target %d has an empty or non-array edge list" % (where, v)
             )
         for s in row:
-            if not isinstance(s, int) or isinstance(s, bool) or not (0 <= s < n_sources):
+            if not _plain_int(s) or not (0 <= s < n_sources):
                 raise DiagramStructureError(
                     "%s: target %d has dangling source index %r "
                     "(valid range 0..%d)" % (where, v, s, n_sources - 1)
@@ -192,7 +202,7 @@ def _as_table(obj, n_targets, n_sources, where) -> EdgeTable:
 def parse_diagram(text: str) -> OrderedBratteliDiagram:
     """Parse obd-v1 JSON text into a diagram.
 
-    Raises DiagramSyntaxError (with position) on malformed JSON and
+    Raises DiagramSyntaxError on malformed or too deeply nested JSON and
     DiagramStructureError on well-formed JSON that is not a valid diagram.
     """
     try:
@@ -201,6 +211,8 @@ def parse_diagram(text: str) -> OrderedBratteliDiagram:
         raise DiagramSyntaxError(
             "invalid JSON at line %d column %d: %s" % (e.lineno, e.colno, e.msg)
         ) from e
+    except RecursionError as e:
+        raise DiagramSyntaxError("JSON nests too deeply to parse") from e
     if not isinstance(raw, dict):
         raise DiagramStructureError("top level must be an object")
     if raw.get("format") != FORMAT_NAME:
@@ -216,7 +228,7 @@ def parse_diagram(text: str) -> OrderedBratteliDiagram:
     if extra:
         raise DiagramStructureError("unknown keys: %s" % sorted(extra))
     if kind == "stationary":
-        if not isinstance(vertices, int) or isinstance(vertices, bool) or vertices < 1:
+        if not _plain_int(vertices) or vertices < 1:
             raise DiagramStructureError("stationary vertices must be a positive integer")
         if not isinstance(edges, list) or len(edges) != 2:
             raise DiagramStructureError(
@@ -228,7 +240,7 @@ def parse_diagram(text: str) -> OrderedBratteliDiagram:
     if not isinstance(vertices, list) or not vertices:
         raise DiagramStructureError("explicit vertices must be a non-empty array")
     for k in vertices:
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        if not _plain_int(k) or k < 1:
             raise DiagramStructureError("vertex counts must be positive integers")
     if vertices[0] != 1:
         raise DiagramStructureError("level 0 must have exactly one vertex (the root)")
@@ -370,10 +382,6 @@ def composed_incidence(d: OrderedBratteliDiagram, m: int, m2: int) -> tuple[tupl
 # Paths
 
 
-def path_end(path: Path) -> int:
-    return path[-1][0]
-
-
 def validate_path(d: OrderedBratteliDiagram, path: Path) -> None:
     if not path:
         raise ValueError("empty path")
@@ -512,7 +520,7 @@ def cells(d: OrderedBratteliDiagram, m: int) -> list[Cell]:
 
     The cap binds wherever a level's cells are enumerated, by this function
     or by capped_heights: a replay that works per coarse tower (as
-    fullgroup.verify_conjugator does) is not bound by the size of the
+    check.verify_conjugator does) is not bound by the size of the
     finer level it audits.
     """
     h = capped_heights(d, m)
@@ -626,7 +634,6 @@ def validate(d: OrderedBratteliDiagram, depth: int = DEFAULT_DEPTH) -> Validatio
     when the data runs out.
     """
     issues = []
-    top = d.max_level()
     if d.kind == "stationary":
         k = d.num_vertices(1)
         bound = min(depth, (k - 1) ** 2 + 2) if k > 1 else 1
@@ -669,7 +676,7 @@ def validate(d: OrderedBratteliDiagram, depth: int = DEFAULT_DEPTH) -> Validatio
     # explicit kind: work with what the finite data admits
     primitive = None
     prim_level = None
-    for m2 in range(1, min(depth, top) + 1):
+    for m2 in range(1, d.scan_end(0, depth) + 1):
         acc = composed_incidence(d, 1, m2)
         if all(all(x > 0 for x in row) for row in acc):
             primitive = True
@@ -683,7 +690,7 @@ def validate(d: OrderedBratteliDiagram, depth: int = DEFAULT_DEPTH) -> Validatio
     min_chain = None
     max_chain = None
     properly = None
-    probe = min(depth, top)
+    probe = d.scan_end(0, depth)
     if probe >= 1:
         mins = list(range(d.num_vertices(probe)))
         maxs = list(range(d.num_vertices(probe)))

@@ -6,35 +6,46 @@ claim rests on, never by re-running a decider: a ladder square by square
 (verify_ladder), weak schedules by equal spectra and their canonical
 recomputation (build_k0_morphism, whose output a weak witness is, so it
 lives here with the semigroup arithmetic it reads), tau by equal spectra
-and isomorphic trace images, and a conjugator by
-fullgroup.verify_conjugator.
+and isomorphic trace images, and a full-group element by its induced cell
+maps at a finer level (verify_conjugator, which allows a bounded number of
+unresolved roof cells and reports anything beyond as inconclusive).  The
+divisor and infinite-valuation answers of invariants replay here too.
 
-This module imports no decider (classify) and no front end (cli); no
-module of the package imports sympy.
+This module imports no decider (classify), no synthesis (fullgroup) and no
+front end (cli); no module of the package imports sympy.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 from .bratteli import (
     CELL_CAP,
     CapabilityError,
     OrderedBratteliDiagram,
+    _plain_int,
+    capped_heights,
     cells,
     composed_incidence,
     derived,
     first_level_over_cap,
     heights,
+    incidence,
     serialize_diagram,
+    tower_stacks,
 )
-from .fieldpoly import _mat_apply, _mat_mul
-from .fullgroup import FullGroupElement, _validate_partition, verify_conjugator
+from .fieldpoly import _mat_apply, _mat_mul, factor_integer
 from .invariants import (
     DEFAULT_DEPTH,
+    DividesUnitResult,
+    _edge_step,
+    _first_zero,
+    _walk_bound,
     divides_unit,
     spectra_equal,
     trace_image_group,
@@ -168,27 +179,78 @@ def _least_row(d, ks, tables):
 
 
 # ---------------------------------------------------------------------------
+# divisor sets and valuations
+
+
+def check_divides_certificate(dg: OrderedBratteliDiagram, n: int, result: DividesUnitResult) -> bool:
+    """Replay a divides_unit answer against the diagram it talks about.
+
+    On a stationary diagram a Yes past level 1 + J is checked at 1 + J,
+    where divisibility is the same (see invariants._first_zero); a No must
+    name level 1 + J and have nonzero height residues on every level up to
+    it.  Anything but plain int moduli and levels and a dict is rejected.
+    """
+    if not _plain_int(n) or n < 1:
+        return False
+    if result.verdict == "yes":
+        level = result.level
+        if not _plain_int(level):
+            return False
+        if level == 0:
+            return n == 1
+        try:
+            if dg.kind == "stationary":
+                level = min(level, 1 + _walk_bound(dg.num_vertices(1), n))
+            return all(x % n == 0 for x in heights(dg, level))
+        # a negative level or one past an explicit diagram's end
+        # (LevelRangeError); a fault inside the check propagates
+        except ValueError:
+            return False
+    cert = result.certificate
+    if result.verdict != "no" or dg.kind != "stationary" or not isinstance(cert, dict):
+        return False
+    modulus, level = cert.get("modulus"), cert.get("level")
+    if not (_plain_int(modulus) and _plain_int(level)) or modulus != n:
+        return False
+    if level != 1 + _walk_bound(dg.num_vertices(1), n):
+        return False
+    return _first_zero(_edge_step(dg), heights(dg, 1), n) is None
+
+
+def check_infinity_certificate(dg: OrderedBratteliDiagram, p: int, cert: dict) -> bool:
+    """Re-verify an infinite-valuation claim: the stored polynomial must be a
+    monic annihilator of heights(1) that is a power of t mod p, replayed in
+    integers.  Anything but plain int p and coefficients and a dict is
+    rejected."""
+    if dg.kind != "stationary" or not isinstance(cert, dict):
+        return False
+    q, mu = cert.get("p"), cert.get("annihilator")
+    if not (_plain_int(q) and q == p and q > 1):
+        return False
+    if not (isinstance(mu, (list, tuple)) and mu and all(map(_plain_int, mu)) and mu[-1] == 1):
+        return False
+    if any(c % q for c in mu[:-1]):
+        return False
+    mat, vec = incidence(dg, 1), heights(dg, 1)
+    acc = [0] * len(vec)
+    for c in reversed(mu):
+        acc = [a + c * x for a, x in zip(_mat_apply(mat, acc), vec)]
+    return not any(acc)
+
+
+# ---------------------------------------------------------------------------
 # unit-preserving morphisms
 
 
 def _least_failing_factor(dg, p, depth):
-    """Smallest prime power dividing p that misses the divisor set of dg.
-
-    Trial division stops once q * q exceeds what is left of p; the rest is
-    then 1 or a prime larger than every q tried, so it is tested last.
-    """
-    q, rest = 2, p
-    while q * q <= rest:
-        if rest % q == 0:
-            power = q
-            while rest % q == 0:
-                rest //= q
-                if divides_unit(dg, power, depth).verdict == "no":
-                    return power
-                power *= q
-        q += 1 if q == 2 else 2
-    if rest > 1 and divides_unit(dg, rest, depth).verdict == "no":
-        return rest
+    """Smallest prime power dividing p that misses the divisor set of dg:
+    the powers of each prime of p in turn, primes in increasing order."""
+    for q, e in factor_integer(p).items():
+        power = q
+        for _ in range(e):
+            if divides_unit(dg, power, depth).verdict == "no":
+                return power
+            power *= q
     return p
 
 
@@ -239,9 +301,7 @@ def _target_level(d, p, threshold, level, depth):
         if res.verdict == "unknown":
             raise SearchExhausted(depth, "divisibility of the target unit by %d" % p)
         start = max(level, res.level)
-        top = d.max_level()
-        bound = start + depth if top is None else min(start + depth, top)
-        for lb in range(start, bound + 1):
+        for lb in range(start, d.scan_end(start, depth) + 1):
             hs = heights(d, lb)
             if any(x % p for x in hs):
                 continue
@@ -426,6 +486,385 @@ def _progression(levels):
     return (
         levels[0] >= 1 and step >= 1 and all(y - x == step for x, y in zip(levels, levels[1:]))
     )
+
+
+# ---------------------------------------------------------------------------
+# full-group elements and the replay of a conjugator
+
+
+@dataclass(frozen=True)
+class FullGroupElement:
+    """An element of the topological full group in return-time form.
+
+    tables[w][j-1] is the orbit displacement applied on floor j of tower w
+    at the stated level: the element acts as the j -> j + r(w, j) power of
+    the underlying transformation there.  Displacements may point past the
+    tower at this resolution; verification treats those cells as unresolved
+    instead of guessing how the roof continues.
+    """
+
+    diagram: OrderedBratteliDiagram = field(compare=False)
+    level: int
+    tables: tuple
+
+    def __post_init__(self):
+        h = heights(self.diagram, self.level)
+        if len(self.tables) != len(h):
+            raise ValueError("need one displacement row per tower")
+        for w, row in enumerate(self.tables):
+            if len(row) != h[w]:
+                raise ValueError(
+                    "tower %d has height %d but %d displacements" % (w, h[w], len(row))
+                )
+
+    def to_json(self) -> dict:
+        return {
+            "level": self.level,
+            "towers": [
+                {"w": w, "r": list(row)} for w, row in enumerate(self.tables)
+            ],
+        }
+
+
+@dataclass(frozen=True)
+class ConjugacyReport:
+    """Outcome of replaying a candidate conjugator against block data.
+
+    verdict "ok" means every resolvable cell conjugates the successor map
+    into the block bijection and the unresolved remainder is no larger than
+    the number of fine towers (their roof bands, which no finite level can
+    resolve; the unique maximal path sits inside one of them and is counted
+    there rather than reported separately).  "counterexample" pins a block
+    or a failed bijection; "inconclusive" means too many cells stayed
+    unresolved to certify anything at this lookahead.
+    """
+
+    verdict: str  # "ok" | "counterexample" | "inconclusive"
+    level: int
+    checked: int
+    unresolved: int
+    block: Optional[int] = None
+    reason: Optional[str] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.verdict == "ok"
+
+
+def _validate_partition(part, universe, what):
+    seen = set()
+    for u in part:
+        if not u:
+            raise ValueError("empty %s" % what)
+        for c in u:
+            if c in seen:
+                raise ValueError("%s overlap at cell %r" % (what, (c,)))
+            seen.add(c)
+    if seen != universe:
+        raise ValueError("%ss do not partition the cells at this level" % what)
+
+
+def _infer_block_level(d, blocks, top):
+    found = {c for u in blocks for c in u}
+    for lvl in range(0, top + 1):
+        if found == set(cells(d, lvl)):
+            return lvl
+    raise ValueError("blocks are not the cells of any level up to %d" % top)
+
+
+class _CoarseTower:
+    """One tower of the audit's coarse level, replayed on its own floors.
+
+    fwd[j] is the floor s sends floor j to while it stays in the tower, 0
+    otherwise; back[t] is the lowest floor sent to t, 0 if none; jumps
+    maps each floor s sends out of the tower to its displacement.
+    collision is the first floor, upwards, whose image is already taken,
+    with that image.  lab and img are the block and image-block labels of
+    the floors, missing the first floor's block cell that has no label.
+    """
+
+    def __init__(self, h: int, disp):
+        self.h = h
+        fwd = [0] * (h + 1)
+        back = [0] * (h + 1)
+        jumps = {}
+        collision = None
+        for j, r in enumerate(disp, 1):
+            t = j + r
+            if not 1 <= t <= h:
+                jumps[j] = r
+                continue
+            fwd[j] = t
+            if not back[t]:
+                back[t] = j
+            elif collision is None:
+                collision = (j, t)
+        self.fwd, self.back, self.jumps, self.collision = fwd, back, jumps, collision
+
+    def label(self, lab, img, missing):
+        """Take the labels of the floors, bottom first, and the first block
+        cell without both; for a tower without jumps or missing labels also
+        walk one copy of it (see walk_inside)."""
+        self.lab = [None, *lab]
+        self.img = [None, *img]
+        self.missing = missing
+        if not self.jumps and missing is None:
+            self.walk_inside()
+
+    def walk_inside(self):
+        """The walk inside one copy of a tower without jumps or collisions:
+        s then permutes its floors, so every floor has one preimage.  seam
+        is the floor whose preimage is the top floor (its walk enters the
+        next copy); checked counts the other floors, and clean says that
+        none of them leaves its block's image."""
+        h, fwd, back, lab, img = self.h, self.fwd, self.back, self.lab, self.img
+        self.checked = 0
+        self.clean = True
+        for j in range(1, h + 1):
+            y = back[j]
+            if y == h:
+                self.seam = j
+            elif img[fwd[y + 1]] == lab[j]:
+                self.checked += 1
+            else:
+                self.clean = False
+
+
+class _FineTower:
+    """A tower of the audit level as the copies of coarse towers it stacks.
+
+    starts[i] is the floor under copy i; landed maps every floor of this
+    tower that a jump out of a copy reaches to the floors jumping there, in
+    increasing order.  A coarse tower without jumps maps its floors onto
+    themselves, so a jump that lands in a copy of one makes s fail to be
+    injective: the walk meets landed floors only in copies of towers with
+    jumps, and replays those floor by floor.
+    """
+
+    def __init__(self, stack, towers, h: int):
+        self.stack, self.towers, self.h = stack, towers, h
+        self.starts = starts = []
+        top = 0
+        for u in stack:
+            starts.append(top)
+            top += towers[u].h
+        self.landed = landed = {}
+        for i, u in enumerate(stack):
+            for j, r in towers[u].jumps.items():
+                t = starts[i] + j + r
+                if 1 <= t <= h:
+                    landed.setdefault(t, []).append(starts[i] + j)
+
+    def locate(self, floor: int) -> tuple:
+        """(copy, floor inside that copy) of a floor of this tower."""
+        i = bisect_left(self.starts, floor) - 1
+        return i, floor - self.starts[i]
+
+    def image(self, floor: int) -> int:
+        """The floor s sends floor to, 0 past either end of this tower."""
+        i, j = self.locate(floor)
+        t = self.towers[self.stack[i]]
+        if t.fwd[j]:
+            return self.starts[i] + t.fwd[j]
+        floor += t.jumps[j]
+        return floor if 1 <= floor <= self.h else 0
+
+    def preimage(self, floor: int) -> int:
+        i, j = self.locate(floor)
+        y = self.towers[self.stack[i]].back[j]
+        return self.starts[i] + y if y else self.landed.get(floor, (0,))[0]
+
+    def first_collision(self) -> int:
+        """The image of the lowest floor whose image an earlier floor
+        already has, 0 if s is injective here.
+
+        Inside a copy the coarse tower's collision holds; the copies that
+        jumps land in also count the jumps.  A floor's image has a single
+        lowest preimage, so comparing second preimages picks one floor.
+        """
+        found = []
+        for i, u in enumerate(self.stack):
+            hit = self.towers[u].collision
+            if hit:
+                found.append((self.starts[i] + hit[0], self.starts[i] + hit[1]))
+                break
+        for t, jumped in self.landed.items():
+            i, j = self.locate(t)
+            y = self.towers[self.stack[i]].back[j]
+            pre = sorted(jumped + [self.starts[i] + y]) if y else jumped
+            if len(pre) > 1:
+                found.append((pre[1], t))
+        return min(found)[1] if found else 0
+
+    def walk(self, tally):
+        """Add this tower's checked and unresolved cells to tally, floors
+        upwards; stop at the first cell whose walk leaves its block's
+        image and return (floor, block).  Runs after the injectivity pass,
+        so no tower met here has a collision."""
+        stack, towers = self.stack, self.towers
+        for i, u in enumerate(stack):
+            t = towers[u]
+            if not t.jumps:
+                # the walk from this copy's top floor enters the next copy
+                # at the image of its floor 1, read there when s keeps that
+                # floor inside the copy
+                nxt = label = 0
+                if i + 1 < len(stack):
+                    n = towers[stack[i + 1]]
+                    f = n.fwd[1]
+                    nxt = self.starts[i + 1] + f if f else self.image(self.starts[i + 1] + 1)
+                    label = n.img[f] if f else nxt and self.image_label(nxt)
+                if t.clean and (not nxt or label == t.lab[t.seam]):
+                    tally[0] += t.checked + bool(nxt)
+                    tally[1] += not nxt
+                    continue
+            failed = self.replay(i, tally)
+            if failed:
+                return failed
+        return None
+
+    def image_label(self, floor: int):
+        i, j = self.locate(floor)
+        return self.towers[self.stack[i]].img[j]
+
+    def replay(self, i: int, tally):
+        """walk on copy i alone, floor by floor."""
+        t = self.towers[self.stack[i]]
+        for j in range(1, t.h + 1):
+            y = self.preimage(self.starts[i] + j)
+            nxt = self.image(y + 1) if 0 < y < self.h else 0
+            if not nxt:
+                tally[1] += 1
+            elif self.image_label(nxt) == t.lab[j]:
+                tally[0] += 1
+            else:
+                return self.starts[i] + j, t.lab[j]
+        return None
+
+
+def verify_conjugator(
+    s: FullGroupElement,
+    blocks,
+    images,
+    lookahead: int = AUDIT_LOOKAHEAD,
+    block_level: Optional[int] = None,
+) -> ConjugacyReport:
+    """Replay s at a finer level and test that it conjugates the successor
+    map into the block bijection.
+
+    For every fine cell c the walk computes t = s(alpha(s^-1(c))) and checks
+    that t lies in the image of the block containing c.  Cells whose walk
+    crosses a fine roof (where the successor is not a cell) stay unresolved;
+    a correct conjugator leaves exactly one such cell per fine tower.  Three
+    passes, in this order, decide the report: s is injective, each block
+    covers as many fine cells as its image, and every resolvable cell lands
+    in its block's image.  The first failure in tower-then-floor order of
+    the fine cells is the one reported.
+
+    The replay never lists the fine cells.  Each fine tower stacks whole
+    towers of level c = max(s.level, block_level) (bratteli.tower_stacks),
+    and both s and the block labels are constant on their fibers, so a
+    displacement that keeps a floor inside its c-tower acts alike in every
+    copy of that tower.  Injectivity, the walk and the labels are therefore
+    worked out once per c-tower; a copy adds only its seam, the floor whose
+    walk crosses into the next copy, and block counts are block-level
+    counts times copy multiplicities.  Floors whose displacement leaves
+    their c-tower, and the copies they land in, are replayed floor by
+    floor.  A c-tower's displacements and labels are those of the towers
+    of s.level and of block_level it stacks, concatenated, so no level's
+    cells are listed either.  The cost grows with the cells of level c and
+    the number of copies, and CELL_CAP binds on level c only.
+    """
+    d = s.diagram
+    mf = d.check_level(s.level + lookahead)
+    # the order of cells inside a block plays no part here
+    blocks = tuple(map(tuple, blocks))
+    images = tuple(map(tuple, images))
+    if block_level is None:
+        block_level = _infer_block_level(d, blocks, s.level)
+    c = max(s.level, block_level)
+    stacks = tower_stacks(d, c, mf)
+    hf = heights(d, mf)
+    towers = [
+        _CoarseTower(h, chain.from_iterable(map(s.tables.__getitem__, stack)))
+        for h, stack in zip(capped_heights(d, c), tower_stacks(d, s.level, c))
+    ]
+    views = [_FineTower(stack, towers, h) for stack, h in zip(stacks, hf)]
+    suspect = any(t.collision or t.jumps for t in towers)
+
+    for v, view in enumerate(views):
+        hit = view.first_collision() if suspect else 0
+        if hit:
+            return ConjugacyReport(
+                "counterexample",
+                mf,
+                0,
+                0,
+                reason="two cells map to %r; not injective" % ((v, hit),),
+            )
+
+    # labels per block-level floor, read up each c-tower's stack; a lookup
+    # that fails raises, as listing the fine cells would, at the first fine
+    # cell whose block cell is unknown
+    where = {cell: bi for bi, u in enumerate(blocks) for cell in u}
+    img_where = {cell: bi for bi, v in enumerate(images) for cell in v}
+    lab, img, missing = [], [], []
+    for w, h in enumerate(heights(d, block_level)):
+        floor_cells = [(w, j) for j in range(1, h + 1)]
+        lab.append(list(map(where.get, floor_cells)))
+        img.append(list(map(img_where.get, floor_cells)))
+        missing.append(
+            next(cell for cell, b, i in zip(floor_cells, lab[w], img[w]) if b is None or i is None)
+            if None in lab[w] or None in img[w]
+            else None
+        )
+    for t, stack in zip(towers, tower_stacks(d, block_level, c)):
+        t.label(
+            chain.from_iterable(map(lab.__getitem__, stack)),
+            chain.from_iterable(map(img.__getitem__, stack)),
+            next((missing[w] for w in stack if missing[w] is not None), None),
+        )
+    for stack in stacks:
+        for u in stack:
+            if towers[u].missing is not None:
+                raise KeyError(towers[u].missing)
+    # block counts: each block-level floor's labels times its copies in mf
+    copies = [sum(col) for col in zip(*composed_incidence(d, block_level, mf))]
+    fine_count = [0] * len(blocks)
+    fine_image_count = [0] * len(blocks)
+    for n, bs, js in zip(copies, lab, img):
+        for b, i in zip(bs, js) if n else ():
+            fine_count[b] += n
+            fine_image_count[i] += n
+    for bi, (x, y) in enumerate(zip(fine_count, fine_image_count)):
+        if x != y:
+            return ConjugacyReport(
+                "counterexample",
+                mf,
+                0,
+                0,
+                block=bi,
+                reason="block %d covers %d fine cells, its image %d" % (bi, x, y),
+            )
+
+    tally = [0, 0]  # checked, unresolved
+    for v, view in enumerate(views):
+        failed = view.walk(tally)
+        if failed:
+            j, b = failed
+            return ConjugacyReport(
+                "counterexample",
+                mf,
+                tally[0],
+                tally[1],
+                block=b,
+                reason="cell %r of block %d conjugates into the wrong image"
+                % ((v, j), b),
+            )
+    checked, unresolved = tally
+    if unresolved > len(hf):
+        return ConjugacyReport("inconclusive", mf, checked, unresolved)
+    return ConjugacyReport("ok", mf, checked, unresolved)
 
 
 # ---------------------------------------------------------------------------

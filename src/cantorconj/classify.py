@@ -58,6 +58,8 @@ from .bratteli import (
     tower_stacks,
 )
 from .check import (
+    ConjugacyReport,
+    FullGroupElement,
     IntertwiningLadder,
     K0Morphism,
     Obstruction,
@@ -68,18 +70,13 @@ from .check import (
     _weak_witness,
     build_k0_morphism,
     verify_certificate,  # not called here: bench/spans.py wraps it under this module
+    verify_conjugator,
     verify_ladder,
     weak_schedules,
 )
 from .dimgroup import DimGroup, NEGATIVE, NOT_COMPARABLE, POSITIVE, UNKNOWN, ZERO
 from .fieldpoly import _mat_apply, _mat_mul, _row_reduce_int, charpoly
-from .fullgroup import (
-    ConjugacyReport,
-    ConjugatorError,
-    FullGroupElement,
-    conjugator_from_partition,
-    verify_conjugator,
-)
+from .fullgroup import ConjugatorError, conjugator_from_partition
 from .invariants import (
     DEFAULT_DEPTH,
     DEFAULT_PRIME_CUTOFF,
@@ -626,13 +623,11 @@ def _lowest_floors(grp, level: int, floors, x: DgElement, depth) -> tuple:
     """
     d = grp.diagram
     base = max(level, x.level)
-    top = d.max_level()
-    bound = base + depth if top is None else min(base + depth, top)
     rep = grp.push(x, base).vector
     room = tuple(map(len, floors))
     for n in range(level, base):
         room = _mat_apply(incidence(d, n), room)
-    for lvl in range(base, bound + 1):
+    for lvl in range(base, d.scan_end(base, depth) + 1):
         if lvl > base:
             a = incidence(d, lvl - 1)
             rep, room = _mat_apply(a, rep), _mat_apply(a, room)

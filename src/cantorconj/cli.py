@@ -281,7 +281,10 @@ def _cmd_conjugator(args):
 
 def _cmd_verify(args):
     with open(args.certificate, "r", encoding="utf-8") as fh:
-        cert = json.load(fh)
+        try:
+            cert = json.load(fh)
+        except RecursionError as e:
+            raise ValueError("certificate JSON nests too deeply to parse") from e
     if not isinstance(cert, dict):
         raise ValueError("certificate file must hold a JSON object")
     loaded = [load_diagram(p) for p in args.systems]

@@ -226,8 +226,7 @@ class DimGroup:
         # bounded scan for explicit (or non-primitive stationary) diagrams
         vec = g.vector
         level = g.level
-        top = d.max_level()
-        limit = depth + g.level if top is None else min(depth + g.level, top)
+        limit = d.scan_end(g.level, depth)
         while True:
             if all(x == 0 for x in vec):
                 return PositivityResult(ZERO, witness_level=level)

@@ -22,7 +22,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 # ---------------------------------------------------------------------------
 # Small dense matrices over an exact ring, as sequences of rows.
@@ -399,9 +398,6 @@ class FieldElement:
     def __sub__(self, other):
         return self + (-self._lift(other))
 
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
     def __mul__(self, other):
         other = self._lift(other)
         return FieldElement(
@@ -428,9 +424,6 @@ class FieldElement:
 
     def __truediv__(self, other):
         return self * self._lift(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._lift(other) * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -467,15 +460,6 @@ class FieldElement:
 
     def __hash__(self):
         return hash((id(self.field), self.coeffs))
-
-    def interval(self, eps) -> tuple:
-        """Rational enclosure of the real value, width at most eps."""
-        eps = Fraction(eps)
-        while True:
-            lo, hi = poly_eval_interval(self.coeffs or (Fraction(0),), self.field.interval())
-            if hi - lo <= eps:
-                return (lo, hi)
-            self.field.refine()
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,6 @@ __all__ = [
     "spectra_equal",
     "trace_image_group",
     "trace_images_isomorphic",
-    "check_divides_certificate",
-    "check_infinity_certificate",
     "DEFAULT_PRIME_CUTOFF",
     "DEFAULT_DEPTH",
 ]
@@ -105,42 +103,11 @@ def divides_unit(dg: OrderedBratteliDiagram, n: int, depth: int = DEFAULT_DEPTH)
             return DividesUnitResult("yes", 1 + j, None, depth)
         cert = {"modulus": n, "level": 1 + _walk_bound(dg.num_vertices(1), n)}
         return DividesUnitResult("no", None, cert, depth)
-    cap = min(depth, dg.max_level())
+    cap = dg.scan_end(0, depth)
     for m in range(1, cap + 1):
         if all(x % n == 0 for x in heights(dg, m)):
             return DividesUnitResult("yes", m, None, cap)
     return DividesUnitResult("unknown", None, None, cap)
-
-
-def check_divides_certificate(dg: OrderedBratteliDiagram, n: int, result: DividesUnitResult) -> bool:
-    """Replay a divides_unit answer against the diagram it talks about.
-
-    On a stationary diagram a Yes past level 1 + J is checked at 1 + J,
-    where divisibility is the same (see _first_zero); a No must name level
-    1 + J and have nonzero height residues on every level up to it.
-    """
-    if result.verdict == "yes":
-        if result.level == 0:
-            return n == 1
-        try:
-            level = result.level
-            if dg.kind == "stationary":
-                level = min(level, 1 + _walk_bound(dg.num_vertices(1), n))
-            return all(x % n == 0 for x in heights(dg, level))
-        # what a malformed level or modulus raises: a level of the wrong
-        # type, a negative level or one past an explicit diagram's end
-        # (LevelRangeError), modulus 0; a fault inside the check propagates
-        except (TypeError, ValueError, ZeroDivisionError):
-            return False
-    if result.verdict != "no" or dg.kind != "stationary" or result.certificate is None:
-        return False
-    cert = result.certificate
-    level = cert.get("level")
-    if cert.get("modulus") != n or not isinstance(level, int):
-        return False
-    if level != 1 + _walk_bound(dg.num_vertices(1), n):
-        return False
-    return _first_zero(_edge_step(dg), heights(dg, 1), n) is None
 
 
 def _walk_bound(k, n):
@@ -256,24 +223,6 @@ def _infinity_certificate(p, annihilator):
     return {"p": p, "annihilator": list(annihilator), "vector_level": 1}
 
 
-def check_infinity_certificate(dg: OrderedBratteliDiagram, p: int, cert: dict) -> bool:
-    """Re-verify an infinite-valuation claim: the stored polynomial must be a
-    monic annihilator of heights(1) that is a power of t mod p."""
-    if dg.kind != "stationary" or cert.get("p") != p:
-        return False
-    mu = cert.get("annihilator")
-    if not mu or mu[-1] != 1:
-        return False
-    if any(c % p for c in mu[:-1]):
-        return False
-    mat = incidence(dg, 1)
-    vec = [Fraction(x) for x in heights(dg, 1)]
-    acc = [Fraction(0)] * len(vec)
-    for c in reversed(mu):
-        acc = [a + c * x for a, x in zip(_mat_apply(mat, acc), vec)]
-    return all(a == 0 for a in acc)
-
-
 @dataclass(frozen=True)
 class _StationaryData:
     """Level-1 data behind the valuations of a stationary diagram."""
@@ -335,7 +284,7 @@ def periodic_spectrum(
             if v != 0:
                 entries.append((p, v))
         return SupernaturalTruncation(tuple(entries), prime_cutoff, depth)
-    cap = min(depth, dg.max_level())
+    cap = dg.scan_end(0, depth)
     primes = primes_up_to(prime_cutoff)
     best = {p: 0 for p in primes}
     for m in range(1, cap + 1):

@@ -38,18 +38,22 @@ from cantorconj.classify import (
     verify_ladder,
     weak_certificate,
 )
-from cantorconj.check import frobenius, represent
+from cantorconj.check import (
+    FullGroupElement,
+    check_divides_certificate,
+    frobenius,
+    represent,
+    verify_conjugator,
+)
 from cantorconj.cli import run
 from cantorconj.dimgroup import DimGroup, NEGATIVE, POSITIVE, ZERO
 from cantorconj.fullgroup import (
     BlockBijection,
-    FullGroupElement,
     check_block_condition,
     conjugator_from_partition,
     cyclic_from_blocks,
-    verify_conjugator,
 )
-from cantorconj.invariants import check_divides_certificate, divides_unit
+from cantorconj.invariants import divides_unit
 
 from conftest import hierarchy_pool, time_ceiling
 

@@ -22,7 +22,6 @@ from cantorconj.bratteli import (
     max_path,
     min_path,
     parse_diagram,
-    path_end,
     path_for_floor,
     path_rank,
     serialize_diagram,
@@ -108,6 +107,15 @@ def test_explicit_hard_fails_past_last_level(rng):
         heights(d, 4)
     with pytest.raises(LevelRangeError):
         d.table(3)
+
+
+def test_scan_end_reads_depth_levels_but_not_past_the_last(rng):
+    assert dyadic().scan_end(3, 5) == 8
+    d = random_explicit(rng, levels=6)
+    assert d.max_level() == 6
+    assert d.scan_end(1, 2) == 3
+    assert d.scan_end(0, 6) == 6
+    assert d.scan_end(2, 40) == 6
 
 
 # -- heights ------------------------------------------------------------------
@@ -405,7 +413,7 @@ def test_tower_map_matches_path_unranking():
                 for p in paths.values():
                     q = p[:m]
                     if q not in ranked:
-                        ranked[q] = (path_end(q), path_rank(d, q) + 1) if m else (0, 1)
+                        ranked[q] = (q[-1][0], path_rank(d, q) + 1) if m else (0, 1)
                 assert proj == {c: ranked[p[:m]] for c, p in paths.items()}
             m_fine += 1
         if m_fine <= 12:

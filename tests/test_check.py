@@ -64,7 +64,7 @@ def test_check_imports_no_decider_front_end_or_sympy():
     assert "bratteli" in names and "invariants" in names
     for name in names:
         parts = set(name.split("."))
-        assert not parts & {"classify", "cli", "sympy"}, name
+        assert not parts & {"classify", "fullgroup", "cli", "sympy"}, name
 
 
 REPLAY_ALONE = """
@@ -72,7 +72,7 @@ import json, sys
 import cantorconj.check
 from cantorconj.bratteli import parse_diagram  # loaded by check already
 
-UPPER = {"cantorconj.classify", "cantorconj.cli", "sympy"}
+UPPER = {"cantorconj.classify", "cantorconj.fullgroup", "cantorconj.cli", "sympy"}
 # hashlib (OpenSSL) is loaded by the first digest, not by the import
 before = sorted((UPPER | {"hashlib"}) & set(sys.modules))
 out = []
@@ -103,8 +103,9 @@ def run_fresh(script, payload):
 
 def test_replay_alone_loads_no_decider_front_end_or_sympy():
     # a fresh interpreter imports cantorconj.check, not the package's upper
-    # layers, and replays weak, tau, ladder and conjugator certificates
-    # handed in as JSON; tau replays build trace images, which factor
+    # layers or the conjugator synthesis, and replays weak, tau, ladder and
+    # conjugator certificates handed in as JSON; tau replays build trace
+    # images, which factor
     fib = fibonacci()
     certs = [
         (weak_certificate(decide_weak(DYADIC, QUATERNARY), DYADIC, QUATERNARY), (DYADIC, QUATERNARY)),
@@ -245,6 +246,8 @@ def test_replay_runs_with_every_decider_raising(monkeypatch):
         "conjugate_at_resolution",
     ):
         monkeypatch.setattr("cantorconj.classify." + name, decider)
+    for name in ("conjugator_from_partition", "cyclic_from_blocks", "check_block_condition"):
+        monkeypatch.setattr("cantorconj.fullgroup." + name, decider)
     for cert, systems in certs:
         for given in (cert, json.loads(json.dumps(cert))):
             result = verify_certificate(given, systems)

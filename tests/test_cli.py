@@ -1,9 +1,14 @@
 """Command line round trips: each subcommand, both formats, all exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import cantorconj
 from cantorconj.bratteli import dump_diagram
 from cantorconj.cli import run
 from cantorconj import systems
@@ -360,3 +365,27 @@ def test_unknown_option_is_usage_error(corpus):
 
 def test_missing_file_is_input_error(tmp_path):
     assert run(["heights", str(tmp_path / "nope.obd"), "1"]) == 1
+
+
+def test_deeply_nested_json_is_an_input_error_not_a_traceback(corpus, tmp_path):
+    # json's decoder raises RecursionError on these, which is no ValueError
+    deep = "[" * 200_000 + "]" * 200_000
+    for name in ("deep.json", "deep.obd"):
+        (tmp_path / name).write_text(deep)
+    src = str(pathlib.Path(cantorconj.__file__).resolve().parents[1])
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    for argv in (
+        ["verify", str(tmp_path / "deep.json"), corpus["dyadic"]],
+        ["heights", str(tmp_path / "deep.obd"), "2"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cantorconj.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 1, (argv, proc.stderr)
+        assert proc.stderr.startswith("input error: "), (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)

@@ -6,18 +6,20 @@ import random
 import pytest
 
 from cantorconj.bratteli import cells, heights, tower_map
+from cantorconj.check import (
+    ConjugacyReport,
+    FullGroupElement,
+    _infer_block_level,
+    verify_conjugator,
+)
 from cantorconj.fullgroup import (
     BlockBijection,
     BlockConditionResult,
     BlockConditionViolation,
-    ConjugacyReport,
     ConjugatorError,
-    FullGroupElement,
     check_block_condition,
-    _infer_block_level,
     conjugator_from_partition,
     cyclic_from_blocks,
-    verify_conjugator,
 )
 from cantorconj.systems import dyadic, fibonacci, stationary_from_rows
 

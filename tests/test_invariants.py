@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorconj.bratteli import OrderedBratteliDiagram, composed_incidence
+from cantorconj.check import check_divides_certificate, check_infinity_certificate
 from cantorconj.classify import decide_k_conjugacy, decide_tau, decide_weak
 from cantorconj.dimgroup import DimGroup
 from cantorconj.fieldpoly import _solve_lin, charpoly, count_real_roots, isolate_largest_real_root
@@ -18,8 +19,6 @@ from cantorconj.invariants import (
     InfiniteValuation,
     SupernaturalTruncation,
     TraceIsoResult,
-    check_divides_certificate,
-    check_infinity_certificate,
     divides_unit,
     periodic_spectrum,
     spectra_equal,
@@ -175,10 +174,10 @@ def test_divides_certificate_rejects_malformed_input_and_propagates_faults(monke
     )
     for dg, n, level in ((DYADIC, 2 ** 10, 10), (explicit, 2, 2)):
         assert check_divides_certificate(dg, n, DividesUnitResult("yes", level, None, 40))
-        # a level of the wrong type (TypeError), a negative one (ValueError)
+        # a level that is not a plain int, a negative one (ValueError)
         for bad in (None, "3", 2.5, -1):
             assert not check_divides_certificate(dg, n, DividesUnitResult("yes", bad, None, 40))
-        # modulus 0 (ZeroDivisionError)
+        # modulus 0
         assert not check_divides_certificate(dg, 0, DividesUnitResult("yes", level, None, 40))
     # past an explicit diagram's end (LevelRangeError, a ValueError)
     assert not check_divides_certificate(explicit, 2, DividesUnitResult("yes", 4, None, 40))
@@ -186,10 +185,40 @@ def test_divides_certificate_rejects_malformed_input_and_propagates_faults(monke
     def faulty(*args, **kwargs):
         raise AssertionError("fault inside the check")
 
-    monkeypatch.setattr("cantorconj.invariants.heights", faulty)
+    monkeypatch.setattr("cantorconj.check.heights", faulty)
     for dg, n, level in ((DYADIC, 2 ** 10, 10), (explicit, 2, 2)):
         with pytest.raises(AssertionError, match="fault inside the check"):
             check_divides_certificate(dg, n, DividesUnitResult("yes", level, None, 40))
+
+
+def test_malformed_divisor_and_infinity_certificates_are_rejected_not_raised():
+    cert = entry_map(periodic_spectrum(DYADIC))[2].certificate
+    assert check_infinity_certificate(DYADIC, 2, cert)
+    for bad in (
+        {"p": 2, "annihilator": ["x", 1]},
+        {"p": 2, "annihilator": 5},
+        {"p": 2, "annihilator": [-2.0, 1]},
+        {"p": 2, "annihilator": [True, 1]},
+        {"p": 2.0, "annihilator": cert["annihilator"]},
+        {"p": True, "annihilator": [-1, 1]},
+        [2, cert["annihilator"]],
+        None,
+    ):
+        assert check_infinity_certificate(DYADIC, 2, bad) is False, bad
+    assert check_infinity_certificate(DYADIC, 1, {"p": 1, "annihilator": [-2, 1]}) is False
+    res = divides_unit(DYADIC, 3)
+    assert res.verdict == "no" and check_divides_certificate(DYADIC, 3, res)
+    for bad in (
+        [3, res.certificate["level"]],
+        "no",
+        {"modulus": 3.0, "level": res.certificate["level"]},
+        {"modulus": 3, "level": float(res.certificate["level"])},
+        {"modulus": 3, "level": True},
+    ):
+        no = DividesUnitResult("no", None, bad, res.depth)
+        assert check_divides_certificate(DYADIC, 3, no) is False, bad
+    yes = DividesUnitResult("yes", True, None, 40)
+    assert check_divides_certificate(DYADIC, 2, yes) is False
 
 
 # The walk divides_unit ran before its length was bounded: the height
