@@ -44,7 +44,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import reduce
+from operator import or_
+from typing import Iterable
 
 from .fieldpoly import _mat_mul
 
@@ -613,101 +615,61 @@ class ValidationReport:
         return self.primitive is True and not self.finite_path_space
 
 
-def _eventual_image(f: Sequence[int]) -> tuple[int, ...]:
-    # image of f^k for k = len(f): by then the image has stabilized
-    cur = sorted(set(range(len(f))))
-    for _ in range(len(f)):
-        cur = sorted(set(f[v] for v in cur))
-    return tuple(cur)
-
-
 def validate(d: OrderedBratteliDiagram, depth: int = DEFAULT_DEPTH) -> ValidationReport:
     """Primitivity and proper-orderedness report with explicit witnesses.
 
-    Primitivity: some composed incidence product from level 1 is strictly
-    positive within depth (for stationary diagrams the Wielandt bound caps
-    the search).  A primitive stationary diagram with incidence [1] is
-    flagged as a finite path space.  Proper ordering: the minimal-edge and
-    maximal-edge source chains funnel to a single vertex; for stationary
-    diagrams this is exact (eventual image of the source maps), for
-    explicit diagrams it is checked on the available levels and left None
-    when the data runs out.
-    """
-    issues = []
-    if d.kind == "stationary":
-        k = d.num_vertices(1)
-        bound = min(depth, (k - 1) ** 2 + 2) if k > 1 else 1
-        primitive = False
-        prim_level = None
-        acc = composed_incidence(d, 1, 1)
-        for j in range(1, bound + 1):
-            acc = _mat_mul(incidence(d, 1), acc)
-            if all(all(x > 0 for x in row) for row in acc):
-                primitive = True
-                prim_level = j
-                break
-        if not primitive:
-            issues.append(
-                "no strictly positive incidence power up to the Wielandt bound; "
-                "stationary matrix is not primitive"
-            )
-        # the only primitive integer matrix with Perron root 1
-        finite = primitive and incidence(d, 1) == ((1,),)
-        if finite:
-            issues.append(
-                "one edge per level past the root: the path space has %d points, "
-                "not a Cantor set" % heights(d, 1)[0]
-            )
-        tab = d.table(1)
-        s_min = [row[0] for row in tab]
-        s_max = [row[-1] for row in tab]
-        e_min = _eventual_image(s_min)
-        e_max = _eventual_image(s_max)
-        properly = len(e_min) == 1 and len(e_max) == 1
-        if not properly:
-            issues.append(
-                "minimal/maximal edge chains do not funnel to unique paths "
-                "(min cycle %s, max cycle %s)" % (list(e_min), list(e_max))
-            )
-        return ValidationReport(
-            primitive, prim_level, properly, e_min, e_max, tuple(issues), finite
-        )
+    One pass up the edge tables from level 1 carries, for each vertex, its
+    reach set (the level-1 vertices with a path to it, as a bitmask) and
+    the level-1 ends of its minimal-edge and maximal-edge chains.
+    primitivity_level is the least level m at which every reach set is
+    full, that is the least m with composed_incidence(d, 1, m) strictly
+    positive.  The diagram is properly ordered when the chain ends of
+    each kind are a single vertex; the witnesses are the ends at the last
+    level scanned.
 
-    # explicit kind: work with what the finite data admits
-    primitive = None
-    prim_level = None
-    for m2 in range(1, d.scan_end(0, depth) + 1):
-        acc = composed_incidence(d, 1, m2)
-        if all(all(x > 0 for x in row) for row in acc):
-            primitive = True
-            prim_level = m2
-            break
-    if primitive is None:
+    A stationary diagram with k vertices is scanned to level (k - 1)^2 + 2
+    and depth is not read: a primitive incidence A has A^j > 0 for some
+    j <= (k - 1)^2 + 1 (Wielandt), and after k steps the chain ends are the
+    eventual images of the minimal and maximal source maps, so both
+    answers are exact.  An explicit diagram is scanned to scan_end(0,
+    depth), and what its levels leave open is None.  A stationary diagram
+    with one vertex and one edge per level is flagged as a finite path
+    space.
+    """
+    stationary = d.kind == "stationary"
+    top = (d.num_vertices(1) - 1) ** 2 + 2 if stationary else d.scan_end(0, depth)
+    k = d.num_vertices(1) if top else 0
+    full = (1 << k) - 1
+    reach = [1 << v for v in range(k)]
+    mins = maxs = range(k)
+    # level 1's composed incidence is the identity
+    level = 1 if k == 1 else None
+    for n in range(1, top):
+        tab = d.table(n)
+        reach = [reduce(or_, map(reach.__getitem__, row)) for row in tab]
+        mins = [mins[row[0]] for row in tab]
+        maxs = [maxs[row[-1]] for row in tab]
+        if level is None and all(r == full for r in reach):
+            level = n + 1
+    mins, maxs = tuple(sorted(set(mins))), tuple(sorted(set(maxs)))
+    open_answer = False if stationary else None
+    primitive = True if level else open_answer
+    properly = True if len(mins) == len(maxs) == 1 else open_answer
+    finite = stationary and d.table(1) == ((0,),)
+    issues = []
+    if not primitive:
         issues.append(
-            "no strictly positive composed incidence within the available "
-            "levels; primitivity undetermined"
+            "no strictly positive composed incidence from level 1 to level %d: %s"
+            % (top, "not primitive" if stationary else "primitivity undetermined")
         )
-    min_chain = None
-    max_chain = None
-    properly = None
-    probe = d.scan_end(0, depth)
-    if probe >= 1:
-        mins = list(range(d.num_vertices(probe)))
-        maxs = list(range(d.num_vertices(probe)))
-        for n in range(probe, 0, -1):
-            tab = d.table(n - 1)
-            mins = [tab[v][0] for v in mins]
-            maxs = [tab[v][-1] for v in maxs]
-        min_chain = tuple(sorted(set(mins)))
-        max_chain = tuple(sorted(set(maxs)))
-        if len(min_chain) == 1 and len(max_chain) == 1:
-            properly = True
-        else:
-            properly = None
-            issues.append(
-                "min/max chains have not funnelled within the available levels"
-            )
-    return ValidationReport(
-        primitive, prim_level, properly,
-        min_chain or (), max_chain or (), tuple(issues),
-    )
+    if finite:
+        issues.append(
+            "one edge per level past the root: the path space has %d points, "
+            "not a Cantor set" % heights(d, 1)[0]
+        )
+    if not properly:
+        issues.append(
+            "minimal/maximal edge chains from level %d end at level 1 in %s and %s: %s"
+            % (top, list(mins), list(maxs), "not properly ordered" if stationary else "undetermined")
+        )
+    return ValidationReport(primitive, level, properly, mins, maxs, tuple(issues), finite)

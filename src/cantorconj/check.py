@@ -60,6 +60,18 @@ AUDIT_LOOKAHEAD = 2
 # the verifier rejects schedules of any other length.
 WEAK_ROUNDS = 2
 
+# The deepest level a ladder or conjugator may name.  A level past it is
+# refused before any heights are read, so no replay walks further up a
+# diagram; the deciders' ladders and conjugators stay far below it.
+MAX_LEVEL = 1024
+
+
+def _json_int(x) -> int:
+    """x when it is a plain JSON integer (not a bool); ValueError otherwise."""
+    if not _plain_int(x):
+        raise ValueError("%r is not an integer" % (x,))
+    return x
+
 
 class SearchExhausted(RuntimeError):
     """A bounded search ran out of room without reaching a verdict."""
@@ -396,10 +408,12 @@ class IntertwiningLadder:
 
     @staticmethod
     def from_json(blob: dict) -> "IntertwiningLadder":
-        freeze = lambda m: tuple(tuple(int(x) for x in row) for row in m)
+        """The ladder a witness states; ValueError on a level or entry that
+        is not a plain JSON integer."""
+        freeze = lambda m: tuple(tuple(map(_json_int, row)) for row in m)
         return IntertwiningLadder(
-            tuple(int(x) for x in blob["a_levels"]),
-            tuple(int(x) for x in blob["b_levels"]),
+            tuple(map(_json_int, blob["a_levels"])),
+            tuple(map(_json_int, blob["b_levels"])),
             tuple(freeze(m) for m in blob["forwards"]),
             tuple(freeze(m) for m in blob["backwards"]),
         )
@@ -430,6 +444,8 @@ def verify_ladder(
       progression with step >= 1 from level >= 1.  Then H.h = A^ga and
       h.H = B^gb, and the ladder extends by stationarity to an infinite
       intertwining (the ladders of _ladder_search and _reversed_ladder).
+
+    A level past MAX_LEVEL is rejected before any heights are read.
     """
     la, lb = ladder.a_levels, ladder.b_levels
     fs, bs = ladder.forwards, ladder.backwards
@@ -439,6 +455,8 @@ def verify_ladder(
         x > y for x, y in zip(lb, lb[1:])
     ):
         return LadderReport(False, None, "levels must be nondecreasing")
+    if max(chain(la, lb)) > MAX_LEVEL:
+        return LadderReport(False, None, "a level lies past MAX_LEVEL = %d" % MAX_LEVEL)
     for i, h in enumerate(fs):
         ua, ub = heights(dgA, la[i]), heights(dgB, lb[i])
         if len(h) != len(ub) or any(len(row) != len(ua) for row in h):
@@ -1026,9 +1044,13 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
     field against the recomputed morphisms (see _same_weak_witness), never
     parsed or walked to its own levels: the recomputation is nonnegative
     and unit-preserving by construction, so a witness equal to it is too.
-    A conjugator's levels must lie at or below the first level with more
-    than CELL_CAP cells, and its blocks and images must each partition the
-    cells of its block level, before the conjugator is replayed.
+    Every integer of a ladder or conjugator witness (levels, entries,
+    displacements, cell coordinates, the lookahead) must be a plain JSON
+    integer; anything else is malformed.  No level either names may lie
+    past MAX_LEVEL.  A conjugator's levels must also lie at or below the
+    first level with more than CELL_CAP cells (searched up to MAX_LEVEL),
+    and its blocks and images must each partition the cells of its block
+    level, before the conjugator is replayed.
     """
     systems = tuple(systems)
     try:
@@ -1075,28 +1097,33 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
         if claim == "conjugator":
             if len(systems) != 1:
                 return CertificateCheck(False, "claim needs exactly one system")
-            if int(witness["lookahead"]) != AUDIT_LOOKAHEAD:
+            if _json_int(witness["lookahead"]) != AUDIT_LOOKAHEAD:
                 return CertificateCheck(False, "audit lookahead must be %d" % AUDIT_LOOKAHEAD)
             blob = witness["element"]
-            block_level = int(witness["block_level"])
-            for level in (int(blob["level"]), block_level):
-                capped = first_level_over_cap(systems[0], level)
+            block_level = _json_int(witness["block_level"])
+            for level in (_json_int(blob["level"]), block_level):
+                capped = first_level_over_cap(systems[0], min(level, MAX_LEVEL))
                 if capped is not None:
                     return CertificateCheck(
                         False,
                         "level %d lies past level %d, the first with more than "
                         "CELL_CAP = %d cells" % (level, capped, CELL_CAP),
                     )
-            towers = sorted(blob["towers"], key=lambda t: t["w"])
+                if level > MAX_LEVEL:
+                    return CertificateCheck(
+                        False, "level %d lies past MAX_LEVEL = %d" % (level, MAX_LEVEL)
+                    )
+            towers = sorted(blob["towers"], key=lambda t: _json_int(t["w"]))
             if [t["w"] for t in towers] != list(range(len(towers))):
                 return CertificateCheck(False, "tower indices must be 0..k-1")
             elem = FullGroupElement(
                 systems[0],
-                int(blob["level"]),
-                tuple(tuple(int(x) for x in tower["r"]) for tower in towers),
+                blob["level"],
+                tuple(tuple(map(_json_int, tower["r"])) for tower in towers),
             )
-            blocks = tuple(tuple(tuple(c) for c in u) for u in witness["blocks"])
-            images = tuple(tuple(tuple(c) for c in v) for v in witness["images"])
+            cell = lambda c: tuple(map(_json_int, c))
+            blocks = tuple(tuple(map(cell, u)) for u in witness["blocks"])
+            images = tuple(tuple(map(cell, v)) for v in witness["images"])
             universe = set(cells(systems[0], block_level))
             try:
                 _validate_partition(blocks, universe, "block")
@@ -1114,7 +1141,6 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
                 return CertificateCheck(False, "conjugator fails verification: %s" % rep.verdict)
             return CertificateCheck(True)
         return CertificateCheck(False, "unknown claim %r" % claim)
-    # what a malformed payload raises (OverflowError: int() of an infinite
-    # float); a fault inside a check propagates
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError, CapabilityError) as e:
+    # what a malformed payload raises; a fault inside a check propagates
+    except (KeyError, TypeError, ValueError, IndexError, CapabilityError) as e:
         return CertificateCheck(False, "malformed certificate: %s" % e)

@@ -473,6 +473,57 @@ def test_validate_explicit_reports_positivity_level(rng):
         assert all(all(x > 0 for x in row) for row in acc)
 
 
+def _unrolled(d, levels):
+    """The stationary diagram d written out as an explicit one to a level."""
+    k = d.num_vertices(1)
+    return OrderedBratteliDiagram(
+        "explicit", (1,) + (k,) * levels, tuple(d.table(n) for n in range(levels))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 30))
+def test_validate_agrees_with_the_explicit_unrolling(seed):
+    d = random_stationary(random.Random(seed), max_vertices=5)
+    k = d.num_vertices(1)
+    rep = validate(d)
+    # one level past the Wielandt bound: the unrolling decides primitivity
+    # where it holds, and its chain ends are the eventual images; finitely
+    # many levels cannot refute either property, so "not" reads None there
+    unrolled = validate(_unrolled(d, (k - 1) ** 2 + 3))
+    assert unrolled.primitive is (rep.primitive or None)
+    assert unrolled.primitivity_level == rep.primitivity_level
+    assert unrolled.properly_ordered is (rep.properly_ordered or None)
+    assert unrolled.min_chain_witness == rep.min_chain_witness
+    assert unrolled.max_chain_witness == rep.max_chain_witness
+    if rep.primitive:
+        for m, positive in ((rep.primitivity_level, True), (rep.primitivity_level - 1, False)):
+            if m >= 1:
+                acc = composed_incidence(d, 1, m)
+                assert all(x > 0 for row in acc for x in row) is positive
+
+
+def test_validate_reaches_the_wielandt_bound():
+    # a k-cycle with one chord: primitive, with A^j > 0 first at
+    # j = (k - 1)^2 + 1, so composed_incidence(d, 1, m) > 0 first at m = 51
+    k = 8
+    d = stationary_from_rows(((k - 1,), (0, k - 1)) + tuple((v - 1,) for v in range(2, k)))
+    rep = validate(d, depth=1)  # depth bounds explicit diagrams only
+    assert rep.primitive is True and rep.primitivity_level == 51
+    assert rep.ok
+
+
+def test_validate_refutes_a_large_period_two_diagram_quickly():
+    # a 40-cycle with a 2-cycle on it: irreducible, of period 2, so the
+    # scan runs all the way to level 39^2 + 2
+    k = 40
+    d = stationary_from_rows(((k - 1, 1),) + tuple((v - 1,) for v in range(1, k)))
+    with time_ceiling(1):
+        rep = validate(d)
+    assert rep.primitive is False and rep.primitivity_level is None
+    assert any("not primitive" in s for s in rep.issues)
+
+
 # -- property tests ---------------------------------------------------------------
 
 

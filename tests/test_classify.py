@@ -1429,6 +1429,39 @@ def test_verify_certificate_rejects_malformed_payloads_and_propagates_faults(mon
         check = verify_certificate(bad, (QUATERNARY,))
         assert not check.ok and check.reason.startswith("malformed certificate: ")
 
+    # every integer of a witness is a plain JSON integer, and no level lies
+    # past MAX_LEVEL, which is refused before any heights are read
+    from cantorconj.fullgroup import conjugator_from_partition
+
+    ladder = json.loads(json.dumps(ladder_certificate(
+        decide_k_conjugacy(DYADIC, QUATERNARY).ladder, DYADIC, QUATERNARY
+    )))
+    one = stationary_from_rows(((0,),))  # incidence [1]: never past the cell cap
+    blocks = (((0, 1),),)
+    single = conjugator_certificate(
+        conjugator_from_partition(one, 1, blocks, blocks), 1, blocks, blocks
+    )
+    malformed = "malformed certificate: "
+    for given, systems, path, value, reason in (
+        (ladder, (DYADIC, QUATERNARY), ("a_levels", 0), 1.5, malformed),
+        (ladder, (DYADIC, QUATERNARY), ("a_levels", 0), "1", malformed),
+        (ladder, (DYADIC, QUATERNARY), ("b_levels", 0), True, malformed),
+        (ladder, (DYADIC, QUATERNARY), ("a_levels", -1), 10 ** 20,
+         "ladder rejected: a level lies past MAX_LEVEL = 1024"),
+        (cert, (QUATERNARY,), ("lookahead",), "2", malformed),
+        (cert, (QUATERNARY,), ("blocks", 0, 0, 1), 1.0, malformed),
+        (single, (one,), ("block_level",), 10 ** 9,
+         "level 1000000000 lies past MAX_LEVEL = 1024"),
+    ):
+        bad = copy.deepcopy(given)
+        node = bad["witness"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with time_ceiling(1):
+            check = verify_certificate(bad, systems)
+        assert not check.ok and check.reason.startswith(reason), (path, check.reason)
+
     def faulty(*args, **kwargs):
         raise AssertionError("fault inside the replay")
 
