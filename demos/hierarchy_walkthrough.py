@@ -72,7 +72,7 @@ bundle = conjugate_at_resolution(DYADIC, QUATERNARY, 2)
 sig = bundle.sigma
 print(f"partition map: level {sig.source_level} of dyadic -> "
       f"level {sig.target_level} of quaternary, "
-      f"{len(sig.source_blocks)} blocks, invertible={sig.invertible}")
+      f"{len(bundle.blocks)} blocks, none empty")
 print(f"corrector element lives at level {bundle.corrector.level} "
       f"with tables {bundle.corrector.tables}")
 print(f"audit verdict: {bundle.report.verdict}")

@@ -162,6 +162,18 @@ class OrderedBratteliDiagram:
         top = self.max_level()
         return start + depth if top is None else min(start + depth, top)
 
+    def settled_level(self, start: int) -> int:
+        """Last level of a scan from start that no deeper level can change:
+        start + (k - 1)^2 + 2 on a stationary diagram with k vertices, the
+        last level of an explicit one.
+
+        A primitive incidence A has A^j > 0 for every j >= (k - 1)^2 + 1
+        (Wielandt), and the kernels of A^j stop growing by j = k, as do the
+        images of any map of the k vertices into themselves.
+        """
+        top = self.max_level()
+        return start + (self.vertex_counts[1] - 1) ** 2 + 2 if top is None else top
+
     def check_level(self, m: int) -> int:
         if m < 0:
             raise ValueError("negative level")
@@ -627,17 +639,15 @@ def validate(d: OrderedBratteliDiagram, depth: int = DEFAULT_DEPTH) -> Validatio
     each kind are a single vertex; the witnesses are the ends at the last
     level scanned.
 
-    A stationary diagram with k vertices is scanned to level (k - 1)^2 + 2
-    and depth is not read: a primitive incidence A has A^j > 0 for some
-    j <= (k - 1)^2 + 1 (Wielandt), and after k steps the chain ends are the
-    eventual images of the minimal and maximal source maps, so both
-    answers are exact.  An explicit diagram is scanned to scan_end(0,
-    depth), and what its levels leave open is None.  A stationary diagram
-    with one vertex and one edge per level is flagged as a finite path
-    space.
+    A stationary diagram is scanned to its settled_level(0) and depth is
+    not read: the chain ends there are the eventual images of the minimal
+    and maximal source maps, so both answers are exact.  An explicit
+    diagram is scanned to scan_end(0, depth), and what its levels leave
+    open is None.  A stationary diagram with one vertex and one edge per
+    level is flagged as a finite path space.
     """
     stationary = d.kind == "stationary"
-    top = (d.num_vertices(1) - 1) ** 2 + 2 if stationary else d.scan_end(0, depth)
+    top = d.settled_level(0) if stationary else d.scan_end(0, depth)
     k = d.num_vertices(1) if top else 0
     full = (1 << k) - 1
     reach = [1 << v for v in range(k)]

@@ -52,8 +52,9 @@ from .invariants import (
     trace_images_isomorphic,
 )
 
-# Conjugator certificates always audit at this lookahead; the verifier
-# rejects any other value, so the witness bytes stay fully pinned.
+# verify_conjugator always audits this many levels past the element, and a
+# conjugator certificate states it: the verifier rejects any other value,
+# so the witness bytes stay fully pinned.
 AUDIT_LOOKAHEAD = 2
 
 # Morphisms per direction in a weak witness, from source levels 1.. on;
@@ -554,7 +555,7 @@ class ConjugacyReport:
     resolve; the unique maximal path sits inside one of them and is counted
     there rather than reported separately).  "counterexample" pins a block
     or a failed bijection; "inconclusive" means too many cells stayed
-    unresolved to certify anything at this lookahead.
+    unresolved to certify anything at the audit level.
     """
 
     verdict: str  # "ok" | "counterexample" | "inconclusive"
@@ -580,14 +581,6 @@ def _validate_partition(part, universe, what):
             seen.add(c)
     if seen != universe:
         raise ValueError("%ss do not partition the cells at this level" % what)
-
-
-def _infer_block_level(d, blocks, top):
-    found = {c for u in blocks for c in u}
-    for lvl in range(0, top + 1):
-        if found == set(cells(d, lvl)):
-            return lvl
-    raise ValueError("blocks are not the cells of any level up to %d" % top)
 
 
 class _CoarseTower:
@@ -760,15 +753,10 @@ class _FineTower:
         return None
 
 
-def verify_conjugator(
-    s: FullGroupElement,
-    blocks,
-    images,
-    lookahead: int = AUDIT_LOOKAHEAD,
-    block_level: Optional[int] = None,
-) -> ConjugacyReport:
-    """Replay s at a finer level and test that it conjugates the successor
-    map into the block bijection.
+def verify_conjugator(s: FullGroupElement, blocks, images, block_level: int) -> ConjugacyReport:
+    """Replay s at level s.level + AUDIT_LOOKAHEAD and test that it
+    conjugates the successor map into the block bijection between blocks
+    and images, partitions of the cells of block_level.
 
     For every fine cell c the walk computes t = s(alpha(s^-1(c))) and checks
     that t lies in the image of the block containing c.  Cells whose walk
@@ -794,12 +782,10 @@ def verify_conjugator(
     the number of copies, and CELL_CAP binds on level c only.
     """
     d = s.diagram
-    mf = d.check_level(s.level + lookahead)
+    mf = d.check_level(s.level + AUDIT_LOOKAHEAD)
     # the order of cells inside a block plays no part here
     blocks = tuple(map(tuple, blocks))
     images = tuple(map(tuple, images))
-    if block_level is None:
-        block_level = _infer_block_level(d, blocks, s.level)
     c = max(s.level, block_level)
     stacks = tower_stacks(d, c, mf)
     hf = heights(d, mf)
@@ -1130,13 +1116,7 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
                 _validate_partition(images, universe, "image block")
             except ValueError as e:
                 return CertificateCheck(False, "conjugator witness is not a partition: %s" % e)
-            rep = verify_conjugator(
-                elem,
-                blocks,
-                images,
-                lookahead=AUDIT_LOOKAHEAD,
-                block_level=block_level,
-            )
+            rep = verify_conjugator(elem, blocks, images, block_level)
             if rep.verdict != "ok":
                 return CertificateCheck(False, "conjugator fails verification: %s" % rep.verdict)
             return CertificateCheck(True)

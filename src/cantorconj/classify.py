@@ -719,16 +719,13 @@ class PartitionHomeomorphism:
     """Block-to-block matching of clopen partitions of two systems.
 
     Any two nonempty clopen Cantor sets are homeomorphic, so matched blocks
-    of equal K0 class carry a homeomorphism; the object records its action
-    on the partition algebra.  invertible says no block is empty; the
-    resolution pipeline fails instead of returning a matching that is not.
+    of equal K0 class carry a homeomorphism.  The source blocks are the
+    cells of source_level; the target blocks (ResolutionBundle.blocks, none
+    empty) partition the cells of target_level.
     """
 
     source_level: int
     target_level: int
-    source_blocks: tuple
-    target_blocks: tuple
-    invertible: bool
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +755,6 @@ def conjugate_at_resolution(
     dA: OrderedBratteliDiagram,
     dB: OrderedBratteliDiagram,
     m: int,
-    lookahead_bound: Optional[int] = None,
     depth: int = DEFAULT_DEPTH,
 ) -> ResolutionBundle:
     """Transport the level-m tower partition of one system into the other
@@ -796,8 +792,7 @@ def conjugate_at_resolution(
         raise StageError("partition", message=str(e))
     if ZERO in signs or not all(b.cells for b in target):
         raise StageError("partition", message="a cell transported to the zero class")
-    source = tuple(ClopenSet(m, ((w, j),)) for w, h in enumerate(hA) for j in range(1, h + 1))
-    sigma = PartitionHomeomorphism(m, target[0].level, source, target, True)
+    sigma = PartitionHomeomorphism(m, target[0].level)
     blocks = tuple(b.cells for b in target)
     # the successor moves each cell one floor up its tower; a roof goes to
     # the first free base whose tower has the roof's class
@@ -820,14 +815,10 @@ def conjugate_at_resolution(
         base += h
     image_blocks = tuple(image_blocks)
     try:
-        corrector = conjugator_from_partition(
-            dB, sigma.target_level, blocks, image_blocks, lookahead_bound
-        )
+        corrector = conjugator_from_partition(dB, sigma.target_level, blocks, image_blocks)
     except ConjugatorError as e:
         raise StageError("conjugator", message=str(e))
-    report = verify_conjugator(
-        corrector, blocks, image_blocks, block_level=sigma.target_level
-    )
+    report = verify_conjugator(corrector, blocks, image_blocks, sigma.target_level)
     return ResolutionBundle(t, sigma, corrector, report, blocks, image_blocks)
 
 

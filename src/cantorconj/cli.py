@@ -127,7 +127,6 @@ def _build_parser():
     sub.add_argument("a")
     sub.add_argument("b")
     sub.add_argument("level", type=int)
-    sub.add_argument("--lookahead", type=int, default=None)
     sub.set_defaults(handler=_cmd_conjugator)
 
     sub = subs.add_parser("verify", help="re-check a certificate file")
@@ -258,7 +257,7 @@ def _cmd_kconj(args):
 def _cmd_conjugator(args):
     a, b = load_diagram(args.a), load_diagram(args.b)
     try:
-        bundle = conjugate_at_resolution(a, b, args.level, args.lookahead, args.depth)
+        bundle = conjugate_at_resolution(a, b, args.level, args.depth)
     except StageError as e:
         out = {"verdict": "failed", "stage": e.stage, "message": str(e)}
         if e.obstruction is not None:
@@ -348,10 +347,16 @@ def _table_lines(obj, prefix=""):
 
 
 def _emit(report, fmt, out):
-    if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    else:
-        text = "".join(_table_lines(report))
+    try:
+        if fmt == "json":
+            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        else:
+            text = "".join(_table_lines(report))
+    except ValueError as e:  # only an int too long for str() raises here
+        raise CapabilityError(
+            "the report holds an integer of more than %d digits, the limit of "
+            "integer string conversion" % sys.get_int_max_str_digits()
+        ) from e
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -366,19 +371,17 @@ def run(argv=None) -> int:
     except _UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 1
+    keys = ("depth", "primes", "span", "base")
+    bounds = {key: getattr(args, key) for key in keys if hasattr(args, key)}
     try:
-        payload = args.handler(args)
+        report = {"command": args.command, "bounds": bounds, **args.handler(args)}
+        _emit(report, args.format, args.out)
     except (CapabilityError, LevelRangeError) as e:
         print("capability error: %s" % e, file=sys.stderr)
         return 2
     except (OSError, ValueError) as e:
         print("input error: %s" % e, file=sys.stderr)
         return 1
-    keys = ("depth", "primes", "span", "base")
-    bounds = {key: getattr(args, key) for key in keys if hasattr(args, key)}
-    report = {"command": args.command, "bounds": bounds}
-    report.update(payload)
-    _emit(report, args.format, args.out)
     return 0
 
 

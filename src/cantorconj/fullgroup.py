@@ -24,6 +24,8 @@ its own output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Optional
 
 from .bratteli import (
@@ -31,17 +33,14 @@ from .bratteli import (
     OrderedBratteliDiagram,
     capped_heights,
     cells,
-    composed_incidence,
     heights,
+    incidence,
     tower_stacks,
 )
 from .check import FullGroupElement, _validate_partition
 from .check import verify_conjugator  # not called here; only bench/spans.py reads it from this module
 from .dimgroup import DimGroup
 from .fieldpoly import _mat_apply
-
-# Default synthesis searches this many levels past the partition level.
-DEFAULT_LOOKAHEAD_LEVELS = 6
 
 
 class BlockConditionViolation(ValueError):
@@ -248,16 +247,22 @@ def conjugator_from_partition(
     m: int,
     blocks,
     images,
-    lookahead_bound: Optional[int] = None,
 ) -> FullGroupElement:
     """Synthesize a full-group element conjugating the transformation into
     the block bijection, resolved at a finer level.
 
     Preconditions, each with its own error kind: every block must agree with
-    its image in K0 ('class'); some level m* <= lookahead_bound must have a
-    strictly positive composed incidence below m and carry equal pushed
-    counting vectors for every pair ('level'); and the per-tower partitions
-    induced at m* must satisfy the block condition ('blocks').
+    its image in K0 ('class'); some level m* must join every tower of m* to
+    every tower of m and carry equal pushed counting vectors for every pair
+    ('level'); and the per-tower partitions induced at m* must satisfy the
+    block condition ('blocks').
+
+    m* is the least such level up to d.settled_level(m), read from the reach
+    sets of the towers (as in bratteli.validate) and the pushed differences
+    of the counting vectors.  The bound is exact on a stationary diagram:
+    past it a primitive incidence stays positive and a difference that is
+    zero in K0 stays zero, so there a 'level' failure means the diagram is
+    not primitive.
 
     Once the partitions are checked, one pass over them reads each floor's
     block and image-block label at level m and counts the classes.  A tower
@@ -265,11 +270,6 @@ def conjugator_from_partition(
     are those of its stack, concatenated; the cells of m* are not listed,
     but CELL_CAP still binds on m*.
     """
-    if lookahead_bound is None:
-        lookahead_bound = m + DEFAULT_LOOKAHEAD_LEVELS
-    top = d.max_level()
-    if top is not None:
-        lookahead_bound = min(lookahead_bound, top)
     universe = set(cells(d, m))
     blocks = tuple(tuple(sorted(u)) for u in blocks)
     images = tuple(tuple(sorted(v)) for v in images)
@@ -281,7 +281,7 @@ def conjugator_from_partition(
     hm = heights(d, m)
     lab = [[0] * h for h in hm]
     img = [[0] * h for h in hm]
-    unequal = []
+    diffs = []  # counting vector minus image counting vector, where they differ
     for bi, (u, v) in enumerate(zip(blocks, images)):
         cu = [0] * len(hm)
         cv = [0] * len(hm)
@@ -299,21 +299,24 @@ def conjugator_from_partition(
                 "block %d and its image are not equivalent in K0" % bi,
                 block=bi,
             )
-        unequal.append((cu, cv))
+        diffs.append(tuple(a - b for a, b in zip(cu, cv)))
+    end = d.settled_level(m)
+    full = (1 << len(hm)) - 1
+    reach = [1 << v for v in range(len(hm))]
     mstar = None
-    for cand in range(m + 1, lookahead_bound + 1):
-        comp = composed_incidence(d, m, cand)
-        if any(x == 0 for row in comp for x in row):
-            continue
-        if all(_mat_apply(comp, cu) == _mat_apply(comp, cv) for cu, cv in unequal):
-            mstar = cand
+    for n in range(m, end):
+        reach = [reduce(or_, map(reach.__getitem__, row)) for row in d.table(n)]
+        diffs = [_mat_apply(incidence(d, n), x) for x in diffs]
+        if all(r == full for r in reach) and not any(map(any, diffs)):
+            mstar = n + 1
             break
     if mstar is None:
         raise ConjugatorError(
             "level",
             "no level in (%d, %d] joins every tower to every cell with "
-            "matching counting vectors" % (m, lookahead_bound),
-            bound=lookahead_bound,
+            "matching counting vectors%s"
+            % (m, end, "; the diagram is not primitive" if d.kind == "stationary" else ""),
+            bound=end,
         )
     h = capped_heights(d, mstar)
     tables = []

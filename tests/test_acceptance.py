@@ -232,17 +232,17 @@ def test_criterion_02_conjugator_synthesis_randomized():
         if len(blocks) < 2 or _has_invariant_subfamily(blocks, images):
             continue
         elem = conjugator_from_partition(d, m, blocks, images)
-        rep = verify_conjugator(elem, blocks, images)
+        rep = verify_conjugator(elem, blocks, images, m)
         assert rep.verdict == "ok", (d.kind, m, blocks, images, rep)
-        cases.append((d, blocks, images, elem))
+        cases.append((d, m, blocks, images, elem))
     corrupted = 0
-    for d, blocks, images, elem in cases[:5]:
+    for d, m, blocks, images, elem in cases[:5]:
         for w, row in enumerate(elem.tables):
             for j in range(len(row)):
                 rows = [list(r) for r in elem.tables]
                 rows[w][j] += 1
                 bad = FullGroupElement(d, elem.level, tuple(tuple(r) for r in rows))
-                assert verify_conjugator(bad, blocks, images).verdict != "ok", (
+                assert verify_conjugator(bad, blocks, images, m).verdict != "ok", (
                     d.kind,
                     elem,
                     (w, j),

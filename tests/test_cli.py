@@ -96,6 +96,26 @@ def test_heights_past_last_level_is_capability_error(corpus):
     assert run(["heights", corpus["finite"], "7", "--format", "json"]) == 2
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_heights_too_long_to_print_is_capability_error(corpus, capsys, fmt):
+    # 2^20000 has 6021 digits, past str()'s default limit of 4300
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python converts integers of any length")
+    assert run(["heights", corpus["dyadic"], "20000", "--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "capability error: the report holds an integer of more than %d digits, "
+        "the limit of integer string conversion\n" % sys.get_int_max_str_digits()
+    )
+
+
+def test_unwritable_out_is_input_error(corpus, tmp_path, capsys):
+    missing = tmp_path / "missing" / "report.json"
+    assert run(["heights", corpus["dyadic"], "3", "--out", str(missing)]) == 1
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

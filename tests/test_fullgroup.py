@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from cantorconj.bratteli import cells, heights, tower_map
+from cantorconj.bratteli import OrderedBratteliDiagram, cells, heights, tower_map, tower_stacks
 from cantorconj.check import (
+    AUDIT_LOOKAHEAD,
     ConjugacyReport,
     FullGroupElement,
-    _infer_block_level,
     verify_conjugator,
 )
 from cantorconj.fullgroup import (
@@ -23,12 +23,23 @@ from cantorconj.fullgroup import (
 )
 from cantorconj.systems import dyadic, fibonacci, stationary_from_rows
 
+from conftest import time_ceiling
+
 DYADIC = dyadic()
 FIB = fibonacci()
 
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def lifted(s, level):
+    """s read at a finer level: each tower's displacements are those of the
+    towers of s.level it stacks, concatenated.  It acts as s does, so its
+    audit is the audit of s that looks level - s.level further ahead."""
+    rows = (itertools.chain.from_iterable(map(s.tables.__getitem__, stack))
+            for stack in tower_stacks(s.diagram, s.level, level))
+    return FullGroupElement(s.diagram, level, tuple(map(tuple, rows)))
 
 
 def is_single_cycle(sigma):
@@ -567,16 +578,16 @@ def shifted_blocks():
 
 def test_identity_table_verifies_on_shifted_blocks():
     blocks, images = shifted_blocks()
-    elem = FullGroupElement(DYADIC, 2, ((0, 0, 0, 0),))
-    rep = verify_conjugator(elem, blocks, images, lookahead=3)
-    assert rep.verdict == "ok"
+    elem = FullGroupElement(DYADIC, 3, ((0,) * 8,))
+    rep = verify_conjugator(elem, blocks, images, 2)
+    assert rep.verdict == "ok" and rep.level == 5
     assert rep.unresolved > 0  # the roof band is never resolvable
 
 
 def test_synthesis_on_shifted_blocks():
     blocks, images = shifted_blocks()
     elem = conjugator_from_partition(DYADIC, 2, blocks, images)
-    rep = verify_conjugator(elem, blocks, images, lookahead=3)
+    rep = verify_conjugator(lifted(elem, elem.level + 1), blocks, images, 2)
     assert rep.verdict == "ok"
 
 
@@ -586,10 +597,10 @@ def test_synthesis_on_swapped_singletons():
     elem = conjugator_from_partition(DYADIC, 1, blocks, images)
     assert elem.level == 2
     assert elem.tables == ((3, 1, -1, -3),)
-    rep = verify_conjugator(elem, blocks, images, lookahead=2)
-    assert rep.verdict == "ok"
-    rep4 = verify_conjugator(elem, blocks, images, lookahead=4)
-    assert rep4.verdict == "ok"
+    rep = verify_conjugator(elem, blocks, images, 1)
+    assert rep.verdict == "ok" and rep.level == 4
+    rep6 = verify_conjugator(lifted(elem, 4), blocks, images, 1)
+    assert rep6.verdict == "ok" and rep6.level == 6
 
 
 def test_synthesis_rejects_class_mismatch():
@@ -610,13 +621,48 @@ def test_synthesis_reports_per_tower_violation():
 
 
 def test_synthesis_needs_connecting_positivity():
-    from cantorconj.systems import stationary_from_rows
-
     d = stationary_from_rows(((0,), (1, 1)))  # reducible: towers never mix
     blocks = (((0, 1),), ((1, 1),))
     with pytest.raises(ConjugatorError) as e:
-        conjugator_from_partition(d, 1, blocks, blocks, lookahead_bound=6)
+        conjugator_from_partition(d, 1, blocks, blocks)
     assert e.value.kind in ("level", "blocks")
+    if e.value.kind == "level":
+        # two vertices: the scan ends at 1 + (2 - 1)^2 + 2
+        assert e.value.detail == {"bound": 4}
+        assert str(e.value).startswith("no level in (1, 4] ")
+        assert str(e.value).endswith("; the diagram is not primitive")
+
+
+def test_synthesis_searches_to_the_wielandt_bound():
+    # Wielandt's 4-vertex matrix: A^j > 0 from j = 10 = (4 - 1)^2 + 1 on,
+    # so the one block of all level-1 cells is realized at level 11
+    w4 = stationary_from_rows(((3,), (0, 3), (1,), (2,)))
+    assert w4.settled_level(1) == 12
+    blocks = (tuple(cells(w4, 1)),)
+    elem = conjugator_from_partition(w4, 1, blocks, blocks)
+    assert elem.level == 11
+    rep = verify_conjugator(elem, blocks, blocks, 1)
+    assert rep.verdict == "ok" and rep.level == 13
+    # an explicit diagram is searched to its last level, and no further
+    for top, found in ((11, 11), (10, None)):
+        d = OrderedBratteliDiagram(
+            "explicit", (1,) + (4,) * top, (w4.table(0),) + (w4.table(1),) * (top - 1)
+        )
+        if found:
+            assert conjugator_from_partition(d, 1, blocks, blocks).level == found
+            continue
+        with pytest.raises(ConjugatorError) as e:
+            conjugator_from_partition(d, 1, blocks, blocks)
+        assert e.value.kind == "level" and e.value.detail == {"bound": top}
+        assert str(e.value).endswith("matching counting vectors")
+    # a 40-cycle with a 2-cycle on it has period 2: the search reads every
+    # level up to the bound, one reach set per tower and level
+    k = 40
+    d = stationary_from_rows(((k - 1, 1),) + tuple((v - 1,) for v in range(1, k)))
+    everything = (tuple(cells(d, 1)),)
+    with time_ceiling(1), pytest.raises(ConjugatorError) as e:
+        conjugator_from_partition(d, 1, everything, everything)
+    assert e.value.detail == {"bound": 1 + (k - 1) ** 2 + 2}
 
 
 def test_verification_detects_corruption():
@@ -626,7 +672,7 @@ def test_verification_detects_corruption():
     r = list(elem.tables[0])
     r[1] += 1
     bad = FullGroupElement(DYADIC, elem.level, (tuple(r),))
-    rep = verify_conjugator(bad, blocks, images, lookahead=2)
+    rep = verify_conjugator(bad, blocks, images, 1)
     assert rep.verdict != "ok"
 
 
@@ -635,7 +681,7 @@ def test_verification_inconclusive_when_walks_escape():
     elem = FullGroupElement(DYADIC, 1, ((2, -2),))
     blocks = (((0, 1),), ((0, 2),))
     images = (((0, 2),), ((0, 1),))
-    rep = verify_conjugator(elem, blocks, images, lookahead=2)
+    rep = verify_conjugator(elem, blocks, images, 1)
     assert rep.verdict == "inconclusive"
     assert rep.unresolved > 1
 
@@ -679,7 +725,7 @@ def test_synthesized_conjugators_verify_on_random_partitions():
             elem = conjugator_from_partition(d, m, blocks, images)
         except ConjugatorError:
             continue
-        rep = verify_conjugator(elem, blocks, images, lookahead=2)
+        rep = verify_conjugator(elem, blocks, images, m)
         assert rep.verdict == "ok"
         sim = simulate_conjugation(elem, m, blocks, images, lookahead=2)
         assert sim == "ok"
@@ -691,15 +737,13 @@ def test_synthesized_conjugators_verify_on_random_partitions():
 # verification against the dict-based replay
 
 
-def reference_verify_conjugator(s, blocks, images, lookahead=2, block_level=None):
+def reference_verify_conjugator(s, blocks, images, block_level, lookahead=AUDIT_LOOKAHEAD):
     """The replay with fine cells as (tower, floor) dict keys throughout:
     injectivity, then block counts, then the image of every resolvable cell."""
     d = s.diagram
     mf = d.check_level(s.level + lookahead)
     blocks = tuple(tuple(sorted(u)) for u in blocks)
     images = tuple(tuple(sorted(v)) for v in images)
-    if block_level is None:
-        block_level = _infer_block_level(d, blocks, s.level)
     fine = cells(d, mf)
     hf = heights(d, mf)
     proj_s = tower_map(d, s.level, mf)
@@ -839,8 +883,11 @@ def synthesized_on(rng, d, m, want):
 
 
 def assert_matches_reference(s, blocks, images, lookahead, block_level, seen):
-    got = verify_conjugator(s, blocks, images, lookahead, block_level)
-    ref = reference_verify_conjugator(s, blocks, images, lookahead, block_level)
+    """The audit of s lifted lookahead - AUDIT_LOOKAHEAD levels against the
+    reference replay of s itself, lookahead levels ahead: one fine level."""
+    up = lifted(s, s.level + lookahead - AUDIT_LOOKAHEAD)
+    got = verify_conjugator(up, blocks, images, block_level)
+    ref = reference_verify_conjugator(s, blocks, images, block_level, lookahead)
     assert got == ref, (s.tables, blocks, images, lookahead, block_level)
     seen.add(_branch(got))
 
@@ -855,30 +902,35 @@ def test_verification_matches_dict_reference_on_resolution_conjugators():
         for tables, images in tampered(rng, bundle, 6):
             s = FullGroupElement(elem.diagram, elem.level, tables)
             escaped += leaves_its_tower(s)
-            for lookahead in (1, 2):
+            for lookahead in (2, 3):
                 assert_matches_reference(s, bundle.blocks, images, lookahead, lvl, seen)
     assert seen == {"ok", "not injective", "covers", "wrong image", "inconclusive"}
     assert escaped > 50
 
 
 def test_verification_matches_dict_reference_above_the_element_level():
-    # blocks given one level finer than the element: the coarse towers of
-    # the replay are the blocks' towers, each stacking element towers
+    # blocks given one or two levels finer than the element: the coarse
+    # towers of the replay are the blocks' towers, each stacking element
+    # towers, and two levels finer they are the towers of the audit level
     rng = random.Random(32)
     seen = set()
     for bundle in resolution_bundles()[:8]:
         elem = bundle.corrector
-        d, fine = elem.diagram, elem.level + 1
-        blocks = refined_partition(d, bundle.blocks, bundle.sigma.target_level, fine)
+        d, lvl = elem.diagram, bundle.sigma.target_level
         for tables, images in tampers(rng, elem.tables, bundle.images, 3):
-            images = refined_partition(d, images, bundle.sigma.target_level, fine)
             s = FullGroupElement(d, elem.level, tables)
-            for lookahead in (1, 2, 3):
-                assert_matches_reference(s, blocks, images, lookahead, fine, seen)
+            for fine in (elem.level + 1, elem.level + 2):
+                parts = [refined_partition(d, p, lvl, fine) for p in (bundle.blocks, images)]
+                for lookahead in (2, 3):
+                    assert_matches_reference(s, *parts, lookahead, fine, seen)
     assert {"ok", "not injective", "wrong image"} <= seen
 
 
-def test_verification_matches_dict_reference_on_multi_tower_conjugators():
+def test_verification_matches_dict_reference_on_multi_tower_conjugators(monkeypatch):
+    # the reference lists the cells of levels up to 8 of tri3
+    from cantorconj import bratteli
+
+    monkeypatch.setattr(bratteli, "CELL_CAP", 2 ** 14)
     rng = random.Random(33)
     tri3 = stationary_from_rows(((0, 1), (1, 2), (0, 0, 1, 1, 2, 2)))
     seen = set()
@@ -886,18 +938,20 @@ def test_verification_matches_dict_reference_on_multi_tower_conjugators():
         for elem, blocks, images in synthesized_on(rng, d, m, 3):
             for tables, imgs in tampers(rng, elem.tables, images, 3):
                 s = FullGroupElement(d, elem.level, tables)
-                for lookahead in (1, 2):
+                for lookahead in (2, 3):
                     assert_matches_reference(s, blocks, imgs, lookahead, m, seen)
         # the identity against the rotation of each tower: right on every
-        # floor but the seams where a copy of one tower meets another's
-        h = heights(d, m)
-        identity = FullGroupElement(d, m, tuple((0,) * x for x in h))
+        # floor but the seams where a copy of one tower meets another's; it
+        # is the identity one level down lifted, so the audit reaches m + 1
+        h = heights(d, m - 1)
+        identity = FullGroupElement(d, m - 1, tuple((0,) * x for x in h))
         level_cells = cells(d, m)
         blocks = tuple((c,) for c in level_cells)
+        h = heights(d, m)
         images = tuple(((v, j % h[v] + 1),) for v, j in level_cells)
-        for lookahead in (1, 2):
+        for lookahead in (2, 3):
             assert_matches_reference(identity, blocks, images, lookahead, m, seen)
-            rep = verify_conjugator(identity, blocks, images, lookahead, m)
+            rep = verify_conjugator(lifted(identity, m + lookahead - 3), blocks, images, m)
             assert _branch(rep) == "wrong image" and rep.checked > 0
     assert seen == {"ok", "not injective", "covers", "wrong image", "inconclusive"}
 
@@ -923,7 +977,7 @@ def test_verification_past_the_cell_cap_matches_the_reference(monkeypatch):
     monkeypatch.setattr(bratteli, "CELL_CAP", 2 ** 15)
     for bundle in bundles:
         elem = bundle.corrector
-        args = (bundle.blocks, bundle.images, 2, bundle.sigma.target_level)
+        args = (bundle.blocks, bundle.images, bundle.sigma.target_level)
         assert verify_conjugator(elem, *args) == reference_verify_conjugator(elem, *args)
         assert verify_conjugator(elem, *args) == bundle.report
 
@@ -937,14 +991,12 @@ def test_verification_fails_malformed_blocks_like_the_reference():
     errors = []
     for replay in (verify_conjugator, reference_verify_conjugator):
         with pytest.raises(KeyError) as e:
-            replay(elem, bundle.blocks, images, 2, bundle.sigma.target_level)
+            replay(elem, bundle.blocks, images, bundle.sigma.target_level)
         errors.append(e.value.args)
     assert errors[0] == errors[1]
     # a table that is not injective is reported before any label is read
     r = (1,) + (0,) * (len(elem.tables[0]) - 1)
     bad = FullGroupElement(elem.diagram, elem.level, (r,))
-    got = verify_conjugator(bad, bundle.blocks, images, 2, bundle.sigma.target_level)
+    got = verify_conjugator(bad, bundle.blocks, images, bundle.sigma.target_level)
     assert _branch(got) == "not injective"
-    assert got == reference_verify_conjugator(
-        bad, bundle.blocks, images, 2, bundle.sigma.target_level
-    )
+    assert got == reference_verify_conjugator(bad, bundle.blocks, images, bundle.sigma.target_level)

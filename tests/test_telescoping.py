@@ -9,6 +9,7 @@ primitive 2x2 and 3x3 incidences with entries 0..2 in itertools.product
 order, row i listing source j m[i][j] times, one root edge per vertex.
 """
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -79,6 +80,31 @@ def test_p40_verdicts_survive_squaring_and_relabelling():
             changed[way] += got != base
     # a ratchet: the squared count may fall, never rise (see ROADMAP item 1(b))
     assert changed == {"squared": 14, "reversed": 0}
+
+
+def shuffled_rows(rng, rows):
+    """The same rows with each row's edges in a random order."""
+    return tuple(tuple(rng.sample(row, len(row))) for row in rows)
+
+
+def test_p40_verdicts_ignore_the_edge_order():
+    # scaled ordered K0 reads only the unordered diagram and its root, so
+    # any two edge orders of one diagram are k-conjugate, proper or not
+    rng = random.Random(3)
+    against_self = collections.Counter()
+    squared_tau = collections.Counter()
+    for rows in p40_rows():
+        a = stationary_from_rows(rows)
+        for _ in range(5):
+            against_self[verdicts(a, stationary_from_rows(shuffled_rows(rng, rows)))] += 1
+        square = stationary_from_rows(shuffled_rows(rng, composed_rows(rows)))
+        weak, tau, kconj = verdicts(a, square)
+        assert (weak, kconj) == ("weak", "k-conjugate"), rows
+        squared_tau[tau] += 1
+    assert against_self == {POSITIVE: 200}
+    # a ratchet: tau gives up on equal spectra that kconj decides (ROADMAP
+    # item 1); the unknown count may fall, never rise
+    assert squared_tau == {"tau": 7, "unknown": 33}
 
 
 def telescoping_pairs():
