@@ -308,7 +308,9 @@ def derived(d: OrderedBratteliDiagram, key, compute):
     Diagrams are immutable, so anything computed from one alone holds for
     its whole life; the value is kept on the diagram under key, any
     hashable: heights, incidence matrices, composed incidences and tower
-    projections (keyed with their levels), the integer trace weights of
+    projections (keyed with their levels), the inverse of the Krylov matrix
+    of heights that classify's ladder search keeps under a base level and
+    period ("krylov_inverse"), the integer trace weights of
     dimgroup and the invariants built on them, and what
     check.build_k0_morphism reads and builds: a source level's tables
     ("k0_source"), the target level or obstruction found for a gcd,

@@ -129,14 +129,20 @@ def frobenius(k) -> int:
 
     The largest gap is the largest least representable number of a residue
     class modulo min(k) (see _least_by_residue), less min(k); the
-    threshold sits one past it.  Returns at least 1 even when k contains 1 (so callers can rely on the
-    reduced heights being strictly positive).
+    threshold sits one past it.  Two distinct generators a, b need no
+    table: Sylvester's ab - a - b is their largest gap.  Returns at least 1
+    even when k contains 1 (so callers can rely on the reduced heights
+    being strictly positive).
     """
     ks = tuple(int(x) for x in k)
     if not ks or any(x < 1 for x in ks):
         raise ValueError("generators must be positive integers")
     if math.gcd(*ks) != 1:
         raise ValueError("generators must be coprime, gcd is %d" % math.gcd(*ks))
+    distinct = set(ks)
+    if len(distinct) == 2:
+        a, b = distinct
+        return max(a * b - a - b + 1, 1)
     return max(max(_least_by_residue(ks)) - min(ks) + 1, 1)
 
 

@@ -14,13 +14,17 @@ reach:
 
 A ladder rung pair (h, H) with H.h = A^ga and h.H = B^gb makes h a
 solution of the intertwining equation h.A^ga = B^gb.h with h.u_A = u_B
-(shift equivalence over Z+).  The search therefore enumerates h as the
-nonnegative integer points of that linear system, and H as those of
-H.h = A^ga, h.H = B^gb and H.u_B = u_A' (the unit ga levels up), each in
-lexicographic order by a depth-first walk over a row echelon form; one
-budget of walk nodes bounds the whole search.  When h has full column
-rank, h.H = B^gb forces H, which is read off one small elimination of
-[h | B^gb] instead.  A period pair whose powers A^ga and B^gb differ in
+(shift equivalence over Z+).  On a stationary diagram A^ga carries the
+heights at level a0 + j*ga to those at a0 + (j+1)*ga, so h carries K_A,
+the square matrix of the first na of those height vectors (na the
+vertices of A), to the matching K_B of B.  When K_A is invertible h is therefore K_B.K_A^-1, read off an
+inverse kept per diagram.  Otherwise the search enumerates h as the
+nonnegative integer points of the linear system, and in any case H as
+those of H.h = A^ga, h.H = B^gb and H.u_B = u_A' (the unit ga levels up),
+each in lexicographic order by a depth-first walk over a row echelon
+form; one budget of walk nodes bounds the whole search.  When h has full
+column rank, h.H = B^gb forces H, which is read off one small elimination
+of [h | B^gb] instead.  A period pair whose powers A^ga and B^gb differ in
 nonzero spectrum cannot hold such a pair (H.h and h.H share it), so its
 cells are skipped before any elimination.
 
@@ -40,6 +44,7 @@ morphism, such a splitting of the target and a full-group corrector.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
@@ -350,6 +355,52 @@ def _nonzero_charpoly(d, g):
     return derived(d, ("nonzero_charpoly", 1, 1 + g), compute)
 
 
+def _krylov_inverse(d, a0, g):
+    """(N, D) with N / D the inverse of K, the square matrix whose column j
+    is heights(d, a0 + j*g), or None when K is singular; kept per diagram
+    in derived().
+
+    On a stationary diagram A^g carries each column of K to the next, so K
+    is invertible exactly when heights(d, a0) is a cyclic vector of A^g.
+    One fraction-free elimination of [K | I] leaves row r as p_r times
+    row r of [I | K^-1]; D is the lcm of the pivots p_r.
+    """
+
+    def compute():
+        cols = [heights(d, a0 + j * g) for j in range(d.num_vertices(a0))]
+        n = len(cols)
+        aug = [[col[i] for col in cols] + [int(i == k) for k in range(n)] for i in range(n)]
+        if len(_row_reduce_int(aug, range(n))) < n:
+            return None
+        den = math.lcm(*(aug[r][r] for r in range(n)))
+        return tuple(tuple(x * (den // aug[r][r]) for x in aug[r][n:]) for r in range(n)), den
+
+    return derived(d, ("krylov_inverse", a0, g), compute)
+
+
+def _krylov_rung(inv, tail_a, dgB, b0, gb, budget):
+    """The forward rung of a cell whose Krylov matrix K_A is invertible, as
+    a tuple of one rung or of none.
+
+    h.C_A = C_B.h and h.u_A = u_B give h.K_A = K_B, K_B the matrix whose
+    column j is heights(dgB, b0 + j*gb); so h = K_B.K_A^-1, and it solves
+    the cell exactly when it is a nonnegative integer matrix with
+    h.tail_a = heights(dgB, b0 + na*gb), tail_a being heights(dgA, a0 +
+    na*ga): the commutation read on the columns of K_A.  Its bounds follow
+    from h.u_A = u_B.  The Kronecker system has no free variable here, so
+    this costs the one node `_lex_solutions` charges on it.
+    """
+    budget.charge()
+    num, den = inv
+    na = len(num)
+    cols = [heights(dgB, b0 + j * gb) for j in range(na + 1)]
+    prod = _mat_mul(tuple(zip(*cols[:na])), num)
+    if any(x < 0 or x % den for row in prod for x in row):
+        return ()
+    h = tuple(tuple([x // den for x in row]) for row in prod)
+    return (h,) if _mat_apply(h, tail_a) == cols[na] else ()
+
+
 def _ladder_search(dgA, dgB, max_span, max_base, budget):
     """Breadth-first over the total level span, then lexicographic.
 
@@ -359,8 +410,13 @@ def _ladder_search(dgA, dgB, max_span, max_base, budget):
     Any such h solves h.C_A = C_B.h (shift equivalence over Z+), so h ranges
     over the solutions of that equation with h.u_A = u_B, and H over those
     of H.h = C_A, h.H = C_B and H.u_B = u_A'; the first pair in
-    lexicographic order of h, then of H, is returned.  When h has full
-    column rank, h.H = C_B forces H, which is read off one small
+    lexicographic order of h, then of H, is returned.  By stationarity C_A
+    carries heights(a0 + j*ga) to heights(a0 + (j+1)*ga), so h.K_A = K_B
+    for the Krylov matrices of the heights; when K_A is invertible the one
+    candidate h = K_B.K_A^-1 is checked (_krylov_rung, one node, as the
+    Kronecker system would charge with no free variable), and only a
+    singular K_A takes the Kronecker system of _forward_system.  When h
+    has full column rank, h.H = C_B forces H, which is read off one small
     elimination of [h | C_B] (_backward_rung); only a rank-deficient h,
     possible only when C_A is singular, takes the Kronecker system.
 
@@ -390,12 +446,21 @@ def _ladder_search(dgA, dgB, max_span, max_base, budget):
             for a0 in range(1, max_base + 1):
                 ua0, ua1 = heights(dgA, a0), heights(dgA, a0 + ga)
                 conn_a = composed_incidence(dgA, a0, a0 + ga)
+                inv = _krylov_inverse(dgA, a0, ga)
+                if inv is not None:
+                    tail_a = heights(dgA, a0 + len(ua0) * ga)
                 for b0 in range(1, max_base + 1):
                     ub0 = heights(dgB, b0)
                     conn_b = composed_incidence(dgB, b0, b0 + gb)
-                    forward = _forward_system(ua0, ub0, conn_a, conn_b)
-                    for flat in _lex_solutions(*forward, budget):
-                        h = _unflatten(flat, len(ua0))
+                    if inv is not None:
+                        rungs = _krylov_rung(inv, tail_a, dgB, b0, gb, budget)
+                    else:
+                        forward = _forward_system(ua0, ub0, conn_a, conn_b)
+                        rungs = (
+                            _unflatten(flat, len(ua0))
+                            for flat in _lex_solutions(*forward, budget)
+                        )
+                    for h in rungs:
                         bm = _backward_rung(h, ub0, ua1, conn_a, conn_b, budget)
                         if bm is not None:
                             ladder = IntertwiningLadder(
@@ -439,7 +504,10 @@ def decide_k_conjugacy(
     go to a bounded search for a periodic intertwining ladder, by total
     level span up to max_span and base levels up to max_base.  In each cell
     the forward rung h runs over the nonnegative integer solutions of
-    h.A^ga = B^gb.h with h.u_A = u_B, and the backward rung over those of
+    h.A^ga = B^gb.h with h.u_A = u_B: there is at most one, K_B.K_A^-1,
+    when the heights at levels a0 + j*ga (j below A's vertex count) are
+    linearly independent, since A^ga carries each to the next; only
+    otherwise is that system solved.  The backward rung runs over those of
     H.h = A^ga, h.H = B^gb and H.u_B = u_A' (the unit ga levels up), both
     in lexicographic order.  A period pair (ga, gb) is skipped with all its
     cells when the characteristic polynomials of A^ga and B^gb differ once

@@ -19,6 +19,7 @@ i.e. a bound of the exact arithmetic was exceeded.
 
 import argparse
 import json
+import math
 import sys
 
 from .bratteli import (
@@ -51,6 +52,11 @@ from .classify import (
 )
 from .dimgroup import DimGroup
 from .invariants import DEFAULT_PRIME_CUTOFF, periodic_spectrum
+
+
+# frobenius with three or more distinct generators keeps one table entry
+# per residue modulo the least generator; past this many it is refused.
+FROBENIUS_TABLE_CAP = 10 ** 5
 
 
 class _UsageError(Exception):
@@ -299,9 +305,10 @@ def _cmd_vershik(args):
     height = hs[args.vertex]
     limit = args.limit if args.limit > 0 else height
     if limit > CELL_CAP:
-        raise CapabilityError(
-            "orbit enumeration caps at %d floors, tower has %d" % (CELL_CAP, height)
-        )
+        # a deep tower's height may have more digits than str() converts
+        bits = height.bit_length()
+        size = height if bits <= 64 else "at least 2^%d" % (bits - 1)
+        raise CapabilityError("orbit enumeration caps at %d floors, tower has %s" % (CELL_CAP, size))
     path = min_path(d, args.vertex, args.level)
     orbit = []
     for _ in range(limit):
@@ -326,6 +333,13 @@ def _cmd_vershik(args):
 
 
 def _cmd_frobenius(args):
+    gens = set(args.generators)
+    # generators that are not coprime stay an input error
+    if len(gens) > 2 and min(gens) > FROBENIUS_TABLE_CAP and math.gcd(*gens) == 1:
+        raise CapabilityError(
+            "frobenius of three or more generators caps the least one at "
+            "FROBENIUS_TABLE_CAP = %d" % FROBENIUS_TABLE_CAP
+        )
     return {
         "generators": list(args.generators),
         "threshold": frobenius(args.generators),

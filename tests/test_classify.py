@@ -183,6 +183,14 @@ def test_frobenius_matches_scan():
         done += 1
 
 
+def test_frobenius_of_two_generators_matches_scan():
+    # Sylvester's formula, also with a repeated generator or a 1
+    pairs = [(a, b) for a in range(1, 16) for b in range(a + 1, 25) if math.gcd(a, b) == 1]
+    for a, b in pairs:
+        assert frobenius((a, b)) == frobenius((b, a, b)) == oracle_threshold((a, b)), (a, b)
+    assert len(pairs) > 150
+
+
 def test_represent_examples():
     assert represent(8, (3, 5)) == (1, 1)
     assert represent(7, (3, 5)) is None

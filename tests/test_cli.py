@@ -10,8 +10,10 @@ import pytest
 
 import cantorconj
 from cantorconj.bratteli import dump_diagram
-from cantorconj.cli import run
+from cantorconj.cli import FROBENIUS_TABLE_CAP, run
 from cantorconj import systems
+
+from conftest import time_ceiling
 
 
 DYADIC = systems.dyadic()
@@ -340,14 +342,56 @@ def test_vershik_limit(corpus, capsys):
     assert [step["floor"] for step in rep["orbit"]] == [1, 2, 3]
 
 
-def test_vershik_capability_bound(corpus):
+def test_vershik_capability_bound(corpus, capsys):
     assert run(["vershik", corpus["dyadic"], "--level", "13", "--format", "json"]) == 2
+    assert capsys.readouterr().err == (
+        "capability error: orbit enumeration caps at 4096 floors, tower has 8192\n"
+    )
+
+
+def test_vershik_tower_too_tall_to_print_is_capability_error(corpus, capsys):
+    # the message names a lower bound instead of 2^20000, whose 6021 digits
+    # are past str()'s default limit of 4300
+    assert run(["vershik", corpus["dyadic"], "--level", "20000", "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "capability error: orbit enumeration caps at 4096 floors, tower has at least 2^20000\n"
+    )
 
 
 def test_frobenius(capsys):
     rc, rep = run_json(capsys, ["frobenius", "3", "5"])
     assert rc == 0
     assert rep["threshold"] == 8
+
+
+def test_frobenius_of_two_large_generators_needs_no_table(capsys):
+    # a residue table modulo 10^9 + 7 would hold a billion entries
+    a, b = 1_000_000_007, 1_000_000_009
+    with time_ceiling(10):
+        rc, rep = run_json(capsys, ["frobenius", str(a), str(b)])
+    assert rc == 0
+    assert rep["threshold"] == a * b - a - b + 1
+
+
+def test_frobenius_refuses_three_large_generators(capsys):
+    least = FROBENIUS_TABLE_CAP + 1
+    gens = [str(least), str(least + 1), str(least + 2)]
+    with time_ceiling(10):
+        assert run(["frobenius", *gens, "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "capability error: frobenius of three or more generators caps the least one at "
+        "FROBENIUS_TABLE_CAP = %d\n" % FROBENIUS_TABLE_CAP
+    )
+    # generators that are not coprime are an input error at any size
+    assert run(["frobenius", *(str(2 * least + 2 * i) for i in range(3))]) == 1
+    # at the cap the table is built
+    with time_ceiling(10):
+        rc, rep = run_json(capsys, ["frobenius", str(least - 1), str(least), str(least + 1)])
+    assert rc == 0 and rep["threshold"] > 0
 
 
 def test_frobenius_rejects_non_coprime():

@@ -10,9 +10,10 @@ its work, so it only runs on pairs that have a ladder, under a time ceiling.
 `unpruned_ladder_search` is the search without its spectral test: every
 cell of the window is visited.  It is the reference for the pruned search,
 which must return the same ladder wherever it returns one.
-`kronecker_ladder_search` is the search as it was before backward rungs
-were forced: every H solves the Kronecker system of `_backward_system`.
-It is the reference for ladders, counts and nodes spent.
+`kronecker_ladder_search` is the search as it was before any rung was
+forced: every h solves the Kronecker system of `_forward_system` and every
+H that of `_backward_system`.  It is the reference for ladders, counts and
+nodes spent.
 
 The enumerator reduces its system over Z; `fraction_lex_solutions` keeps
 the same walk over a reduction in Fraction as the reference for it.  That
@@ -36,6 +37,7 @@ from cantorconj.classify import (
     SearchExhausted,
     _backward_system,
     _forward_system,
+    _krylov_inverse,
     _ladder_search,
     _lex_solutions,
     _NodeBudget,
@@ -146,9 +148,9 @@ def unpruned_ladder_search(dgA, dgB, max_span, max_base, budget):
 
 
 def kronecker_ladder_search(dgA, dgB, max_span, max_base, budget):
-    """`classify._ladder_search` with every backward rung taken from the
-    Kronecker system of `_backward_system`, as it was before rungs were
-    forced."""
+    """`classify._ladder_search` with every forward rung taken from the
+    Kronecker system of `_forward_system` and every backward rung from that
+    of `_backward_system`, as it was before rungs were forced."""
     skipped = visited = 0
     for span in range(2, max_span + 1):
         for ga in range(1, span):
@@ -700,12 +702,13 @@ def singular_incidences(count, seed):
 
 def rung_pool():
     """Every ordered pair of distinct P40' systems and their squares, the
-    telescoping pairs, and 333 singular incidences against their squares,
-    both orders."""
+    telescoping pairs, every ordered pair of the hierarchy pool, and 333
+    singular incidences against their squares, both orders."""
     rows = p40_rows()
     systems = [stationary_from_rows(r) for r in rows]
     systems += [stationary_from_rows(composed_rows(r)) for r in rows]
     pairs = list(itertools.permutations(systems, 2)) + telescoping_pairs()
+    pairs += list(itertools.product(hierarchy_pool(), repeat=2))
     for mat in singular_incidences(333, 3):
         rows = rows_of(mat)
         a, sq = stationary_from_rows(rows), stationary_from_rows(composed_rows(rows))
@@ -757,9 +760,9 @@ def search_outcome(search, a, b, limit):
 
 def test_forced_backward_rungs_match_the_kronecker_system(monkeypatch):
     pairs = rung_pool()
-    assert len(pairs) == 80 * 79 + 73 + 2 * 333
+    assert len(pairs) == 80 * 79 + 73 + 576 + 2 * 333
     wants = [search_outcome(kronecker_ladder_search, a, b, 20_000) for a, b in pairs]
-    calls = {"_backward_rung": 0, "_backward_system": 0}
+    calls = {"_backward_rung": 0, "_backward_system": 0, "_krylov_rung": 0, "_forward_system": 0}
 
     def counted(name):
         inner = getattr(classify, name)
@@ -777,9 +780,12 @@ def test_forced_backward_rungs_match_the_kronecker_system(monkeypatch):
         assert search_outcome(_ladder_search, a, b, 20_000) == want
         if isinstance(want[0][0], IntertwiningLadder):
             found.append((a, b, want[1]))
-    # both rung paths run: forced rungs, and rank-deficient h on the
-    # singular incidences
+    # both paths run for each rung: forward rungs K_B.K_A^-1, and the
+    # Kronecker system where K_A is singular (equal row sums, singular
+    # incidences); forced backward rungs, and the Kronecker system for
+    # rank-deficient h on the singular incidences
     assert 0 < calls["_backward_system"] < calls["_backward_rung"], calls
+    assert 0 < calls["_forward_system"] and 0 < calls["_krylov_rung"], calls
     assert len(found) > 500
     # a budget that runs out midway, or at the last node, runs out at the
     # same node with the same message
@@ -788,6 +794,108 @@ def test_forced_backward_rungs_match_the_kronecker_system(monkeypatch):
             want = search_outcome(kronecker_ladder_search, a, b, limit)
             assert want[0][0] == "exhausted"
             assert search_outcome(_ladder_search, a, b, limit) == want
+
+
+def krylov_matrix(d, a0, g):
+    """The square matrix whose column j is heights(d, a0 + j*g)."""
+    cols = [heights(d, a0 + j * g) for j in range(d.num_vertices(a0))]
+    return tuple(zip(*cols))
+
+
+def test_krylov_rung_matches_the_forward_system():
+    # every cell of a small window over named and seeded systems, without
+    # the spectral test: the product K_B.K_A^-1 is a rung, or fails for a
+    # fraction, a negative entry or the commutation at the tail column,
+    # exactly where the Kronecker system of the cell has that one solution
+    # or none, at one node either way
+    rng = random.Random(31)
+    pool = list(NAMED.values()) + [odometer(3), odometer(9)]
+    while len(pool) < 14:
+        n = rng.choice((2, 3))
+        mat = tuple(tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(n))
+        if _is_primitive(rows_of(mat), n):
+            pool.append(stationary_from_rows(rows_of(mat)))
+    kinds = {"rung": 0, "fraction": 0, "negative": 0, "tail": 0}
+    for a, b in itertools.product(pool, repeat=2):
+        for a0, ga, b0, gb in itertools.product((1, 2), (1, 2, 3), (1, 2), (1, 2, 3)):
+            inv = _krylov_inverse(a, a0, ga)
+            if inv is None:
+                continue
+            na = len(inv[0])
+            ua0, ub0 = heights(a, a0), heights(b, b0)
+            conn_a, conn_b = composed_incidence(a, a0, a0 + ga), composed_incidence(b, b0, b0 + gb)
+            got_budget, want_budget = _NodeBudget(10 ** 6), _NodeBudget(10 ** 6)
+            tail_a = heights(a, a0 + na * ga)
+            got = classify._krylov_rung(inv, tail_a, b, b0, gb, got_budget)
+            forward = _forward_system(ua0, ub0, conn_a, conn_b)
+            want = tuple(_unflatten(f, na) for f in _lex_solutions(*forward, want_budget))
+            assert got == want, (a, b, a0, ga, b0, gb)
+            assert got_budget.spent == want_budget.spent == 1
+            kb = tuple(zip(*(heights(b, b0 + j * gb) for j in range(na))))
+            prod = _mat_mul(kb, inv[0])
+            if got:
+                kinds["rung"] += 1
+            elif any(x % inv[1] for row in prod for x in row):
+                kinds["fraction"] += 1
+            elif any(x < 0 for row in prod for x in row):
+                kinds["negative"] += 1
+            else:
+                kinds["tail"] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_equal_row_sums_take_the_kronecker_system():
+    # heights (1, 1) at level 1 are an eigenvector of an incidence with
+    # equal row sums, so its Krylov matrix is singular at every cell: those
+    # 16 telescope ladders come from the fallback, the other 57 from K_A^-1
+    fallback = []
+    for label, a, b in telescope_style_pairs():
+        ladder, _, _ = _ladder_search(a, b, 12, 3, _NodeBudget(20_000))
+        a0, a1 = ladder.a_levels[:2]
+        if _krylov_inverse(a, a0, a1 - a0) is None:
+            fallback.append(label)
+            mat = composed_incidence(a, 1, 2)
+            assert len({sum(row) for row in mat}) == 1, label
+    assert len(fallback) == 16
+    # a singular A with unequal row sums: heights past level 1 lie in the
+    # image of A, so no K_A is invertible, and the split pair's ladder
+    # (1, 7, 13)/(3, 9) comes from the Kronecker system
+    big = stationary_from_rows(rows_of(((0, 0, 1), (0, 0, 1), (2, 2, 1))))
+    small = stationary_from_rows(rows_of(((0, 2), (2, 1))))
+    assert all(_krylov_inverse(big, a0, g) is None for a0 in (1, 2, 3) for g in range(1, 12))
+    want = search_outcome(kronecker_ladder_search, big, small, 20_000)
+    assert (want[0][0].a_levels, want[0][0].b_levels) == ((1, 7, 13), (3, 9))
+    assert search_outcome(_ladder_search, big, small, 20_000) == want
+
+
+def test_krylov_inverse_on_seeded_diagrams():
+    # N.K = D.I wherever K is invertible, None exactly where it is singular
+    # (the rank over Q), and the value is kept on the diagram
+    rng = random.Random(29)
+    kinds = {"inverse": 0, "singular": 0}
+    for _ in range(60):
+        n = rng.choice((2, 3))
+        while True:
+            mat = tuple(tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(n))
+            if _is_primitive(rows_of(mat), n):
+                break
+        d = stationary_from_rows(rows_of(mat))
+        for a0 in (1, 2, 3):
+            for g in (1, 2, 3):
+                k = krylov_matrix(d, a0, g)
+                rank = len(row_reduce([[Fraction(x) for x in row] for row in k], range(n)))
+                inv = _krylov_inverse(d, a0, g)
+                assert _krylov_inverse(d, a0, g) is inv
+                if inv is None:
+                    assert rank < n, (mat, a0, g)
+                    kinds["singular"] += 1
+                    continue
+                num, den = inv
+                assert rank == n and den > 0, (mat, a0, g)
+                eye = tuple(tuple(den * (i == j) for j in range(n)) for i in range(n))
+                assert _mat_mul(num, k) == eye == _mat_mul(k, num), (mat, a0, g)
+                kinds["inverse"] += 1
+    assert min(kinds.values()) >= 50, kinds
 
 
 # ---------------------------------------------------------------------------
