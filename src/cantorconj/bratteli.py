@@ -302,8 +302,8 @@ def dump_diagram(d: OrderedBratteliDiagram, path: str) -> None:
 # Heights and incidence
 
 
-def derived(d: OrderedBratteliDiagram, key, compute):
-    """The value compute() for diagram d, computed once per diagram object.
+def derived(d: OrderedBratteliDiagram, key, fn, *args):
+    """The value fn(*args) for diagram d, computed once per diagram object.
 
     Diagrams are immutable, so anything computed from one alone holds for
     its whole life; the value is kept on the diagram under key, any
@@ -317,13 +317,21 @@ def derived(d: OrderedBratteliDiagram, key, compute):
     threshold, start level and depth ("k0_target"), and the morphism on
     its source diagram under its source level, target level and reduced
     target heights ("k0_morphism").  Values are shared, so callers must not
-    mutate them.  An exception from compute() is not kept: the next call
-    computes again.
+    mutate them.
+
+    A hit costs one dict probe; fn is called only on a miss.  A key is
+    stored only once fn has returned, so a function that checks its
+    arguments inside fn checks them on a miss alone: a key present means
+    they passed.  An exception from fn is not kept: the next call computes
+    again.
     """
     memo = d._memo
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
+    try:
+        return memo[key]
+    except KeyError:
+        pass
+    value = memo[key] = fn(*args)
+    return value
 
 
 class _KeptHeights(dict):
@@ -340,19 +348,24 @@ def heights(d: OrderedBratteliDiagram, m: int) -> tuple[int, ...]:
 
     Only the levels asked for are kept: a missing level is computed from the
     deepest kept level below it, and the levels in between are not stored.
-    A walk up the levels thus costs one transition per level.
+    A walk up the levels thus costs one transition per level.  A kept level
+    is returned without checking m again: it was stored only after
+    check_level passed.
     """
+    try:
+        return d._memo["heights"][m]
+    except KeyError:
+        pass
     d.check_level(m)
     hs = derived(d, "heights", _KeptHeights)
-    if m not in hs:
-        i = bisect_left(hs.levels, m)
-        start = hs.levels[i - 1]
-        h = hs[start]
-        for n in range(start, m):
-            h = tuple(sum(h[s] for s in row) for row in d.table(n))
-        hs[m] = h
-        hs.levels.insert(i, m)
-    return hs[m]
+    i = bisect_left(hs.levels, m)
+    start = hs.levels[i - 1]
+    h = hs[start]
+    for n in range(start, m):
+        h = tuple(sum(h[s] for s in row) for row in d.table(n))
+    hs[m] = h
+    hs.levels.insert(i, m)
+    return h
 
 
 def incidence(d: OrderedBratteliDiagram, n: int) -> tuple[tuple[int, ...], ...]:
@@ -363,35 +376,41 @@ def incidence(d: OrderedBratteliDiagram, n: int) -> tuple[tuple[int, ...], ...]:
     """
     if d.kind == "stationary" and n >= 1:
         n = 1
+    return derived(d, ("incidence", n), _incidence, d, n)
 
-    def compute():
-        tab = d.table(n)
-        cols = d.num_vertices(n)
-        out = []
-        for row in tab:
-            counts = [0] * cols
-            for s in row:
-                counts[s] += 1
-            out.append(tuple(counts))
-        return tuple(out)
 
-    return derived(d, ("incidence", n), compute)
+def _incidence(d, n):
+    cols = d.num_vertices(n)
+    out = []
+    for row in d.table(n):
+        counts = [0] * cols
+        for s in row:
+            counts[s] += 1
+        out.append(tuple(counts))
+    return tuple(out)
 
 
 def composed_incidence(d: OrderedBratteliDiagram, m: int, m2: int) -> tuple[tuple[int, ...], ...]:
-    """Product of the incidence matrices from level m up to level m2."""
+    """Product of the incidence matrices from level m up to level m2.
+
+    Kept per level pair; on a stationary diagram every pair with m >= 1 is
+    a power of the one repeating incidence, so pairs of the same span share
+    one matrix.
+    """
+    if d.kind == "stationary" and m >= 1:
+        m, m2 = 1, 1 + m2 - m
+    return derived(d, ("composed_incidence", m, m2), _composed_incidence, d, m, m2)
+
+
+def _composed_incidence(d, m, m2):
     if m2 < m:
         raise ValueError("m2 must be >= m")
     d.check_level(m2)
-
-    def compute():
-        size = d.num_vertices(m)
-        acc = tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
-        for n in range(m, m2):
-            acc = _mat_mul(incidence(d, n), acc)
-        return acc
-
-    return derived(d, ("composed_incidence", m, m2), compute)
+    size = d.num_vertices(m)
+    acc = tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
+    for n in range(m, m2):
+        acc = _mat_mul(incidence(d, n), acc)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -552,16 +571,16 @@ def tower_map(d: OrderedBratteliDiagram, m: int, m_fine: int) -> dict:
     Each fine tower stacks whole level-m towers (see tower_stacks), so the
     coarse cells under its floors are their floors in stacking order.
     """
+    return derived(d, ("tower_map", m, m_fine), _tower_map, d, m, m_fine)
+
+
+def _tower_map(d, m, m_fine):
     if m_fine < m:
         raise ValueError("fine level must be >= coarse level")
-
-    def compute():
-        fine_cells = cells(d, m_fine)
-        coarse = [[(v, j) for j in range(1, h + 1)] for v, h in enumerate(heights(d, m))]
-        under = (c for stack in tower_stacks(d, m, m_fine) for u in stack for c in coarse[u])
-        return dict(zip(fine_cells, under))
-
-    return derived(d, ("tower_map", m, m_fine), compute)
+    fine_cells = cells(d, m_fine)
+    coarse = [[(v, j) for j in range(1, h + 1)] for v, h in enumerate(heights(d, m))]
+    under = (c for stack in tower_stacks(d, m, m_fine) for u in stack for c in coarse[u])
+    return dict(zip(fine_cells, under))
 
 
 def tower_stacks(d: OrderedBratteliDiagram, m: int, m_fine: int) -> tuple:
@@ -574,17 +593,17 @@ def tower_stacks(d: OrderedBratteliDiagram, m: int, m_fine: int) -> tuple:
     steps give every fine tower its stack.  The fine floors are the coarse
     floors of the stack in order, so nothing here grows with the cells.
     """
+    return derived(d, ("tower_stacks", m, m_fine), _tower_stacks, d, m, m_fine)
+
+
+def _tower_stacks(d, m, m_fine):
     if m_fine < m:
         raise ValueError("fine level must be >= coarse level")
     d.check_level(m_fine)
-
-    def compute():
-        stacks = [(v,) for v in range(d.num_vertices(m))]
-        for n in range(m, m_fine):
-            stacks = [tuple(u for s in row for u in stacks[s]) for row in d.table(n)]
-        return tuple(stacks)
-
-    return derived(d, ("tower_stacks", m, m_fine), compute)
+    stacks = [(v,) for v in range(d.num_vertices(m))]
+    for n in range(m, m_fine):
+        stacks = [tuple(u for s in row for u in stacks[s]) for row in d.table(n)]
+    return tuple(stacks)
 
 
 def class_of_clopen(d: OrderedBratteliDiagram, level: int, cell_set: Iterable[Cell]) -> DgElement:

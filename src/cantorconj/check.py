@@ -296,14 +296,14 @@ def _source_level(d, m):
     """(heights, p, ks, threshold, tables) of level m as a morphism source:
     p = gcd of the heights, ks the heights over p, threshold = frobenius(ks)
     and tables = _suffix_tables(ks); kept per diagram and level."""
+    return derived(d, ("k0_source", m), _source_tables, d, m)
 
-    def compute():
-        hs = heights(d, m)
-        p = math.gcd(*hs)
-        ks = tuple(x // p for x in hs)
-        return hs, p, ks, frobenius(ks), _suffix_tables(ks)
 
-    return derived(d, ("k0_source", m), compute)
+def _source_tables(d, m):
+    hs = heights(d, m)
+    p = math.gcd(*hs)
+    ks = tuple(x // p for x in hs)
+    return hs, p, ks, frobenius(ks), _suffix_tables(ks)
 
 
 def _target_level(d, p, threshold, level, depth):
@@ -312,24 +312,25 @@ def _target_level(d, p, threshold, level, depth):
     threshold, or the divisor Obstruction when p misses the divisor set of
     d; kept per diagram under every input the search reads.  SearchExhausted
     is not kept (see derived), so it is raised again on every call."""
+    key = ("k0_target", p, threshold, level, depth)
+    return derived(d, key, _find_target_level, d, p, threshold, level, depth)
 
-    def compute():
-        res = divides_unit(d, p, depth)
-        if res.verdict == "no":
-            return Obstruction("divisor", _least_failing_factor(d, p, depth))
-        if res.verdict == "unknown":
-            raise SearchExhausted(depth, "divisibility of the target unit by %d" % p)
-        start = max(level, res.level)
-        for lb in range(start, d.scan_end(start, depth) + 1):
-            hs = heights(d, lb)
-            if any(x % p for x in hs):
-                continue
-            ds = tuple(x // p for x in hs)
-            if all(dd >= threshold for dd in ds):
-                return lb, hs, ds
-        raise SearchExhausted(depth, "target level with reduced heights above %d" % threshold)
 
-    return derived(d, ("k0_target", p, threshold, level, depth), compute)
+def _find_target_level(d, p, threshold, level, depth):
+    res = divides_unit(d, p, depth)
+    if res.verdict == "no":
+        return Obstruction("divisor", _least_failing_factor(d, p, depth))
+    if res.verdict == "unknown":
+        raise SearchExhausted(depth, "divisibility of the target unit by %d" % p)
+    start = max(level, res.level)
+    for lb in range(start, d.scan_end(start, depth) + 1):
+        hs = heights(d, lb)
+        if any(x % p for x in hs):
+            continue
+        ds = tuple(x // p for x in hs)
+        if all(dd >= threshold for dd in ds):
+            return lb, hs, ds
+    raise SearchExhausted(depth, "target level with reduced heights above %d" % threshold)
 
 
 def build_k0_morphism(
@@ -358,15 +359,16 @@ def build_k0_morphism(
     if isinstance(found, Obstruction):
         return found
     lb, hB, ds = found
-
-    def compute():
-        rows = tuple(_least_row(dd, ks, tables) for dd in ds)
-        assert all(row is not None for row in rows)
-        return K0Morphism(rows, levelA, lb)
-
-    t = derived(dgA, ("k0_morphism", levelA, lb, ds), compute)
+    key = ("k0_morphism", levelA, lb, ds)
+    t = derived(dgA, key, _least_morphism, ks, tables, ds, levelA, lb)
     assert t.apply(hA) == hB
     return t
+
+
+def _least_morphism(ks, tables, ds, levelA, lb):
+    rows = tuple(_least_row(dd, ks, tables) for dd in ds)
+    assert all(row is not None for row in rows)
+    return K0Morphism(rows, levelA, lb)
 
 
 def weak_schedules(dgA, dgB, depth: int = DEFAULT_DEPTH) -> Optional[tuple]:
@@ -453,6 +455,15 @@ def verify_ladder(
       intertwining (the ladders of _ladder_search and _reversed_ladder).
 
     A level past MAX_LEVEL is rejected before any heights are read.
+
+    The checks run in a fixed order, forward rungs first, and the first to
+    fail is reported.  Each ladder level's heights are read once, the shape
+    and sign of each distinct rung (with its shape) are checked once, and
+    the product of each distinct pair of rungs is formed once and compared
+    with the composed incidence of every square it closes, which on a
+    stationary diagram depends only on the span.  A periodic ladder of any
+    length thus forms two matrix products, and every ladder gets the report
+    that checking each rung and square in turn gives.
     """
     la, lb = ladder.a_levels, ladder.b_levels
     fs, bs = ladder.forwards, ladder.backwards
@@ -464,26 +475,36 @@ def verify_ladder(
         return LadderReport(False, None, "levels must be nondecreasing")
     if max(chain(la, lb)) > MAX_LEVEL:
         return LadderReport(False, None, "a level lies past MAX_LEVEL = %d" % MAX_LEVEL)
+    uas, ubs = [], []
+    shaped = set()  # (rung, rows, columns) whose shape and sign passed
     for i, h in enumerate(fs):
         ua, ub = heights(dgA, la[i]), heights(dgB, lb[i])
-        if len(h) != len(ub) or any(len(row) != len(ua) for row in h):
-            return LadderReport(False, 2 * i, "forward rung has the wrong shape")
-        if any(x < 0 for row in h for x in row):
-            return LadderReport(False, 2 * i, "negative entry")
+        uas.append(ua)
+        ubs.append(ub)
+        if (h, len(ub), len(ua)) not in shaped:
+            if len(h) != len(ub) or any(len(row) != len(ua) for row in h):
+                return LadderReport(False, 2 * i, "forward rung has the wrong shape")
+            if any(x < 0 for row in h for x in row):
+                return LadderReport(False, 2 * i, "negative entry")
+            shaped.add((h, len(ub), len(ua)))
         if _mat_apply(h, ua) != ub:
             return LadderReport(False, 2 * i, "unit not preserved")
+    products = {}
     for i, bm in enumerate(bs):
-        ub, ua1 = heights(dgB, lb[i]), heights(dgA, la[i + 1])
-        if len(bm) != len(ua1) or any(len(row) != len(ub) for row in bm):
-            return LadderReport(False, 2 * i + 1, "backward rung has the wrong shape")
-        if any(x < 0 for row in bm for x in row):
-            return LadderReport(False, 2 * i + 1, "negative entry")
+        ub = ubs[i]
+        ua1 = uas[i + 1] if i + 1 < len(uas) else heights(dgA, la[i + 1])
+        if (bm, len(ua1), len(ub)) not in shaped:
+            if len(bm) != len(ua1) or any(len(row) != len(ub) for row in bm):
+                return LadderReport(False, 2 * i + 1, "backward rung has the wrong shape")
+            if any(x < 0 for row in bm for x in row):
+                return LadderReport(False, 2 * i + 1, "negative entry")
+            shaped.add((bm, len(ua1), len(ub)))
         if _mat_apply(bm, ub) != ua1:
             return LadderReport(False, 2 * i + 1, "unit not preserved")
-        if _mat_mul(bm, fs[i]) != composed_incidence(dgA, la[i], la[i + 1]):
+        if _product(products, bm, fs[i]) != composed_incidence(dgA, la[i], la[i + 1]):
             return LadderReport(False, 2 * i + 1, "source-side square does not commute")
         if i + 1 < len(fs):
-            if _mat_mul(fs[i + 1], bm) != composed_incidence(dgB, lb[i], lb[i + 1]):
+            if _product(products, fs[i + 1], bm) != composed_incidence(dgB, lb[i], lb[i + 1]):
                 return LadderReport(
                     False, 2 * i + 2, "target-side square does not commute"
                 )
@@ -503,6 +524,14 @@ def verify_ladder(
     ):
         return LadderReport(False, None, "ladder is not periodic on stationary diagrams")
     return LadderReport(True)
+
+
+def _product(products, left, right):
+    """left.right, formed once per distinct pair and kept in products."""
+    key = left, right
+    if key not in products:
+        products[key] = _mat_mul(left, right)
+    return products[key]
 
 
 def _progression(levels):
@@ -889,15 +918,15 @@ class CertificateCheck:
 
 def diagram_digest(d: OrderedBratteliDiagram) -> str:
     """Content hash of the canonical serialization, kept per diagram."""
+    return derived(d, "digest", _sha256_of, d)
 
-    def compute():
-        # imported here, not at the top: hashlib loads OpenSSL, a few MB
-        # that the subcommands and deciders which take no digest never need
-        import hashlib
 
-        return hashlib.sha256(serialize_diagram(d).encode("utf-8")).hexdigest()
+def _sha256_of(d):
+    # imported here, not at the top: hashlib loads OpenSSL, a few MB
+    # that the subcommands and deciders which take no digest never need
+    import hashlib
 
-    return derived(d, "digest", compute)
+    return hashlib.sha256(serialize_diagram(d).encode("utf-8")).hexdigest()
 
 
 _VERIFIER = {

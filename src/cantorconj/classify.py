@@ -347,12 +347,12 @@ def _backward_rung(h, ub0, ua1, conn_a, conn_b, budget):
 def _nonzero_charpoly(d, g):
     """charpoly of A^g, the g-th power of d's stationary incidence, with its
     factors of t dropped; constant first, kept per power in derived()."""
+    return derived(d, ("nonzero_charpoly", 1, 1 + g), _nonzero_part, d, g)
 
-    def compute():
-        cp = charpoly(composed_incidence(d, 1, 1 + g))
-        return cp[next(i for i, c in enumerate(cp) if c) :]
 
-    return derived(d, ("nonzero_charpoly", 1, 1 + g), compute)
+def _nonzero_part(d, g):
+    cp = charpoly(composed_incidence(d, 1, 1 + g))
+    return cp[next(i for i, c in enumerate(cp) if c) :]
 
 
 def _krylov_inverse(d, a0, g):
@@ -365,17 +365,17 @@ def _krylov_inverse(d, a0, g):
     One fraction-free elimination of [K | I] leaves row r as p_r times
     row r of [I | K^-1]; D is the lcm of the pivots p_r.
     """
+    return derived(d, ("krylov_inverse", a0, g), _invert_krylov, d, a0, g)
 
-    def compute():
-        cols = [heights(d, a0 + j * g) for j in range(d.num_vertices(a0))]
-        n = len(cols)
-        aug = [[col[i] for col in cols] + [int(i == k) for k in range(n)] for i in range(n)]
-        if len(_row_reduce_int(aug, range(n))) < n:
-            return None
-        den = math.lcm(*(aug[r][r] for r in range(n)))
-        return tuple(tuple(x * (den // aug[r][r]) for x in aug[r][n:]) for r in range(n)), den
 
-    return derived(d, ("krylov_inverse", a0, g), compute)
+def _invert_krylov(d, a0, g):
+    cols = [heights(d, a0 + j * g) for j in range(d.num_vertices(a0))]
+    n = len(cols)
+    aug = [[col[i] for col in cols] + [int(i == k) for k in range(n)] for i in range(n)]
+    if len(_row_reduce_int(aug, range(n))) < n:
+        return None
+    den = math.lcm(*(aug[r][r] for r in range(n)))
+    return tuple(tuple(x * (den // aug[r][r]) for x in aug[r][n:]) for r in range(n)), den
 
 
 def _krylov_rung(inv, tail_a, dgB, b0, gb, budget):

@@ -298,12 +298,15 @@ def _cmd_verify(args):
 
 
 def _cmd_vershik(args):
+    if args.limit < 0:
+        raise ValueError("limit %d is negative (0 walks the whole tower)" % args.limit)
     d = load_diagram(args.diagram)
     hs = heights(d, args.level)
     if not 0 <= args.vertex < len(hs):
         raise ValueError("vertex %d out of range" % args.vertex)
     height = hs[args.vertex]
-    limit = args.limit if args.limit > 0 else height
+    # the walk stops at the tower's top floor, so no limit reaches past it
+    limit = min(args.limit, height) if args.limit else height
     if limit > CELL_CAP:
         # a deep tower's height may have more digits than str() converts
         bits = height.bit_length()

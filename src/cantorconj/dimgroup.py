@@ -98,6 +98,10 @@ class PerronData:
     normalizer: FieldElement
 
 
+def _is_primitive(d) -> bool:
+    return validate(d).primitive is True
+
+
 class DimGroup:
     """Operations on the dimension group of one diagram.
 
@@ -243,12 +247,11 @@ class DimGroup:
 
     @property
     def primitive(self) -> bool:
-        d = self.diagram
-        return derived(d, "primitive", lambda: validate(d).primitive is True)
+        return derived(self.diagram, "primitive", _is_primitive, self.diagram)
 
     @property
     def perron(self) -> PerronData:
-        return derived(self.diagram, "perron", self._perron)
+        return derived(self.diagram, "perron", DimGroup._perron, self)
 
     def _perron(self) -> PerronData:
         d = self.diagram
@@ -312,7 +315,7 @@ class DimGroup:
         columns[t][i] is the integer coefficient of root^t in scale * v[i],
         so scale * <v, rep> has the coefficients columns . rep.
         """
-        return derived(self.diagram, "trace_weights", self._trace_weights)
+        return derived(self.diagram, "trace_weights", DimGroup._trace_weights, self)
 
     def _trace_weights(self) -> tuple:
         v = self.perron.left_eigenvector

@@ -234,15 +234,16 @@ class _StationaryData:
 
 
 def _stationary_data(dg: OrderedBratteliDiagram) -> _StationaryData:
-    def compute():
-        mat = incidence(dg, 1)
-        h1 = heights(dg, 1)
-        mu = _minimal_annihilator(mat, h1)
-        # det A = (-1)^n charpoly(A)(0)
-        det = (-1) ** len(mat) * charpoly(mat)[0]
-        return _StationaryData(mu, det, gcd(*h1), _candidate_primes(mat, h1, mu))
+    return derived(dg, "stationary_data", _level_one_data, dg)
 
-    return derived(dg, "stationary_data", compute)
+
+def _level_one_data(dg):
+    mat = incidence(dg, 1)
+    h1 = heights(dg, 1)
+    mu = _minimal_annihilator(mat, h1)
+    # det A = (-1)^n charpoly(A)(0)
+    det = (-1) ** len(mat) * charpoly(mat)[0]
+    return _StationaryData(mu, det, gcd(*h1), _candidate_primes(mat, h1, mu))
 
 
 def _stationary_valuation(dg, p):
@@ -517,7 +518,7 @@ def _eventually_integral(coeffs, tmat):
 def trace_image_group(dg: OrderedBratteliDiagram) -> TraceImageGroup:
     """Image of the dimension group under the normalized trace (exact form),
     computed once per diagram object."""
-    return derived(dg, "trace_image", lambda: _trace_image_group(dg))
+    return derived(dg, "trace_image", _trace_image_group, dg)
 
 
 def _trace_image_group(dg):

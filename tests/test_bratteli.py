@@ -536,3 +536,40 @@ def test_heights_additive_under_cell_split(seed):
     h = heights(d, m)
     full = class_of_clopen(d, m, cells(d, m))
     assert full.vector == h  # the whole space is the order unit
+
+
+def _outcome(fn, d, *levels):
+    try:
+        return fn(d, *levels)
+    except ValueError as e:  # LevelRangeError among them
+        return type(e), str(e)
+
+
+def test_warm_memo_still_validates_and_matches_fresh_copies():
+    # a memo hit skips the level checks: a key is stored only after they
+    # passed, so a warm diagram raises what a cold one raises
+    rng = random.Random(17)
+    row = lambda k: tuple(rng.randrange(k) for _ in range(rng.randint(1, 3)))
+    diagrams = [stationary_from_rows(tuple(row(k) for _ in range(k))) for k in (2, 2, 2, 3, 3, 3)]
+    diagrams.append(_unrolled(diagrams[-1], 6))
+    good = [(heights, m) for m in range(7)] + [(incidence, n) for n in range(6)]
+    good += [(composed_incidence, m, m2) for m in range(7) for m2 in range(m, 7)]
+    good += [(tower_stacks, m, m2) for m in range(4) for m2 in range(m, 4)]
+    bad = [(heights, -1), (heights, 7), (composed_incidence, 3, 2), (composed_incidence, 2, 7)]
+    bad += [(incidence, -1), (tower_stacks, 3, 2), (tower_stacks, 0, 7), (tower_map, 3, 2)]
+    for d in diagrams:
+        fresh = lambda: OrderedBratteliDiagram(d.kind, d.vertex_counts, d.tables)
+        cold = [_outcome(fn, fresh(), *levels) for fn, *levels in bad]
+        warm = [fn(d, *levels) for fn, *levels in good]
+        assert warm == [fn(fresh(), *levels) for fn, *levels in good]
+        assert [_outcome(fn, d, *levels) for fn, *levels in bad] == cold
+        assert [fn(d, *levels) for fn, *levels in good] == warm
+        assert cold[:3] == [
+            (ValueError, "negative level"),
+            (
+                (LevelRangeError, "explicit diagram has no level 7 (last is 6)")
+                if d.kind == "explicit"
+                else heights(fresh(), 7)
+            ),
+            (ValueError, "m2 must be >= m"),
+        ]

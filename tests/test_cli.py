@@ -342,6 +342,23 @@ def test_vershik_limit(corpus, capsys):
     assert [step["floor"] for step in rep["orbit"]] == [1, 2, 3]
 
 
+def test_vershik_limit_past_the_tower_walks_the_tower(corpus, capsys):
+    # a limit past CELL_CAP is clipped to the tower's 4 floors first
+    rc, rep = run_json(
+        capsys, ["vershik", corpus["dyadic"], "--level", "2", "--limit", "5000"]
+    )
+    assert rc == 0
+    assert [step["floor"] for step in rep["orbit"]] == [1, 2, 3, 4]
+    assert rep["orbit"][-1]["successor"] == "max"
+
+
+def test_vershik_negative_limit_is_input_error(corpus, capsys):
+    assert run(["vershik", corpus["dyadic"], "--level", "2", "--limit", "-3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: limit -3 is negative (0 walks the whole tower)\n"
+
+
 def test_vershik_capability_bound(corpus, capsys):
     assert run(["vershik", corpus["dyadic"], "--level", "13", "--format", "json"]) == 2
     assert capsys.readouterr().err == (

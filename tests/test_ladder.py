@@ -30,8 +30,9 @@ import random
 import time
 from fractions import Fraction
 
-from cantorconj import classify
-from cantorconj.bratteli import composed_incidence, heights
+from cantorconj import check, classify
+from cantorconj.bratteli import OrderedBratteliDiagram, composed_incidence, heights
+from cantorconj.check import MAX_LEVEL, LadderReport, _progression
 from cantorconj.classify import (
     IntertwiningLadder,
     SearchExhausted,
@@ -1012,3 +1013,211 @@ def test_pruned_search_matches_the_unpruned_one(monkeypatch):
         positive += 1
     # every split pair has a ladder in one order or the other
     assert positive == 73 + 66 + 6 + 72
+
+
+# ---------------------------------------------------------------------------
+# the ladder audit against the one that checked every rung and square
+
+
+def reference_verify_ladder(ladder, dgA, dgB):
+    """verify_ladder as it was before distinct rungs and squares were
+    checked once: every rung's shape and sign, every level's heights and
+    every square's product, in order."""
+    la, lb = ladder.a_levels, ladder.b_levels
+    fs, bs = ladder.forwards, ladder.backwards
+    if not (len(fs) == len(bs) == len(lb) == len(la) - 1):
+        return LadderReport(False, None, "rung counts do not line up")
+    if any(x > y for x, y in zip(la, la[1:])) or any(
+        x > y for x, y in zip(lb, lb[1:])
+    ):
+        return LadderReport(False, None, "levels must be nondecreasing")
+    if max(itertools.chain(la, lb)) > MAX_LEVEL:
+        return LadderReport(False, None, "a level lies past MAX_LEVEL = %d" % MAX_LEVEL)
+    for i, h in enumerate(fs):
+        ua, ub = heights(dgA, la[i]), heights(dgB, lb[i])
+        if len(h) != len(ub) or any(len(row) != len(ua) for row in h):
+            return LadderReport(False, 2 * i, "forward rung has the wrong shape")
+        if any(x < 0 for row in h for x in row):
+            return LadderReport(False, 2 * i, "negative entry")
+        if _mat_apply(h, ua) != ub:
+            return LadderReport(False, 2 * i, "unit not preserved")
+    for i, bm in enumerate(bs):
+        ub, ua1 = heights(dgB, lb[i]), heights(dgA, la[i + 1])
+        if len(bm) != len(ua1) or any(len(row) != len(ub) for row in bm):
+            return LadderReport(False, 2 * i + 1, "backward rung has the wrong shape")
+        if any(x < 0 for row in bm for x in row):
+            return LadderReport(False, 2 * i + 1, "negative entry")
+        if _mat_apply(bm, ub) != ua1:
+            return LadderReport(False, 2 * i + 1, "unit not preserved")
+        if _mat_mul(bm, fs[i]) != composed_incidence(dgA, la[i], la[i + 1]):
+            return LadderReport(False, 2 * i + 1, "source-side square does not commute")
+        if i + 1 < len(fs):
+            if _mat_mul(fs[i + 1], bm) != composed_incidence(dgB, lb[i], lb[i + 1]):
+                return LadderReport(
+                    False, 2 * i + 2, "target-side square does not commute"
+                )
+    if not fs:
+        return LadderReport(False, None, "ladder has no rungs")
+    if la[0] == la[-1] and lb[0] == lb[-1]:
+        if dgA == dgB:
+            return LadderReport(True)
+        return LadderReport(False, None, "ladder of period zero between different diagrams")
+    if not (
+        len(fs) >= 2
+        and dgA.kind == dgB.kind == "stationary"
+        and fs.count(fs[0]) == len(fs)
+        and bs.count(bs[0]) == len(bs)
+        and _progression(la)
+        and _progression(lb)
+    ):
+        return LadderReport(False, None, "ladder is not periodic on stationary diagrams")
+    return LadderReport(True)
+
+
+def audit_outcome(audit, ladder, a, b):
+    try:
+        rep = audit(ladder, a, b)
+    except ValueError as e:  # LevelRangeError among them
+        return type(e), str(e)
+    return rep.ok, rep.index, rep.reason
+
+
+def found_ladders():
+    """(A, B, ladder) for every ladder decide_k_conjugacy returns on the
+    telescoping pairs, P40' against its squares both orders, and every
+    ordered pair of the hierarchy pool."""
+    pairs = telescoping_pairs()
+    for rows in p40_rows():
+        a, sq = stationary_from_rows(rows), stationary_from_rows(composed_rows(rows))
+        pairs += [(a, sq), (sq, a)]
+    pairs += list(itertools.product(hierarchy_pool(), repeat=2))
+    out = []
+    for a, b in pairs:
+        with time_ceiling(10):
+            res = decide_k_conjugacy(a, b)
+        if res.ladder is not None:
+            out.append((a, b, res.ladder))
+    return out
+
+
+def moved_integers(ladder):
+    """The ladder's JSON with one integer moved by -5, -1, +1 or +2, read
+    back, for each integer in turn."""
+    blob = ladder.to_json()
+    slots = [(key, j) for key in ("a_levels", "b_levels") for j in range(len(blob[key]))]
+    slots += [
+        (key, m, r, c)
+        for key in ("forwards", "backwards")
+        for m, mat in enumerate(blob[key])
+        for r, row in enumerate(mat)
+        for c in range(len(row))
+    ]
+    for slot in slots:
+        for delta in (-5, -1, 1, 2):
+            moved = json.loads(json.dumps(blob))
+            target = moved[slot[0]]
+            for step in slot[1:-1]:
+                target = target[step]
+            target[slot[-1]] += delta
+            yield IntertwiningLadder.from_json(moved)
+
+
+def reshaped(ladder):
+    """The ladder with one rung pair dropped or repeated, one forward rung
+    dropped, one rung's last row dropped, one unit moved between two
+    entries of a rung's row (which keeps the unit where the heights are
+    equal), and with its forwards and backwards swapped."""
+    la, lb, fs, bs = ladder.a_levels, ladder.b_levels, ladder.forwards, ladder.backwards
+    for i in range(len(fs)):
+        yield IntertwiningLadder(
+            la[: i + 1] + la[i + 2 :], lb[:i] + lb[i + 1 :], fs[:i] + fs[i + 1 :], bs[:i] + bs[i + 1 :]
+        )
+        yield IntertwiningLadder(
+            la[: i + 1] + la[i:], lb[: i + 1] + lb[i:], fs[: i + 1] + fs[i:], bs[: i + 1] + bs[i:]
+        )
+        yield IntertwiningLadder(la, lb, fs[:i] + fs[i + 1 :], bs)
+    for forward, rungs in ((True, fs), (False, bs)):
+        for i, m in enumerate(rungs):
+            changed = [m[:-1]]
+            for r, row in enumerate(m):
+                for c, c2 in itertools.permutations(range(len(row)), 2):
+                    if row[c] > 0:
+                        moved = list(row)
+                        moved[c] -= 1
+                        moved[c2] += 1
+                        changed.append(m[:r] + (tuple(moved),) + m[r + 1 :])
+            for new in changed:
+                swapped = rungs[:i] + (new,) + rungs[i + 1 :]
+                yield IntertwiningLadder(la, lb, *((swapped, bs) if forward else (fs, swapped)))
+    yield IntertwiningLadder(la, lb, bs, fs)
+
+
+def test_ladder_audit_matches_the_reference():
+    found = found_ladders()
+    assert len(found) == 73 + 80 + 72
+    compared = 0
+    reasons = set()
+    for k, (a, b, ladder) in enumerate(found):
+        wrong = found[(k + 1) % len(found)][1]
+        variants = [(ladder, a, b), (ladder, a, wrong), (ladder, b, a)]
+        variants += [(v, a, b) for v in itertools.chain(moved_integers(ladder), reshaped(ladder))]
+        for v, x, y in variants:
+            want = audit_outcome(reference_verify_ladder, v, x, y)
+            assert audit_outcome(verify_ladder, v, x, y) == want, (v, want)
+            reasons.add(want[-1])
+            compared += 1
+    assert compared > 30_000
+    # every report verify_ladder gives below MAX_LEVEL, and the error of a
+    # level moved below the root
+    assert reasons == {
+        None,
+        "rung counts do not line up",
+        "levels must be nondecreasing",
+        "forward rung has the wrong shape",
+        "backward rung has the wrong shape",
+        "negative entry",
+        "unit not preserved",
+        "source-side square does not commute",
+        "target-side square does not commute",
+        "ladder has no rungs",
+        "ladder of period zero between different diagrams",
+        "ladder is not periodic on stationary diagrams",
+        "negative level",
+    }
+
+
+def test_periodic_ladder_forms_two_products(monkeypatch):
+    a = fibonacci()
+    b = stationary_from_rows(composed_rows(a.table(1)))
+    ladder = decide_k_conjugacy(a, b).ladder
+    (a0, a1, _), (b0, b1) = ladder.a_levels, ladder.b_levels
+    calls = []
+    inner = check._mat_mul
+
+    def counted(x, y):
+        calls.append(1)
+        return inner(x, y)
+
+    monkeypatch.setattr(check, "_mat_mul", counted)
+    for rungs in (2, 200):
+        long = IntertwiningLadder(
+            tuple(a0 + j * (a1 - a0) for j in range(rungs + 1)),
+            tuple(b0 + j * (b1 - b0) for j in range(rungs)),
+            ladder.forwards[:1] * rungs,
+            ladder.backwards[:1] * rungs,
+        )
+        calls.clear()
+        assert verify_ladder(long, a, b).ok
+        assert len(calls) == 2, rungs
+
+
+def test_ladder_audit_rechecks_a_rung_at_a_new_shape():
+    # the backward rung (1) passes at 1 x 1, then comes back where B has two
+    # vertices; unchecked there, its unit and square would pass, as the
+    # matrix kernels zip rows of unequal length
+    d = OrderedBratteliDiagram("explicit", (1, 1, 2), (((0,),), ((0,), (0,))))
+    one, column = ((1,),), ((1,), (1,))
+    ladder = IntertwiningLadder((1, 1, 1), (1, 2), (one, column), (one, one))
+    want = LadderReport(False, 3, "backward rung has the wrong shape")
+    assert reference_verify_ladder(ladder, d, d) == want
+    assert verify_ladder(ladder, d, d) == want
