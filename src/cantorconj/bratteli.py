@@ -316,8 +316,9 @@ def derived(d: OrderedBratteliDiagram, key, fn, *args):
     ("k0_source"), the target level or obstruction found for a gcd,
     threshold, start level and depth ("k0_target"), and the morphism on
     its source diagram under its source level, target level and reduced
-    target heights ("k0_morphism").  Values are shared, so callers must not
-    mutate them.
+    target heights ("k0_morphism"), and the cell set of a level that
+    fullgroup's synthesis checks partitions against ("cell_set").  Values
+    are shared, so callers must not mutate them.
 
     A hit costs one dict probe; fn is called only on a miss.  A key is
     stored only once fn has returned, so a function that checks its
@@ -496,28 +497,6 @@ def path_rank(d: OrderedBratteliDiagram, path: Path) -> int:
         h = heights(d, n)
         rank += sum(h[s] for s in d.table(n)[v][:t])
     return rank
-
-
-def path_for_floor(d: OrderedBratteliDiagram, v: int, m: int, floor: int) -> Path:
-    """The path of tower v at level m whose 1-indexed floor is given."""
-    h_v = heights(d, m)[v]
-    if not (1 <= floor <= h_v):
-        raise ValueError("floor %d out of range 1..%d" % (floor, h_v))
-    rank = floor - 1
-    rev = []
-    cur = v
-    for n in range(m, 0, -1):
-        row = d.table(n - 1)[cur]
-        h = heights(d, n - 1)
-        for t, src in enumerate(row):
-            if rank < h[src]:
-                rev.append((cur, t))
-                cur = src
-                break
-            rank -= h[src]
-        else:  # pragma: no cover - guarded by the range check above
-            raise AssertionError("floor unranking fell off the edge list")
-    return tuple(reversed(rev))
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
-from operator import ge
+from itertools import groupby, islice
+from operator import ge, gt
 from typing import Optional
 
 from .bratteli import (
@@ -610,10 +610,11 @@ class ClopenSet:
             object.__setattr__(self, "cells", tuple(sorted(set(cs))))
 
 
-def _tower_floors(d, cs: ClopenSet) -> list:
-    """cs's floors, one increasing deque per tower of its level."""
-    floors = [deque() for _ in range(d.num_vertices(cs.level))]
-    for w, j in cs.cells:
+def _tower_floors(d, level: int, cells) -> list:
+    """The floors of increasing cells of level, one increasing deque per
+    tower there."""
+    floors = [deque() for _ in range(d.num_vertices(level))]
+    for w, j in cells:
         floors[w].append(j)
     return floors
 
@@ -639,8 +640,16 @@ def _refine_floors(d, floors, level: int, fine: int) -> list:
     return out
 
 
-def _as_clopen(level: int, floors) -> ClopenSet:
-    return ClopenSet(level, tuple((w, j) for w, row in enumerate(floors) for j in row))
+def _cells_of(floors) -> tuple:
+    """The cells of one row of floors per tower, in increasing order."""
+    return tuple((w, j) for w, row in enumerate(floors) for j in row)
+
+
+def _refined_cells(d, level: int, cells: tuple, fine: int) -> tuple:
+    """The increasing cells of level as the increasing cells of fine."""
+    if fine == level or not cells:
+        return cells
+    return _cells_of(_refine_floors(d, _tower_floors(d, level, cells), level, fine))
 
 
 def lift_class_under(
@@ -670,8 +679,8 @@ def lift_class_under(
         raise ValueError("class exceeds the set it must fit under")
     if rem.verdict == UNKNOWN:
         raise SearchExhausted(depth, "room under the given set")
-    lvl, taken, _ = _lowest_floors(grp, u.level, _tower_floors(d, u), x, depth)
-    return _as_clopen(lvl, taken)
+    lvl, taken, _ = _lowest_floors(grp, u.level, _tower_floors(d, u.level, u.cells), x, depth)
+    return ClopenSet(lvl, _cells_of(taken))
 
 
 def _lowest_floors(grp, level: int, floors, x: DgElement, depth) -> tuple:
@@ -737,49 +746,63 @@ def partition_from_classes(
     empty sets.  The classes must each be positive or zero and sum to the
     order unit.
 
-    Each distinct class's sign is decided once, up front.  The lifts then
-    skip lift_class_under's checks: a positive class is still positive, and
-    the room left, the unit minus the classes lifted so far, is the sum of
-    the remaining classes and so at least zero.  That room is the running
-    complement's counting vector, read off its floor lists, so the cells
-    chosen are the ones lift_class_under would choose.
+    The classes are read as runs of consecutive equal classes (a tower's
+    class repeated once per cell, as conjugate_at_resolution passes them),
+    and each run's sign, pushed sum and lift level are found once.  The
+    lifts then skip lift_class_under's checks: a positive class is still
+    positive, and the room left, the unit minus the classes lifted so far,
+    is the sum of the remaining classes and so at least zero.  That room is
+    the running complement's counting vector, read off its floor lists, so
+    the cells chosen are the ones lift_class_under would choose.
 
     The complement is one increasing deque of floors per tower: each lift
-    takes a prefix of every deque and leaves the suffix, and a lift that
-    needs a finer level refines only what is left.  Every set is refined
-    once more, to the last lift level, at the end.  So the work grows with
-    the cells of the levels reached, not with their product with the
-    number of classes; CELL_CAP binds on the levels reached.
+    takes a prefix of every deque and leaves the suffix.  Within a run the
+    first copy finds its lift level and representative rep there; each
+    later copy starts its search at that level with the same rep, so while
+    every deque still holds rep's count it takes the next floors of each
+    tower directly, and only a copy that does not fit searches on, to a
+    finer level whose refinement covers only what is left.  Every set is
+    refined once more, to the last lift level, at the end.  So the work
+    grows with the runs and the cells of the levels reached, not with their
+    product with the number of classes; CELL_CAP binds on the levels
+    reached.
     """
     grp = DimGroup(d)
-    xs = tuple(xs)
-    if not xs:
+    runs = [(x, len(tuple(copies))) for x, copies in groupby(xs)]
+    if not runs:
         raise ValueError("need at least one class")
-    verdicts = _class_signs(grp, xs, depth)
-    level = max(max(x.level for x in xs), 1)
-    total = DgElement(level, tuple(map(sum, zip(*(grp.push(x, level).vector for x in xs)))))
+    verdicts = _class_signs(grp, [x for x, _ in runs], depth)
+    level = max(max(x.level for x, _ in runs), 1)
+    total = DgElement(level, tuple(map(sum, zip(*(
+        [n * c for c in grp.push(x, level).vector] for x, n in runs
+    )))))
     if grp.equal(total, grp.unit(level), depth).value is not True:
         raise ValueError("classes must sum to the order unit")
     last_positive = max(i for i, v in enumerate(verdicts) if v == POSITIVE)
     running = [deque(range(1, h + 1)) for h in capped_heights(d, level)]
-    out = []
-    for i, x in enumerate(xs):
-        if verdicts[i] == ZERO:
-            out.append((level, ()))
+    out = []  # (lift level, increasing cells there) per class
+    for i, ((x, n), v) in enumerate(zip(runs, verdicts)):
+        if v == ZERO:
+            out += [(level, ())] * n
             continue
+        rep = None
+        for _ in range(n - (i == last_positive)):
+            if rep is None or any(map(gt, rep, map(len, running))):
+                level, taken, running = _lowest_floors(grp, level, running, x, depth)
+                rep = tuple(map(len, taken))
+                out.append((level, _cells_of(taken)))
+            else:
+                out.append((level, tuple([
+                    (w, row.popleft()) for w, (row, r) in enumerate(zip(running, rep))
+                    for _ in range(r)
+                ])))
         if i == last_positive:
             left = DgElement(level, tuple(map(len, running)))
             assert grp.equal(left, x).value
-            out.append((level, running))
+            out.append((level, _cells_of(running)))
             running = [deque() for _ in running]
-            continue
-        level, taken, running = _lowest_floors(grp, level, running, x, depth)
-        out.append((level, taken))
     final = max(lvl for lvl, _ in out)
-    return tuple(
-        _as_clopen(final, _refine_floors(d, floors, lvl, final) if floors else ())
-        for lvl, floors in out
-    )
+    return tuple(ClopenSet(final, _refined_cells(d, lvl, cs, final)) for lvl, cs in out)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,11 @@ from .invariants import DEFAULT_PRIME_CUTOFF, periodic_spectrum
 # per residue modulo the least generator; past this many it is refused.
 FROBENIUS_TABLE_CAP = 10 ** 5
 
+# A level argument is refused when walking the heights up to it could take
+# more than this many bit operations (see _walk_cost); the bound is read
+# off the edge tables, before any heights are.
+HEIGHTS_WORK_CAP = 2 ** 30
+
 
 class _UsageError(Exception):
     pass
@@ -173,6 +178,49 @@ def _obstruction_json(o):
     return {"kind": o.kind, "witness": o.witness}
 
 
+def _walk_cost(d, level):
+    """An upper bound on the bit operations of walking the heights from
+    the root up to level, one addition per edge.
+
+    The heights of level n have at most B_n bits: B_0 = 1, and a sum of r
+    numbers below 2^B is below 2^(B + bits(r - 1)), so B_(n+1) = B_n +
+    bits(r - 1) for r the longest row of table n.  An edge into level n + 1
+    is charged 2^12, for the interpreter's work per addition, plus B_n.
+    Past the root a stationary diagram repeats one table, so its sum has
+    a closed form; an explicit one has as many tables as its data holds.
+    """
+
+    def table_cost(n):
+        rows = d.table(n)
+        return sum(map(len, rows)), (max(map(len, rows)) - 1).bit_length()
+
+    if d.kind == "stationary" and level > 1:
+        e0, c0 = table_cost(0)
+        e, c = table_cost(1)
+        k = level - 1  # transitions past the root, the first from B_1 bits
+        return e0 * (2 ** 12 + 1) + e * (k * (2 ** 12 + 1 + c0) + c * k * (k - 1) // 2)
+    cost = 0
+    bits = 1
+    for n in range(level):
+        e, c = table_cost(n)
+        cost += e * (2 ** 12 + bits)
+        bits += c
+    return cost
+
+
+def _check_reach(d, level):
+    """Refuse a negative level (input error), a level past an explicit
+    diagram's end or one whose heights walk exceeds HEIGHTS_WORK_CAP
+    (capability errors), before any heights are read."""
+    d.check_level(level)
+    if _walk_cost(d, level) > HEIGHTS_WORK_CAP:
+        raise CapabilityError(
+            "level %d is out of reach: walking its heights up from the root may take "
+            "more than HEIGHTS_WORK_CAP = 2^%d bit operations"
+            % (level, HEIGHTS_WORK_CAP.bit_length() - 1)
+        )
+
+
 def _cmd_validate(args):
     try:
         d = load_diagram(args.diagram)
@@ -190,12 +238,20 @@ def _cmd_validate(args):
 
 def _cmd_heights(args):
     d = load_diagram(args.diagram)
+    _check_reach(d, args.level)
     return {"level": args.level, "heights": list(heights(d, args.level))}
 
 
 def _cmd_k0_class(args):
     d = load_diagram(args.diagram)
-    e = class_of_clopen(d, args.level, tuple(_cell(t) for t in args.cells))
+    cell_list = tuple(_cell(t) for t in args.cells)
+    towers = d.num_vertices(args.level)
+    for v, j in cell_list:
+        # the floors' upper bounds are the heights, checked below
+        if not 0 <= v < towers or j < 1:
+            raise ValueError("cell (%d, %d) does not exist at level %d" % (v, j, args.level))
+    _check_reach(d, args.level)
+    e = class_of_clopen(d, args.level, cell_list)
     return {"element": _element_json(e)}
 
 
@@ -203,6 +259,7 @@ def _cmd_positivity(args):
     d = load_diagram(args.diagram)
     grp = DimGroup(d)
     e = grp.element(args.level, _vector(args.vector))
+    _check_reach(d, args.level)
     res = grp.is_positive(e, args.depth)
     return {
         "element": _element_json(e),
@@ -262,6 +319,7 @@ def _cmd_kconj(args):
 
 def _cmd_conjugator(args):
     a, b = load_diagram(args.a), load_diagram(args.b)
+    _check_reach(a, args.level)
     try:
         bundle = conjugate_at_resolution(a, b, args.level, args.depth)
     except StageError as e:
@@ -301,10 +359,10 @@ def _cmd_vershik(args):
     if args.limit < 0:
         raise ValueError("limit %d is negative (0 walks the whole tower)" % args.limit)
     d = load_diagram(args.diagram)
-    hs = heights(d, args.level)
-    if not 0 <= args.vertex < len(hs):
+    if not 0 <= args.vertex < d.num_vertices(args.level):
         raise ValueError("vertex %d out of range" % args.vertex)
-    height = hs[args.vertex]
+    _check_reach(d, args.level)
+    height = heights(d, args.level)[args.vertex]
     # the walk stops at the tower's top floor, so no limit reaches past it
     limit = min(args.limit, height) if args.limit else height
     if limit > CELL_CAP:

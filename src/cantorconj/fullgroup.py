@@ -33,6 +33,7 @@ from .bratteli import (
     OrderedBratteliDiagram,
     capped_heights,
     cells,
+    derived,
     heights,
     incidence,
     tower_stacks,
@@ -122,21 +123,26 @@ def check_block_condition(b: BlockBijection) -> BlockConditionResult:
     once, and a search that meets a block whose reach is known ORs that
     reach in instead of expanding the block.
     """
-    violation = _decide(b)[1]
+    violation = _decide(b.blocks, b.images, _block_of(b))
     return BlockConditionResult(violation is None, violation)
 
 
-def _decide(b: BlockBijection):
-    """The block of each element (block_of[x], 1-based x) and the least
-    violating family of check_block_condition, or None when none exists."""
-    k = len(b.blocks)
+def _block_of(b: BlockBijection) -> list:
+    """The block of each element, as block_of[x] for 1-based x."""
     block_of = [0] * (b.size + 1)
     for i, u in enumerate(b.blocks):
         for x in u:
             block_of[x] = i
+    return block_of
+
+
+def _decide(blocks, images, block_of):
+    """The least violating family of check_block_condition, as a tuple of
+    blocks, or None when none exists; block_of[x] is the block of x."""
+    k = len(blocks)
     adj = [0] * k
     radj = [0] * k
-    for i, v in enumerate(b.images):
+    for i, v in enumerate(images):
         for x in v:
             j = block_of[x]
             adj[i] |= 1 << j
@@ -145,7 +151,7 @@ def _decide(b: BlockBijection):
     reach = [0] * k  # 0 until searched: a reach holds its own block
     reach[0] = _reach(adj, 0, reach)
     if reach[0] == full and _reach(radj, 0, [0] * k) == full:
-        return block_of, None
+        return None
 
     def closure_of(y):
         if not reach[y]:
@@ -170,7 +176,7 @@ def _decide(b: BlockBijection):
         chosen |= 1 << y
         closure = grown
         last = y
-    return block_of, tuple(b.blocks[i] for i in range(k) if chosen >> i & 1)
+    return tuple(tuple(blocks[i]) for i in range(k) if chosen >> i & 1)
 
 
 def _reach(adj, y: int, known) -> int:
@@ -206,15 +212,21 @@ def cyclic_from_blocks(b: BlockBijection) -> tuple:
     a count per block of its elements on C picks the first straddling block
     by index, and its smallest elements on and off C are used.
     """
-    block_of, violation = _decide(b)
+    return _cycle(b.size, b.blocks, b.images, _block_of(b))
+
+
+def _cycle(n: int, blocks, images, block_of) -> tuple:
+    """cyclic_from_blocks on a block bijection of 1..n given as its parts:
+    increasing blocks and images, aligned and of equal sizes, and the
+    block of each element."""
+    violation = _decide(blocks, images, block_of)
     if violation is not None:
         raise BlockConditionViolation(violation)
-    n = b.size
     sigma = [0] * (n + 1)
-    for u, v in zip(b.blocks, b.images):
+    for u, v in zip(blocks, images):
         for i, j in zip(u, v):
             sigma[i] = j
-    sizes = [len(u) for u in b.blocks]
+    sizes = [len(u) for u in blocks]
     count = [0] * len(sizes)
     on = [False] * (n + 1)
     straddling = 0  # bit t set while 0 < count[t] < sizes[t]
@@ -231,7 +243,7 @@ def cyclic_from_blocks(b: BlockBijection) -> tuple:
             x = sigma[x]
         if not straddling:
             break
-        u = b.blocks[(straddling & -straddling).bit_length() - 1]
+        u = blocks[(straddling & -straddling).bit_length() - 1]
         # blocks are sorted, so these are the least straddling elements
         i = next(x for x in u if on[x])
         j = next(x for x in u if not on[x])
@@ -240,6 +252,10 @@ def cyclic_from_blocks(b: BlockBijection) -> tuple:
         sigma[i], sigma[j] = sigma[j], sigma[i]
         x = sigma[i]
     return tuple(sigma[1:])
+
+
+def _cell_set(d, m):
+    return frozenset(cells(d, m))
 
 
 def conjugator_from_partition(
@@ -264,13 +280,18 @@ def conjugator_from_partition(
     zero in K0 stays zero, so there a 'level' failure means the diagram is
     not primitive.
 
-    Once the partitions are checked, one pass over them reads each floor's
-    block and image-block label at level m and counts the classes.  A tower
-    of m* stacks whole towers of m (bratteli.tower_stacks), so its labels
-    are those of its stack, concatenated; the cells of m* are not listed,
-    but CELL_CAP still binds on m*.
+    Once the partitions are checked, against the cell set of m kept once
+    per diagram, one pass over them reads each floor's block and
+    image-block label at level m and counts the classes.  A tower of m*
+    stacks whole towers of m (bratteli.tower_stacks), so its labels are
+    those of its stack, concatenated; the cells of m* are not listed, but
+    CELL_CAP still binds on m*.  The labels split the tower's floors into
+    blocks and image blocks, increasing and of equal sizes since the
+    pushed counting vectors agree at m*, so they go to the block condition
+    and the cycle construction as they are, without BlockBijection's
+    checks.
     """
-    universe = set(cells(d, m))
+    universe = derived(d, ("cell_set", m), _cell_set, d, m)
     blocks = tuple(tuple(sorted(u)) for u in blocks)
     images = tuple(tuple(sorted(v)) for v in images)
     if len(blocks) != len(images):
@@ -321,16 +342,19 @@ def conjugator_from_partition(
     h = capped_heights(d, mstar)
     tables = []
     for w, stack in enumerate(tower_stacks(d, m, mstar)):
+        # the block and image-block label of each floor, 1-based
+        block_of = [0]
+        image_of = [0]
+        for u in stack:
+            block_of += lab[u]
+            image_of += img[u]
         tower_blocks = [[] for _ in blocks]
         tower_images = [[] for _ in blocks]
-        j = 0
-        for u in stack:
-            for b, i in zip(lab[u], img[u]):
-                j += 1
-                tower_blocks[b].append(j)
-                tower_images[i].append(j)
+        for j in range(1, h[w] + 1):
+            tower_blocks[block_of[j]].append(j)
+            tower_images[image_of[j]].append(j)
         try:
-            sigma = cyclic_from_blocks(BlockBijection(h[w], tower_blocks, tower_images))
+            sigma = _cycle(h[w], tower_blocks, tower_images, block_of)
         except BlockConditionViolation as e:
             raise ConjugatorError(
                 "blocks",

@@ -22,7 +22,6 @@ from cantorconj.bratteli import (
     max_path,
     min_path,
     parse_diagram,
-    path_for_floor,
     path_rank,
     serialize_diagram,
     tower_map,
@@ -49,6 +48,28 @@ from conftest import (
     random_stationary,
     time_ceiling,
 )
+
+def path_for_floor(d, v, m, floor):
+    """The path of tower v at level m whose 1-indexed floor is given: the
+    unranking of path_rank, the reference the tower_map test reads fine
+    cells through."""
+    h_v = heights(d, m)[v]
+    if not (1 <= floor <= h_v):
+        raise ValueError("floor %d out of range 1..%d" % (floor, h_v))
+    rank = floor - 1
+    rev = []
+    cur = v
+    for n in range(m, 0, -1):
+        row = d.table(n - 1)[cur]
+        h = heights(d, n - 1)
+        for t, src in enumerate(row):
+            if rank < h[src]:
+                rev.append((cur, t))
+                cur = src
+                break
+            rank -= h[src]
+    return tuple(reversed(rev))
+
 
 EXAMPLES = {
     "dyadic": dyadic(),

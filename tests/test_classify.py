@@ -14,10 +14,12 @@ from fractions import Fraction
 
 import pytest
 
+from cantorconj import classify as classify_module
 from cantorconj.bratteli import (
     CapabilityError,
     DgElement,
     OrderedBratteliDiagram,
+    capped_heights,
     cells,
     class_of_clopen,
     heights,
@@ -32,6 +34,9 @@ from cantorconj.classify import (
     PartitionHomeomorphism,
     SearchExhausted,
     StageError,
+    _class_signs,
+    _lowest_floors,
+    _refine_floors,
     build_k0_morphism,
     conjugate_at_resolution,
     conjugator_certificate,
@@ -978,6 +983,150 @@ def test_partition_and_lift_match_the_rescanning_references():
     for key in ("partition ValueError", "partition SearchExhausted", "partition finer",
                 "partition same level", "lift ValueError", "lift finer", "lift same level"):
         assert kinds.get(key, 0) > 0, (key, kinds)
+
+
+def per_class_partition_reference(d, xs, depth=DEFAULT_DEPTH):
+    """partition_from_classes before run-wise lifting: every class decides
+    its sign and searches its lift level through _lowest_floors on its own,
+    and every set is refined to the last lift level from its floor lists."""
+    grp = DimGroup(d)
+    xs = tuple(xs)
+    if not xs:
+        raise ValueError("need at least one class")
+    verdicts = _class_signs(grp, xs, depth)
+    level = max(max(x.level for x in xs), 1)
+    total = DgElement(level, tuple(map(sum, zip(*(grp.push(x, level).vector for x in xs)))))
+    if grp.equal(total, grp.unit(level), depth).value is not True:
+        raise ValueError("classes must sum to the order unit")
+    last_positive = max(i for i, v in enumerate(verdicts) if v == POSITIVE)
+    running = [collections.deque(range(1, h + 1)) for h in capped_heights(d, level)]
+    out = []
+    for i, x in enumerate(xs):
+        if verdicts[i] == ZERO:
+            out.append((level, ()))
+            continue
+        if i == last_positive:
+            out.append((level, running))
+            running = [collections.deque() for _ in running]
+            continue
+        level, taken, running = _lowest_floors(grp, level, running, x, depth)
+        out.append((level, taken))
+    final = max(lvl for lvl, _ in out)
+    sets = []
+    for lvl, floors in out:
+        rows = _refine_floors(d, floors, lvl, final) if floors else ()
+        sets.append(ClopenSet(final, tuple((w, j) for w, row in enumerate(rows) for j in row)))
+    return tuple(sets)
+
+
+def _full_outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, SearchExhausted, CapabilityError) as e:
+        return type(e), str(e)
+
+
+def _run_lists(rng, d, count):
+    """Lists of classes in runs: a few classes at level 1 or 2, each
+    repeated, in runs or interleaved, a zero class sometimes put inside a
+    run, and the remainder to the unit placed anywhere, or as the last
+    copy of a run when the copies fill the unit.  Half the lists take
+    nonnegative counting vectors that fit under the unit; the others take
+    signed vectors, which the lifts must push and which may not be
+    positive or fit at all."""
+    grp = DimGroup(d)
+    for i in range(count):
+        lvl = rng.randint(1, 2)
+        k = d.num_vertices(lvl)
+        room = list(heights(d, lvl))
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            if i % 2:
+                x = [rng.randint(-1, 2) for _ in range(k)]
+                n = rng.randint(1, 4)
+            else:
+                x = [rng.randint(0, 1) for _ in range(k)]
+                if not any(x):
+                    continue
+                n = rng.randint(0, min(4, min(r // v for r, v in zip(room, x) if v)))
+            room = [r - n * v for r, v in zip(room, x)]
+            parts += [grp.element(lvl, x)] * n
+        if rng.random() < 0.5:
+            rng.shuffle(parts)  # interleaved runs
+        xs = list(parts)
+        if xs and rng.random() < 0.3:
+            xs.insert(rng.randrange(len(xs) + 1), grp.element(lvl, (0,) * k))
+        if any(room):
+            xs.insert(rng.randrange(len(xs) + 1), grp.element(lvl, room))
+        yield tuple(xs)
+
+
+def test_partition_run_boundaries_match_the_per_class_reference(monkeypatch):
+    lifted = []  # the class of each _lowest_floors call, per partition call
+    search = classify_module._lowest_floors
+
+    def recording(grp, level, floors, x, depth):
+        lifted[-1].append(x)
+        return search(grp, level, floors, x, depth)
+
+    def run_wise(d, xs):
+        lifted.append([])
+        with monkeypatch.context() as patch:
+            patch.setattr(classify_module, "_lowest_floors", recording)
+            return _full_outcome(partition_from_classes, d, xs)
+
+    grp = DimGroup(DYADIC)
+    one = grp.element(2, (1,))
+    zero = grp.element(2, (0,))
+    two = grp.element(2, (2,))
+    hand = [
+        (one, one, two),  # the last positive class after a run
+        (one, one, one, one),  # the last positive class inside a run
+        (one, one, zero, one, one),  # a zero class inside a run
+        (one, one, one, one, zero, zero),  # zero classes after the last run
+        (one, two, one),  # interleaved runs
+        (zero, one, one, one, one),
+        (one, one, one, one, one),  # one copy too many
+        (zero, zero),
+    ]
+    for xs in hand:
+        assert run_wise(DYADIC, xs) == _full_outcome(per_class_partition_reference, DYADIC, xs)
+
+    rng = random.Random(32)
+    pool = [DYADIC, FIB, TRI3, stationary_from_rows(((0, 1), (0, 1, 1)))]
+    pool += [random_stationary(rng, max_vertices=3, max_edges=3) for _ in range(4)]
+    pool += [random_explicit(rng, levels=7, max_vertices=3, max_edges=3) for _ in range(3)]
+    refits = 0
+    outcomes = collections.Counter()
+    for d in pool:
+        for xs in _run_lists(rng, d, 25):
+            got = run_wise(d, xs)
+            assert got == _full_outcome(per_class_partition_reference, d, xs), (d, xs)
+            outcomes[type(got[0]).__name__ if isinstance(got, tuple) and got else got] += 1
+            # a class lifted twice without another class between: a copy that
+            # did not fit at its run's level searched a finer one
+            calls = lifted[-1]
+            refits += any(a == b for a, b in zip(calls, calls[1:]))
+    assert refits > 0
+    assert outcomes["ClopenSet"] > 120, outcomes
+
+    # the shape conjugate_at_resolution passes: one class per tower of a
+    # multi-tower system, repeated once per cell of that tower
+    grid = resolution_grid()
+    transported = 0
+    for a, b in itertools.product(grid, repeat=2):
+        for m in (1, 2):
+            if a.num_vertices(m) < 2:
+                continue
+            t = _outcome(build_k0_morphism, a, m, b, 1)
+            if not isinstance(t, K0Morphism):
+                continue
+            columns = [DgElement(t.target_level, col) for col in zip(*t.matrix)]
+            xs = tuple(x for x, h in zip(columns, heights(a, m)) for _ in range(h))
+            got = run_wise(b, xs)
+            assert got == _full_outcome(per_class_partition_reference, b, xs), (a, b, m)
+            transported += isinstance(got, tuple) and isinstance(got[0], ClopenSet)
+    assert transported > 1000, transported
 
 
 def test_conjugator_past_the_cell_cap_replays():

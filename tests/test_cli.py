@@ -3,17 +3,18 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 import cantorconj
-from cantorconj.bratteli import dump_diagram
-from cantorconj.cli import FROBENIUS_TABLE_CAP, run
+from cantorconj.bratteli import OrderedBratteliDiagram, dump_diagram, heights
+from cantorconj.cli import FROBENIUS_TABLE_CAP, _walk_cost, run
 from cantorconj import systems
 
-from conftest import time_ceiling
+from conftest import random_explicit, random_stationary, time_ceiling
 
 
 DYADIC = systems.dyadic()
@@ -375,6 +376,85 @@ def test_vershik_tower_too_tall_to_print_is_capability_error(corpus, capsys):
     assert err == (
         "capability error: orbit enumeration caps at 4096 floors, tower has at least 2^20000\n"
     )
+
+
+ONE = systems.stationary_from_rows(((0, 0, 0),))  # one vertex, three edges per level
+TWO = systems.stationary_from_rows(((0, 1), (0,)))
+OUT_OF_REACH = (
+    "capability error: level %d is out of reach: walking its heights up from the root "
+    "may take more than HEIGHTS_WORK_CAP = 2^30 bit operations\n"
+)
+
+
+@pytest.fixture
+def far(tmp_path):
+    paths = {}
+    for name, d in (("one", ONE), ("two", TWO)):
+        paths[name] = str(tmp_path / (name + ".obd"))
+        dump_diagram(d, paths[name])
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv, level",
+    [
+        (["heights", "one", "1000000"], 1000000),
+        (["heights", "one", str(2 ** 63)], 2 ** 63),
+        (["k0-class", "one", "1000000", "0:1"], 1000000),
+        (["positivity", "one", "1000000", "1"], 1000000),
+        (["conjugator", "one", "one", "1000000"], 1000000),
+        (["vershik", "two", "--level", "1000000"], 1000000),
+    ],
+)
+def test_out_of_reach_level_is_refused_before_any_heights(far, capsys, argv, level):
+    argv = [far.get(a, a) for a in argv]
+    with time_ceiling(1):
+        assert run(argv + ["--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == OUT_OF_REACH % level
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["vershik", "two", "--level", "1000000", "--vertex", "-1"], "vertex -1 out of range"),
+        (["vershik", "two", "--level", "1000000", "--vertex", "2"], "vertex 2 out of range"),
+        (["k0-class", "one", "1000000", "1:1"], "cell (1, 1) does not exist at level 1000000"),
+        (["k0-class", "one", "1000000", "0:0"], "cell (0, 0) does not exist at level 1000000"),
+        (["positivity", "one", "1000000", "1,1"],
+         "vector length 2 does not match 1 towers at level 1000000"),
+    ],
+)
+def test_arguments_needing_no_heights_are_checked_first(far, capsys, argv, message):
+    argv = [far.get(a, a) for a in argv]
+    with time_ceiling(1):
+        assert run(argv + ["--format", "json"]) == 1
+    assert capsys.readouterr().err == "input error: %s\n" % message
+
+
+def test_walk_cost_bounds_the_heights_walk():
+    # the work the walk does, each edge charged 2^12 plus the bits of the
+    # largest height it adds, never passes the bound read off the tables;
+    # an explicit unrolling of a stationary diagram has the same bound
+    rng = random.Random(3)
+    pool = [ONE, TWO, DYADIC, FIB]
+    pool += [random_stationary(rng, max_vertices=3, max_edges=4) for _ in range(6)]
+    pool += [random_explicit(rng, levels=8, max_vertices=3, max_edges=4) for _ in range(6)]
+    for d in pool:
+        top = 30 if d.max_level() is None else d.max_level()
+        work = 0
+        for level in range(top + 1):
+            assert work <= _walk_cost(d, level), (d, level)
+            if d.kind == "stationary":
+                unrolled = OrderedBratteliDiagram(
+                    "explicit",
+                    (1,) + (d.num_vertices(1),) * level,
+                    tuple(d.table(n) for n in range(level)),
+                )
+                assert _walk_cost(unrolled, level) == _walk_cost(d, level), (d, level)
+            if level < top:
+                bits = max(heights(d, level)).bit_length()
+                work += sum(map(len, d.table(level))) * (2 ** 12 + bits)
 
 
 def test_frobenius(capsys):
