@@ -39,7 +39,8 @@ The second half of the module implements the lifting lemmas the deciders
 rest on: realizing a positive class as a clopen subset of a given clopen
 set, splitting the space along a list of classes, and finally assembling
 an approximate conjugacy at a fixed resolution out of a unit-preserving
-morphism, such a splitting of the target and a full-group corrector.
+morphism, the target blocks read straight off its matrix and a
+full-group corrector.
 """
 
 from __future__ import annotations
@@ -47,11 +48,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import groupby, islice
-from operator import ge, gt
+from itertools import count, islice
+from operator import ge
 from typing import Optional
 
 from .bratteli import (
+    CapabilityError,
     DgElement,
     OrderedBratteliDiagram,
     capped_heights,
@@ -63,6 +65,7 @@ from .bratteli import (
     tower_stacks,
 )
 from .check import (
+    MAX_LEVEL,
     ConjugacyReport,
     FullGroupElement,
     IntertwiningLadder,
@@ -520,8 +523,17 @@ def decide_k_conjugacy(
     may visit LADDER_NODE_BUDGET nodes.  Unknown comes with a note that
     names what ran out, the window or the node budget, and the nodes spent;
     a window run out also counts the period pairs the spectral test
-    skipped, over both orders.
+    skipped, over both orders.  A window whose ladders could name a level
+    past check.MAX_LEVEL (max_base + 2 * (max_span - 1)), which
+    verify_ladder rejects, raises CapabilityError before any search: a
+    skipped period pair spends no node, so the budget would not end it.
     """
+    top = max_base + 2 * (max_span - 1)
+    if top > MAX_LEVEL:
+        raise CapabilityError(
+            "a ladder with span <= %d from base levels <= %d may name level %d, "
+            "past MAX_LEVEL = %d" % (max_span, max_base, top, MAX_LEVEL)
+        )
     obstructions = _obstructions(dgA, dgB, prime_cutoff, depth)[0]
     if obstructions:
         return KConjResult("not", obstructions=obstructions)
@@ -645,13 +657,6 @@ def _cells_of(floors) -> tuple:
     return tuple((w, j) for w, row in enumerate(floors) for j in row)
 
 
-def _refined_cells(d, level: int, cells: tuple, fine: int) -> tuple:
-    """The increasing cells of level as the increasing cells of fine."""
-    if fine == level or not cells:
-        return cells
-    return _cells_of(_refine_floors(d, _tower_floors(d, level, cells), level, fine))
-
-
 def lift_class_under(
     d: OrderedBratteliDiagram,
     u: ClopenSet,
@@ -746,63 +751,48 @@ def partition_from_classes(
     empty sets.  The classes must each be positive or zero and sum to the
     order unit.
 
-    The classes are read as runs of consecutive equal classes (a tower's
-    class repeated once per cell, as conjugate_at_resolution passes them),
-    and each run's sign, pushed sum and lift level are found once.  The
-    lifts then skip lift_class_under's checks: a positive class is still
-    positive, and the room left, the unit minus the classes lifted so far,
-    is the sum of the remaining classes and so at least zero.  That room is
-    the running complement's counting vector, read off its floor lists, so
-    the cells chosen are the ones lift_class_under would choose.
+    Each distinct class's sign is decided once, up front.  The lifts then
+    skip lift_class_under's checks: a positive class is still positive, and
+    the room left, the unit minus the classes lifted so far, is the sum of
+    the remaining classes and so at least zero.  That room is the running
+    complement's counting vector, read off its floor lists, so the cells
+    chosen are the ones lift_class_under would choose.
 
     The complement is one increasing deque of floors per tower: each lift
-    takes a prefix of every deque and leaves the suffix.  Within a run the
-    first copy finds its lift level and representative rep there; each
-    later copy starts its search at that level with the same rep, so while
-    every deque still holds rep's count it takes the next floors of each
-    tower directly, and only a copy that does not fit searches on, to a
-    finer level whose refinement covers only what is left.  Every set is
-    refined once more, to the last lift level, at the end.  So the work
-    grows with the runs and the cells of the levels reached, not with their
-    product with the number of classes; CELL_CAP binds on the levels
-    reached.
+    takes a prefix of every deque and leaves the suffix, and a lift that
+    needs a finer level refines only what is left.  Every set is refined
+    once more, to the last lift level, at the end.  So the work grows with
+    the cells of the levels reached, not with their product with the
+    number of classes; CELL_CAP binds on the levels reached.
     """
     grp = DimGroup(d)
-    runs = [(x, len(tuple(copies))) for x, copies in groupby(xs)]
-    if not runs:
+    xs = tuple(xs)
+    if not xs:
         raise ValueError("need at least one class")
-    verdicts = _class_signs(grp, [x for x, _ in runs], depth)
-    level = max(max(x.level for x, _ in runs), 1)
-    total = DgElement(level, tuple(map(sum, zip(*(
-        [n * c for c in grp.push(x, level).vector] for x, n in runs
-    )))))
+    verdicts = _class_signs(grp, xs, depth)
+    level = max(max(x.level for x in xs), 1)
+    total = DgElement(level, tuple(map(sum, zip(*(grp.push(x, level).vector for x in xs)))))
     if grp.equal(total, grp.unit(level), depth).value is not True:
         raise ValueError("classes must sum to the order unit")
     last_positive = max(i for i, v in enumerate(verdicts) if v == POSITIVE)
     running = [deque(range(1, h + 1)) for h in capped_heights(d, level)]
-    out = []  # (lift level, increasing cells there) per class
-    for i, ((x, n), v) in enumerate(zip(runs, verdicts)):
+    out = []  # (lift level, floors there) per class
+    for i, (x, v) in enumerate(zip(xs, verdicts)):
         if v == ZERO:
-            out += [(level, ())] * n
-            continue
-        rep = None
-        for _ in range(n - (i == last_positive)):
-            if rep is None or any(map(gt, rep, map(len, running))):
-                level, taken, running = _lowest_floors(grp, level, running, x, depth)
-                rep = tuple(map(len, taken))
-                out.append((level, _cells_of(taken)))
-            else:
-                out.append((level, tuple([
-                    (w, row.popleft()) for w, (row, r) in enumerate(zip(running, rep))
-                    for _ in range(r)
-                ])))
-        if i == last_positive:
+            out.append((level, ()))
+        elif i == last_positive:
             left = DgElement(level, tuple(map(len, running)))
             assert grp.equal(left, x).value
-            out.append((level, _cells_of(running)))
+            out.append((level, running))
             running = [deque() for _ in running]
+        else:
+            level, taken, running = _lowest_floors(grp, level, running, x, depth)
+            out.append((level, taken))
     final = max(lvl for lvl, _ in out)
-    return tuple(ClopenSet(final, _refined_cells(d, lvl, cs, final)) for lvl, cs in out)
+    return tuple(
+        ClopenSet(final, _cells_of(_refine_floors(d, floors, lvl, final)) if floors else ())
+        for lvl, floors in out
+    )
 
 
 @dataclass(frozen=True)
@@ -852,16 +842,21 @@ def conjugate_at_resolution(
     and correct the second transformation to agree with the first on it.
 
     Pipeline, each stage failing with its own label: a unit-preserving
-    morphism (divisor obstructions surface here); a partition matching
-    realizing the transported classes as clopen sets of dB; the successor
-    map on level-m cells pushed through the matching, with roofs paired to
-    bases of equal class; and a full-group corrector synthesized and
-    verified on the transported data.
+    morphism (divisor obstructions surface here); a partition of dB into
+    blocks carrying the transported classes; the successor map on level-m
+    cells pushed through the matching, with roofs paired to bases of equal
+    class; and a full-group corrector synthesized and verified on the
+    transported data.
 
     Only dB's side is realized as clopen sets: dA's blocks are its level-m
     cells (sigma.source_level is m), which splitting dA along their classes
-    would give back.  A zero cell class, or one of undecided sign (only a
-    non-primitive dA has either), fails the partition stage.
+    would give back.  dB's blocks are read off the morphism's matrix: it is
+    nonnegative, and column w, taken once per cell of tower w, sums to dB's
+    heights at the target level, so copy j of column w takes the next
+    column-w count of floors of each target tower there.  Those are the
+    lowest floors of the running complement, the sets partition_from_classes
+    would lift at that level.  A zero cell class, or one of undecided sign
+    (only a non-primitive system has either), fails the partition stage.
     """
     try:
         t = build_k0_morphism(dA, m, dB, 1, depth)
@@ -874,20 +869,22 @@ def conjugate_at_resolution(
     # cell of tower w, and its bottom cell's class is the unit vector e_w
     classes = [DgElement(t.target_level, col) for col in zip(*t.matrix)]
     bottoms = [DgElement(m, tuple(int(v == w) for v in range(len(hA)))) for w in range(len(hA))]
+    grpb = DimGroup(dB)
     try:
-        signs = _class_signs(DimGroup(dA), bottoms, depth)
-        target = partition_from_classes(
-            dB, [x for x, h in zip(classes, hA) for _ in range(h)], depth
-        )
+        signs = _class_signs(DimGroup(dA), bottoms, depth) + _class_signs(grpb, classes, depth)
+        capped_heights(dB, t.target_level)  # CELL_CAP binds on the cells the blocks name
     except (ValueError, SearchExhausted) as e:
         raise StageError("partition", message=str(e))
-    if ZERO in signs or not all(b.cells for b in target):
+    if ZERO in signs:
         raise StageError("partition", message="a cell transported to the zero class")
-    sigma = PartitionHomeomorphism(m, target[0].level)
-    blocks = tuple(b.cells for b in target)
+    sigma = PartitionHomeomorphism(m, t.target_level)
+    floors = [count(1) for _ in t.matrix]  # the next free floor of each tower of dB
+    blocks = tuple(
+        tuple((v, next(floors[v])) for v, n in enumerate(x.vector) for _ in range(n))
+        for x, h in zip(classes, hA) for _ in range(h)
+    )
     # the successor moves each cell one floor up its tower; a roof goes to
     # the first free base whose tower has the roof's class
-    grpb = DimGroup(dB)
     free = list(range(len(hA)))
     base = 0
     image_blocks = []

@@ -34,7 +34,6 @@ from .bratteli import (
     heights,
     load_diagram,
     min_path,
-    path_rank,
     validate,
     vershik_successor,
 )
@@ -221,6 +220,17 @@ def _check_reach(d, level):
         )
 
 
+def _check_depth(args, level, *diagrams):
+    """Refuse a --depth whose scan from level, to d.scan_end(level, depth),
+    is out of reach (_check_reach) on some input, before any heights are
+    read; a negative depth scans nothing."""
+    for d in diagrams:
+        try:
+            _check_reach(d, d.scan_end(level, max(args.depth, 0)))
+        except CapabilityError as e:
+            raise CapabilityError("--depth %d reaches too far: %s" % (args.depth, e)) from None
+
+
 def _cmd_validate(args):
     try:
         d = load_diagram(args.diagram)
@@ -260,6 +270,7 @@ def _cmd_positivity(args):
     grp = DimGroup(d)
     e = grp.element(args.level, _vector(args.vector))
     _check_reach(d, args.level)
+    _check_depth(args, args.level, d)
     res = grp.is_positive(e, args.depth)
     return {
         "element": _element_json(e),
@@ -270,12 +281,14 @@ def _cmd_positivity(args):
 
 def _cmd_spectrum(args):
     d = load_diagram(args.diagram)
+    _check_depth(args, 1, d)
     trunc = periodic_spectrum(d, args.primes, depth=args.depth)
     return {"spectrum": trunc.to_json()}
 
 
 def _cmd_weak(args):
     a, b = load_diagram(args.a), load_diagram(args.b)
+    _check_depth(args, 1, a, b)
     res = decide_weak(a, b, prime_cutoff=args.primes, depth=args.depth)
     out = {"verdict": res.verdict, "witness": res.witness}
     if res.verdict == "weak":
@@ -286,6 +299,7 @@ def _cmd_weak(args):
 
 def _cmd_tau(args):
     a, b = load_diagram(args.a), load_diagram(args.b)
+    _check_depth(args, 1, a, b)
     res = decide_tau(a, b, prime_cutoff=args.primes, depth=args.depth)
     out = {
         "verdict": res.verdict,
@@ -298,6 +312,7 @@ def _cmd_tau(args):
 
 def _cmd_kconj(args):
     a, b = load_diagram(args.a), load_diagram(args.b)
+    _check_depth(args, 1, a, b)
     res = decide_k_conjugacy(
         a,
         b,
@@ -320,6 +335,7 @@ def _cmd_kconj(args):
 def _cmd_conjugator(args):
     a, b = load_diagram(args.a), load_diagram(args.b)
     _check_reach(a, args.level)
+    _check_depth(args, args.level, a, b)
     try:
         bundle = conjugate_at_resolution(a, b, args.level, args.depth)
     except StageError as e:
@@ -373,10 +389,8 @@ def _cmd_vershik(args):
     path = min_path(d, args.vertex, args.level)
     orbit = []
     for _ in range(limit):
-        entry = {
-            "floor": path_rank(d, path) + 1,
-            "path": [list(edge) for edge in path],
-        }
+        # the successor moves one floor up the tower, so step i is floor i + 1
+        entry = {"floor": len(orbit) + 1, "path": [list(edge) for edge in path]}
         nxt = vershik_successor(d, path)
         if nxt is MAX_PATH:
             entry["successor"] = "max"

@@ -12,7 +12,7 @@ import pytest
 import cantorconj
 from cantorconj.bratteli import OrderedBratteliDiagram, dump_diagram, heights
 from cantorconj.cli import FROBENIUS_TABLE_CAP, _walk_cost, run
-from cantorconj import systems
+from cantorconj import cli, systems
 
 from conftest import random_explicit, random_stationary, time_ceiling
 
@@ -430,6 +430,94 @@ def test_arguments_needing_no_heights_are_checked_first(far, capsys, argv, messa
     with time_ceiling(1):
         assert run(argv + ["--format", "json"]) == 1
     assert capsys.readouterr().err == "input error: %s\n" % message
+
+
+ID2 = systems.stationary_from_rows(((0,), (1,)))  # reducible: (1, -1) never turns one-signed
+FIB23 = systems.stationary_from_rows(((0, 1), (0,)), root=((0, 0), (0, 0, 0)))
+TRI = systems.stationary_from_rows(((0,), (0, 1)))  # tower 0 stays at height 1
+P40_A = systems.stationary_from_rows(((0, 1, 2), (0, 0, 1), (0, 1)))
+P40_B = systems.stationary_from_rows(((0, 1, 1, 2), (1, 1, 2, 2), (0, 2, 2)))
+
+
+@pytest.fixture
+def deep(tmp_path):
+    paths = {}
+    for name, d in (
+        ("id2", ID2), ("fib23", FIB23), ("tri", TRI), ("dyadic", DYADIC),
+        ("pa", P40_A), ("pb", P40_B),
+    ):
+        paths[name] = str(tmp_path / (name + ".obd"))
+        dump_diagram(d, paths[name])
+    return paths
+
+
+BIG = str(2 ** 63)
+DEPTH_OUT_OF_REACH = (
+    "capability error: --depth %s reaches too far: " % BIG
+    + (OUT_OF_REACH % (2 ** 63 + 1))[len("capability error: "):]
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["positivity", "id2", "1", "1,-1", "--depth", BIG],
+        ["weak", "fib23", "tri", "--depth", BIG],
+        ["conjugator", "fib23", "tri", "1", "--depth", BIG],
+        ["weak", "dyadic", "dyadic", "--depth", BIG],
+        ["tau", "dyadic", "dyadic", "--depth", BIG],
+        ["kconj", "dyadic", "dyadic", "--depth", BIG],
+        ["spectrum", "dyadic", "--depth", BIG],
+    ],
+)
+def test_out_of_reach_depth_is_refused_before_any_heights(deep, capsys, argv):
+    argv = [deep.get(a, a) for a in argv]
+    with time_ceiling(1):
+        assert run(argv + ["--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == DEPTH_OUT_OF_REACH
+
+
+def test_depth_past_an_explicit_diagram_scans_to_its_end(tmp_path, capsys):
+    # scan_end stops at the last level, so a huge depth costs nothing there
+    p = tmp_path / "explicit.obd"
+    dump_diagram(random_explicit(random.Random(5), levels=4), str(p))
+    rc, rep = run_json(capsys, ["weak", str(p), str(p), "--depth", BIG])
+    assert rc == 0 and rep["bounds"]["depth"] == 2 ** 63
+
+
+@pytest.mark.parametrize(
+    "window, top",
+    [
+        (["--span", "3000"], 6001),
+        (["--span", "512"], 1025),
+        (["--base", BIG], 2 ** 63 + 22),
+    ],
+)
+def test_kconj_window_past_max_level_is_refused(deep, capsys, window, top):
+    span, base = (window[1], "3") if window[0] == "--span" else ("12", window[1])
+    with time_ceiling(1):
+        assert run(["kconj", deep["pa"], deep["pb"], *window, "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "capability error: a ladder with span <= %s from base levels <= %s may name "
+        "level %d, past MAX_LEVEL = 1024\n" % (span, base, top)
+    )
+
+
+def test_deep_vershik_keeps_few_heights_levels(tmp_path, capsys, monkeypatch):
+    # each floor is the walk's step count, so no level of the path is read
+    # through heights; only the root and the tower's own level are kept
+    loaded = []
+    load = cli.load_diagram
+    monkeypatch.setattr(cli, "load_diagram", lambda path: loaded.append(load(path)) or loaded[-1])
+    p = tmp_path / "flat.obd"
+    dump_diagram(systems.stationary_from_rows(((0,),)), str(p))
+    rc, rep = run_json(capsys, ["vershik", str(p), "--level", "5000"])
+    assert rc == 0 and rep["height"] == 1
+    assert [step["floor"] for step in rep["orbit"]] == [1]
+    assert len(rep["orbit"][0]["path"]) == 5000
+    assert loaded[0]._memo["heights"].levels == [0, 5000]
 
 
 def test_walk_cost_bounds_the_heights_walk():

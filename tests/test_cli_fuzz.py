@@ -1,11 +1,12 @@
 """Fuzz gate over cli.run: whatever the arguments, a call ends within a
 wall-time bound with exit code 0, 1 or 2 and no exception escaping.
 
-Hypothesis draws a subcommand, obd-v1 files (named and seeded stationary
-and explicit diagrams, some with one JSON leaf replaced), integer
-arguments (negative, zero, small and 2^63) and, for verify, emitted
-certificates with one leaf replaced.  The examples are derandomized, so
-every run draws the same calls.
+Hypothesis draws a subcommand, obd-v1 files (named, reducible and seeded
+stationary and explicit diagrams, some with one JSON leaf replaced),
+integer arguments and search bounds (--depth, --span, --base: negative,
+zero, small, 10^6 and 2^63) and, for verify, emitted certificates with
+one leaf replaced.  The examples are derandomized, so every run draws
+the same calls.
 """
 
 import contextlib
@@ -40,8 +41,8 @@ CALL_SECONDS = 5
 
 BIG = 2 ** 63
 INTS = st.sampled_from((-1, 0, 1, 2, 3, BIG)) | st.integers(-2, 12)
-# the search bounds stay small: the level class is what this gate covers
-BOUNDS = st.sampled_from((-1, 0, 1, 4))
+# search bounds: small ones, and ones past every reach the CLI allows
+BOUNDS = st.sampled_from((-1, 0, 1, 4, 10 ** 6, BIG))
 # what a mutated JSON leaf becomes
 LEAVES = st.sampled_from((-1, 0, 1, BIG, 1.5, "x", None, True, [], {}))
 
@@ -49,6 +50,9 @@ LEAVES = st.sampled_from((-1, 0, 1, BIG, 1.5, "x", None, True, [], {}))
 def _diagrams():
     rng = random.Random(11)
     out = [systems.dyadic(), systems.fibonacci(), systems.quaternary()]
+    # reducible: a vector of mixed signs stays mixed on the first, and the
+    # second's first tower stays at height 1, so their scans run to the end
+    out += [systems.stationary_from_rows(rows) for rows in (((0,), (1,)), ((0,), (0, 1)))]
     out += [random_stationary(rng, max_vertices=2, max_edges=2) for _ in range(3)]
     out += [random_explicit(rng, levels=3) for _ in range(2)]
     return out

@@ -603,6 +603,18 @@ def test_synthesis_on_swapped_singletons():
     assert rep6.verdict == "ok" and rep6.level == 6
 
 
+def test_synthesis_on_blocks_equal_only_in_k0():
+    # the two singletons have counting vectors (1, 0) and (0, 1) at level 1,
+    # which the all-ones incidence carries to the same vector at level 2
+    d = stationary_from_rows(((0, 1), (0, 1)))
+    blocks = (((0, 1),), ((1, 1),))
+    images = (((1, 1),), ((0, 1),))
+    elem = conjugator_from_partition(d, 1, blocks, images)
+    assert elem.level == 2
+    rep = verify_conjugator(elem, blocks, images, 1)
+    assert rep.verdict == "ok"
+
+
 def test_synthesis_rejects_class_mismatch():
     blocks = (((0, 1),), ((0, 2), (0, 3), (0, 4)))
     images = (((0, 2), (0, 3), (0, 4)), ((0, 1),))

@@ -403,6 +403,15 @@ def test_spectrum_entries_sorted_and_serializable():
     json.dumps(blob)  # must be plain data
 
 
+def test_spectrum_serializes_a_finite_valuation():
+    # two root edges into each vertex: the unit is 2 * (1, 1) and 2 divides
+    # it exactly once at every level, since the incidence has determinant -1
+    d = stationary_from_rows(((0, 1), (0,)), root=((0, 0), (0, 0)))
+    blob = periodic_spectrum(d).to_json()
+    assert blob["entries"] == [{"p": 2, "v": 1}]
+    json.dumps(blob)
+
+
 def _primitive_pool():
     # seeded primitive 2x2 and 3x3 systems, plus the twelve-root-edge doubling
     rng = random.Random(20)

@@ -14,6 +14,7 @@ import functools
 import hashlib
 import itertools
 import json
+import pathlib
 import random
 
 from cantorconj.classify import (
@@ -25,7 +26,7 @@ from cantorconj.classify import (
 )
 from cantorconj.systems import NAMED, odometer, stationary_from_rows
 
-from conftest import _is_primitive, rows_of, time_ceiling
+from conftest import _is_primitive, hierarchy_pool, rows_of, time_ceiling
 
 POSITIVE = ("weak", "tau", "k-conjugate")
 DECIDERS = (decide_weak, decide_tau, decide_k_conjugacy)
@@ -120,6 +121,39 @@ def telescoping_pairs():
         out += [(odometer(q), odometer(q * q)), (odometer(q * q), odometer(q))]
         out.append((odometer(q), odometer(q ** 3)))
     return out
+
+
+def u22_rows():
+    """The U22 rows: every primitive 2x2 incidence with entries 0..3 and
+    determinant +-1, in itertools.product order."""
+    return tuple(
+        rows_of((m[:2], m[2:]))
+        for m in itertools.product(range(4), repeat=4)
+        if abs(m[0] * m[3] - m[1] * m[2]) == 1 and _is_primitive(rows_of((m[:2], m[2:])), 2)
+    )
+
+
+def test_verdict_ledger():
+    # the (weak, tau, kconj) histogram of each pool, at the deciders'
+    # default bounds and ladder window (each call under verdicts' ceiling),
+    # equals tests/verdict_ledger.json: a change that moves a count edits
+    # the ledger in the same change
+    p40 = [stationary_from_rows(r) for r in p40_rows()]
+    u22 = [stationary_from_rows(r) for r in u22_rows()]
+    assert len(u22) == 22
+    hierarchy = hierarchy_pool()
+    pools = {
+        "P40'": itertools.combinations(p40, 2),
+        "U22": itertools.combinations(u22, 2),
+        "hierarchy pool": itertools.product(hierarchy, repeat=2),
+        "telescoping pairs": telescoping_pairs(),
+    }
+    got = {
+        name: dict(collections.Counter(",".join(verdicts(a, b)) for a, b in pairs))
+        for name, pairs in pools.items()
+    }
+    path = pathlib.Path(__file__).with_name("verdict_ledger.json")
+    assert got == json.loads(path.read_text())
 
 
 def test_weak_and_ladder_certificates_are_pinned():
