@@ -43,7 +43,6 @@ from .fieldpoly import _mat_apply, _mat_mul, factor_integer
 from .invariants import (
     DEFAULT_DEPTH,
     DividesUnitResult,
-    _edge_step,
     _first_zero,
     _walk_bound,
     divides_unit,
@@ -233,7 +232,7 @@ def check_divides_certificate(dg: OrderedBratteliDiagram, n: int, result: Divide
         return False
     if level != 1 + _walk_bound(dg.num_vertices(1), n):
         return False
-    return _first_zero(_edge_step(dg), heights(dg, 1), n) is None
+    return _first_zero(incidence(dg, 1), heights(dg, 1), n) is None
 
 
 def check_infinity_certificate(dg: OrderedBratteliDiagram, p: int, cert: dict) -> bool:

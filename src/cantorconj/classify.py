@@ -37,19 +37,19 @@ the search boundary is part of the contract.
 
 The second half of the module implements the lifting lemmas the deciders
 rest on: realizing a positive class as a clopen subset of a given clopen
-set, splitting the space along a list of classes, and finally assembling
-an approximate conjugacy at a fixed resolution out of a unit-preserving
-morphism, the target blocks read straight off its matrix and a
-full-group corrector.
+set, and splitting the space along a list of classes.  A clopen set is a
+ClopenSet, a sorted tuple of cells at one level, and it is carried to a
+finer level through bratteli.tower_map.  Last comes an approximate
+conjugacy at a fixed resolution, assembled from a unit-preserving
+morphism, the target blocks read straight off its matrix and a full-group
+corrector.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from itertools import count, islice
-from operator import ge
+from itertools import count
 from typing import Optional
 
 from .bratteli import (
@@ -57,12 +57,13 @@ from .bratteli import (
     DgElement,
     OrderedBratteliDiagram,
     capped_heights,
+    cells,
     class_of_clopen,
     composed_incidence,
     derived,
     heights,
     incidence,
-    tower_stacks,
+    tower_map,
 )
 from .check import (
     MAX_LEVEL,
@@ -607,54 +608,24 @@ def decide_tau(
 @dataclass(frozen=True)
 class ClopenSet:
     """A union of tower cells at a fixed level; an empty union is allowed.
-
-    cells is kept strictly increasing: a tuple that already is (as the
-    floor lists of this module and single cells always give) is kept as
-    it is, anything else is sorted and stripped of repeats.
-    """
+    cells is kept sorted and free of repeats."""
 
     level: int
     cells: tuple
 
     def __post_init__(self):
-        cs = self.cells
-        if type(cs) is not tuple or any(map(ge, cs, islice(cs, 1, None))):
-            object.__setattr__(self, "cells", tuple(sorted(set(cs))))
+        object.__setattr__(self, "cells", tuple(sorted(set(self.cells))))
 
 
-def _tower_floors(d, level: int, cells) -> list:
-    """The floors of increasing cells of level, one increasing deque per
-    tower there."""
-    floors = [deque() for _ in range(d.num_vertices(level))]
-    for w, j in cells:
-        floors[w].append(j)
-    return floors
-
-
-def _refine_floors(d, floors, level: int, fine: int) -> list:
-    """The same set at a finer level, one increasing deque per fine tower.
-
-    A fine tower stacks whole level towers (bratteli.tower_stacks), so its
-    floors in the set are those of each copy shifted by the floors below
-    the copy; the work grows with the floors kept, not with the level.
-    """
-    if fine == level:
-        return floors
-    h = heights(d, level)
-    out = []
-    for stack in tower_stacks(d, level, fine):
-        row = deque()
-        below = 0
-        for u in stack:
-            row.extend(below + j for j in floors[u])
-            below += h[u]
-        out.append(row)
-    return out
-
-
-def _cells_of(floors) -> tuple:
-    """The cells of one row of floors per tower, in increasing order."""
-    return tuple((w, j) for w, row in enumerate(floors) for j in row)
+def _refine(d, u: ClopenSet, fine: int) -> ClopenSet:
+    """u as a union of cells of the level fine >= u.level: the cells that
+    tower_map sends into u.  CELL_CAP binds on fine when it is finer."""
+    if fine == u.level:
+        return u
+    members = set(u.cells)
+    return ClopenSet(
+        fine, tuple(c for c, coarse in tower_map(d, u.level, fine).items() if coarse in members)
+    )
 
 
 def lift_class_under(
@@ -663,12 +634,13 @@ def lift_class_under(
     x: DgElement,
     depth: int = DEFAULT_DEPTH,
 ) -> ClopenSet:
-    """A clopen subset of u whose class is exactly x.
+    """A clopen subset of u whose class is exactly x (the lifting lemma).
 
-    Pushes until x has a representative wedged coordinatewise between zero
-    and u's counting vector, then takes the lowest floors of u in each
-    tower.  Requires x positive (or zero: the empty set) and u - x at least
-    zero; violations raise, undecidable positivity raises SearchExhausted.
+    x must be positive, or zero (the empty set), and fit under u: u's class
+    minus x at least zero.  The signs are decided in that order, a wrong one
+    raising ValueError and an undecided one SearchExhausted.  The set is
+    the lowest floors of u in each tower at the first level where x has a
+    representative between zero and u's counting vector (_lowest_floors).
     """
     grp = DimGroup(d)
     cls_u = class_of_clopen(d, u.level, u.cells)
@@ -684,41 +656,39 @@ def lift_class_under(
         raise ValueError("class exceeds the set it must fit under")
     if rem.verdict == UNKNOWN:
         raise SearchExhausted(depth, "room under the given set")
-    lvl, taken, _ = _lowest_floors(grp, u.level, _tower_floors(d, u.level, u.cells), x, depth)
-    return ClopenSet(lvl, _cells_of(taken))
+    return _lowest_floors(grp, u, cls_u.vector, x, depth)[0]
 
 
-def _lowest_floors(grp, level: int, floors, x: DgElement, depth) -> tuple:
+def _lowest_floors(grp, u: ClopenSet, room, x: DgElement, depth) -> tuple:
     """The floor-picking routine of lift_class_under and
     partition_from_classes, with no sign checks.
 
-    floors holds a set u at level as one increasing deque per tower, so
-    their lengths are u's counting vector there, and pushed further they
-    are u's counting vector at each finer level.  The first level lvl from
-    max(level, x.level) on where x's representative rep lies between zero
-    and that vector is the lift level; both vectors move up one incidence
-    matrix per level.  Returns lvl, the lowest rep[w] floors of u in each
-    tower w at lvl, and u's remaining floors there, taken off the front of
-    the deques: the complement is what is left, so nothing is rebuilt.
-    CELL_CAP binds on a lift level past level, whose cells the lifts
-    enumerate (the caller's set at level is within it already).
+    room is u's counting vector at u.level.  The lift level lvl is the
+    first level from max(u.level, x.level) on where x's representative rep
+    lies between zero and room; both move up one incidence matrix per
+    level.  Returns (taken, rest) at lvl: the lowest rep[w] floors of u in
+    each tower w there, and the rest of u.  u is refined through tower_map,
+    so CELL_CAP binds on a lift level past u.level, whose cells are read.
     """
     d = grp.diagram
-    base = max(level, x.level)
+    base = max(u.level, x.level)
     rep = grp.push(x, base).vector
-    room = tuple(map(len, floors))
-    for n in range(level, base):
+    for n in range(u.level, base):
         room = _mat_apply(incidence(d, n), room)
     for lvl in range(base, d.scan_end(base, depth) + 1):
         if lvl > base:
             a = incidence(d, lvl - 1)
             rep, room = _mat_apply(a, rep), _mat_apply(a, room)
         if all(0 <= r <= c for r, c in zip(rep, room)):
-            if lvl > level:
-                capped_heights(d, lvl)
-            floors = _refine_floors(d, floors, level, lvl)
-            taken = [[row.popleft() for _ in range(r)] for row, r in zip(floors, rep)]
-            return lvl, taken, floors
+            need = list(rep)
+            taken, rest = [], []
+            for w, j in _refine(d, u, lvl).cells:
+                if need[w]:
+                    need[w] -= 1
+                    taken.append((w, j))
+                else:
+                    rest.append((w, j))
+            return ClopenSet(lvl, tuple(taken)), ClopenSet(lvl, tuple(rest))
     raise SearchExhausted(depth, "level with a coordinatewise representative")
 
 
@@ -751,19 +721,13 @@ def partition_from_classes(
     empty sets.  The classes must each be positive or zero and sum to the
     order unit.
 
-    Each distinct class's sign is decided once, up front.  The lifts then
-    skip lift_class_under's checks: a positive class is still positive, and
-    the room left, the unit minus the classes lifted so far, is the sum of
-    the remaining classes and so at least zero.  That room is the running
-    complement's counting vector, read off its floor lists, so the cells
-    chosen are the ones lift_class_under would choose.
-
-    The complement is one increasing deque of floors per tower: each lift
-    takes a prefix of every deque and leaves the suffix, and a lift that
-    needs a finer level refines only what is left.  Every set is refined
-    once more, to the last lift level, at the end.  So the work grows with
-    the cells of the levels reached, not with their product with the
-    number of classes; CELL_CAP binds on the levels reached.
+    Each distinct class's sign is decided once, up front, and then the sum;
+    the lifts skip lift_class_under's checks, since a positive class is
+    still positive and the room left is the sum of the classes not yet
+    lifted.  So each lift takes the cells lift_class_under would take under
+    the running complement, which starts as every cell of the first level
+    (CELL_CAP binds there) and is refined to each lift level.  Every set is
+    refined to the last lift level at the end.
     """
     grp = DimGroup(d)
     xs = tuple(xs)
@@ -775,24 +739,22 @@ def partition_from_classes(
     if grp.equal(total, grp.unit(level), depth).value is not True:
         raise ValueError("classes must sum to the order unit")
     last_positive = max(i for i, v in enumerate(verdicts) if v == POSITIVE)
-    running = [deque(range(1, h + 1)) for h in capped_heights(d, level)]
-    out = []  # (lift level, floors there) per class
+    running = ClopenSet(level, tuple(cells(d, level)))
+    out = []
     for i, (x, v) in enumerate(zip(xs, verdicts)):
         if v == ZERO:
-            out.append((level, ()))
-        elif i == last_positive:
-            left = DgElement(level, tuple(map(len, running)))
-            assert grp.equal(left, x).value
-            out.append((level, running))
-            running = [deque() for _ in running]
+            out.append(ClopenSet(running.level, ()))
+            continue
+        room = class_of_clopen(d, running.level, running.cells)
+        if i == last_positive:
+            assert grp.equal(room, x).value
+            out.append(running)
+            running = ClopenSet(running.level, ())
         else:
-            level, taken, running = _lowest_floors(grp, level, running, x, depth)
-            out.append((level, taken))
-    final = max(lvl for lvl, _ in out)
-    return tuple(
-        ClopenSet(final, _cells_of(_refine_floors(d, floors, lvl, final)) if floors else ())
-        for lvl, floors in out
-    )
+            taken, running = _lowest_floors(grp, running, room.vector, x, depth)
+            out.append(taken)
+    final = max(s.level for s in out)
+    return tuple(_refine(d, s, final) for s in out)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ the numerator is an integer dot product and nothing is divided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
 from .bratteli import (
     DEFAULT_DEPTH,
@@ -348,7 +348,3 @@ class DimGroup:
         scale = self.trace_weights[0]
         denom = (field.generator() ** (rep.level - 1)) * data.normalizer * scale
         return FieldElement(field, self._trace_numerator(rep)) / denom
-
-    def gcd_chain(self, up_to: int) -> list[int]:
-        """gcd of the height entries at levels 1..up_to (a divisibility chain)."""
-        return [gcd(*heights(self.diagram, m)) for m in range(1, up_to + 1)]

@@ -98,7 +98,7 @@ def divides_unit(dg: OrderedBratteliDiagram, n: int, depth: int = DEFAULT_DEPTH)
     if n == 1:
         return DividesUnitResult("yes", 0, None, depth)
     if dg.kind == "stationary":
-        j = _first_zero(_edge_step(dg), heights(dg, 1), n)
+        j = _first_zero(incidence(dg, 1), heights(dg, 1), n)
         if j is not None:
             return DividesUnitResult("yes", 1 + j, None, depth)
         cert = {"modulus": n, "level": 1 + _walk_bound(dg.num_vertices(1), n)}
@@ -115,12 +115,12 @@ def _walk_bound(k, n):
     return k * (n.bit_length() - 1)
 
 
-def _first_zero(step, vec, n):
-    """Least j <= J = k*floor(log2 n) with step^j(vec) = 0 mod n, or None.
+def _first_zero(mat, vec, n):
+    """Least j <= J = k*floor(log2 n) with mat^j vec = 0 mod n, or None.
 
-    step is an integer linear map on Z^k, k = len(vec).  The kernels K_j of
-    step^j on (Z/n)^k increase with j, and once K_j = K_(j+1) they stay
-    equal (step maps K_(j+2) into K_(j+1) = K_j).  A strict chain of
+    mat is a k x k integer matrix, k = len(vec).  The kernels K_j of
+    mat^j on (Z/n)^k increase with j, and once K_j = K_(j+1) they stay
+    equal (mat maps K_(j+2) into K_(j+1) = K_j).  A strict chain of
     submodules of (Z/n)^k has at most k*Omega(n) <= J steps (Omega counts
     prime factors with multiplicity), so K_J holds every K_j; zero stays
     zero, so the first zero of this walk is the least j there is.
@@ -128,15 +128,9 @@ def _first_zero(step, vec, n):
     state = [x % n for x in vec]
     j, bound = 0, _walk_bound(len(vec), n)
     while any(state) and j < bound:
-        state = [x % n for x in step(state)]
+        state = [x % n for x in _mat_apply(mat, state)]
         j += 1
     return None if any(state) else j
-
-
-def _edge_step(dg):
-    """One level of a stationary diagram: each vertex sums its sources."""
-    table = dg.table(1)
-    return lambda state: [sum(state[s] for s in row) for row in table]
 
 
 def _minimal_annihilator(mat, vec):
@@ -510,9 +504,7 @@ def _eventually_integral(coeffs, tmat):
     so _first_zero decides it by a walk of at most k*floor(log2 den) steps.
     """
     den = lcm(*(c.denominator for c in coeffs))
-    cols = list(zip(*tmat))
-    step = lambda state: [sum(a * b for a, b in zip(state, col)) for col in cols]
-    return _first_zero(step, [int(c * den) for c in coeffs], den)
+    return _first_zero(tuple(zip(*tmat)), [int(c * den) for c in coeffs], den)
 
 
 def trace_image_group(dg: OrderedBratteliDiagram) -> TraceImageGroup:

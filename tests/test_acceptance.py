@@ -55,7 +55,7 @@ from cantorconj.fullgroup import (
 )
 from cantorconj.invariants import divides_unit
 
-from conftest import hierarchy_pool, time_ceiling
+from conftest import hierarchy_pool, oracle_heights, time_ceiling
 
 DYADIC = systems.dyadic()
 TRIADIC = systems.triadic()
@@ -469,7 +469,7 @@ def test_criterion_06_order_structure_oracle():
 def test_criterion_07_divisor_set_oracle():
     answers = certificates = 0
     for d in EXAMPLES:
-        chain = DimGroup(d).gcd_chain(30)
+        chain = [math.gcd(*oracle_heights(d, m)) for m in range(1, 31)]
         for n in range(1, 65):
             res = divides_unit(d, n)
             oracle = n == 1 or any(g % n == 0 for g in chain)

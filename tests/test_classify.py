@@ -23,8 +23,10 @@ from cantorconj.bratteli import (
     cells,
     class_of_clopen,
     heights,
+    incidence,
     serialize_diagram,
     tower_map,
+    tower_stacks,
 )
 from cantorconj.classify import (
     ClopenSet,
@@ -35,8 +37,6 @@ from cantorconj.classify import (
     SearchExhausted,
     StageError,
     _class_signs,
-    _lowest_floors,
-    _refine_floors,
     build_k0_morphism,
     conjugate_at_resolution,
     conjugator_certificate,
@@ -685,6 +685,20 @@ def test_partition_homeo_degenerate():
     assert target[1].cells == ()
 
 
+def test_lifts_bind_cell_cap_on_the_levels_they_refine_to():
+    # level 12 of the dyadic odometer has CELL_CAP = 4096 cells, level 13
+    # twice that: a lift reads the cells of a level only when it refines to it
+    d = odometer(2)
+    q = lift_class_under(d, ClopenSet(13, ((0, 5), (0, 9))), DgElement(13, (1,)))
+    assert q == ClopenSet(13, ((0, 5),))
+    q = lift_class_under(d, ClopenSet(11, ((0, 5),)), DgElement(12, (1,)))
+    assert q == ClopenSet(12, ((0, 5),))
+    with pytest.raises(CapabilityError, match="level 13 has more than CELL_CAP"):
+        lift_class_under(d, ClopenSet(12, ((0, 5),)), DgElement(13, (1,)))
+    with pytest.raises(CapabilityError, match="level 13 has more than CELL_CAP"):
+        partition_from_classes(d, [DgElement(13, (1,)), DgElement(13, (8191,))])
+
+
 def greedy_partition_reference(d, xs, depth=40):
     """The greedy partition built on the public lift_class_under, which
     decides every sign again and measures the running complement itself."""
@@ -985,8 +999,68 @@ def test_partition_and_lift_match_the_rescanning_references():
         assert kinds.get(key, 0) > 0, (key, kinds)
 
 
+# The lift on per-tower floor lists that classify kept before its sets
+# were refined through tower_map, as it was there: a set is one increasing
+# deque of floors per tower, and a lift takes a prefix of each.
+
+
+def _refine_floors(d, floors, level: int, fine: int) -> list:
+    """The same set at a finer level, one increasing deque per fine tower.
+
+    A fine tower stacks whole level towers (bratteli.tower_stacks), so its
+    floors in the set are those of each copy shifted by the floors below
+    the copy; the work grows with the floors kept, not with the level.
+    """
+    if fine == level:
+        return floors
+    h = heights(d, level)
+    out = []
+    for stack in tower_stacks(d, level, fine):
+        row = collections.deque()
+        below = 0
+        for u in stack:
+            row.extend(below + j for j in floors[u])
+            below += h[u]
+        out.append(row)
+    return out
+
+
+def _lowest_floors(grp, level: int, floors, x: DgElement, depth) -> tuple:
+    """The floor-picking routine of lift_class_under and
+    partition_from_classes, with no sign checks.
+
+    floors holds a set u at level as one increasing deque per tower, so
+    their lengths are u's counting vector there, and pushed further they
+    are u's counting vector at each finer level.  The first level lvl from
+    max(level, x.level) on where x's representative rep lies between zero
+    and that vector is the lift level; both vectors move up one incidence
+    matrix per level.  Returns lvl, the lowest rep[w] floors of u in each
+    tower w at lvl, and u's remaining floors there, taken off the front of
+    the deques: the complement is what is left, so nothing is rebuilt.
+    CELL_CAP binds on a lift level past level, whose cells the lifts
+    enumerate (the caller's set at level is within it already).
+    """
+    d = grp.diagram
+    base = max(level, x.level)
+    rep = grp.push(x, base).vector
+    room = tuple(map(len, floors))
+    for n in range(level, base):
+        room = _mat_apply(incidence(d, n), room)
+    for lvl in range(base, d.scan_end(base, depth) + 1):
+        if lvl > base:
+            a = incidence(d, lvl - 1)
+            rep, room = _mat_apply(a, rep), _mat_apply(a, room)
+        if all(0 <= r <= c for r, c in zip(rep, room)):
+            if lvl > level:
+                capped_heights(d, lvl)
+            floors = _refine_floors(d, floors, level, lvl)
+            taken = [[row.popleft() for _ in range(r)] for row, r in zip(floors, rep)]
+            return lvl, taken, floors
+    raise SearchExhausted(depth, "level with a coordinatewise representative")
+
+
 def per_class_partition_reference(d, xs, depth=DEFAULT_DEPTH):
-    """partition_from_classes before run-wise lifting: every class decides
+    """partition_from_classes on per-tower floor lists: every class decides
     its sign and searches its lift level through _lowest_floors on its own,
     and every set is refined to the last lift level from its floor lists."""
     grp = DimGroup(d)
