@@ -15,11 +15,18 @@ presentation of g and v the Perron left eigenvector; the denominator is
 certified positive, so the sign is read from the numerator <v, rep> alone.
 v is scaled once by the positive lcm of its coefficients' denominators, so
 the numerator is an integer dot product and nothing is divided.
+
+The Perron data itself is computed in integers: the characteristic
+polynomial by Faddeev-LeVerrier, the largest root's factor and interval by
+integer factoring and integer Sturm chains, and v as integer polynomials in
+the root modulo the monic minimal polynomial, checked and sign-certified
+there, with one division by a positive integer at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 
 from .bratteli import (
@@ -35,9 +42,12 @@ from .fieldpoly import (
     FieldElement,
     NumberField,
     _mat_apply,
+    _zinverse,
+    _zrem,
     charpoly,
     irreducible_factor_of_largest_root,
     poly_add,
+    poly_mul,
     poly_scale,
     poly_trim,
 )
@@ -85,10 +95,13 @@ class PerronData:
 
     minpoly is the monic irreducible integer factor of the characteristic
     polynomial carrying the Perron root; field holds that root in a rational
-    isolating interval.  left_eigenvector is normalized with its last entry
-    equal to 1 and is strictly positive (certified signs).  normalizer is
-    <v, heights(1)>, so the trace of g presented at level m >= 1 is
-    <v, g> / (root^(m-1) * normalizer) and the order unit's trace is 1.
+    isolating interval, found by an integer Sturm chain.  left_eigenvector
+    is normalized with its last entry equal to 1 and is strictly positive;
+    it is V / d for integer polynomials V in the root and a positive integer
+    d, and its eigen-equation and signs are certified on V, in integers.
+    normalizer is <v, heights(1)>, so the trace of g presented at level
+    m >= 1 is <v, g> / (root^(m-1) * normalizer) and the order unit's trace
+    is 1.  Every coefficient is a Fraction in lowest terms.
     """
 
     char_poly: tuple
@@ -265,47 +278,62 @@ class DimGroup:
         cp = charpoly(a)
         minpoly, (lo, hi) = irreducible_factor_of_largest_root(cp)
         field = NumberField(minpoly, lo, hi)
-        root = field.generator()
-        k = len(a)
-        v = self._left_eigenvector(a, cp, field, root)
-        h1 = heights(d, 1)
-        normalizer = field.rational(0)
-        for i in range(k):
-            normalizer = normalizer + v[i] * h1[i]
-        if normalizer.sign() <= 0:
+        vs, den = self._left_eigenvector(a, cp, field)
+        # <V, heights(1)> = den <v, heights(1)>, an integer polynomial
+        total = ()
+        for vi, h in zip(vs, heights(d, 1)):
+            total = poly_add(total, poly_scale(vi, h))
+        if field.sign(total) <= 0:
             raise AssertionError("trace normalizer must be positive")
-        return PerronData(cp, minpoly, field, tuple(v), normalizer)
+        v = tuple(FieldElement(field, tuple(Fraction(c, den) for c in vi)) for vi in vs)
+        normalizer = FieldElement(field, tuple(Fraction(c, den) for c in total))
+        return PerronData(cp, minpoly, field, v, normalizer)
 
     @staticmethod
-    def _left_eigenvector(a, cp, field, root):
-        """v A = root v with v[last] = 1, certified strictly positive.
+    def _left_eigenvector(a, cp, field):
+        """(V, d): integer polynomials V_i in the root, reduced modulo the
+        minimal polynomial, and a positive integer d, with v = V / d the left
+        eigenvector, v A = root v and v[last] = 1, certified strictly positive.
 
         Synthetic division gives cp(t) = (t - root) q(t); as q(A)(A - root)
         = cp(A) = 0, every row of q(A) is a left eigenvector.  The root is
         simple and the right Perron vector w is positive, so q(A) is
-        cp'(root) w v^T / <v, w> and its last row, sum_j q_j e_last A^j, is a
-        nonzero multiple of v: dividing it by its last entry gives v.
+        cp'(root) w v^T / <v, w> and its last row, acc = sum_j q_j e_last
+        A^j, is a nonzero multiple of v.  The q_j are integer polynomials in
+        the root (the minimal polynomial is monic), so acc is too; it is
+        checked to satisfy acc A = root acc in integers, and v is acc times
+        the inverse of its last entry, w / d with acc[last] w = d.
         """
         k = len(a)
-        q = [field.rational(1)]  # q_{k-1}, ..., q_0
+        minpoly = field.minpoly
+        q = [(1,)]  # q_{k-1}, ..., q_0
         for c in reversed(cp[1:k]):
-            q.append(root * q[-1] + c)
+            q.append(_zrem(poly_add((0,) + q[-1], (c,)), minpoly))
         at = tuple(zip(*a))
         row = (0,) * (k - 1) + (1,)  # e_last A^j, integral
         acc = [()] * k
         for qj in reversed(q):
-            acc = [poly_add(x, poly_scale(qj.coeffs, r)) for x, r in zip(acc, row)]
+            acc = [poly_add(x, poly_scale(qj, r)) for x, r in zip(acc, row)]
             row = _mat_apply(at, row)
-        last = FieldElement(field, acc[-1]).inverse()
-        v = [FieldElement(field, x) * last for x in acc]
-        # verify v A = root v exactly, and certify strict positivity
-        va = _mat_apply(at, v)
-        if not all((x - root * vj).is_zero() for x, vj in zip(va, v)):
+        # acc A = root acc, coefficient by coefficient of the power basis:
+        # cols[s][i] is the coefficient of root^s in acc[i], and root^deg
+        # reduces by the monic minimal polynomial
+        deg = field.degree
+        cols = [tuple(x[s] if s < len(x) else 0 for x in acc) for s in range(deg)]
+        top = cols[-1]
+        shifted = [tuple(-minpoly[0] * y for y in top)] + [
+            tuple(x - minpoly[s] * y for x, y in zip(cols[s - 1], top)) for s in range(1, deg)
+        ]
+        if [_mat_apply(at, c) for c in cols] != shifted:
             raise AssertionError("left eigenvector verification failed")
-        for entry in v:
-            if entry.sign() <= 0:
+        w, d = _zinverse(acc[-1], minpoly)
+        vs = [_zrem(poly_mul(x, w), minpoly) for x in acc]
+        if vs[-1] != (d,):
+            raise AssertionError("left eigenvector must end in 1")
+        for vi in vs:
+            if field.sign(vi) <= 0:
                 raise AssertionError("Perron left eigenvector must be positive")
-        return v
+        return vs, d
 
     @property
     def trace_weights(self) -> tuple:

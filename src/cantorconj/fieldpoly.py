@@ -5,12 +5,18 @@ FieldElement); one product and one matrix-vector product serve every layer
 above, and so does one Gauss-Jordan elimination, fraction-free over the
 integers; rational systems are scaled to integers first.  Everything
 spectral is decided over Q: elements of the number field Q[t]/(minpoly) are
-dense rational-coefficient polynomials, the distinguished real root lives in an
-isolating interval with rational endpoints (endpoint signs of the minimal
-polynomial differ), and sign questions are settled by interval evaluation
-plus bisection refinement.  The minimal polynomial of the Perron root is
-found by factoring the characteristic polynomial over Z here, and integers
-are factored here too (trial division, Pollard-Brent rho, Miller-Rabin and
+dense rational-coefficient polynomials, and the distinguished real root lives
+in an isolating interval with rational endpoints (endpoint signs of the
+minimal polynomial differ).  The work behind them runs over Z, as H. Cohen's
+GTM 138, ch. 3 does it: Sturm chains are pseudo-remainder sequences whose
+members are positive multiples of the chain over Q; a sign at a rational
+point num/den is that of the integer den^n p(num/den), read by homogeneous
+Horner evaluation; a sign in the field is settled by interval evaluation at
+integer endpoints over one denominator, plus bisection refinement; and a
+field inverse is a half-extended pseudo-remainder sequence that ends in one
+integer to divide by.  The minimal polynomial of the Perron root is found by
+factoring the characteristic polynomial over Z here, and integers are
+factored here too (trial division, Pollard-Brent rho, Miller-Rabin and
 Baillie-PSW); no other library takes part.  No floating point participates
 in any decision; floats appear only in display helpers.
 """
@@ -179,64 +185,212 @@ def poly_mod(p, q):
     return poly_divmod(p, q)[1]
 
 
-def poly_eval(p, x):
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def poly_derivative(p):
     return poly_trim(tuple(i * p[i] for i in range(1, len(p))))
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains: exact real root counting for integer/rational polynomials.
+# Integer polynomials: pseudo-division, reduction modulo a monic polynomial,
+# and signs at rational points, all without fractions.
+
+
+def _integral(p):
+    """p trimmed and times the positive lcm of its coefficients' denominators."""
+    p = poly_trim(p)
+    if all(type(c) is int for c in p):
+        return p
+    p = [Fraction(c) for c in p]
+    den = math.lcm(*(c.denominator for c in p))
+    return tuple(c.numerator * (den // c.denominator) for c in p)
+
+
+def _content_free(p):
+    """The integer polynomial p divided by the positive gcd of its coefficients."""
+    g = math.gcd(*p)
+    return tuple(c // g for c in p) if g > 1 else p
+
+
+def _primitive(f):
+    """f divided by its content, with a positive leading coefficient."""
+    g = math.gcd(*f)
+    if f[-1] < 0:
+        g = -g
+    return tuple(c // g for c in f)
+
+
+def _zquo(f, g):
+    """The integer polynomial f / g when g divides f in Z[t], else None."""
+    rem = list(f)
+    dg, lead = len(g) - 1, g[-1]
+    quot = [0] * max(0, len(rem) - dg)
+    while len(rem) > dg:
+        c, r = divmod(rem[-1], lead)
+        if r:
+            return None
+        shift = len(rem) - 1 - dg
+        quot[shift] = c
+        if c:
+            for i, y in enumerate(g):
+                rem[shift + i] -= c * y
+        rem.pop()
+    return poly_trim(quot) if not any(rem) else None
+
+
+def _zgcd(f, g):
+    """Primitive gcd of integer polynomials, positive leading coefficient,
+    by the primitive pseudo-remainder sequence; gcd(f, ()) is f's primitive
+    part."""
+    if not g:
+        return _primitive(f)
+    f, g = _primitive(f), _primitive(g)
+    while len(g) > 1:
+        rem = _zdivmod(f, g)[2]
+        f, g = g, (_primitive(rem) if rem else ())
+    return (1,) if g else f
+
+
+def _zdivmod(a, b):
+    """(f, q, r) with f a = q b + r, f a positive integer and deg r < deg b.
+
+    Pseudo-division: each step scales the running remainder by |lc(b)|, so r
+    is a positive multiple of the remainder of a by b over Q.
+    """
+    rem, quot, f = list(a), [0] * max(0, len(a) - len(b) + 1), 1
+    db, lead = len(b) - 1, abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    while len(rem) > db:
+        c = sign * rem[-1]
+        shift = len(rem) - 1 - db
+        if lead != 1:
+            rem = [lead * x for x in rem]
+            quot = [lead * x for x in quot]
+            f *= lead
+        quot[shift] = c
+        for i, y in enumerate(b):
+            rem[shift + i] -= c * y
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return f, poly_trim(quot), tuple(rem)
+
+
+def _zrem(p, m):
+    """The integer polynomial p reduced modulo the monic m."""
+    rem = list(p)
+    dm = len(m) - 1
+    while len(rem) > dm:
+        c = rem.pop()
+        if c:
+            shift = len(rem) - dm
+            for i in range(dm):
+                rem[shift + i] -= c * m[i]
+    return poly_trim(rem)
+
+
+def _zinverse(a, m):
+    """(w, d) with a w = d modulo the monic m, w an integer polynomial of
+    degree below deg m and d a positive integer.
+
+    The half-extended pseudo-remainder sequence of m and a, each pair (r, s)
+    kept with s a = r mod m and divided by the content the two share, ends at
+    a constant r when a is prime to m.
+    """
+    r0, r1 = m, _zrem(a, m)
+    s0, s1 = (), (1,)
+    while len(r1) > 1:
+        f, q, r = _zdivmod(r0, r1)
+        s = poly_sub(poly_scale(s0, f), poly_mul(q, s1))
+        g = math.gcd(*r, *s) or 1
+        r0, r1, s0, s1 = r1, tuple(c // g for c in r), s1, tuple(c // g for c in s)
+    if not r1:
+        raise ZeroDivisionError("element shares a factor with the modulus")
+    w, d = _zrem(s1, m), r1[0]
+    if d < 0:
+        w, d = poly_scale(w, -1), -d
+    return w, d
+
+
+def _scaled_value(p, num, den):
+    """p(num/den) den^deg(p) for the integer polynomial p and den > 0: an
+    integer with the sign of p(num/den), by homogeneous Horner evaluation."""
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
+
+
+def _scaled_interval(p, lo, hi, den):
+    """Interval Horner evaluation of the integer polynomial p on [lo/den,
+    hi/den], both ends times den^deg(p) > 0: the products and sums are those
+    of rational interval arithmetic scaled by one positive integer, so the
+    enclosure excludes 0 exactly when the rational one does."""
+    low = high = 0
+    scale = 1
+    for c in reversed(p):
+        prods = (low * lo, low * hi, high * lo, high * hi)
+        c *= scale
+        low, high = min(prods) + c, max(prods) + c
+        scale *= den
+    return low, high
+
+
+# ---------------------------------------------------------------------------
+# Sturm chains over Z: exact real root counting for integer/rational polynomials.
 
 
 def sturm_chain(p):
-    """Sturm sequence of p, reduced to count distinct roots.
+    """Sturm sequence of p over Z, reduced to count distinct roots.
 
-    The last member is gcd(p, p') up to a scalar.  When it is not constant p
-    has repeated roots, every member vanishes there, and the sign changes
-    no longer count roots; dividing every member by it restores the count
-    for the distinct roots of p.
+    Each member is a positive multiple of the member the Sturm sequence over
+    Q has there (p, p', then the negated remainders), so both change sign at
+    the same places: remainders come from pseudo-division by |lc|, and every
+    member is divided by the positive gcd of its coefficients.  The last
+    member is gcd(p, p') up to a positive scalar.  When it is not constant p
+    has repeated roots, every member vanishes there, and the sign changes no
+    longer count roots; dividing every member by it (exactly, in Z[t], as it
+    is primitive) restores the count for the distinct roots of p.
     """
-    p = poly_trim(tuple(Fraction(c) for c in p))
-    chain = [p, poly_derivative(p)]
+    p = _content_free(_integral(p))
+    chain = [p, _content_free(poly_derivative(p))]
     while chain[-1]:
-        rem = poly_mod(chain[-2], chain[-1])
+        rem = _zdivmod(chain[-2], chain[-1])[2]
         if not rem:
             break
-        chain.append(poly_scale(rem, -1))
+        chain.append(tuple(-c for c in _content_free(rem)))
     chain = [c for c in chain if c]
     g = chain[-1]
     if poly_deg(g) > 0:
-        chain = [poly_divmod(c, g)[0] for c in chain]
+        chain = [_content_free(_zquo(c, g)) for c in chain]
     return chain
 
 
-def _sign_changes(chain, x):
-    signs = []
+def _sign_changes(chain, num, den):
+    """Sign changes of the chain at num/den (den > 0), zeros skipped."""
+    changes, last = 0, 0
     for p in chain:
-        v = poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        v = _scaled_value(p, num, den)
+        if v:
+            if last and (v > 0) != (last > 0):
+                changes += 1
+            last = v
+    return changes
 
 
 def count_real_roots(p, lo, hi, chain=None):
     """Distinct real roots of p in the half-open interval (lo, hi]."""
     chain = chain or sturm_chain(p)
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+    lo, hi = Fraction(lo), Fraction(hi)
+    return _sign_changes(chain, lo.numerator, lo.denominator) - _sign_changes(
+        chain, hi.numerator, hi.denominator
+    )
 
 
 def root_bound(p) -> Fraction:
     """Cauchy bound: every real root lies in (-B, B)."""
     p = poly_trim(p)
-    lead = abs(Fraction(p[-1]))
-    m = max((abs(Fraction(c)) for c in p[:-1]), default=Fraction(0))
-    return 1 + m / lead
+    lead = abs(p[-1])
+    m = max((abs(c) for c in p[:-1]), default=0)
+    return Fraction(lead + m) / lead
 
 
 def isolate_largest_real_root(p):
@@ -244,43 +398,30 @@ def isolate_largest_real_root(p):
 
     Requires p to have at least one real root.  The returned interval
     contains exactly one distinct real root of p and hi sits strictly above
-    every root.
+    every root.  The bisection points are kept as integer numerators over
+    one denominator, the bound's denominator times a power of two.
     """
     chain = sturm_chain(p)
     bound = root_bound(p)
-    lo, hi = -bound, bound
-    if count_real_roots(p, lo, hi, chain) < 1:
+    lo, hi, den = -bound.numerator, bound.numerator, bound.denominator
+    vlo, vhi = _sign_changes(chain, lo, den), _sign_changes(chain, hi, den)
+    if vlo - vhi < 1:
         raise ValueError("polynomial has no real root")
     # shrink until exactly one distinct root remains, keeping the top
-    while count_real_roots(p, lo, hi, chain) > 1:
-        mid = (lo + hi) / 2
-        if count_real_roots(p, mid, hi, chain) >= 1:
-            lo = mid
+    while vlo - vhi > 1:
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        mid = (lo + hi) // 2
+        vmid = _sign_changes(chain, mid, den)
+        if vmid - vhi >= 1:
+            lo, vlo = mid, vmid
+        elif _scaled_value(chain[0], mid, den) == 0:
+            # mid is the largest root itself (chain[0] vanishes at the
+            # roots of p and nowhere else); hi stays strictly above it
+            lo, hi, den = 2 * lo, mid + hi, 2 * den
+            vhi = _sign_changes(chain, hi, den)
         else:
-            # mid may be the largest root itself; hi stays strictly above it
-            hi = (mid + hi) / 2 if poly_eval(p, mid) == 0 else mid
-    return lo, hi
-
-
-# ---------------------------------------------------------------------------
-# Interval arithmetic with rational endpoints (for certified signs).
-
-
-def _imul(a, b):
-    prods = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(prods), max(prods))
-
-
-def _iadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def poly_eval_interval(p, box):
-    acc = (Fraction(0), Fraction(0))
-    for c in reversed(p):
-        c = Fraction(c)
-        acc = _iadd(_imul(acc, box), (c, c))
-    return acc
+            hi, vhi = mid, vmid
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 # ---------------------------------------------------------------------------
@@ -295,40 +436,47 @@ class NumberField:
 
     minpoly: monic irreducible integer polynomial (constant term first).
     The isolating interval brackets a simple real root with a sign change,
-    so bisection converges and every refinement keeps the certificate.
+    so bisection converges and every refinement keeps the certificate.  Its
+    endpoints are kept as integer numerators over one positive denominator,
+    which each refinement doubles.
     """
 
     def __init__(self, minpoly, lo, hi):
         self.minpoly = poly_trim(tuple(int(c) for c in minpoly))
         if self.minpoly[-1] != 1:
             raise ValueError("minimal polynomial must be monic")
-        self._lo = Fraction(lo)
-        self._hi = Fraction(hi)
-        s_lo = poly_eval(self.minpoly, self._lo)
-        s_hi = poly_eval(self.minpoly, self._hi)
+        lo, hi = Fraction(lo), Fraction(hi)
+        self._den = math.lcm(lo.denominator, hi.denominator)
+        self._lo = lo.numerator * (self._den // lo.denominator)
+        self._hi = hi.numerator * (self._den // hi.denominator)
+        s_lo = _scaled_value(self.minpoly, self._lo, self._den)
+        s_hi = _scaled_value(self.minpoly, self._hi, self._den)
         if s_lo == 0 or s_hi == 0 or (s_lo > 0) == (s_hi > 0):
             raise ValueError("interval endpoints must straddle a sign change")
+        self._hi_positive = s_hi > 0
 
     @property
     def degree(self) -> int:
         return poly_deg(self.minpoly)
 
     def interval(self):
-        return (self._lo, self._hi)
+        return (Fraction(self._lo, self._den), Fraction(self._hi, self._den))
 
     def refine(self, steps: int = 1):
         for _ in range(steps):
-            mid = (self._lo + self._hi) / 2
-            v = poly_eval(self.minpoly, mid)
+            lo, hi, den = 2 * self._lo, 2 * self._hi, 2 * self._den
+            mid = (lo + hi) // 2
+            v = _scaled_value(self.minpoly, mid, den)
             if v == 0:
                 # rational root of an irreducible monic poly: degree is 1
-                self._lo = mid
-                self._hi = mid
+                self._lo = self._hi = mid
+                self._den = den
                 return
-            if (v > 0) == (poly_eval(self.minpoly, self._hi) > 0):
-                self._hi = mid
+            if (v > 0) == self._hi_positive:
+                hi = mid
             else:
-                self._lo = mid
+                lo = mid
+            self._lo, self._hi, self._den = lo, hi, den
 
     # elements -------------------------------------------------------------
 
@@ -349,15 +497,17 @@ class NumberField:
         """Certified sign of the element with the given residue coefficients.
 
         A constant (every element of a degree-1 field) is its own sign; the
-        rest is decided by interval evaluation at the root, refined until
-        the enclosure excludes 0.
+        rest is decided by interval evaluation at the root, in integers
+        (the coefficients cleared of denominators, the interval over its
+        denominator), refined until the enclosure excludes 0.
         """
         p = poly_trim(coeffs)
         if len(p) <= 1:
             return (p[0] > 0) - (p[0] < 0) if p else 0
+        p = _integral(p)
         steps = 0
         while True:
-            lo, hi = poly_eval_interval(p, (self._lo, self._hi))
+            lo, hi = _scaled_interval(p, self._lo, self._hi, self._den)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -407,20 +557,13 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
+        """1/x by _zinverse on the coefficients cleared of denominators:
+        x = a/c with a integral, a w = d, so 1/x = c w / d."""
         if not self.coeffs:
             raise ZeroDivisionError("inverse of zero field element")
-        # extended Euclid over Q[t]
-        r0, r1 = poly_trim(self.field.minpoly), self.coeffs
-        s0, s1 = (), (Fraction(1),)
-        while poly_deg(r1) > 0:
-            q, r = poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-            if not r1:
-                raise ZeroDivisionError("element shares a factor with the modulus")
-        c = Fraction(r1[0])
-        inv = tuple(x / c for x in s1)
-        return FieldElement(self.field, poly_mod(inv, self.field.minpoly))
+        c = math.lcm(*(x.denominator for x in self.coeffs))
+        w, d = _zinverse(tuple(int(x * c) for x in self.coeffs), self.field.minpoly)
+        return FieldElement(self.field, tuple(Fraction(c * x, d) for x in w))
 
     def __truediv__(self, other):
         return self * self._lift(other).inverse()
@@ -648,53 +791,6 @@ def factor_integer(n) -> dict:
 # Algebraic Number Theory, ch. 3).  Integer polynomials are tuples of ints;
 # polynomials over F_p are lists of residues in [0, p); both are constant
 # first and trimmed.
-
-
-def _primitive(f):
-    """f divided by its content, with a positive leading coefficient."""
-    g = math.gcd(*f)
-    if f[-1] < 0:
-        g = -g
-    return tuple(c // g for c in f)
-
-
-def _zquo(f, g):
-    """The integer polynomial f / g when g divides f in Z[t], else None."""
-    rem = list(f)
-    dg, lead = len(g) - 1, g[-1]
-    quot = [0] * max(0, len(rem) - dg)
-    while len(rem) > dg:
-        c, r = divmod(rem[-1], lead)
-        if r:
-            return None
-        shift = len(rem) - 1 - dg
-        quot[shift] = c
-        if c:
-            for i, y in enumerate(g):
-                rem[shift + i] -= c * y
-        rem.pop()
-    return poly_trim(quot) if not any(rem) else None
-
-
-def _zgcd(f, g):
-    """Primitive gcd of integer polynomials, positive leading coefficient,
-    by the primitive pseudo-remainder sequence; gcd(f, ()) is f's primitive
-    part."""
-    if not g:
-        return _primitive(f)
-    f, g = _primitive(f), _primitive(g)
-    while len(g) > 1:
-        rem = list(f)
-        dg, lead = len(g) - 1, g[-1]
-        while len(rem) > dg:
-            c = rem[-1]
-            shift = len(rem) - 1 - dg
-            rem = [lead * x for x in rem]
-            for i, y in enumerate(g):
-                rem[shift + i] -= c * y
-            rem = list(poly_trim(rem))
-        f, g = g, (_primitive(rem) if rem else ())
-    return (1,) if g else f
 
 
 def _squarefree_parts(f):

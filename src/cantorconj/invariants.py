@@ -46,7 +46,19 @@ from .bratteli import (
     incidence,
 )
 from .dimgroup import DimGroup
-from .fieldpoly import _mat_apply, _solve_lin, charpoly, factor_integer, primes_up_to
+from .fieldpoly import (
+    _mat_apply,
+    _solve_lin,
+    _zinverse,
+    _zrem,
+    charpoly,
+    factor_integer,
+    poly_add,
+    poly_mul,
+    poly_scale,
+    poly_trim,
+    primes_up_to,
+)
 
 __all__ = [
     "AtLeast",
@@ -514,29 +526,36 @@ def trace_image_group(dg: OrderedBratteliDiagram) -> TraceImageGroup:
 
 
 def _trace_image_group(dg):
+    """The tower traces v_i / normalizer, read in integers: with trace
+    weights W = scale * v, the normalizer is <W, heights(1)> / scale, so one
+    inverse N u = e of N = <W, heights(1)> makes the trace of tower i
+    (W_i u mod minpoly) / e."""
     grp = DimGroup(dg)
     data = grp.perron  # raises ValueError unless primitive stationary
-    deg = len(data.minpoly) - 1
-    k = dg.num_vertices(1)
-    taus = []
-    for i in range(k):
-        vec = tuple(1 if j == i else 0 for j in range(k))
-        taus.append(grp.trace_value(grp.element(1, vec)))
+    minpoly = data.minpoly
+    deg = len(minpoly) - 1
+    h1 = heights(dg, 1)
+    columns = grp.trace_weights[1]
+    u, e = _zinverse(poly_trim(_mat_apply(columns, h1)), minpoly)
+    nums = [_zrem(poly_mul(poly_trim(w), u), minpoly) for w in zip(*columns)]
+    # the unit maps to 1
+    unit = ()
+    for x, h in zip(nums, h1):
+        unit = poly_add(unit, poly_scale(x, h))
+    if unit != (e,):
+        raise AssertionError("the unit must have trace 1")
     if deg == 1:
-        lam = -data.minpoly[0]
-        fracs = [t.as_rational() for t in taus]
-        den = lcm(*(f.denominator for f in fracs))
-        span = Fraction(gcd(*(int(f * den) for f in fracs)), den)
+        lam = -minpoly[0]
+        span = Fraction(gcd(*(x[0] if x else 0 for x in nums)), e)
         q = _coprime_part(span.denominator, lam)
         out = TraceImageGroup("cyclic", ratio=lam, denominator=q)
         assert out.contains(Fraction(1))  # the unit always maps to 1
         return out
     one = (Fraction(1),) + (Fraction(0),) * (deg - 1)
-    # coeffs drop trailing zeros; generators are full power-basis coordinates
     gens = (one,) + tuple(
-        tuple(t.coeffs) + (Fraction(0),) * (deg - len(t.coeffs)) for t in taus
+        tuple(Fraction(c, e) for c in x + (0,) * (deg - len(x))) for x in nums
     )
-    return TraceImageGroup("field", minpoly=data.minpoly, generators=gens)
+    return TraceImageGroup("field", minpoly=minpoly, generators=gens)
 
 
 # ---------------------------------------------------------------------------

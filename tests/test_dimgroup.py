@@ -4,14 +4,20 @@ is_positive reads the sign of the trace from its numerator <v, rep> alone.
 The reference here is the trace built by division, sign included, and the
 witness level is found by pushing through the raw edge tables.
 
-The Perron data is computed in integers where it can be: the characteristic
-polynomial without fractions, the largest root's factor without refining,
-and the left eigenvector without elimination.  The references below are the
-Fraction characteristic polynomial, the factor selection that bisects until
-one factor is left and tightens until it changes sign, and the eigenvector
-solved by Gauss-Jordan elimination over the field.
+The Perron data is computed in integers: the characteristic polynomial
+without fractions, the largest root's factor without refining, root counts
+by integer Sturm chains, and the left eigenvector without elimination, as
+integer polynomials in the root.  The references below are the Fraction
+characteristic polynomial, the factor selection that bisects until one
+factor is left and tightens until it changes sign, the eigenvector solved by
+Gauss-Jordan elimination over the field, the Sturm chain over Fraction by
+exact division, and field signs by interval evaluation over Fraction
+endpoints.  The Perron data and trace images of the pooled systems are
+pinned by a digest taken before the arithmetic moved to integers.
 """
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -19,6 +25,7 @@ from fractions import Fraction
 import pytest
 
 from cantorconj.bratteli import LevelRangeError, composed_incidence, heights, incidence
+from cantorconj.check import _trace_group_json
 from cantorconj.dimgroup import (
     NEGATIVE,
     NOT_COMPARABLE,
@@ -33,15 +40,17 @@ from cantorconj.fieldpoly import (
     charpoly,
     count_real_roots,
     irreducible_factor_of_largest_root,
+    irreducible_factors,
     isolate_largest_real_root,
-    poly_eval,
-    poly_eval_interval,
+    poly_mul,
     sturm_chain,
 )
-from cantorconj.systems import fibonacci, odometer, stationary_from_rows
+from cantorconj.invariants import trace_image_group
+from cantorconj.systems import NAMED, fibonacci, odometer, stationary_from_rows
 
-from conftest import _is_primitive, oracle_incidence, random_explicit, time_ceiling
+from conftest import _is_primitive, hierarchy_pool, oracle_incidence, random_explicit, time_ceiling
 from test_ladder import row_reduce
+from test_telescoping import p40_rows, u22_rows
 
 TRI3 = stationary_from_rows(((0, 1), (1, 2), (0, 0, 1, 1, 2, 2)))
 
@@ -171,6 +180,22 @@ def test_push_range_errors():
     assert grp.push(g, 4).level == 4
     with pytest.raises(LevelRangeError):
         grp.push(g, 5)
+
+
+def poly_eval(p, x):
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def poly_eval_interval(p, box):
+    """Interval Horner evaluation over Fraction endpoints."""
+    acc = (Fraction(0), Fraction(0))
+    for c in reversed(p):
+        prods = (acc[0] * box[0], acc[0] * box[1], acc[1] * box[0], acc[1] * box[1])
+        acc = (min(prods) + c, max(prods) + c)
+    return acc
 
 
 def _interval_sign(field, coeffs):
@@ -306,3 +331,119 @@ def test_perron_data_matches_elimination_references():
             reducible += cp != minpoly
     assert DimGroup(pool[-1]).perron.char_poly == (0, 0, -3, 1)
     assert reducible >= 10
+
+
+# -- the cold Perron path, pinned and against the Fraction Sturm chain ---------
+
+
+def _pinned_pool():
+    """The named systems, P40', U22, the hierarchy pool and the repeated-root
+    system, built afresh so that nothing derived is reused."""
+    pool = [make() for make in NAMED.values()]
+    pool += [stationary_from_rows(r) for r in p40_rows() + u22_rows()]
+    pool += hierarchy_pool()
+    # incidence ((1,2,0),(1,0,1),(2,0,2)), characteristic polynomial t^2 (t - 3)
+    pool.append(stationary_from_rows(((0, 1, 1), (0, 2), (0, 0, 2, 2))))
+    return pool
+
+
+def test_cold_perron_outputs_are_pinned():
+    # the largest root's interval, the Perron data and the trace image of
+    # every system of the pool, hashed in order
+    digest = hashlib.sha256()
+    with time_ceiling(60):
+        for d in _pinned_pool():
+            data = DimGroup(d).perron
+            lo, hi = isolate_largest_real_root(data.char_poly)
+            record = [
+                [str(lo), str(hi)],
+                list(data.char_poly),
+                list(data.minpoly),
+                [[str(c) for c in vi.coeffs] for vi in data.left_eigenvector],
+                [str(c) for c in data.normalizer.coeffs],
+                _trace_group_json(trace_image_group(d)),
+            ]
+            digest.update(json.dumps(record, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "1001dad8926710f791ad966b20d475e9f03c012f4fef8544f2375a8d4e35dbc0"
+    )
+
+
+def fraction_sturm_chain(p):
+    """The Sturm chain over Fraction by exact division, each member divided
+    by the last when that is not constant."""
+
+    def divmod_q(a, b):
+        rem, quot = [Fraction(x) for x in a], [Fraction(0)] * max(0, len(a) - len(b) + 1)
+        while len(rem) >= len(b):
+            coef = rem[-1] / b[-1]
+            shift = len(rem) - len(b)
+            quot[shift] = coef
+            for i, y in enumerate(b):
+                rem[shift + i] -= coef * y
+            rem.pop()
+            while rem and rem[-1] == 0:
+                rem.pop()
+        while quot and quot[-1] == 0:
+            quot.pop()
+        return quot, rem
+
+    p = [Fraction(c) for c in p]
+    while p and p[-1] == 0:
+        p.pop()
+    chain = [p, [i * p[i] for i in range(1, len(p))]]
+    while chain[-1]:
+        rem = divmod_q(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-x for x in rem])
+    chain = [c for c in chain if c]
+    if len(chain[-1]) > 1:
+        chain = [divmod_q(c, chain[-1])[0] for c in chain]
+    return chain
+
+
+def fraction_root_count(chain, lo, hi):
+    """Distinct roots in (lo, hi]: sign changes at lo minus those at hi."""
+
+    def changes(x):
+        signs = [v > 0 for v in (poly_eval(c, x) for c in chain) if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return changes(lo) - changes(hi)
+
+
+def test_root_counts_match_the_fraction_sturm_chain():
+    rng = random.Random(35)
+    polys = set()
+    for d in _pinned_pool():
+        cp = charpoly(incidence(d, 1))
+        polys.add(cp)
+        polys.update(irreducible_factors(cp))
+    polys.update([(0, 0, -3, 1), (1, -2, 1), (3, 5, -2, -3, 1), (-4, 0, 1), (6, -5, 1)])
+    # leading coefficients of either sign and any size, squares among them:
+    # remainders that drop more than one degree take an odd number of
+    # pseudo-division steps, where only |lc| keeps the sign
+    for _ in range(150):
+        f = tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 4))) + (rng.choice((1, -1, 2, -3)),)
+        polys.add(poly_mul(f, f) if rng.random() < 0.2 else f)
+    for p in sorted(polys):
+        ref = fraction_sturm_chain(p)
+        chain = sturm_chain(p)
+        assert len(chain) == len(ref), p
+        # each member a positive multiple of the Fraction one
+        for c, r in zip(chain, ref):
+            assert len(c) == len(r) and all(type(x) is int for x in c), p
+            ratio = Fraction(c[-1]) / r[-1]
+            assert ratio > 0 and all(x == ratio * y for x, y in zip(c, r)), p
+        # the rational roots, from the linear factors, are endpoints too
+        roots = [Fraction(-f[0], f[1]) for f in irreducible_factors(p) if len(f) == 2]
+        for _ in range(12):
+            k = rng.randint(0, 6)
+            ends = [Fraction(rng.randint(-40 << k, 40 << k), 1 << k) for _ in range(2)] + roots
+            for lo in ends:
+                for hi in ends:
+                    if lo < hi:
+                        want = fraction_root_count(ref, lo, hi)
+                        assert count_real_roots(p, lo, hi) == want, (p, lo, hi)
+                        assert count_real_roots(p, lo, hi, chain) == want, (p, lo, hi)
