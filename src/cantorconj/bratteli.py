@@ -48,7 +48,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable
 
-from .fieldpoly import _mat_mul
+from .fieldpoly import CapabilityError, _mat_mul  # CapabilityError re-exported
 
 FORMAT_NAME = "obd-v1"
 
@@ -72,10 +72,6 @@ class DiagramStructureError(ValueError):
 
 class LevelRangeError(ValueError):
     """An explicit diagram was asked about a level past its last table."""
-
-
-class CapabilityError(RuntimeError):
-    """The request exceeds the supported desk scale for exact enumeration."""
 
 
 EdgeTable = tuple[tuple[int, ...], ...]

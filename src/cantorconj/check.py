@@ -142,7 +142,7 @@ def frobenius(k) -> int:
     if len(distinct) == 2:
         a, b = distinct
         return max(a * b - a - b + 1, 1)
-    return max(max(_least_by_residue(ks)) - min(ks) + 1, 1)
+    return max(max(_least_by_residue(sorted(distinct))) - min(ks) + 1, 1)
 
 
 def represent(d: int, k) -> Optional[tuple]:

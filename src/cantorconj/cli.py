@@ -54,13 +54,20 @@ from .invariants import DEFAULT_PRIME_CUTOFF, periodic_spectrum
 
 
 # frobenius with three or more distinct generators keeps one table entry
-# per residue modulo the least generator; past this many it is refused.
+# per residue modulo the least generator and tries every distinct generator
+# from each: past this many entries, or this much work, it is refused.
 FROBENIUS_TABLE_CAP = 10 ** 5
+FROBENIUS_WORK_CAP = 10 ** 7
 
 # A level argument is refused when walking the heights up to it could take
 # more than this many bit operations (see _walk_cost); the bound is read
 # off the edge tables, before any heights are.
 HEIGHTS_WORK_CAP = 2 ** 30
+
+# --primes on an explicit diagram sieves up to the cutoff and reads every
+# prime's valuation per scanned level; past this much work it is refused
+# (see _check_primes).  Stationary diagrams never sieve.
+PRIMES_WORK_CAP = 2 ** 24
 
 
 class _UsageError(Exception):
@@ -231,6 +238,20 @@ def _check_depth(args, level, *diagrams):
             raise CapabilityError("--depth %d reaches too far: %s" % (args.depth, e)) from None
 
 
+def _check_primes(args, *diagrams):
+    """Refuse a --primes cutoff out of reach, before any heights are read:
+    the cutoff times the levels the explicit inputs scan, plus a sieve for
+    each of them and one for the comparison, may not pass PRIMES_WORK_CAP."""
+    explicit = [d for d in diagrams if d.kind != "stationary"]
+    levels = sum(d.scan_end(0, max(args.depth, 0)) for d in explicit)
+    if explicit and max(args.primes, 0) * (levels + len(explicit) + 1) > PRIMES_WORK_CAP:
+        raise CapabilityError(
+            "--primes %d is out of reach: sieving up to it and reading its valuations at "
+            "%d explicit levels may take more than PRIMES_WORK_CAP = 2^%d steps"
+            % (args.primes, levels, PRIMES_WORK_CAP.bit_length() - 1)
+        )
+
+
 def _cmd_validate(args):
     try:
         d = load_diagram(args.diagram)
@@ -282,6 +303,7 @@ def _cmd_positivity(args):
 def _cmd_spectrum(args):
     d = load_diagram(args.diagram)
     _check_depth(args, 1, d)
+    _check_primes(args, d)
     trunc = periodic_spectrum(d, args.primes, depth=args.depth)
     return {"spectrum": trunc.to_json()}
 
@@ -289,6 +311,7 @@ def _cmd_spectrum(args):
 def _cmd_weak(args):
     a, b = load_diagram(args.a), load_diagram(args.b)
     _check_depth(args, 1, a, b)
+    _check_primes(args, a, b)
     res = decide_weak(a, b, prime_cutoff=args.primes, depth=args.depth)
     out = {"verdict": res.verdict, "witness": res.witness}
     if res.verdict == "weak":
@@ -300,6 +323,7 @@ def _cmd_weak(args):
 def _cmd_tau(args):
     a, b = load_diagram(args.a), load_diagram(args.b)
     _check_depth(args, 1, a, b)
+    _check_primes(args, a, b)
     res = decide_tau(a, b, prime_cutoff=args.primes, depth=args.depth)
     out = {
         "verdict": res.verdict,
@@ -313,6 +337,7 @@ def _cmd_tau(args):
 def _cmd_kconj(args):
     a, b = load_diagram(args.a), load_diagram(args.b)
     _check_depth(args, 1, a, b)
+    _check_primes(args, a, b)
     res = decide_k_conjugacy(
         a,
         b,
@@ -410,11 +435,17 @@ def _cmd_vershik(args):
 def _cmd_frobenius(args):
     gens = set(args.generators)
     # generators that are not coprime stay an input error
-    if len(gens) > 2 and min(gens) > FROBENIUS_TABLE_CAP and math.gcd(*gens) == 1:
-        raise CapabilityError(
-            "frobenius of three or more generators caps the least one at "
-            "FROBENIUS_TABLE_CAP = %d" % FROBENIUS_TABLE_CAP
-        )
+    if len(gens) > 2 and math.gcd(*gens) == 1:
+        if min(gens) > FROBENIUS_TABLE_CAP:
+            raise CapabilityError(
+                "frobenius of three or more generators caps the least one at "
+                "FROBENIUS_TABLE_CAP = %d" % FROBENIUS_TABLE_CAP
+            )
+        if min(gens) * len(gens) > FROBENIUS_WORK_CAP:
+            raise CapabilityError(
+                "frobenius of three or more generators caps the least one times "
+                "the number of distinct ones at FROBENIUS_WORK_CAP = %d" % FROBENIUS_WORK_CAP
+            )
     return {
         "generators": list(args.generators),
         "threshold": frobenius(args.generators),

@@ -11,23 +11,24 @@ exact (the kernel chain of incidence powers stabilizes within |V| steps, and
 positivity is settled by the certified sign of the unique normalized trace);
 for explicit diagrams answers are depth-bounded three-valued, never guessed.
 The trace of g is <v, rep> / (root^(m-1) * normalizer), with rep a level-m
-presentation of g and v the Perron left eigenvector; the denominator is
-certified positive, so the sign is read from the numerator <v, rep> alone.
-v is scaled once by the positive lcm of its coefficients' denominators, so
-the numerator is an integer dot product and nothing is divided.
+presentation of g, v the Perron left eigenvector and normalizer
+<v, heights(1)>; the denominator is certified positive, so the sign is read
+from the numerator <v, rep> alone.  v is kept in one form, as integer trace
+weights W = scale * v over the least positive integer scale, so the
+numerator's multiple <W, rep> is an integer dot product and nothing is
+divided.
 
-The Perron data itself is computed in integers: the characteristic
-polynomial by Faddeev-LeVerrier, the largest root's factor and interval by
-integer factoring and integer Sturm chains, and v as integer polynomials in
-the root modulo the monic minimal polynomial, checked and sign-certified
-there, with one division by a positive integer at the end.
+The Perron data is computed in integers: the characteristic polynomial by
+Faddeev-LeVerrier, the largest root's factor and interval by integer
+factoring and integer Sturm chains, and W as integer polynomials in the
+root modulo the monic minimal polynomial, its eigen-equation and every sign
+certified there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from .bratteli import (
     DEFAULT_DEPTH,
@@ -39,7 +40,6 @@ from .bratteli import (
     validate,
 )
 from .fieldpoly import (
-    FieldElement,
     NumberField,
     _mat_apply,
     _zinverse,
@@ -95,20 +95,21 @@ class PerronData:
 
     minpoly is the monic irreducible integer factor of the characteristic
     polynomial carrying the Perron root; field holds that root in a rational
-    isolating interval, found by an integer Sturm chain.  left_eigenvector
-    is normalized with its last entry equal to 1 and is strictly positive;
-    it is V / d for integer polynomials V in the root and a positive integer
-    d, and its eigen-equation and signs are certified on V, in integers.
-    normalizer is <v, heights(1)>, so the trace of g presented at level
-    m >= 1 is <v, g> / (root^(m-1) * normalizer) and the order unit's trace
-    is 1.  Every coefficient is a Fraction in lowest terms.
+    isolating interval, found by an integer Sturm chain.  The Perron left
+    eigenvector v, normalized with its last entry equal to 1 and strictly
+    positive, is kept as its integer trace weights: weights[t][i] is the
+    coefficient of root^t in scale * v[i], and scale is the least positive
+    integer that makes them all integers.  The trace of g presented at level
+    m >= 1 is <v, g> / (root^(m-1) * normalizer) with normalizer
+    <v, heights(1)>, so the order unit's trace is 1, and scale * <v, g> has
+    the power-basis coefficients weights . g.
     """
 
     char_poly: tuple
     minpoly: tuple
     field: NumberField
-    left_eigenvector: tuple
-    normalizer: FieldElement
+    scale: int
+    weights: tuple
 
 
 def _is_primitive(d) -> bool:
@@ -278,31 +279,28 @@ class DimGroup:
         cp = charpoly(a)
         minpoly, (lo, hi) = irreducible_factor_of_largest_root(cp)
         field = NumberField(minpoly, lo, hi)
-        vs, den = self._left_eigenvector(a, cp, field)
-        # <V, heights(1)> = den <v, heights(1)>, an integer polynomial
-        total = ()
-        for vi, h in zip(vs, heights(d, 1)):
-            total = poly_add(total, poly_scale(vi, h))
-        if field.sign(total) <= 0:
+        scale, weights = self._left_eigenvector(a, cp, field)
+        # <weights, heights(1)> is scale * normalizer, an integer polynomial
+        if field.sign(_mat_apply(weights, heights(d, 1))) <= 0:
             raise AssertionError("trace normalizer must be positive")
-        v = tuple(FieldElement(field, tuple(Fraction(c, den) for c in vi)) for vi in vs)
-        normalizer = FieldElement(field, tuple(Fraction(c, den) for c in total))
-        return PerronData(cp, minpoly, field, v, normalizer)
+        return PerronData(cp, minpoly, field, scale, weights)
 
     @staticmethod
     def _left_eigenvector(a, cp, field):
-        """(V, d): integer polynomials V_i in the root, reduced modulo the
-        minimal polynomial, and a positive integer d, with v = V / d the left
-        eigenvector, v A = root v and v[last] = 1, certified strictly positive.
+        """(scale, weights) of PerronData: the left eigenvector v, v A =
+        root v and v[last] = 1, as integer trace weights over the least
+        positive scale, certified an eigenvector and strictly positive.
 
         Synthetic division gives cp(t) = (t - root) q(t); as q(A)(A - root)
         = cp(A) = 0, every row of q(A) is a left eigenvector.  The root is
         simple and the right Perron vector w is positive, so q(A) is
         cp'(root) w v^T / <v, w> and its last row, acc = sum_j q_j e_last
         A^j, is a nonzero multiple of v.  The q_j are integer polynomials in
-        the root (the minimal polynomial is monic), so acc is too; it is
-        checked to satisfy acc A = root acc in integers, and v is acc times
-        the inverse of its last entry, w / d with acc[last] w = d.
+        the root (the minimal polynomial is monic), so acc is too, and v is
+        acc times the inverse of its last entry, w / d with acc[last] w = d:
+        V / d for the integer polynomials V = acc w modulo the minimal
+        polynomial.  Divided by the gcd g of d and V's coefficients, V gives
+        the weights and d the scale; W A = root W is checked in integers.
         """
         k = len(a)
         minpoly = field.minpoly
@@ -315,64 +313,29 @@ class DimGroup:
         for qj in reversed(q):
             acc = [poly_add(x, poly_scale(qj, r)) for x, r in zip(acc, row)]
             row = _mat_apply(at, row)
-        # acc A = root acc, coefficient by coefficient of the power basis:
-        # cols[s][i] is the coefficient of root^s in acc[i], and root^deg
-        # reduces by the monic minimal polynomial
-        deg = field.degree
-        cols = [tuple(x[s] if s < len(x) else 0 for x in acc) for s in range(deg)]
-        top = cols[-1]
-        shifted = [tuple(-minpoly[0] * y for y in top)] + [
-            tuple(x - minpoly[s] * y for x, y in zip(cols[s - 1], top)) for s in range(1, deg)
-        ]
-        if [_mat_apply(at, c) for c in cols] != shifted:
-            raise AssertionError("left eigenvector verification failed")
         w, d = _zinverse(acc[-1], minpoly)
         vs = [_zrem(poly_mul(x, w), minpoly) for x in acc]
         if vs[-1] != (d,):
             raise AssertionError("left eigenvector must end in 1")
-        for vi in vs:
-            if field.sign(vi) <= 0:
+        g = gcd(d, *(c for vi in vs for c in vi))
+        # W A = root W, coefficient by coefficient of the power basis:
+        # weights[s][i] is the coefficient of root^s in W_i = V_i / g, and
+        # root^deg reduces by the monic minimal polynomial
+        deg = field.degree
+        weights = tuple(tuple(x[s] // g if s < len(x) else 0 for x in vs) for s in range(deg))
+        top = weights[-1]
+        shifted = [tuple(-minpoly[0] * y for y in top)] + [
+            tuple(x - minpoly[s] * y for x, y in zip(weights[s - 1], top)) for s in range(1, deg)
+        ]
+        if [_mat_apply(at, c) for c in weights] != shifted:
+            raise AssertionError("left eigenvector verification failed")
+        for wi in zip(*weights):
+            if field.sign(wi) <= 0:
                 raise AssertionError("Perron left eigenvector must be positive")
-        return vs, d
-
-    @property
-    def trace_weights(self) -> tuple:
-        """(scale, columns): the Perron left eigenvector v times scale, the
-        positive lcm of the denominators of its power-basis coefficients.
-
-        columns[t][i] is the integer coefficient of root^t in scale * v[i],
-        so scale * <v, rep> has the coefficients columns . rep.
-        """
-        return derived(self.diagram, "trace_weights", DimGroup._trace_weights, self)
-
-    def _trace_weights(self) -> tuple:
-        v = self.perron.left_eigenvector
-        scale = lcm(*(c.denominator for vi in v for c in vi.coeffs))
-        degree = self.perron.field.degree
-        columns = tuple(
-            tuple(int(vi.coeffs[t] * scale) if t < len(vi.coeffs) else 0 for vi in v)
-            for t in range(degree)
-        )
-        return scale, columns
+        return d // g, weights
 
     def _trace_numerator(self, rep: DgElement) -> tuple:
-        """Power-basis coefficients of scale * <v, rep>, in integers, for a
-        presentation at level >= 1.
-
-        The entries of v are reduced modulo the minimal polynomial, so their
-        integer combination is too: no reduction, no division.  scale is a
-        positive integer, so the sign is that of <v, rep>.
-        """
-        return poly_trim(_mat_apply(self.trace_weights[1], rep.vector))
-
-    def trace_value(self, g: DgElement) -> FieldElement:
-        """The unique normalized trace of g, as a certified algebraic real:
-        the numerator scale * <v, rep> over the certified-positive
-        denominator scale * root^(m-1) * normalizer, with rep the
-        presentation of g at level m = max(1, g.level)."""
-        data = self.perron
-        rep = self.push(g, max(1, g.level))
-        field = data.field
-        scale = self.trace_weights[0]
-        denom = (field.generator() ** (rep.level - 1)) * data.normalizer * scale
-        return FieldElement(field, self._trace_numerator(rep)) / denom
+        """Power-basis coefficients of scale * <v, rep> = weights . rep, for
+        rep at level >= 1: integers, reduced as the weights are, with the
+        sign of <v, rep>."""
+        return poly_trim(_mat_apply(self.perron.weights, rep.vector))

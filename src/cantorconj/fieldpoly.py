@@ -1,24 +1,25 @@
 """Exact arithmetic: small dense matrices, factoring over Z, and real algebraic numbers.
 
-Matrices are sequences of rows over any exact ring (int, Fraction or
-FieldElement); one product and one matrix-vector product serve every layer
-above, and so does one Gauss-Jordan elimination, fraction-free over the
-integers; rational systems are scaled to integers first.  Everything
-spectral is decided over Q: elements of the number field Q[t]/(minpoly) are
-dense rational-coefficient polynomials, and the distinguished real root lives
-in an isolating interval with rational endpoints (endpoint signs of the
-minimal polynomial differ).  The work behind them runs over Z, as H. Cohen's
-GTM 138, ch. 3 does it: Sturm chains are pseudo-remainder sequences whose
+Matrices are sequences of rows over an exact ring (int or Fraction); one
+product and one matrix-vector product serve every layer above, and so does
+one Gauss-Jordan elimination, fraction-free over the integers; rational
+systems are scaled to integers first.  Everything spectral is decided in
+integers: an element of the number field Q[t]/(minpoly) is an integer
+polynomial in the root reduced modulo the monic minimal polynomial (any
+positive denominator stays with the caller), and the distinguished real
+root lives in an isolating interval with rational endpoints (endpoint signs
+of the minimal polynomial differ).  The work runs over Z, as H. Cohen's GTM
+138, ch. 3 does it: Sturm chains are pseudo-remainder sequences whose
 members are positive multiples of the chain over Q; a sign at a rational
 point num/den is that of the integer den^n p(num/den), read by homogeneous
 Horner evaluation; a sign in the field is settled by interval evaluation at
-integer endpoints over one denominator, plus bisection refinement; and a
-field inverse is a half-extended pseudo-remainder sequence that ends in one
-integer to divide by.  The minimal polynomial of the Perron root is found by
-factoring the characteristic polynomial over Z here, and integers are
-factored here too (trial division, Pollard-Brent rho, Miller-Rabin and
-Baillie-PSW); no other library takes part.  No floating point participates
-in any decision; floats appear only in display helpers.
+integer endpoints over one denominator, plus bisection refinement up to a
+cap; and a field inverse is a half-extended pseudo-remainder sequence that
+ends in one integer to divide by.  The minimal polynomial of the Perron
+root is found by factoring the characteristic polynomial over Z here, and
+integers are factored here too (trial division, Pollard-Brent rho,
+Miller-Rabin and Baillie-PSW); no other library takes part.  No floating
+point participates in any decision; floats appear only in display helpers.
 """
 
 from __future__ import annotations
@@ -26,8 +27,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+
+
+class CapabilityError(RuntimeError):
+    """The request exceeds a supported bound of exact enumeration or arithmetic."""
+
 
 # ---------------------------------------------------------------------------
 # Small dense matrices over an exact ring, as sequences of rows.
@@ -159,32 +164,6 @@ def poly_mul(p, q):
     return poly_trim(out)
 
 
-def poly_divmod(p, q):
-    """Division with remainder over Q; q must be non-zero."""
-    q = poly_trim(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(x) for x in p]
-    dq = len(q) - 1
-    lead = Fraction(q[-1])
-    quot = [Fraction(0)] * max(0, len(rem) - dq)
-    while len(rem) - 1 >= dq and any(x != 0 for x in rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dq:
-            break
-        shift = len(rem) - 1 - dq
-        coef = rem[-1] / lead
-        quot[shift] = coef
-        for i in range(len(q)):
-            rem[shift + i] -= coef * Fraction(q[i])
-    return poly_trim(quot), poly_trim(rem)
-
-
-def poly_mod(p, q):
-    return poly_divmod(p, q)[1]
-
-
 def poly_derivative(p):
     return poly_trim(tuple(i * p[i] for i in range(1, len(p))))
 
@@ -192,16 +171,6 @@ def poly_derivative(p):
 # ---------------------------------------------------------------------------
 # Integer polynomials: pseudo-division, reduction modulo a monic polynomial,
 # and signs at rational points, all without fractions.
-
-
-def _integral(p):
-    """p trimmed and times the positive lcm of its coefficients' denominators."""
-    p = poly_trim(p)
-    if all(type(c) is int for c in p):
-        return p
-    p = [Fraction(c) for c in p]
-    den = math.lcm(*(c.denominator for c in p))
-    return tuple(c.numerator * (den // c.denominator) for c in p)
 
 
 def _content_free(p):
@@ -350,7 +319,7 @@ def sturm_chain(p):
     longer count roots; dividing every member by it (exactly, in Z[t], as it
     is primitive) restores the count for the distinct roots of p.
     """
-    p = _content_free(_integral(p))
+    p = _content_free(poly_trim(p))
     chain = [p, _content_free(poly_derivative(p))]
     while chain[-1]:
         rem = _zdivmod(chain[-2], chain[-1])[2]
@@ -428,6 +397,8 @@ def isolate_largest_real_root(p):
 # The number field Q(root) with a certified real embedding.
 
 
+# Bisections one sign may take: an unreduced zero, or a reducible minpoly,
+# would refine forever.
 _REFINE_CAP = 20000
 
 
@@ -435,8 +406,11 @@ class NumberField:
     """Q[t]/(minpoly) embedded at a distinguished real root.
 
     minpoly: monic irreducible integer polynomial (constant term first).
-    The isolating interval brackets a simple real root with a sign change,
-    so bisection converges and every refinement keeps the certificate.  Its
+    An element is the tuple of its power-basis coefficients, constant term
+    first, reduced modulo minpoly; callers keep the coefficients integral,
+    over a positive denominator of their own that no sign depends on.  The
+    isolating interval brackets a simple real root with a sign change, so
+    bisection converges and every refinement keeps the certificate.  Its
     endpoints are kept as integer numerators over one positive denominator,
     which each refinement doubles.
     """
@@ -462,147 +436,43 @@ class NumberField:
     def interval(self):
         return (Fraction(self._lo, self._den), Fraction(self._hi, self._den))
 
-    def refine(self, steps: int = 1):
-        for _ in range(steps):
-            lo, hi, den = 2 * self._lo, 2 * self._hi, 2 * self._den
-            mid = (lo + hi) // 2
-            v = _scaled_value(self.minpoly, mid, den)
-            if v == 0:
-                # rational root of an irreducible monic poly: degree is 1
-                self._lo = self._hi = mid
-                self._den = den
-                return
-            if (v > 0) == self._hi_positive:
-                hi = mid
-            else:
-                lo = mid
-            self._lo, self._hi, self._den = lo, hi, den
-
-    # elements -------------------------------------------------------------
-
-    def element(self, coeffs) -> "FieldElement":
-        raw = tuple(Fraction(c) for c in coeffs)
-        return FieldElement(self, poly_mod(raw, self.minpoly))
-
-    def rational(self, value) -> "FieldElement":
-        return self.element((Fraction(value),))
-
-    def generator(self) -> "FieldElement":
-        if self.degree == 1:
-            # t == -c0 in the degree-1 field
-            return self.rational(-Fraction(self.minpoly[0]))
-        return self.element((0, 1))
+    def refine(self):
+        lo, hi, den = 2 * self._lo, 2 * self._hi, 2 * self._den
+        mid = (lo + hi) // 2
+        v = _scaled_value(self.minpoly, mid, den)
+        if v == 0:
+            # rational root of an irreducible monic poly: degree is 1
+            lo = hi = mid
+        elif (v > 0) == self._hi_positive:
+            hi = mid
+        else:
+            lo = mid
+        self._lo, self._hi, self._den = lo, hi, den
 
     def sign(self, coeffs) -> int:
-        """Certified sign of the element with the given residue coefficients.
+        """Certified sign of the element with the given integer residue
+        coefficients.
 
         A constant (every element of a degree-1 field) is its own sign; the
         rest is decided by interval evaluation at the root, in integers
-        (the coefficients cleared of denominators, the interval over its
-        denominator), refined until the enclosure excludes 0.
+        (over the interval's denominator), refined until the enclosure
+        excludes 0, or past _REFINE_CAP bisections raises CapabilityError.
         """
         p = poly_trim(coeffs)
         if len(p) <= 1:
             return (p[0] > 0) - (p[0] < 0) if p else 0
-        p = _integral(p)
-        steps = 0
-        while True:
+        for _ in range(_REFINE_CAP + 1):
             lo, hi = _scaled_interval(p, self._lo, self._hi, self._den)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
             self.refine()
-            steps += 1
-            if steps > _REFINE_CAP:
-                raise RuntimeError(
-                    "sign refinement exceeded its cap; element may be zero "
-                    "without being reduced"
-                )
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    field: NumberField
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", poly_trim(tuple(Fraction(c) for c in self.coeffs)))
-
-    def _lift(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise ValueError("elements of different fields")
-            return other
-        return self.field.rational(other)
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return FieldElement(self.field, poly_add(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElement(self.field, poly_scale(self.coeffs, -1))
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        return FieldElement(
-            self.field, poly_mod(poly_mul(self.coeffs, other.coeffs), self.field.minpoly)
+        raise CapabilityError(
+            "sign refinement exceeded _REFINE_CAP = %d bisections; the element is "
+            "too close to 0 for the supported precision, or zero without being "
+            "reduced" % _REFINE_CAP
         )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "FieldElement":
-        """1/x by _zinverse on the coefficients cleared of denominators:
-        x = a/c with a integral, a w = d, so 1/x = c w / d."""
-        if not self.coeffs:
-            raise ZeroDivisionError("inverse of zero field element")
-        c = math.lcm(*(x.denominator for x in self.coeffs))
-        w, d = _zinverse(tuple(int(x * c) for x in self.coeffs), self.field.minpoly)
-        return FieldElement(self.field, tuple(Fraction(c * x, d) for x in w))
-
-    def __truediv__(self, other):
-        return self * self._lift(other).inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = self.field.rational(1)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_rational(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is irrational")
-        return Fraction(self.coeffs[0]) if self.coeffs else Fraction(0)
-
-    def sign(self) -> int:
-        return self.field.sign(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field is other.field and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.as_rational() == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.coeffs))
 
 
 # ---------------------------------------------------------------------------

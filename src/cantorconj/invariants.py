@@ -526,16 +526,15 @@ def trace_image_group(dg: OrderedBratteliDiagram) -> TraceImageGroup:
 
 
 def _trace_image_group(dg):
-    """The tower traces v_i / normalizer, read in integers: with trace
-    weights W = scale * v, the normalizer is <W, heights(1)> / scale, so one
-    inverse N u = e of N = <W, heights(1)> makes the trace of tower i
-    (W_i u mod minpoly) / e."""
-    grp = DimGroup(dg)
-    data = grp.perron  # raises ValueError unless primitive stationary
+    """The tower traces v_i / normalizer, read in integers: with the trace
+    weights W = scale * v of the Perron data, the normalizer is
+    <W, heights(1)> / scale, so one inverse N u = e of N = <W, heights(1)>
+    makes the trace of tower i (W_i u mod minpoly) / e."""
+    data = DimGroup(dg).perron  # raises ValueError unless primitive stationary
     minpoly = data.minpoly
     deg = len(minpoly) - 1
     h1 = heights(dg, 1)
-    columns = grp.trace_weights[1]
+    columns = data.weights
     u, e = _zinverse(poly_trim(_mat_apply(columns, h1)), minpoly)
     nums = [_zrem(poly_mul(poly_trim(w), u), minpoly) for w in zip(*columns)]
     # the unit maps to 1

@@ -10,9 +10,11 @@ import sys
 import pytest
 
 import cantorconj
-from cantorconj.bratteli import OrderedBratteliDiagram, dump_diagram, heights
-from cantorconj.cli import FROBENIUS_TABLE_CAP, _walk_cost, run
-from cantorconj import cli, systems
+from cantorconj.bratteli import CapabilityError, OrderedBratteliDiagram, dump_diagram, heights
+from cantorconj.check import frobenius
+from cantorconj.cli import FROBENIUS_TABLE_CAP, FROBENIUS_WORK_CAP, _walk_cost, run
+from cantorconj.dimgroup import DimGroup
+from cantorconj import cli, fieldpoly, systems
 
 from conftest import random_explicit, random_stationary, time_ceiling
 
@@ -148,6 +150,37 @@ def test_positivity_verdicts(corpus, capsys):
     assert rep["verdict"] == "Zero"
     rc, rep = run_json(capsys, ["positivity", corpus["dyadic"], "2", "-3"])
     assert rep["verdict"] == "Negative"
+
+
+def _fibonacci_pair(n):
+    """F_n and F_(n+1)."""
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a, b
+
+
+def test_sign_refinement_past_its_cap_is_a_capability_error(corpus, capsys, monkeypatch):
+    # F_n - F_(n+1) phi^-1 is about phi^-2n: the class (F_n, -F_(n+1)) of
+    # fibonacci has a trace so close to 0 that its sign needs about n
+    # bisections of the root's interval
+    a, b = _fibonacci_pair(30)
+    argv = ["positivity", corpus["fib"], "1", "%d,%d" % (a, -b)]
+    rc, rep = run_json(capsys, argv)
+    assert rc == 0 and rep["verdict"] == "Negative"
+    monkeypatch.setattr(fieldpoly, "_REFINE_CAP", 30)
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "capability error: sign refinement exceeded _REFINE_CAP = 30 bisections; the "
+        "element is too close to 0 for the supported precision, or zero without being "
+        "reduced\n"
+    )
+    grp = DimGroup(systems.fibonacci())
+    with pytest.raises(CapabilityError):
+        grp.is_positive(grp.element(1, (a, -b)))
+    # one class: bratteli re-exports the one fieldpoly raises
+    assert CapabilityError is fieldpoly.CapabilityError
 
 
 def test_spectrum_dyadic(corpus, capsys):
@@ -486,6 +519,58 @@ def test_depth_past_an_explicit_diagram_scans_to_its_end(tmp_path, capsys):
     assert rc == 0 and rep["bounds"]["depth"] == 2 ** 63
 
 
+PRIMES_OUT_OF_REACH = (
+    "capability error: --primes %d is out of reach: sieving up to it and reading its "
+    "valuations at %d explicit levels may take more than PRIMES_WORK_CAP = 2^24 steps\n"
+)
+
+
+def test_primes_out_of_reach_on_explicit_input_is_refused(tmp_path, capsys, monkeypatch):
+    ex = str(tmp_path / "explicit.obd")
+    dump_diagram(random_explicit(random.Random(5), levels=3), ex)
+    dy = str(tmp_path / "dyadic.obd")
+    dump_diagram(DYADIC, dy)
+    for argv, levels in (
+        (["spectrum", ex], 3),
+        (["weak", ex, dy], 3),
+        (["tau", dy, ex], 3),
+        (["kconj", ex, ex], 6),
+    ):
+        for cutoff in (10 ** 10, 2 ** 63):
+            with time_ceiling(1):
+                assert run(argv + ["--primes", str(cutoff)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == PRIMES_OUT_OF_REACH % (cutoff, levels)
+    # the bound: the cutoff times the scanned levels plus the sieves, here
+    # 3 + 1 + 1 for one explicit input; a negative depth scans no level
+    monkeypatch.setattr(cli, "PRIMES_WORK_CAP", 500)
+    assert run(["spectrum", ex, "--primes", "100", "--format", "json"]) == 0
+    assert run(["spectrum", ex, "--primes", "101", "--format", "json"]) == 2
+    assert run(["spectrum", ex, "--primes", "250", "--depth", "-1", "--format", "json"]) == 0
+    assert run(["spectrum", ex, "--primes", "251", "--depth", "-1", "--format", "json"]) == 2
+    capsys.readouterr()
+
+
+def test_stationary_inputs_take_any_primes_cutoff(deep, capsys):
+    # stationary diagrams read only their candidate primes and never sieve
+    for argv in (
+        ["spectrum", deep["dyadic"]],
+        ["spectrum", deep["fib23"]],
+        ["weak", deep["fib23"], deep["tri"]],
+        ["tau", deep["dyadic"], deep["dyadic"]],
+        ["kconj", deep["pa"], deep["pb"]],
+    ):
+        reports = []
+        for cutoff in ("97", "10000000000", BIG):
+            with time_ceiling(5):
+                rc, rep = run_json(capsys, argv + ["--primes", cutoff])
+            assert rc == 0 and rep.pop("bounds")["primes"] == int(cutoff)
+            if "spectrum" in rep:
+                rep["spectrum"].pop("prime_cutoff")
+            reports.append(rep)
+        assert reports[0] == reports[1] == reports[2], argv
+
+
 @pytest.mark.parametrize(
     "window, top",
     [
@@ -577,6 +662,26 @@ def test_frobenius_refuses_three_large_generators(capsys):
     with time_ceiling(10):
         rc, rep = run_json(capsys, ["frobenius", str(least - 1), str(least), str(least + 1)])
     assert rc == 0 and rep["threshold"] > 0
+
+
+def test_frobenius_bounds_the_least_generator_times_their_number(capsys, monkeypatch):
+    # the residue table tries every generator from each of its 99,991 entries
+    gens = ["99991"] + [str(99992 + i) for i in range(2000)]
+    with time_ceiling(5):
+        assert run(["frobenius", *gens, "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "capability error: frobenius of three or more generators caps the least one "
+        "times the number of distinct ones at FROBENIUS_WORK_CAP = %d\n" % FROBENIUS_WORK_CAP
+    )
+    # distinct generators count, and two of them need no table
+    monkeypatch.setattr(cli, "FROBENIUS_WORK_CAP", 3000)
+    rc, rep = run_json(capsys, ["frobenius", "1000", "1001", "1002", *["1002"] * 500])
+    assert rc == 0 and rep["threshold"] == frobenius((1000, 1001, 1002))
+    assert run(["frobenius", "1000", "1001", "1002", "1003"]) == 2
+    rc, rep = run_json(capsys, ["frobenius", "1000", "1001", "1001", "1001", "1001"])
+    assert rc == 0 and rep["threshold"] == 1000 * 1001 - 1000 - 1001 + 1
+    capsys.readouterr()
 
 
 def test_frobenius_rejects_non_coprime():

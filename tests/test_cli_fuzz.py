@@ -4,7 +4,10 @@ wall-time bound with exit code 0, 1 or 2 and no exception escaping.
 Hypothesis draws a subcommand, obd-v1 files (named, reducible and seeded
 stationary and explicit diagrams, some with one JSON leaf replaced),
 integer arguments and search bounds (--depth, --span, --base: negative,
-zero, small, 10^6 and 2^63) and, for verify, emitted certificates with
+zero, small, 10^6 and 2^63), prime cutoffs (--primes: negative, zero,
+small, 10^5, 10^10 and 2^63, on stationary and explicit inputs alike),
+frobenius generator lists of up to 2,001 consecutive integers from a
+least one as large as 99,991, and, for verify, emitted certificates with
 one leaf replaced.  The examples are derandomized, so every run draws
 the same calls.
 """
@@ -43,6 +46,8 @@ BIG = 2 ** 63
 INTS = st.sampled_from((-1, 0, 1, 2, 3, BIG)) | st.integers(-2, 12)
 # search bounds: small ones, and ones past every reach the CLI allows
 BOUNDS = st.sampled_from((-1, 0, 1, 4, 10 ** 6, BIG))
+# prime cutoffs: the default, and ones past the sieve an explicit input allows
+PRIMES = st.sampled_from((-1, 0, 2, 97, 10 ** 5, 10 ** 10, BIG))
 # what a mutated JSON leaf becomes
 LEAVES = st.sampled_from((-1, 0, 1, BIG, 1.5, "x", None, True, [], {}))
 
@@ -171,8 +176,16 @@ def calls(draw, corpus):
         argv = [command, path, *owners]
     elif command == "vershik":
         argv = [command, diagram(), "--level", num(), "--vertex", num(), "--limit", num()]
-    else:
+    elif draw(st.booleans()):
         argv = [command, *(num() for _ in range(draw(st.integers(1, 3))))]
+    else:
+        # consecutive, so coprime: a residue table modulo the least one,
+        # searched once per generator
+        least = draw(st.sampled_from((1, 2, 97, 99991)))
+        count = draw(st.sampled_from((2, 3, 30, 2001)))
+        argv = [command, *(str(least + i) for i in range(count))]
+    if command in ("spectrum", "weak", "tau", "kconj"):
+        argv += ["--primes", str(draw(PRIMES))]
     if command in ("validate", "positivity", "spectrum", "weak", "tau", "kconj", "conjugator"):
         argv += ["--depth", str(draw(BOUNDS))]
     return argv + ["--format", draw(st.sampled_from(("json", "table")))]

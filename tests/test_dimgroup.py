@@ -1,19 +1,22 @@
 """Positivity, pushing and Perron data in the dimension group, against references.
 
 is_positive reads the sign of the trace from its numerator <v, rep> alone.
-The reference here is the trace built by division, sign included, and the
-witness level is found by pushing through the raw edge tables.
+The reference here is the trace built by division in Q[x]/(minpoly) with
+sympy's invert and rem, its sign read by interval evaluation over Fraction
+endpoints, and the witness level is found by pushing through the raw edge
+tables.
 
 The Perron data is computed in integers: the characteristic polynomial
 without fractions, the largest root's factor without refining, root counts
 by integer Sturm chains, and the left eigenvector without elimination, as
-integer polynomials in the root.  The references below are the Fraction
-characteristic polynomial, the factor selection that bisects until one
-factor is left and tightens until it changes sign, the eigenvector solved by
-Gauss-Jordan elimination over the field, the Sturm chain over Fraction by
-exact division, and field signs by interval evaluation over Fraction
-endpoints.  The Perron data and trace images of the pooled systems are
-pinned by a digest taken before the arithmetic moved to integers.
+integer polynomials in the root, kept as integer trace weights over one
+scale.  The references below are the Fraction characteristic polynomial,
+the factor selection that bisects until one factor is left and tightens
+until it changes sign, the eigenvector solved by Gauss-Jordan elimination
+over Q[x]/(minpoly) in sympy, the Sturm chain over Fraction by exact
+division, and field signs by interval evaluation over Fraction endpoints.
+The Perron data and trace images of the pooled systems are pinned by a
+digest taken before the arithmetic moved to integers.
 """
 
 import hashlib
@@ -23,6 +26,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from cantorconj.bratteli import LevelRangeError, composed_incidence, heights, incidence
 from cantorconj.check import _trace_group_json
@@ -43,13 +47,13 @@ from cantorconj.fieldpoly import (
     irreducible_factors,
     isolate_largest_real_root,
     poly_mul,
+    poly_trim,
     sturm_chain,
 )
 from cantorconj.invariants import trace_image_group
 from cantorconj.systems import NAMED, fibonacci, odometer, stationary_from_rows
 
 from conftest import _is_primitive, hierarchy_pool, oracle_incidence, random_explicit, time_ceiling
-from test_ladder import row_reduce
 from test_telescoping import p40_rows, u22_rows
 
 TRI3 = stationary_from_rows(((0, 1), (1, 2), (0, 0, 1, 1, 2, 2)))
@@ -82,20 +86,49 @@ def _elements(grp, rng, count):
         yield grp.element(level, vec)
 
 
+X = sympy.symbols("x")
+
+
+def _qpoly(coeffs):
+    """The rational polynomial with these coefficients, constant first, in sympy."""
+    return sympy.Poly([sympy.Rational(str(c)) for c in reversed(coeffs)] or [0], X, domain="QQ")
+
+
+def _fractions(poly):
+    """The coefficients of a sympy polynomial, constant first, as trimmed Fractions."""
+    return poly_trim(tuple(Fraction(str(c)) for c in reversed(poly.all_coeffs())))
+
+
+def _eigenvector_of(data):
+    """The left eigenvector the Perron data keeps, v_i = W_i / scale, as
+    trimmed Fraction coefficient tuples."""
+    return [poly_trim(tuple(Fraction(w, data.scale) for w in wi)) for wi in zip(*data.weights)]
+
+
+def _normalizer_of(data, h1):
+    """<v, heights(1)> from the Perron data: <W, heights(1)> / scale."""
+    return poly_trim(tuple(Fraction(c, data.scale) for c in _mat_apply(data.weights, h1)))
+
+
 def _division_trace(grp, g):
-    """The trace as <v, rep> / (root^(m-1) * normalizer), by field division."""
+    """The trace as <v, rep> / (root^(m-1) * normalizer), by division in
+    Q[x]/(minpoly) with sympy: the denominator's inverse from invert, the
+    product reduced by rem."""
     data = grp.perron
     rep = grp.push(g, max(1, g.level))
-    field = data.field
-    num = field.rational(0)
-    for vi, gi in zip(data.left_eigenvector, rep.vector):
-        num = num + vi * gi
-    return num / ((field.generator() ** (rep.level - 1)) * data.normalizer)
+    m = _qpoly(data.minpoly)
+    v = [_qpoly(vi) for vi in _eigenvector_of(data)]
+    num = _qpoly(())
+    for vi, gi in zip(v, rep.vector):
+        num += vi * gi
+    den = _qpoly((0,) * (rep.level - 1) + (1,)) * _qpoly(_normalizer_of(data, heights(grp.diagram, 1)))
+    return _fractions((num * den.invert(m)).rem(m))
 
 
 def _reference_positivity(grp, g, depth=40):
     """Verdict and witness level from the division trace's sign."""
-    s = _division_trace(grp, g).sign()
+    data = grp.perron
+    s = _interval_sign(NumberField(data.minpoly, *data.field.interval()), _division_trace(grp, g))
     if s == 0:
         return (ZERO if grp.is_zero(g).value else NOT_COMPARABLE), None
     d = grp.diagram
@@ -119,23 +152,22 @@ def test_positivity_matches_division_reference():
             for g in _elements(grp, rng, 25):
                 res = grp.is_positive(g)
                 assert (res.verdict, res.witness_level) == _reference_positivity(grp, g), g
-                assert grp.trace_value(g) == _division_trace(grp, g), g
                 seen.add(res.verdict)
     assert {POSITIVE, NEGATIVE, ZERO} <= seen
 
 
 def test_trace_weights_are_the_eigenvector_scaled_to_integers():
     for d in _systems():
-        grp = DimGroup(d)
-        scale, columns = grp.trace_weights
+        data = DimGroup(d).perron
+        scale, columns = data.scale, data.weights
         assert isinstance(scale, int) and scale > 0
-        assert grp.trace_weights is grp.trace_weights
-        v = grp.perron.left_eigenvector
-        assert len(columns) == grp.perron.field.degree
+        assert DimGroup(d).perron is data
+        v = eliminated_left_eigenvector(incidence(d, 1), data.minpoly)
+        assert len(columns) == data.field.degree
         for t, col in enumerate(columns):
             assert all(type(x) is int for x in col)
             for i, vi in enumerate(v):
-                coeff = vi.coeffs[t] if t < len(vi.coeffs) else 0
+                coeff = vi[t] if t < len(vi) else 0
                 assert col[i] == coeff * scale
         # the least scale that clears every denominator: no common factor
         assert math.gcd(scale, *(x for col in columns for x in col)) == 1
@@ -217,13 +249,11 @@ def test_sign_of_constants_matches_interval_path(minpoly, lo, hi):
     for c in (Fraction(3, 7), Fraction(-5, 2), 1, -1, 10 ** 20, Fraction(-1, 10 ** 20)):
         exact = 1 if c > 0 else -1
         assert field.sign((Fraction(c),)) == _interval_sign(field, (Fraction(c),)) == exact
-        assert field.rational(c).sign() == exact
-    assert field.sign((Fraction(0),)) == field.sign(()) == field.rational(0).sign() == 0
+    assert field.sign((Fraction(0),)) == field.sign(()) == 0
     if field.degree == 2:
-        # the golden ratio: t - 1 > 0 > 1 - t and t^2 - t - 1 reduces to 0
+        # the golden ratio: t - 1 > 0 > 1 - t
         assert field.sign((-1, 1)) == _interval_sign(field, (-1, 1)) == 1
         assert field.sign((1, -1)) == _interval_sign(field, (1, -1)) == -1
-        assert (field.generator() ** 2 - field.generator() - 1).sign() == 0
 
 
 # -- Perron data against the elimination references ---------------------------
@@ -274,15 +304,27 @@ def looped_largest_root_factor(p):
         lo, hi = halve(lo, hi)
 
 
-def eliminated_left_eigenvector(a, field):
-    """v A = root v with v[last] = 1, by Gauss-Jordan elimination over the field."""
+def eliminated_left_eigenvector(a, minpoly):
+    """v A = root v with v[last] = 1, by Gauss-Jordan elimination over
+    Q[x]/(minpoly) in sympy: every entry reduced by rem, every pivot divided
+    out by its inverse from invert.  Fraction coefficient tuples."""
     k = len(a)
-    root = field.generator()
+    m = _qpoly(minpoly)
+    root = _qpoly((0, 1)).rem(m)
     # equation j: sum_i v_i (A[i][j] - root delta_ij) = 0, v_{k-1} = 1 moved right
-    rows = [[field.rational(a[i][j]) - (root if i == j else 0) for i in range(k)] for j in range(k)]
+    rows = [[_qpoly((a[i][j],)) - (root if i == j else 0) for i in range(k)] for j in range(k)]
     aug = [row[:-1] + [-row[-1]] for row in rows]
-    assert row_reduce(aug, range(k - 1)) == list(range(k - 1))
-    return [aug[r][k - 1] for r in range(k - 1)] + [field.rational(1)]
+    for col in range(k - 1):
+        sel = [r for r in range(col, k) if not aug[r][col].is_zero]
+        assert sel, "the first k - 1 columns must have full rank"
+        aug[col], aug[sel[0]] = aug[sel[0]], aug[col]
+        inv = aug[col][col].invert(m)
+        aug[col] = [(x * inv).rem(m) for x in aug[col]]
+        for r in range(k):
+            f = aug[r][col]
+            if r != col and not f.is_zero:
+                aug[r] = [(x - f * y).rem(m) for x, y in zip(aug[r], aug[col])]
+    return [_fractions(aug[r][k - 1]) for r in range(k - 1)] + [(Fraction(1),)]
 
 
 def _perron_pool(rng, sizes, count):
@@ -323,11 +365,11 @@ def test_perron_data_matches_elimination_references():
             assert irreducible_factor_of_largest_root(cp) == (minpoly, (lo, hi)), cp
             data = DimGroup(d).perron
             assert (data.char_poly, data.minpoly) == (cp, minpoly)
-            field = NumberField(minpoly, lo, hi)
-            v = eliminated_left_eigenvector(a, field)
-            assert [x.coeffs for x in data.left_eigenvector] == [x.coeffs for x in v], a
-            norm = sum((vi * h for vi, h in zip(v, heights(d, 1))), field.rational(0))
-            assert data.normalizer.coeffs == norm.coeffs
+            v = eliminated_left_eigenvector(a, minpoly)
+            assert _eigenvector_of(data) == v, a
+            h1 = heights(d, 1)
+            norm = sum((_qpoly(vi) * h for vi, h in zip(v, h1)), _qpoly(()))
+            assert _normalizer_of(data, h1) == _fractions(norm), a
             reducible += cp != minpoly
     assert DimGroup(pool[-1]).perron.char_poly == (0, 0, -3, 1)
     assert reducible >= 10
@@ -359,8 +401,8 @@ def test_cold_perron_outputs_are_pinned():
                 [str(lo), str(hi)],
                 list(data.char_poly),
                 list(data.minpoly),
-                [[str(c) for c in vi.coeffs] for vi in data.left_eigenvector],
-                [str(c) for c in data.normalizer.coeffs],
+                [[str(c) for c in vi] for vi in _eigenvector_of(data)],
+                [str(c) for c in _normalizer_of(data, heights(d, 1))],
                 _trace_group_json(trace_image_group(d)),
             ]
             digest.update(json.dumps(record, sort_keys=True).encode())

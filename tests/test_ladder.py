@@ -49,7 +49,6 @@ from cantorconj.classify import (
     verify_ladder,
 )
 from cantorconj.fieldpoly import (
-    NumberField,
     _mat_apply,
     _mat_mul,
     _row_reduce_int,
@@ -250,7 +249,7 @@ def relabeled_pairs(count, seed):
 def row_reduce(aug, columns):
     """Gauss-Jordan elimination of the rows `aug` over a field, in place.
 
-    Entries are exact (Fraction or FieldElement).  Pivots are sought in the
+    Entries are exact (Fraction).  Pivots are sought in the
     order of `columns`; the pivot columns are returned, row r of aug being
     the reduced pivot row of pivots[r] (pivot entry 1, zero in every other
     pivot column).  Rows past the pivots are zero in every column of
@@ -941,11 +940,9 @@ def generator_mat_mul(a, b):
 
 def test_matrix_kernel_matches_the_generator_formulas():
     rng = random.Random(21)
-    sqrt2 = NumberField((-2, 0, 1), 1, 2)
     entries = (
         lambda: rng.randint(-5, 9),
         lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
-        lambda: sqrt2.element((rng.randint(-3, 3), rng.randint(-3, 3))),
     )
     # (rows, inner, cols): 1x1, an empty inner dimension (b == ()), no rows,
     # a zero-column b, then seeded shapes
