@@ -52,6 +52,14 @@ from .fieldpoly import CapabilityError, _mat_mul  # CapabilityError re-exported
 
 FORMAT_NAME = "obd-v1"
 
+# The canonical JSON text: sorted keys, no whitespace, no NaN, a tuple
+# written as a list.  serialize_diagram writes it, check.diagram_digest
+# hashes it, and check compares weak and tau witnesses in it.  A cyclic
+# value raises RecursionError, as a too deep one does.
+CANONICAL_JSON = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False
+)
+
 # Enumeration guard: operations that materialize every cell of a level stay
 # below this many cells and raise CapabilityError beyond (see cells and
 # capped_heights).  It binds where cells are listed, not on levels that are
@@ -280,8 +288,9 @@ def _to_jsonable(d: OrderedBratteliDiagram) -> dict:
 
 
 def serialize_diagram(d: OrderedBratteliDiagram) -> str:
-    """Canonical JSON text: sorted keys, no whitespace, bit-exact round trip."""
-    return json.dumps(_to_jsonable(d), sort_keys=True, separators=(",", ":"))
+    """The diagram in CANONICAL_JSON text, the text its digest hashes; a
+    bit-exact round trip."""
+    return CANONICAL_JSON.encode(_to_jsonable(d))
 
 
 def load_diagram(path: str) -> OrderedBratteliDiagram:
@@ -312,9 +321,12 @@ def derived(d: OrderedBratteliDiagram, key, fn, *args):
     ("k0_source"), the target level or obstruction found for a gcd,
     threshold, start level and depth ("k0_target"), and the morphism on
     its source diagram under its source level, target level and reduced
-    target heights ("k0_morphism"), and the cell set of a level that
-    fullgroup's synthesis checks partitions against ("cell_set").  Values
-    are shared, so callers must not mutate them.
+    target heights ("k0_morphism"), the canonical text of the weak or tau
+    witness that check's replay recomputes against a second diagram, keyed
+    with that diagram's digest ("weak_witness", "tau_witness"), and the
+    cell set of a level that fullgroup's synthesis checks partitions
+    against ("cell_set").  Values are shared, so callers must not mutate
+    them.
 
     A hit costs one dict probe; fn is called only on a miss.  A key is
     stored only once fn has returned, so a function that checks its

@@ -25,6 +25,7 @@ from itertools import chain
 from typing import Optional
 
 from .bratteli import (
+    CANONICAL_JSON,
     CELL_CAP,
     CapabilityError,
     OrderedBratteliDiagram,
@@ -985,67 +986,25 @@ def _conjugator_witness(elem: FullGroupElement, block_level: int, blocks, images
     }
 
 
-_JSON_SCALARS = (str, int, float, type(None))
+def _canonical(value) -> Optional[str]:
+    """value in CANONICAL_JSON text, the form serialize_diagram writes and
+    diagram_digest hashes, or None when value holds something JSON cannot.
 
-
-def _same_scalar(ours, given) -> bool:
-    return isinstance(given, _JSON_SCALARS) and given == ours
-
-
-def _same_sequence(ours, given, same) -> bool:
-    """Is given a list or tuple whose items match those of ours under same?"""
-    return (
-        isinstance(given, (list, tuple))
-        and len(given) == len(ours)
-        and all(map(same, ours, given))
-    )
-
-
-def _same_json(ours, given) -> bool:
-    """Does given stand for the same JSON value as ours?
-
-    ours is a recomputed witness: dicts with string keys, lists, strings,
-    numbers, booleans and None.  given may come from json.loads or from a
-    caller in this process, so a tuple stands for a list; a value of any
-    type JSON has no counterpart for is a mismatch.  Scalars compare with
-    ==, as they do after a JSON round trip.
+    A tuple reads as a list; a deep or cyclic value reads as None, so it
+    differs from every witness and is never an error.
     """
-    if isinstance(ours, dict):
-        return (
-            isinstance(given, dict)
-            and given.keys() == ours.keys()
-            and all(_same_json(v, given[k]) for k, v in ours.items())
-        )
-    if isinstance(ours, (list, tuple)):
-        return _same_sequence(ours, given, _same_json)
-    return _same_scalar(ours, given)
+    try:
+        return CANONICAL_JSON.encode(value)
+    except (TypeError, ValueError, RecursionError):
+        return None
 
 
-def _same_row(row, given) -> bool:
-    return _same_sequence(row, given, _same_scalar)
-
-
-def _same_morphism(t: K0Morphism, given) -> bool:
-    return (
-        isinstance(given, dict)
-        and given.keys() == {"source_level", "target_level", "matrix"}
-        and _same_scalar(t.source_level, given["source_level"])
-        and _same_scalar(t.target_level, given["target_level"])
-        and _same_sequence(t.matrix, given["matrix"], _same_row)
-    )
-
-
-def _same_weak_witness(schedules, given) -> bool:
-    """_same_json(_weak_witness(*schedules), given), read off the morphisms
-    without building their JSON."""
-    return (
-        isinstance(given, dict)
-        and given.keys() == {"forward", "backward"}
-        and all(
-            _same_sequence(schedule, given[key], _same_morphism)
-            for key, schedule in zip(("forward", "backward"), schedules)
-        )
-    )
+def _recomputed(claim, systems, recompute) -> str:
+    """The canonical text of recompute(), the witness of claim recomputed on
+    systems, kept on the first system under the second's digest: one
+    encoding per ordered pair."""
+    key = (claim + "_witness", diagram_digest(systems[1]))
+    return derived(systems[0], key, lambda: CANONICAL_JSON.encode(recompute()))
 
 
 def verify_certificate(cert: dict, systems) -> CertificateCheck:
@@ -1058,12 +1017,16 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
     canonical recomputation and free parameters are fixed constants (a weak
     witness has WEAK_ROUNDS morphisms each way, a conjugator audits at
     AUDIT_LOOKAHEAD), so any tampering fails even when the mutated payload
-    would still be true.  Weak and tau witnesses are compared with their
-    recomputation as JSON values (see _same_json), whether they were loaded
-    from JSON or built in this process.  A weak witness is read field by
-    field against the recomputed morphisms (see _same_weak_witness), never
-    parsed or walked to its own levels: the recomputation is nonnegative
-    and unit-preserving by construction, so a witness equal to it is too.
+    would still be true.  A weak or tau witness is accepted exactly when its
+    canonical text (see _canonical) equals that of its recomputation,
+    whether it was loaded from JSON or built in this process: a tuple reads
+    as a list, and a leaf of another JSON type (true or 1.0 for 1) differs.
+    The recomputation runs on every replay; its text is kept once per
+    ordered pair (see _recomputed) and encoded outside the malformed-input
+    guard, so an error there (an integer too long for str(), say)
+    propagates.  A weak witness is never parsed or walked to its own
+    levels: the recomputation is nonnegative and unit-preserving by
+    construction, so a witness equal to it is too.
     Every integer of a ladder or conjugator witness (levels, entries,
     displacements, cell coordinates, the lookahead) must be a plain JSON
     integer; anything else is malformed.  No level either names may lie
@@ -1100,10 +1063,8 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
                 schedules = weak_schedules(*systems)
             if schedules is None:
                 return CertificateCheck(False, "spectra no longer verify as equal")
-            if not _same_weak_witness(schedules, witness):
-                return CertificateCheck(False, "witness differs from recomputation")
-            return CertificateCheck(True)
-        if claim == "tau":
+            recompute = lambda: _weak_witness(*schedules)
+        elif claim == "tau":
             if len(systems) != 2:
                 return CertificateCheck(False, "claim needs exactly two systems")
             comp = spectra_equal(*systems)
@@ -1111,10 +1072,8 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
                 *map(trace_image_group, systems)
             ).value is not True:
                 return CertificateCheck(False, "invariants no longer verify")
-            if not _same_json(_tau_witness(comp, *systems), witness):
-                return CertificateCheck(False, "witness differs from recomputation")
-            return CertificateCheck(True)
-        if claim == "conjugator":
+            recompute = lambda: _tau_witness(comp, *systems)
+        elif claim == "conjugator":
             if len(systems) != 1:
                 return CertificateCheck(False, "claim needs exactly one system")
             if _json_int(witness["lookahead"]) != AUDIT_LOOKAHEAD:
@@ -1154,7 +1113,11 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
             if rep.verdict != "ok":
                 return CertificateCheck(False, "conjugator fails verification: %s" % rep.verdict)
             return CertificateCheck(True)
-        return CertificateCheck(False, "unknown claim %r" % claim)
+        else:
+            return CertificateCheck(False, "unknown claim %r" % claim)
     # what a malformed payload raises; a fault inside a check propagates
     except (KeyError, TypeError, ValueError, IndexError, CapabilityError) as e:
         return CertificateCheck(False, "malformed certificate: %s" % e)
+    if _canonical(witness) != _recomputed(claim, systems, recompute):
+        return CertificateCheck(False, "witness differs from recomputation")
+    return CertificateCheck(True)

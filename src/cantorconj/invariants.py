@@ -408,10 +408,10 @@ class TraceImageGroup:
     computed.  kind "field": the increasing union of
     lambda^-m copies of the lattice spanned by `generators` (coordinate
     tuples over the power basis of Q[t]/(minpoly)); `lattice` is that
-    lattice in integer form, and `stabilized`, derived from it, marks the
-    union collapsing to the lattice itself, which happens exactly when the
-    ratio acts with unit determinant.  Membership tests are exact in both
-    kinds.
+    lattice in integer form, and `stabilized`, derived from it and kept
+    once computed, marks the union collapsing to the lattice itself, which
+    happens exactly when the ratio acts with unit determinant.  Membership
+    tests are exact in both kinds.
     """
 
     kind: str
@@ -440,7 +440,7 @@ class TraceImageGroup:
         divisible by."""
         return frozenset(_prime_factors(self.ratio))
 
-    @property
+    @cached_property
     def stabilized(self) -> Optional[bool]:
         """Field kind: does t act on the lattice with determinant +-1?"""
         # |det| of the action of t is the constant term of its characteristic polynomial

@@ -1503,7 +1503,8 @@ def test_weak_replay_accepts_every_form_and_rejects_a_changed_schedule():
 
 
 def verbatim_same_json(ours, given) -> bool:
-    """check._same_json as the weak replay below used it."""
+    """The structural comparison the weak replay below used before weak
+    witnesses were compared as canonical text: scalars compared with ==."""
     if isinstance(ours, dict):
         return (
             isinstance(given, dict)
@@ -1575,28 +1576,47 @@ def _replaced(obj, path, value):
     return out
 
 
-def weak_witness_tampers(witness):
-    """Each digit of the JSON text bumped; each leaf negated and retyped to
-    float, str, bool, None and Fraction (equal, but no JSON value); each list as a tuple, one item short and one item long,
-    and every list a tuple at once; each key of each dict dropped, and an
-    extra one added."""
+# JSON scalars: a leaf retyped to one of these and equal to the original in
+# Python (2.0 or True for an integer, 1.0 for true) is a "retype"
+_SCALARS = (bool, int, float, str, type(None))
+
+
+def witness_tampers(witness):
+    """(form, tampered witness) pairs: each digit of the JSON text bumped;
+    each leaf negated and retyped to float, str, bool, None and Fraction
+    (no JSON value); each list as a tuple, one item short and one item
+    long, and every list a tuple at once; each key of each dict dropped,
+    and an extra one added.  form is "tuple" for the tuple forms, "retype"
+    for a leaf retyped to another JSON scalar type equal to it in Python,
+    and "tamper" for the rest.  An edit that changes nothing (0 negated,
+    an empty list shortened) or that cannot apply (a string negated) is
+    left out."""
     text = json.dumps(witness)
     for pos, ch in enumerate(text):
         if ch.isdigit():
-            yield json.loads(text[:pos] + str((int(ch) + 1) % 10) + text[pos + 1 :])
-    yield _tupled(witness)
+            yield "tamper", json.loads(text[:pos] + str((int(ch) + 1) % 10) + text[pos + 1 :])
+    yield "tuple", _tupled(witness)
     for path, value in _nodes(witness):
         if isinstance(value, dict):
             for key in value:
-                yield _replaced(witness, path, {k: v for k, v in value.items() if k != key})
-            yield _replaced(witness, path, dict(value, extra=0))
+                dropped = {k: v for k, v in value.items() if k != key}
+                yield "tamper", _replaced(witness, path, dropped)
+            yield "tamper", _replaced(witness, path, dict(value, extra=0))
         elif isinstance(value, list):
-            yield _replaced(witness, path, tuple(value))
-            yield _replaced(witness, path, value[:-1])
-            yield _replaced(witness, path, value + value[-1:])
+            yield "tuple", _replaced(witness, path, tuple(value))
+            if value:
+                yield "tamper", _replaced(witness, path, value[:-1])
+                yield "tamper", _replaced(witness, path, value + value[-1:])
         else:
             for retype in (operator.neg, float, str, bool, lambda v: None, Fraction):
-                yield _replaced(witness, path, retype(value))
+                try:
+                    new = retype(value)
+                except (TypeError, ValueError):
+                    continue
+                if type(new) is type(value) and new == value:
+                    continue
+                form = "retype" if isinstance(new, _SCALARS) and new == value else "tamper"
+                yield form, _replaced(witness, path, new)
 
 
 def weak_replay_pairs():
@@ -1624,10 +1644,17 @@ def test_weak_replay_agrees_with_the_verbatim_branch_on_every_tamper():
     for a, b in pairs:
         cert = weak_certificate(decide_weak(a, b), a, b)
         witness = json.loads(json.dumps(cert["witness"]))
-        for bad in weak_witness_tampers(witness):
+        for form, bad in witness_tampers(witness):
             got = verify_certificate(dict(cert, witness=bad), (a, b))
-            assert got.ok == verbatim_weak_replay(bad, (a, b)).ok, (bad, got.reason)
-            outcomes[got.ok] += 1
+            verbatim = verbatim_weak_replay(bad, (a, b))
+            if form == "retype":
+                # the verbatim branch compared leaves with ==
+                assert verbatim.ok, bad
+                assert got.reason == "witness differs from recomputation", bad
+            else:
+                assert got.ok == verbatim.ok, (bad, got.reason)
+            assert got.ok == (form == "tuple"), (form, bad, got.reason)
+            outcomes[form] += 1
         # a level a million levels up is never walked to
         for key in ("forward", "backward"):
             for i in range(WEAK_ROUNDS):
@@ -1636,11 +1663,14 @@ def test_weak_replay_agrees_with_the_verbatim_branch_on_every_tamper():
                     with time_ceiling(1):
                         got = verify_certificate(dict(cert, witness=bad), (a, b))
                     assert got.reason == "witness differs from recomputation"
-    # floats, booleans and tuples that stand for the same JSON value pass
-    assert outcomes[True] > 100 and outcomes[False] > 1000, outcomes
+    # tuples pass, as lists; a float or boolean equal to an integer leaf
+    # fails, as every other tamper does
+    assert outcomes["tuple"] > 100, outcomes
+    assert outcomes["retype"] > 1000 and outcomes["tamper"] > 1000, outcomes
 
 
 def test_tau_replay_accepts_every_form_and_rejects_a_changed_witness():
+    outcomes = collections.Counter()
     for a, b in REPLAY_PAIRS:
         res = decide_tau(a, b)
         assert res.verdict == "tau"
@@ -1648,13 +1678,42 @@ def test_tau_replay_accepts_every_form_and_rejects_a_changed_witness():
         for given in _as_given(cert):
             check = verify_certificate(given, (a, b))
             assert check.ok, check.reason
-        text = json.dumps(cert["witness"], sort_keys=True)
-        for pos in [i for i, ch in enumerate(text) if ch.isdigit()]:
-            bad = copy.deepcopy(cert)
-            bad["witness"] = json.loads(text[:pos] + str((int(text[pos]) + 1) % 10) + text[pos + 1 :])
-            for given in _as_given(bad):
-                check = verify_certificate(given, (a, b))
-                assert check.reason == "witness differs from recomputation", pos
+        witness = json.loads(json.dumps(cert["witness"]))
+        for form, bad in witness_tampers(witness):
+            tampered = dict(cert, witness=bad)
+            try:
+                givens = _as_given(tampered)
+            except TypeError:  # a Fraction leaf has no JSON round trip
+                givens = (tampered, _tupled(tampered))
+            for given in givens:
+                got = verify_certificate(given, (a, b))
+                if form == "tuple":
+                    assert got.ok, (given, got.reason)
+                else:
+                    assert got.reason == "witness differs from recomputation", (form, given)
+            outcomes[form] += 1
+    # among the retypes: stabilized true read as 1.0, minpoly entries as floats
+    assert outcomes["retype"] > 10 and outcomes["tamper"] > 100, outcomes
+
+
+def test_a_cyclic_or_too_deep_witness_differs_and_raises_nothing():
+    weak = weak_certificate(decide_weak(DYADIC, QUATERNARY), DYADIC, QUATERNARY)
+    tau = tau_certificate(decide_tau(FIB, FIB), FIB, FIB)
+    deep = []
+    for _ in range(10 ** 5):
+        deep = [deep]
+    for cert, systems, path in (
+        (weak, (DYADIC, QUATERNARY), ("forward", 0, "matrix")),
+        (tau, (FIB, FIB), ("trace", "a", "minpoly")),
+    ):
+        cyclic = copy.deepcopy(cert["witness"])
+        node = cyclic
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = [cyclic]
+        for bad in (cyclic, _replaced(cert["witness"], path, deep)):
+            got = verify_certificate(dict(cert, witness=bad), systems)
+            assert got.reason == "witness differs from recomputation"
 
 
 def test_verify_certificate_rejects_malformed_payloads_and_propagates_faults(monkeypatch):
@@ -1708,6 +1767,14 @@ def test_verify_certificate_rejects_malformed_payloads_and_propagates_faults(mon
     monkeypatch.setattr("cantorconj.check.verify_conjugator", faulty)
     with pytest.raises(AssertionError, match="fault inside the replay"):
         verify_certificate(cert, (QUATERNARY,))
+
+    # a recomputed witness JSON cannot hold is a fault too, not malformed
+    # input; fresh systems, so no text of the pair is kept yet
+    a, b = dyadic(), quaternary()
+    weak = weak_certificate(decide_weak(a, b), a, b)
+    monkeypatch.setattr("cantorconj.check._weak_witness", lambda *s: {"forward": Fraction(1)})
+    with pytest.raises(TypeError, match="Fraction"):
+        verify_certificate(weak, (a, b))
 
 
 def test_conjugator_replay_rejects_blocks_that_are_not_a_partition():
@@ -1771,3 +1838,33 @@ def test_invariants_computed_once_per_diagram(monkeypatch):
         cert = tau_certificate(decide_tau(d, d), d, d)
         assert verify_certificate(cert, (d, d)).ok
     assert sorted(calls) == [(-1, -1, 1), (1, -3, 1)]
+
+
+def test_stabilized_is_computed_once_per_field_group(monkeypatch):
+    from cantorconj import invariants
+    from cantorconj.invariants import trace_image_group
+
+    b21 = stationary_from_rows(((0, 0, 1), (0, 1, 1)))
+    fib, tri3 = fibonacci(), stationary_from_rows(((0, 1), (1, 2), (0, 0, 1, 1, 2, 2)))
+    pairs = ((fib, fib), (fibonacci(), fibonacci()), (b21, power_of(b21, 2)), (tri3, tri3))
+    pairs += ((dyadic(), quaternary()),)
+    results = [decide_tau(a, b) for a, b in pairs]
+    assert {res.verdict for res in results} == {"tau"}
+    # one group per diagram object, equal groups counted apart: fibonacci
+    # three times and tri3 once are field groups, b21 and the odometers cyclic
+    groups = {id(d): trace_image_group(d) for pair in pairs for d in pair}
+    field_groups = [g for g in groups.values() if g.kind == "field"]
+    assert len(field_groups) == 4
+
+    calls = []
+    real = invariants.charpoly
+
+    def counted(mat):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(invariants, "charpoly", counted)
+    for _ in range(3):
+        for res, (a, b) in zip(results, pairs):
+            tau_certificate(res, a, b)
+    assert len(calls) == len(field_groups)

@@ -251,6 +251,37 @@ def test_tau_certificate_roundtrip(corpus, tmp_path, capsys):
     assert chk["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, path, value",
+    [
+        (("weak", "dyadic", "quaternary"), ("forward", 0, "source_level"), True),
+        (("weak", "dyadic", "quaternary"), ("forward", 0, "matrix"), [[2.0]]),
+        (("tau", "fib", "fib"), ("trace", "a", "stabilized"), 1),
+        (("tau", "fib", "fib"), ("trace", "a", "minpoly"), [-1.0, -1, 1]),
+    ],
+)
+def test_verify_rejects_a_witness_leaf_of_another_json_type(
+    corpus, tmp_path, capsys, argv, path, value
+):
+    command, *names = argv
+    files = [corpus[name] for name in names]
+    rc, rep = run_json(capsys, [command, *files])
+    assert rc == 0 and rep["verdict"] == command
+    cert = rep["certificate"]
+    node = cert["witness"]
+    for key in path[:-1]:
+        node = node[key]
+    # equal in Python to the emitted leaf, but another JSON value
+    assert node[path[-1]] == value and json.dumps(node[path[-1]]) != json.dumps(value)
+    node[path[-1]] = value
+    cp = tmp_path / "retyped.cert.json"
+    cp.write_text(json.dumps(cert))
+    rc = run(["verify", str(cp), *files, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert rc == 0 and "Traceback" not in err
+    assert json.loads(out)["ok"] is False
+
+
 def test_kconj_certificate_roundtrip(corpus, tmp_path, capsys):
     rc, rep = run_json(capsys, ["kconj", corpus["dyadic"], corpus["quaternary"]])
     assert rc == 0

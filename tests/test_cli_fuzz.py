@@ -9,7 +9,10 @@ small, 10^5, 10^10 and 2^63, on stationary and explicit inputs alike),
 frobenius generator lists of up to 2,001 consecutive integers from a
 least one as large as 99,991, and, for verify, emitted certificates with
 one leaf replaced.  The examples are derandomized, so every run draws
-the same calls.
+the same calls; which calls follows the test's source text, so the
+heaviest frobenius call (2,001 generators from 99,991) runs as an explicit
+example on every run.  A call past the wall-time bound fails as an
+ordinary assertion that names its arguments.
 """
 
 import contextlib
@@ -21,7 +24,7 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cantorconj import systems
 from cantorconj.bratteli import dump_diagram
@@ -37,7 +40,7 @@ from cantorconj.classify import (
 )
 from cantorconj.cli import run
 
-from conftest import random_explicit, random_stationary, time_ceiling
+from conftest import CeilingExceeded, random_explicit, random_stationary, time_ceiling
 
 # wall-time bound of one call; every call of the gate takes well under it
 CALL_SECONDS = 5
@@ -196,12 +199,19 @@ def test_cli_exits_0_1_or_2_in_bounded_time(corpus):
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(calls(corpus))
+    @example(["frobenius", *(str(99991 + i) for i in range(2001)), "--format", "json"])
     def one_call(argv):
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
-        with time_ceiling(CALL_SECONDS), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            rc = run(argv)
+        try:
+            with time_ceiling(CALL_SECONDS), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                rc = run(argv)
+        except CeilingExceeded:
+            # an ordinary failure, so hypothesis shrinks and reports the argv
+            raise AssertionError(
+                "cantorconj %s: still running after %s s" % (" ".join(argv), CALL_SECONDS)
+            ) from None
         elapsed = time.perf_counter() - start
         assert rc in (0, 1, 2), (argv, rc)
         assert elapsed < CALL_SECONDS, (argv, elapsed)
