@@ -353,6 +353,50 @@ def test_ladder_tampers_keep_their_rejection_reasons():
                     )
 
 
+def test_conjugator_tampers_keep_their_rejection_reasons():
+    # every tamper of the criterion-10 conjugator certificate, with the
+    # reason it is rejected for ("unparsed" when it is no JSON object), then
+    # each coordinate of a tower table, a block cell and an image cell
+    # retyped to true, 1.0 and "1", all hashed in order
+    bundle = conjugate_at_resolution(DYADIC, QUATERNARY, 2)
+    cert = conjugator_certificate(
+        bundle.corrector, bundle.sigma.target_level, bundle.blocks, bundle.images
+    )
+    text = json.dumps(cert)
+    reasons = []
+    for tampered in single_character_tampers(text):
+        try:
+            loaded = json.loads(tampered)
+        except ValueError:
+            loaded = None
+        if not isinstance(loaded, dict):
+            reasons.append("unparsed")
+            continue
+        result = verify_certificate(loaded, (QUATERNARY,))
+        assert not result.ok
+        reasons.append(result.reason)
+    leaves = (
+        ("element", "towers", 0, "r", 0),
+        ("element", "towers", 0, "r", -1),
+        ("blocks", 0, 0, 0),
+        ("blocks", 0, 0, 1),
+        ("images", -1, -1, 0),
+        ("images", -1, -1, 1),
+    )
+    for where in leaves:
+        for leaf in (True, 1.0, "1"):
+            tampered = json.loads(text)
+            parent = tampered["witness"]
+            for key in where[:-1]:
+                parent = parent[key]
+            parent[where[-1]] = leaf
+            result = verify_certificate(tampered, (QUATERNARY,))
+            assert result.reason == "malformed certificate: %r is not an integer" % (leaf,)
+            reasons.append(result.reason)
+    digest = hashlib.sha256(json.dumps(reasons).encode()).hexdigest()
+    assert digest == "18f1f61c3b797e55ad939416ec1361e439ef2e4c6af12de1625c3ed2bcbf7a40"
+
+
 def test_forged_ladders_that_prove_nothing_are_rejected():
     fib = fibonacci()
     b12 = stationary_from_rows(((0, 1, 1), (0, 0, 1)))  # [[1,2],[2,1]]

@@ -1,11 +1,14 @@
 """Block-cycle combinatorics and full-group conjugator synthesis."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
 from cantorconj.bratteli import OrderedBratteliDiagram, cells, heights, tower_map, tower_stacks
+from cantorconj.classify import StageError, conjugate_at_resolution
 from cantorconj.check import (
     AUDIT_LOOKAHEAD,
     ConjugacyReport,
@@ -23,7 +26,7 @@ from cantorconj.fullgroup import (
 )
 from cantorconj.systems import dyadic, fibonacci, stationary_from_rows
 
-from conftest import time_ceiling
+from conftest import rows_of, time_ceiling
 
 DYADIC = dyadic()
 FIB = fibonacci()
@@ -630,6 +633,35 @@ def test_synthesis_reports_per_tower_violation():
         conjugator_from_partition(DYADIC, 2, blocks, blocks)
     assert e.value.kind == "blocks"
     assert "tower" in e.value.detail
+
+
+def test_synthesis_stalls_keep_their_messages_and_violations():
+    # A against A at m = 2 for the 32 primitive 2x2 incidences with entries
+    # <= 2: the pipeline's error, with the violation of the tower that
+    # fails the block condition, hashed in order
+    records = []
+    for entries in itertools.product(range(3), repeat=4):
+        mat = (entries[:2], entries[2:])
+        # a 2x2 incidence is primitive when its square is positive (Wielandt)
+        if not all(mat[i][0] * mat[0][j] + mat[i][1] * mat[1][j] for i in (0, 1) for j in (0, 1)):
+            continue
+        d = stationary_from_rows(rows_of(mat))
+        try:
+            b = conjugate_at_resolution(d, d, 2)
+        except StageError as e:
+            cause = e.__context__
+            violation = cause.detail.get("violation") if isinstance(cause, ConjugatorError) else None
+            records.append([mat, e.stage, str(e), violation])
+        else:
+            records.append([mat, b.corrector.to_json(), b.report.verdict])
+    assert len(records) == 32
+    stalls = [r for r in records if r[3] is not None]
+    assert len(stalls) == 14
+    assert {r[2].split(" at ")[1] for r in stalls} == {
+        "level 3 fails the block condition", "level 4 fails the block condition"
+    }
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "9976780d6d60d04e6c351f8739aab979c17e64f86047feda24762f0f9cfd1e8c"
 
 
 def test_synthesis_needs_connecting_positivity():
