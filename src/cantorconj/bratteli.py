@@ -69,6 +69,12 @@ CELL_CAP = 2 ** 12
 # Default depth bound: how many levels a bounded scan reads before it gives up.
 DEFAULT_DEPTH = 40
 
+# The deepest level a ladder or conjugator may name.  check refuses a level
+# past it before any heights are read, and first_level_over_cap walks no
+# further, so no replay walks further up a diagram; the deciders' ladders
+# and conjugators stay far below it.
+MAX_LEVEL = 1024
+
 
 class DiagramSyntaxError(ValueError):
     """Diagram text is not valid JSON (message has the position) or too deep."""
@@ -323,10 +329,11 @@ def derived(d: OrderedBratteliDiagram, key, fn, *args):
     its source diagram under its source level, target level and reduced
     target heights ("k0_morphism"), the canonical text of the weak or tau
     witness that check's replay recomputes against a second diagram, keyed
-    with that diagram's digest ("weak_witness", "tau_witness"), and the
-    cell set of a level that fullgroup's synthesis checks partitions
-    against ("cell_set").  Values are shared, so callers must not mutate
-    them.
+    with that diagram's digest ("weak_witness", "tau_witness"), the cell
+    set of a level, which check's replay and fullgroup's synthesis check
+    partitions against (cell_set, under "cell_set" and the level), and the
+    first level with more than CELL_CAP cells (first_level_over_cap,
+    "cap_level").  Values are shared, so callers must not mutate them.
 
     A hit costs one dict probe; fn is called only on a miss.  A key is
     stored only once fn has returned, so a function that checks its
@@ -497,16 +504,6 @@ def vershik_predecessor(d: OrderedBratteliDiagram, path: Path):
     return MAX_PATH
 
 
-def path_rank(d: OrderedBratteliDiagram, path: Path) -> int:
-    """Number of paths to the same end vertex strictly below, in path order."""
-    validate_path(d, path)
-    rank = 0
-    for n, (v, t) in enumerate(path):
-        h = heights(d, n)
-        rank += sum(h[s] for s in d.table(n)[v][:t])
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # Cells and towers
 
@@ -523,18 +520,36 @@ def capped_heights(d: OrderedBratteliDiagram, m: int) -> tuple[int, ...]:
 
 
 def first_level_over_cap(d: OrderedBratteliDiagram, m: int) -> int | None:
-    """The first level below m with more than CELL_CAP cells, or None.
+    """The first level below m with more than CELL_CAP cells, or None; m is
+    at most MAX_LEVEL.
 
-    The heights are walked up from the root and not kept, so no level past
-    that one is computed, and a diagram whose cells never pass the cap
-    costs what heights(d, m) costs from the root.
+    The diagram's first such level is found once and kept: the heights are
+    walked up from the root to MAX_LEVEL, or to an explicit diagram's last
+    level, and not kept, so no level past that one is computed, and a
+    diagram whose cells never pass the cap is walked once.  Past an
+    explicit diagram's last level, with no level over the cap below it,
+    LevelRangeError names the missing transition, as a walk up to m would.
     """
+    over = derived(d, "cap_level", _first_level_over_cap, d)
+    if over is not None and over < m:
+        return over
+    top = d.max_level()
+    if top is not None and m > top:
+        raise LevelRangeError(
+            "explicit diagram has no transition %d -> %d" % (top, top + 1)
+        )
+    return None
+
+
+def _first_level_over_cap(d):
+    top = d.max_level()
+    top = MAX_LEVEL if top is None else min(top, MAX_LEVEL)
     h = (1,)
-    for n in range(m):
+    for n in range(top):
         if sum(h) > CELL_CAP:
             return n
         h = tuple(sum(h[s] for s in row) for row in d.table(n))
-    return None
+    return top if sum(h) > CELL_CAP else None
 
 
 def cells(d: OrderedBratteliDiagram, m: int) -> list[Cell]:
@@ -547,6 +562,16 @@ def cells(d: OrderedBratteliDiagram, m: int) -> list[Cell]:
     """
     h = capped_heights(d, m)
     return [(v, k) for v in range(len(h)) for k in range(1, h[v] + 1)]
+
+
+def cell_set(d: OrderedBratteliDiagram, m: int) -> frozenset:
+    """cells(d, m) as a frozenset, kept per diagram and level: the cells a
+    partition of level m must cover."""
+    return derived(d, ("cell_set", m), _cell_set, d, m)
+
+
+def _cell_set(d, m):
+    return frozenset(cells(d, m))
 
 
 def tower_map(d: OrderedBratteliDiagram, m: int, m_fine: int) -> dict:

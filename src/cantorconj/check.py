@@ -27,11 +27,12 @@ from typing import Optional
 from .bratteli import (
     CANONICAL_JSON,
     CELL_CAP,
+    MAX_LEVEL,  # classify reads it from here
     CapabilityError,
     OrderedBratteliDiagram,
     _plain_int,
     capped_heights,
-    cells,
+    cell_set,
     composed_incidence,
     derived,
     first_level_over_cap,
@@ -61,10 +62,7 @@ AUDIT_LOOKAHEAD = 2
 # the verifier rejects schedules of any other length.
 WEAK_ROUNDS = 2
 
-# The deepest level a ladder or conjugator may name.  A level past it is
-# refused before any heights are read, so no replay walks further up a
-# diagram; the deciders' ladders and conjugators stay far below it.
-MAX_LEVEL = 1024
+_INT = frozenset((int,))
 
 
 def _json_int(x) -> int:
@@ -72,6 +70,20 @@ def _json_int(x) -> int:
     if not _plain_int(x):
         raise ValueError("%r is not an integer" % (x,))
     return x
+
+
+def _json_ints(seq) -> tuple:
+    """seq as a tuple when every entry is a plain JSON integer; ValueError
+    naming the first entry that is not one.
+
+    One pass over the entries' types decides what JSON text can hold; only
+    a sequence holding another type is read entry by entry.
+    """
+    out = tuple(seq)
+    if not _INT.issuperset(map(type, out)):
+        for x in out:
+            _json_int(x)
+    return out
 
 
 class SearchExhausted(RuntimeError):
@@ -419,12 +431,11 @@ class IntertwiningLadder:
     def from_json(blob: dict) -> "IntertwiningLadder":
         """The ladder a witness states; ValueError on a level or entry that
         is not a plain JSON integer."""
-        freeze = lambda m: tuple(tuple(map(_json_int, row)) for row in m)
         return IntertwiningLadder(
-            tuple(map(_json_int, blob["a_levels"])),
-            tuple(map(_json_int, blob["b_levels"])),
-            tuple(freeze(m) for m in blob["forwards"]),
-            tuple(freeze(m) for m in blob["backwards"]),
+            _json_ints(blob["a_levels"]),
+            _json_ints(blob["b_levels"]),
+            tuple(tuple(map(_json_ints, m)) for m in blob["forwards"]),
+            tuple(tuple(map(_json_ints, m)) for m in blob["backwards"]),
         )
 
 
@@ -1029,11 +1040,17 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
     construction, so a witness equal to it is too.
     Every integer of a ladder or conjugator witness (levels, entries,
     displacements, cell coordinates, the lookahead) must be a plain JSON
-    integer; anything else is malformed.  No level either names may lie
-    past MAX_LEVEL.  A conjugator's levels must also lie at or below the
-    first level with more than CELL_CAP cells (searched up to MAX_LEVEL),
-    and its blocks and images must each partition the cells of its block
-    level, before the conjugator is replayed.
+    integer; anything else is malformed, and the first such entry in
+    reading order is named.  Each integer sequence (a ladder's levels, a
+    rung row, a tower's displacements, a cell) is read in one pass (see
+    _json_ints).  No level either names may lie past MAX_LEVEL.  A
+    conjugator's levels must also lie at or below the diagram's first
+    level with more than CELL_CAP cells (bratteli.first_level_over_cap,
+    walked once per diagram), and its blocks and images must each
+    partition the cells of its block level (bratteli.cell_set, kept per
+    diagram and level), before the conjugator is replayed.  Only these
+    facts about the diagram are kept: every call parses the witness,
+    checks both partitions and runs verify_conjugator again.
     """
     systems = tuple(systems)
     try:
@@ -1096,14 +1113,11 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
             if [t["w"] for t in towers] != list(range(len(towers))):
                 return CertificateCheck(False, "tower indices must be 0..k-1")
             elem = FullGroupElement(
-                systems[0],
-                blob["level"],
-                tuple(tuple(map(_json_int, tower["r"])) for tower in towers),
+                systems[0], blob["level"], tuple(_json_ints(tower["r"]) for tower in towers)
             )
-            cell = lambda c: tuple(map(_json_int, c))
-            blocks = tuple(tuple(map(cell, u)) for u in witness["blocks"])
-            images = tuple(tuple(map(cell, v)) for v in witness["images"])
-            universe = set(cells(systems[0], block_level))
+            blocks = tuple(tuple(map(_json_ints, u)) for u in witness["blocks"])
+            images = tuple(tuple(map(_json_ints, v)) for v in witness["images"])
+            universe = cell_set(systems[0], block_level)
             try:
                 _validate_partition(blocks, universe, "block")
                 _validate_partition(images, universe, "image block")

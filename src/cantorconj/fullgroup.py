@@ -10,11 +10,12 @@ inherits two labelled partitions of its floors (where the blocks and the
 image blocks cut it), and the existence of a single N-cycle sending label
 fibers onto label fibers is governed by a clean combinatorial criterion: no
 nonempty proper subfamily of blocks may have its union fixed by the
-bijection.  The criterion is decided first, on the block graph; when it
-holds, splicing the cycles of the in-block assignment across the first
-block that straddles the cycle of 1, one splice at a time, produces such an
-N-cycle; reading off its offsets against the floor index yields the
-return-time table r(w, j) of a full-group element.
+bijection.  Splicing the cycles of the in-block assignment across the
+first block that straddles the cycle of 1, one splice at a time, produces
+such an N-cycle whenever the criterion holds; when the splicing stalls,
+the criterion fails, and the block graph names the violation.  Reading off
+the cycle's offsets against the floor index yields the return-time table
+r(w, j) of a full-group element.
 
 The element (FullGroupElement) and its replay (verify_conjugator) live in
 check, which imports nothing from here: the synthesis cannot vouch for
@@ -32,8 +33,7 @@ from .bratteli import (
     DgElement,
     OrderedBratteliDiagram,
     capped_heights,
-    cells,
-    derived,
+    cell_set,
     heights,
     incidence,
     tower_stacks,
@@ -203,25 +203,36 @@ def cyclic_from_blocks(b: BlockBijection) -> tuple:
     sigma with sigma[i-1] the image of i.
 
     Decides first: when the block condition fails, the violation of
-    check_block_condition is raised before any splicing.  Otherwise start
-    from the order-respecting assignment inside each block, then merge
-    cycles: as long as the element 1 does not exhaust its cycle C, swapping
-    the images of the earliest pair a block splits between C and the rest
-    splices two cycles into one.  Until C is everything some block
-    straddles it, or C would be a preserved union of blocks.  Deterministic:
-    a count per block of its elements on C picks the first straddling block
-    by index, and its smallest elements on and off C are used.
+    check_block_condition is raised before any splicing (splicing first
+    costs a violating bijection the splices that lead up to the stall; see
+    _cycle).  Otherwise start from the order-respecting assignment inside
+    each block, then merge cycles: as long as the element 1 does not
+    exhaust its cycle C, swapping the images of the earliest pair a block
+    splits between C and the rest splices two cycles into one.  Until C is
+    everything some block straddles it, or C would be a preserved union of
+    blocks.  Deterministic: a count per block of its elements on C picks
+    the first straddling block by index, and its smallest elements on and
+    off C are used.
     """
-    return _cycle(b.size, b.blocks, b.images, _block_of(b))
+    block_of = _block_of(b)
+    violation = _decide(b.blocks, b.images, block_of)
+    if violation is not None:
+        raise BlockConditionViolation(violation)
+    return _cycle(b.size, b.blocks, b.images, block_of)
 
 
 def _cycle(n: int, blocks, images, block_of) -> tuple:
-    """cyclic_from_blocks on a block bijection of 1..n given as its parts:
-    increasing blocks and images, aligned and of equal sizes, and the
-    block of each element."""
-    violation = _decide(blocks, images, block_of)
-    if violation is not None:
-        raise BlockConditionViolation(violation)
+    """The cycle of cyclic_from_blocks on a block bijection of 1..n given
+    as its parts: nonempty increasing blocks and images, aligned and of
+    equal sizes, and the block of each element.
+
+    Splices first and decides only on a stall: the splices stop short of
+    a single cycle exactly when the cycle of 1 is a union of blocks that
+    sigma, which sends each block onto its image, preserves.  That union
+    is nonempty and proper, so the block condition fails, and the violation
+    raised is the one _decide finds, as when deciding first.  When the
+    condition holds the block graph is never built.
+    """
     sigma = [0] * (n + 1)
     for u, v in zip(blocks, images):
         for i, j in zip(u, v):
@@ -242,6 +253,8 @@ def _cycle(n: int, blocks, images, block_of) -> tuple:
                 straddling ^= 1 << t
             x = sigma[x]
         if not straddling:
+            if not all(on[1:]):
+                raise BlockConditionViolation(_decide(blocks, images, block_of))
             break
         u = blocks[(straddling & -straddling).bit_length() - 1]
         # blocks are sorted, so these are the least straddling elements
@@ -252,10 +265,6 @@ def _cycle(n: int, blocks, images, block_of) -> tuple:
         sigma[i], sigma[j] = sigma[j], sigma[i]
         x = sigma[i]
     return tuple(sigma[1:])
-
-
-def _cell_set(d, m):
-    return frozenset(cells(d, m))
 
 
 def conjugator_from_partition(
@@ -281,17 +290,19 @@ def conjugator_from_partition(
     not primitive.
 
     Once the partitions are checked, against the cell set of m kept once
-    per diagram, one pass over them reads each floor's block and
-    image-block label at level m and counts the classes.  A tower of m*
-    stacks whole towers of m (bratteli.tower_stacks), so its labels are
-    those of its stack, concatenated; the cells of m* are not listed, but
-    CELL_CAP still binds on m*.  The labels split the tower's floors into
-    blocks and image blocks, increasing and of equal sizes since the
-    pushed counting vectors agree at m*, so they go to the block condition
-    and the cycle construction as they are, without BlockBijection's
-    checks.
+    per diagram (bratteli.cell_set), one pass over them reads each floor's
+    block and image-block label at level m and counts the classes.  A tower
+    of m* stacks whole towers of m (bratteli.tower_stacks), so its labels
+    are those of its stack, concatenated; the cells of m* are not listed,
+    but CELL_CAP still binds on m*.  The labels split the tower's floors
+    into blocks and image blocks, increasing and of equal sizes since the
+    pushed counting vectors agree at m*, and nonempty since every tower of
+    m* stacks every tower of m, so they go to the cycle construction as
+    they are, without BlockBijection's checks.  It splices first and
+    decides the block condition only when the splicing stalls (see
+    _cycle), so a tower that satisfies it never builds its block graph.
     """
-    universe = derived(d, ("cell_set", m), _cell_set, d, m)
+    universe = cell_set(d, m)
     blocks = tuple(tuple(sorted(u)) for u in blocks)
     images = tuple(tuple(sorted(v)) for v in images)
     if len(blocks) != len(images):

@@ -22,11 +22,11 @@ from cantorconj.bratteli import (
     max_path,
     min_path,
     parse_diagram,
-    path_rank,
     serialize_diagram,
     tower_map,
     tower_stacks,
     validate,
+    validate_path,
     vershik_predecessor,
     vershik_successor,
 )
@@ -48,6 +48,17 @@ from conftest import (
     random_stationary,
     time_ceiling,
 )
+
+def path_rank(d, path):
+    """Number of paths to the same end vertex strictly below, in path
+    order: floor minus one, read edge by edge from the heights below."""
+    validate_path(d, path)
+    rank = 0
+    for n, (v, t) in enumerate(path):
+        h = heights(d, n)
+        rank += sum(h[s] for s in d.table(n)[v][:t])
+    return rank
+
 
 def path_for_floor(d, v, m, floor):
     """The path of tower v at level m whose 1-indexed floor is given: the

@@ -9,10 +9,18 @@ small, 10^5, 10^10 and 2^63, on stationary and explicit inputs alike),
 frobenius generator lists of up to 2,001 consecutive integers from a
 least one as large as 99,991, and, for verify, emitted certificates with
 one leaf replaced.  The examples are derandomized, so every run draws
-the same calls; which calls follows the test's source text, so the
-heaviest frobenius call (2,001 generators from 99,991) runs as an explicit
-example on every run.  A call past the wall-time bound fails as an
-ordinary assertion that names its arguments.
+the same calls; which calls follows the test's source text, so an edit to
+one_call can change them all.  What always runs, whatever the draws, are
+the explicit examples (HEAVY), one per heavy refusal, each asserted to
+exit 2:
+
+- frobenius of the 2,001 consecutive generators from 99,991;
+- spectrum of an explicit diagram with --primes 10^10;
+- positivity on a reducible diagram with --depth 2^63;
+- kconj with a window past MAX_LEVEL (--span 10^6).
+
+A call past the wall-time bound fails as an ordinary assertion that names
+its arguments.
 """
 
 import contextlib
@@ -194,12 +202,30 @@ def calls(draw, corpus):
     return argv + ["--format", draw(st.sampled_from(("json", "table")))]
 
 
+def heavy_refusals(base):
+    """The calls that always run, each refused with exit 2 (see the module
+    docstring); d0, d2, d3 and d8 are dyadic, quaternary, a reducible
+    diagram and an explicit one."""
+    path = lambda i: str(base / ("d%d.obd" % i))
+    return (
+        ["frobenius", *(str(99991 + i) for i in range(2001))],
+        ["spectrum", path(8), "--primes", str(10 ** 10)],
+        ["positivity", path(3), "1", "1,-1", "--depth", str(BIG)],
+        ["kconj", path(0), path(2), "--span", str(10 ** 6)],
+    )
+
+
 def test_cli_exits_0_1_or_2_in_bounded_time(corpus):
     seen = {}
+    exits = {}
+    heavy = [argv + ["--format", "json"] for argv in heavy_refusals(corpus[0])]
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(calls(corpus))
-    @example(["frobenius", *(str(99991 + i) for i in range(2001)), "--format", "json"])
+    @example(heavy[0])
+    @example(heavy[1])
+    @example(heavy[2])
+    @example(heavy[3])
     def one_call(argv):
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
@@ -217,7 +243,10 @@ def test_cli_exits_0_1_or_2_in_bounded_time(corpus):
         assert elapsed < CALL_SECONDS, (argv, elapsed)
         assert "Traceback" not in err.getvalue(), argv
         seen[rc] = seen.get(rc, 0) + 1
+        exits[tuple(argv)] = rc
 
     one_call()
+    # every heavy refusal ran and was refused
+    assert [exits.get(tuple(argv)) for argv in heavy] == [2] * len(heavy)
     # the draws reach every outcome
     assert set(seen) == {0, 1, 2}, seen
