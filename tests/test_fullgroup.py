@@ -8,13 +8,13 @@ import random
 import pytest
 
 from cantorconj.bratteli import OrderedBratteliDiagram, cells, heights, tower_map, tower_stacks
-from cantorconj.classify import StageError, conjugate_at_resolution
 from cantorconj.check import (
     AUDIT_LOOKAHEAD,
     ConjugacyReport,
     FullGroupElement,
     verify_conjugator,
 )
+from cantorconj.classify import StageError, conjugate_at_resolution
 from cantorconj.fullgroup import (
     BlockBijection,
     BlockConditionResult,
@@ -653,7 +653,7 @@ def test_synthesis_stalls_keep_their_messages_and_violations():
             violation = cause.detail.get("violation") if isinstance(cause, ConjugatorError) else None
             records.append([mat, e.stage, str(e), violation])
         else:
-            records.append([mat, b.corrector.to_json(), b.report.verdict])
+            records.append([mat, b.corrector.to_json(), b.report.verdict, None])
     assert len(records) == 32
     stalls = [r for r in records if r[3] is not None]
     assert len(stalls) == 14
