@@ -76,8 +76,9 @@ def _json_ints(seq) -> tuple:
     """seq as a tuple when every entry is a plain JSON integer; ValueError
     naming the first entry that is not one.
 
-    One pass over the entries' types decides what JSON text can hold; only
-    a sequence holding another type is read entry by entry.
+    The entries' types are read in one pass; only a sequence holding a type
+    other than int is checked entry by entry, which finds the first
+    offender and still accepts a subclass of int other than bool.
     """
     out = tuple(seq)
     if not _INT.issuperset(map(type, out)):
