@@ -1,5 +1,8 @@
 """Divisor sets, periodic spectra, and trace-image subgroups."""
 
+import collections
+import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -31,9 +34,24 @@ from cantorconj.invariants import (
     _stationary_data,
     _stationary_valuation,
 )
-from cantorconj.systems import dyadic, fibonacci, quaternary, stationary_from_rows, triadic
+from cantorconj.systems import (
+    NAMED,
+    dyadic,
+    fibonacci,
+    quaternary,
+    stationary_from_rows,
+    triadic,
+)
 
-from conftest import _is_primitive, oracle_heights, random_stationary, rows_of, time_ceiling
+from conftest import (
+    _is_primitive,
+    hierarchy_pool,
+    oracle_heights,
+    random_explicit,
+    random_stationary,
+    rows_of,
+    time_ceiling,
+)
 
 DYADIC = dyadic()
 TRIADIC = triadic()
@@ -555,6 +573,27 @@ def test_spectra_explicit_side_certified_distinct():
 def test_spectra_explicit_side_unknown_when_compatible():
     trunc = explicit_truncation([2, 2, 2])
     assert spectra_equal(trunc, DYADIC).verdict == "unknown"
+
+
+def test_spectra_comparisons_are_pinned():
+    # (verdict, witness, certificate) on every ordered pair of the hierarchy
+    # pool, the named systems and six explicit diagrams, at a small and at
+    # the default prime cutoff and depth, hashed in order
+    rng = random.Random(3)
+    pool = hierarchy_pool() + [NAMED[name]() for name in sorted(NAMED)]
+    pool += [random_explicit(rng, levels=6) for _ in range(6)]
+    digest = hashlib.sha256()
+    counts = collections.Counter()
+    for prime_cutoff, depth in ((7, 3), (97, 40)):
+        for a, b in itertools.product(pool, repeat=2):
+            res = spectra_equal(a, b, prime_cutoff, depth)
+            counts[res.verdict] += 1
+            record = [res.verdict, res.witness, res.certificate]
+            digest.update(json.dumps(record, sort_keys=True).encode())
+    assert counts == {"equal": 264, "distinct": 1586, "unknown": 462}
+    assert digest.hexdigest() == (
+        "4a83f5ca7b29d411ac8fd6f900d1888b88937b84287364cab90062cd8f5a3ed1"
+    )
 
 
 # ---------------------------------------------------------------------------
