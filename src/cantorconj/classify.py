@@ -31,18 +31,20 @@ cells are skipped before any elimination.
 No-verdicts are only ever derived from sound obstructions: a prime power
 present in one divisor set and absent from the other, a rational-rank
 mismatch of the trace images, or certified non-isomorphy of the trace
-images.  Exhausted searches return Unknown, never No; order isomorphism of
-dimension groups has no known general decision procedure, so honesty about
-the search boundary is part of the contract.
+images.  decide_k_conjugacy's No is decide_tau's, so a refutation of a
+coarser relation refutes every finer one by construction.  Exhausted
+searches return Unknown, never No; order isomorphism of dimension groups
+has no known general decision procedure, so honesty about the search
+boundary is part of the contract.
 
-The second half of the module implements the lifting lemmas the deciders
-rest on: realizing a positive class as a clopen subset of a given clopen
-set, and splitting the space along a list of classes.  A clopen set is a
-ClopenSet, a sorted tuple of cells at one level, and it is carried to a
-finer level through bratteli.tower_map.  Last comes an approximate
-conjugacy at a fixed resolution, assembled from a unit-preserving
-morphism, the target blocks read straight off its matrix and a full-group
-corrector.
+The second half of the module holds the lifting lemmas, public API that
+no decider calls: realizing a positive class as a clopen subset of a
+given clopen set, and splitting the space along a list of classes.  A
+clopen set is a ClopenSet, a sorted tuple of cells at one level, and it is
+carried to a finer level through bratteli.tower_map.  Last comes an
+approximate conjugacy at a fixed resolution, assembled from a
+unit-preserving morphism, the target blocks read straight off its matrix
+and a full-group corrector.
 """
 
 from __future__ import annotations
@@ -138,15 +140,15 @@ def decide_weak(
 
 
 # ---------------------------------------------------------------------------
-# approximate K-conjugacy
+# approximate tau-conjugacy
 
 
 @dataclass(frozen=True)
-class KConjResult:
-    verdict: str  # "k-conjugate" | "not" | "unknown"
-    ladder: Optional[IntertwiningLadder] = None
+class TauResult:
+    verdict: str  # "tau" | "not" | "unknown"
     obstructions: tuple = ()
-    note: Optional[str] = None
+    spectra: Optional[SpectraComparison] = None
+    trace: Optional[TraceIsoResult] = None
 
 
 def _trace_group_or_none(dg):
@@ -160,9 +162,19 @@ def _rational_rank(g):
     return 1 if g.kind == "cyclic" else len(g.minpoly) - 1
 
 
-def _obstructions(dgA, dgB, prime_cutoff, depth):
-    """(sound obstructions: spectra, rank, trace; spectra comparison; trace
-    verdict, None unless both trace images exist)."""
+def decide_tau(
+    dgA: OrderedBratteliDiagram,
+    dgB: OrderedBratteliDiagram,
+    prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
+    depth: int = DEFAULT_DEPTH,
+) -> TauResult:
+    """Conjunction of equal spectra and isomorphic trace images.
+
+    Every sound obstruction is reported: decide_weak's spectra witness, a
+    rational-rank mismatch of the trace images (fields of different degree)
+    and certified non-isomorphy of the trace images.  decide_k_conjugacy
+    takes its No from here, so refutations are closed by construction.
+    """
     obstructions = []
     comp = spectra_equal(dgA, dgB, prime_cutoff, depth)
     if comp.verdict == "distinct":
@@ -176,7 +188,23 @@ def _obstructions(dgA, dgB, prime_cutoff, depth):
         iso = trace_images_isomorphic(ga, gb)
         if iso.value is False:
             obstructions.append(Obstruction("trace", iso.reason))
-    return tuple(obstructions), comp, iso
+    if obstructions:
+        return TauResult("not", tuple(obstructions), comp, iso)
+    if comp.verdict == "equal" and iso is not None and iso.value is True:
+        return TauResult("tau", (), comp, iso)
+    return TauResult("unknown", (), comp, iso)
+
+
+# ---------------------------------------------------------------------------
+# approximate K-conjugacy
+
+
+@dataclass(frozen=True)
+class KConjResult:
+    verdict: str  # "k-conjugate" | "not" | "unknown"
+    ladder: Optional[IntertwiningLadder] = None
+    obstructions: tuple = ()
+    note: Optional[str] = None
 
 
 class _NodeBudget:
@@ -502,12 +530,11 @@ def decide_k_conjugacy(
 ) -> KConjResult:
     """Unital order isomorphism of the dimension groups, certified by a ladder.
 
-    All sound obstructions are collected and reported together: a spectra
-    witness, a rational-rank mismatch of the trace images, and certified
-    non-isomorphy of the trace images.  With none present, stationary inputs
-    go to a bounded search for a periodic intertwining ladder, by total
-    level span up to max_span and base levels up to max_base.  In each cell
-    the forward rung h runs over the nonnegative integer solutions of
+    No comes from decide_tau, with its obstructions, so kconj is refuted
+    exactly when tau is.  Otherwise stationary inputs go to a bounded
+    search for a periodic intertwining ladder, by total level span up to
+    max_span and base levels up to max_base.  In each cell the forward
+    rung h runs over the nonnegative integer solutions of
     h.A^ga = B^gb.h with h.u_A = u_B: there is at most one, K_B.K_A^-1,
     when the heights at levels a0 + j*ga (j below A's vertex count) are
     linearly independent, since A^ga carries each to the next; only
@@ -535,9 +562,9 @@ def decide_k_conjugacy(
             "a ladder with span <= %d from base levels <= %d may name level %d, "
             "past MAX_LEVEL = %d" % (max_span, max_base, top, MAX_LEVEL)
         )
-    obstructions = _obstructions(dgA, dgB, prime_cutoff, depth)[0]
-    if obstructions:
-        return KConjResult("not", obstructions=obstructions)
+    tau = decide_tau(dgA, dgB, prime_cutoff, depth)
+    if tau.verdict == "not":
+        return KConjResult("not", obstructions=tau.obstructions)
     if dgA == dgB:
         eye = composed_incidence(dgA, 1, 1)
         ladder = IntertwiningLadder((1, 1), (1,), (eye,), (eye,))
@@ -571,34 +598,6 @@ def decide_k_conjugacy(
     rep = verify_ladder(ladder, dgA, dgB)
     assert rep.ok, rep.reason
     return KConjResult("k-conjugate", ladder)
-
-
-# ---------------------------------------------------------------------------
-# approximate tau-conjugacy
-
-
-@dataclass(frozen=True)
-class TauResult:
-    verdict: str  # "tau" | "not" | "unknown"
-    obstructions: tuple = ()
-    spectra: Optional[SpectraComparison] = None
-    trace: Optional[TraceIsoResult] = None
-
-
-def decide_tau(
-    dgA: OrderedBratteliDiagram,
-    dgB: OrderedBratteliDiagram,
-    prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-    depth: int = DEFAULT_DEPTH,
-) -> TauResult:
-    """Conjunction of equal spectra and isomorphic trace images; a rank
-    mismatch (fields of different degree) already rules the second out."""
-    obstructions, comp, iso = _obstructions(dgA, dgB, prime_cutoff, depth)
-    if obstructions:
-        return TauResult("not", obstructions, comp, iso)
-    if comp.verdict == "equal" and iso is not None and iso.value is True:
-        return TauResult("tau", (), comp, iso)
-    return TauResult("unknown", (), comp, iso)
 
 
 # ---------------------------------------------------------------------------

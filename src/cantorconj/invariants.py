@@ -207,12 +207,6 @@ class SupernaturalTruncation:
     prime_cutoff: int
     level_cutoff: int
 
-    def valuation(self, p: int) -> Valuation:
-        for q, v in self.entries:
-            if q == p:
-                return v
-        return 0
-
     def to_json(self) -> dict:
         out = []
         for p, v in self.entries:
@@ -339,13 +333,20 @@ def _candidate_primes(mat, vec, mu):
 _INF = float("inf")
 
 
-def _bounds_of(val, stationary_side):
-    # (lower, upper) with upper None when unknown
-    if isinstance(val, InfiniteValuation):
-        return (_INF, _INF)
-    if isinstance(val, AtLeast):
-        return (val.bound, None)
-    return (val, val if stationary_side else None)
+def _valuation_bounds(dg, primes, prime_cutoff, depth):
+    """(lower, upper) bounds on the valuation of dg's divisor set at each of
+    primes: exact on a stationary diagram, and on an explicit one
+    periodic_spectrum's lower bound with no upper bound (_INF)."""
+    if dg.kind != "stationary":
+        lower = {p: v.bound for p, v in periodic_spectrum(dg, prime_cutoff, depth).entries}
+        return [(lower.get(p, 0), _INF) for p in primes]
+    candidates = _stationary_data(dg).candidates
+    out = []
+    for p in primes:
+        v = _stationary_valuation(dg, p) if p in candidates else 0
+        v = _INF if isinstance(v, InfiniteValuation) else v
+        out.append((v, v))
+    return out
 
 
 def spectra_equal(
@@ -356,43 +357,39 @@ def spectra_equal(
 ) -> SpectraComparison:
     """Compare divisor sets; exact for stationary pairs.
 
-    Stationary pairs are compared over every prime that could possibly
-    carry a nonzero valuation on either side (a finite, computed set), so
-    Equal is a full certificate and Distinct returns the least natural
-    number lying in exactly one divisor set.  When an explicit diagram is
-    involved only certified differences are reported; otherwise Unknown.
+    One rule for every pair of diagram kinds: at a prime p where one side's
+    lower valuation bound exceeds the other's finite upper bound u, p^(u+1)
+    lies in exactly one divisor set, and Distinct returns the least such
+    power.  A stationary pair is compared over every prime that could carry
+    a nonzero valuation on either side (a finite, computed set), so its
+    Equal is a full certificate.  When an explicit diagram is involved the
+    primes up to prime_cutoff are compared, and without a difference the
+    answer is Unknown.
     """
-    if dgA.kind == "stationary" and dgB.kind == "stationary":
+    stationary = dgA.kind == dgB.kind == "stationary"
+    if stationary:
         primes = sorted(_stationary_data(dgA).candidates | _stationary_data(dgB).candidates)
-        rows = []
-        witnesses = []
-        for p in primes:
-            vals = [_stationary_valuation(dg, p) for dg in (dgA, dgB)]
-            a, b = (_INF if isinstance(v, InfiniteValuation) else v for v in vals)
-            rows.append([p, "inf" if a == _INF else a, "inf" if b == _INF else b])
-            if a != b:
-                witnesses.append(p ** (int(min(a, b)) + 1))
+    else:
+        primes = primes_up_to(prime_cutoff)
+    boundsA = _valuation_bounds(dgA, primes, prime_cutoff, depth)
+    boundsB = _valuation_bounds(dgB, primes, prime_cutoff, depth)
+    rows, witnesses = [], []
+    for p, (loA, hiA), (loB, hiB) in zip(primes, boundsA, boundsB):
+        # nothing exceeds _INF, so a bound exceeded is finite
+        if loA > hiB:
+            witnesses.append(p ** (hiB + 1))
+        if loB > hiA:
+            witnesses.append(p ** (hiA + 1))
+        rows.append([p, "inf" if loA == _INF else loA, "inf" if loB == _INF else loB])
+    if stationary:
         cert = {"compared_primes": primes, "valuations": rows}
-        if witnesses:
-            return SpectraComparison("distinct", min(witnesses), cert)
-        return SpectraComparison("equal", None, cert)
-
-    trA = periodic_spectrum(dgA, prime_cutoff=prime_cutoff, depth=depth)
-    trB = periodic_spectrum(dgB, prime_cutoff=prime_cutoff, depth=depth)
-    statA = dgA.kind == "stationary"
-    statB = dgB.kind == "stationary"
-    witnesses = []
-    for p in primes_up_to(prime_cutoff):
-        loA, hiA = _bounds_of(trA.valuation(p), statA)
-        loB, hiB = _bounds_of(trB.valuation(p), statB)
-        if hiB is not None and hiB != _INF and loA > hiB:
-            witnesses.append(p ** (int(hiB) + 1))
-        if hiA is not None and hiA != _INF and loB > hiA:
-            witnesses.append(p ** (int(hiA) + 1))
-    if witnesses:
+    elif witnesses:
         cert = {"prime_cutoff": prime_cutoff, "depth": depth}
+    else:
+        return SpectraComparison("unknown", None, None)
+    if witnesses:
         return SpectraComparison("distinct", min(witnesses), cert)
-    return SpectraComparison("unknown", None, None)
+    return SpectraComparison("equal", None, cert)
 
 
 # ---------------------------------------------------------------------------
