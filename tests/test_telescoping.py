@@ -24,6 +24,7 @@ from cantorconj.classify import (
     ladder_certificate,
     weak_certificate,
 )
+from cantorconj.check import verify_certificate
 from cantorconj.systems import NAMED, odometer, stationary_from_rows
 
 from conftest import _is_primitive, hierarchy_pool, rows_of, time_ceiling
@@ -58,12 +59,16 @@ def p40_rows():
     return tuple(rows_of(m) for m in random.Random(7).sample(every, 40))
 
 
-def verdicts(a, b):
+def decisions(a, b):
     out = []
     for decide in DECIDERS:
         with time_ceiling(5):
-            out.append(decide(a, b).verdict)
+            out.append(decide(a, b))
     return tuple(out)
+
+
+def verdicts(a, b):
+    return tuple(res.verdict for res in decisions(a, b))
 
 
 def test_p40_verdicts_survive_squaring_and_relabelling():
@@ -133,11 +138,34 @@ def u22_rows():
     )
 
 
+def shift_equivalent_pairs():
+    """300 pairs A = R.S, B = S.R drawn from random.Random(11): R of shape
+    2x2, 2x3 or 3x2 and S of the transposed shape, entries 0..2, A and B
+    both primitive and A != B.  A has one root edge per vertex and B has
+    S.(1, ..., 1), so both telescope the diagram S, R, S, R, ... with the
+    same unit and are k-conjugate (Williams; Lind and Marcus, ch. 7)."""
+    rng = random.Random(11)
+    out = []
+    while len(out) < 300:
+        n, m = rng.choice(((2, 2), (2, 3), (3, 2)))
+        r = [[rng.randrange(3) for _ in range(m)] for _ in range(n)]
+        s = [[rng.randrange(3) for _ in range(n)] for _ in range(m)]
+        a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*s)] for row in r]
+        b = [[sum(x * y for x, y in zip(row, col)) for col in zip(*r)] for row in s]
+        if a == b or not (_is_primitive(rows_of(a), n) and _is_primitive(rows_of(b), m)):
+            continue
+        root = tuple((0,) * sum(row) for row in s)
+        out.append((stationary_from_rows(rows_of(a)), stationary_from_rows(rows_of(b), root)))
+    return out
+
+
 def test_verdict_ledger():
     # the (weak, tau, kconj) histogram of each pool, at the deciders'
-    # default bounds and ladder window (each call under verdicts' ceiling),
+    # default bounds and ladder window (each call under decisions' ceiling),
     # equals tests/verdict_ledger.json: a change that moves a count edits
-    # the ledger in the same change
+    # the ledger in the same change.  On every pair refutations are closed
+    # (weak "not" => tau "not" <=> kconj "not", with tau's obstructions);
+    # no shift-equivalent pair is refuted, and each of its ladders replays
     p40 = [stationary_from_rows(r) for r in p40_rows()]
     u22 = [stationary_from_rows(r) for r in u22_rows()]
     assert len(u22) == 22
@@ -147,11 +175,23 @@ def test_verdict_ledger():
         "U22": itertools.combinations(u22, 2),
         "hierarchy pool": itertools.product(hierarchy, repeat=2),
         "telescoping pairs": telescoping_pairs(),
+        "shift equivalence": shift_equivalent_pairs(),
     }
-    got = {
-        name: dict(collections.Counter(",".join(verdicts(a, b)) for a, b in pairs))
-        for name, pairs in pools.items()
-    }
+    got = {}
+    for name, pairs in pools.items():
+        counts = collections.Counter()
+        for a, b in pairs:
+            weak, tau, kconj = results = decisions(a, b)
+            assert weak.verdict != "not" or tau.verdict == "not", (name, a, b)
+            assert (tau.verdict == "not") == (kconj.verdict == "not"), (name, a, b)
+            assert kconj.obstructions == tau.obstructions, (name, a, b)
+            if name == "shift equivalence":
+                assert "not" not in (weak.verdict, tau.verdict, kconj.verdict), (a, b)
+                if kconj.ladder is not None:
+                    cert = ladder_certificate(kconj.ladder, a, b)
+                    assert verify_certificate(cert, (a, b)).ok, (a, b)
+            counts[",".join(res.verdict for res in results)] += 1
+        got[name] = dict(counts)
     path = pathlib.Path(__file__).with_name("verdict_ledger.json")
     assert got == json.loads(path.read_text())
 
