@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Optional, Union
+from typing import Optional
 
 from .bratteli import (
     DEFAULT_DEPTH,
@@ -196,14 +196,11 @@ class InfiniteValuation:
     certificate: dict
 
 
-Valuation = Union[int, AtLeast, InfiniteValuation]
-
-
 @dataclass(frozen=True)
 class SupernaturalTruncation:
     """Prime-by-prime description of the divisor set up to stated cutoffs."""
 
-    entries: tuple  # ((prime, Valuation), ...) with primes strictly increasing
+    entries: tuple  # ((p, int | AtLeast | InfiniteValuation), ...), p increasing
     prime_cutoff: int
     level_cutoff: int
 
