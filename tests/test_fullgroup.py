@@ -12,9 +12,16 @@ from cantorconj.check import (
     AUDIT_LOOKAHEAD,
     ConjugacyReport,
     FullGroupElement,
+    verify_certificate,
     verify_conjugator,
 )
-from cantorconj.classify import StageError, conjugate_at_resolution
+from cantorconj.classify import (
+    StageError,
+    conjugate_at_resolution,
+    conjugator_certificate,
+    decide_k_conjugacy,
+    ladder_certificate,
+)
 from cantorconj.fullgroup import (
     BlockBijection,
     BlockConditionResult,
@@ -24,11 +31,12 @@ from cantorconj.fullgroup import (
     conjugator_from_partition,
     cyclic_from_blocks,
 )
-from cantorconj.systems import dyadic, fibonacci, stationary_from_rows
+from cantorconj.systems import dyadic, fibonacci, quaternary, stationary_from_rows
 
 from conftest import rows_of, time_ceiling
 
 DYADIC = dyadic()
+QUATERNARY = quaternary()
 FIB = fibonacci()
 
 
@@ -566,6 +574,67 @@ def test_block_layer_matches_the_pinned_reference():
         assert block_layer_outcome(check_block_condition, cyclic_from_blocks, b) == expected, b
         kinds.add((len(b.blocks) >= 50, expected[0]))
     assert kinds == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def seeded_block_bijection(rng, k, planted):
+    """The construction of the resolution workload's block bijections: k
+    blocks of sizes 1..3 over 1..n, each sorted; the images reshuffle all
+    elements, or, when planted, those of a random nonempty proper family
+    and of its complement among themselves (not redrawn either way)."""
+    sizes = [rng.randint(1, 3) for _ in range(k)]
+    n = sum(sizes)
+    elems = list(range(1, n + 1))
+    rng.shuffle(elems)
+    blocks, pos = [], 0
+    for s in sizes:
+        blocks.append(tuple(sorted(elems[pos:pos + s])))
+        pos += s
+    groups = [list(range(k))]
+    if planted:
+        order = list(range(k))
+        rng.shuffle(order)
+        cut = rng.randint(1, k - 1)
+        groups = [order[:cut], order[cut:]]
+    images = [None] * k
+    for g in groups:
+        pool = [x for i in g for x in blocks[i]]
+        rng.shuffle(pool)
+        pos = 0
+        for i in g:
+            images[i] = tuple(sorted(pool[pos:pos + sizes[i]]))
+            pos += sizes[i]
+    return BlockBijection(n, tuple(blocks), tuple(images))
+
+
+def test_block_layer_and_certificate_arity_are_pinned():
+    # check_block_condition and cyclic_from_blocks (the cycle or the
+    # violation raised) on 400 seeded bijections of 1..20 blocks, half of
+    # them with a planted preserved family, hashed in order
+    rng = random.Random(40)
+    records = []
+    for i in range(400):
+        k = rng.randint(1, 20)
+        b = seeded_block_bijection(rng, k, planted=i % 2 == 1 and k >= 2)
+        records.append([b.size, b.blocks, b.images, block_layer_outcome(
+            check_block_condition, cyclic_from_blocks, b
+        )])
+    assert sum(not r[3][0] for r in records) == 236
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "8edbbd2cbb504dd0757dee415877ddcf5ee8bb411c2be8537c35885af0632201"
+    # the number of systems a certificate binds, checked once per known claim
+    ladder = ladder_certificate(decide_k_conjugacy(DYADIC, QUATERNARY).ladder, DYADIC, QUATERNARY)
+    ladder["systems"] = ladder["systems"][:1]
+    assert verify_certificate(ladder, (DYADIC,)).reason == "claim needs exactly two systems"
+    bundle = conjugate_at_resolution(DYADIC, QUATERNARY, 2)
+    cert = conjugator_certificate(
+        bundle.corrector, bundle.sigma.target_level, bundle.blocks, bundle.images
+    )
+    doubled = dict(cert, systems=cert["systems"] * 2)
+    assert verify_certificate(doubled, (QUATERNARY, QUATERNARY)).reason == (
+        "claim needs exactly one system"
+    )
+    orbit = dict(cert, claim="orbit", verifier=None)
+    assert verify_certificate(orbit, (QUATERNARY,)).reason == "unknown claim 'orbit'"
 
 
 # ---------------------------------------------------------------------------
