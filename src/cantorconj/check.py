@@ -493,26 +493,15 @@ def verify_ladder(
         ua, ub = heights(dgA, la[i]), heights(dgB, lb[i])
         uas.append(ua)
         ubs.append(ub)
-        if (h, len(ub), len(ua)) not in shaped:
-            if len(h) != len(ub) or any(len(row) != len(ua) for row in h):
-                return LadderReport(False, 2 * i, "forward rung has the wrong shape")
-            if any(x < 0 for row in h for x in row):
-                return LadderReport(False, 2 * i, "negative entry")
-            shaped.add((h, len(ub), len(ua)))
-        if _mat_apply(h, ua) != ub:
-            return LadderReport(False, 2 * i, "unit not preserved")
+        fault = _rung_fault("forward", h, ua, ub, shaped)
+        if fault:
+            return LadderReport(False, 2 * i, fault)
     products = {}
     for i, bm in enumerate(bs):
-        ub = ubs[i]
         ua1 = uas[i + 1] if i + 1 < len(uas) else heights(dgA, la[i + 1])
-        if (bm, len(ua1), len(ub)) not in shaped:
-            if len(bm) != len(ua1) or any(len(row) != len(ub) for row in bm):
-                return LadderReport(False, 2 * i + 1, "backward rung has the wrong shape")
-            if any(x < 0 for row in bm for x in row):
-                return LadderReport(False, 2 * i + 1, "negative entry")
-            shaped.add((bm, len(ua1), len(ub)))
-        if _mat_apply(bm, ub) != ua1:
-            return LadderReport(False, 2 * i + 1, "unit not preserved")
+        fault = _rung_fault("backward", bm, ubs[i], ua1, shaped)
+        if fault:
+            return LadderReport(False, 2 * i + 1, fault)
         if _product(products, bm, fs[i]) != composed_incidence(dgA, la[i], la[i + 1]):
             return LadderReport(False, 2 * i + 1, "source-side square does not commute")
         if i + 1 < len(fs):
@@ -536,6 +525,23 @@ def verify_ladder(
     ):
         return LadderReport(False, None, "ladder is not periodic on stationary diagrams")
     return LadderReport(True)
+
+
+def _rung_fault(side, rung, source, target, shaped):
+    """Why rung, a side ("forward" or "backward") rung from the units
+    source to target, fails: its shape, a negative entry or the unit; None
+    when it holds.  shaped keeps the (rung, rows, columns) whose shape and
+    sign passed, so each is checked once."""
+    key = rung, len(target), len(source)
+    if key not in shaped:
+        if len(rung) != len(target) or any(len(row) != len(source) for row in rung):
+            return "%s rung has the wrong shape" % side
+        if any(x < 0 for row in rung for x in row):
+            return "negative entry"
+        shaped.add(key)
+    if _mat_apply(rung, source) != target:
+        return "unit not preserved"
+    return None
 
 
 def _product(products, left, right):
@@ -630,6 +636,18 @@ def _validate_partition(part, universe, what):
         raise ValueError("%ss do not partition the cells at this level" % what)
 
 
+def _floor_labels(hs, part) -> list:
+    """labels[w][j - 1], the index of the part holding cell (w, j) of the
+    towers of heights hs, or None where no part does; a cell off these
+    towers is passed over, and a cell in two parts takes the later one."""
+    labels = [[None] * h for h in hs]
+    for bi, u in enumerate(part):
+        for w, j in u:
+            if 0 <= w < len(hs) and 0 < j <= hs[w]:
+                labels[w][j - 1] = bi
+    return labels
+
+
 class _CoarseTower:
     """One tower of the audit's coarse level, replayed on its own floors.
 
@@ -638,7 +656,7 @@ class _CoarseTower:
     maps each floor s sends out of the tower to its displacement.
     collision is the first floor, upwards, whose image is already taken,
     with that image.  lab and img are the block and image-block labels of
-    the floors, missing the first floor's block cell that has no label.
+    the floors.
     """
 
     def __init__(self, h: int, disp):
@@ -659,14 +677,12 @@ class _CoarseTower:
                 collision = (j, t)
         self.fwd, self.back, self.jumps, self.collision = fwd, back, jumps, collision
 
-    def label(self, lab, img, missing):
-        """Take the labels of the floors, bottom first, and the first block
-        cell without both; for a tower without jumps or missing labels also
-        walk one copy of it (see walk_inside)."""
+    def label(self, lab, img):
+        """Take the labels of the floors, bottom first; for a tower without
+        jumps also walk one copy of it (see walk_inside)."""
         self.lab = [None, *lab]
         self.img = [None, *img]
-        self.missing = missing
-        if not self.jumps and missing is None:
+        if not self.jumps:
             self.walk_inside()
 
     def walk_inside(self):
@@ -825,8 +841,12 @@ def verify_conjugator(s: FullGroupElement, blocks, images, block_level: int) -> 
     their c-tower, and the copies they land in, are replayed floor by
     floor.  A c-tower's displacements and labels are those of the towers
     of s.level and of block_level it stacks, concatenated, so no level's
-    cells are listed either.  The cost grows with the cells of level c and
-    the number of copies, and CELL_CAP binds on level c only.
+    cells are listed either.  The labels of the block-level floors are read
+    off blocks and images once (_floor_labels); when some floor has none,
+    KeyError names the first block cell without both labels, in fine-cell
+    order (tower_stacks(d, block_level, mf)).  The cost grows with the
+    cells of level c and the number of copies, and CELL_CAP binds on level
+    c only.
     """
     d = s.diagram
     mf = d.check_level(s.level + AUDIT_LOOKAHEAD)
@@ -854,31 +874,22 @@ def verify_conjugator(s: FullGroupElement, blocks, images, block_level: int) -> 
                 reason="two cells map to %r; not injective" % ((v, hit),),
             )
 
-    # labels per block-level floor, read up each c-tower's stack; a lookup
-    # that fails raises, as listing the fine cells would, at the first fine
-    # cell whose block cell is unknown
-    where = {cell: bi for bi, u in enumerate(blocks) for cell in u}
-    img_where = {cell: bi for bi, v in enumerate(images) for cell in v}
-    lab, img, missing = [], [], []
-    for w, h in enumerate(heights(d, block_level)):
-        floor_cells = [(w, j) for j in range(1, h + 1)]
-        lab.append(list(map(where.get, floor_cells)))
-        img.append(list(map(img_where.get, floor_cells)))
-        missing.append(
-            next(cell for cell, b, i in zip(floor_cells, lab[w], img[w]) if b is None or i is None)
-            if None in lab[w] or None in img[w]
-            else None
-        )
+    # labels per block-level floor, read up each c-tower's stack; a floor
+    # without both raises, as listing the fine cells would, at the first
+    # fine cell whose block cell is unknown
+    hb = heights(d, block_level)
+    lab = _floor_labels(hb, blocks)
+    img = _floor_labels(hb, images)
+    if any(None in row for row in chain(lab, img)):
+        for w in chain.from_iterable(tower_stacks(d, block_level, mf)):
+            for j, b, i in zip(range(1, hb[w] + 1), lab[w], img[w]):
+                if b is None or i is None:
+                    raise KeyError((w, j))
     for t, stack in zip(towers, tower_stacks(d, block_level, c)):
         t.label(
             chain.from_iterable(map(lab.__getitem__, stack)),
             chain.from_iterable(map(img.__getitem__, stack)),
-            next((missing[w] for w in stack if missing[w] is not None), None),
         )
-    for stack in stacks:
-        for u in stack:
-            if towers[u].missing is not None:
-                raise KeyError(towers[u].missing)
     # block counts: each block-level floor's labels times its copies in mf
     copies = [sum(col) for col in zip(*composed_incidence(d, block_level, mf))]
     fine_count = [0] * len(blocks)
@@ -1022,8 +1033,9 @@ def _recomputed(claim, systems, recompute) -> str:
 def verify_certificate(cert: dict, systems) -> CertificateCheck:
     """Re-verify a certificate against the actual systems it claims to bind.
 
-    The systems' digests must match in order, and the witness must pass the
-    named independent check; any malformation is a rejection, not an error,
+    The systems' digests must match in order, the verifier must be the
+    claim's, the systems must number two (one for a conjugator), and the
+    witness must pass the named independent check; any malformation is a rejection, not an error,
     while a fault inside a check (an AssertionError, say) propagates.
     Witness payloads are pinned down to the byte: schedules must equal their
     canonical recomputation and free parameters are fixed constants (a weak
@@ -1062,9 +1074,14 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
         witness = cert["witness"]
         if cert["verifier"] != _VERIFIER.get(claim):
             return CertificateCheck(False, "verifier does not match the claim")
+        if claim not in _VERIFIER:
+            return CertificateCheck(False, "unknown claim %r" % claim)
+        one = claim == "conjugator"
+        if len(systems) != (1 if one else 2):
+            return CertificateCheck(
+                False, "claim needs exactly " + ("one system" if one else "two systems")
+            )
         if claim == "k-conjugate":
-            if len(systems) != 2:
-                return CertificateCheck(False, "claim needs exactly two systems")
             ladder = IntertwiningLadder.from_json(witness)
             rep = verify_ladder(ladder, systems[0], systems[1])
             if not rep.ok:
@@ -1072,8 +1089,6 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
                 return CertificateCheck(False, "ladder %s: %s" % (where, rep.reason))
             return CertificateCheck(True)
         if claim == "weak":
-            if len(systems) != 2:
-                return CertificateCheck(False, "claim needs exactly two systems")
             if any(len(witness[key]) != WEAK_ROUNDS for key in ("forward", "backward")):
                 return CertificateCheck(False, "schedules must hold %d morphisms" % WEAK_ROUNDS)
             schedules = None
@@ -1083,17 +1098,13 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
                 return CertificateCheck(False, "spectra no longer verify as equal")
             recompute = lambda: _weak_witness(*schedules)
         elif claim == "tau":
-            if len(systems) != 2:
-                return CertificateCheck(False, "claim needs exactly two systems")
             comp = spectra_equal(*systems)
             if comp.verdict != "equal" or trace_images_isomorphic(
                 *map(trace_image_group, systems)
             ).value is not True:
                 return CertificateCheck(False, "invariants no longer verify")
             recompute = lambda: _tau_witness(comp, *systems)
-        elif claim == "conjugator":
-            if len(systems) != 1:
-                return CertificateCheck(False, "claim needs exactly one system")
+        else:  # conjugator
             if _json_int(witness["lookahead"]) != AUDIT_LOOKAHEAD:
                 return CertificateCheck(False, "audit lookahead must be %d" % AUDIT_LOOKAHEAD)
             blob = witness["element"]
@@ -1128,8 +1139,6 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
             if rep.verdict != "ok":
                 return CertificateCheck(False, "conjugator fails verification: %s" % rep.verdict)
             return CertificateCheck(True)
-        else:
-            return CertificateCheck(False, "unknown claim %r" % claim)
     # what a malformed payload raises; a fault inside a check propagates
     except (KeyError, TypeError, ValueError, IndexError, CapabilityError) as e:
         return CertificateCheck(False, "malformed certificate: %s" % e)

@@ -13,13 +13,15 @@ nonempty proper subfamily of blocks may have its union fixed by the
 bijection.  Splicing the cycles of the in-block assignment across the
 first block that straddles the cycle of 1, one splice at a time, produces
 such an N-cycle whenever the criterion holds; when the splicing stalls,
-the criterion fails, and the block graph names the violation.  Reading off
-the cycle's offsets against the floor index yields the return-time table
-r(w, j) of a full-group element.
+the criterion fails, and the block graph names the violation.  One
+construction (_cycle) serves both cyclic_from_blocks and each tower of
+the synthesis.  Reading off the cycle's offsets against the floor index
+yields the return-time table r(w, j) of a full-group element.
 
-The element (FullGroupElement) and its replay (verify_conjugator) live in
-check, which imports nothing from here: the synthesis cannot vouch for
-its own output.
+The element (FullGroupElement), its replay (verify_conjugator) and the
+block label of each floor (_floor_labels), which the synthesis and the
+replay both read, live in check, which imports nothing from here: the
+synthesis cannot vouch for its own output.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .bratteli import (
     incidence,
     tower_stacks,
 )
-from .check import FullGroupElement, _validate_partition
+from .check import FullGroupElement, _floor_labels, _validate_partition
 from .check import verify_conjugator  # not called here; only bench/spans.py reads it from this module
 from .dimgroup import DimGroup
 from .fieldpoly import _mat_apply
@@ -200,25 +202,10 @@ def _reach(adj, y: int, known) -> int:
 
 def cyclic_from_blocks(b: BlockBijection) -> tuple:
     """A single size-cycle sending each block onto its image, as a tuple
-    sigma with sigma[i-1] the image of i.
-
-    Decides first: when the block condition fails, the violation of
-    check_block_condition is raised before any splicing (splicing first
-    costs a violating bijection the splices that lead up to the stall; see
-    _cycle).  Otherwise start from the order-respecting assignment inside
-    each block, then merge cycles: as long as the element 1 does not
-    exhaust its cycle C, swapping the images of the earliest pair a block
-    splits between C and the rest splices two cycles into one.  Until C is
-    everything some block straddles it, or C would be a preserved union of
-    blocks.  Deterministic: a count per block of its elements on C picks
-    the first straddling block by index, and its smallest elements on and
-    off C are used.
+    sigma with sigma[i-1] the image of i; BlockConditionViolation, with the
+    violation of check_block_condition, when none exists (see _cycle).
     """
-    block_of = _block_of(b)
-    violation = _decide(b.blocks, b.images, block_of)
-    if violation is not None:
-        raise BlockConditionViolation(violation)
-    return _cycle(b.size, b.blocks, b.images, block_of)
+    return _cycle(b.size, b.blocks, b.images, _block_of(b))
 
 
 def _cycle(n: int, blocks, images, block_of) -> tuple:
@@ -226,12 +213,19 @@ def _cycle(n: int, blocks, images, block_of) -> tuple:
     as its parts: nonempty increasing blocks and images, aligned and of
     equal sizes, and the block of each element.
 
+    Start from the order-respecting assignment inside each block, then
+    merge cycles: as long as the element 1 does not exhaust its cycle C,
+    swapping the images of the earliest pair a block splits between C and
+    the rest splices two cycles into one.  Deterministic: a count per block
+    of its elements on C picks the first straddling block by index, and its
+    smallest elements on and off C are used.
+
     Splices first and decides only on a stall: the splices stop short of
-    a single cycle exactly when the cycle of 1 is a union of blocks that
-    sigma, which sends each block onto its image, preserves.  That union
-    is nonempty and proper, so the block condition fails, and the violation
-    raised is the one _decide finds, as when deciding first.  When the
-    condition holds the block graph is never built.
+    a single cycle exactly when no block straddles C, and then C is a union
+    of blocks that sigma, which sends each block onto its image, preserves.
+    That union is nonempty and proper, so the block condition fails, and
+    the violation raised is the one _decide finds.  When the condition
+    holds the block graph is never built.
     """
     sigma = [0] * (n + 1)
     for u, v in zip(blocks, images):
@@ -290,8 +284,9 @@ def conjugator_from_partition(
     not primitive.
 
     Once the partitions are checked, against the cell set of m kept once
-    per diagram (bratteli.cell_set), one pass over them reads each floor's
-    block and image-block label at level m and counts the classes.  A tower
+    per diagram (bratteli.cell_set), each floor's block and image-block
+    label at level m is read off them (check._floor_labels, as the replay
+    reads them) and each block's class is counted.  A tower
     of m* stacks whole towers of m (bratteli.tower_stacks), so its labels
     are those of its stack, concatenated; the cells of m* are not listed,
     but CELL_CAP still binds on m*.  The labels split the tower's floors
@@ -311,18 +306,16 @@ def conjugator_from_partition(
     _validate_partition(images, universe, "image block")
     grp = DimGroup(d)
     hm = heights(d, m)
-    lab = [[0] * h for h in hm]
-    img = [[0] * h for h in hm]
+    lab = _floor_labels(hm, blocks)
+    img = _floor_labels(hm, images)
     diffs = []  # counting vector minus image counting vector, where they differ
     for bi, (u, v) in enumerate(zip(blocks, images)):
         cu = [0] * len(hm)
         cv = [0] * len(hm)
-        for w, j in u:
+        for w, _ in u:
             cu[w] += 1
-            lab[w][j - 1] = bi
-        for w, j in v:
+        for w, _ in v:
             cv[w] += 1
-            img[w][j - 1] = bi
         if cu == cv:
             continue
         if grp.equal(DgElement(m, cu), DgElement(m, cv)).value is not True:
