@@ -492,18 +492,6 @@ def vershik_successor(d: OrderedBratteliDiagram, path: Path):
     return MAX_PATH
 
 
-def vershik_predecessor(d: OrderedBratteliDiagram, path: Path):
-    """Inverse of vershik_successor; MAX_PATH signals the minimal path."""
-    path = tuple(path)
-    validate_path(d, path)
-    for n, (v, t) in enumerate(path):
-        if t > 0:
-            row = d.table(n)[v]
-            prefix = max_path(d, row[t - 1], n)
-            return prefix + ((v, t - 1),) + path[n + 1:]
-    return MAX_PATH
-
-
 # ---------------------------------------------------------------------------
 # Cells and towers
 

@@ -27,7 +27,6 @@ from cantorconj.bratteli import (
     tower_stacks,
     validate,
     validate_path,
-    vershik_predecessor,
     vershik_successor,
 )
 from cantorconj.systems import (
@@ -312,10 +311,6 @@ def test_successor_matches_sorted_enumeration(name):
                 assert nxt == tower[i + 1]
             else:
                 assert nxt is MAX_PATH
-            if i > 0:
-                assert vershik_predecessor(d, p) == tower[i - 1]
-            else:
-                assert vershik_predecessor(d, p) is MAX_PATH
 
 
 def test_successor_matches_sorted_enumeration_random(rng):
