@@ -16,6 +16,7 @@ import itertools
 import json
 import pathlib
 import random
+from fractions import Fraction
 
 from cantorconj.classify import (
     decide_k_conjugacy,
@@ -136,6 +137,56 @@ def u22_rows():
         for m in itertools.product(range(4), repeat=4)
         if abs(m[0] * m[3] - m[1] * m[2]) == 1 and _is_primitive(rows_of((m[:2], m[2:])), 2)
     )
+
+
+def u22_theta(rows):
+    """theta of the trace image Z + theta Z of a U22 system, in closed form
+    (Rieffel; Pimsner and Voiculescu), as (s, x, y) for x + y sqrt(s), s
+    squarefree, x and y Fractions; nothing of cantorconj is used.
+
+    For M = [[a, b], [c, d]] with det M = +-1, K0 = Z^2 (M is invertible
+    over Z) with unit the heights (1, 1) of level 1, and the trace is the
+    left Perron vector (c, lambda - a) normalised to 1 on the unit, so the
+    image is Z + theta Z with theta = c / (c - a + lambda), lambda =
+    (a + d + sqrt(D)) / 2 and D = (a - d)^2 + 4bc.
+    """
+    (a, b), (c, d) = ([row.count(s) for s in (0, 1)] for row in rows)
+    disc = (a - d) ** 2 + 4 * b * c
+    k = max(k for k in range(1, disc + 1) if disc % (k * k) == 0)
+    s = disc // (k * k)
+    assert s > 1  # lambda is irrational
+    # c - a + lambda = p + q sqrt(s), and theta = c (p - q sqrt(s)) / (p^2 - q^2 s)
+    p, q = Fraction(2 * c - a + d, 2), Fraction(k, 2)
+    norm = p * p - q * q * s
+    return s, c * p / norm, -c * q / norm
+
+
+def u22_kconj_oracle(rows_a, rows_b):
+    """kconj (and tau) of two U22 systems: theta_B in +-theta_A + Z, since an
+    ordered isomorphism of dense subgroups of R fixing 1 is the identity."""
+    (sa, xa, ya), (sb, xb, yb) = u22_theta(rows_a), u22_theta(rows_b)
+    return sa == sb and any(
+        yb == sign * ya and (xb - sign * xa).denominator == 1 for sign in (1, -1)
+    )
+
+
+def test_u22_verdicts_agree_with_the_closed_form():
+    # the oracle splits the 231 U22 pairs 23 equal, 208 different; every
+    # tau or k-conjugate verdict falls on an equal pair and every "not" on
+    # a different one (weak holds on every pair)
+    rows = u22_rows()
+    systems = [stationary_from_rows(r) for r in rows]
+    split = collections.Counter()
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        equal = u22_kconj_oracle(rows[i], rows[j])
+        split[equal] += 1
+        weak, tau, kconj = verdicts(systems[i], systems[j])
+        assert weak == "weak", (rows[i], rows[j])
+        if tau == "tau" or kconj == "k-conjugate":
+            assert equal, (rows[i], rows[j])
+        if "not" in (tau, kconj):
+            assert not equal, (rows[i], rows[j])
+    assert split == {True: 23, False: 208}
 
 
 def shift_equivalent_pairs():
