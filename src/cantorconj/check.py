@@ -882,7 +882,7 @@ def verify_conjugator(s: FullGroupElement, blocks, images, block_level: int) -> 
     img = _floor_labels(hb, images)
     if any(None in row for row in chain(lab, img)):
         for w in chain.from_iterable(tower_stacks(d, block_level, mf)):
-            for j, b, i in zip(range(1, hb[w] + 1), lab[w], img[w]):
+            for j, (b, i) in enumerate(zip(lab[w], img[w]), 1):
                 if b is None or i is None:
                     raise KeyError((w, j))
     for t, stack in zip(towers, tower_stacks(d, block_level, c)):
@@ -1035,8 +1035,9 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
 
     The systems' digests must match in order, the verifier must be the
     claim's, the systems must number two (one for a conjugator), and the
-    witness must pass the named independent check; any malformation is a rejection, not an error,
-    while a fault inside a check (an AssertionError, say) propagates.
+    witness must pass the named independent check; any malformation is a
+    rejection, not an error, while a fault inside a check (an
+    AssertionError, say) propagates.
     Witness payloads are pinned down to the byte: schedules must equal their
     canonical recomputation and free parameters are fixed constants (a weak
     witness has WEAK_ROUNDS morphisms each way, a conjugator audits at
