@@ -170,9 +170,10 @@ def _decide(blocks, images, block_of):
     while closure != chosen:
         rest = closure & ~chosen
         z = (rest & -rest).bit_length() - 1
-        # y = z always qualifies: z's reach lies inside the closed closure
+        # y = z always qualifies: z's reach lies inside the closed closure,
+        # so it is not searched
         for y in range(last + 1, z + 1):
-            grown = closure | closure_of(y)
+            grown = closure if y == z else closure | closure_of(y)
             if grown != full and not grown & ~chosen & ((1 << y) - 1):
                 break
         chosen |= 1 << y
