@@ -4,6 +4,7 @@ import collections
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -38,6 +39,7 @@ from cantorconj.systems import (
     NAMED,
     dyadic,
     fibonacci,
+    odometer,
     quaternary,
     stationary_from_rows,
     triadic,
@@ -52,6 +54,7 @@ from conftest import (
     rows_of,
     time_ceiling,
 )
+from test_telescoping import p40_rows
 
 DYADIC = dyadic()
 TRIADIC = triadic()
@@ -795,3 +798,76 @@ def test_cyclic_radical_is_factored_once_per_group(monkeypatch):
                     "identical rational subgroups",
                     {"radical": sorted(rad(a.ratio)), "denominator": a.denominator},
                 )
+
+
+def integer_root_incidences():
+    """Every primitive 2x2 incidence with entries 0..4 whose Perron root is
+    an integer, in itertools.product order."""
+    for m in itertools.product(range(5), repeat=4):
+        mat = (m[:2], m[2:])
+        disc = (m[0] + m[3]) ** 2 - 4 * (m[0] * m[3] - m[1] * m[2])
+        if math.isqrt(disc) ** 2 == disc and _is_primitive(rows_of(mat), 2):
+            yield mat
+
+
+def rational_pool():
+    """195 systems with rational trace images: odometers 2-40, the q-edge
+    odometer under r root edges (q in 2..12, r in 2..5), and the 2x2
+    incidences of integer_root_incidences."""
+    pool = [odometer(q) for q in range(2, 41)]
+    pool += [
+        stationary_from_rows(((0,) * q,), root=((0,) * r,))
+        for q in range(2, 13)
+        for r in range(2, 6)
+    ]
+    pool += [stationary_from_rows(rows_of(m)) for m in integer_root_incidences()]
+    return pool
+
+
+def radical(n):
+    """The primes dividing n, by trial division."""
+    out, p = set(), 2
+    while n > 1:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    return out
+
+
+def test_rational_images_agree_with_the_closed_form():
+    # reference: (1/q)Z[1/lam] and (1/q')Z[1/lam'] (q coprime to lam) are
+    # equal iff lam and lam' have the same prime divisors and q = q'
+    groups = [trace_image_group(d) for d in rational_pool()]
+    assert len(groups) == 195 and {g.kind for g in groups} == {"cyclic"}
+    equal = lattices_only = 0
+    for a, b in itertools.product(groups, repeat=2):
+        expected = radical(a.ratio) == radical(b.ratio) and a.denominator == b.denominator
+        assert trace_images_isomorphic(a, b).value is expected, (a, b)
+        equal += expected
+        # 1/q_A in (1/q_B)Z[1/lam_B] and the other way round, in integers:
+        # each lattice inside the other group, without the stability checks
+        into_b = radical(a.denominator // gcd(a.denominator, b.denominator)) <= radical(b.ratio)
+        into_a = radical(b.denominator // gcd(a.denominator, b.denominator)) <= radical(a.ratio)
+        lattices_only += into_a and into_b and not expected
+    assert equal == 2707
+    # the two inclusions alone would call these pairs equal
+    assert lattices_only == 19918
+
+
+def test_field_pair_comparisons_are_pinned():
+    # (value, reason, certificate) on every ordered pair of field images of
+    # the named systems, the hierarchy pool and P40', hashed in order
+    pool = [make() for make in NAMED.values()] + hierarchy_pool()
+    pool += [stationary_from_rows(r) for r in p40_rows()]
+    groups = [g for g in map(trace_image_group, pool) if g.kind == "field"]
+    digest = hashlib.sha256()
+    counts = collections.Counter()
+    for a, b in itertools.product(groups, repeat=2):
+        res = trace_images_isomorphic(a, b)
+        counts[res.value] += 1
+        digest.update(json.dumps([res.value, res.reason, res.certificate], sort_keys=True).encode())
+    assert counts == {None: 2054, True: 50, False: 12}
+    assert digest.hexdigest() == (
+        "32c61c71b13a76d0bad532807d39d1f816b1983ffcb4015256e61e04759c14bd"
+    )
