@@ -101,8 +101,8 @@ class Obstruction:
 
     kind "divisor": witness is an integer absent from the target divisor
     set.  kind "spectra": witness is the minimal distinguishing prime
-    power.  kind "rank": witness is the pair of rational ranks.  kind
-    "trace": witness is the verifier's reason string.
+    power.  kind "rank": witness is the pair of degrees of the trace
+    images' fields.  kind "trace": witness is the verifier's reason string.
     """
 
     kind: str

@@ -29,9 +29,9 @@ nonzero spectrum cannot hold such a pair (H.h and h.H share it), so its
 cells are skipped before any elimination.
 
 No-verdicts are only ever derived from sound obstructions: a prime power
-present in one divisor set and absent from the other, a rational-rank
-mismatch of the trace images, or certified non-isomorphy of the trace
-images.  decide_k_conjugacy's No is decide_tau's, so a refutation of a
+present in one divisor set and absent from the other, trace images
+spanning fields of different degrees over Q, or certified non-isomorphy of
+the trace images.  decide_k_conjugacy's No is decide_tau's, so a refutation of a
 coarser relation refutes every finer one by construction.  Exhausted
 searches return Unknown, never No; order isomorphism of dimension groups
 has no known general decision procedure, so honesty about the search
@@ -158,10 +158,6 @@ def _trace_group_or_none(dg):
         return None
 
 
-def _rational_rank(g):
-    return 1 if g.kind == "cyclic" else len(g.minpoly) - 1
-
-
 def decide_tau(
     dgA: OrderedBratteliDiagram,
     dgB: OrderedBratteliDiagram,
@@ -170,9 +166,9 @@ def decide_tau(
 ) -> TauResult:
     """Conjunction of equal spectra and isomorphic trace images.
 
-    Every sound obstruction is reported: decide_weak's spectra witness, a
-    rational-rank mismatch of the trace images (fields of different degree)
-    and certified non-isomorphy of the trace images.  decide_k_conjugacy
+    Every sound obstruction is reported: decide_weak's spectra witness,
+    the degrees of the trace images' fields when they differ, and certified
+    non-isomorphy of the trace images.  decide_k_conjugacy
     takes its No from here, so refutations are closed by construction.
     """
     obstructions = []
@@ -182,9 +178,8 @@ def decide_tau(
     ga, gb = _trace_group_or_none(dgA), _trace_group_or_none(dgB)
     iso = None
     if ga is not None and gb is not None:
-        ra, rb = _rational_rank(ga), _rational_rank(gb)
-        if ra != rb:
-            obstructions.append(Obstruction("rank", (ra, rb)))
+        if ga.degree != gb.degree:
+            obstructions.append(Obstruction("rank", (ga.degree, gb.degree)))
         iso = trace_images_isomorphic(ga, gb)
         if iso.value is False:
             obstructions.append(Obstruction("trace", iso.reason))

@@ -20,13 +20,16 @@ Valuations are certified, not sampled:
     steps; the annihilator test has certified that the powers run out.
 
 Trace images.  A primitive stationary diagram has a unique normalized
-trace; the image of the dimension group is either (1/q)Z[1/lambda] for an
-integer eigenvalue lambda (q coprime to lambda), or, for an irrational
-Perron root, the increasing union of lambda^-m copies of the lattice
-spanned by the level-1 tower traces inside Q(lambda).  Both forms admit
-exact membership and exact unital-order-isomorphism comparison (subgroups
-of the reals containing 1 are unitally order isomorphic iff they are equal
-as sets, order isomorphisms being multiplications by a positive scalar).
+trace, and the image of the dimension group is a union G of lambda^-m L:
+(1/q)Z[1/lambda] (L = (1/q)Z, q coprime to lambda) for an integer
+eigenvalue lambda, or, for an irrational Perron root, L is the lattice
+spanned by the level-1 tower traces inside Q(lambda).  Subgroups of the
+reals containing 1 are unitally order isomorphic iff they are equal as
+sets (order isomorphisms being multiplications by a positive scalar), and
+one rule compares them: G_A = G_B iff each lattice lies in the other group
+and each group is stable under the other's lambda^-1.  Rational membership
+is a test of gcds alone, and a field lattice is stable under lambda^-1
+exactly when the norm of lambda is +-1.
 """
 
 from __future__ import annotations
@@ -398,14 +401,15 @@ class TraceImageGroup:
     """Image of the dimension group under the unique normalized trace.
 
     kind "cyclic": the subgroup (1/denominator) Z[1/ratio] of the rationals
-    (denominator coprime to ratio), whose prime set `radical` is kept once
-    computed.  kind "field": the increasing union of
-    lambda^-m copies of the lattice spanned by `generators` (coordinate
-    tuples over the power basis of Q[t]/(minpoly)); `lattice` is that
-    lattice in integer form, and `stabilized`, derived from it and kept
-    once computed, marks the union collapsing to the lattice itself, which
-    happens exactly when the ratio acts with unit determinant.  Membership
-    tests are exact in both kinds.
+    (denominator coprime to ratio); n/d lies in it iff d / gcd(n *
+    denominator, d) has no prime outside ratio, a test of gcds alone.
+    kind "field": the increasing union of lambda^-m copies of the lattice
+    spanned by `generators` (coordinate tuples over the power basis of
+    Q[t]/(minpoly)); `lattice` is that lattice in integer form, and
+    `stabilized` marks the union collapsing to the lattice itself, which
+    happens exactly when lambda acts on it with determinant +-1, that is
+    when its norm minpoly(0) is +-1.  Membership tests are exact in both
+    kinds.
     """
 
     kind: str
@@ -414,12 +418,17 @@ class TraceImageGroup:
     minpoly: Optional[tuple] = None
     generators: Optional[tuple] = None
 
+    @property
+    def degree(self) -> int:
+        """The degree of the field the image spans over Q."""
+        return 1 if self.kind == "cyclic" else len(self.minpoly) - 1
+
     @cached_property
     def lattice(self):
         """(integer HNF basis, scale, action of t): lattice = basis / scale."""
         scale = lcm(*(c.denominator for vec in self.generators for c in vec))
         basis = _hnf_rows([[int(c * scale) for c in vec] for vec in self.generators])
-        assert len(basis) == len(self.minpoly) - 1  # generators span the field over Q
+        assert len(basis) == self.degree  # generators span the field over Q
         tmat = []
         for row in basis:
             shifted = _mul_by_t([Fraction(c) for c in row], self.minpoly)
@@ -428,31 +437,34 @@ class TraceImageGroup:
             tmat.append([int(c) for c in coeffs])
         return basis, scale, tmat
 
-    @cached_property
-    def radical(self) -> frozenset:
-        """Cyclic kind: the primes dividing ratio, the primes the group is
-        divisible by."""
-        return frozenset(_prime_factors(self.ratio))
-
-    @cached_property
+    @property
     def stabilized(self) -> Optional[bool]:
-        """Field kind: does t act on the lattice with determinant +-1?"""
-        # |det| of the action of t is the constant term of its characteristic polynomial
-        return abs(charpoly(self.lattice[2])[0]) == 1 if self.kind == "field" else None
+        """Field kind: does t act on the lattice with determinant +-1?  That
+        action's characteristic polynomial is minpoly."""
+        return abs(self.minpoly[0]) == 1 if self.kind == "field" else None
 
     def contains(self, x) -> bool:
         """Exact membership; x is a Fraction (cyclic) or coordinate tuple (field)."""
         if self.kind == "cyclic":
-            q = Fraction(x) * self.denominator
-            return _coprime_part(q.denominator, self.ratio) == 1
-        deg = len(self.minpoly) - 1
+            x = Fraction(x)
+            return _cyclic_member(self, x.numerator, x.denominator)
         if isinstance(x, Fraction) or isinstance(x, int):
-            x = (Fraction(x),) + (Fraction(0),) * (deg - 1)
-        basis, scale, tmat = self.lattice
-        coeffs = _solve_lin(basis, [Fraction(c) * scale for c in x])
-        if coeffs is None:
-            return False
-        return _eventually_integral(coeffs, tmat) is not None
+            x = (Fraction(x),) + (Fraction(0),) * (self.degree - 1)
+        return _shift(self, x) is not None
+
+
+def _cyclic_member(g, n, d):
+    """Is n/d in the cyclic image g?  Only when n * denominator / d has a
+    denominator made of primes of the ratio."""
+    return _coprime_part(d // gcd(n * g.denominator, d), g.ratio) == 1
+
+
+def _shift(g, vec):
+    """Least j with lambda^j * vec in the lattice of the field image g, or
+    None when vec lies in no lambda^-j copy of it, that is not in g."""
+    basis, scale, tmat = g.lattice
+    coeffs = _solve_lin(basis, [Fraction(c) * scale for c in vec])
+    return None if coeffs is None else _eventually_integral(coeffs, tmat)
 
 
 def _coprime_part(n, ratio):
@@ -565,19 +577,13 @@ class TraceIsoResult:
 def _field_included(a: TraceImageGroup, b: TraceImageGroup):
     """Is the group of a contained in the group of b (same minimal polynomial)?
 
-    Reduces to finitely many lattice questions: each generator of a must
-    land in some lambda^-j copy of b's lattice, and the needed j is found
-    (or refuted) by the denominator trajectory under the integer action of
-    lambda on b's basis.
+    Each generator of a must land in some lambda^-j copy of b's lattice;
+    returns the largest such least j and None, or None and the first
+    generator that escapes.
     """
-    basis, scale, tmat = b.lattice
     shifts = []
     for vec in a.generators:
-        target = [Fraction(c) * scale for c in vec]
-        coeffs = _solve_lin(basis, target)
-        if coeffs is None:
-            return None, vec
-        j = _eventually_integral(coeffs, tmat)
+        j = _shift(b, vec)
         if j is None:
             return None, vec
         shifts.append(j)
@@ -585,22 +591,24 @@ def _field_included(a: TraceImageGroup, b: TraceImageGroup):
 
 
 def trace_images_isomorphic(a: TraceImageGroup, b: TraceImageGroup) -> TraceIsoResult:
-    """Decide unital order isomorphism (equivalently set equality) of images."""
-    if a.kind == "cyclic" and b.kind == "cyclic":
-        ra, rb = a.radical, b.radical
-        if ra != rb:
-            p = min(ra ^ rb)
-            return TraceIsoResult(False, "divisible primes differ at %d" % p)
-        if a.denominator != b.denominator:
-            return TraceIsoResult(
-                False,
-                "global denominators differ: %d vs %d" % (a.denominator, b.denominator),
-            )
-        return TraceIsoResult(
-            True,
-            "identical rational subgroups",
-            {"radical": sorted(ra), "denominator": a.denominator},
-        )
+    """Decide unital order isomorphism (equivalently set equality) of images.
+
+    Rational images are compared by the module's rule on the numbers 1/q_A,
+    1/q_B and, when lambda_A != lambda_B, 1/(lambda_A q_B) and
+    1/(lambda_B q_A); once the checks before it hold, each lies in one
+    image, so a "not" names a number in exactly one.  Field images with one
+    minimal polynomial share lambda, so the two lattice inclusions decide
+    them.
+    """
+    if a.kind == b.kind == "cyclic":
+        checks = [(a.denominator, b), (b.denominator, a)]
+        if a.ratio != b.ratio:
+            checks += [(a.ratio * b.denominator, b), (b.ratio * a.denominator, a)]
+        for k, g in checks:
+            if not _cyclic_member(g, 1, k):
+                where = "first image, not the second" if g is b else "second image, not the first"
+                return TraceIsoResult(False, "1/%d lies in the %s" % (k, where))
+        return TraceIsoResult(True, "identical rational subgroups")
     if a.kind != b.kind:
         return TraceIsoResult(False, "one image is rational, the other spans a real number field")
     if a.minpoly != b.minpoly:

@@ -769,37 +769,6 @@ def test_iso_pure_odometers_match_radicals(p, q):
     assert trace_images_isomorphic(a, b).value is expected
 
 
-def test_cyclic_radical_is_factored_once_per_group(monkeypatch):
-    from cantorconj import invariants
-
-    scaled = stationary_from_rows(((0, 0),), root=((0, 0, 0),))  # (1/3) Z[1/2]
-    diagrams = [stationary_from_rows(((0,) * q,), root=((0,) * q,)) for q in (2, 3, 4, 6, 12, 18)]
-    groups = [trace_image_group(d) for d in diagrams + [scaled]]
-    calls = []
-    real = invariants._prime_factors
-    monkeypatch.setattr(invariants, "_prime_factors", lambda n: calls.append(n) or real(n))
-    first = [[trace_images_isomorphic(a, b) for b in groups] for a in groups]
-    assert len(calls) == len(groups)
-    again = [[trace_images_isomorphic(a, b) for b in groups] for a in groups]
-    assert again == first and len(calls) == len(groups)
-    # reference: the radical and the denominator compared directly
-    rad = lambda n: {p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))}
-    for a, row in zip(groups, first):
-        assert a.radical == frozenset(rad(a.ratio))
-        for b, res in zip(groups, row):
-            if rad(a.ratio) != rad(b.ratio):
-                p = min(rad(a.ratio) ^ rad(b.ratio))
-                assert res == TraceIsoResult(False, "divisible primes differ at %d" % p)
-            elif a.denominator != b.denominator:
-                assert res.value is False and res.reason.startswith("global denominators differ")
-            else:
-                assert res == TraceIsoResult(
-                    True,
-                    "identical rational subgroups",
-                    {"radical": sorted(rad(a.ratio)), "denominator": a.denominator},
-                )
-
-
 def integer_root_incidences():
     """Every primitive 2x2 incidence with entries 0..4 whose Perron root is
     an integer, in itertools.product order."""
@@ -835,15 +804,23 @@ def radical(n):
     return out
 
 
-def test_rational_images_agree_with_the_closed_form():
+def test_rational_images_agree_with_the_closed_form(monkeypatch):
     # reference: (1/q)Z[1/lam] and (1/q')Z[1/lam'] (q coprime to lam) are
     # equal iff lam and lam' have the same prime divisors and q = q'
+    from cantorconj import invariants
+
     groups = [trace_image_group(d) for d in rational_pool()]
     assert len(groups) == 195 and {g.kind for g in groups} == {"cyclic"}
+    calls = []
+    real = invariants.factor_integer
+    monkeypatch.setattr(invariants, "factor_integer", lambda n: calls.append(n) or real(n))
+    results = [trace_images_isomorphic(a, b) for a, b in itertools.product(groups, repeat=2)]
+    # the comparisons test membership by gcds alone
+    assert calls == []
     equal = lattices_only = 0
-    for a, b in itertools.product(groups, repeat=2):
+    for (a, b), res in zip(itertools.product(groups, repeat=2), results):
         expected = radical(a.ratio) == radical(b.ratio) and a.denominator == b.denominator
-        assert trace_images_isomorphic(a, b).value is expected, (a, b)
+        assert res.value is expected, (a, b)
         equal += expected
         # 1/q_A in (1/q_B)Z[1/lam_B] and the other way round, in integers:
         # each lattice inside the other group, without the stability checks
@@ -853,6 +830,34 @@ def test_rational_images_agree_with_the_closed_form():
     assert equal == 2707
     # the two inclusions alone would call these pairs equal
     assert lattices_only == 19918
+
+
+def test_rational_reasons_name_the_escaping_number():
+    # reference: the four numbers 1/q_A, 1/q_B, 1/(lam_A q_B), 1/(lam_B q_A)
+    # in order, each tested against the radical closed form
+    scaled = stationary_from_rows(((0, 0),), root=((0, 0, 0),))  # (1/3) Z[1/2]
+    diagrams = [stationary_from_rows(((0,) * q,), root=((0,) * q,)) for q in (2, 3, 4, 6, 12, 18)]
+    groups = [trace_image_group(d) for d in diagrams + [scaled]]
+
+    def member(x, g):
+        return radical((x * g.denominator).denominator) <= radical(g.ratio)
+
+    for a, b in itertools.product(groups, repeat=2):
+        checks = [(a.denominator, b, a), (b.denominator, a, b)]
+        if a.ratio != b.ratio:
+            checks += [(a.ratio * b.denominator, b, a), (b.ratio * a.denominator, a, b)]
+        escapes = [(k, g, h) for k, g, h in checks if not member(Fraction(1, k), g)]
+        res = trace_images_isomorphic(a, b)
+        if not escapes:
+            assert res == TraceIsoResult(True, "identical rational subgroups")
+            continue
+        k, g, h = escapes[0]
+        # the number named lies in exactly one of the two images
+        assert member(Fraction(1, k), h) and not member(Fraction(1, k), g)
+        where = "first image, not the second" if h is a else "second image, not the first"
+        assert res == TraceIsoResult(False, "1/%d lies in the %s" % (k, where))
+    res = trace_images_isomorphic(trace_image_group(dyadic()), trace_image_group(odometer(6)))
+    assert res.reason == "1/6 lies in the second image, not the first"
 
 
 def test_field_pair_comparisons_are_pinned():
