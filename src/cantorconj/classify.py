@@ -30,12 +30,12 @@ cells are skipped before any elimination.
 
 No-verdicts are only ever derived from sound obstructions: a prime power
 present in one divisor set and absent from the other, trace images
-spanning fields of different degrees over Q, or certified non-isomorphy of
-the trace images.  decide_k_conjugacy's No is decide_tau's, so a refutation of a
-coarser relation refutes every finer one by construction.  Exhausted
-searches return Unknown, never No; order isomorphism of dimension groups
-has no known general decision procedure, so honesty about the search
-boundary is part of the contract.
+spanning fields of different degrees over Q, or certified non-isomorphy
+of the trace images.  decide_k_conjugacy's No is decide_tau's, so a
+refutation of a coarser relation refutes every finer one by construction.
+Exhausted searches return Unknown, never No; order isomorphism of
+dimension groups has no known general decision procedure, so honesty
+about the search boundary is part of the contract.
 
 The second half of the module holds the lifting lemmas, public API that
 no decider calls: realizing a positive class as a clopen subset of a
@@ -168,8 +168,8 @@ def decide_tau(
 
     Every sound obstruction is reported: decide_weak's spectra witness,
     the degrees of the trace images' fields when they differ, and certified
-    non-isomorphy of the trace images.  decide_k_conjugacy
-    takes its No from here, so refutations are closed by construction.
+    non-isomorphy of the trace images.  decide_k_conjugacy takes its No
+    from here, so refutations are closed by construction.
     """
     obstructions = []
     comp = spectra_equal(dgA, dgB, prime_cutoff, depth)

@@ -4,10 +4,9 @@ import collections
 import hashlib
 import itertools
 import json
-import math
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -775,7 +774,7 @@ def integer_root_incidences():
     for m in itertools.product(range(5), repeat=4):
         mat = (m[:2], m[2:])
         disc = (m[0] + m[3]) ** 2 - 4 * (m[0] * m[3] - m[1] * m[2])
-        if math.isqrt(disc) ** 2 == disc and _is_primitive(rows_of(mat), 2):
+        if isqrt(disc) ** 2 == disc and _is_primitive(rows_of(mat), 2):
             yield mat
 
 
