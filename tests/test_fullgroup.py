@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from cantorconj import classify
 from cantorconj.bratteli import OrderedBratteliDiagram, cells, heights, tower_map, tower_stacks
 from cantorconj.check import (
     AUDIT_LOOKAHEAD,
@@ -257,16 +258,21 @@ def test_block_condition_wide_planted_family_at_width_2000():
     assert_planted_family(2000)
 
 
-def test_block_condition_matches_subset_enumeration():
+def enumerated_bijections():
+    # 400 seeded bijections of 1..10 blocks, small enough to enumerate
     rng = random.Random(2024)
-    violated = 0
     for t in range(400):
         k = rng.randint(1, 10)
         n = rng.randint(k, 14)
         if t % 2:
-            b = random_block_bijection(rng, n)
+            yield random_block_bijection(rng, n)
         else:
-            b = grouped_block_bijection(rng, n, k)
+            yield grouped_block_bijection(rng, n, k)
+
+
+def test_block_condition_matches_subset_enumeration():
+    violated = 0
+    for b in enumerated_bijections():
         res = check_block_condition(b)
         assert (res.ok, res.violation) == subset_enumeration_reference(b)
         violated += not res.ok
@@ -606,15 +612,20 @@ def seeded_block_bijection(rng, k, planted):
     return BlockBijection(n, tuple(blocks), tuple(images))
 
 
-def test_block_layer_and_certificate_arity_are_pinned():
-    # check_block_condition and cyclic_from_blocks (the cycle or the
-    # violation raised) on 400 seeded bijections of 1..20 blocks, half of
-    # them with a planted preserved family, hashed in order
+def pinned_bijections():
+    # 400 seeded bijections of 1..20 blocks, half of them with a planted
+    # preserved family
     rng = random.Random(40)
-    records = []
     for i in range(400):
         k = rng.randint(1, 20)
-        b = seeded_block_bijection(rng, k, planted=i % 2 == 1 and k >= 2)
+        yield seeded_block_bijection(rng, k, planted=i % 2 == 1 and k >= 2)
+
+
+def test_block_layer_and_certificate_arity_are_pinned():
+    # check_block_condition and cyclic_from_blocks (the cycle or the
+    # violation raised) on the pinned bijections, hashed in order
+    records = []
+    for b in pinned_bijections():
         records.append([b.size, b.blocks, b.images, block_layer_outcome(
             check_block_condition, cyclic_from_blocks, b
         )])
@@ -635,6 +646,114 @@ def test_block_layer_and_certificate_arity_are_pinned():
     )
     orbit = dict(cert, claim="orbit", verifier=None)
     assert verify_certificate(orbit, (QUATERNARY,)).reason == "unknown claim 'orbit'"
+
+
+def has_preserved_family(b):
+    """Subset enumeration, met in the middle: is some nonempty proper family
+    of blocks preserved?  A family is preserved when the sum over it of
+    (indicator of the block) - (indicator of its image) vanishes; indicators
+    are read in base 4, where such a sum has digits -1, 0 and 1 and so is
+    zero only when every digit is.  Every family is a family of the first
+    half joined with one of the second."""
+    diffs = [sum(4 ** x for x in u) - sum(4 ** x for x in v) for u, v in zip(b.blocks, b.images)]
+    half = len(diffs) // 2
+
+    def subset_sums(part):
+        sums = [0]  # sums[mask], mask over part
+        for y in part:
+            sums += [s + y for s in sums]
+        return sums
+
+    low = {}
+    for mask, s in enumerate(subset_sums(diffs[:half])):
+        low.setdefault(s, []).append(mask)
+    full = (1 << len(diffs)) - 1
+    return any(
+        0 < lo | hi << half < full
+        for hi, s in enumerate(subset_sums(diffs[half:]))
+        for lo in low.get(-s, ())
+    )
+
+
+def assert_preserved_violation(b, violation):
+    # a nonempty proper family of blocks whose union equals that of its images
+    family = [b.blocks.index(tuple(u)) for u in violation]
+    assert 0 < len(set(family)) == len(family) < len(b.blocks)
+    assert {x for u in violation for x in u} == {x for i in family for x in b.images[i]}
+
+
+def primitive_2x2_diagrams():
+    # the primitive 2x2 incidences with entries <= 2, in order
+    for entries in itertools.product(range(3), repeat=4):
+        mat = (entries[:2], entries[2:])
+        # a 2x2 incidence is primitive when its square is positive (Wielandt)
+        if all(mat[i][0] * mat[0][j] + mat[i][1] * mat[1][j] for i in (0, 1) for j in (0, 1)):
+            yield stationary_from_rows(rows_of(mat))
+
+
+def tower_bijection(d, m, blocks, images, level, w):
+    # the block bijection the synthesis builds on tower w of level: floor j
+    # lies in the block (image block) holding the level-m cell under it
+    proj = tower_map(d, m, level)
+    h = heights(d, level)[w]
+    parts = []
+    for part in (blocks, images):
+        label = {c: i for i, u in enumerate(part) for c in u}
+        parts.append(tuple(
+            tuple(j for j in range(1, h + 1) if label[proj[(w, j)]] == i) for i in range(len(part))
+        ))
+    return BlockBijection(h, *parts)
+
+
+def test_block_layer_keeps_its_verdicts_cycles_and_preserved_violations(monkeypatch):
+    # on the enumerated and pinned bijections: the verdict of the subset
+    # enumeration, a preserved violation named alike by both functions, and
+    # the cycles built on satisfying inputs, hashed in order
+    cycles = []
+    violated = 0
+    for b in itertools.chain(enumerated_bijections(), pinned_bijections()):
+        res = check_block_condition(b)
+        assert res.ok == (not has_preserved_family(b)), b
+        try:
+            sigma = cyclic_from_blocks(b)
+        except BlockConditionViolation as e:
+            assert not res.ok and e.violation == res.violation, b
+            assert_preserved_violation(b, res.violation)
+            violated += 1
+        else:
+            assert res.ok, b
+            cycles.append(sigma)
+    assert (violated, len(cycles)) == (459, 341)
+    digest = hashlib.sha256(json.dumps(cycles).encode()).hexdigest()
+    assert digest == "cb5f197c7b43d0476b844f29706995d9aa9a33a3a4b24ee2280310d46040dfe5"
+    # the towers on which the resolution pipeline's synthesis stalls
+    stalls = []
+
+    def recording(d, m, blocks, images):
+        try:
+            return conjugator_from_partition(d, m, blocks, images)
+        except ConjugatorError as e:
+            stalls.append((d, m, blocks, images, e))
+            raise
+
+    monkeypatch.setattr(classify, "conjugator_from_partition", recording)
+    for d in primitive_2x2_diagrams():
+        try:
+            conjugate_at_resolution(d, d, 2)
+        except StageError:
+            pass
+    assert len(stalls) == 14
+    for d, m, blocks, images, e in stalls:
+        assert e.kind == "blocks"
+        level = int(str(e).split(" at level ")[1].split()[0])
+        b = tower_bijection(d, m, blocks, images, level, e.detail["tower"])
+        assert has_preserved_family(b)
+        res = check_block_condition(b)
+        assert not res.ok and res.violation == e.detail["violation"]
+        with pytest.raises(BlockConditionViolation) as raised:
+            cyclic_from_blocks(b)
+        assert raised.value.violation == res.violation
+        assert_preserved_violation(b, res.violation)
 
 
 # ---------------------------------------------------------------------------
