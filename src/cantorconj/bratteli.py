@@ -434,8 +434,8 @@ def _composed_incidence(d, m, m2):
 
 
 def validate_path(d: OrderedBratteliDiagram, path: Path) -> None:
-    if not path:
-        raise ValueError("empty path")
+    """ValueError unless path runs from the root; the empty path is the one
+    path to level 0, whose tower is the root alone."""
     d.check_level(len(path))
     prev = 0
     for n, (v, t) in enumerate(path):

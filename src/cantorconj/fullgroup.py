@@ -7,16 +7,18 @@ that carries each block onto its image block, up to the chosen resolution.
 
 The synthesis runs per tower at a finer level m*.  Each tower of height N
 inherits two labelled partitions of its floors (where the blocks and the
-image blocks cut it), and the existence of a single N-cycle sending label
-fibers onto label fibers is governed by a clean combinatorial criterion: no
-nonempty proper subfamily of blocks may have its union fixed by the
-bijection.  Splicing the cycles of the in-block assignment across the
-first block that straddles the cycle of 1, one splice at a time, produces
-such an N-cycle whenever the criterion holds; when the splicing stalls,
-the criterion fails, and the block graph names the violation.  One
-construction (_cycle) serves both cyclic_from_blocks and each tower of
-the synthesis.  Reading off the cycle's offsets against the floor index
-yields the return-time table r(w, j) of a full-group element.
+image blocks cut it), and a single N-cycle sending label fibers onto label
+fibers exists exactly when the block condition holds: no nonempty proper
+subfamily of blocks has its union fixed by the bijection.  One
+construction (_cycle) decides the condition and builds the cycle, for
+check_block_condition, cyclic_from_blocks and each tower of the synthesis.
+It splices the cycles of the in-block assignment across the first block
+that straddles the cycle C of 1, one splice at a time, and completes
+exactly when the condition holds.  When it stalls, C is the closure of the
+block holding 1 under "its image meets that block": nonempty, proper and
+preserved, that family is the violation named.  Reading off the cycle's
+offsets against the floor index yields the return-time table r(w, j) of a
+full-group element.
 
 The element (FullGroupElement), its replay (verify_conjugator) and the
 block label of each floor (_floor_labels), which the synthesis and the
@@ -96,37 +98,25 @@ class BlockBijection:
 @dataclass(frozen=True)
 class BlockConditionResult:
     ok: bool
-    violation: Optional[tuple] = None  # offending blocks, earliest-indexed family
+    violation: Optional[tuple] = None  # the preserved family _cycle stalls on
 
 
 def check_block_condition(b: BlockBijection) -> BlockConditionResult:
     """Does some block-respecting permutation act as a single cycle?
 
     Equivalent criterion: no nonempty proper subfamily F of the blocks
-    satisfies union(F) = union(images of F).  Sufficiency is witnessed
-    constructively by cyclic_from_blocks; necessity is immediate, since a
-    preserved union confines every respecting permutation.
-
-    Since each block and its image have the same size, union(F) equals
-    union(images of F) exactly when F is closed under the relation
-    i -> j, "images[i] meets blocks[j]": closure puts the images of F inside
-    union(F), and equal sizes make the inclusion an equality.  So the
-    condition holds iff this block graph is strongly connected, which one
-    forward and one reverse search from block 0 decide.
-
-    On failure the witness is the closed proper family whose sorted index
-    tuple is lexicographically least, listed as blocks.  It is found
-    greedily: its first index a is the least one whose reach is proper and
-    has no member below a; each further index y is the least one, up to the
-    least member of the closure not yet chosen, whose closure joined with
-    the current one adds no unchosen index below y and stays proper; the
-    family is complete once the closure adds nothing to the chosen indices.
-    The reach sets are shared within the call: each is searched at most
-    once, and a search that meets a block whose reach is known ORs that
-    reach in instead of expanding the block.
+    satisfies union(F) = union(images of F).  Necessity is immediate, since
+    a preserved union confines every respecting permutation; sufficiency
+    holds because the splice construction of cyclic_from_blocks completes
+    exactly when no family is preserved.  So the construction decides: on
+    failure the witness is the family it stalls on, the closure of the
+    block holding element 1 (see _cycle).
     """
-    violation = _decide(b.blocks, b.images, _block_of(b))
-    return BlockConditionResult(violation is None, violation)
+    try:
+        cyclic_from_blocks(b)
+    except BlockConditionViolation as e:
+        return BlockConditionResult(False, e.violation)
+    return BlockConditionResult(True)
 
 
 def _block_of(b: BlockBijection) -> list:
@@ -138,73 +128,10 @@ def _block_of(b: BlockBijection) -> list:
     return block_of
 
 
-def _decide(blocks, images, block_of):
-    """The least violating family of check_block_condition, as a tuple of
-    blocks, or None when none exists; block_of[x] is the block of x."""
-    k = len(blocks)
-    adj = [0] * k
-    radj = [0] * k
-    for i, v in enumerate(images):
-        for x in v:
-            j = block_of[x]
-            adj[i] |= 1 << j
-            radj[j] |= 1 << i
-    full = (1 << k) - 1
-    reach = [0] * k  # 0 until searched: a reach holds its own block
-    reach[0] = _reach(adj, 0, reach)
-    if reach[0] == full and _reach(radj, 0, [0] * k) == full:
-        return None
-
-    def closure_of(y):
-        if not reach[y]:
-            reach[y] = _reach(adj, y, reach)
-        return reach[y]
-
-    a = next(
-        a for a in range(k)
-        if closure_of(a) != full and not closure_of(a) & ((1 << a) - 1)
-    )
-    chosen = 1 << a
-    closure = closure_of(a)
-    last = a
-    while closure != chosen:
-        rest = closure & ~chosen
-        z = (rest & -rest).bit_length() - 1
-        # y = z always qualifies: z's reach lies inside the closed closure,
-        # so it is not searched
-        for y in range(last + 1, z + 1):
-            grown = closure if y == z else closure | closure_of(y)
-            if grown != full and not grown & ~chosen & ((1 << y) - 1):
-                break
-        chosen |= 1 << y
-        closure = grown
-        last = y
-    return tuple(tuple(blocks[i]) for i in range(k) if chosen >> i & 1)
-
-
-def _reach(adj, y: int, known) -> int:
-    """Bitmask of the vertices reachable from vertex y along adj; a vertex v
-    with known[v] nonzero contributes that (closed) reach unexpanded."""
-    seen = frontier = 1 << y
-    while frontier:
-        step = 0
-        while frontier:
-            low = frontier & -frontier
-            v = low.bit_length() - 1
-            if known[v]:
-                seen |= known[v]
-            else:
-                step |= adj[v]
-            frontier ^= low
-        frontier = step & ~seen
-        seen |= frontier
-    return seen
-
-
 def cyclic_from_blocks(b: BlockBijection) -> tuple:
     """A single size-cycle sending each block onto its image, as a tuple
-    sigma with sigma[i-1] the image of i; BlockConditionViolation, with the
-    violation of check_block_condition, when none exists (see _cycle).
+    sigma with sigma[i-1] the image of i; BlockConditionViolation, naming
+    the family the construction stalls on, when none exists (see _cycle).
     """
     return _cycle(b.size, b.blocks, b.images, _block_of(b))
 
@@ -221,12 +148,14 @@ def _cycle(n: int, blocks, images, block_of) -> tuple:
     of its elements on C picks the first straddling block by index, and its
     smallest elements on and off C are used.
 
-    Splices first and decides only on a stall: the splices stop short of
-    a single cycle exactly when no block straddles C, and then C is a union
-    of blocks that sigma, which sends each block onto its image, preserves.
-    That union is nonempty and proper, so the block condition fails, and
-    the violation raised is the one _decide finds.  When the condition
-    holds the block graph is never built.
+    The splices complete exactly when the block condition holds.  They
+    stop short of a single cycle only when no block straddles C, and then
+    C is a union of blocks that sigma, which sends each block onto its
+    image, preserves: a nonempty proper preserved family, so the condition
+    fails.  That family is the closure of the block holding 1 under "its
+    image meets that block": it holds that block and is closed, and the
+    closure, being preserved, holds the cycle of 1 under sigma.  It is
+    raised as the violation, its blocks in index order.
     """
     sigma = [0] * (n + 1)
     for u, v in zip(blocks, images):
@@ -249,7 +178,7 @@ def _cycle(n: int, blocks, images, block_of) -> tuple:
             x = sigma[x]
         if not straddling:
             if not all(on[1:]):
-                raise BlockConditionViolation(_decide(blocks, images, block_of))
+                raise BlockConditionViolation(tuple(tuple(u) for u in blocks if on[u[0]]))
             break
         u = blocks[(straddling & -straddling).bit_length() - 1]
         # blocks are sorted, so these are the least straddling elements
@@ -294,9 +223,10 @@ def conjugator_from_partition(
     into blocks and image blocks, increasing and of equal sizes since the
     pushed counting vectors agree at m*, and nonempty since every tower of
     m* stacks every tower of m, so they go to the cycle construction as
-    they are, without BlockBijection's checks.  It splices first and
-    decides the block condition only when the splicing stalls (see
-    _cycle), so a tower that satisfies it never builds its block graph.
+    they are, without BlockBijection's checks.  The construction decides
+    the block condition as it splices (see _cycle): a tower on which it
+    stalls fails the condition, and the violation named is the family of
+    blocks that the cycle of floor 1 covers.
     """
     universe = cell_set(d, m)
     blocks = tuple(tuple(sorted(u)) for u in blocks)

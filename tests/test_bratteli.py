@@ -295,6 +295,9 @@ def test_dyadic_successor_is_binary_increment():
         assert cur is not MAX_PATH
     assert cur == max_path(d, 0, 3)
     assert vershik_successor(d, cur) is MAX_PATH
+    # level 0 is one tower of height 1: its one path, the empty one, is maximal
+    assert min_path(d, 0, 0) == max_path(d, 0, 0) == ()
+    assert vershik_successor(d, ()) is MAX_PATH
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))

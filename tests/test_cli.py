@@ -399,6 +399,13 @@ def test_vershik_orbit(corpus, capsys):
     assert all(step["successor"] == "next" for step in rep["orbit"][:-1])
 
 
+def test_vershik_level_0_is_one_floor(corpus, capsys):
+    rc, rep = run_json(capsys, ["vershik", corpus["dyadic"], "--level", "0"])
+    assert rc == 0
+    assert rep["height"] == 1
+    assert rep["orbit"] == [{"floor": 1, "path": [], "successor": "max"}]
+
+
 def test_vershik_limit(corpus, capsys):
     rc, rep = run_json(
         capsys, ["vershik", corpus["dyadic"], "--level", "3", "--limit", "3"]
