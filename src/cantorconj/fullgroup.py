@@ -107,13 +107,13 @@ def check_block_condition(b: BlockBijection) -> BlockConditionResult:
     Equivalent criterion: no nonempty proper subfamily F of the blocks
     satisfies union(F) = union(images of F).  Necessity is immediate, since
     a preserved union confines every respecting permutation; sufficiency
-    holds because the splice construction of cyclic_from_blocks completes
-    exactly when no family is preserved.  So the construction decides: on
-    failure the witness is the family it stalls on, the closure of the
-    block holding element 1 (see _cycle).
+    holds because the splice construction of cyclic_from_blocks (_cycle)
+    completes exactly when no family is preserved.  So the construction
+    decides: on failure the witness is the family it stalls on, the
+    closure of the block holding element 1.
     """
     try:
-        cyclic_from_blocks(b)
+        _cycle(b.size, b.blocks, b.images, _block_of(b))
     except BlockConditionViolation as e:
         return BlockConditionResult(False, e.violation)
     return BlockConditionResult(True)
