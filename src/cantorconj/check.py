@@ -92,7 +92,11 @@ class SearchExhausted(RuntimeError):
 
     def __init__(self, depth, what="search"):
         self.depth = depth
+        self.what = what
         super().__init__("%s exhausted within depth %s" % (what, depth))
+
+    def __reduce__(self):
+        return type(self), (self.depth, self.what)
 
 
 @dataclass(frozen=True)

@@ -777,6 +777,9 @@ class StageError(RuntimeError):
         self.obstruction = obstruction
         super().__init__(message or "%s stage failed: %r" % (stage, obstruction))
 
+    def __reduce__(self):
+        return type(self), (self.stage, self.obstruction, self.args[0])
+
 
 @dataclass(frozen=True)
 class ResolutionBundle:

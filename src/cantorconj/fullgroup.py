@@ -16,7 +16,9 @@ It splices the cycles of the in-block assignment across the first block
 that straddles the cycle C of 1, one splice at a time, and completes
 exactly when the condition holds.  When it stalls, C is the closure of the
 block holding 1 under "its image meets that block": nonempty, proper and
-preserved, that family is the violation named.  Reading off the cycle's
+preserved, that family is the violation, which the construction returns
+rather than raises; only cyclic_from_blocks raises it, as
+BlockConditionViolation.  Reading off the cycle's
 offsets against the floor index yields the return-time table r(w, j) of a
 full-group element.
 
@@ -49,12 +51,19 @@ from .fieldpoly import _mat_apply
 
 
 class BlockConditionViolation(ValueError):
-    """A subfamily of blocks has its union preserved; carries the witness."""
+    """A subfamily of blocks has its union preserved; carries the witness.
+
+    The witness is the exception's one argument, and the message naming
+    its blocks is formatted only when it is read.
+    """
 
     def __init__(self, violation):
+        super().__init__(violation)
         self.violation = violation
-        names = ", ".join(repr(f) for f in violation)
-        super().__init__("block condition fails on the subfamily {%s}" % names)
+
+    def __str__(self):
+        names = ", ".join(map(repr, self.violation))
+        return "block condition fails on the subfamily {%s}" % names
 
 
 class ConjugatorError(ValueError):
@@ -64,6 +73,9 @@ class ConjugatorError(ValueError):
         self.kind = kind
         self.detail = detail
         super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.args[0]), self.__dict__
 
 
 @dataclass(frozen=True)
@@ -110,13 +122,10 @@ def check_block_condition(b: BlockBijection) -> BlockConditionResult:
     holds because the splice construction of cyclic_from_blocks (_cycle)
     completes exactly when no family is preserved.  So the construction
     decides: on failure the witness is the family it stalls on, the
-    closure of the block holding element 1.
+    closure of the block holding element 1, as the construction returns it.
     """
-    try:
-        _cycle(b.size, b.blocks, b.images, _block_of(b))
-    except BlockConditionViolation as e:
-        return BlockConditionResult(False, e.violation)
-    return BlockConditionResult(True)
+    _, violation = _cycle(b.size, b.blocks, b.images, _block_of(b))
+    return BlockConditionResult(violation is None, violation)
 
 
 def _block_of(b: BlockBijection) -> list:
@@ -133,13 +142,17 @@ def cyclic_from_blocks(b: BlockBijection) -> tuple:
     sigma with sigma[i-1] the image of i; BlockConditionViolation, naming
     the family the construction stalls on, when none exists (see _cycle).
     """
-    return _cycle(b.size, b.blocks, b.images, _block_of(b))
+    sigma, violation = _cycle(b.size, b.blocks, b.images, _block_of(b))
+    if violation is not None:
+        raise BlockConditionViolation(violation)
+    return sigma
 
 
 def _cycle(n: int, blocks, images, block_of) -> tuple:
-    """The cycle of cyclic_from_blocks on a block bijection of 1..n given
-    as its parts: nonempty increasing blocks and images, aligned and of
-    equal sizes, and the block of each element.
+    """The pair (sigma, None), sigma the cycle of cyclic_from_blocks, or
+    (None, violation) at a stall, on a block bijection of 1..n given as its
+    parts: nonempty increasing blocks and images, aligned and of equal
+    sizes, and the block of each element.
 
     Start from the order-respecting assignment inside each block, then
     merge cycles: as long as the element 1 does not exhaust its cycle C,
@@ -155,7 +168,7 @@ def _cycle(n: int, blocks, images, block_of) -> tuple:
     fails.  That family is the closure of the block holding 1 under "its
     image meets that block": it holds that block and is closed, and the
     closure, being preserved, holds the cycle of 1 under sigma.  It is
-    raised as the violation, its blocks in index order.
+    returned as the violation, its blocks in index order.
     """
     sigma = [0] * (n + 1)
     for u, v in zip(blocks, images):
@@ -178,17 +191,22 @@ def _cycle(n: int, blocks, images, block_of) -> tuple:
             x = sigma[x]
         if not straddling:
             if not all(on[1:]):
-                raise BlockConditionViolation(tuple(tuple(u) for u in blocks if on[u[0]]))
-            break
+                return None, tuple(tuple(u) for u in blocks if on[u[0]])
+            return tuple(sigma[1:]), None
+        # blocks are sorted, so the least straddling elements are the first
+        # element of the block and the first to lie on the other side of C
         u = blocks[(straddling & -straddling).bit_length() - 1]
-        # blocks are sorted, so these are the least straddling elements
-        i = next(x for x in u if on[x])
-        j = next(x for x in u if not on[x])
+        i = u[0]
+        side = on[i]
+        for j in u:
+            if on[j] != side:
+                break
+        if not side:
+            i, j = j, i
         # the splice merges the cycle D through j into C, so the cycle of 1
         # becomes C | D and strictly grows; D is walked from its new entry
         sigma[i], sigma[j] = sigma[j], sigma[i]
         x = sigma[i]
-    return tuple(sigma[1:])
 
 
 def conjugator_from_partition(
@@ -225,8 +243,8 @@ def conjugator_from_partition(
     m* stacks every tower of m, so they go to the cycle construction as
     they are, without BlockBijection's checks.  The construction decides
     the block condition as it splices (see _cycle): a tower on which it
-    stalls fails the condition, and the violation named is the family of
-    blocks that the cycle of floor 1 covers.
+    stalls fails the condition, and the violation it returns, the family of
+    blocks that the cycle of floor 1 covers, is named in the error.
     """
     universe = cell_set(d, m)
     blocks = tuple(tuple(sorted(u)) for u in blocks)
@@ -288,15 +306,14 @@ def conjugator_from_partition(
         for j in range(1, h[w] + 1):
             tower_blocks[block_of[j]].append(j)
             tower_images[image_of[j]].append(j)
-        try:
-            sigma = _cycle(h[w], tower_blocks, tower_images, block_of)
-        except BlockConditionViolation as e:
+        sigma, violation = _cycle(h[w], tower_blocks, tower_images, block_of)
+        if violation is not None:
             raise ConjugatorError(
                 "blocks",
                 "tower %d at level %d fails the block condition" % (w, mstar),
                 tower=w,
-                violation=e.violation,
-            ) from e
+                violation=violation,
+            )
         # anchor the cycle at the least floor of the first block; the walk
         # sigma^j then pairs floor j with its conjugated position
         row = []

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import operator
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -63,6 +64,7 @@ from cantorconj.check import (
 )
 from cantorconj.dimgroup import POSITIVE, UNKNOWN, ZERO, DimGroup
 from cantorconj.fieldpoly import _mat_apply
+from cantorconj.fullgroup import BlockConditionViolation, ConjugatorError
 from cantorconj.invariants import DEFAULT_DEPTH, divides_unit, spectra_equal
 from cantorconj.systems import (
     NAMED,
@@ -1247,6 +1249,45 @@ def test_conjugate_obstructed():
         conjugate_at_resolution(DYADIC, TRIADIC, 2)
     assert e.value.stage == "morphism"
     assert e.value.obstruction.witness == 2
+
+
+def test_package_errors_survive_pickle_and_copy():
+    # errors handed back across a process pool are pickled: each comes back
+    # with its type, its text and its attributes
+    expected = [
+        (
+            ConjugatorError(
+                "blocks",
+                "tower 0 at level 4 fails the block condition",
+                tower=0,
+                violation=((1,),),
+            ),
+            "tower 0 at level 4 fails the block condition",
+        ),
+        (
+            StageError("partition", message="a cell transported to the zero class"),
+            "a cell transported to the zero class",
+        ),
+        (
+            StageError("morphism", Obstruction("divisor", 2)),
+            "morphism stage failed: Obstruction(kind='divisor', witness=2)",
+        ),
+        (
+            SearchExhausted(40, "ladder node budget"),
+            "ladder node budget exhausted within depth 40",
+        ),
+        (SearchExhausted(7), "search exhausted within depth 7"),
+        (
+            BlockConditionViolation(((1, 2), (4,))),
+            "block condition fails on the subfamily {(1, 2), (4,)}",
+        ),
+    ]
+    for e, text in expected:
+        assert str(e) == text
+        for back in (pickle.loads(pickle.dumps(e)), copy.copy(e)):
+            assert type(back) is type(e)
+            assert str(back) == text
+            assert vars(back) == vars(e)
 
 
 def test_conjugate_unresolved_divisibility_is_a_morphism_stage_error():

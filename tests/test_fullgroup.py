@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from cantorconj import classify
+from cantorconj import classify, fullgroup
 from cantorconj.bratteli import OrderedBratteliDiagram, cells, heights, tower_map, tower_stacks
 from cantorconj.check import (
     AUDIT_LOOKAHEAD,
@@ -258,6 +258,7 @@ def assert_planted_family(k):
     assert check_block_condition(joined).ok
     sigma = cyclic_from_blocks(joined)
     assert is_single_cycle(sigma) and respects(sigma, joined)
+    return str(e.value)
 
 
 def test_block_condition_wide_planted_family():
@@ -267,8 +268,9 @@ def test_block_condition_wide_planted_family():
 def test_block_condition_wide_planted_family_at_width_2000():
     # the splices are bounded work: width 20,000 is decided at once
     with time_ceiling(5):
-        for k in (2000, 20000):
-            assert_planted_family(k)
+        text = assert_planted_family(2000)
+        assert_planted_family(20000)
+    assert text == "block condition fails on the subfamily {(1, 2), (3901, 3902)}"
 
 
 def enumerated_bijections():
@@ -698,8 +700,10 @@ def test_block_layer_keeps_its_verdicts_cycles_and_preserved_violations(monkeypa
     # the cycles built on satisfying inputs, hashed in order
     cycles = []
     violated = 0
+    verdicts = []
     for b in itertools.chain(enumerated_bijections(), pinned_bijections()):
         res = check_block_condition(b)
+        verdicts.append(res)
         assert res.ok == (not has_preserved_family(b)), b
         try:
             sigma = cyclic_from_blocks(b)
@@ -741,6 +745,20 @@ def test_block_layer_keeps_its_verdicts_cycles_and_preserved_violations(monkeypa
             cyclic_from_blocks(b)
         assert raised.value.violation == res.violation
         assert_preserved_violation(b, res.violation)
+    # with no BlockConditionViolation to be built, the verdicts and the
+    # synthesis stalls come out the same: only cyclic_from_blocks raises one
+    def unbuildable(violation):
+        raise AssertionError("BlockConditionViolation built for %r" % (violation,))
+
+    monkeypatch.setattr(fullgroup, "BlockConditionViolation", unbuildable)
+    bijections = itertools.chain(enumerated_bijections(), pinned_bijections())
+    assert [check_block_condition(b) for b in bijections] == verdicts
+    for d, m, blocks, images, e in stalls:
+        with pytest.raises(ConjugatorError) as again:
+            conjugator_from_partition(d, m, blocks, images)
+        assert again.value.kind == "blocks"
+        assert str(again.value) == str(e)
+        assert again.value.detail == e.detail
 
 
 # ---------------------------------------------------------------------------
