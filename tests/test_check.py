@@ -17,6 +17,7 @@ from cantorconj import check
 from cantorconj.bratteli import CapabilityError, cells, serialize_diagram
 from cantorconj.check import (
     WEAK_ROUNDS,
+    CertificateCheck,
     IntertwiningLadder,
     SearchExhausted,
     _certificate,
@@ -444,3 +445,17 @@ def test_forged_ladders_that_prove_nothing_are_rejected():
     mixed = IntertwiningLadder((1, 2, 3), (1, 2), (eye, swap), (ones, ones))
     assert verify_ladder(mixed, a, b).reason == "ladder is not periodic on stationary diagrams"
     assert verify_ladder(IntertwiningLadder((1, 2, 3), (1, 2), (eye, eye), (ones, ones)), a, b).ok
+
+
+def test_forged_tau_certificate_on_a_non_primitive_pair_is_malformed_on_every_replay():
+    # incidence [[1,0],[1,1]] has no Perron data, so recomputing the tau
+    # witness raises inside the malformed-input guard; nothing is kept, and
+    # the second replay rejects it for the same reason
+    fib = fibonacci()
+    witness = tau_certificate(decide_tau(fib, fib), fib, fib)["witness"]
+    systems = (stationary_from_rows(((0,), (0, 1))), stationary_from_rows(((0,), (0, 1))))
+    cert = _certificate("tau", systems, witness)
+    for _ in range(2):
+        assert verify_certificate(cert, systems) == CertificateCheck(
+            False, "malformed certificate: Perron data requires a primitive incidence matrix"
+        )

@@ -10,6 +10,7 @@ order, row i listing source j m[i][j] times, one root edge per vertex.
 """
 
 import collections
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -23,6 +24,7 @@ from cantorconj.classify import (
     decide_tau,
     decide_weak,
     ladder_certificate,
+    tau_certificate,
     weak_certificate,
 )
 from cantorconj.check import verify_certificate
@@ -269,4 +271,66 @@ def test_weak_and_ladder_certificates_are_pinned():
         digest.update(json.dumps([weak, ladder], sort_keys=True).encode())
     assert digest.hexdigest() == (
         "c08f7787a2df32487938f5e9f0245031a5acd5a7f6d797f9d8f6efe0c81344fa"
+    )
+
+
+def witness_digit_tampers(cert, limit=6):
+    """Up to limit copies of cert with one digit of its witness text bumped,
+    at digit positions spread evenly over that text; a copy that no longer
+    parses is None."""
+    text = json.dumps(cert["witness"], sort_keys=True)
+    digits = [i for i, ch in enumerate(text) if ch.isdigit()]
+    picks = sorted({digits[k * len(digits) // limit] for k in range(limit)}) if digits else []
+    for pos in picks:
+        bumped = text[:pos] + str((int(text[pos]) + 1) % 10) + text[pos + 1 :]
+        try:
+            witness = json.loads(bumped)
+        except ValueError:
+            yield None
+            continue
+        yield dict(cert, witness=witness)
+
+
+def test_pair_verdicts_certificates_and_replays_are_pinned():
+    # on every telescoping pair and every ordered pair of the hierarchy
+    # pool, twice on the same objects: kconj's verdict, note and
+    # obstructions, the ladder, weak and tau certificates, and the replay of
+    # each certificate and of up to six one-digit tampers of its witness,
+    # hashed in order; the second round reads what the first one kept
+    pool = hierarchy_pool()
+    pairs = telescoping_pairs() + list(itertools.product(pool, repeat=2))
+    assert len(pairs) == 73 + 576
+    digest = hashlib.sha256()
+    for _ in range(2):
+        for a, b in pairs:
+            with time_ceiling(10):
+                kconj = decide_k_conjugacy(a, b)
+                weak = decide_weak(a, b)
+                tau = decide_tau(a, b)
+            certs = []
+            if kconj.ladder is not None:
+                certs.append(ladder_certificate(kconj.ladder, a, b))
+            if weak.verdict == "weak":
+                certs.append(weak_certificate(weak, a, b))
+            if tau.verdict == "tau":
+                certs.append(tau_certificate(tau, a, b))
+            replays = []
+            for cert in certs:
+                for sent in [cert, *witness_digit_tampers(cert)]:
+                    if sent is None:
+                        replays.append("unparsed")
+                        continue
+                    with time_ceiling(10):
+                        result = verify_certificate(sent, (a, b))
+                    replays.append([result.ok, result.reason])
+            record = [
+                kconj.verdict,
+                kconj.note,
+                [dataclasses.asdict(o) for o in kconj.obstructions],
+                certs,
+                replays,
+            ]
+            digest.update(json.dumps(record, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "5c2518da3a691301ef564b199bdbeeec010e4142caf337f42887cc9b5e18a6d1"
     )
