@@ -327,13 +327,17 @@ def derived(d: OrderedBratteliDiagram, key, fn, *args):
     ("k0_source"), the target level or obstruction found for a gcd,
     threshold, start level and depth ("k0_target"), and the morphism on
     its source diagram under its source level, target level and reduced
-    target heights ("k0_morphism"), the canonical text of the weak or tau
-    witness that check's replay recomputes against a second diagram, keyed
-    with that diagram's digest ("weak_witness", "tau_witness"), the cell
-    set of a level, which check's replay and fullgroup's synthesis check
-    partitions against (cell_set, under "cell_set" and the level), and the
-    first level with more than CELL_CAP cells (first_level_over_cap,
-    "cap_level").  Values are shared, so callers must not mutate them.
+    target heights ("k0_morphism"), the cell set of a level, which check's
+    replay and fullgroup's synthesis check partitions against (cell_set,
+    under "cell_set" and the level), and the first level with more than
+    CELL_CAP cells (first_level_over_cap, "cap_level").  Data of an ordered
+    pair is kept on its first diagram, keyed with the second's digest
+    (check.diagram_digest): the weak or tau witness that check's replay
+    recomputes, or the rejection it ends with ("weak_witness",
+    "tau_witness"), and what classify's ladder search ends with, the
+    ladder or Unknown with its note, keyed with the window and the node
+    budget too ("ladder").  Values are shared, so callers must not mutate
+    them.
 
     A hit costs one dict probe; fn is called only on a miss.  A key is
     stored only once fn has returned, so a function that checks its

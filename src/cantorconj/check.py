@@ -1026,12 +1026,27 @@ def _canonical(value) -> Optional[str]:
         return None
 
 
-def _recomputed(claim, systems, recompute) -> str:
-    """The canonical text of recompute(), the witness of claim recomputed on
-    systems, kept on the first system under the second's digest: one
-    encoding per ordered pair."""
-    key = (claim + "_witness", diagram_digest(systems[1]))
-    return derived(systems[0], key, lambda: CANONICAL_JSON.encode(recompute()))
+def _recomputed_weak(dgA, dgB):
+    """The weak witness recomputed on (dgA, dgB), or the rejection."""
+    schedules = None
+    if spectra_equal(dgA, dgB).verdict == "equal":
+        schedules = weak_schedules(dgA, dgB)
+    if schedules is None:
+        return CertificateCheck(False, "spectra no longer verify as equal")
+    return _weak_witness(*schedules)
+
+
+def _recomputed_tau(dgA, dgB):
+    """The tau witness recomputed on (dgA, dgB), or the rejection."""
+    comp = spectra_equal(dgA, dgB)
+    if comp.verdict != "equal" or trace_images_isomorphic(
+        trace_image_group(dgA), trace_image_group(dgB)
+    ).value is not True:
+        return CertificateCheck(False, "invariants no longer verify")
+    return _tau_witness(comp, dgA, dgB)
+
+
+_RECOMPUTED = {"weak": _recomputed_weak, "tau": _recomputed_tau}
 
 
 def verify_certificate(cert: dict, systems) -> CertificateCheck:
@@ -1050,12 +1065,16 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
     canonical text (see _canonical) equals that of its recomputation,
     whether it was loaded from JSON or built in this process: a tuple reads
     as a list, and a leaf of another JSON type (true or 1.0 for 1) differs.
-    The recomputation runs on every replay; its text is kept once per
-    ordered pair (see _recomputed) and encoded outside the malformed-input
-    guard, so an error there (an integer too long for str(), say)
-    propagates.  A weak witness is never parsed or walked to its own
-    levels: the recomputation is nonnegative and unit-preserving by
-    construction, so a witness equal to it is too.
+    The recomputation runs once per ordered pair and claim: the witness it
+    gives, or the rejection, is kept on the first system under the second's
+    digest (bratteli.derived), while an exception there is not kept, so it
+    is raised, or rejected as malformed, again on every call.  The
+    recomputed witness is encoded outside the malformed-input guard, so an
+    error there (an integer too long for str(), say) propagates, and the
+    submitted witness's own text is compared on every replay.  A weak
+    witness is never parsed or walked to its own levels: the recomputation
+    is nonnegative and unit-preserving by construction, so a witness equal
+    to it is too.
     Every integer of a ladder or conjugator witness (levels, entries,
     displacements, cell coordinates, the lookahead) must be a plain JSON
     integer; anything else is malformed, and the first such entry in
@@ -1093,22 +1112,15 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
                 where = "rejected" if rep.index is None else "broken at rung %d" % rep.index
                 return CertificateCheck(False, "ladder %s: %s" % (where, rep.reason))
             return CertificateCheck(True)
-        if claim == "weak":
-            if any(len(witness[key]) != WEAK_ROUNDS for key in ("forward", "backward")):
-                return CertificateCheck(False, "schedules must hold %d morphisms" % WEAK_ROUNDS)
-            schedules = None
-            if spectra_equal(*systems).verdict == "equal":
-                schedules = weak_schedules(*systems)
-            if schedules is None:
-                return CertificateCheck(False, "spectra no longer verify as equal")
-            recompute = lambda: _weak_witness(*schedules)
-        elif claim == "tau":
-            comp = spectra_equal(*systems)
-            if comp.verdict != "equal" or trace_images_isomorphic(
-                *map(trace_image_group, systems)
-            ).value is not True:
-                return CertificateCheck(False, "invariants no longer verify")
-            recompute = lambda: _tau_witness(comp, *systems)
+        if claim == "weak" and any(
+            len(witness[side]) != WEAK_ROUNDS for side in ("forward", "backward")
+        ):
+            return CertificateCheck(False, "schedules must hold %d morphisms" % WEAK_ROUNDS)
+        if claim in _RECOMPUTED:
+            key = (claim + "_witness", diagram_digest(systems[1]))
+            recomputed = derived(systems[0], key, _RECOMPUTED[claim], *systems)
+            if isinstance(recomputed, CertificateCheck):
+                return recomputed
         else:  # conjugator
             if _json_int(witness["lookahead"]) != AUDIT_LOOKAHEAD:
                 return CertificateCheck(False, "audit lookahead must be %d" % AUDIT_LOOKAHEAD)
@@ -1147,6 +1159,6 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
     # what a malformed payload raises; a fault inside a check propagates
     except (KeyError, TypeError, ValueError, IndexError, CapabilityError) as e:
         return CertificateCheck(False, "malformed certificate: %s" % e)
-    if _canonical(witness) != _recomputed(claim, systems, recompute):
+    if _canonical(witness) != CANONICAL_JSON.encode(recomputed):
         return CertificateCheck(False, "witness differs from recomputation")
     return CertificateCheck(True)

@@ -80,6 +80,7 @@ from .check import (
     _tau_witness,
     _weak_witness,
     build_k0_morphism,
+    diagram_digest,
     verify_certificate,  # not called here: bench/spans.py wraps it under this module
     verify_conjugator,
     verify_ladder,
@@ -550,6 +551,11 @@ def decide_k_conjugacy(
     past check.MAX_LEVEL (max_base + 2 * (max_span - 1)), which
     verify_ladder rejects, raises CapabilityError before any search: a
     skipped period pair spends no node, so the budget would not end it.
+    What the search ends with, the ladder or Unknown with its note, is kept
+    once per ordered pair on A (bratteli.derived) under B's digest, the
+    window and LADDER_NODE_BUDGET, so the same question on the same
+    objects searches no more; decide_tau still runs on every call, and
+    every ladder returned passes verify_ladder again.
     """
     top = max_base + 2 * (max_span - 1)
     if top > MAX_LEVEL:
@@ -566,7 +572,19 @@ def decide_k_conjugacy(
         return KConjResult("k-conjugate", ladder)
     if dgA.kind != "stationary" or dgB.kind != "stationary":
         return KConjResult("unknown", note="ladder search needs stationary input")
-    budget = _NodeBudget(LADDER_NODE_BUDGET)
+    limit = LADDER_NODE_BUDGET
+    key = ("ladder", diagram_digest(dgB), max_span, max_base, limit)
+    res = derived(dgA, key, _ladder_outcome, dgA, dgB, max_span, max_base, limit)
+    if res.ladder is not None:
+        rep = verify_ladder(res.ladder, dgA, dgB)
+        assert rep.ok, rep.reason
+    return res
+
+
+def _ladder_outcome(dgA, dgB, max_span, max_base, limit) -> KConjResult:
+    """What the ladder search in both orders ends with: the ladder from A to
+    B, or Unknown with the note naming what ran out."""
+    budget = _NodeBudget(limit)
     try:
         ladder, skipped, visited = _ladder_search(dgA, dgB, max_span, max_base, budget)
         if ladder is None:
@@ -590,8 +608,6 @@ def decide_k_conjugacy(
             "order (%d nodes; spectral test skipped %d of %d period pairs)"
             % (max_span, max_base, budget.spent, skipped, visited),
         )
-    rep = verify_ladder(ladder, dgA, dgB)
-    assert rep.ok, rep.reason
     return KConjResult("k-conjugate", ladder)
 
 

@@ -55,6 +55,7 @@ from cantorconj.classify import (
 from cantorconj.check import (
     WEAK_ROUNDS,
     CertificateCheck,
+    _certificate,
     _least_failing_factor,
     _weak_witness,
     diagram_digest,
@@ -1856,6 +1857,63 @@ def test_memo_leaves_identity_alone():
     assert a._memo and not b._memo
     assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
     assert (repr(a), serialize_diagram(a), diagram_digest(a), hash(a)) == before
+
+
+def test_pair_outcomes_are_kept_per_ordered_pair(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("recomputed a kept pair outcome")
+
+    a, b = dyadic(), quaternary()
+    found = decide_k_conjugacy(a, b)
+    narrow = decide_k_conjugacy(a, b, max_span=2, max_base=1)
+    assert found.verdict == "k-conjugate" and narrow.verdict == "unknown"
+    audits = []
+    inner = classify_module.verify_ladder
+    with monkeypatch.context() as patch:
+        patch.setattr(classify_module, "_ladder_search", refused)
+        patch.setattr(
+            classify_module, "verify_ladder", lambda *args: audits.append(1) or inner(*args)
+        )
+        # the same question on the same objects reads the kept outcome, and
+        # a returned ladder is audited again
+        assert decide_k_conjugacy(a, b) == found
+        assert decide_k_conjugacy(a, b, max_span=2, max_base=1) == narrow
+        assert audits == [1]
+        # another window or node budget is another question
+        with pytest.raises(AssertionError, match="recomputed"):
+            decide_k_conjugacy(a, b, max_span=11)
+        patch.setattr(classify_module, "LADDER_NODE_BUDGET", 19_999)
+        with pytest.raises(AssertionError, match="recomputed"):
+            decide_k_conjugacy(a, b)
+    # fresh objects with the same content search again, to the same bytes
+    fresh_a, fresh_b = dyadic(), quaternary()
+    assert json.dumps(ladder_certificate(found.ladder, a, b)) == json.dumps(
+        ladder_certificate(decide_k_conjugacy(fresh_a, fresh_b).ladder, fresh_a, fresh_b)
+    )
+
+    # weak and tau replays recompute once per ordered pair, an acceptance
+    # and a rejection alike
+    fib = fibonacci()
+    weak = weak_certificate(decide_weak(a, b), a, b)
+    tau = tau_certificate(decide_tau(a, b), a, b)
+    forged = [
+        (_certificate("weak", (a, fib), weak["witness"]), (a, fib)),
+        (_certificate("tau", (a, fib), tau["witness"]), (a, fib)),
+    ]
+    replays = [(weak, (a, b)), (tau, (a, b))] + forged
+    firsts = [verify_certificate(cert, systems) for cert, systems in replays]
+    assert [r.reason for r in firsts] == [
+        "", "", "spectra no longer verify as equal", "invariants no longer verify"
+    ]
+    with monkeypatch.context() as patch:
+        for name in ("spectra_equal", "weak_schedules", "trace_images_isomorphic"):
+            patch.setattr("cantorconj.check." + name, refused)
+        for (cert, systems), first in zip(replays, firsts):
+            assert verify_certificate(cert, systems) == first
+        # the submitted witness is still compared on every replay
+        bumped = copy.deepcopy(tau)
+        bumped["witness"]["trace"]["a"]["ratio"] = 3
+        assert verify_certificate(bumped, (a, b)).reason == "witness differs from recomputation"
 
 
 def test_invariants_computed_once_per_diagram(monkeypatch):
