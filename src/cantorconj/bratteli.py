@@ -334,7 +334,8 @@ def derived(d: OrderedBratteliDiagram, key, fn, *args):
     pair is kept on its first diagram, keyed with the second's digest
     (check.diagram_digest): the weak or tau witness that check's replay
     recomputes, or the rejection it ends with ("weak_witness",
-    "tau_witness"), and what classify's ladder search ends with, the
+    "tau_witness"), and that witness's canonical text ("weak_text",
+    "tau_text"), and what classify's ladder search ends with, the
     ladder or Unknown with its note, keyed with the window and the node
     budget too ("ladder").  Values are shared, so callers must not mutate
     them.

@@ -444,6 +444,13 @@ class IntertwiningLadder:
         )
 
 
+def identity_ladder(d: OrderedBratteliDiagram) -> IntertwiningLadder:
+    """The ladder decide_k_conjugacy gives d against itself: level 1 on
+    both sides, each rung the identity matrix there."""
+    eye = composed_incidence(d, 1, 1)
+    return IntertwiningLadder((1, 1), (1,), (eye,), (eye,))
+
+
 @dataclass(frozen=True)
 class LadderReport:
     ok: bool
@@ -462,8 +469,8 @@ def verify_ladder(
     Finitely many rungs prove nothing by themselves.  A ladder certifies in
     two shapes only:
 
-    - period zero (every level of each side the same), which binds a
-      diagram to itself only, as the identity ladder of decide_k_conjugacy;
+    - period zero (every level of each side the same): only the identity
+      ladder (identity_ladder), binding a diagram to itself;
     - periodic: both diagrams stationary, at least two forward rungs, all
       forwards equal and all backwards equal, and each side's levels a
       progression with step >= 1 from level >= 1.  Then H.h = A^ga and
@@ -516,9 +523,12 @@ def verify_ladder(
     if not fs:
         return LadderReport(False, None, "ladder has no rungs")
     if la[0] == la[-1] and lb[0] == lb[-1]:
-        if dgA == dgB:
+        if dgA != dgB:
+            return LadderReport(False, None, "ladder of period zero between different diagrams")
+        # la[0] first: the identity ladder reads level 1, which may not exist
+        if la[0] == 1 and ladder == identity_ladder(dgA):
             return LadderReport(True)
-        return LadderReport(False, None, "ladder of period zero between different diagrams")
+        return LadderReport(False, None, "ladder of period zero is not the identity ladder")
     if not (
         len(fs) >= 2
         and dgA.kind == dgB.kind == "stationary"
@@ -1069,8 +1079,9 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
     gives, or the rejection, is kept on the first system under the second's
     digest (bratteli.derived), while an exception there is not kept, so it
     is raised, or rejected as malformed, again on every call.  The
-    recomputed witness is encoded outside the malformed-input guard, so an
-    error there (an integer too long for str(), say) propagates, and the
+    recomputed witness's canonical text is kept as well, in a second entry
+    encoded outside the malformed-input guard, so an error there (an
+    integer too long for str(), say) propagates and is not kept; the
     submitted witness's own text is compared on every replay.  A weak
     witness is never parsed or walked to its own levels: the recomputation
     is nonnegative and unit-preserving by construction, so a witness equal
@@ -1159,6 +1170,7 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
     # what a malformed payload raises; a fault inside a check propagates
     except (KeyError, TypeError, ValueError, IndexError, CapabilityError) as e:
         return CertificateCheck(False, "malformed certificate: %s" % e)
-    if _canonical(witness) != CANONICAL_JSON.encode(recomputed):
+    text = derived(systems[0], (claim + "_text", key[1]), CANONICAL_JSON.encode, recomputed)
+    if _canonical(witness) != text:
         return CertificateCheck(False, "witness differs from recomputation")
     return CertificateCheck(True)

@@ -81,6 +81,7 @@ from .check import (
     _weak_witness,
     build_k0_morphism,
     diagram_digest,
+    identity_ladder,
     verify_certificate,  # not called here: bench/spans.py wraps it under this module
     verify_conjugator,
     verify_ladder,
@@ -567,9 +568,7 @@ def decide_k_conjugacy(
     if tau.verdict == "not":
         return KConjResult("not", obstructions=tau.obstructions)
     if dgA == dgB:
-        eye = composed_incidence(dgA, 1, 1)
-        ladder = IntertwiningLadder((1, 1), (1,), (eye,), (eye,))
-        return KConjResult("k-conjugate", ladder)
+        return KConjResult("k-conjugate", identity_ladder(dgA))
     if dgA.kind != "stationary" or dgB.kind != "stationary":
         return KConjResult("unknown", note="ladder search needs stationary input")
     limit = LADDER_NODE_BUDGET

@@ -36,7 +36,6 @@ from operator import or_
 from typing import Optional
 
 from .bratteli import (
-    DgElement,
     OrderedBratteliDiagram,
     capped_heights,
     cell_set,
@@ -46,7 +45,6 @@ from .bratteli import (
 )
 from .check import FullGroupElement, _floor_labels, _validate_partition
 from .check import verify_conjugator  # not called here; only bench/spans.py reads it from this module
-from .dimgroup import DimGroup
 from .fieldpoly import _mat_apply
 
 
@@ -224,17 +222,20 @@ def conjugator_from_partition(
     ('level'); and the per-tower partitions induced at m* must satisfy the
     block condition ('blocks').
 
-    m* is the least such level up to d.settled_level(m), read from the reach
-    sets of the towers (as in bratteli.validate) and the pushed differences
-    of the counting vectors.  The bound is exact on a stationary diagram:
-    past it a primitive incidence stays positive and a difference that is
-    zero in K0 stays zero, so there a 'level' failure means the diagram is
-    not primitive.
-
     Once the partitions are checked, against the cell set of m kept once
     per diagram (bratteli.cell_set), each floor's block and image-block
     label at level m is read off them (check._floor_labels, as the replay
-    reads them) and each block's class is counted.  A tower
+    reads them), and each block's counting vector minus its image's is
+    counted off the labels.  m* is the least such level up to
+    d.settled_level(m), read from the reach sets of the towers (as in
+    bratteli.validate) and those differences, pushed level by level.  When
+    none qualifies, the first block whose difference is nonzero at the
+    bound fails 'class', and otherwise 'level' fails.  The bound is exact
+    on a stationary diagram with k vertices: it lies k levels or more past
+    m, where a difference that is zero in K0 has been pushed to zero, and
+    past it a primitive incidence stays positive, so there a 'level'
+    failure means the diagram is not primitive.  An explicit diagram is
+    read to its last level.  A tower
     of m* stacks whole towers of m (bratteli.tower_stacks), so its labels
     are those of its stack, concatenated; the cells of m* are not listed,
     but CELL_CAP still binds on m*.  The labels split the tower's floors
@@ -253,37 +254,33 @@ def conjugator_from_partition(
         raise ValueError("need one image per block")
     _validate_partition(blocks, universe, "block")
     _validate_partition(images, universe, "image block")
-    grp = DimGroup(d)
     hm = heights(d, m)
     lab = _floor_labels(hm, blocks)
     img = _floor_labels(hm, images)
-    diffs = []  # counting vector minus image counting vector, where they differ
-    for bi, (u, v) in enumerate(zip(blocks, images)):
-        cu = [0] * len(hm)
-        cv = [0] * len(hm)
-        for w, _ in u:
-            cu[w] += 1
-        for w, _ in v:
-            cv[w] += 1
-        if cu == cv:
-            continue
-        if grp.equal(DgElement(m, cu), DgElement(m, cv)).value is not True:
-            raise ConjugatorError(
-                "class",
-                "block %d and its image are not equivalent in K0" % bi,
-                block=bi,
-            )
-        diffs.append(tuple(a - b for a, b in zip(cu, cv)))
+    # each block's counting vector minus its image's, read off the labels;
+    # the nonzero ones are kept, with their blocks, and pushed
+    counts = [[0] * len(hm) for _ in blocks]
+    for w, (bs, js) in enumerate(zip(lab, img)):
+        for b, i in zip(bs, js):
+            counts[b][w] += 1
+            counts[i][w] -= 1
+    diffs = [(bi, x) for bi, x in enumerate(counts) if any(x)]
     end = d.settled_level(m)
     full = (1 << len(hm)) - 1
     reach = [1 << v for v in range(len(hm))]
     mstar = None
     for n in range(m, end):
         reach = [reduce(or_, map(reach.__getitem__, row)) for row in d.table(n)]
-        diffs = [_mat_apply(incidence(d, n), x) for x in diffs]
-        if all(r == full for r in reach) and not any(map(any, diffs)):
+        pushed = ((bi, _mat_apply(incidence(d, n), x)) for bi, x in diffs)
+        diffs = [(bi, x) for bi, x in pushed if any(x)]
+        if not diffs and all(r == full for r in reach):
             mstar = n + 1
             break
+    if diffs:
+        bi = diffs[0][0]
+        raise ConjugatorError(
+            "class", "block %d and its image are not equivalent in K0" % bi, block=bi
+        )
     if mstar is None:
         raise ConjugatorError(
             "level",

@@ -1916,6 +1916,37 @@ def test_pair_outcomes_are_kept_per_ordered_pair(monkeypatch):
         assert verify_certificate(bumped, (a, b)).reason == "witness differs from recomputation"
 
 
+def test_replays_keep_the_recomputed_witness_text(monkeypatch):
+    # the recomputed weak or tau witness is encoded once per ordered pair,
+    # the submitted witness on every replay
+    from cantorconj.bratteli import CANONICAL_JSON
+
+    encoded = []
+
+    class Counting:
+        def encode(self, value):
+            encoded.append(value)
+            return CANONICAL_JSON.encode(value)
+
+    monkeypatch.setattr("cantorconj.check.CANONICAL_JSON", Counting())
+    a, b = dyadic(), quaternary()
+    for cert in (
+        weak_certificate(decide_weak(a, b), a, b),
+        tau_certificate(decide_tau(a, b), a, b),
+    ):
+        for count in (2, 1, 1):
+            encoded.clear()
+            assert verify_certificate(cert, (a, b)).ok
+            assert len(encoded) == count
+    # an encoding error propagates and is not kept, so it comes back
+    a, b = dyadic(), quaternary()
+    weak = weak_certificate(decide_weak(a, b), a, b)
+    monkeypatch.setattr("cantorconj.check._weak_witness", lambda *s: {"forward": Fraction(1)})
+    for _ in range(2):
+        with pytest.raises(TypeError, match="Fraction"):
+            verify_certificate(weak, (a, b))
+
+
 def test_invariants_computed_once_per_diagram(monkeypatch):
     from cantorconj import dimgroup
 

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from cantorconj import classify, fullgroup
+from cantorconj import classify, dimgroup, fullgroup
 from cantorconj.bratteli import OrderedBratteliDiagram, cells, heights, tower_map, tower_stacks
 from cantorconj.check import (
     AUDIT_LOOKAHEAD,
@@ -809,6 +809,51 @@ def test_synthesis_on_blocks_equal_only_in_k0():
     assert elem.level == 2
     rep = verify_conjugator(elem, blocks, images, 1)
     assert rep.verdict == "ok"
+
+
+def test_synthesis_decides_k0_agreement_by_its_level_push(monkeypatch):
+    # the K0 check is read off the push that finds the level, so the
+    # dimension group's equality test is never reached
+    def unreachable(*args, **kwargs):
+        raise AssertionError("DimGroup.equal called")
+
+    monkeypatch.setattr(dimgroup.DimGroup, "equal", unreachable)
+    # singular incidence: (1, 0) and (0, 1) differ at level 1 but not in K0
+    ones = stationary_from_rows(((0, 1), (0, 1)))
+    blocks = (((0, 1),), ((1, 1),))
+    images = (((1, 1),), ((0, 1),))
+    elem = conjugator_from_partition(ones, 1, blocks, images)
+    assert (elem.level, elem.tables) == (2, ((1, -1), (1, -1)))
+    # invertible incidence: the same swap differs in K0, first at block 0
+    with pytest.raises(ConjugatorError) as e:
+        conjugator_from_partition(FIB, 1, blocks, images)
+    assert (e.value.kind, str(e.value), e.value.detail) == (
+        "class", "block 0 and its image are not equivalent in K0", {"block": 0}
+    )
+    # block 0 agrees with its image; blocks 1 and 2 do not, and 1 is named
+    blocks = (((0, 1),), ((0, 2),), ((1, 1),))
+    images = (((0, 2),), ((1, 1),), ((0, 1),))
+    with pytest.raises(ConjugatorError) as e:
+        conjugator_from_partition(FIB, 2, blocks, images)
+    assert (e.value.kind, str(e.value), e.value.detail) == (
+        "class", "block 1 and its image are not equivalent in K0", {"block": 1}
+    )
+
+
+def test_synthesis_reads_an_explicit_difference_at_the_last_level():
+    # two towers kept apart for 41 transitions, then joined: the swapped
+    # singletons differ until level 43, past a 40-level scan from level 1,
+    # and agree there, so the conjugator is built at level 43 (two levels
+    # more let the replay audit it)
+    apart, joined = ((0,), (1,)), ((0, 1), (0, 1))
+    d = OrderedBratteliDiagram(
+        "explicit", (1,) + (2,) * 45, (((0,), (0,)),) + (apart,) * 41 + (joined,) * 3
+    )
+    blocks = (((0, 1),), ((1, 1),))
+    images = (((1, 1),), ((0, 1),))
+    elem = conjugator_from_partition(d, 1, blocks, images)
+    assert elem.level == 43
+    assert verify_conjugator(elem, blocks, images, 1).verdict == "ok"
 
 
 def test_synthesis_rejects_class_mismatch():

@@ -1057,9 +1057,15 @@ def reference_verify_ladder(ladder, dgA, dgB):
     if not fs:
         return LadderReport(False, None, "ladder has no rungs")
     if la[0] == la[-1] and lb[0] == lb[-1]:
-        if dgA == dgB:
-            return LadderReport(True)
-        return LadderReport(False, None, "ladder of period zero between different diagrams")
+        if dgA != dgB:
+            return LadderReport(False, None, "ladder of period zero between different diagrams")
+        # only the identity ladder: level 1 on both sides, identity rungs
+        if la[0] == 1:
+            k = len(heights(dgA, 1))
+            eye = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+            if ladder == IntertwiningLadder((1, 1), (1,), (eye,), (eye,)):
+                return LadderReport(True)
+        return LadderReport(False, None, "ladder of period zero is not the identity ladder")
     if not (
         len(fs) >= 2
         and dgA.kind == dgB.kind == "stationary"
@@ -1179,6 +1185,7 @@ def test_ladder_audit_matches_the_reference():
         "target-side square does not commute",
         "ladder has no rungs",
         "ladder of period zero between different diagrams",
+        "ladder of period zero is not the identity ladder",
         "ladder is not periodic on stationary diagrams",
         "negative level",
     }
@@ -1219,3 +1226,33 @@ def test_ladder_audit_rechecks_a_rung_at_a_new_shape():
     want = LadderReport(False, 3, "backward rung has the wrong shape")
     assert reference_verify_ladder(ladder, d, d) == want
     assert verify_ladder(ladder, d, d) == want
+
+
+def test_period_zero_ladders_certify_only_as_the_identity_ladder():
+    # members 12-14 of the pool are one vertex with incidence [1] and two
+    # root edges, whose heights are 2 at every level, and the all-ones
+    # incidence has equal heights at level 1; every ladder below closes
+    # its squares, but of period zero only the identity ladder certifies
+    pool = hierarchy_pool()
+    flat = pool[12]
+    assert pool[12] == pool[13] == pool[14] == stationary_from_rows(((0,),), root=((0, 0),))
+    ones = stationary_from_rows(((0, 1), (0, 1)))
+    one, swap = ((1,),), ((0, 1), (1, 0))
+    rejected = LadderReport(False, None, "ladder of period zero is not the identity ladder")
+    for d, la, lb, rung in (
+        (flat, (1, 1), (2,), one),
+        (flat, (2, 2), (2,), one),
+        (flat, (1, 1, 1), (1, 1), one),
+        (ones, (1, 1), (1,), swap),
+    ):
+        identity = decide_k_conjugacy(d, d).ladder
+        assert identity == check.identity_ladder(d)
+        cert = ladder_certificate(identity, d, d)
+        assert check.verify_certificate(cert, (d, d)).ok
+        ladder = IntertwiningLadder(la, lb, (rung,) * len(lb), (rung,) * len(lb))
+        assert reference_verify_ladder(ladder, d, d) == rejected
+        assert verify_ladder(ladder, d, d) == rejected
+        forged = dict(cert, witness=json.loads(json.dumps(ladder.to_json())))
+        assert check.verify_certificate(forged, (d, d)).reason == (
+            "ladder rejected: ladder of period zero is not the identity ladder"
+        )

@@ -191,6 +191,34 @@ def test_u22_verdicts_agree_with_the_closed_form():
     assert split == {True: 23, False: 208}
 
 
+def test_relations_are_symmetric_reflexive_and_never_refute_a_chain():
+    # each relation on every ordered pair of U22, P40' and the hierarchy
+    # pool: (A, B) and (B, A) get one verdict, every self-pair is
+    # positive, and A ~ B, B ~ C never comes with A "not" C
+    pools = {
+        "U22": [stationary_from_rows(r) for r in u22_rows()],
+        "P40'": [stationary_from_rows(r) for r in p40_rows()],
+        "hierarchy pool": hierarchy_pool(),
+    }
+    for name, pool in pools.items():
+        n = len(pool)
+        with time_ceiling(30):
+            got = {
+                (i, j): [decide(pool[i], pool[j]).verdict for decide in DECIDERS]
+                for i, j in itertools.product(range(n), repeat=2)
+            }
+        for r, positive in enumerate(POSITIVE):
+            verdict = {pair: v[r] for pair, v in got.items()}
+            for (i, j), v in verdict.items():
+                assert v == verdict[j, i], (name, positive, i, j)
+            assert all(verdict[i, i] == positive for i in range(n)), (name, positive)
+            related = [[j for j in range(n) if verdict[i, j] == positive] for i in range(n)]
+            for i in range(n):
+                for j in related[i]:
+                    for k in related[j]:
+                        assert verdict[i, k] != "not", (name, positive, i, j, k)
+
+
 def shift_equivalent_pairs():
     """300 pairs A = R.S, B = S.R drawn from random.Random(11): R of shape
     2x2, 2x3 or 3x2 and S of the transposed shape, entries 0..2, A and B
@@ -332,5 +360,5 @@ def test_pair_verdicts_certificates_and_replays_are_pinned():
             ]
             digest.update(json.dumps(record, sort_keys=True).encode())
     assert digest.hexdigest() == (
-        "5c2518da3a691301ef564b199bdbeeec010e4142caf337f42887cc9b5e18a6d1"
+        "46d05c3dc8dad65ce485ee379be672dcbc68e425837f2879fe9f2f508538244d"
     )
