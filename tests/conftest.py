@@ -9,6 +9,7 @@ the test modules are frozen against these, not against the implementation.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import random
 import signal
 
@@ -151,6 +152,15 @@ def hierarchy_pool():
         d = random_stationary(rng, primitive=True)
         pool += [d, power_of(d, 2), power_of(d, 3)]
     return pool
+
+
+def primitive_2x2_diagrams():
+    """The 32 primitive 2x2 incidences with entries <= 2, in order."""
+    for entries in itertools.product(range(3), repeat=4):
+        mat = (entries[:2], entries[2:])
+        # a 2x2 incidence is primitive when its square is positive (Wielandt)
+        if all(mat[i][0] * mat[0][j] + mat[i][1] * mat[1][j] for i in (0, 1) for j in (0, 1)):
+            yield stationary_from_rows(rows_of(mat))
 
 
 def _is_primitive(rows, k):

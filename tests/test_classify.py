@@ -77,7 +77,14 @@ from cantorconj.systems import (
     triadic,
 )
 
-from conftest import power_of, random_explicit, random_stationary, rows_of, time_ceiling
+from conftest import (
+    power_of,
+    primitive_2x2_diagrams,
+    random_explicit,
+    random_stationary,
+    rows_of,
+    time_ceiling,
+)
 
 DYADIC = dyadic()
 TRIADIC = triadic()
@@ -1402,6 +1409,61 @@ def test_pipeline_outputs_on_odometer_pairs_are_pinned():
     assert digest.hexdigest() == (
         "7d86b14efbf783b959cb5ee92172a5339a20a3320f5c524fb11bf473937269c9"
     )
+
+
+def resolution_inputs():
+    """Freshly built (dA, dB, m): the bench's odometer pairs at every level
+    with at most 20 cells of dA, quaternary against dyadic at m = 1..3, and
+    each primitive 2x2 system with entries <= 2 against itself at m = 1, 2.
+    Within one call the odometers are shared objects, as in the bench."""
+    odometers = {q: odometer(q) for q in (2, 3, 4)}
+    out = [
+        (odometers[qa], odometers[qb], m)
+        for qa, qb in ((2, 2), (2, 4), (4, 2), (3, 3), (4, 4))
+        for m in range(1, 5)
+        if qa ** m <= 20
+    ]
+    q, d = quaternary(), dyadic()
+    out += [(q, d, m) for m in (1, 2, 3)]
+    out += [(a, a, m) for a in primitive_2x2_diagrams() for m in (1, 2)]
+    return out
+
+
+def resolution_outcome(dA, dB, m):
+    """The report's verdict and counts, the corrector's level and tables,
+    the blocks and images, the certificate's bytes and its replay; or the
+    failing stage and its message."""
+    try:
+        b = conjugate_at_resolution(dA, dB, m)
+    except StageError as e:
+        return ["StageError", e.stage, str(e)]
+    cert = conjugator_certificate(b.corrector, b.sigma.target_level, b.blocks, b.images)
+    check = verify_certificate(cert, (dB,))
+    return [
+        b.report.verdict,
+        b.report.checked,
+        b.report.unresolved,
+        b.corrector.level,
+        b.corrector.tables,
+        b.blocks,
+        b.images,
+        json.dumps(cert, sort_keys=True),
+        [check.ok, check.reason],
+    ]
+
+
+def test_resolution_outcomes_agree_over_rounds_and_are_pinned():
+    # two rounds on the same objects, the second reading what the first
+    # kept, and one on freshly built objects give the same records
+    inputs = resolution_inputs()
+    assert len(inputs) == 14 + 3 + 64
+    rounds = [[resolution_outcome(*x) for x in inputs] for _ in range(2)]
+    rounds.append([resolution_outcome(*x) for x in resolution_inputs()])
+    assert rounds[0] == rounds[1] == rounds[2]
+    failed = collections.Counter(r[1] for r in rounds[0] if r[0] == "StageError")
+    assert failed == {"partition": 50, "conjugator": 14}
+    digest = hashlib.sha256(json.dumps(rounds[0]).encode()).hexdigest()
+    assert digest == "8a92cb6f414a4c380576d3219f3bd8545164e5d3bcabf5c6f17108cf4d108ea6"
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from cantorconj.fullgroup import (
 )
 from cantorconj.systems import dyadic, fibonacci, quaternary, stationary_from_rows
 
-from conftest import rows_of, time_ceiling
+from conftest import primitive_2x2_diagrams, rows_of, time_ceiling
 
 DYADIC = dyadic()
 QUATERNARY = quaternary()
@@ -669,15 +669,6 @@ def assert_preserved_violation(b, violation):
     family = [b.blocks.index(tuple(u)) for u in violation]
     assert 0 < len(set(family)) == len(family) < len(b.blocks)
     assert {x for u in violation for x in u} == {x for i in family for x in b.images[i]}
-
-
-def primitive_2x2_diagrams():
-    # the primitive 2x2 incidences with entries <= 2, in order
-    for entries in itertools.product(range(3), repeat=4):
-        mat = (entries[:2], entries[2:])
-        # a 2x2 incidence is primitive when its square is positive (Wielandt)
-        if all(mat[i][0] * mat[0][j] + mat[i][1] * mat[1][j] for i in (0, 1) for j in (0, 1)):
-            yield stationary_from_rows(rows_of(mat))
 
 
 def tower_bijection(d, m, blocks, images, level, w):
