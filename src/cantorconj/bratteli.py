@@ -335,10 +335,13 @@ def derived(d: OrderedBratteliDiagram, key, fn, *args):
     (check.diagram_digest): the weak or tau witness that check's replay
     recomputes, or the rejection it ends with ("weak_witness",
     "tau_witness"), and that witness's canonical text ("weak_text",
-    "tau_text"), and what classify's ladder search ends with, the
+    "tau_text"), what classify's ladder search ends with, the
     ladder or Unknown with its note, keyed with the window and the node
-    budget too ("ladder").  Values are shared, so callers must not mutate
-    them.
+    budget too ("ladder"), and the corrector that
+    classify.conjugate_at_resolution synthesizes, as the blocks and image
+    blocks it was given with the corrector's level and displacement
+    tables, keyed with the resolution and depth too ("corrector").  Values
+    are shared, so callers must not mutate them.
 
     A hit costs one dict probe; fn is called only on a miss.  A key is
     stored only once fn has returned, so a function that checks its

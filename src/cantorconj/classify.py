@@ -44,7 +44,9 @@ clopen set is a ClopenSet, a sorted tuple of cells at one level, and it is
 carried to a finer level through bratteli.tower_map.  Last comes an
 approximate conjugacy at a fixed resolution, assembled from a
 unit-preserving morphism, the target blocks read straight off its matrix
-and a full-group corrector.
+and a full-group corrector.  The corrector is synthesized once per
+ordered pair and level and kept as plain tables; the morphism, the blocks
+and the replay that yields the report run on every call.
 """
 
 from __future__ import annotations
@@ -831,6 +833,17 @@ def conjugate_at_resolution(
     lowest floors of the running complement, the sets partition_from_classes
     would lift at that level.  A zero cell class, or one of undecided sign
     (only a non-primitive system has either), fails the partition stage.
+
+    The synthesis is kept once per ordered pair on dA (bratteli.derived)
+    under dB's digest, m and depth, which fix its inputs: the blocks and
+    image blocks it was given and the corrector's level and displacement
+    tables, plain tuples that keep neither diagram alive.  A synthesis that
+    fails is not kept, so its conjugator-stage error is raised on every
+    call.  Every call still builds the morphism, with its unit check, and
+    the blocks and image blocks, which must equal the kept ones, so the
+    synthesis's partition checks cover what is replayed; it rebuilds the
+    corrector on dB, whose shape is checked again, and replays it
+    (verify_conjugator) for the report.
     """
     try:
         t = build_k0_morphism(dA, m, dB, 1, depth)
@@ -876,12 +889,23 @@ def conjugate_at_resolution(
         image_blocks.append(blocks[sum(hA[:match])])
         base += h
     image_blocks = tuple(image_blocks)
+    key = ("corrector", diagram_digest(dB), m, depth)
     try:
-        corrector = conjugator_from_partition(dB, sigma.target_level, blocks, image_blocks)
+        kept = derived(dA, key, _corrector, dB, sigma.target_level, blocks, image_blocks)
     except ConjugatorError as e:
         raise StageError("conjugator", message=str(e))
+    kept_blocks, kept_images, level, tables = kept
+    assert (kept_blocks, kept_images) == (blocks, image_blocks)
+    corrector = FullGroupElement(dB, level, tables)
     report = verify_conjugator(corrector, blocks, image_blocks, sigma.target_level)
     return ResolutionBundle(t, sigma, corrector, report, blocks, image_blocks)
+
+
+def _corrector(dB, level, blocks, images) -> tuple:
+    """The blocks and images the synthesis is given, then the corrector's
+    level and displacement tables: plain tuples, holding no diagram."""
+    s = conjugator_from_partition(dB, level, blocks, images)
+    return blocks, images, s.level, s.tables
 
 
 # ---------------------------------------------------------------------------

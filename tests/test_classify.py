@@ -25,6 +25,7 @@ from cantorconj.bratteli import (
     class_of_clopen,
     heights,
     incidence,
+    parse_diagram,
     serialize_diagram,
     tower_map,
     tower_stacks,
@@ -1976,6 +1977,62 @@ def test_pair_outcomes_are_kept_per_ordered_pair(monkeypatch):
         bumped = copy.deepcopy(tau)
         bumped["witness"]["trace"]["a"]["ratio"] = 3
         assert verify_certificate(bumped, (a, b)).reason == "witness differs from recomputation"
+
+
+def test_corrector_synthesis_is_kept_per_ordered_pair_and_level(monkeypatch):
+    syntheses, replays = [], []
+    synthesize = classify_module.conjugator_from_partition
+    replay = classify_module.verify_conjugator
+    monkeypatch.setattr(
+        classify_module,
+        "conjugator_from_partition",
+        lambda *args: syntheses.append(args[0]) or synthesize(*args),
+    )
+    monkeypatch.setattr(
+        classify_module, "verify_conjugator", lambda *args: replays.append(1) or replay(*args)
+    )
+
+    def kept(d):
+        return {k: v for k, v in d._memo.items() if k[0] == "corrector"}
+
+    def plain(value):
+        return isinstance(value, int) or (
+            isinstance(value, tuple) and all(map(plain, value))
+        )
+
+    a, b = dyadic(), quaternary()
+    first = conjugate_at_resolution(a, b, 2)
+    assert first.report.ok and (len(syntheses), len(replays)) == (1, 1)
+    # the same question synthesizes no more, and replays on every call
+    again = conjugate_at_resolution(a, b, 2)
+    assert again == first and again.corrector is not first.corrector
+    assert (len(syntheses), len(replays)) == (1, 2)
+    # a separately loaded equal dB reads the same entry, and the corrector
+    # is rebuilt on the diagram the call was given
+    loaded = parse_diagram(serialize_diagram(b))
+    assert conjugate_at_resolution(a, loaded, 2) == first
+    assert (len(syntheses), len(replays)) == (1, 3)
+    assert conjugate_at_resolution(a, loaded, 2).corrector.diagram is loaded
+    # another level, or (A, A) at the same level, is another entry
+    conjugate_at_resolution(a, b, 1)
+    conjugate_at_resolution(a, a, 2)
+    assert syntheses == [b, b, a]
+    assert sorted(k[2] for k in kept(a)) == [1, 2, 2] and not kept(b) and not kept(loaded)
+    # a kept value is plain tuples of integers: no diagram is kept alive
+    assert all(plain(v) for v in kept(a).values())
+    value = kept(a)[("corrector", diagram_digest(b), 2, DEFAULT_DEPTH)]
+    assert value == (first.blocks, first.images, first.corrector.level, first.corrector.tables)
+
+    # a stall is raised again, with the same message, and nothing is kept
+    s = stationary_from_rows(((1, 1), (0, 0, 1, 1)))
+    syntheses.clear()
+    for _ in range(2):
+        with pytest.raises(StageError) as e:
+            conjugate_at_resolution(s, s, 2)
+        assert (e.value.stage, str(e.value)) == (
+            "conjugator", "tower 0 at level 4 fails the block condition"
+        )
+    assert syntheses == [s, s] and not kept(s)
 
 
 def test_replays_keep_the_recomputed_witness_text(monkeypatch):
