@@ -53,7 +53,7 @@ from conftest import (
     rows_of,
     time_ceiling,
 )
-from test_telescoping import p40_rows
+from test_telescoping import p40_rows, primitive_incidences
 
 DYADIC = dyadic()
 TRIADIC = triadic()
@@ -467,6 +467,34 @@ def test_spectrum_lists_candidate_primes_only():
             tr = periodic_spectrum(d, prime_cutoff=cutoff)
             assert tr.entries == tuple(ref)
             assert tr.prime_cutoff == cutoff
+
+
+TRI3 = stationary_from_rows(((0, 1), (1, 2), (0, 0, 1, 1, 2, 2)))
+
+
+def test_valuations_and_spectra_are_pinned():
+    # the valuation at every candidate prime of the 11,200 primitive 2x2 and
+    # 3x3 incidences with entries 0..2, then the spectra of the named systems
+    # and tri3, hashed in order
+    digest = hashlib.sha256()
+    counts = collections.Counter()
+    for n in (2, 3):
+        for mat in primitive_incidences(n):
+            d = stationary_from_rows(rows_of(mat))
+            for p in sorted(_stationary_data(d).candidates):
+                v = _stationary_valuation(d, p)
+                if isinstance(v, InfiniteValuation):
+                    counts["inf"] += 1
+                    v = v.certificate
+                else:
+                    counts[v] += 1
+                digest.update(json.dumps([mat, p, v], sort_keys=True).encode())
+    for d in [NAMED[name]() for name in sorted(NAMED)] + [TRI3]:
+        digest.update(json.dumps(periodic_spectrum(d).to_json(), sort_keys=True).encode())
+    assert counts == {0: 5481, "inf": 3618, 1: 1088, 2: 228, 3: 54}
+    assert digest.hexdigest() == (
+        "f05cb9cf4eb06ac97e703c4c5ff5da6d0491ac728556783f672e34335365f940"
+    )
 
 
 def test_trace_lattice_and_stabilized_match_their_formulas():
