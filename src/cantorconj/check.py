@@ -248,9 +248,10 @@ def check_divides_certificate(dg: OrderedBratteliDiagram, n: int, result: Divide
     modulus, level = cert.get("modulus"), cert.get("level")
     if not (_plain_int(modulus) and _plain_int(level)) or modulus != n:
         return False
-    if level != 1 + _walk_bound(dg.num_vertices(1), n):
+    bound = _walk_bound(dg.num_vertices(1), n)
+    if level != 1 + bound:
         return False
-    return _first_zero(incidence(dg, 1), heights(dg, 1), n) is None
+    return _first_zero(incidence(dg, 1), heights(dg, 1), n, bound) is None
 
 
 def check_infinity_certificate(dg: OrderedBratteliDiagram, p: int, cert: dict) -> bool:

@@ -168,12 +168,20 @@ def _build_parser():
 
 
 def _cell(token):
-    v, j = token.split(":")
-    return (int(v), int(j))
+    """The cell V:J (tower V, floor J) a k0-class argument names."""
+    v, _, j = token.partition(":")
+    try:
+        return (int(v), int(j))
+    except ValueError:
+        raise ValueError("cell %r is not of the form V:J (two integers)" % token) from None
 
 
 def _vector(token):
-    return tuple(int(x) for x in token.split(","))
+    """The coordinates C1,C2,... a positivity argument names."""
+    try:
+        return tuple(int(x) for x in token.split(","))
+    except ValueError:
+        raise ValueError("vector %r is not of the form C1,C2,... (integers)" % token) from None
 
 
 def _element_json(e):

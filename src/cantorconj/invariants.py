@@ -14,10 +14,13 @@ Valuations are certified, not sampled:
     the level-1 height vector under the incidence matrix reduces to a pure
     power of t mod p (then each annihilator degree worth of levels gains a
     factor p; conversely a unit factor mod p pins the valuation),
-  * for p coprime to det(A) the valuation equals v_p of gcd(heights(1)),
-  * remaining finite valuations come from divides_unit on successive
-    powers of p, each decided by a walk of at most k*floor(log2 p^(v+1))
-    steps; the annihilator test has certified that the powers run out.
+  * a finite valuation is the largest v such that p^v divides the heights
+    at some level, each power p^e decided by a walk of at most z*e levels
+    from level 1, where z is the multiplicity of t in charpoly(A) mod p
+    (see _stationary_valuation); the annihilator test has certified that
+    the powers run out,
+  * for p coprime to det(A), z = 0 and the walk stays at level 1: the
+    valuation is v_p of gcd(heights(1)).
 
 Trace images.  A primitive stationary diagram has a unique normalized
 trace, and the image of the dimension group is a union G of lambda^-m L:
@@ -113,10 +116,11 @@ def divides_unit(dg: OrderedBratteliDiagram, n: int, depth: int = DEFAULT_DEPTH)
     if n == 1:
         return DividesUnitResult("yes", 0, None, depth)
     if dg.kind == "stationary":
-        j = _first_zero(incidence(dg, 1), heights(dg, 1), n)
+        k = dg.num_vertices(1)
+        j = _first_zero(incidence(dg, 1), heights(dg, 1), n, _walk_bound(k, n))
         if j is not None:
             return DividesUnitResult("yes", 1 + j, None, depth)
-        cert = {"modulus": n, "level": 1 + _walk_bound(dg.num_vertices(1), n)}
+        cert = {"modulus": n, "level": 1 + _walk_bound(k, n)}
         return DividesUnitResult("no", None, cert, depth)
     cap = dg.scan_end(0, depth)
     for m in range(1, cap + 1):
@@ -130,18 +134,20 @@ def _walk_bound(k, n):
     return k * (n.bit_length() - 1)
 
 
-def _first_zero(mat, vec, n):
-    """Least j <= J = k*floor(log2 n) with mat^j vec = 0 mod n, or None.
+def _first_zero(mat, vec, n, bound):
+    """Least j <= bound with mat^j vec = 0 mod n, or None.
 
     mat is a k x k integer matrix, k = len(vec).  The kernels K_j of
     mat^j on (Z/n)^k increase with j, and once K_j = K_(j+1) they stay
     equal (mat maps K_(j+2) into K_(j+1) = K_j).  A strict chain of
-    submodules of (Z/n)^k has at most k*Omega(n) <= J steps (Omega counts
-    prime factors with multiplicity), so K_J holds every K_j; zero stays
-    zero, so the first zero of this walk is the least j there is.
+    submodules of (Z/n)^k has at most k*Omega(n) <= J = k*floor(log2 n)
+    steps (Omega counts prime factors with multiplicity), so K_J holds
+    every K_j: with bound >= J, or any bound the caller has shown the
+    chain to stop growing by, zero stays zero and the first zero of this
+    walk is the least j there is.
     """
     state = [x % n for x in vec]
-    j, bound = 0, _walk_bound(len(vec), n)
+    j = 0
     while any(state) and j < bound:
         state = [x % n for x in _mat_apply(mat, state)]
         j += 1
@@ -228,8 +234,7 @@ class _StationaryData:
     """Level-1 data behind the valuations of a stationary diagram."""
 
     mu: tuple  # minimal monic annihilator of heights(1), constant first
-    det: int  # det of the level-1 incidence matrix
-    g1: int  # gcd of heights(1)
+    charpoly: tuple  # charpoly of the level-1 incidence matrix, constant first
     candidates: frozenset  # every prime with a positive valuation
 
 
@@ -241,24 +246,33 @@ def _level_one_data(dg):
     mat = incidence(dg, 1)
     h1 = heights(dg, 1)
     mu = _minimal_annihilator(mat, h1)
-    # det A = (-1)^n charpoly(A)(0)
-    det = (-1) ** len(mat) * charpoly(mat)[0]
-    return _StationaryData(mu, det, gcd(*h1), _candidate_primes(mat, h1, mu))
+    return _StationaryData(mu, charpoly(mat), _candidate_primes(mat, h1, mu))
 
 
 def _stationary_valuation(dg, p):
+    """Valuation at p of a stationary diagram's divisor set.
+
+    Infinite iff mu is a power of t mod p.  Otherwise the largest v with
+    p^v dividing the heights at some level; p^e does iff the walk from
+    heights(1) under A = incidence(dg, 1) reaches zero mod p^e within
+    z*e steps, z the multiplicity of t in charpoly(A) mod p.  By Fitting's
+    lemma (Z/p^e)^k splits into a summand where A is nilpotent, free of
+    rank z and so of length z*e, and one where A is invertible; every
+    kernel of A^j lies in the first, so the kernel chain stops growing by
+    step z*e.  p coprime to det A is z = 0: the valuation of gcd(heights(1)).
+    """
     sd = _stationary_data(dg)
     if all(c % p == 0 for c in sd.mu[:-1]):
         return InfiniteValuation(_infinity_certificate(p, sd.mu))
-    if sd.det % p != 0:
-        # invertible mod every power of p: divisibility at any level pulls
-        # back to level 1, so the valuation is frozen at v_p(gcd heights(1))
-        return _valuation(sd.g1, p)
+    z = 0
+    while sd.charpoly[z] % p == 0:
+        z += 1
+    mat, h1 = incidence(dg, 1), heights(dg, 1)
     v = 0
     while True:
         if v >= _VALUATION_CAP:
             raise CapabilityError("finite valuation exceeded the supported bound")
-        if divides_unit(dg, p ** (v + 1)).verdict != "yes":
+        if _first_zero(mat, h1, p ** (v + 1), z * (v + 1)) is None:
             return v
         v += 1
 
@@ -522,7 +536,8 @@ def _eventually_integral(coeffs, tmat):
     so _first_zero decides it by a walk of at most k*floor(log2 den) steps.
     """
     den = lcm(*(c.denominator for c in coeffs))
-    return _first_zero(tuple(zip(*tmat)), [int(c * den) for c in coeffs], den)
+    vec = [int(c * den) for c in coeffs]
+    return _first_zero(tuple(zip(*tmat)), vec, den, _walk_bound(len(vec), den))
 
 
 def trace_image_group(dg: OrderedBratteliDiagram) -> TraceImageGroup:

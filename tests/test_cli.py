@@ -136,6 +136,24 @@ def test_negative_level_is_input_error(corpus, capsys, argv):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["k0-class", "dyadic", "0", "0,0"], "cell '0,0' is not of the form V:J (two integers)"),
+        (["k0-class", "dyadic", "1", "0:1", "0"], "cell '0' is not of the form V:J (two integers)"),
+        (["k0-class", "dyadic", "1", "0:1:1"], "cell '0:1:1' is not of the form V:J (two integers)"),
+        (["k0-class", "dyadic", "1", "a:1"], "cell 'a:1' is not of the form V:J (two integers)"),
+        (["positivity", "dyadic", "1", "a,b"],
+         "vector 'a,b' is not of the form C1,C2,... (integers)"),
+        (["positivity", "dyadic", "1", "1,"], "vector '1,' is not of the form C1,C2,... (integers)"),
+    ],
+)
+def test_malformed_cells_and_vectors_name_the_token_and_the_form(corpus, capsys, argv, message):
+    argv = [corpus.get(a, a) for a in argv]
+    assert run(argv + ["--format", "json"]) == 1
+    assert capsys.readouterr() == ("", "input error: %s\n" % message)
+
+
 def test_k0_class(corpus, capsys):
     rc, rep = run_json(capsys, ["k0-class", corpus["dyadic"], "2", "0:1", "0:2"])
     assert rc == 0

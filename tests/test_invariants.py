@@ -11,10 +11,11 @@ from math import gcd, isqrt, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorconj.bratteli import OrderedBratteliDiagram, composed_incidence
+from cantorconj import invariants
+from cantorconj.bratteli import OrderedBratteliDiagram, composed_incidence, incidence
 from cantorconj.check import check_divides_certificate, check_infinity_certificate
 from cantorconj.classify import decide_k_conjugacy, decide_tau, decide_weak
-from cantorconj.fieldpoly import _solve_lin, charpoly, count_real_roots, isolate_largest_real_root
+from cantorconj.fieldpoly import _mat_apply, _solve_lin, charpoly, count_real_roots, isolate_largest_real_root
 from cantorconj.invariants import (
     AtLeast,
     DividesUnitResult,
@@ -29,10 +30,12 @@ from cantorconj.invariants import (
 )
 from cantorconj.invariants import (
     _eventually_integral,
+    _first_zero,
     _hnf_rows,
     _mul_by_t,
     _stationary_data,
     _stationary_valuation,
+    _walk_bound,
 )
 from cantorconj.systems import (
     NAMED,
@@ -495,6 +498,46 @@ def test_valuations_and_spectra_are_pinned():
     assert digest.hexdigest() == (
         "f05cb9cf4eb06ac97e703c4c5ff5da6d0491ac728556783f672e34335365f940"
     )
+
+
+def nilpotent_rank(mat, p):
+    """Multiplicity of t as a factor of charpoly(mat) mod p."""
+    return next(i for i, c in enumerate(charpoly(mat)) if c % p)
+
+
+def test_first_zeros_lie_within_the_nilpotent_length():
+    # a walk bounded by z*e finds the same first zero mod p^e as one bounded
+    # by k*floor(log2 p^e), z the multiplicity of t in charpoly mod p
+    rng = random.Random(47)
+    zeros = collections.Counter()
+    for _ in range(6000):
+        k = rng.randint(1, 5)
+        mat = tuple(tuple(rng.randint(-3, 4) for _ in range(k)) for _ in range(k))
+        vec = [rng.randint(-3, 4) for _ in range(k)]
+        p, e = rng.choice((2, 3, 5, 7)), rng.randint(1, 4)
+        z = nilpotent_rank(mat, p)
+        j = _first_zero(mat, vec, p ** e, _walk_bound(k, p ** e))
+        if j is not None:
+            assert j <= z * e, (mat, vec, p, e)
+            zeros[j > 0] += 1
+        assert _first_zero(mat, vec, p ** e, z * e) == j, (mat, vec, p, e)
+    assert zeros[True] >= 100 and zeros[False] >= 100, zeros
+
+
+def test_valuation_walks_stop_at_the_nilpotent_length(monkeypatch):
+    # tri3 at 2: z = 1 and v = 2, so walks mod 2, 4 and 8 of at most 1, 2
+    # and 3 steps, where k*floor(log2 2^e) allowed 3 + 6 + 9
+    assert nilpotent_rank(incidence(TRI3, 1), 2) == 1
+    _stationary_data(TRI3)
+    steps = []
+
+    def counted(mat, vec):
+        steps.append(vec)
+        return _mat_apply(mat, vec)
+
+    monkeypatch.setattr(invariants, "_mat_apply", counted)
+    assert _stationary_valuation(TRI3, 2) == 2
+    assert 0 < len(steps) <= 6
 
 
 def test_trace_lattice_and_stabilized_match_their_formulas():
