@@ -335,13 +335,16 @@ def derived(d: OrderedBratteliDiagram, key, fn, *args):
     (check.diagram_digest): the weak or tau witness that check's replay
     recomputes, or the rejection it ends with ("weak_witness",
     "tau_witness"), and that witness's canonical text ("weak_text",
-    "tau_text"), what classify's ladder search ends with, the
-    ladder or Unknown with its note, keyed with the window and the node
-    budget too ("ladder"), and the corrector that
+    "tau_text"), and the corrector that
     classify.conjugate_at_resolution synthesizes, as the blocks and image
     blocks it was given with the corrector's level and displacement
-    tables, keyed with the resolution and depth too ("corrector").  Values
-    are shared, so callers must not mutate them.
+    tables, keyed with the resolution and depth too ("corrector").  What
+    classify's ladder search ends with, the ladder or Unknown with its
+    note, is kept in one dict on the first diagram ("ladder"), which
+    classify.decide_k_conjugacy fills itself under the second's digest,
+    the window and the node budget, so that it can tell whether the first
+    diagram holds any outcome before it takes a digest.  Values are
+    shared, so callers must not mutate them.
 
     A hit costs one dict probe; fn is called only on a miss.  A key is
     stored only once fn has returned, so a function that checks its

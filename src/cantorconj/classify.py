@@ -131,6 +131,13 @@ def decide_weak(
     in both directions at increasing source levels (check.weak_schedules):
     the finite-level content of the two asymptotic intertwinings.  A
     distinguishing prime power is a sound No.
+
+    depth bounds the scan for each schedule's target level even on
+    stationary input, where the spectra are exact and read no depth: a
+    stationary pair with equal spectra, even a tau or K-conjugate one, can
+    be Unknown here at a small depth.  On the 73 systems against their own
+    telescopings (README) that happens up to depth 3 and at depth -1, and
+    at no pair from depth 4 on, DEFAULT_DEPTH included.
     """
     comp = spectra_equal(dgA, dgB, prime_cutoff, depth)
     if comp.verdict == "distinct":
@@ -467,6 +474,8 @@ def _ladder_search(dgA, dgB, max_span, max_base, budget):
     ladder or None, the period pairs skipped and the period pairs visited.
     """
     skipped = visited = 0
+    if max_base < 1:  # no base level: no cell, so no period pair to test
+        return None, skipped, visited
     for span in range(2, max_span + 1):
         for ga in range(1, span):
             gb = span - ga
@@ -555,10 +564,18 @@ def decide_k_conjugacy(
     verify_ladder rejects, raises CapabilityError before any search: a
     skipped period pair spends no node, so the budget would not end it.
     What the search ends with, the ladder or Unknown with its note, is kept
-    once per ordered pair on A (bratteli.derived) under B's digest, the
-    window and LADDER_NODE_BUDGET, so the same question on the same
-    objects searches no more; decide_tau still runs on every call, and
-    every ladder returned passes verify_ladder again.
+    once per ordered pair in one table on A (bratteli.derived, "ladder")
+    under B's digest, the window and LADDER_NODE_BUDGET, and that table
+    is read first: the same question on the same A answers from it
+    without decide_tau.  This is sound because an outcome is kept only
+    for a stationary pair that decide_tau did not refute, and on a
+    stationary pair decide_tau reads neither prime_cutoff nor depth (the
+    valuations and the trace image of a stationary diagram are exact), so
+    neither belongs in the key.  B's digest is taken only once A's table
+    holds an outcome or a search is due, so a refutation or a self pair on
+    a fresh A hashes nothing.  Refutations, self pairs and non-stationary
+    pairs are not kept and run decide_tau on every call.  Every ladder
+    returned passes verify_ladder again.
     """
     top = max_base + 2 * (max_span - 1)
     if top > MAX_LEVEL:
@@ -566,16 +583,19 @@ def decide_k_conjugacy(
             "a ladder with span <= %d from base levels <= %d may name level %d, "
             "past MAX_LEVEL = %d" % (max_span, max_base, top, MAX_LEVEL)
         )
-    tau = decide_tau(dgA, dgB, prime_cutoff, depth)
-    if tau.verdict == "not":
-        return KConjResult("not", obstructions=tau.obstructions)
-    if dgA == dgB:
-        return KConjResult("k-conjugate", identity_ladder(dgA))
-    if dgA.kind != "stationary" or dgB.kind != "stationary":
-        return KConjResult("unknown", note="ladder search needs stationary input")
+    outcomes = derived(dgA, "ladder", dict)
     limit = LADDER_NODE_BUDGET
-    key = ("ladder", diagram_digest(dgB), max_span, max_base, limit)
-    res = derived(dgA, key, _ladder_outcome, dgA, dgB, max_span, max_base, limit)
+    res = outcomes.get((diagram_digest(dgB), max_span, max_base, limit)) if outcomes else None
+    if res is None:
+        tau = decide_tau(dgA, dgB, prime_cutoff, depth)
+        if tau.verdict == "not":
+            return KConjResult("not", obstructions=tau.obstructions)
+        if dgA == dgB:
+            return KConjResult("k-conjugate", identity_ladder(dgA))
+        if dgA.kind != "stationary" or dgB.kind != "stationary":
+            return KConjResult("unknown", note="ladder search needs stationary input")
+        key = (diagram_digest(dgB), max_span, max_base, limit)
+        res = outcomes[key] = _ladder_outcome(dgA, dgB, max_span, max_base, limit)
     if res.ladder is not None:
         rep = verify_ladder(res.ladder, dgA, dgB)
         assert rep.ok, rep.reason

@@ -551,6 +551,30 @@ def test_hierarchy_consistency():
                 assert w.verdict == "weak"
 
 
+def test_positive_answers_close_on_telescoping_pairs():
+    # each primitive 2x2 system against its square, both orders, and
+    # odometers 2, 3, 5 against their squares, both orders, and their cubes;
+    # weak's scan of target levels is bounded by depth even on stationary
+    # input, and at depth 3 or less it gives up on some of these pairs
+    pairs = []
+    for d in primitive_2x2_diagrams():
+        sq = power_of(d, 2)
+        pairs += [(d, sq), (sq, d)]
+    for q in (2, 3, 5):
+        pairs += [(odometer(q), odometer(q * q)), (odometer(q * q), odometer(q))]
+        pairs.append((odometer(q), odometer(q ** 3)))
+    assert len(pairs) == 73
+    counts = collections.Counter()
+    for a, b in pairs:
+        w = decide_weak(a, b, depth=DEFAULT_DEPTH).verdict
+        t = decide_tau(a, b, depth=DEFAULT_DEPTH).verdict
+        k = decide_k_conjugacy(a, b, depth=DEFAULT_DEPTH).verdict
+        counts[t, k] += 1
+        if t == "tau" or k == "k-conjugate":
+            assert w == "weak", (incidence(a, 1), incidence(b, 1), t, k)
+    assert counts == {("tau", "k-conjugate"): 33, ("unknown", "k-conjugate"): 40}
+
+
 def test_three_vertex_trace_field_verdicts():
     assert decide_tau(TRI3, TRI3).verdict == "tau"
     assert decide_k_conjugacy(TRI3, TRI3).verdict == "k-conjugate"
@@ -1977,6 +2001,82 @@ def test_pair_outcomes_are_kept_per_ordered_pair(monkeypatch):
         bumped = copy.deepcopy(tau)
         bumped["witness"]["trace"]["a"]["ratio"] = 3
         assert verify_certificate(bumped, (a, b)).reason == "witness differs from recomputation"
+
+
+def counted_tau(monkeypatch):
+    """decide_tau as decide_k_conjugacy calls it, counting its calls."""
+    calls = []
+    inner = classify_module.decide_tau
+    monkeypatch.setattr(
+        classify_module, "decide_tau", lambda *args: calls.append(args[:2]) or inner(*args)
+    )
+    return calls
+
+
+def test_kept_ladder_outcome_is_read_before_tau(monkeypatch):
+    calls = counted_tau(monkeypatch)
+    a, b = fibonacci(), power_of(fibonacci(), 2)
+    first = decide_k_conjugacy(a, b)
+    assert first.verdict == "k-conjugate" and len(calls) == 1
+    # a repeat, under any prime cutoff or depth, and an equal B loaded
+    # separately read the kept outcome, and its ladder is audited again
+    audits = []
+    inner = classify_module.verify_ladder
+    monkeypatch.setattr(
+        classify_module, "verify_ladder", lambda *args: audits.append(1) or inner(*args)
+    )
+    twin = parse_diagram(serialize_diagram(b))
+    for again in (
+        decide_k_conjugacy(a, b),
+        decide_k_conjugacy(a, b, prime_cutoff=2, depth=0),
+        decide_k_conjugacy(a, twin),
+    ):
+        assert again == first
+    assert len(calls) == 1 and audits == [1, 1, 1]
+    # another window is another question
+    assert decide_k_conjugacy(a, b, max_span=11) == first
+    assert len(calls) == 2
+    # an outcome kept as Unknown is read back the same way
+    narrow = decide_k_conjugacy(a, b, max_span=2, max_base=1)
+    assert narrow.verdict == "unknown" and len(calls) == 3
+    assert decide_k_conjugacy(a, b, max_span=2, max_base=1) == narrow
+    assert len(calls) == 3
+
+
+def test_unkept_pairs_run_tau_on_every_call(monkeypatch):
+    calls = counted_tau(monkeypatch)
+    fib, dy = fibonacci(), dyadic()
+    # a pair with a kept outcome on A does not keep A's refutations
+    assert decide_k_conjugacy(dy, quaternary()).verdict == "k-conjugate"
+    explicit = OrderedBratteliDiagram("explicit", (1, 1, 1, 1), ((((0, 0),)),) * 3)
+    pairs = ((fib, dy), (dy, fib), (fib, fib), (dy, dy), (explicit, dy), (dy, explicit))
+    want = ["not", "not", "k-conjugate", "k-conjugate", "unknown", "unknown"]
+    for _ in range(3):
+        del calls[:]
+        assert [decide_k_conjugacy(x, y).verdict for x, y in pairs] == want
+        assert calls == list(pairs)
+
+
+def test_refutation_on_a_fresh_diagram_takes_no_digest(monkeypatch):
+    def refused(d):
+        raise AssertionError("took a digest")
+
+    monkeypatch.setattr("cantorconj.check._sha256_of", refused)
+    a, b = fibonacci(), dyadic()
+    for _ in range(2):
+        assert decide_k_conjugacy(a, b).verdict == "not"
+        assert decide_k_conjugacy(a, a).verdict == "k-conjugate"
+
+
+def test_tau_on_stationary_pairs_reads_no_cutoff_or_depth():
+    # what lets a kept ladder outcome stand for every prime cutoff and depth
+    pool = [DYADIC, TRIADIC, QUATERNARY, FIB, TRI3, odometer(6)]
+    pool += [power_of(FIB, 2), power_of(TRI3, 2), stationary_from_rows(((0, 0, 1), (0, 1, 1)))]
+    for a, b in itertools.product(pool, repeat=2):
+        want = decide_tau(a, b)
+        for prime_cutoff, depth in itertools.product((-1, 0, 2, 97, 10 ** 6), (-1, 0, 40)):
+            got = decide_tau(a, b, prime_cutoff, depth)
+            assert (got.verdict, got.obstructions) == (want.verdict, want.obstructions)
 
 
 def test_corrector_synthesis_is_kept_per_ordered_pair_and_level(monkeypatch):

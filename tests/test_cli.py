@@ -333,6 +333,13 @@ def test_kconj_reports_bounds(corpus, capsys):
     assert rep["bounds"]["span"] == 12
 
 
+def test_kconj_empty_window_skips_no_period_pair(corpus, capsys):
+    for window in (["--base", "0"], ["--base", "-1"], ["--base", "-5"], ["--span", "1"]):
+        rc, rep = run_json(capsys, ["kconj", corpus["dyadic"], corpus["quaternary"], *window])
+        assert rc == 0 and rep["verdict"] == "unknown"
+        assert rep["note"].endswith("(0 nodes; spectral test skipped 0 of 0 period pairs)")
+
+
 def test_each_subcommand_takes_and_echoes_only_its_own_bounds(corpus, tmp_path, capsys):
     d, q = corpus["dyadic"], corpus["quaternary"]
     rc, rep = run_json(capsys, ["kconj", d, q])

@@ -650,6 +650,19 @@ def test_window_without_ladder_names_the_nodes_spent():
         )
 
 
+def test_empty_window_visits_no_period_pair():
+    # no base level (max_base < 1) or no span of two levels: no cell, so
+    # the spectral test has nothing to skip
+    empty = "(0 nodes; spectral test skipped 0 of 0 period pairs)"
+    for max_span, max_base in ((12, 0), (12, -1), (12, -5), (1, 3)):
+        res = decide_k_conjugacy(dyadic(), quaternary(), max_span, max_base)
+        assert res.verdict == "unknown" and res.ladder is None
+        assert res.note.endswith(empty), res.note
+        budget = _NodeBudget(1)
+        assert _ladder_search(dyadic(), quaternary(), max_span, max_base, budget) == (None, 0, 0)
+        assert budget.spent == 0
+
+
 def test_ladder_found_in_one_order_answers_both():
     # b against a has a ladder from base levels (1, 2); a against b would
     # need base level 5 on b's side, past max_base, and is answered by the
