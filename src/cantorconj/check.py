@@ -2,7 +2,8 @@
 
 A certificate binds a witness to content digests of the input
 presentations, and verify_certificate replays it from the invariants the
-claim rests on, never by re-running a decider: a ladder square by square
+claim rests on, never by re-running a decider: a periodic ladder by the
+identities of its first period, any other square by square
 (verify_ladder), weak schedules by equal spectra and their canonical
 recomputation (build_k0_morphism, whose output a weak witness is, so it
 lives here with the semigroup arithmetic it reads), tau by equal spectra
@@ -63,6 +64,7 @@ AUDIT_LOOKAHEAD = 2
 WEAK_ROUNDS = 2
 
 _INT = frozenset((int,))
+_TUPLE = frozenset((tuple,))
 
 
 def _json_int(x) -> int:
@@ -459,6 +461,9 @@ class LadderReport:
     reason: Optional[str] = None
 
 
+_ACCEPTED = LadderReport(True)
+
+
 def verify_ladder(
     ladder: IntertwiningLadder,
     dgA: OrderedBratteliDiagram,
@@ -480,15 +485,28 @@ def verify_ladder(
 
     A level past MAX_LEVEL is rejected before any heights are read.
 
-    The checks run in a fixed order, forward rungs first, and the first to
-    fail is reported.  Each ladder level's heights are read once, the shape
-    and sign of each distinct rung (with its shape) are checked once, and
-    the product of each distinct pair of rungs is formed once and compared
-    with the composed incidence of every square it closes, which on a
-    stationary diagram depends only on the span.  A periodic ladder of any
-    length thus forms two matrix products, and every ladder gets the report
-    that checking each rung and square in turn gives.
+    A periodic ladder is accepted by its first period (_first_period_holds):
+    h and H shaped and nonnegative, h.u_A(a0) = u_B(b0), H.u_B(b0) =
+    u_A(a1), H.h = A^ga and h.H = B^gb.  These imply every later rung and
+    square.  On a stationary diagram u(m + g) = A^g.u(m) for m >= 1, and
+    h.A^ga = h.H.h = B^gb.h, so by induction on i
+    h.u_A(a0 + i.ga) = B^(i.gb).h.u_A(a0) = u_B(b0 + i.gb) and
+    H.u_B(b0 + i.gb) = A^(i.ga).H.u_B(b0) = u_A(a1 + i.ga), while every
+    square is the first one again.  Such a ladder thus costs two unit
+    checks and two matrix products whatever its length.
+
+    Any other ladder is scanned rung by rung, which is what names a
+    rejection: the checks run in a fixed order, forward rungs first, and
+    the first to fail is reported.  Each ladder level's heights are read
+    once, the shape and sign of each distinct rung (with its shape) are
+    checked once, and the product of each distinct pair of rungs is formed
+    once and compared with the composed incidence of every square it
+    closes, which on a stationary diagram depends only on the span.  Every
+    ladder gets the report that checking each rung and square in turn
+    gives; the first period accepts only what the scan accepts.
     """
+    if _first_period_holds(ladder, dgA, dgB):
+        return _ACCEPTED
     la, lb = ladder.a_levels, ladder.b_levels
     fs, bs = ladder.forwards, ladder.backwards
     if not (len(fs) == len(bs) == len(lb) == len(la) - 1):
@@ -528,7 +546,7 @@ def verify_ladder(
             return LadderReport(False, None, "ladder of period zero between different diagrams")
         # la[0] first: the identity ladder reads level 1, which may not exist
         if la[0] == 1 and ladder == identity_ladder(dgA):
-            return LadderReport(True)
+            return _ACCEPTED
         return LadderReport(False, None, "ladder of period zero is not the identity ladder")
     if not (
         len(fs) >= 2
@@ -539,7 +557,7 @@ def verify_ladder(
         and _progression(lb)
     ):
         return LadderReport(False, None, "ladder is not periodic on stationary diagrams")
-    return LadderReport(True)
+    return _ACCEPTED
 
 
 def _rung_fault(side, rung, source, target, shaped):
@@ -573,6 +591,76 @@ def _progression(levels):
     return (
         levels[0] >= 1 and step >= 1 and all(y - x == step for x, y in zip(levels, levels[1:]))
     )
+
+
+def _first_period_holds(ladder, dgA, dgB) -> bool:
+    """Whether ladder is periodic on stationary diagrams (the last shape
+    verify_ladder accepts, up to MAX_LEVEL) and its first period holds,
+    which proves the rest (see verify_ladder).
+
+    Only levels and rungs that are tuples of exact ints are read, on
+    diagrams whose tables read as incidence matrices, so nothing here
+    raises; any other ladder is False and goes to the scan.
+    """
+    la, lb = ladder.a_levels, ladder.b_levels
+    fs, bs = ladder.forwards, ladder.backwards
+    if not (
+        type(la) is type(lb) is type(fs) is type(bs) is tuple
+        and len(fs) == len(bs) == len(lb) == len(la) - 1 >= 2
+        and _INT.issuperset(map(type, la + lb))
+        and _progression(la)
+        and _progression(lb)
+        and max(la[-1], lb[-1]) <= MAX_LEVEL
+        and _int_matrices(fs + bs)
+        and _regular(dgA)
+        and _regular(dgB)
+    ):
+        return False
+    h, back = fs[0], bs[0]
+    ua0, ub0, ua1 = heights(dgA, la[0]), heights(dgB, lb[0]), heights(dgA, la[1])
+    return (
+        fs.count(h) == len(fs)
+        and bs.count(back) == len(bs)
+        and _fits(h, ua0, ub0)
+        and _fits(back, ub0, ua1)
+        and _mat_mul(back, h) == composed_incidence(dgA, la[0], la[1])
+        and _mat_mul(h, back) == composed_incidence(dgB, lb[0], lb[1])
+    )
+
+
+def _int_matrices(ms) -> bool:
+    """Each of ms is a tuple of tuples of exact ints."""
+    if not _TUPLE.issuperset(map(type, ms)):
+        return False
+    rows = tuple(chain.from_iterable(ms))
+    return _TUPLE.issuperset(map(type, rows)) and _INT.issuperset(
+        map(type, chain.from_iterable(rows))
+    )
+
+
+def _fits(rung, source, target) -> bool:
+    """rung, a tuple of int rows, is len(target) x len(source), has no
+    negative entry and sends source to target: _rung_fault's checks."""
+    return (
+        len(rung) == len(target)
+        and {len(source)} == set(map(len, rung))
+        and min(chain.from_iterable(rung)) >= 0
+        and _mat_apply(rung, source) == target
+    )
+
+
+def _regular(d) -> bool:
+    """d is stationary with k >= 1 vertices, and its root and repeating
+    tables read as incidence matrices with k rows: then heights at level
+    m + 1 are A.u(m) for every m >= 1, all of length k, and no rung that
+    _fits reads is empty."""
+    if d.kind != "stationary":
+        return False
+    try:  # both kept on d; a table with a stray source index raises
+        root, step = incidence(d, 0), incidence(d, 1)
+        return len(root) == len(step) == d.num_vertices(1) >= 1
+    except (IndexError, TypeError):
+        return False
 
 
 # ---------------------------------------------------------------------------

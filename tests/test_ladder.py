@@ -30,6 +30,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from cantorconj import check, classify
 from cantorconj.bratteli import OrderedBratteliDiagram, composed_incidence, heights
 from cantorconj.check import MAX_LEVEL, LadderReport, _progression
@@ -1209,14 +1211,9 @@ def test_periodic_ladder_forms_two_products(monkeypatch):
     b = stationary_from_rows(composed_rows(a.table(1)))
     ladder = decide_k_conjugacy(a, b).ladder
     (a0, a1, _), (b0, b1) = ladder.a_levels, ladder.b_levels
-    calls = []
-    inner = check._mat_mul
-
-    def counted(x, y):
-        calls.append(1)
-        return inner(x, y)
-
-    monkeypatch.setattr(check, "_mat_mul", counted)
+    calls = {"_mat_mul": [], "_mat_apply": []}
+    for name, kept in calls.items():
+        monkeypatch.setattr(check, name, counted(getattr(check, name), kept))
     for rungs in (2, 200):
         long = IntertwiningLadder(
             tuple(a0 + j * (a1 - a0) for j in range(rungs + 1)),
@@ -1224,9 +1221,84 @@ def test_periodic_ladder_forms_two_products(monkeypatch):
             ladder.forwards[:1] * rungs,
             ladder.backwards[:1] * rungs,
         )
-        calls.clear()
+        for kept in calls.values():
+            kept.clear()
         assert verify_ladder(long, a, b).ok
-        assert len(calls) == 2, rungs
+        # two products and two unit checks, the first period's
+        assert {name: len(kept) for name, kept in calls.items()} == {
+            "_mat_mul": 2,
+            "_mat_apply": 2,
+        }, rungs
+
+
+def counted(inner, kept):
+    """inner, noting each call in kept."""
+
+    def call(*args):
+        kept.append(1)
+        return inner(*args)
+
+    return call
+
+
+def test_first_period_reads_only_tuples_of_exact_ints():
+    # fibonacci against its square; anything but tuples of exact ints is
+    # left to the scan, which gives the report it always gave
+    a, b = fibonacci(), stationary_from_rows(((0, 1, 0), (0, 1)))
+    la, lb = (1, 3, 5), (1, 2)
+    holed = ((None, 1), (1, 1))
+    # the swap holds the unit at level 1 only, so the scan stops at rung 2
+    # before it reads the backward rung, and the first period must too
+    for h, index in ((((1, 0), (0, 2)), 0), (((0, 1), (1, 0)), 2)):
+        unit_off = IntertwiningLadder(la, lb, (h,) * 2, (holed,) * 2)
+        want = LadderReport(False, index, "unit not preserved")
+        assert reference_verify_ladder(unit_off, a, b) == want
+        assert verify_ladder(unit_off, a, b) == want
+    # the scan keeps the rungs it has checked in a set
+    lists = IntertwiningLadder(la, lb, ([[1, 0], [0, 1]],) * 2, ([[2, 1], [1, 1]],) * 2)
+    with pytest.raises(TypeError):
+        verify_ladder(lists, a, b)
+    bools = IntertwiningLadder(
+        la, lb, (((True, False), (False, True)),) * 2, (((2, 1), (1, 1)),) * 2
+    )
+    assert reference_verify_ladder(bools, a, b) == LadderReport(True)
+    assert verify_ladder(bools, a, b) == LadderReport(True)
+
+
+def test_first_period_reads_only_regular_stationary_diagrams():
+    # one vertex, but two rows in the repeating table: heights have length 1
+    # at level 1 and 2 past it, so the first period alone would hold, while
+    # the forward rung no longer fits at level 2
+    a = OrderedBratteliDiagram("stationary", (1, 1), (((0,),), ((0,), (0,))))
+    b = stationary_from_rows(((0,),))
+    ladder = IntertwiningLadder((1, 2, 3), (1, 2), (((1,),),) * 2, (((1,), (1,)),) * 2)
+    want = LadderReport(False, 2, "forward rung has the wrong shape")
+    assert reference_verify_ladder(ladder, a, b) == want
+    assert verify_ladder(ladder, a, b) == want
+    # a source past the vertices raises in the scan, as it always did
+    stray = OrderedBratteliDiagram("stationary", (1, 1), (((0,),), ((0, 1),)))
+    for audit in (reference_verify_ladder, verify_ladder):
+        with pytest.raises(IndexError):
+            audit(IntertwiningLadder((1, 2, 3), (1, 2), (((1,),),) * 2, (((1,),),) * 2), stray, b)
+    # no vertex past the root: each forward rung is one empty row, which
+    # sends the empty heights to (0,), not (1,)
+    empty = OrderedBratteliDiagram("stationary", (1, 0), ((), ()))
+    ladder = IntertwiningLadder((1, 2, 3), (1, 2), (((),),) * 2, ((),) * 2)
+    want = LadderReport(False, 0, "unit not preserved")
+    assert reference_verify_ladder(ladder, empty, b) == want
+    assert verify_ladder(ladder, empty, b) == want
+
+
+def test_first_period_rejects_a_negative_rung():
+    # h = A^-1 and H = A^2 on fibonacci hold every unit and square over Z,
+    # so only the sign check rejects them
+    a = fibonacci()
+    ladder = IntertwiningLadder(
+        (2, 3, 4), (1, 2), (((0, 1), (1, -1)),) * 2, (((2, 1), (1, 1)),) * 2
+    )
+    want = LadderReport(False, 0, "negative entry")
+    assert reference_verify_ladder(ladder, a, a) == want
+    assert verify_ladder(ladder, a, a) == want
 
 
 def test_ladder_audit_rechecks_a_rung_at_a_new_shape():
