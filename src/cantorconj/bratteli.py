@@ -317,40 +317,13 @@ def derived(d: OrderedBratteliDiagram, key, fn, *args):
     """The value fn(*args) for diagram d, computed once per diagram object.
 
     Diagrams are immutable, so anything computed from one alone holds for
-    its whole life; the value is kept on the diagram under key, any
-    hashable: heights, incidence matrices, composed incidences and tower
-    projections (keyed with their levels), the inverse of the Krylov matrix
-    of heights that classify's ladder search keeps under a base level and
-    period ("krylov_inverse"), the integer trace weights of
-    dimgroup and the invariants built on them, and what
-    check.build_k0_morphism reads and builds: a source level's tables
-    ("k0_source"), the target level or obstruction found for a gcd,
-    threshold, start level and depth ("k0_target"), and the morphism on
-    its source diagram under its source level, target level and reduced
-    target heights ("k0_morphism"), the cell set of a level, which check's
-    replay and fullgroup's synthesis check partitions against (cell_set,
-    under "cell_set" and the level), and the first level with more than
-    CELL_CAP cells (first_level_over_cap, "cap_level").  Data of an ordered
-    pair is kept on its first diagram, keyed with the second's digest
-    (check.diagram_digest): the weak or tau witness that check's replay
-    recomputes, or the rejection it ends with ("weak_witness",
-    "tau_witness"), and that witness's canonical text ("weak_text",
-    "tau_text"), and the corrector that
-    classify.conjugate_at_resolution synthesizes, as the blocks and image
-    blocks it was given with the corrector's level and displacement
-    tables, keyed with the resolution and depth too ("corrector").  What
-    classify's ladder search ends with, the ladder or Unknown with its
-    note, is kept in one dict on the first diagram ("ladder"), which
-    classify.decide_k_conjugacy fills itself under the second's digest,
-    the window and the node budget, so that it can tell whether the first
-    diagram holds any outcome before it takes a digest.  Values are
-    shared, so callers must not mutate them.
-
-    A hit costs one dict probe; fn is called only on a miss.  A key is
-    stored only once fn has returned, so a function that checks its
-    arguments inside fn checks them on a miss alone: a key present means
-    they passed.  An exception from fn is not kept: the next call computes
-    again.
+    its whole life: one value is kept per key (any hashable) per diagram
+    object, and a hit costs one dict probe; fn is called only on a miss.
+    An exception from fn is not kept, so the next call computes again and
+    a key present means fn's own argument checks passed.  Values are
+    shared, so callers must not mutate them.  Data of an ordered pair is
+    kept on its first diagram, keyed with the second's digest
+    (check.diagram_digest).
     """
     memo = d._memo
     try:

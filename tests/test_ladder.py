@@ -1033,9 +1033,9 @@ def test_pruned_search_matches_the_unpruned_one(monkeypatch):
 
 
 def reference_verify_ladder(ladder, dgA, dgB):
-    """verify_ladder as it was before distinct rungs and squares were
-    checked once: every rung's shape and sign, every level's heights and
-    every square's product, in order."""
+    """The scan verify_ladder runs on any ladder its first period does not
+    accept, kept here as the oracle: every rung's shape, sign and unit,
+    every level's heights and every square's product, in order."""
     la, lb = ladder.a_levels, ladder.b_levels
     fs, bs = ladder.forwards, ladder.backwards
     if not (len(fs) == len(bs) == len(lb) == len(la) - 1):
@@ -1254,10 +1254,8 @@ def test_first_period_reads_only_tuples_of_exact_ints():
         want = LadderReport(False, index, "unit not preserved")
         assert reference_verify_ladder(unit_off, a, b) == want
         assert verify_ladder(unit_off, a, b) == want
-    # the scan keeps the rungs it has checked in a set
     lists = IntertwiningLadder(la, lb, ([[1, 0], [0, 1]],) * 2, ([[2, 1], [1, 1]],) * 2)
-    with pytest.raises(TypeError):
-        verify_ladder(lists, a, b)
+    assert verify_ladder(lists, a, b) == reference_verify_ladder(lists, a, b) == LadderReport(True)
     bools = IntertwiningLadder(
         la, lb, (((True, False), (False, True)),) * 2, (((2, 1), (1, 1)),) * 2
     )
