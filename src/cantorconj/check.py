@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import add
 from typing import Optional
 
 from .bratteli import (
@@ -724,169 +724,110 @@ def _floor_labels(hs, part) -> list:
 class _CoarseTower:
     """One tower of the audit's coarse level, replayed on its own floors.
 
-    fwd[j] is the floor s sends floor j to while it stays in the tower, 0
-    otherwise; back[t] is the lowest floor sent to t, 0 if none; jumps
-    maps each floor s sends out of the tower to its displacement.
-    collision is the first floor, upwards, whose image is already taken,
-    with that image.  lab and img are the block and image-block labels of
-    the floors.
+    disp holds the displacements of its floors, bottom first.  fwd[j] is
+    the floor s sends floor j to while it stays in the tower, 0 otherwise;
+    back[t] is the lowest floor sent to t, 0 if none.  collision is the
+    first floor, upwards, whose image is already taken, with that image.
+    leaves says that s sends some floor out of the tower.  The tower is
+    closed when every floor has a preimage: by counting, s then sends
+    every floor inside it and no two onto one, so it permutes the floors.
     """
 
     def __init__(self, h: int, disp):
         self.h = h
+        self.disp = disp = tuple(disp)
         fwd = [0] * (h + 1)
         back = [0] * (h + 1)
-        jumps = {}
         collision = None
         for j, r in enumerate(disp, 1):
             t = j + r
             if not 1 <= t <= h:
-                jumps[j] = r
                 continue
             fwd[j] = t
             if not back[t]:
                 back[t] = j
             elif collision is None:
                 collision = (j, t)
-        self.fwd, self.back, self.jumps, self.collision = fwd, back, jumps, collision
+        self.fwd, self.back, self.collision = fwd, back, collision
+        self.leaves = fwd.count(0) > 1  # fwd[0] is 0
+        self.closed = back.count(0) == 1
 
     def label(self, lab, img):
-        """Take the labels of the floors, bottom first; for a tower without
-        jumps also walk one copy of it (see walk_inside)."""
-        self.lab = [None, *lab]
-        self.img = [None, *img]
-        if not self.jumps:
-            self.walk_inside()
+        """Take the block and image-block labels of the floors, bottom
+        first, and walk one copy of a closed tower.
 
-    def walk_inside(self):
-        """The walk inside one copy of a tower without jumps or collisions:
-        s then permutes its floors, so every floor has one preimage.  seam
-        is the floor whose preimage is the top floor (its walk enters the
-        next copy); checked counts the other floors, and clean says that
-        none of them leaves its block's image."""
-        h, fwd, back, lab, img = self.h, self.fwd, self.back, self.lab, self.img
-        self.checked = 0
-        self.clean = True
-        for j in range(1, h + 1):
-            y = back[j]
-            if y == h:
-                self.seam = j
-            elif img[fwd[y + 1]] == lab[j]:
-                self.checked += 1
-            else:
-                self.clean = False
-
-
-class _FineTower:
-    """A tower of the audit level as the copies of coarse towers it stacks.
-
-    starts[i] is the floor under copy i; landed maps every floor of this
-    tower that a jump out of a copy reaches to the floors jumping there, in
-    increasing order.  A coarse tower without jumps maps its floors onto
-    themselves, so a jump that lands in a copy of one makes s fail to be
-    injective: the walk meets landed floors only in copies of towers with
-    jumps, and replays those floor by floor.
-    """
-
-    def __init__(self, stack, towers, h: int):
-        self.stack, self.towers, self.h = stack, towers, h
-        self.starts = starts = []
-        top = 0
-        for u in stack:
-            starts.append(top)
-            top += towers[u].h
-        self.landed = landed = {}
-        for i, u in enumerate(stack):
-            for j, r in towers[u].jumps.items():
-                t = starts[i] + j + r
-                if 1 <= t <= h:
-                    landed.setdefault(t, []).append(starts[i] + j)
-
-    def locate(self, floor: int) -> tuple:
-        """(copy, floor inside that copy) of a floor of this tower."""
-        i = bisect_left(self.starts, floor) - 1
-        return i, floor - self.starts[i]
-
-    def image(self, floor: int) -> int:
-        """The floor s sends floor to, 0 past either end of this tower."""
-        i, j = self.locate(floor)
-        t = self.towers[self.stack[i]]
-        if t.fwd[j]:
-            return self.starts[i] + t.fwd[j]
-        floor += t.jumps[j]
-        return floor if 1 <= floor <= self.h else 0
-
-    def preimage(self, floor: int) -> int:
-        i, j = self.locate(floor)
-        y = self.towers[self.stack[i]].back[j]
-        return self.starts[i] + y if y else self.landed.get(floor, (0,))[0]
-
-    def first_collision(self) -> int:
-        """The image of the lowest floor whose image an earlier floor
-        already has, 0 if s is injective here.
-
-        Inside a copy the coarse tower's collision holds; the copies that
-        jumps land in also count the jumps.  A floor's image has a single
-        lowest preimage, so comparing second preimages picks one floor.
+        The seam, floor fwd[h], is the floor whose preimage is the top
+        floor: its walk enters the next copy and lands on that copy's image
+        of floor 1.  seam is the block of the seam, entry the image block
+        of this copy's image of floor 1, so a seam holds when its block
+        equals the next copy's entry.  clean says that the tower is closed
+        and no other floor's walk leaves its block's image.
         """
-        found = []
-        for i, u in enumerate(self.stack):
-            hit = self.towers[u].collision
-            if hit:
-                found.append((self.starts[i] + hit[0], self.starts[i] + hit[1]))
+        h, fwd, back = self.h, self.fwd, self.back
+        self.lab = lab = (None, *lab)
+        self.img = img = (None, *img)
+        self.seam, self.entry = lab[fwd[h]], img[fwd[1]]
+        self.clean = self.closed
+        for j in range(1, h + 1) if self.clean else ():
+            y = back[j]
+            if y < h and img[fwd[y + 1]] != lab[j]:
+                self.clean = False
                 break
-        for t, jumped in self.landed.items():
-            i, j = self.locate(t)
-            y = self.towers[self.stack[i]].back[j]
-            pre = sorted(jumped + [self.starts[i] + y]) if y else jumped
-            if len(pre) > 1:
-                found.append((pre[1], t))
-        return min(found)[1] if found else 0
 
-    def walk(self, tally):
-        """Add this tower's checked and unresolved cells to tally, floors
-        upwards; stop at the first cell whose walk leaves its block's
-        image and return (floor, block).  Runs after the injectivity pass,
-        so no tower met here has a collision."""
-        stack, towers = self.stack, self.towers
-        for i, u in enumerate(stack):
+
+def _flat_images(stack, towers, h: int) -> list:
+    """image[f], the floor s sends floor f of a fine tower of height h to,
+    0 past either end of it (image[0] is 0): the fine tower stacks copies
+    of the coarse towers that stack names, bottom first."""
+    image = [0]
+    for u in stack:
+        t = towers[u]
+        image.extend(map(add, range(len(image), len(image) + t.h), t.disp))
+    return [t if 0 < t <= h else 0 for t in image]
+
+
+def _first_collision(stack, towers, h: int) -> int:
+    """The image of the lowest floor of a fine tower whose image a lower
+    floor already has, 0 if s is injective there.  Without a floor sent
+    out of its copy, the first copy holding a collision holds it."""
+    if not any(towers[u].leaves for u in stack):
+        base = 0
+        for u in stack:
             t = towers[u]
-            if not t.jumps:
-                # the walk from this copy's top floor enters the next copy
-                # at the image of its floor 1, read there when s keeps that
-                # floor inside the copy
-                nxt = label = 0
-                if i + 1 < len(stack):
-                    n = towers[stack[i + 1]]
-                    f = n.fwd[1]
-                    nxt = self.starts[i + 1] + f if f else self.image(self.starts[i + 1] + 1)
-                    label = n.img[f] if f else nxt and self.image_label(nxt)
-                if t.clean and (not nxt or label == t.lab[t.seam]):
-                    tally[0] += t.checked + bool(nxt)
-                    tally[1] += not nxt
-                    continue
-            failed = self.replay(i, tally)
-            if failed:
-                return failed
-        return None
+            if t.collision:
+                return base + t.collision[1]
+            base += t.h
+        return 0
+    taken = bytearray(h + 1)
+    for t in _flat_images(stack, towers, h):
+        if t:
+            if taken[t]:
+                return t
+            taken[t] = 1
+    return 0
 
-    def image_label(self, floor: int):
-        i, j = self.locate(floor)
-        return self.towers[self.stack[i]].img[j]
 
-    def replay(self, i: int, tally):
-        """walk on copy i alone, floor by floor."""
-        t = self.towers[self.stack[i]]
-        for j in range(1, t.h + 1):
-            y = self.preimage(self.starts[i] + j)
-            nxt = self.image(y + 1) if 0 < y < self.h else 0
-            if not nxt:
-                tally[1] += 1
-            elif self.image_label(nxt) == t.lab[j]:
-                tally[0] += 1
-            else:
-                return self.starts[i] + j, t.lab[j]
-        return None
+def _flat_walk(stack, towers, h: int, tally):
+    """The walk of one fine tower floor by floor, on which s is injective:
+    add its checked and unresolved cells to tally, floors upwards, and
+    stop at the first cell whose walk leaves its block's image, returning
+    (floor, block)."""
+    image = _flat_images(stack, towers, h)
+    lab = (None, *chain.from_iterable(towers[u].lab[1:] for u in stack))
+    img = (None, *chain.from_iterable(towers[u].img[1:] for u in stack))
+    pre = [0] * (h + 1)
+    for y in range(h, 0, -1):
+        pre[image[y]] = y
+    for j in range(1, h + 1):
+        y = pre[j]
+        t = image[y + 1] if 0 < y < h else 0
+        if not t:
+            tally[1] += 1
+        elif img[t] == lab[j]:
+            tally[0] += 1
+        else:
+            return j, lab[j]
+    return None
 
 
 def verify_conjugator(s: FullGroupElement, blocks, images, block_level: int) -> ConjugacyReport:
@@ -903,23 +844,29 @@ def verify_conjugator(s: FullGroupElement, blocks, images, block_level: int) -> 
     in its block's image.  The first failure in tower-then-floor order of
     the fine cells is the one reported.
 
-    The replay never lists the fine cells.  Each fine tower stacks whole
-    towers of level c = max(s.level, block_level) (bratteli.tower_stacks),
-    and both s and the block labels are constant on their fibers, so a
-    displacement that keeps a floor inside its c-tower acts alike in every
-    copy of that tower.  Injectivity, the walk and the labels are therefore
-    worked out once per c-tower; a copy adds only its seam, the floor whose
-    walk crosses into the next copy, and block counts are block-level
-    counts times copy multiplicities.  Floors whose displacement leaves
-    their c-tower, and the copies they land in, are replayed floor by
-    floor.  A c-tower's displacements and labels are those of the towers
-    of s.level and of block_level it stacks, concatenated, so no level's
-    cells are listed either.  The labels of the block-level floors are read
-    off blocks and images once (_floor_labels); when some floor has none,
-    KeyError names the first block cell without both labels, in fine-cell
-    order (tower_stacks(d, block_level, mf)).  The cost grows with the
-    cells of level c and the number of copies, and CELL_CAP binds on level
-    c only.
+    Each fine tower stacks whole towers of level c = max(s.level,
+    block_level) (bratteli.tower_stacks), and both s and the block labels
+    are constant on their fibers.  A c-tower is closed when s sends every
+    floor inside it and no two onto one; s then permutes its floors alike
+    in every copy, so its walk and labels are worked out once.  A fine
+    tower that stacks only closed c-towers is answered copy by copy: each
+    copy's walk, then each seam, the floor whose walk crosses into the next
+    copy, against the next copy's image of its floor 1.  That costs
+    O(copies), as does injectivity of a fine tower none of whose c-towers
+    sends a floor out of itself: the first copy holding a collision holds
+    the first one.  Every other fine tower (one stacking a c-tower that
+    sends a floor out, or one whose copy summary fails) is replayed floor
+    by floor on flat arrays of its floors' images, preimages and labels
+    (_flat_images, _flat_walk), at O(its floors).  Block counts are
+    block-level counts times copy multiplicities.  A c-tower's
+    displacements and labels are those of the towers of s.level and of
+    block_level it stacks, concatenated, so no level's cells are listed.
+    The labels of the block-level floors are read off blocks and images
+    once (_floor_labels); when some floor has none, KeyError names the
+    first block cell without both labels, in fine-cell order
+    (tower_stacks(d, block_level, mf)).  The cost grows with the cells of
+    level c, the number of copies and the floors replayed one by one, and
+    CELL_CAP binds on level c only.
     """
     d = s.diagram
     mf = d.check_level(s.level + AUDIT_LOOKAHEAD)
@@ -933,11 +880,10 @@ def verify_conjugator(s: FullGroupElement, blocks, images, block_level: int) -> 
         _CoarseTower(h, chain.from_iterable(map(s.tables.__getitem__, stack)))
         for h, stack in zip(capped_heights(d, c), tower_stacks(d, s.level, c))
     ]
-    views = [_FineTower(stack, towers, h) for stack, h in zip(stacks, hf)]
-    suspect = any(t.collision or t.jumps for t in towers)
+    suspect = not all(t.closed for t in towers)
 
-    for v, view in enumerate(views):
-        hit = view.first_collision() if suspect else 0
+    for v, (stack, h) in enumerate(zip(stacks, hf)):
+        hit = _first_collision(stack, towers, h) if suspect else 0
         if hit:
             return ConjugacyReport(
                 "counterexample",
@@ -983,8 +929,14 @@ def verify_conjugator(s: FullGroupElement, blocks, images, block_level: int) -> 
             )
 
     tally = [0, 0]  # checked, unresolved
-    for v, view in enumerate(views):
-        failed = view.walk(tally)
+    for v, (stack, h) in enumerate(zip(stacks, hf)):
+        ts = list(map(towers.__getitem__, stack))
+        if all(t.clean for t in ts) and all(t.seam == n.entry for t, n in zip(ts, ts[1:])):
+            # every cell checks out but the top copy's seam, which is unresolved
+            tally[0] += h - 1
+            tally[1] += 1
+            continue
+        failed = _flat_walk(stack, towers, h, tally)
         if failed:
             j, b = failed
             return ConjugacyReport(

@@ -1226,6 +1226,25 @@ def test_verification_matches_dict_reference_on_multi_tower_conjugators(monkeypa
             assert_matches_reference(identity, blocks, images, lookahead, m, seen)
             rep = verify_conjugator(lifted(identity, m + lookahead - 3), blocks, images, m)
             assert _branch(rep) == "wrong image" and rep.checked > 0
+    # odometer(5) against the rotation of its tower by one floor: the
+    # identity, the identity with its top floor sent one floor up (into the
+    # next copy, onto its floor 1) and the shift, which jumps on every top
+    # floor and so is replayed floor by floor
+    from cantorconj.systems import odometer
+
+    o5 = odometer(5)
+    blocks = tuple((c,) for c in cells(o5, 1))
+    images = tuple(((0, j % 5 + 1),) for _, j in cells(o5, 1))
+    for r in ((0,) * 5, (0,) * 4 + (1,), (1,) * 5):
+        for lookahead in (2, 3):
+            assert_matches_reference(FullGroupElement(o5, 1, (r,)), blocks, images, lookahead, 1, seen)
+    # a closed element on tri3 whose first wrong cell is floor 1 of the top
+    # copy in fine tower 0, the floor whose preimage lies just under that
+    # copy's top floor; every seam of that fine tower holds
+    s = FullGroupElement(tri3, 2, ((0, 0), (1, -1), (5, 1, 1, 1, -4, -4)))
+    blocks = (((0, 1), (2, 2), (2, 3), (2, 5), (2, 6)), ((0, 2), (1, 1), (1, 2), (2, 1), (2, 4)))
+    images = (((0, 2), (2, 1), (2, 2), (2, 3), (2, 4)), ((0, 1), (1, 1), (1, 2), (2, 5), (2, 6)))
+    assert_matches_reference(s, blocks, images, 2, 2, seen)
     assert seen == {"ok", "not injective", "covers", "wrong image", "inconclusive"}
 
 
@@ -1273,3 +1292,35 @@ def test_verification_fails_malformed_blocks_like_the_reference():
     got = verify_conjugator(bad, bundle.blocks, images, bundle.sigma.target_level)
     assert _branch(got) == "not injective"
     assert got == reference_verify_conjugator(bad, bundle.blocks, images, bundle.sigma.target_level)
+
+
+def test_closed_conjugators_are_answered_copy_by_copy(monkeypatch):
+    # every conjugator the synthesis builds sends no floor out of its coarse
+    # tower and no two floors onto one, so its audit never replays a fine
+    # tower floor by floor; nor does a collision inside a tower
+    from cantorconj import check
+    from cantorconj.systems import odometer
+
+    from conftest import hierarchy_pool
+
+    pool = hierarchy_pool()
+    inputs = [(odometer(2), odometer(6), 2), (odometer(4), odometer(6), 1)]
+    inputs += [(pool[9], pool[2], 1), (pool[10], pool[4], 1)]
+    bundles = resolution_bundles() + [conjugate_at_resolution(*x) for x in inputs]
+    elem, blocks, images = synthesized_on(random.Random(34), FIB, 3, 1)[0]
+
+    def flat(*args):
+        raise AssertionError("replayed floor by floor")
+
+    monkeypatch.setattr(check, "_flat_images", flat)
+    monkeypatch.setattr(check, "_flat_walk", flat)
+    for bundle in bundles:
+        args = (bundle.blocks, bundle.images, bundle.sigma.target_level)
+        assert verify_conjugator(bundle.corrector, *args) == bundle.report
+    # floor 1 sent where floor 2 goes: a collision inside the tower
+    tables = [list(r) for r in elem.tables]
+    r = tables[0]
+    assert len(r) >= 2
+    r[0] = r[1] + 1
+    bad = FullGroupElement(FIB, elem.level, tuple(map(tuple, tables)))
+    assert _branch(verify_conjugator(bad, blocks, images, 3)) == "not injective"
