@@ -17,16 +17,16 @@ solution of the intertwining equation h.A^ga = B^gb.h with h.u_A = u_B
 (shift equivalence over Z+).  On a stationary diagram A^ga carries the
 heights at level a0 + j*ga to those at a0 + (j+1)*ga, so h carries K_A,
 the square matrix of the first na of those height vectors (na the
-vertices of A), to the matching K_B of B.  When K_A is invertible h is therefore K_B.K_A^-1, read off an
-inverse kept per diagram.  Otherwise the search enumerates h as the
-nonnegative integer points of the linear system, and in any case H as
-those of H.h = A^ga, h.H = B^gb and H.u_B = u_A' (the unit ga levels up),
-each in lexicographic order by a depth-first walk over a row echelon
-form; one budget of walk nodes bounds the whole search.  When h has full
-column rank, h.H = B^gb forces H, which is read off one small elimination
-of [h | B^gb] instead.  A period pair whose powers A^ga and B^gb differ in
-nonzero spectrum cannot hold such a pair (H.h and h.H share it), so its
-cells are skipped before any elimination.
+vertices of A), to the matching K_B of B.  When K_A is invertible that
+forces h, and when h has full column rank h.H = B^gb forces H; each
+forced rung is read off one fraction-free elimination, of [K_A^T | K_B^T]
+or of [h | B^gb].  Otherwise the search enumerates h as the nonnegative
+integer points of the linear system, and H as those of H.h = A^ga,
+h.H = B^gb and H.u_B = u_A' (the unit ga levels up), each in
+lexicographic order by a depth-first walk over a row echelon form; one
+budget of walk nodes bounds the whole search.  A period pair whose powers
+A^ga and B^gb differ in nonzero spectrum cannot hold such a pair (H.h and
+h.H share it), so its cells are skipped before any elimination.
 
 No-verdicts are only ever derived from sound obstructions: a prime power
 present in one divisor set and absent from the other, trace images
@@ -51,7 +51,6 @@ and the replay that yields the report run on every call.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import count
 from typing import Optional
@@ -348,38 +347,78 @@ def _unflatten(flat, width):
     return tuple(flat[i : i + width] for i in range(0, len(flat), width))
 
 
+# what _forced_solution returns when M's columns are linearly dependent
+_RANK_SHORT = "rank short"
+
+
+def _forced_solution(m, n):
+    """The nonnegative integer matrix X with M.X = N, for integer matrices
+    M (r x k) and N (r x c): None when there is none, and _RANK_SHORT when
+    M has rank below k, so that X need not be unique.
+
+    One fraction-free elimination of [M | N] on M's k columns decides the
+    rank.  At full rank the pivots are columns 0..k-1 and X is forced: row
+    i of X is the N side of pivot row i over its pivot, so each division
+    must be exact and nonnegative, and the rows past the pivots must be
+    zero on the N side.
+    """
+    k = len(m[0])
+    aug = [list(mrow) + list(nrow) for mrow, nrow in zip(m, n)]
+    if len(_row_reduce_int(aug, range(k))) < k:
+        return _RANK_SHORT
+    if any(any(row[k:]) for row in aug[k:]):
+        return None
+    x = []
+    for i, row in enumerate(aug[:k]):
+        if any(v < 0 or v % row[i] for v in row[k:]):
+            return None
+        x.append(tuple([v // row[i] for v in row[k:]]))
+    return tuple(x)
+
+
+def _forward_rungs(cols_a, cols_b, conn_a, conn_b, budget):
+    """The forward rungs h of a cell, in lexicographic order.
+
+    cols_a[j] is heights(dgA, a0 + j*ga) and cols_b[j] is heights(dgB,
+    b0 + j*gb), for j up to na, A's vertex count.  C_A carries cols_a[j]
+    to cols_a[j+1], so h.C_A = C_B.h and h.u_A = u_B give h.K_A = K_B, K_A
+    and K_B having the first na of them as columns.  When K_A is
+    invertible that forces h (_forced_solution on the transposes), and h
+    solves the cell exactly when it is a nonnegative integer matrix with
+    h.cols_a[na] = cols_b[na]: the commutation read on the columns of K_A,
+    whose first column is u_A.  Its bounds follow from h.u_A = u_B.  The
+    Kronecker system has no free variable here, so this costs the one node
+    `_lex_solutions` charges on it.  A singular K_A goes to
+    `_forward_system` and `_lex_solutions`.
+    """
+    na = len(conn_a)
+    ht = _forced_solution(cols_a[:na], cols_b[:na])
+    if ht is _RANK_SHORT:
+        forward = _forward_system(cols_a[0], cols_b[0], conn_a, conn_b)
+        return (_unflatten(flat, na) for flat in _lex_solutions(*forward, budget))
+    budget.charge()
+    h = None if ht is None else tuple(zip(*ht))
+    return () if h is None or _mat_apply(h, cols_a[na]) != cols_b[na] else (h,)
+
+
 def _backward_rung(h, ub0, ua1, conn_a, conn_b, budget):
     """The lexicographically least backward rung H for the forward rung h,
     or None when there is none.
 
-    One fraction-free elimination of [h | C_B] on the columns of h decides
-    the rank of h.  When h has full column rank, h.H = C_B forces H: row r
-    of H is the C_B side of pivot row r over its pivot, so the division
-    must be exact and nonnegative, and the rows past the pivots must be
-    zero on the C_B side; then H.h = C_A is checked.  H.u_B = u_A' follows,
-    since H.u_B = H.h.u_A = C_A.u_A, and with it the bounds of the
-    Kronecker system; that system has no free variable here, so this costs
-    the one node `_lex_solutions` charges on it.  A rank-deficient h (only
-    when C_A is singular) goes to `_backward_system` and `_lex_solutions`.
+    When h has full column rank, h.H = C_B forces H (_forced_solution),
+    and H.h = C_A is checked.  H.u_B = u_A' follows, since H.u_B = H.h.u_A
+    = C_A.u_A, and with it the bounds of the Kronecker system; that system
+    has no free variable here, so this costs the one node `_lex_solutions`
+    charges on it.  A rank-deficient h (only when C_A is singular) goes to
+    `_backward_system` and `_lex_solutions`.
     """
-    na = len(h[0])
-    aug = [list(hrow) + list(crow) for hrow, crow in zip(h, conn_b)]
-    if len(_row_reduce_int(aug, range(na))) < na:
+    bm = _forced_solution(h, conn_b)
+    if bm is _RANK_SHORT:
         backward = _backward_system(h, ub0, ua1, conn_a, conn_b)
         flat = next(_lex_solutions(*backward, budget), None)
         return None if flat is None else _unflatten(flat, len(ub0))
     budget.charge()
-    for row in aug[na:]:
-        if any(row[na:]):
-            return None
-    bm = []
-    for r, row in enumerate(aug[:na]):
-        pv = row[r]
-        if any(x < 0 or x % pv for x in row[na:]):
-            return None
-        bm.append(tuple([x // pv for x in row[na:]]))
-    bm = tuple(bm)
-    return bm if _mat_mul(bm, h) == conn_a else None
+    return bm if bm is not None and _mat_mul(bm, h) == conn_a else None
 
 
 def _nonzero_charpoly(d, g):
@@ -393,52 +432,6 @@ def _nonzero_part(d, g):
     return cp[next(i for i, c in enumerate(cp) if c) :]
 
 
-def _krylov_inverse(d, a0, g):
-    """(N, D) with N / D the inverse of K, the square matrix whose column j
-    is heights(d, a0 + j*g), or None when K is singular; kept per diagram
-    in derived().
-
-    On a stationary diagram A^g carries each column of K to the next, so K
-    is invertible exactly when heights(d, a0) is a cyclic vector of A^g.
-    One fraction-free elimination of [K | I] leaves row r as p_r times
-    row r of [I | K^-1]; D is the lcm of the pivots p_r.
-    """
-    return derived(d, ("krylov_inverse", a0, g), _invert_krylov, d, a0, g)
-
-
-def _invert_krylov(d, a0, g):
-    cols = [heights(d, a0 + j * g) for j in range(d.num_vertices(a0))]
-    n = len(cols)
-    aug = [[col[i] for col in cols] + [int(i == k) for k in range(n)] for i in range(n)]
-    if len(_row_reduce_int(aug, range(n))) < n:
-        return None
-    den = math.lcm(*(aug[r][r] for r in range(n)))
-    return tuple(tuple(x * (den // aug[r][r]) for x in aug[r][n:]) for r in range(n)), den
-
-
-def _krylov_rung(inv, tail_a, dgB, b0, gb, budget):
-    """The forward rung of a cell whose Krylov matrix K_A is invertible, as
-    a tuple of one rung or of none.
-
-    h.C_A = C_B.h and h.u_A = u_B give h.K_A = K_B, K_B the matrix whose
-    column j is heights(dgB, b0 + j*gb); so h = K_B.K_A^-1, and it solves
-    the cell exactly when it is a nonnegative integer matrix with
-    h.tail_a = heights(dgB, b0 + na*gb), tail_a being heights(dgA, a0 +
-    na*ga): the commutation read on the columns of K_A.  Its bounds follow
-    from h.u_A = u_B.  The Kronecker system has no free variable here, so
-    this costs the one node `_lex_solutions` charges on it.
-    """
-    budget.charge()
-    num, den = inv
-    na = len(num)
-    cols = [heights(dgB, b0 + j * gb) for j in range(na + 1)]
-    prod = _mat_mul(tuple(zip(*cols[:na])), num)
-    if any(x < 0 or x % den for row in prod for x in row):
-        return ()
-    h = tuple(tuple([x // den for x in row]) for row in prod)
-    return (h,) if _mat_apply(h, tail_a) == cols[na] else ()
-
-
 def _ladder_search(dgA, dgB, max_span, max_base, budget):
     """Breadth-first over the total level span, then lexicographic.
 
@@ -448,15 +441,16 @@ def _ladder_search(dgA, dgB, max_span, max_base, budget):
     Any such h solves h.C_A = C_B.h (shift equivalence over Z+), so h ranges
     over the solutions of that equation with h.u_A = u_B, and H over those
     of H.h = C_A, h.H = C_B and H.u_B = u_A'; the first pair in
-    lexicographic order of h, then of H, is returned.  By stationarity C_A
-    carries heights(a0 + j*ga) to heights(a0 + (j+1)*ga), so h.K_A = K_B
-    for the Krylov matrices of the heights; when K_A is invertible the one
-    candidate h = K_B.K_A^-1 is checked (_krylov_rung, one node, as the
-    Kronecker system would charge with no free variable), and only a
-    singular K_A takes the Kronecker system of _forward_system.  When h
-    has full column rank, h.H = C_B forces H, which is read off one small
-    elimination of [h | C_B] (_backward_rung); only a rank-deficient h,
-    possible only when C_A is singular, takes the Kronecker system.
+    lexicographic order of h, then of H, is returned.
+
+    Each rung is read off one elimination (_forced_solution) where it is
+    forced, for one node, as the Kronecker system would charge with no free
+    variable: h where K_A, the square matrix of A's heights at the levels
+    a0 + j*ga, is invertible, since h.K_A = K_B by stationarity
+    (_forward_rungs), and H where h has full column rank, since
+    h.H = C_B (_backward_rung).  Only a singular K_A takes the Kronecker
+    system of _forward_system, and only a rank-deficient h, possible only
+    when C_A is singular, that of _backward_system.
 
     Each period pair (ga, gb) is first tested once, exactly, and skipped
     with all its base levels when the test fails:
@@ -484,24 +478,13 @@ def _ladder_search(dgA, dgB, max_span, max_base, budget):
                 skipped += 1
                 continue
             for a0 in range(1, max_base + 1):
-                ua0, ua1 = heights(dgA, a0), heights(dgA, a0 + ga)
                 conn_a = composed_incidence(dgA, a0, a0 + ga)
-                inv = _krylov_inverse(dgA, a0, ga)
-                if inv is not None:
-                    tail_a = heights(dgA, a0 + len(ua0) * ga)
+                cols_a = [heights(dgA, a0 + j * ga) for j in range(len(conn_a) + 1)]
                 for b0 in range(1, max_base + 1):
-                    ub0 = heights(dgB, b0)
                     conn_b = composed_incidence(dgB, b0, b0 + gb)
-                    if inv is not None:
-                        rungs = _krylov_rung(inv, tail_a, dgB, b0, gb, budget)
-                    else:
-                        forward = _forward_system(ua0, ub0, conn_a, conn_b)
-                        rungs = (
-                            _unflatten(flat, len(ua0))
-                            for flat in _lex_solutions(*forward, budget)
-                        )
-                    for h in rungs:
-                        bm = _backward_rung(h, ub0, ua1, conn_a, conn_b, budget)
+                    cols_b = [heights(dgB, b0 + j * gb) for j in range(len(cols_a))]
+                    for h in _forward_rungs(cols_a, cols_b, conn_a, conn_b, budget):
+                        bm = _backward_rung(h, cols_b[0], cols_a[1], conn_a, conn_b, budget)
                         if bm is not None:
                             ladder = IntertwiningLadder(
                                 (a0, a0 + ga, a0 + 2 * ga),
@@ -543,12 +526,13 @@ def decide_k_conjugacy(
     search for a periodic intertwining ladder, by total level span up to
     max_span and base levels up to max_base.  In each cell the forward
     rung h runs over the nonnegative integer solutions of
-    h.A^ga = B^gb.h with h.u_A = u_B: there is at most one, K_B.K_A^-1,
-    when the heights at levels a0 + j*ga (j below A's vertex count) are
-    linearly independent, since A^ga carries each to the next; only
-    otherwise is that system solved.  The backward rung runs over those of
+    h.A^ga = B^gb.h with h.u_A = u_B, and the backward rung H over those of
     H.h = A^ga, h.H = B^gb and H.u_B = u_A' (the unit ga levels up), both
-    in lexicographic order.  A period pair (ga, gb) is skipped with all its
+    in lexicographic order.  Each rung is read off one elimination where it
+    is forced: h when the heights at levels a0 + j*ga (j below A's vertex
+    count) are linearly independent, since A^ga carries each to the next,
+    and H when h has full column rank; only otherwise is the rung's linear
+    system enumerated.  A period pair (ga, gb) is skipped with all its
     cells when the characteristic polynomials of A^ga and B^gb differ once
     factors of t are dropped: by Sylvester's identity H.h and h.H share
     their nonzero spectrum, so no cell of such a pair holds a ladder, and

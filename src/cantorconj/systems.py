@@ -15,7 +15,7 @@ proper ordering.
 
 from __future__ import annotations
 
-from .bratteli import OrderedBratteliDiagram
+from .bratteli import OrderedBratteliDiagram, _plain_int
 
 
 def odometer(q: int) -> OrderedBratteliDiagram:
@@ -47,16 +47,24 @@ def fibonacci() -> OrderedBratteliDiagram:
 
 def stationary_from_rows(rows, root=None) -> OrderedBratteliDiagram:
     """Stationary diagram from ordered source rows; root defaults to one edge
-    per level-1 vertex."""
-    k = len(rows)
+    per level-1 vertex.
+
+    The rules are obd-v1's (bratteli.parse_diagram), so the diagram's text
+    parses back to it: at least one row, each nonempty, with plain int
+    sources in 0..k-1 for k rows, and a root of exactly k nonempty rows of
+    0.  Anything else raises ValueError naming the row.
+    """
     table = tuple(tuple(row) for row in rows)
-    for row in table:
-        if not row or any(not (0 <= s < k) for s in row):
-            raise ValueError("bad source row %r" % (row,))
-    if root is None:
-        root_table = tuple((0,) for _ in range(k))
-    else:
-        root_table = tuple(tuple(r) for r in root)
+    k = len(table)
+    if not k:
+        raise ValueError("need at least one source row")
+    root_table = ((0,),) * k if root is None else tuple(tuple(r) for r in root)
+    if len(root_table) != k:
+        raise ValueError("root has %d rows, not one per vertex (%d)" % (len(root_table), k))
+    for what, tab, sources in (("source row", table, k), ("root row", root_table, 1)):
+        for v, row in enumerate(tab):
+            if not row or not all(_plain_int(s) and 0 <= s < sources for s in row):
+                raise ValueError("bad %s %d: %r" % (what, v, row))
     return OrderedBratteliDiagram("stationary", (1, k), (root_table, table))
 
 

@@ -106,6 +106,38 @@ def test_round_trip_explicit(rng):
         assert parse_diagram(serialize_diagram(d)) == d
 
 
+def test_stationary_from_rows_builds_only_what_obd_v1_parses(rng):
+    # each input breaks one rule of parse_diagram: the same rows and root
+    # put straight into a diagram serialize to text it rejects, and
+    # stationary_from_rows refuses them, naming the row
+    rows = ((0, 1), (0,))
+    refused = [
+        (rows, ((0, 1), (0,)), "root row 0"),  # a root source out of range
+        (rows, ((), (0,)), "root row 0"),  # an empty root row
+        (rows, ((0,),), "root has 1 rows"),
+        (rows, ((0,), (0,), (0,)), "root has 3 rows"),
+        (rows, ((True,), (0,)), "root row 0"),
+        ((), ((),), "at least one source row"),
+        (((0, True), (False,)), ((0,), (0,)), "source row 0"),
+        (((0, 1), (False,)), None, "source row 1"),
+        (((0, 1), ()), None, "source row 1"),
+        (((0, 2), (0,)), None, "source row 0"),
+    ]
+    for bad_rows, root, named in refused:
+        raw = OrderedBratteliDiagram("stationary", (1, len(bad_rows)), (root or ((0,),) * 2, bad_rows))
+        with pytest.raises(DiagramStructureError):
+            parse_diagram(serialize_diagram(raw))
+        with pytest.raises(ValueError, match=named):
+            stationary_from_rows(bad_rows, root)
+    for _ in range(40):
+        drawn = random_stationary(rng)
+        d = stationary_from_rows(drawn.tables[1], root=drawn.tables[0])
+        assert d == drawn
+        assert parse_diagram(serialize_diagram(d)) == d
+        plain = stationary_from_rows(drawn.tables[1])
+        assert parse_diagram(serialize_diagram(plain)) == plain
+
+
 def test_parse_rejects_bad_json_with_position():
     with pytest.raises(DiagramSyntaxError) as err:
         parse_diagram("{not json")

@@ -39,8 +39,9 @@ from cantorconj.classify import (
     IntertwiningLadder,
     SearchExhausted,
     _backward_system,
+    _RANK_SHORT,
+    _forced_solution,
     _forward_system,
-    _krylov_inverse,
     _ladder_search,
     _lex_solutions,
     _NodeBudget,
@@ -777,7 +778,7 @@ def test_forced_backward_rungs_match_the_kronecker_system(monkeypatch):
     pairs = rung_pool()
     assert len(pairs) == 80 * 79 + 73 + 576 + 2 * 333
     wants = [search_outcome(kronecker_ladder_search, a, b, 20_000) for a, b in pairs]
-    calls = {"_backward_rung": 0, "_backward_system": 0, "_krylov_rung": 0, "_forward_system": 0}
+    calls = {"_backward_rung": 0, "_backward_system": 0, "_forward_rungs": 0, "_forward_system": 0}
 
     def counted(name):
         inner = getattr(classify, name)
@@ -795,12 +796,13 @@ def test_forced_backward_rungs_match_the_kronecker_system(monkeypatch):
         assert search_outcome(_ladder_search, a, b, 20_000) == want
         if isinstance(want[0][0], IntertwiningLadder):
             found.append((a, b, want[1]))
-    # both paths run for each rung: forward rungs K_B.K_A^-1, and the
-    # Kronecker system where K_A is singular (equal row sums, singular
-    # incidences); forced backward rungs, and the Kronecker system for
-    # rank-deficient h on the singular incidences
+    # both paths run for each rung: forced forward rungs, and the Kronecker
+    # system where K_A is singular (equal row sums, singular incidences);
+    # forced backward rungs, and the Kronecker system for rank-deficient h
+    # on the singular incidences.  Each _forward_rungs call not forced
+    # calls _forward_system once.
     assert 0 < calls["_backward_system"] < calls["_backward_rung"], calls
-    assert 0 < calls["_forward_system"] and 0 < calls["_krylov_rung"], calls
+    assert 0 < calls["_forward_system"] < calls["_forward_rungs"], calls
     assert len(found) > 500
     # a budget that runs out midway, or at the last node, runs out at the
     # same node with the same message
@@ -811,18 +813,17 @@ def test_forced_backward_rungs_match_the_kronecker_system(monkeypatch):
             assert search_outcome(_ladder_search, a, b, limit) == want
 
 
-def krylov_matrix(d, a0, g):
-    """The square matrix whose column j is heights(d, a0 + j*g)."""
-    cols = [heights(d, a0 + j * g) for j in range(d.num_vertices(a0))]
-    return tuple(zip(*cols))
+def height_columns(d, a0, g, count):
+    """heights(d, a0 + j*g) for j below count."""
+    return [heights(d, a0 + j * g) for j in range(count)]
 
 
 def test_krylov_rung_matches_the_forward_system():
     # every cell of a small window over named and seeded systems, without
-    # the spectral test: the product K_B.K_A^-1 is a rung, or fails for a
-    # fraction, a negative entry or the commutation at the tail column,
-    # exactly where the Kronecker system of the cell has that one solution
-    # or none, at one node either way
+    # the spectral test: where K_A is invertible the product K_B.K_A^-1 is
+    # a rung, or fails for a fraction, a negative entry or the commutation
+    # at the tail column, exactly where the Kronecker system of the cell
+    # has that one solution or none, at one node either way
     rng = random.Random(31)
     pool = list(NAMED.values()) + [odometer(3), odometer(9)]
     while len(pool) < 14:
@@ -833,26 +834,25 @@ def test_krylov_rung_matches_the_forward_system():
     kinds = {"rung": 0, "fraction": 0, "negative": 0, "tail": 0}
     for a, b in itertools.product(pool, repeat=2):
         for a0, ga, b0, gb in itertools.product((1, 2), (1, 2, 3), (1, 2), (1, 2, 3)):
-            inv = _krylov_inverse(a, a0, ga)
-            if inv is None:
+            na = a.num_vertices(a0)
+            cols_a, cols_b = height_columns(a, a0, ga, na + 1), height_columns(b, b0, gb, na + 1)
+            # [K_A^T | K_B^T] reduced over Q: its right side is (K_B.K_A^-1)^T
+            exact = [[Fraction(x) for x in cols_a[j] + cols_b[j]] for j in range(na)]
+            if len(row_reduce(exact, range(na))) < na:
                 continue
-            na = len(inv[0])
-            ua0, ub0 = heights(a, a0), heights(b, b0)
             conn_a, conn_b = composed_incidence(a, a0, a0 + ga), composed_incidence(b, b0, b0 + gb)
             got_budget, want_budget = _NodeBudget(10 ** 6), _NodeBudget(10 ** 6)
-            tail_a = heights(a, a0 + na * ga)
-            got = classify._krylov_rung(inv, tail_a, b, b0, gb, got_budget)
-            forward = _forward_system(ua0, ub0, conn_a, conn_b)
+            got = tuple(classify._forward_rungs(cols_a, cols_b, conn_a, conn_b, got_budget))
+            forward = _forward_system(cols_a[0], cols_b[0], conn_a, conn_b)
             want = tuple(_unflatten(f, na) for f in _lex_solutions(*forward, want_budget))
             assert got == want, (a, b, a0, ga, b0, gb)
             assert got_budget.spent == want_budget.spent == 1
-            kb = tuple(zip(*(heights(b, b0 + j * gb) for j in range(na))))
-            prod = _mat_mul(kb, inv[0])
+            prod = [x for row in exact for x in row[na:]]
             if got:
                 kinds["rung"] += 1
-            elif any(x % inv[1] for row in prod for x in row):
+            elif any(x.denominator != 1 for x in prod):
                 kinds["fraction"] += 1
-            elif any(x < 0 for row in prod for x in row):
+            elif any(x < 0 for x in prod):
                 kinds["negative"] += 1
             else:
                 kinds["tail"] += 1
@@ -861,13 +861,15 @@ def test_krylov_rung_matches_the_forward_system():
 
 def test_equal_row_sums_take_the_kronecker_system():
     # heights (1, 1) at level 1 are an eigenvector of an incidence with
-    # equal row sums, so its Krylov matrix is singular at every cell: those
-    # 16 telescope ladders come from the fallback, the other 57 from K_A^-1
+    # equal row sums, so its K_A is singular at every cell: those 16
+    # telescope ladders come from the fallback, the other 57 are forced
     fallback = []
     for label, a, b in telescope_style_pairs():
         ladder, _, _ = _ladder_search(a, b, 12, 3, _NodeBudget(20_000))
-        a0, a1 = ladder.a_levels[:2]
-        if _krylov_inverse(a, a0, a1 - a0) is None:
+        (a0, a1, _), (b0, b1) = ladder.a_levels, ladder.b_levels
+        na = a.num_vertices(a0)
+        cols_a, cols_b = height_columns(a, a0, a1 - a0, na), height_columns(b, b0, b1 - b0, na)
+        if _forced_solution(cols_a, cols_b) is _RANK_SHORT:
             fallback.append(label)
             mat = composed_incidence(a, 1, 2)
             assert len({sum(row) for row in mat}) == 1, label
@@ -877,40 +879,44 @@ def test_equal_row_sums_take_the_kronecker_system():
     # (1, 7, 13)/(3, 9) comes from the Kronecker system
     big = stationary_from_rows(rows_of(((0, 0, 1), (0, 0, 1), (2, 2, 1))))
     small = stationary_from_rows(rows_of(((0, 2), (2, 1))))
-    assert all(_krylov_inverse(big, a0, g) is None for a0 in (1, 2, 3) for g in range(1, 12))
+    assert all(
+        _forced_solution(cols, cols) is _RANK_SHORT
+        for cols in (height_columns(big, a0, g, 3) for a0 in (1, 2, 3) for g in range(1, 12))
+    )
     want = search_outcome(kronecker_ladder_search, big, small, 20_000)
     assert (want[0][0].a_levels, want[0][0].b_levels) == ((1, 7, 13), (3, 9))
     assert search_outcome(_ladder_search, big, small, 20_000) == want
 
 
-def test_krylov_inverse_on_seeded_diagrams():
-    # N.K = D.I wherever K is invertible, None exactly where it is singular
-    # (the rank over Q), and the value is kept on the diagram
+def test_forced_solution_matches_the_fraction_reduction():
+    # seeded M (r x k) and N (r x c), N mostly M.X for a planted X with
+    # entries -1..3, sometimes bumped: rank short exactly when M's rank
+    # over Q is below k, and otherwise the unique solution over Q exactly
+    # when it is a nonnegative integer matrix, else None
     rng = random.Random(29)
-    kinds = {"inverse": 0, "singular": 0}
-    for _ in range(60):
-        n = rng.choice((2, 3))
-        while True:
-            mat = tuple(tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(n))
-            if _is_primitive(rows_of(mat), n):
-                break
-        d = stationary_from_rows(rows_of(mat))
-        for a0 in (1, 2, 3):
-            for g in (1, 2, 3):
-                k = krylov_matrix(d, a0, g)
-                rank = len(row_reduce([[Fraction(x) for x in row] for row in k], range(n)))
-                inv = _krylov_inverse(d, a0, g)
-                assert _krylov_inverse(d, a0, g) is inv
-                if inv is None:
-                    assert rank < n, (mat, a0, g)
-                    kinds["singular"] += 1
-                    continue
-                num, den = inv
-                assert rank == n and den > 0, (mat, a0, g)
-                eye = tuple(tuple(den * (i == j) for j in range(n)) for i in range(n))
-                assert _mat_mul(num, k) == eye == _mat_mul(k, num), (mat, a0, g)
-                kinds["inverse"] += 1
-    assert min(kinds.values()) >= 50, kinds
+    kinds = {"rank short": 0, "solution": 0, "none": 0}
+    for _ in range(600):
+        r, k, c = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 3)
+        m = tuple(tuple(rng.randint(-2, 3) for _ in range(k)) for _ in range(r))
+        low = -1 if rng.random() < 0.2 else 0
+        x = tuple(tuple(rng.randint(low, 3) for _ in range(c)) for _ in range(k))
+        n = [list(row) for row in _mat_mul(m, x)]
+        if rng.random() < 0.3:
+            n[rng.randrange(r)][rng.randrange(c)] += rng.choice((-1, 1, 2))
+        exact = [[Fraction(v) for v in mrow + tuple(nrow)] for mrow, nrow in zip(m, n)]
+        got = _forced_solution(m, n)
+        if len(row_reduce(exact, range(k))) < k:
+            assert got is _RANK_SHORT, (m, n)
+            kinds["rank short"] += 1
+            continue
+        want = None
+        if not any(v for row in exact[k:] for v in row[k:]):
+            sol = [row[k:] for row in exact[:k]]
+            if all(v.denominator == 1 and v >= 0 for row in sol for v in row):
+                want = tuple(tuple(int(v) for v in row) for row in sol)
+        assert got == want, (m, n)
+        kinds["none" if got is None else "solution"] += 1
+    assert min(kinds.values()) >= 20, kinds
 
 
 # ---------------------------------------------------------------------------

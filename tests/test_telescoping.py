@@ -28,9 +28,10 @@ from cantorconj.classify import (
     weak_certificate,
 )
 from cantorconj.check import verify_certificate
+from cantorconj.fieldpoly import charpoly
 from cantorconj.systems import NAMED, odometer, stationary_from_rows
 
-from conftest import _is_primitive, hierarchy_pool, rows_of, time_ceiling
+from conftest import _is_primitive, hierarchy_pool, primitive_2x2_diagrams, rows_of, time_ceiling
 
 POSITIVE = ("weak", "tau", "k-conjugate")
 DECIDERS = (decide_weak, decide_tau, decide_k_conjugacy)
@@ -60,6 +61,27 @@ def p40_rows():
     every = [m for n in (2, 3) for m in primitive_incidences(n)]
     assert len(every) == 11200
     return tuple(rows_of(m) for m in random.Random(7).sample(every, 40))
+
+
+def sc150_pairs():
+    """SC150': `random.Random(11).sample(pairs, 150)`, where `pairs` is the
+    254,416 `itertools.combinations` within each charpoly bucket, buckets in
+    first-seen order, of primitive_incidences(2) then primitive_incidences(3);
+    each pair as fresh diagrams."""
+    buckets = {}
+    for n in (2, 3):
+        for mat in primitive_incidences(n):
+            buckets.setdefault(charpoly(mat), []).append(mat)
+    pairs = [pair for mats in buckets.values() for pair in itertools.combinations(mats, 2)]
+    assert len(pairs) == 254_416
+    return [
+        (stationary_from_rows(rows_of(a)), stationary_from_rows(rows_of(b)))
+        for a, b in random.Random(11).sample(pairs, 150)
+    ]
+
+
+def prime_support(q):
+    return frozenset(p for p in range(2, q + 1) if q % p == 0 and all(p % f for f in range(2, p)))
 
 
 def decisions(a, b):
@@ -246,7 +268,9 @@ def test_verdict_ledger():
     # equals tests/verdict_ledger.json: a change that moves a count edits
     # the ledger in the same change.  On every pair refutations are closed
     # (weak "not" => tau "not" <=> kconj "not", with tau's obstructions);
-    # no shift-equivalent pair is refuted, and each of its ladders replays
+    # no shift-equivalent pair is refuted, and each of its ladders replays.
+    # On odometers Glimm's oracle holds wherever a relation decides: a
+    # positive verdict means the same prime support, "not" a different one
     p40 = [stationary_from_rows(r) for r in p40_rows()]
     u22 = [stationary_from_rows(r) for r in u22_rows()]
     assert len(u22) == 22
@@ -257,6 +281,9 @@ def test_verdict_ledger():
         "hierarchy pool": itertools.product(hierarchy, repeat=2),
         "telescoping pairs": telescoping_pairs(),
         "shift equivalence": shift_equivalent_pairs(),
+        "SC150'": sc150_pairs(),
+        "2x2 family": itertools.permutations(primitive_2x2_diagrams(), 2),
+        "odometers 2..60": itertools.permutations(map(odometer, range(2, 61)), 2),
     }
     got = {}
     for name, pairs in pools.items():
@@ -271,6 +298,12 @@ def test_verdict_ledger():
                 if kconj.ladder is not None:
                     cert = ladder_certificate(kconj.ladder, a, b)
                     assert verify_certificate(cert, (a, b)).ok, (a, b)
+            if name == "odometers 2..60":
+                # an odometer's q is its number of edges per level
+                same = prime_support(len(a.table(1)[0])) == prime_support(len(b.table(1)[0]))
+                for positive, res in zip(POSITIVE, results):
+                    assert res.verdict != positive or same, (a, b)
+                    assert res.verdict != "not" or not same, (a, b)
             counts[",".join(res.verdict for res in results)] += 1
         got[name] = dict(counts)
     path = pathlib.Path(__file__).with_name("verdict_ledger.json")
