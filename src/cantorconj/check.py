@@ -395,17 +395,22 @@ def weak_schedules(dgA, dgB, depth: int = DEFAULT_DEPTH) -> Optional[tuple]:
     """(forward, backward): build_k0_morphism from levels 1..WEAK_ROUNDS of
     A into B, then of B into A, both from level 1 on.  None when a search
     runs out or a divisor obstruction turns up (equal spectra rule it out).
+
+    All 2 * WEAK_ROUNDS morphisms are built, in that order, before any is
+    looked at, so an error from a later one propagates even when an earlier
+    one is an obstruction.
     """
+    out = []
     try:
-        out = tuple(
-            tuple(build_k0_morphism(src, m, dst, 1, depth) for m in range(1, WEAK_ROUNDS + 1))
-            for src, dst in ((dgA, dgB), (dgB, dgA))
-        )
+        for src, dst in ((dgA, dgB), (dgB, dgA)):
+            for m in range(1, WEAK_ROUNDS + 1):
+                out.append(build_k0_morphism(src, m, dst, 1, depth))
     except SearchExhausted:
         return None
-    if any(isinstance(t, Obstruction) for schedule in out for t in schedule):
-        return None
-    return out
+    for t in out:
+        if isinstance(t, Obstruction):
+            return None
+    return tuple(out[:WEAK_ROUNDS]), tuple(out[WEAK_ROUNDS:])
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +442,31 @@ class IntertwiningLadder:
 
     @staticmethod
     def from_json(blob: dict) -> "IntertwiningLadder":
-        """The ladder a witness states; ValueError on a level or entry that
-        is not a plain JSON integer."""
-        return IntertwiningLadder(
-            _json_ints(blob["a_levels"]),
-            _json_ints(blob["b_levels"]),
-            tuple(tuple(map(_json_ints, m)) for m in blob["forwards"]),
-            tuple(tuple(map(_json_ints, m)) for m in blob["backwards"]),
-        )
+        """The ladder a witness states; ValueError naming the first level or
+        entry, in reading order, that is not a plain JSON integer.
+
+        Each level list is read by _json_ints.  Each rung matrix is read
+        once into row tuples, and the entries' types of all rungs in one
+        pass; only when a type other than int turns up are the rows already
+        built read again by _json_ints, row by row, to name the first
+        offender.  A missing key, or a rung or row that is no sequence,
+        raises while the rungs are built; the rungs are then read row by
+        row from the blob, so an offender before it is still the one named.
+        """
+        la, lb = _json_ints(blob["a_levels"]), _json_ints(blob["b_levels"])
+        try:
+            fs = tuple([tuple(map(tuple, m)) for m in blob["forwards"]])
+            bs = tuple([tuple(map(tuple, m)) for m in blob["backwards"]])
+        except (KeyError, TypeError):
+            for key in ("forwards", "backwards"):
+                for m in blob[key]:
+                    tuple(map(_json_ints, m))
+            raise
+        rows = tuple(chain.from_iterable(fs + bs))
+        if not _INT.issuperset(map(type, chain.from_iterable(rows))):
+            for row in rows:
+                _json_ints(row)
+        return IntertwiningLadder(la, lb, fs, bs)
 
 
 def identity_ladder(d: OrderedBratteliDiagram) -> IntertwiningLadder:
@@ -492,8 +514,12 @@ def verify_ladder(
     h.A^ga = h.H.h = B^gb.h, so by induction on i
     h.u_A(a0 + i.ga) = B^(i.gb).h.u_A(a0) = u_B(b0 + i.gb) and
     H.u_B(b0 + i.gb) = A^(i.ga).H.u_B(b0) = u_A(a1 + i.ga), while every
-    square is the first one again.  Such a ladder thus costs two unit
-    checks and two matrix products whatever its length.
+    square is the first one again.  Such a ladder thus costs one guard
+    pass over its levels and rungs, two unit checks and two matrix
+    products whatever its length; the only thing kept between calls is
+    whether each diagram is regular, on the diagram (see
+    _first_period_holds).  An accepted ladder gets the one shared
+    accepted report.
 
     Any other ladder is scanned rung by rung, which is what names a
     rejection: each rung's shape, sign and unit, forward rungs first, then
@@ -580,43 +606,70 @@ def _progression(levels):
 
 
 def _first_period_holds(ladder, dgA, dgB) -> bool:
-    """Whether ladder is periodic on stationary diagrams, up to MAX_LEVEL,
-    and its first period holds, which proves the rest (see verify_ladder).
+    """Whether ladder is periodic on regular stationary diagrams, up to
+    MAX_LEVEL, and its first period holds, which proves the rest (see
+    verify_ladder).
 
-    Only levels and rungs that are tuples of exact ints are read, on
-    diagrams whose tables read as incidence matrices, so nothing here
-    raises; any other ladder is False and goes to the scan.
+    One guard pass reads the ladder alone: tuple fields with counts that
+    line up, exact-int levels and rungs (one type pass over la + lb and
+    one over fs + bs, their rows and entries), equal rungs by tuple.count,
+    each side's levels against their range progression, and the last
+    levels against MAX_LEVEL.  Then both diagrams must be regular
+    (_regular), which is kept per diagram: it never raises and a
+    diagram's tables never change.  Only then are heights read, h and H
+    checked for shape and sign, and the two unit checks and two squares
+    run.  Nothing here raises; any other ladder is False and goes to the
+    scan.
     """
     la, lb = ladder.a_levels, ladder.b_levels
     fs, bs = ladder.forwards, ladder.backwards
+    if not (type(la) is type(lb) is type(fs) is type(bs) is tuple):
+        return False
+    n = len(fs)
+    ms = fs + bs
     if not (
-        type(la) is type(lb) is type(fs) is type(bs) is tuple
-        and len(fs) == len(bs) == len(lb) == len(la) - 1
+        n >= 2
+        and len(bs) == len(lb) == n == len(la) - 1
         and _INT.issuperset(map(type, la + lb))
-        and _int_matrices(fs + bs)
-        and _periodic(ladder, dgA, dgB)
-        and max(la[-1], lb[-1]) <= MAX_LEVEL
-        and _regular(dgA)
-        and _regular(dgB)
+        and _TUPLE.issuperset(map(type, ms))
+    ):
+        return False
+    rows = tuple(chain.from_iterable(ms))
+    if not (
+        _TUPLE.issuperset(map(type, rows))
+        and _INT.issuperset(map(type, chain.from_iterable(rows)))
     ):
         return False
     h, back = fs[0], bs[0]
-    ua0, ub0, ua1 = heights(dgA, la[0]), heights(dgB, lb[0]), heights(dgA, la[1])
-    return (
-        _rung_fault("forward", h, ua0, ub0) is None
-        and _rung_fault("backward", back, ub0, ua1) is None
-        and _mat_mul(back, h) == composed_incidence(dgA, la[0], la[1])
-        and _mat_mul(h, back) == composed_incidence(dgB, lb[0], lb[1])
-    )
-
-
-def _int_matrices(ms) -> bool:
-    """Each of ms is a tuple of tuples of exact ints."""
-    if not _TUPLE.issuperset(map(type, ms)):
+    a0, a1, b0, b1 = la[0], la[1], lb[0], lb[1]
+    ga, gb = a1 - a0, b1 - b0
+    if not (
+        fs.count(h) == n
+        and bs.count(back) == n
+        and a0 >= 1
+        and b0 >= 1
+        and ga >= 1
+        and gb >= 1
+        and la == tuple(range(a0, a0 + ga * (n + 1), ga))
+        and lb == tuple(range(b0, b0 + gb * n, gb))
+        and la[-1] <= MAX_LEVEL
+        and lb[-1] <= MAX_LEVEL
+        and derived(dgA, "regular", _regular, dgA)
+        and derived(dgB, "regular", _regular, dgB)
+    ):
         return False
-    rows = tuple(chain.from_iterable(ms))
-    return _TUPLE.issuperset(map(type, rows)) and _INT.issuperset(
-        map(type, chain.from_iterable(rows))
+    ua0, ub0, ua1 = heights(dgA, a0), heights(dgB, b0), heights(dgA, a1)
+    ka, kb = len(ua0), len(ub0)
+    return (
+        len(h) == kb
+        and len(back) == ka
+        and set(map(len, h)) == {ka}
+        and set(map(len, back)) == {kb}
+        and min(chain(*h, *back)) >= 0
+        and _mat_apply(h, ua0) == ub0
+        and _mat_apply(back, ub0) == ua1
+        and _mat_mul(back, h) == composed_incidence(dgA, a0, a1)
+        and _mat_mul(h, back) == composed_incidence(dgB, b0, b1)
     )
 
 
@@ -964,6 +1017,9 @@ class CertificateCheck:
     reason: str = ""
 
 
+_CERTIFIED = CertificateCheck(True)
+
+
 def diagram_digest(d: OrderedBratteliDiagram) -> str:
     """Content hash of the canonical serialization, kept per diagram."""
     return derived(d, "digest", _sha256_of, d)
@@ -1101,8 +1157,11 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
     displacements, cell coordinates, the lookahead) must be a plain JSON
     integer; anything else is malformed, and the first such entry in
     reading order is named.  Each integer sequence (a ladder's levels, a
-    rung row, a tower's displacements, a cell) is read in one pass (see
-    _json_ints).  No level either names may lie past MAX_LEVEL.  A
+    tower's displacements, a cell) is read in one pass (see _json_ints),
+    and each rung matrix is built in one pass, with one type pass over
+    all rung entries (see IntertwiningLadder.from_json); a ladder is then
+    audited by verify_ladder on every call.  No level either names may lie
+    past MAX_LEVEL.  A
     conjugator's levels must also lie at or below the diagram's first
     level with more than CELL_CAP cells (bratteli.first_level_over_cap,
     walked once per diagram), and its blocks and images must each
@@ -1110,6 +1169,8 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
     diagram and level), before the conjugator is replayed.  Only these
     facts about the diagram are kept: every call parses the witness,
     checks both partitions and runs verify_conjugator again.
+    Every accepted certificate gets the one shared accepted check
+    (CertificateCheck is frozen); a rejection is built with its reason.
     """
     systems = tuple(systems)
     try:
@@ -1133,7 +1194,7 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
             if not rep.ok:
                 where = "rejected" if rep.index is None else "broken at rung %d" % rep.index
                 return CertificateCheck(False, "ladder %s: %s" % (where, rep.reason))
-            return CertificateCheck(True)
+            return _CERTIFIED
         if claim == "weak" and any(
             len(witness[side]) != WEAK_ROUNDS for side in ("forward", "backward")
         ):
@@ -1177,11 +1238,11 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
             rep = verify_conjugator(elem, blocks, images, block_level)
             if rep.verdict != "ok":
                 return CertificateCheck(False, "conjugator fails verification: %s" % rep.verdict)
-            return CertificateCheck(True)
+            return _CERTIFIED
     # what a malformed payload raises; a fault inside a check propagates
     except (KeyError, TypeError, ValueError, IndexError, CapabilityError) as e:
         return CertificateCheck(False, "malformed certificate: %s" % e)
     text = derived(systems[0], (claim + "_text", key[1]), CANONICAL_JSON.encode, recomputed)
     if _canonical(witness) != text:
         return CertificateCheck(False, "witness differs from recomputation")
-    return CertificateCheck(True)
+    return _CERTIFIED

@@ -19,7 +19,13 @@ from .bratteli import OrderedBratteliDiagram, _plain_int
 
 
 def odometer(q: int) -> OrderedBratteliDiagram:
-    """Single-vertex stationary diagram with q parallel edges per transition."""
+    """Single-vertex stationary diagram with q parallel edges per transition.
+
+    q must be a plain int (not a bool) of at least 2, as a source is in
+    stationary_from_rows; anything else raises ValueError.
+    """
+    if not _plain_int(q):
+        raise ValueError("odometer needs a plain int number of edges, not %r" % (q,))
     if q < 2:
         raise ValueError("odometer needs at least 2 edges per level")
     bundle = ((0,) * q,)

@@ -138,6 +138,20 @@ def test_stationary_from_rows_builds_only_what_obd_v1_parses(rng):
         assert parse_diagram(serialize_diagram(plain)) == plain
 
 
+def test_odometer_refuses_a_q_that_is_not_a_plain_int():
+    # as stationary_from_rows refuses a source that is not a plain int
+    for q in (3.0, 2.5, "3", None, True):
+        with pytest.raises(ValueError, match="plain int"):
+            odometer(q)
+    for q in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least 2"):
+            odometer(q)
+    for q in (2, 3, 7):
+        d = odometer(q)
+        assert d == stationary_from_rows(((0,) * q,), root=((0,) * q,))
+        assert parse_diagram(serialize_diagram(d)) == d
+
+
 def test_parse_rejects_bad_json_with_position():
     with pytest.raises(DiagramSyntaxError) as err:
         parse_diagram("{not json")

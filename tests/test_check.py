@@ -5,6 +5,7 @@ import collections
 import copy
 import hashlib
 import inspect
+import itertools
 import json
 import os
 import pathlib
@@ -396,6 +397,53 @@ def test_conjugator_tampers_keep_their_rejection_reasons():
             reasons.append(result.reason)
     digest = hashlib.sha256(json.dumps(reasons).encode()).hexdigest()
     assert digest == "18f1f61c3b797e55ad939416ec1361e439ef2e4c6af12de1625c3ed2bcbf7a40"
+
+
+def test_ladder_witness_leaves_of_another_type_name_the_first():
+    # the first a_levels entry, the last b_levels entry, the first forward
+    # rung entry and the last backward rung entry, in reading order, each
+    # retyped alone to true, 1.0, "1" and null, then two at once: each
+    # certificate is malformed, and the leaf named is the first retyped
+    leaves = (
+        ("a_levels", 0),
+        ("b_levels", -1),
+        ("forwards", 0, 0, 0),
+        ("backwards", -1, -1, -1),
+    )
+    retypes = (True, 1.0, "1", None)
+    for a, b in PAIRS:
+        text = json.dumps(ladder_certificate(decide_k_conjugacy(a, b).ladder, a, b))
+
+        def replayed(*changes):
+            cert = json.loads(text)
+            for where, leaf in changes:
+                parent = cert["witness"]
+                for key in where[:-1]:
+                    parent = parent[key]
+                parent[where[-1]] = leaf
+            return verify_certificate(cert, (a, b))
+
+        for where in leaves:
+            for leaf in retypes:
+                assert replayed((where, leaf)) == CertificateCheck(
+                    False, "malformed certificate: %r is not an integer" % (leaf,)
+                )
+        for first, second in itertools.combinations(leaves, 2):
+            for leaf, other in itertools.permutations(retypes, 2):
+                assert replayed((second, other), (first, leaf)) == CertificateCheck(
+                    False, "malformed certificate: %r is not an integer" % (leaf,)
+                )
+        # nor does a later rung or row that is no sequence, or a missing key
+        for later in (("forwards", -1), ("backwards", 0, -1), ("backwards", -1)):
+            assert replayed((later, 7), (leaves[2], 1.0)) == CertificateCheck(
+                False, "malformed certificate: 1.0 is not an integer"
+            )
+        cert = json.loads(text)
+        cert["witness"]["forwards"][0][0][0] = 1.0
+        del cert["witness"]["backwards"]
+        assert verify_certificate(cert, (a, b)) == CertificateCheck(
+            False, "malformed certificate: 1.0 is not an integer"
+        )
 
 
 def test_forged_ladders_that_prove_nothing_are_rejected():

@@ -1275,22 +1275,31 @@ def test_first_period_reads_only_regular_stationary_diagrams():
     # the forward rung no longer fits at level 2
     a = OrderedBratteliDiagram("stationary", (1, 1), (((0,),), ((0,), (0,))))
     b = stationary_from_rows(((0,),))
-    ladder = IntertwiningLadder((1, 2, 3), (1, 2), (((1,),),) * 2, (((1,), (1,)),) * 2)
-    want = LadderReport(False, 2, "forward rung has the wrong shape")
-    assert reference_verify_ladder(ladder, a, b) == want
-    assert verify_ladder(ladder, a, b) == want
+    two_rows = IntertwiningLadder((1, 2, 3), (1, 2), (((1,),),) * 2, (((1,), (1,)),) * 2)
     # a source past the vertices raises in the scan, as it always did
     stray = OrderedBratteliDiagram("stationary", (1, 1), (((0,),), ((0, 1),)))
-    for audit in (reference_verify_ladder, verify_ladder):
-        with pytest.raises(IndexError):
-            audit(IntertwiningLadder((1, 2, 3), (1, 2), (((1,),),) * 2, (((1,),),) * 2), stray, b)
+    one = IntertwiningLadder((1, 2, 3), (1, 2), (((1,),),) * 2, (((1,),),) * 2)
     # no vertex past the root: each forward rung is one empty row, which
     # sends the empty heights to (0,), not (1,)
     empty = OrderedBratteliDiagram("stationary", (1, 0), ((), ()))
-    ladder = IntertwiningLadder((1, 2, 3), (1, 2), (((),),) * 2, ((),) * 2)
-    want = LadderReport(False, 0, "unit not preserved")
-    assert reference_verify_ladder(ladder, empty, b) == want
-    assert verify_ladder(ladder, empty, b) == want
+    no_vertex = IntertwiningLadder((1, 2, 3), (1, 2), (((),),) * 2, ((),) * 2)
+    # each audited twice on the same objects: the second audit reads the
+    # regularity kept on the diagram, which lets nothing more through
+    for _ in range(2):
+        want = LadderReport(False, 2, "forward rung has the wrong shape")
+        assert reference_verify_ladder(two_rows, a, b) == want
+        assert verify_ladder(two_rows, a, b) == want
+        for audit in (reference_verify_ladder, verify_ladder):
+            with pytest.raises(IndexError):
+                audit(one, stray, b)
+        want = LadderReport(False, 0, "unit not preserved")
+        assert reference_verify_ladder(no_vertex, empty, b) == want
+        assert verify_ladder(no_vertex, empty, b) == want
+    # the kept value is a bool, False on each malformed diagram
+    for d in (a, stray, empty):
+        assert d._memo["regular"] is False
+    assert verify_ladder(one, b, b).ok
+    assert b._memo["regular"] is True
 
 
 def test_first_period_rejects_a_negative_rung():
