@@ -323,7 +323,8 @@ def derived(d: OrderedBratteliDiagram, key, fn, *args):
     a key present means fn's own argument checks passed.  Values are
     shared, so callers must not mutate them.  Data of an ordered pair is
     kept on its first diagram, keyed with the second's digest
-    (check.diagram_digest).
+    (check.diagram_digest), or with the fields the digest hashes where no
+    digest is taken otherwise (check.pair_weak_schedules).
     """
     memo = d._memo
     try:
@@ -380,11 +381,17 @@ def incidence(d: OrderedBratteliDiagram, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _incidence(d, n):
+    """IndexError naming the first source index outside 0..cols-1: a
+    negative one would otherwise count as a vertex from the end."""
     cols = d.num_vertices(n)
     out = []
     for row in d.table(n):
         counts = [0] * cols
         for s in row:
+            if not 0 <= s < cols:
+                raise IndexError(
+                    "transition %d: source index %r outside 0..%d" % (n, s, cols - 1)
+                )
             counts[s] += 1
         out.append(tuple(counts))
     return tuple(out)

@@ -413,6 +413,19 @@ def weak_schedules(dgA, dgB, depth: int = DEFAULT_DEPTH) -> Optional[tuple]:
     return tuple(out[:WEAK_ROUNDS]), tuple(out[WEAK_ROUNDS:])
 
 
+def pair_weak_schedules(dgA, dgB, depth: int = DEFAULT_DEPTH) -> Optional[tuple]:
+    """weak_schedules(dgA, dgB, depth), built once per ordered pair and
+    depth: kept on dgA under dgB's fields and depth (bratteli.derived).
+    The schedules read nothing else, and None is kept like any other
+    answer; an exception is not kept, so it is raised again on every call.
+    B's fields, which its digest hashes, name it here rather than the
+    digest: taking one loads hashlib, a few MB, into a process that may
+    take no other (decide_weak on its own, say).
+    """
+    key = ("weak_schedules", dgB.kind, dgB.vertex_counts, dgB.tables, depth)
+    return derived(dgA, key, weak_schedules, dgA, dgB, depth)
+
+
 # ---------------------------------------------------------------------------
 # intertwining ladders
 
@@ -516,10 +529,11 @@ def verify_ladder(
     H.u_B(b0 + i.gb) = A^(i.ga).H.u_B(b0) = u_A(a1 + i.ga), while every
     square is the first one again.  Such a ladder thus costs one guard
     pass over its levels and rungs, two unit checks and two matrix
-    products whatever its length; the only thing kept between calls is
-    whether each diagram is regular, on the diagram (see
-    _first_period_holds).  An accepted ladder gets the one shared
-    accepted report.
+    products whatever its length, and an accepted first period is kept
+    on A, so a later audit of it against an equal B costs the guard pass
+    alone; whether each diagram is regular is kept too, and a rejection
+    never is (see _first_period_holds).  An accepted ladder gets the one
+    shared accepted report.
 
     Any other ladder is scanned rung by rung, which is what names a
     rejection: each rung's shape, sign and unit, forward rungs first, then
@@ -616,10 +630,16 @@ def _first_period_holds(ladder, dgA, dgB) -> bool:
     each side's levels against their range progression, and the last
     levels against MAX_LEVEL.  Then both diagrams must be regular
     (_regular), which is kept per diagram: it never raises and a
-    diagram's tables never change.  Only then are heights read, h and H
-    checked for shape and sign, and the two unit checks and two squares
-    run.  Nothing here raises; any other ladder is False and goes to the
-    scan.
+    diagram's tables never change.  Only then is the first period looked
+    up among those A has accepted (a set kept on A through derived, key
+    "periods"), under B's digest, a0, a1, b0, b1, h and H, which is all
+    the checks below read; the guard pass, which runs first on every
+    call, has read the rest, so a key holds exact ints and tuples only.
+    A key found there is True at once.  Otherwise heights are read, h and
+    H checked for shape and sign, and the two unit checks and two squares
+    run; the key is kept only when they all hold, so a rejection is
+    checked again on every call.  Nothing here raises; any other ladder
+    is False and goes to the scan.
     """
     la, lb = ladder.a_levels, ladder.b_levels
     fs, bs = ladder.forwards, ladder.backwards
@@ -658,9 +678,13 @@ def _first_period_holds(ladder, dgA, dgB) -> bool:
         and derived(dgB, "regular", _regular, dgB)
     ):
         return False
+    key = (diagram_digest(dgB), a0, a1, b0, b1, h, back)
+    periods = derived(dgA, "periods", set)
+    if key in periods:
+        return True
     ua0, ub0, ua1 = heights(dgA, a0), heights(dgB, b0), heights(dgA, a1)
     ka, kb = len(ua0), len(ub0)
-    return (
+    holds = (
         len(h) == kb
         and len(back) == ka
         and set(map(len, h)) == {ka}
@@ -671,6 +695,9 @@ def _first_period_holds(ladder, dgA, dgB) -> bool:
         and _mat_mul(back, h) == composed_incidence(dgA, a0, a1)
         and _mat_mul(h, back) == composed_incidence(dgB, b0, b1)
     )
+    if holds:
+        periods.add(key)
+    return holds
 
 
 def _regular(d) -> bool:
@@ -1107,7 +1134,7 @@ def _recomputed_weak(dgA, dgB):
     """The weak witness recomputed on (dgA, dgB), or the rejection."""
     schedules = None
     if spectra_equal(dgA, dgB).verdict == "equal":
-        schedules = weak_schedules(dgA, dgB)
+        schedules = pair_weak_schedules(dgA, dgB)
     if schedules is None:
         return CertificateCheck(False, "spectra no longer verify as equal")
     return _weak_witness(*schedules)
@@ -1149,7 +1176,9 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
     recomputed witness's canonical text is kept as well, in a second entry
     encoded outside the malformed-input guard, so an error there (an
     integer too long for str(), say) propagates and is not kept; the
-    submitted witness's own text is compared on every replay.  A weak
+    submitted witness's own text is compared on every replay.  The weak
+    recomputation reads the schedules pair_weak_schedules keeps, the ones
+    decide_weak reads, so a pair's schedules are built once.  A weak
     witness is never parsed or walked to its own levels: the recomputation
     is nonnegative and unit-preserving by construction, so a witness equal
     to it is too.
@@ -1160,14 +1189,16 @@ def verify_certificate(cert: dict, systems) -> CertificateCheck:
     tower's displacements, a cell) is read in one pass (see _json_ints),
     and each rung matrix is built in one pass, with one type pass over
     all rung entries (see IntertwiningLadder.from_json); a ladder is then
-    audited by verify_ladder on every call.  No level either names may lie
-    past MAX_LEVEL.  A
-    conjugator's levels must also lie at or below the diagram's first
-    level with more than CELL_CAP cells (bratteli.first_level_over_cap,
-    walked once per diagram), and its blocks and images must each
-    partition the cells of its block level (bratteli.cell_set, kept per
-    diagram and level), before the conjugator is replayed.  Only these
-    facts about the diagram are kept: every call parses the witness,
+    audited by verify_ladder on every call, which answers a first period
+    the first system has already accepted against an equal second one
+    from the periods it keeps (see _first_period_holds).  No level either
+    names may lie past MAX_LEVEL.  A conjugator's levels must also lie at
+    or below the diagram's first level with more than CELL_CAP cells
+    (bratteli.first_level_over_cap, walked once per diagram), and its
+    blocks and images must each partition the cells of its block level
+    (bratteli.cell_set, kept per diagram and level), before the
+    conjugator is replayed.  Only these facts about the diagram are kept
+    for a conjugator: every call parses the witness,
     checks both partitions and runs verify_conjugator again.
     Every accepted certificate gets the one shared accepted check
     (CertificateCheck is frozen); a rejection is built with its reason.

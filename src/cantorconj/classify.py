@@ -83,10 +83,10 @@ from .check import (
     build_k0_morphism,
     diagram_digest,
     identity_ladder,
+    pair_weak_schedules,
     verify_certificate,  # not called here: bench/spans.py wraps it under this module
     verify_conjugator,
     verify_ladder,
-    weak_schedules,
 )
 from .dimgroup import DimGroup, NEGATIVE, NOT_COMPARABLE, POSITIVE, UNKNOWN, ZERO
 from .fieldpoly import _mat_apply, _mat_mul, _row_reduce_int, charpoly
@@ -129,7 +129,10 @@ def decide_weak(
     On equal spectra the result carries unit-preserving positive morphisms
     in both directions at increasing source levels (check.weak_schedules):
     the finite-level content of the two asymptotic intertwinings.  A
-    distinguishing prime power is a sound No.
+    distinguishing prime power is a sound No.  The schedules are built
+    once per ordered pair and depth (check.pair_weak_schedules), kept on A
+    under B's fields, not its digest, so no digest is taken here; the
+    replay of a weak certificate reads those of DEFAULT_DEPTH.
 
     depth bounds the scan for each schedule's target level even on
     stationary input, where the spectra are exact and read no depth: a
@@ -143,7 +146,7 @@ def decide_weak(
         return WeakResult("not", comp.witness, spectra=comp)
     if comp.verdict != "equal":
         return WeakResult("unknown", spectra=comp)
-    schedules = weak_schedules(dgA, dgB, depth)
+    schedules = pair_weak_schedules(dgA, dgB, depth)
     if schedules is None:
         return WeakResult("unknown", spectra=comp)
     return WeakResult("weak", None, *schedules, comp)
@@ -559,7 +562,9 @@ def decide_k_conjugacy(
     holds an outcome or a search is due, so a refutation or a self pair on
     a fresh A hashes nothing.  Refutations, self pairs and non-stationary
     pairs are not kept and run decide_tau on every call.  Every ladder
-    returned passes verify_ladder again.
+    returned passes verify_ladder again; the audit that accepted it first
+    kept its first period on A (check._first_period_holds), so on a
+    repeat it costs the audit's guard pass alone.
     """
     top = max_base + 2 * (max_span - 1)
     if top > MAX_LEVEL:

@@ -61,6 +61,7 @@ from cantorconj.check import (
     _weak_witness,
     diagram_digest,
     frobenius,
+    pair_weak_schedules,
     represent,
     weak_schedules,
 )
@@ -86,6 +87,7 @@ from conftest import (
     rows_of,
     time_ceiling,
 )
+from test_telescoping import telescoping_pairs
 
 DYADIC = dyadic()
 TRIADIC = triadic()
@@ -573,6 +575,42 @@ def test_positive_answers_close_on_telescoping_pairs():
         if t == "tau" or k == "k-conjugate":
             assert w == "weak", (incidence(a, 1), incidence(b, 1), t, k)
     assert counts == {("tau", "k-conjugate"): 33, ("unknown", "k-conjugate"): 40}
+
+
+def test_kept_weak_schedules_match_a_fresh_build_at_every_depth(monkeypatch):
+    # each pair's schedules are built once per depth and kept on A; at
+    # depths -1..6, up and down again on the same objects, the kept ones
+    # are a fresh build's on fresh objects, and so are the verdicts:
+    # Unknown on every pair at depth -1 and on some up to depth 3
+    counts = collections.Counter()
+    for a, b in telescoping_pairs():
+        for depth in (*range(-1, 7), *range(6, -2, -1)):
+            res = decide_weak(a, b, depth=depth)
+            fresh = weak_schedules(
+                parse_diagram(serialize_diagram(a)), parse_diagram(serialize_diagram(b)), depth
+            )
+            assert pair_weak_schedules(a, b, depth) == fresh
+            assert res.spectra.verdict == "equal"
+            assert res.verdict == ("unknown" if fresh is None else "weak")
+            assert (res.forward, res.backward) == (fresh or ((), ()))
+            counts[depth, res.verdict] += 1
+    unknown = {-1: 73, 0: 40, 1: 32, 2: 24, 3: 24, 4: 0, 5: 0, 6: 0}
+    want = collections.Counter()
+    for depth, n in unknown.items():
+        want[depth, "unknown"] += 2 * n
+        want[depth, "weak"] += 2 * (73 - n)
+    assert counts == want
+    # decide_weak and the weak replay read one build, and decide_weak takes
+    # no digest, so it loads no hashlib
+    built = []
+    monkeypatch.setattr(
+        "cantorconj.check.weak_schedules", lambda *args: built.append(1) or weak_schedules(*args)
+    )
+    a, b = fibonacci(), power_of(fibonacci(), 2)
+    res = decide_weak(a, b)
+    assert res.verdict == "weak" and "digest" not in b._memo
+    assert verify_certificate(weak_certificate(res, a, b), (a, b)).ok
+    assert decide_weak(a, b) == res and built == [1]
 
 
 def test_three_vertex_trace_field_verdicts():

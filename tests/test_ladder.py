@@ -1227,14 +1227,18 @@ def test_periodic_ladder_forms_two_products(monkeypatch):
             ladder.forwards[:1] * rungs,
             ladder.backwards[:1] * rungs,
         )
-        for kept in calls.values():
-            kept.clear()
-        assert verify_ladder(long, a, b).ok
-        # two products and two unit checks, the first period's
-        assert {name: len(kept) for name, kept in calls.items()} == {
-            "_mat_mul": 2,
-            "_mat_apply": 2,
-        }, rungs
+        # fresh objects keep no accepted period yet: the first audit forms
+        # two products and two unit checks, the first period's, and a
+        # repeat on the same objects answers from the kept period
+        fresh_a, fresh_b = fresh(a), fresh(b)
+        for formed in (2, 0):
+            for kept in calls.values():
+                kept.clear()
+            assert verify_ladder(long, fresh_a, fresh_b) is check._ACCEPTED
+            assert {name: len(kept) for name, kept in calls.items()} == {
+                "_mat_mul": formed,
+                "_mat_apply": formed,
+            }, rungs
 
 
 def counted(inner, kept):
@@ -1300,6 +1304,97 @@ def test_first_period_reads_only_regular_stationary_diagrams():
         assert d._memo["regular"] is False
     assert verify_ladder(one, b, b).ok
     assert b._memo["regular"] is True
+
+
+def test_a_negative_source_index_is_no_vertex():
+    # source -1 in the repeating table: read as a vertex from the end it
+    # gives fibonacci's incidence, so fibonacci's ladder to its square would
+    # hold against it; the scan raises on it, as on a source past the end
+    neg = OrderedBratteliDiagram("stationary", (1, 2), (((0,), (0,)), ((0, -1), (0,))))
+    with pytest.raises(IndexError, match="source index -1"):
+        composed_incidence(neg, 1, 2)
+    a, b = fibonacci(), stationary_from_rows(((0, 1, 0), (0, 1)))
+    onto, back = decide_k_conjugacy(a, b).ladder, decide_k_conjugacy(b, a).ladder
+    cases = ((onto, neg, b), (back, b, neg))
+    # twice on the same objects: nothing the first audits keep lets the
+    # second through
+    for _ in range(2):
+        for ladder, x, y in cases:
+            for audit in (reference_verify_ladder, verify_ladder):
+                with pytest.raises(IndexError):
+                    audit(ladder, x, y)
+            rep = check.verify_certificate(ladder_certificate(ladder, x, y), (x, y))
+            assert rep == check.CertificateCheck(
+                False, "malformed certificate: transition 1: source index -1 outside 0..1"
+            )
+    assert neg._memo["regular"] is False
+    assert "periods" not in neg._memo
+    assert check.diagram_digest(neg) not in {key[0] for key in b._memo["periods"]}
+
+
+def period_key(ladder, b):
+    """The key an accepted first period of ladder against B is kept under."""
+    la, lb = ladder.a_levels, ladder.b_levels
+    h, back = ladder.forwards[0], ladder.backwards[0]
+    return (check.diagram_digest(b), la[0], la[1], lb[0], lb[1], h, back)
+
+
+def fresh(d):
+    """A diagram equal to d with nothing kept on it."""
+    return OrderedBratteliDiagram(d.kind, d.vertex_counts, d.tables)
+
+
+def with_entry(m, r, c, x):
+    """Matrix m with entry (r, c) set to x."""
+    return m[:r] + (m[r][:c] + (x,) + m[r][c + 1 :],) + m[r + 1 :]
+
+
+def one_entry_tampers(ladder):
+    """The ladder with one rung entry x changed, for each entry in turn: to
+    x + 1, True, 1.0, float(x) and, where x is 0 or 1, bool(x).  Each change
+    is made in that rung alone and, on the first rung, in every rung of its
+    side, which keeps the ladder periodic."""
+    la, lb, fs, bs = ladder.a_levels, ladder.b_levels, ladder.forwards, ladder.backwards
+    for forward, rungs in ((True, fs), (False, bs)):
+        for i, m in enumerate(rungs):
+            for r, row in enumerate(m):
+                for c, x in enumerate(row):
+                    news = {(type(v), v): v for v in (x + 1, True, 1.0, float(x))}
+                    if x in (0, 1):
+                        news[bool, x] = bool(x)
+                    for new in news.values():
+                        sides = [rungs[:i] + (with_entry(m, r, c, new),) + rungs[i + 1 :]]
+                        if i == 0:
+                            sides.append(tuple(with_entry(n, r, c, new) for n in rungs))
+                        for side in sides:
+                            pair = (side, bs) if forward else (fs, side)
+                            yield IntertwiningLadder(la, lb, *pair)
+
+
+def test_a_tamper_after_an_accept_gets_the_report_of_fresh_objects():
+    fib, square = fibonacci(), stationary_from_rows(((0, 1, 0), (0, 1)))
+    accepted = []
+    for a, b in [(fib, square)] + telescoping_pairs():
+        ladder = decide_k_conjugacy(a, b).ladder
+        assert verify_ladder(ladder, a, b) is check._ACCEPTED
+        accepted.append((a, b, ladder))
+    assert len(accepted) == 74
+    audits = 0
+    for a, b, ladder in accepted:
+        for tampered in one_entry_tampers(ladder):
+            want = reference_verify_ladder(tampered, fresh(a), fresh(b))
+            assert not want.ok or tampered == ladder
+            assert verify_ladder(tampered, fresh(a), fresh(b)) == want
+            assert verify_ladder(tampered, a, b) == want, tampered
+            audits += 1
+        assert verify_ladder(ladder, a, b) is check._ACCEPTED
+    assert audits > 6_000
+    # each diagram keeps the first periods it accepted as A, and nothing else
+    kept = {}
+    for a, b, ladder in accepted:
+        kept.setdefault(id(a), set()).add(period_key(ladder, b))
+    for a, _, _ in accepted:
+        assert a._memo["periods"] == kept[id(a)]
 
 
 def test_first_period_rejects_a_negative_rung():
