@@ -48,7 +48,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable
 
-from .fieldpoly import CapabilityError, _mat_mul  # CapabilityError re-exported
+from .fieldpoly import CapabilityError, _mat_apply, _mat_mul  # CapabilityError re-exported
 
 FORMAT_NAME = "obd-v1"
 
@@ -349,9 +349,10 @@ def heights(d: OrderedBratteliDiagram, m: int) -> tuple[int, ...]:
 
     Only the levels asked for are kept: a missing level is computed from the
     deepest kept level below it, and the levels in between are not stored.
-    A walk up the levels thus costs one transition per level.  A kept level
-    is returned without checking m again: it was stored only after
-    check_level passed.
+    A walk up the levels thus costs one transition per level, a step
+    through the kept incidence, so a source index outside the level below
+    raises the IndexError of incidence.  A kept level is returned without
+    checking m again: it was stored only after check_level passed.
     """
     try:
         return d._memo["heights"][m]
@@ -363,7 +364,7 @@ def heights(d: OrderedBratteliDiagram, m: int) -> tuple[int, ...]:
     start = hs.levels[i - 1]
     h = hs[start]
     for n in range(start, m):
-        h = tuple(sum(h[s] for s in row) for row in d.table(n))
+        h = _mat_apply(incidence(d, n), h)
     hs[m] = h
     hs.levels.insert(i, m)
     return h
@@ -527,7 +528,7 @@ def _first_level_over_cap(d):
     for n in range(top):
         if sum(h) > CELL_CAP:
             return n
-        h = tuple(sum(h[s] for s in row) for row in d.table(n))
+        h = _mat_apply(incidence(d, n), h)
     return top if sum(h) > CELL_CAP else None
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 from operator import add
 from typing import Optional
@@ -419,8 +420,10 @@ def pair_weak_schedules(dgA, dgB, depth: int = DEFAULT_DEPTH) -> Optional[tuple]
     The schedules read nothing else, and None is kept like any other
     answer; an exception is not kept, so it is raised again on every call.
     B's fields, which its digest hashes, name it here rather than the
-    digest: taking one loads hashlib, a few MB, into a process that may
-    take no other (decide_weak on its own, say).
+    digest.  A digest loads no hashlib (_sha256_of), so what the fields
+    save is the digest's own work: serializing and hashing B, about 6
+    microseconds on a fresh two-vertex system, and the string kept on B,
+    in a call that takes no other digest (decide_weak on its own, say).
     """
     key = ("weak_schedules", dgB.kind, dgB.vertex_counts, dgB.tables, depth)
     return derived(dgA, key, weak_schedules, dgA, dgB, depth)
@@ -1053,11 +1056,25 @@ def diagram_digest(d: OrderedBratteliDiagram) -> str:
 
 
 def _sha256_of(d):
-    # imported here, not at the top: hashlib loads OpenSSL, a few MB
-    # that the subcommands and deciders which take no digest never need
-    import hashlib
+    return _sha256()(serialize_diagram(d).encode("utf-8")).hexdigest()
 
-    return hashlib.sha256(serialize_diagram(d).encode("utf-8")).hexdigest()
+
+@cache
+def _sha256():
+    """CPython's built-in SHA-256: _sha2.sha256 from 3.12, _sha256.sha256
+    on 3.10 and 3.11, and hashlib's only where neither module exists.  Every
+    digest is the same bytes whichever hashes it, but hashlib loads OpenSSL,
+    about 3.6 MB of resident memory and 2.5 ms of import, so it is the last
+    resort; a built-in module costs neither, and none is imported before
+    the first digest."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
 
 
 _VERIFIER = {

@@ -12,6 +12,8 @@ fibers exists exactly when the block condition holds: no nonempty proper
 subfamily of blocks has its union fixed by the bijection.  One
 construction (_cycle) decides the condition and builds the cycle, for
 check_block_condition, cyclic_from_blocks and each tower of the synthesis.
+It runs once per BlockBijection: its outcome is kept on the bijection, so
+check_block_condition and cyclic_from_blocks read one construction.
 It splices the cycles of the in-block assignment across the first block
 that straddles the cycle C of 1, one splice at a time, and completes
 exactly when the condition holds.  When it stalls, C is the closure of the
@@ -31,7 +33,7 @@ synthesis cannot vouch for its own output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Optional
 
@@ -104,6 +106,18 @@ class BlockBijection:
         if not all(self.blocks):
             raise ValueError("block %d is empty" % self.blocks.index(()))
 
+    @cached_property
+    def _outcome(self) -> tuple:
+        """_cycle's (sigma, violation) on this bijection, built on first use
+        and kept: the fields are frozen, so it holds for the bijection's
+        whole life.  Like the diagram's _memo it takes no part in equality,
+        hashing or repr."""
+        block_of = [0] * (self.size + 1)
+        for i, u in enumerate(self.blocks):
+            for x in u:
+                block_of[x] = i
+        return _cycle(self.size, self.blocks, self.images, block_of)
+
 
 @dataclass(frozen=True)
 class BlockConditionResult:
@@ -121,26 +135,21 @@ def check_block_condition(b: BlockBijection) -> BlockConditionResult:
     completes exactly when no family is preserved.  So the construction
     decides: on failure the witness is the family it stalls on, the
     closure of the block holding element 1, as the construction returns it.
+    The construction runs once per bijection and is kept on it, so a later
+    cyclic_from_blocks(b) reads the same one.
     """
-    _, violation = _cycle(b.size, b.blocks, b.images, _block_of(b))
+    violation = b._outcome[1]
     return BlockConditionResult(violation is None, violation)
-
-
-def _block_of(b: BlockBijection) -> list:
-    """The block of each element, as block_of[x] for 1-based x."""
-    block_of = [0] * (b.size + 1)
-    for i, u in enumerate(b.blocks):
-        for x in u:
-            block_of[x] = i
-    return block_of
 
 
 def cyclic_from_blocks(b: BlockBijection) -> tuple:
     """A single size-cycle sending each block onto its image, as a tuple
     sigma with sigma[i-1] the image of i; BlockConditionViolation, naming
     the family the construction stalls on, when none exists (see _cycle).
+    The construction runs once per bijection and is kept on it, so a
+    check_block_condition(b) before or after reads the same one.
     """
-    sigma, violation = _cycle(b.size, b.blocks, b.images, _block_of(b))
+    sigma, violation = b._outcome
     if violation is not None:
         raise BlockConditionViolation(violation)
     return sigma

@@ -39,10 +39,12 @@ from cantorconj.systems import (
 )
 
 from conftest import (
+    hierarchy_pool,
     oracle_all_paths,
     oracle_heights,
     oracle_incidence,
     oracle_sorted_tower,
+    primitive_2x2_diagrams,
     random_explicit,
     random_stationary,
     time_ceiling,
@@ -251,6 +253,38 @@ def test_heights_walk_up_the_levels_in_linear_time(rng):
         got = {m: heights(d, m) for m in levels}
         fresh = OrderedBratteliDiagram(d.kind, d.vertex_counts, d.tables)
         assert got == {m: heights(fresh, m) for m in range(40)}
+
+
+def test_heights_refuse_a_negative_source_index():
+    # a source index outside the level below is no vertex: heights raise the
+    # IndexError of incidence, where a negative one counted from the end
+    d = OrderedBratteliDiagram("stationary", (1, 2), (((0,), (0,)), ((0, -1), (0,))))
+    assert heights(d, 1) == (1, 1)
+    for m in (2, 3, 7):
+        with pytest.raises(IndexError, match=r"^transition 1: source index -1 outside 0\.\.1$"):
+            heights(d, m)
+        assert set(d._memo["heights"]) == {0, 1}
+    e = OrderedBratteliDiagram("explicit", (1, 2, 1), (((0,), (0,)), ((1, -2),)))
+    with pytest.raises(IndexError, match=r"^transition 1: source index -2 outside 0\.\.1$"):
+        heights(e, 2)
+
+
+def test_heights_of_named_and_pool_systems_are_unchanged(rng):
+    # the walk through the kept incidence gives the sums over each edge row
+    def row_sums(d, m):
+        h = (1,)
+        for n in range(m):
+            h = tuple(sum(h[s] for s in row) for row in d.table(n))
+        return h
+
+    diagrams = [make() for make in (dyadic, triadic, quaternary, fibonacci)]
+    diagrams += hierarchy_pool() + list(primitive_2x2_diagrams())
+    diagrams += [odometer(q) for q in range(2, 13)]
+    for d in diagrams:
+        assert [heights(d, m) for m in range(9)] == [row_sums(d, m) for m in range(9)]
+    for _ in range(30):
+        e = random_explicit(rng, levels=5)
+        assert [heights(e, m) for m in range(6)] == [row_sums(e, m) for m in range(6)]
 
 
 def test_incidence_fibonacci():

@@ -15,7 +15,7 @@ import sys
 import pytest
 
 from cantorconj import check
-from cantorconj.bratteli import CapabilityError, cells, serialize_diagram
+from cantorconj.bratteli import CapabilityError, cells, dump_diagram, serialize_diagram
 from cantorconj.check import (
     WEAK_ROUNDS,
     CertificateCheck,
@@ -75,8 +75,10 @@ import cantorconj.check
 from cantorconj.bratteli import parse_diagram  # loaded by check already
 
 UPPER = {"cantorconj.classify", "cantorconj.fullgroup", "cantorconj.cli", "sympy"}
-# hashlib (OpenSSL) is loaded by the first digest, not by the import
-before = sorted((UPPER | {"hashlib"}) & set(sys.modules))
+# a digest module (the built-in _sha2 or _sha256, or hashlib where neither
+# exists) is loaded by the first digest, not by the import
+DIGEST = {"_sha2", "_sha256", "hashlib"}
+before = sorted((UPPER | DIGEST) & set(sys.modules))
 out = []
 for cert, texts in json.load(sys.stdin):
     chk = cantorconj.check.verify_certificate(cert, [parse_diagram(t) for t in texts])
@@ -124,6 +126,46 @@ def test_replay_alone_loads_no_decider_front_end_or_sympy():
     assert (out["before"], out["after"]) == ([], []), out
     claims = [claim for claim, ok, reason in out["replays"] if ok]
     assert claims == ["weak", "tau", "tau", "k-conjugate", "conjugator"], out["replays"]
+
+
+DIGESTS_ALONE = """
+import contextlib, io, json, sys
+from cantorconj.cli import run
+from cantorconj.check import diagram_digest
+from cantorconj.systems import NAMED
+
+DIGEST = {"_hashlib", "_sha2", "_sha256", "hashlib"}
+argvs, codes = json.load(sys.stdin), []
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(run(argv))
+before = sorted(DIGEST & set(sys.modules))
+digests = {name: diagram_digest(make()) for name, make in NAMED.items()}
+after = sorted(DIGEST & set(sys.modules))
+print(json.dumps({"codes": codes, "before": before, "digests": digests, "after": after}))
+"""
+
+
+def test_digests_are_sha256_without_openssl(tmp_path):
+    # a fresh interpreter runs the CLI's refusals before any pair is keyed:
+    # kconj keys a pair by digest only for a ladder search, conjugator only
+    # for a synthesis, and tau refutes fibonacci against dyadic before any
+    # search, so no digest module loads.  Then it digests every named system
+    # with CPython's built-in SHA-256: the hexdigests of hashlib.sha256, with
+    # OpenSSL's _hashlib never loaded
+    paths = {}
+    for name, d in (("fibonacci", fibonacci()), ("dyadic", DYADIC)):
+        paths[name] = str(tmp_path / (name + ".obd"))
+        dump_diagram(d, paths[name])
+    pair = [paths["fibonacci"], paths["dyadic"]]
+    argvs = [["kconj", *pair], ["weak", *pair], ["tau", *pair], ["conjugator", *pair, "1"]]
+    out = run_fresh(DIGESTS_ALONE, argvs)
+    assert (out["codes"], out["before"]) == ([0, 0, 0, 0], []), out
+    assert out["digests"] == {
+        name: hashlib.sha256(serialize_diagram(make()).encode("utf-8")).hexdigest()
+        for name, make in NAMED.items()
+    }
+    assert out["after"] in (["_sha2"], ["_sha256"]), out["after"]
 
 
 def hierarchy_grid(pool):

@@ -601,7 +601,7 @@ def test_kept_weak_schedules_match_a_fresh_build_at_every_depth(monkeypatch):
         want[depth, "weak"] += 2 * (73 - n)
     assert counts == want
     # decide_weak and the weak replay read one build, and decide_weak takes
-    # no digest, so it loads no hashlib
+    # no digest
     built = []
     monkeypatch.setattr(
         "cantorconj.check.weak_schedules", lambda *args: built.append(1) or weak_schedules(*args)

@@ -752,6 +752,42 @@ def test_block_layer_keeps_its_verdicts_cycles_and_preserved_violations(monkeypa
         assert again.value.detail == e.detail
 
 
+def test_each_bijection_is_decided_once(monkeypatch):
+    # check_block_condition and cyclic_from_blocks read one construction per
+    # bijection, in either order and on repeats; a fresh equal bijection
+    # builds its own, with the same results, and compares and hashes equal
+    # to a decided one
+    runs = []
+
+    def counting(*args):
+        runs.append(args[0])
+        return cycle(*args)
+
+    cycle = fullgroup._cycle
+    monkeypatch.setattr(fullgroup, "_cycle", counting)
+
+    def outcome(b, cyclic_first=False):
+        calls = [check_block_condition, cyclic_from_blocks]
+        out = []
+        for call in calls[::-1] if cyclic_first else calls:
+            try:
+                out.append(call(b))
+            except BlockConditionViolation as e:
+                out.append(("raised", e.violation, str(e)))
+        return out[::-1] if cyclic_first else out
+
+    for i, b in enumerate(pinned_bijections()):
+        fresh = BlockBijection(b.size, b.blocks, b.images)
+        assert fresh == b and hash(fresh) == hash(b) and repr(fresh) == repr(b)
+        del runs[:]
+        first = outcome(b, cyclic_first=i % 2 == 1)
+        assert outcome(b) == outcome(b, cyclic_first=True) == first
+        assert runs == [b.size]
+        assert fresh == b and hash(fresh) == hash(b) and repr(fresh) == repr(b)
+        assert outcome(fresh) == first and runs == [b.size] * 2
+        assert {b: 1}[BlockBijection(b.size, b.blocks, b.images)] == 1
+
+
 # ---------------------------------------------------------------------------
 # conjugator synthesis
 
